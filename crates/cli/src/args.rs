@@ -298,6 +298,16 @@ fn take_value<'a>(
         .ok_or_else(|| ParseError(format!("{flag} requires a value")))
 }
 
+/// Takes a flag's value as a non-negative, finite number of seconds.
+fn take_seconds(args: &[String], i: &mut usize, flag: &str) -> Result<f64, ParseError> {
+    let v: f64 =
+        take_value(args, i, flag)?.parse().map_err(|_| ParseError(format!("invalid {flag}")))?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(ParseError(format!("invalid {flag}")));
+    }
+    Ok(v)
+}
+
 /// Parses the argument list (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = args.first() else {
@@ -447,13 +457,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             .map_err(|_| ParseError("invalid --threads".into()))?;
                     }
                     "--max-seconds" => {
-                        let v: f64 = take_value(args, &mut i, "--max-seconds")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --max-seconds".into()))?;
-                        if !v.is_finite() || v < 0.0 {
-                            return Err(ParseError("invalid --max-seconds".into()));
-                        }
-                        max_seconds = Some(v);
+                        max_seconds = Some(take_seconds(args, &mut i, "--max-seconds")?);
                     }
                     "--max-evals" => {
                         max_evals = Some(
@@ -733,11 +737,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             .map_err(|_| ParseError("invalid --seed".into()))?;
                     }
                     "--max-seconds" if needs_path => {
-                        max_seconds = Some(
-                            take_value(args, &mut i, "--max-seconds")?
-                                .parse()
-                                .map_err(|_| ParseError("invalid --max-seconds".into()))?,
-                        );
+                        max_seconds = Some(take_seconds(args, &mut i, "--max-seconds")?);
                     }
                     "--max-evals" if needs_path => {
                         max_evals = Some(
@@ -747,17 +747,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         );
                     }
                     "--timeout-seconds" if needs_path => {
-                        timeout_seconds = Some(
-                            take_value(args, &mut i, "--timeout-seconds")?
-                                .parse()
-                                .map_err(|_| ParseError("invalid --timeout-seconds".into()))?,
-                        );
+                        timeout_seconds = Some(take_seconds(args, &mut i, "--timeout-seconds")?);
                     }
                     "--wait" if needs_path => wait = true,
                     "--timeout-s" if verb == "wait" => {
-                        timeout_s = take_value(args, &mut i, "--timeout-s")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --timeout-s".into()))?;
+                        timeout_s = take_seconds(args, &mut i, "--timeout-s")?;
                     }
                     "--text" if verb == "metrics" => text = true,
                     other if !other.starts_with('-') && positional.is_none() => {
@@ -1360,6 +1354,16 @@ mod tests {
         assert!(parse(&argv("job frobnicate --socket s.sock")).is_err());
         assert!(parse(&argv("job list --socket s.sock --priority 3")).is_err());
         assert!(parse(&argv("job list --socket s.sock --text")).is_err());
+        for bad in [
+            "job submit sys.json --socket s.sock --max-seconds -1",
+            "job submit sys.json --socket s.sock --max-seconds NaN",
+            "job submit sys.json --socket s.sock --timeout-seconds -1",
+            "job submit sys.json --socket s.sock --timeout-seconds inf",
+            "job wait job-000002 --socket s.sock --timeout-s -5",
+            "job wait job-000002 --socket s.sock --timeout-s NaN",
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]

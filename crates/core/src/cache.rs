@@ -24,11 +24,9 @@
 
 use std::collections::HashMap;
 
-use momsynth_sync::sync::atomic::{AtomicU64, Ordering};
-use momsynth_sync::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::genome::Gene;
+use crate::genome::{genome_hash, Gene};
 
 /// Number of independent shards. Sharding bounds the linear min-tick
 /// eviction scan to `capacity / SHARD_COUNT` entries.
@@ -136,23 +134,9 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// FNV-1a over the genes with a SplitMix finisher, so low-entropy
-    /// genomes still spread across shards (same construction as
-    /// [`crate::config::FaultInjection::roll`]).
-    fn hash(genome: &[Gene]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &gene in genome {
-            hash = (hash ^ u64::from(gene)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let mut z = hash.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// The cached cost of `genome`, refreshing its recency on a hit.
     pub fn get(&mut self, genome: &[Gene]) -> Option<f64> {
-        let hash = Self::hash(genome);
+        let hash = genome_hash(0, genome);
         let shard = &mut self.shards[(hash % SHARD_COUNT as u64) as usize];
         let entry = shard
             .map
@@ -168,7 +152,7 @@ impl EvalCache {
     /// used entry when full. Re-inserting an existing genome refreshes
     /// its recency and cost.
     pub fn insert(&mut self, genome: &[Gene], cost: f64) {
-        let hash = Self::hash(genome);
+        let hash = genome_hash(0, genome);
         let tick = self.tick;
         self.tick += 1;
         let shard = &mut self.shards[(hash % SHARD_COUNT as u64) as usize];
@@ -215,7 +199,7 @@ impl EvalCache {
         for entry in &state.entries {
             self.insert(&entry.genome, entry.cost);
             // Keep the captured recency, not the replay order's.
-            let hash = Self::hash(&entry.genome);
+            let hash = genome_hash(0, &entry.genome);
             let shard = &mut self.shards[(hash % SHARD_COUNT as u64) as usize];
             if let Some(e) = shard
                 .map
@@ -230,158 +214,6 @@ impl EvalCache {
         // never evictions of the original run; the cumulative total up
         // to the checkpoint is restored into the counter set instead.
         self.evictions = 0;
-    }
-}
-
-/// A lock-free single-entry memo publishing the most recently filled
-/// `(genome hash, cost)` pair — the "hot" genome (typically the elite,
-/// which the GA re-probes constantly).
-///
-/// The protocol is a sequence-lock specialised to a single writer and
-/// atomic payload words, with Release stores and Acquire loads
-/// throughout. The even/odd version plus the double read makes a torn
-/// pair (hash from one publish, cost from another) impossible: if a
-/// reader observes a payload word from publish *k+1*, the Acquire load
-/// synchronizes with that Release store, which makes the odd version
-/// marker of publish *k+1* visible, so the trailing version check
-/// fails and the probe misses instead of lying. The loom model in
-/// `tests/loom_cache.rs` proves exactly this claim — and the seeded
-/// `loom_mutation` variant (the hash store downgraded to Relaxed)
-/// proves the model catches the tear when the ordering is broken.
-///
-/// The memo is keyed by the 64-bit genome hash alone — unlike
-/// [`EvalCache`] it does not compare genomes, so a hash collision can
-/// serve the colliding genome's cost. It is therefore used only as the
-/// concurrent fast path of [`SharedEvalCache`], never by the serial
-/// deterministic batch pipeline, which keeps the strict contract.
-#[derive(Debug, Default)]
-pub struct HotSlot {
-    /// Even = stable, odd = publish in progress, 0 = never published.
-    version: AtomicU64,
-    hash: AtomicU64,
-    cost_bits: AtomicU64,
-}
-
-/// Bounded retries before a reader gives up and reports a miss instead
-/// of spinning against a storm of writers.
-const HOT_PROBE_RETRIES: usize = 4;
-
-impl HotSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes `(hash, cost)`, overwriting the previous pair.
-    ///
-    /// Callers must serialize publishes (single writer at a time; in
-    /// [`SharedEvalCache`] the cache mutex is that serialization).
-    pub fn publish(&self, hash: u64, cost: f64) {
-        let version = self.version.load(Ordering::Relaxed);
-        // Odd marker: readers that see it retry instead of trusting a
-        // half-written pair.
-        self.version.store(version.wrapping_add(1), Ordering::Release);
-        // Seeded bug for the loom mutation check (DESIGN.md §17): a
-        // Relaxed hash store breaks the synchronizes-with edge readers
-        // rely on to detect publishes racing their double-read, letting
-        // a torn (new hash, old cost) pair validate.
-        #[cfg(loom_mutation)]
-        self.hash.store(hash, Ordering::Relaxed);
-        #[cfg(not(loom_mutation))]
-        self.hash.store(hash, Ordering::Release);
-        self.cost_bits.store(cost.to_bits(), Ordering::Release);
-        self.version.store(version.wrapping_add(2), Ordering::Release);
-    }
-
-    /// The published cost for `hash`, if the slot currently holds that
-    /// hash. Lock-free; a probe racing a publish misses rather than
-    /// returning a torn pair.
-    pub fn probe(&self, hash: u64) -> Option<f64> {
-        for _ in 0..HOT_PROBE_RETRIES {
-            let before = self.version.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                return None;
-            }
-            let slot_hash = self.hash.load(Ordering::Acquire);
-            let cost_bits = self.cost_bits.load(Ordering::Acquire);
-            let after = self.version.load(Ordering::Acquire);
-            if before == after {
-                if slot_hash == hash {
-                    return Some(f64::from_bits(cost_bits));
-                }
-                return None;
-            }
-        }
-        None
-    }
-}
-
-/// A thread-safe evaluation cache: the serial [`EvalCache`] behind a
-/// mutex, fronted by a lock-free [`HotSlot`] for the most recently
-/// filled genome.
-///
-/// This is the sharing layer the islands-GA work needs (ROADMAP item
-/// 1): islands evolve on their own threads but share evaluated costs.
-/// The serial batch pipeline keeps using [`EvalCache`] directly — its
-/// determinism contract (drive-thread-only mutation) is unchanged.
-/// `SharedEvalCache` makes the weaker, loom-checked guarantee that no
-/// fill is ever lost and no probe ever observes a torn hot-slot pair.
-#[derive(Debug)]
-pub struct SharedEvalCache {
-    inner: Mutex<EvalCache>,
-    hot: HotSlot,
-}
-
-impl SharedEvalCache {
-    /// A shared cache holding at most (roughly) `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        Self { inner: Mutex::new(EvalCache::new(capacity)), hot: HotSlot::new() }
-    }
-
-    /// The cached cost of `genome`: the lock-free hot slot first, the
-    /// locked cache second (refreshing recency on a hit there).
-    pub fn probe(&self, genome: &[Gene]) -> Option<f64> {
-        let hash = EvalCache::hash(genome);
-        if let Some(cost) = self.hot.probe(hash) {
-            return Some(cost);
-        }
-        self.inner.lock().expect("shared eval cache poisoned").get(genome)
-    }
-
-    /// Caches `cost` for `genome` and publishes it as the hot pair.
-    pub fn fill(&self, genome: &[Gene], cost: f64) {
-        let hash = EvalCache::hash(genome);
-        let mut cache = self.inner.lock().expect("shared eval cache poisoned");
-        cache.insert(genome, cost);
-        // Published under the cache lock: the mutex is the hot slot's
-        // single-writer serialization.
-        self.hot.publish(hash, cost);
-    }
-
-    /// Total entries currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("shared eval cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// LRU evictions since construction or the last restore.
-    pub fn evictions(&self) -> u64 {
-        self.inner.lock().expect("shared eval cache poisoned").evictions()
-    }
-
-    /// Exports the underlying cache state (see [`EvalCache::state`]).
-    pub fn state(&self) -> CacheState {
-        self.inner.lock().expect("shared eval cache poisoned").state()
-    }
-
-    /// Rebuilds from a checkpointed state (see [`EvalCache::restore`]).
-    /// The hot slot is left untouched; it repopulates on the next fill.
-    pub fn restore(&self, state: &CacheState) {
-        self.inner.lock().expect("shared eval cache poisoned").restore(state);
     }
 }
 
@@ -471,63 +303,6 @@ mod tests {
             cache.state()
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn hot_slot_serves_only_the_published_hash() {
-        let slot = HotSlot::new();
-        assert_eq!(slot.probe(0), None, "an empty slot must miss, even for hash 0");
-        slot.publish(11, 2.5);
-        assert_eq!(slot.probe(11), Some(2.5));
-        assert_eq!(slot.probe(12), None);
-        slot.publish(12, 7.5);
-        assert_eq!(slot.probe(12), Some(7.5));
-        assert_eq!(slot.probe(11), None, "a slot holds exactly one pair");
-    }
-
-    #[test]
-    fn shared_cache_round_trips_fills_and_state() {
-        let cache = SharedEvalCache::new(64);
-        assert!(cache.is_empty());
-        assert_eq!(cache.probe(&genome(1, 4)), None);
-        cache.fill(&genome(1, 4), 2.5);
-        cache.fill(&genome(2, 4), 7.0);
-        // The second fill owns the hot slot; the first is served by the
-        // locked cache.
-        assert_eq!(cache.probe(&genome(2, 4)), Some(7.0));
-        assert_eq!(cache.probe(&genome(1, 4)), Some(2.5));
-        assert_eq!(cache.len(), 2);
-
-        let state = cache.state();
-        let back = SharedEvalCache::new(64);
-        back.restore(&state);
-        assert_eq!(back.state(), state);
-        assert_eq!(back.probe(&genome(1, 4)), Some(2.5));
-    }
-
-    #[test]
-    fn shared_cache_fills_from_many_threads_are_never_lost() {
-        let cache = momsynth_sync::sync::Arc::new(SharedEvalCache::new(1024));
-        let handles: Vec<_> = (0..4u16)
-            .map(|t| {
-                let cache = momsynth_sync::sync::Arc::clone(&cache);
-                std::thread::spawn(move || {
-                    for i in 0..16 {
-                        let g = genome(t * 100 + i, 5);
-                        cache.fill(&g, f64::from(t * 100 + i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for t in 0..4u16 {
-            for i in 0..16 {
-                let g = genome(t * 100 + i, 5);
-                assert_eq!(cache.probe(&g), Some(f64::from(t * 100 + i)));
-            }
-        }
     }
 
     #[test]

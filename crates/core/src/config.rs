@@ -5,6 +5,7 @@ use momsynth_ga::GaConfig;
 use momsynth_sched::SchedulerOptions;
 
 use crate::alloc::AllocOptions;
+use crate::genome::genome_hash;
 use crate::local_search::LocalSearchOptions;
 
 /// Weights of the penalty terms in the mapping fitness `F_M`.
@@ -69,6 +70,8 @@ impl DvsSynthesisOptions {
 }
 
 /// A fault injected into one candidate evaluation by [`FaultInjection`].
+/// The candidate is rejected without being evaluated, as if the
+/// evaluator had failed in the named way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
     /// The evaluator panics.
@@ -102,17 +105,7 @@ pub struct FaultInjection {
 impl FaultInjection {
     /// Decides whether (and how) the evaluation of `genome` fails.
     pub fn roll(&self, genome: &[u16]) -> Option<InjectedFault> {
-        // FNV-1a over the seed and the genes, finished with a SplitMix
-        // mix so low-entropy genomes still spread over [0, 1).
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        for &gene in genome {
-            hash = (hash ^ u64::from(gene)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let mut z = hash.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (genome_hash(self.seed, genome) >> 11) as f64 / (1u64 << 53) as f64;
         if unit < self.panic_rate {
             Some(InjectedFault::Panic)
         } else if unit < self.panic_rate + self.nan_rate {

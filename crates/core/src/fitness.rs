@@ -18,6 +18,7 @@
 //! probabilities.
 
 use std::cell::{Cell, RefCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::PeId;
@@ -142,6 +143,31 @@ impl Solution {
     }
 }
 
+/// Why [`Evaluator::try_evaluate`] produced no usable candidate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EvalFailure {
+    /// The scheduler rejected the mapping (see [`Evaluator::evaluate`]).
+    Sched(SchedError),
+    /// The evaluator panicked; carries the panic message when it was a
+    /// string.
+    Panic(Option<String>),
+    /// The candidate priced to a NaN or infinite fitness.
+    NonFinite,
+}
+
+impl std::fmt::Display for EvalFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Sched(e) => e.fmt(f),
+            Self::Panic(Some(message)) => write!(f, "evaluator panicked: {message}"),
+            Self::Panic(None) => f.write_str("evaluator panicked"),
+            Self::NonFinite => f.write_str("non-finite fitness"),
+        }
+    }
+}
+
+impl std::error::Error for EvalFailure {}
+
 /// Reusable working memory for one evaluator: the list scheduler's and
 /// PV-DVS's per-call buffers. One evaluation allocates these once and
 /// every later evaluation on the same [`Evaluator`] reuses them, which
@@ -247,6 +273,33 @@ impl<'a> Evaluator<'a> {
         dvs: Option<&DvsOptions>,
     ) -> Result<Solution, SchedError> {
         self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs))
+    }
+
+    /// [`Evaluator::evaluate`] with fault isolation: a scheduler error, a
+    /// panic inside the evaluator and a non-finite fitness all come back
+    /// as an [`EvalFailure`], so one hostile candidate cannot take a
+    /// search down or win it. Every pricing path of the crate goes
+    /// through here and keeps only its own policy for a failure.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`EvalFailure`] that kept the candidate from pricing.
+    pub fn try_evaluate(
+        &self,
+        mapping: SystemMapping,
+        dvs: Option<&DvsOptions>,
+    ) -> Result<Solution, EvalFailure> {
+        match catch_unwind(AssertUnwindSafe(|| self.evaluate(mapping, dvs))) {
+            Ok(Ok(solution)) if solution.fitness.is_finite() => Ok(solution),
+            Ok(Ok(_)) => Err(EvalFailure::NonFinite),
+            Ok(Err(e)) => Err(EvalFailure::Sched(e)),
+            Err(payload) => Err(EvalFailure::Panic(
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_owned())
+                    .or_else(|| payload.downcast_ref::<String>().cloned()),
+            )),
+        }
     }
 
     fn evaluate_inner(
@@ -565,6 +618,43 @@ mod tests {
             let pristine = fresh.evaluate(mapping, Some(&DvsOptions::fine())).unwrap();
             assert_eq!(reused, pristine);
         }
+    }
+
+    #[test]
+    fn try_evaluate_reports_a_scheduler_error() {
+        // No complete mapping of this system is routable.
+        let system = crate::synthesis::tests::unroutable_system();
+        let config = SynthesisConfig::new(0);
+        let mapping = crate::genome::GenomeLayout::new(&system).decode(&[0, 0, 0]);
+        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
+        let EvalFailure::Sched(e) = &failure else { panic!("expected Sched, got {failure:?}") };
+        assert_eq!(failure.to_string(), e.to_string());
+    }
+
+    #[test]
+    fn try_evaluate_contains_a_panicking_evaluation() {
+        // A PE index the architecture does not have makes the evaluator
+        // panic; the guard turns that into a typed failure.
+        let system = sys(600, 100.0);
+        let config = SynthesisConfig::new(0);
+        let mapping = SystemMapping::from_fn(&system, |_| PeId::new(9));
+        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
+        assert!(matches!(failure, EvalFailure::Panic(_)), "{failure:?}");
+        assert!(failure.to_string().starts_with("evaluator panicked"), "{failure}");
+    }
+
+    #[test]
+    fn try_evaluate_rejects_a_non_finite_fitness() {
+        // Infeasible (30 ms period, 40 ms of software) under an infinite
+        // infeasibility boost: the fitness is +∞.
+        let system = sys(600, 30.0);
+        let mut config = SynthesisConfig::new(0);
+        config.weights.infeasibility_boost = f64::INFINITY;
+        let ev = Evaluator::new(&system, &config);
+        assert_eq!(ev.evaluate(all_cpu(&system), None).unwrap().fitness, f64::INFINITY);
+        let failure = ev.try_evaluate(all_cpu(&system), None).unwrap_err();
+        assert_eq!(failure, EvalFailure::NonFinite);
+        assert_eq!(failure.to_string(), "non-finite fitness");
     }
 
     #[test]

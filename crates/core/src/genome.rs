@@ -14,6 +14,21 @@ use momsynth_sched::SystemMapping;
 /// The gene type: an index into the locus's candidate PE list.
 pub type Gene = u16;
 
+/// FNV-1a over `seed` and the genes, finished with a SplitMix mix so
+/// low-entropy genomes still spread over all 64 bits. Keys the
+/// evaluation cache's shards (seed 0) and the fault-injection pattern;
+/// both are persisted or replayed, so the output must never change.
+pub(crate) fn genome_hash(seed: u64, genes: &[Gene]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed;
+    for &gene in genes {
+        hash = (hash ^ u64::from(gene)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    let mut z = hash.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Static description of the genome: one locus per `(mode, task)` with its
 /// candidate PEs.
 #[derive(Debug, Clone)]
@@ -188,6 +203,14 @@ impl GenomeLayout {
 mod tests {
     use super::*;
     use momsynth_model::units::{Cells, Seconds, Watts};
+
+    #[test]
+    fn genome_hash_is_pinned() {
+        // Checkpointed cache shards and fault patterns depend on these.
+        assert_eq!(genome_hash(0, &[]), 0xc381_7c01_6ba4_ff30);
+        assert_eq!(genome_hash(0, &[1, 2, 3]), 0x8766_8959_ade0_90f8);
+        assert_eq!(genome_hash(11, &[4, 0, 65535]), 0xe8be_29ea_34cc_910b);
+    }
     use momsynth_model::{
         ArchitectureBuilder, Cl, Implementation, OmsmBuilder, Pe, PeKind, TaskGraphBuilder,
         TechLibraryBuilder,

@@ -55,12 +55,12 @@ pub mod transition;
 pub mod verify;
 
 pub use alloc::{derive_allocation, AllocOptions};
-pub use cache::{CacheEntry, CacheState, EvalCache, HotSlot, SharedEvalCache};
+pub use cache::{CacheEntry, CacheState, EvalCache};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::{
     DvsSynthesisOptions, FaultInjection, InjectedFault, PenaltyWeights, SynthesisConfig,
 };
-pub use fitness::{AreaOverrun, Evaluator, Solution};
+pub use fitness::{AreaOverrun, EvalFailure, Evaluator, Solution};
 pub use genome::{Gene, GenomeLayout};
 pub use improve::{improve_random, ImprovementOp};
 pub use local_search::{polish, LocalSearchOptions, LocalSearchStats, PolishControl};

@@ -95,13 +95,7 @@ pub fn polish(
     let mut evaluations = 0usize;
     let cost = |genes: &[Gene], evals: &mut usize| -> f64 {
         *evals += 1;
-        let priced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluator.evaluate(layout.decode(genes), dvs).map(|s| s.fitness)
-        }));
-        match priced {
-            Ok(Ok(fitness)) if fitness.is_finite() => fitness,
-            _ => REJECTED_COST,
-        }
+        evaluator.try_evaluate(layout.decode(genes), dvs).map_or(REJECTED_COST, |s| s.fitness)
     };
 
     let mut current = cost(genes, &mut evaluations);

@@ -35,8 +35,6 @@
 //! at any DVS resolution (coarse search pricing, fine refinement, or
 //! none).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use momsynth_analyze::{analyze_system, DomainReduction};
 use momsynth_ga::bnb::{branch_and_bound, BnbBudget, BnbProblem};
 use momsynth_model::System;
@@ -324,15 +322,12 @@ impl BnbProblem for MappingBnb<'_> {
         for (gene, &choice) in self.genes.iter_mut().zip(choices) {
             *gene = choice as Gene;
         }
-        let mapping = self.layout.decode(&self.genes);
-        let (evaluator, dvs) = (self.evaluator, self.dvs.as_ref());
-        match catch_unwind(AssertUnwindSafe(|| evaluator.evaluate(mapping, dvs))) {
-            Ok(Ok(solution)) if solution.fitness.is_finite() => solution.fitness,
-            // Unschedulable or panicking assignments cannot be the
-            // optimum; infinity keeps them out of `best` and above every
-            // admissible bound.
-            _ => f64::INFINITY,
-        }
+        // Unschedulable or panicking assignments cannot be the optimum;
+        // infinity keeps them out of `best` and above every admissible
+        // bound.
+        self.evaluator
+            .try_evaluate(self.layout.decode(&self.genes), self.dvs.as_ref())
+            .map_or(f64::INFINITY, |solution| solution.fitness)
     }
 }
 
@@ -406,7 +401,7 @@ pub fn prove(
         .and_then(|(choices, _)| {
             let genes: Vec<Gene> = choices.iter().map(|&c| c as Gene).collect();
             let dvs = config.dvs.as_ref().map(|d| d.eval);
-            evaluator.evaluate(layout.decode(&genes), dvs.as_ref()).ok()
+            evaluator.try_evaluate(layout.decode(&genes), dvs.as_ref()).ok()
         });
     Ok(Certificate {
         status,

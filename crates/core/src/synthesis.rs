@@ -14,7 +14,7 @@
 //! [`SynthesisResult`] or a typed [`SynthesisError`]:
 //!
 //! - Candidate evaluations that fail, panic or price to a non-finite
-//!   fitness are isolated with [`std::panic::catch_unwind`], charged
+//!   fitness are isolated by [`Evaluator::try_evaluate`], charged
 //!   [`REJECTED_COST`] and counted in [`SynthesisResult::rejected`]; the
 //!   run continues.
 //! - Budgets ([`momsynth_ga::GaConfig::max_seconds`],
@@ -28,7 +28,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -283,7 +282,7 @@ struct MappingProblem<'a> {
     system: &'a System,
     config: &'a SynthesisConfig,
     /// Cumulative telemetry counters (interior mutability because
-    /// [`GaProblem::cost`] takes `&self`). [`CounterSet::rejected`]
+    /// [`GaProblem::cost_batch`] takes `&self`). [`CounterSet::rejected`]
     /// doubles as the rejected-evaluation count of the run.
     counters: CounterSet,
     /// Genome-keyed cost memo (`None` when `cache_capacity` is 0). Only
@@ -295,9 +294,9 @@ struct MappingProblem<'a> {
     threads: usize,
 }
 
-/// Prices one genome with full fault isolation: injected faults, panics,
-/// scheduling errors and non-finite fitness all reject the candidate
-/// with [`REJECTED_COST`]. A free function (rather than a method) so
+/// Prices one genome for the GA: an injected fault or any
+/// [`Evaluator::try_evaluate`] failure rejects the candidate with
+/// [`REJECTED_COST`]. A free function (rather than a method) so
 /// parallel workers can run it against their own evaluator and counter
 /// set without sharing the `!Sync` [`MappingProblem`].
 fn price_genome(
@@ -307,29 +306,22 @@ fn price_genome(
     counters: &CounterSet,
     genome: &[Gene],
 ) -> f64 {
-    let attempt = || -> Option<f64> {
-        if let Some(fault) = &config.fault_injection {
-            match fault.roll(genome) {
-                Some(InjectedFault::Panic) => panic!("injected evaluator panic"),
-                Some(InjectedFault::Nan) => return Some(f64::NAN),
-                Some(InjectedFault::Err) => return None,
-                None => {}
-            }
-        }
-        let mapping = layout.decode(genome);
-        let dvs = config.dvs.as_ref().map(|d| d.eval);
-        evaluator.evaluate(mapping, dvs.as_ref()).ok().map(|s| {
+    let dvs = config.dvs.as_ref().map(|d| d.eval);
+    let priced = if config.fault_injection.is_some_and(|f| f.roll(genome).is_some()) {
+        None
+    } else {
+        evaluator.try_evaluate(layout.decode(genome), dvs.as_ref()).ok()
+    };
+    match priced {
+        Some(s) => {
             counters.note_violations(
                 s.total_lateness.value() > 1e-12,
                 !s.area_overruns.is_empty(),
                 s.transitions.iter().any(|t| !t.is_feasible()),
             );
             s.fitness
-        })
-    };
-    match catch_unwind(AssertUnwindSafe(attempt)) {
-        Ok(Some(fitness)) if fitness.is_finite() => fitness,
-        _ => {
+        }
+        None => {
             counters.add_rejected();
             REJECTED_COST
         }
@@ -365,15 +357,6 @@ impl GaProblem for MappingProblem<'_> {
 
     fn random_gene(&self, locus: usize, rng: &mut dyn RngCore) -> Gene {
         rng.gen_range(0..self.layout.candidates(locus).len()) as Gene
-    }
-
-    /// Panic-isolated cost: errors, panics and non-finite fitness all
-    /// reject the individual with [`REJECTED_COST`] instead of taking the
-    /// whole run down. Bypasses the cache — the batched path is the hot
-    /// one, and keeping single pricing memo-free keeps it trivially
-    /// comparable in tests.
-    fn cost(&self, genome: &[Gene]) -> f64 {
-        price_genome(self.layout, self.config, self.evaluator, &self.counters, genome)
     }
 
     /// Batched pricing: the GA hands over each generation's unevaluated
@@ -698,12 +681,9 @@ impl<'a> Synthesizer<'a> {
                     // individual and hold it against the independent
                     // checker. An unschedulable best (every candidate
                     // rejected) has nothing to verify.
-                    let solution = catch_unwind(AssertUnwindSafe(|| {
-                        evaluator.evaluate(layout.decode(&snapshot.best.0), dvs_eval.as_ref())
-                    }))
-                    .ok()
-                    .and_then(Result::ok);
-                    if let Some(solution) = solution {
+                    let solution = evaluator
+                        .try_evaluate(layout.decode(&snapshot.best.0), dvs_eval.as_ref());
+                    if let Ok(solution) = solution {
                         if let Some(report) = crate::verify::invariant_breach(system, &solution) {
                             report_breach(
                                 sink,
@@ -755,7 +735,12 @@ impl<'a> Synthesizer<'a> {
         let mut genes = outcome.best.clone();
         let mut evaluations = outcome.evaluations;
         let mut stop_reason = outcome.stop_reason;
-        let deadline = ga_config.max_seconds.map(|s| start + Duration::from_secs_f64(s));
+        // A budget no `Duration` can hold sets no polish deadline: the GA
+        // already stopped on a negative one and never stops on a huge one.
+        let deadline = ga_config
+            .max_seconds
+            .and_then(|s| Duration::try_from_secs_f64(s).ok())
+            .and_then(|d| start.checked_add(d));
         if !stop_reason.is_interrupted()
             && self.config.local_search != (LocalSearchOptions { max_passes: 0 })
         {
@@ -868,7 +853,7 @@ impl<'a> Synthesizer<'a> {
         Ok(result)
     }
 
-    /// Final (fine-DVS) evaluation with the same panic isolation and
+    /// Final (fine-DVS) evaluation with the same fault isolation and
     /// fault injection as candidate pricing, reporting failures as text.
     fn evaluate_final(
         &self,
@@ -885,14 +870,7 @@ impl<'a> Synthesizer<'a> {
                 None => {}
             }
         }
-        match catch_unwind(AssertUnwindSafe(|| {
-            evaluator.evaluate(layout.decode(genes), refine)
-        })) {
-            Ok(Ok(solution)) if solution.fitness.is_finite() => Ok(solution),
-            Ok(Ok(_)) => Err("non-finite fitness".into()),
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => Err(panic_message(&payload)),
-        }
+        evaluator.try_evaluate(layout.decode(genes), refine).map_err(|e| e.to_string())
     }
 }
 
@@ -909,18 +887,8 @@ fn report_breach(sink: Option<&dyn Sink>, message: &str) {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("evaluator panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("evaluator panicked: {s}")
-    } else {
-        "evaluator panicked".to_owned()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::FaultInjection;
     use momsynth_model::ids::{ModeId, PeId};
@@ -989,7 +957,7 @@ mod tests {
     /// `System::new` accepts it, but no complete mapping is routable: `x`
     /// lives on P0, `z` on P3, and `y` must sit on a bus with both — yet
     /// `{P0, P1}` and `{P2, P3}` are disjoint buses.
-    fn unroutable_system() -> System {
+    pub(crate) fn unroutable_system() -> System {
         let mut tech = TechLibraryBuilder::new();
         let tx = tech.add_type("X");
         let ty_ = tech.add_type("Y");

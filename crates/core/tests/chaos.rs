@@ -1,14 +1,14 @@
 //! Fault-injection (chaos) tests of the synthesis runtime.
 //!
-//! A deterministic faulty-evaluator wrapper ([`FaultInjection`]) makes
-//! candidate evaluations panic, return NaN or fail at configurable rates.
+//! A deterministic faulty-evaluator wrapper ([`FaultInjection`]) rejects
+//! candidate evaluations as panicked, NaN-priced or failed at
+//! configurable rates.
 //! These tests assert the resilience contract of the runner: it always
 //! terminates with either a well-formed, finite [`SynthesisResult`] or a
 //! typed [`SynthesisError`] — never a crash, hang or poisoned result.
 
 use std::path::PathBuf;
 use momsynth_sync::sync::atomic::AtomicBool;
-use std::sync::Once; // lint: allow(raw-std-sync-import) Once is not modeled by loom
 
 use proptest::prelude::*;
 
@@ -17,30 +17,6 @@ use momsynth_core::{
     SynthesisError, Synthesizer,
 };
 use momsynth_gen::suite::{generate, GeneratorParams};
-
-static SILENCE: Once = Once::new();
-
-/// Injected evaluator panics unwind through `catch_unwind` by design;
-/// silence the default hook for them so chaos runs don't spray backtraces.
-/// Integration tests run as their own process, so this cannot leak into
-/// other suites.
-fn silence_injected_panics() {
-    SILENCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let injected = payload
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains("injected evaluator panic"))
-                || payload
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains("injected evaluator panic"));
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn small_system() -> momsynth_model::System {
     let mut params = GeneratorParams::new("chaos", 23);
@@ -78,7 +54,6 @@ proptest! {
         fault_seed in 0u64..1000,
         ga_seed in 0u64..8,
     ) {
-        silence_injected_panics();
         let system = small_system();
         let mut cfg = small_config(ga_seed);
         cfg.fault_injection = Some(FaultInjection {
@@ -108,7 +83,6 @@ proptest! {
 
 #[test]
 fn double_digit_panic_rate_is_survivable() {
-    silence_injected_panics();
     let system = small_system();
     let mut cfg = small_config(3);
     cfg.fault_injection =
@@ -120,7 +94,6 @@ fn double_digit_panic_rate_is_survivable() {
 
 #[test]
 fn faulty_runs_are_deterministic() {
-    silence_injected_panics();
     let system = small_system();
     let mut cfg = small_config(1);
     cfg.fault_injection =
@@ -140,7 +113,6 @@ fn faulty_runs_are_deterministic() {
 
 #[test]
 fn evaluation_budget_holds_under_faults() {
-    silence_injected_panics();
     let system = small_system();
     let mut cfg = small_config(2);
     cfg.ga.max_evaluations = Some(40);
@@ -159,7 +131,6 @@ fn evaluation_budget_holds_under_faults() {
 
 #[test]
 fn cancellation_holds_under_faults() {
-    silence_injected_panics();
     let system = small_system();
     let mut cfg = small_config(4);
     cfg.fault_injection =
@@ -217,7 +188,6 @@ fn resume_reproduces_the_uninterrupted_run() {
 
 #[test]
 fn resume_reproduces_the_uninterrupted_run_under_faults() {
-    silence_injected_panics();
     // Fault decisions are pure functions of the genome, so equivalence
     // must hold even with a faulty evaluator.
     let mut cfg = small_config(10);

@@ -8,8 +8,8 @@
 //! criterion based on stagnation.
 //!
 //! The engine is domain-agnostic: a [`GaProblem`] supplies the gene type,
-//! the per-locus random gene distribution, the cost function (lower is
-//! better) and optionally the improvement hook. The multi-mode mapping
+//! the per-locus random gene distribution, the batch cost function (lower
+//! is better) and optionally the improvement hook. The multi-mode mapping
 //! problem in `momsynth-core` is one instance; the unit tests here use
 //! simple numeric problems.
 //!
@@ -32,12 +32,10 @@
 //!
 //! Each generation's unevaluated genomes are priced through a single
 //! [`GaProblem::cost_batch`] call and the results written back by index.
-//! The default implementation maps [`GaProblem::cost`] serially;
-//! overriding it lets a problem evaluate the batch on worker threads or
-//! serve repeats from a cache, with a bit-identical trajectory for a
-//! fixed seed because the engine's randomness never depends on how a
-//! batch was priced. Elites keep their known cost and are never
-//! re-evaluated.
+//! A problem may evaluate the batch on worker threads or serve repeats
+//! from a cache, with a bit-identical trajectory for a fixed seed because
+//! the engine's randomness never depends on how a batch was priced.
+//! Elites keep their known cost and are never re-evaluated.
 //!
 //! # Examples
 //!
@@ -54,8 +52,8 @@
 //!     fn random_gene(&self, _locus: usize, rng: &mut dyn rand::RngCore) -> u8 {
 //!         rand::Rng::gen_range(rng, 0..4)
 //!     }
-//!     fn cost(&self, genome: &[u8]) -> f64 {
-//!         genome.iter().filter(|&&g| g != 0).count() as f64
+//!     fn cost_batch(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
+//!         genomes.iter().map(|g| g.iter().filter(|&&x| x != 0).count() as f64).collect()
 //!     }
 //! }
 //!
@@ -104,14 +102,10 @@ pub trait GaProblem {
     /// search space without any engine-side changes.
     fn random_gene(&self, locus: usize, rng: &mut dyn RngCore) -> Self::Gene;
 
-    /// The cost of a genome; lower is better. Infeasibility is expressed
-    /// through penalty terms, not through rejection. Non-finite values are
-    /// clamped to [`REJECTED_COST`] by the engine.
-    fn cost(&self, genome: &[Self::Gene]) -> f64;
-
     /// Prices a batch of genomes, returning exactly one cost per genome,
-    /// index-aligned with the input. The default maps [`GaProblem::cost`]
-    /// serially, in order.
+    /// index-aligned with the input; lower is better. Infeasibility is
+    /// expressed through penalty terms, not through rejection. Non-finite
+    /// values are clamped to [`REJECTED_COST`] by the engine.
     ///
     /// The engine routes every unevaluated genome of a generation through
     /// this method in one call and writes the results back by index, so an
@@ -120,9 +114,7 @@ pub trait GaProblem {
     /// the evolution trajectory: for a fixed seed the outcome is
     /// bit-identical at any thread count as long as each returned cost is
     /// a pure function of its genome.
-    fn cost_batch(&self, genomes: &[Vec<Self::Gene>]) -> Vec<f64> {
-        genomes.iter().map(|g| self.cost(g)).collect()
-    }
+    fn cost_batch(&self, genomes: &[Vec<Self::Gene>]) -> Vec<f64>;
 
     /// Problem-specific improvement operator, applied to a few individuals
     /// per generation. The default does nothing.
@@ -786,12 +778,14 @@ mod tests {
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> i64 {
             rng.gen_range(-10..=10)
         }
-        fn cost(&self, genome: &[i64]) -> f64 {
-            genome
-                .iter()
-                .zip(&self.target)
-                .map(|(&g, &t)| ((g - t) * (g - t)) as f64)
-                .sum()
+        fn cost_batch(&self, genomes: &[Vec<i64>]) -> Vec<f64> {
+            genomes.iter().map(|g| self.distance(g)).collect()
+        }
+    }
+
+    impl MatchTarget {
+        fn distance(&self, genome: &[i64]) -> f64 {
+            genome.iter().zip(&self.target).map(|(&g, &t)| ((g - t) * (g - t)) as f64).sum()
         }
     }
 
@@ -807,8 +801,8 @@ mod tests {
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> u8 {
             rng.gen_range(1..=9)
         }
-        fn cost(&self, genome: &[u8]) -> f64 {
-            genome.iter().map(|&g| g as f64).sum()
+        fn cost_batch(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
+            genomes.iter().map(|g| g.iter().map(|&x| f64::from(x)).sum()).collect()
         }
         fn improve(&self, genome: &mut [u8], _rng: &mut dyn RngCore) {
             genome.fill(0);
@@ -843,20 +837,15 @@ mod tests {
     }
 
     /// Wraps a problem, prices batches in reverse order and records every
-    /// batch size plus the total number of genomes priced.
+    /// batch size.
     struct ReversedBatch<P> {
         inner: P,
         batches: std::cell::RefCell<Vec<usize>>,
-        priced: std::cell::Cell<usize>,
     }
 
     impl<P> ReversedBatch<P> {
         fn new(inner: P) -> Self {
-            Self {
-                inner,
-                batches: std::cell::RefCell::new(Vec::new()),
-                priced: std::cell::Cell::new(0),
-            }
+            Self { inner, batches: std::cell::RefCell::new(Vec::new()) }
         }
     }
 
@@ -868,10 +857,6 @@ mod tests {
         fn random_gene(&self, locus: usize, rng: &mut dyn RngCore) -> Self::Gene {
             self.inner.random_gene(locus, rng)
         }
-        fn cost(&self, genome: &[Self::Gene]) -> f64 {
-            self.priced.set(self.priced.get() + 1);
-            self.inner.cost(genome)
-        }
         fn improve(&self, genome: &mut [Self::Gene], rng: &mut dyn RngCore) {
             self.inner.improve(genome, rng);
         }
@@ -880,10 +865,9 @@ mod tests {
         }
         fn cost_batch(&self, genomes: &[Vec<Self::Gene>]) -> Vec<f64> {
             self.batches.borrow_mut().push(genomes.len());
-            let mut costs = vec![0.0; genomes.len()];
-            for i in (0..genomes.len()).rev() {
-                costs[i] = self.cost(&genomes[i]);
-            }
+            let reversed: Vec<_> = genomes.iter().rev().cloned().collect();
+            let mut costs = self.inner.cost_batch(&reversed);
+            costs.reverse();
             costs
         }
     }
@@ -918,8 +902,8 @@ mod tests {
 
         // The problem priced exactly as many genomes as the engine
         // reports: elites carry their known cost and are never handed to
-        // cost()/cost_batch() a second time.
-        assert_eq!(problem.priced.get(), outcome.evaluations);
+        // cost_batch() a second time.
+        assert_eq!(problem.batches.borrow().iter().sum::<usize>(), outcome.evaluations);
         assert_eq!(
             outcome.evaluations,
             cfg.population_size + outcome.generations * (cfg.population_size - elitism)
@@ -966,8 +950,8 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost(&self, _genome: &[u8]) -> f64 {
-                1.0
+            fn cost_batch(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
+                vec![1.0; genomes.len()]
             }
         }
         let outcome = run(
@@ -1091,8 +1075,8 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost(&self, genome: &[u8]) -> f64 {
-                1.0 + f64::from(genome[0]) * 1e-9
+            fn cost_batch(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
+                genomes.iter().map(|g| 1.0 + f64::from(g[0]) * 1e-9).collect()
             }
         }
         let with_diversity = run(
@@ -1138,13 +1122,16 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..4)
             }
-            fn cost(&self, genome: &[u8]) -> f64 {
-                match genome[0] {
-                    0 => f64::NAN,
-                    1 => f64::NEG_INFINITY,
-                    2 => f64::INFINITY,
-                    _ => genome.iter().map(|&g| g as f64).sum(),
-                }
+            fn cost_batch(&self, genomes: &[Vec<u8>]) -> Vec<f64> {
+                genomes
+                    .iter()
+                    .map(|g| match g[0] {
+                        0 => f64::NAN,
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::INFINITY,
+                        _ => g.iter().map(|&x| f64::from(x)).sum(),
+                    })
+                    .collect()
             }
         }
         let outcome = run(

@@ -1,5 +1,7 @@
 //! Job model: submission specs, lifecycle states and journal records.
 
+use std::time::{Duration, Instant};
+
 use serde::{Deserialize, Serialize};
 
 use momsynth_core::SynthesisConfig;
@@ -63,6 +65,27 @@ impl JobSpec {
         }
     }
 
+    /// Checks the spec's time budgets: `max_seconds` and
+    /// `timeout_seconds` must each be a non-negative, finite number of
+    /// seconds that fits the clock.
+    ///
+    /// # Errors
+    ///
+    /// Names the first out-of-range budget and its value.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        for (name, value) in
+            [("max_seconds", self.max_seconds), ("timeout_seconds", self.timeout_seconds)]
+        {
+            if let Some(seconds) = value.filter(|&s| deadline_after(s).is_none()) {
+                return Err(format!(
+                    "invalid job spec: `{name}` must be a non-negative, finite number of \
+                     seconds (got {seconds})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The [`SynthesisConfig`] this spec describes.
     pub fn config(&self) -> SynthesisConfig {
         let mut cfg = if self.quick {
@@ -79,6 +102,12 @@ impl JobSpec {
         cfg.ga.max_evaluations = self.max_evaluations;
         cfg
     }
+}
+
+/// The instant `seconds` from now, or `None` when `seconds` is negative,
+/// not finite or beyond the clock's range.
+pub(crate) fn deadline_after(seconds: f64) -> Option<Instant> {
+    Duration::try_from_secs_f64(seconds).ok().and_then(|d| Instant::now().checked_add(d))
 }
 
 /// Lifecycle state of a job. The journal records every transition, so

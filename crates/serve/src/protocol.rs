@@ -3,8 +3,9 @@
 //!
 //! Every request is one JSON object on one line carrying a `cmd` field;
 //! every response is one JSON object on one line carrying `ok` plus
-//! command-specific fields. Back-pressure rejections are typed:
-//! `{"ok": false, "error": ..., "retry_after_s": ...}`.
+//! command-specific fields. Submit rejections are typed:
+//! `{"ok": false, "error": ..., "retry_after_s": ...}`, where
+//! `retry_after_s` is `null` for a spec that can never be accepted.
 //!
 //! | `cmd`       | request fields           | success response            |
 //! |-------------|--------------------------|-----------------------------|
@@ -188,7 +189,12 @@ pub fn handle_line(server: &Server, line: &str) -> Reply {
             };
             let timeout_s =
                 request.get("timeout_s").and_then(Value::as_f64).unwrap_or(600.0);
-            match server.wait_terminal(id, Duration::from_secs_f64(timeout_s.max(0.0))) {
+            let Ok(timeout) = Duration::try_from_secs_f64(timeout_s.max(0.0)) else {
+                return error_line(format!(
+                    "`timeout_s` must be a finite number of seconds (got {timeout_s})"
+                ));
+            };
+            match server.wait_terminal(id, timeout) {
                 Some(status) => {
                     Reply::Line(json!({"ok": true, "job": status_value(&status)}))
                 }

@@ -16,7 +16,7 @@ use momsynth_metrics::{MetricsSink, MetricsSnapshot, Registry};
 use momsynth_telemetry::{Event, Fanout, JsonlSink, RunSummary, Sink, Warning};
 
 use crate::gate::WorkGate;
-use crate::job::{JobProgress, JobRecord, JobSpec, JobState};
+use crate::job::{deadline_after, JobProgress, JobRecord, JobSpec, JobState};
 use crate::journal::{Journal, JournalTimers};
 use crate::metrics::ServeMetrics;
 use crate::queue::{PendingQueue, PushOutcome, QueueEntry};
@@ -68,15 +68,19 @@ impl ServerConfig {
 /// should retry after `retry_after_s` seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRejection {
-    /// Suggested client back-off in seconds.
-    pub retry_after_s: f64,
+    /// Suggested client back-off in seconds; `None` when the spec itself
+    /// is invalid, so resubmitting it unchanged cannot succeed.
+    pub retry_after_s: Option<f64>,
     /// Human-readable reason.
     pub reason: String,
 }
 
 impl std::fmt::Display for SubmitRejection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} (retry after {:.1} s)", self.reason, self.retry_after_s)
+        match self.retry_after_s {
+            Some(s) => write!(f, "{} (retry after {s:.1} s)", self.reason),
+            None => f.write_str(&self.reason),
+        }
     }
 }
 
@@ -272,17 +276,23 @@ impl Server {
     }
 
     /// Submits a job. Returns its id, or a typed rejection when the
-    /// queue is full of equal-or-higher-priority work (back-pressure)
-    /// or the server is shutting down.
+    /// spec's `max_seconds` or `timeout_seconds` is negative, not finite
+    /// or beyond the clock's range, the queue is full of
+    /// equal-or-higher-priority work (back-pressure) or the server is
+    /// shutting down.
     ///
     /// # Errors
     ///
     /// [`SubmitRejection`] carries the suggested retry delay.
     pub fn submit(&self, spec: &JobSpec) -> Result<String, SubmitRejection> {
+        if let Err(reason) = spec.validate() {
+            self.shared.metrics.jobs_rejected.inc();
+            return Err(SubmitRejection { retry_after_s: None, reason });
+        }
         if self.shared.gate.is_shutting_down() {
             self.shared.metrics.jobs_rejected.inc();
             return Err(SubmitRejection {
-                retry_after_s: 5.0,
+                retry_after_s: Some(5.0),
                 reason: "server is shutting down".into(),
             });
         }
@@ -299,7 +309,7 @@ impl Server {
             PushOutcome::Rejected { retry_after_s } => {
                 self.shared.metrics.jobs_rejected.inc();
                 return Err(SubmitRejection {
-                    retry_after_s,
+                    retry_after_s: Some(retry_after_s),
                     reason: "submission queue is full".into(),
                 });
             }
@@ -314,7 +324,7 @@ impl Server {
             self.shared.metrics.jobs_rejected.inc();
             self.shared.note_queue_depth(&sched);
             return Err(SubmitRejection {
-                retry_after_s: 1.0,
+                retry_after_s: Some(1.0),
                 reason: format!("cannot persist job spec: {e}"),
             });
         }
@@ -324,7 +334,7 @@ impl Server {
             self.shared.metrics.jobs_rejected.inc();
             self.shared.note_queue_depth(&sched);
             return Err(SubmitRejection {
-                retry_after_s: 1.0,
+                retry_after_s: Some(1.0),
                 reason: format!("cannot persist job record: {e}"),
             });
         }
@@ -440,13 +450,14 @@ impl Server {
     /// Blocks until `id` reaches a terminal state or `timeout` expires.
     /// Returns the final status, or `None` on timeout or unknown id.
     pub fn wait_terminal(&self, id: &str, timeout: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + timeout;
+        // A timeout beyond the clock's range waits without a deadline.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             let status = self.status(id)?;
             if status.record.state.is_terminal() {
                 return Some(status);
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -623,6 +634,12 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
             return;
         }
     };
+    // A journal written before `submit` checked budgets can still hold
+    // an out-of-range one: fail the job rather than crash-loop on it.
+    if let Err(e) = spec.validate() {
+        finish(shared, id, JobState::Failed, Some(e), None);
+        return;
+    }
     let config = spec.config();
     let system = spec.system.clone();
 
@@ -651,8 +668,7 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
     {
         let mut sched = shared.gate.lock();
         if let Some(handle) = sched.running.get_mut(id) {
-            handle.deadline =
-                spec.timeout_seconds.map(|s| Instant::now() + Duration::from_secs_f64(s));
+            handle.deadline = spec.timeout_seconds.and_then(deadline_after);
         }
         let note = match resume.as_ref() {
             Some(cp) => format!("resuming from generation {}", cp.generation),

@@ -118,7 +118,7 @@ fn full_queues_reject_with_retry_hints_and_shed_for_priority() {
     let rejection = server
         .submit(&quick_spec(small_system("serve-rejected", 5)))
         .expect_err("a full queue must reject equal-priority work");
-    assert!(rejection.retry_after_s > 0.0, "{rejection:?}");
+    assert!(rejection.retry_after_s.is_some_and(|s| s > 0.0), "{rejection:?}");
     assert_eq!(server.status(&queued).unwrap().record.state, JobState::Queued);
 
     // Higher priority: the queued lowest-priority job is shed.

@@ -12,7 +12,7 @@ use momsynth::power::{mode_power, ModeImplementation};
 use momsynth::sched::{
     schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
 };
-use momsynth::synthesis::{SynthesisConfig, Synthesizer};
+use momsynth::synthesis::{FaultInjection, SynthesisConfig, Synthesizer};
 
 /// A small generated system plus a random (valid) mapping for it.
 fn system_and_mapping() -> impl Strategy<Value = (System, SystemMapping)> {
@@ -251,10 +251,17 @@ proptest! {
     /// Batches are priced out of order across workers, but the GA
     /// trajectory must not depend on the thread count: scatter happens
     /// serially in batch order, and the fitness of a genome is a pure
-    /// function of the genome.
+    /// function of the genome. Injected NaN and error faults, rejected
+    /// on whichever worker prices the genome, must not change that.
     #[test]
-    fn synthesis_is_thread_count_invariant(seed in 1u64..200, threads in 2usize..6) {
-        let (system, config) = short_synthesis_config(seed);
+    fn synthesis_is_thread_count_invariant(
+        seed in 1u64..200,
+        threads in 2usize..6,
+        faults in any::<bool>(),
+    ) {
+        let (system, mut config) = short_synthesis_config(seed);
+        config.fault_injection = faults
+            .then_some(FaultInjection { panic_rate: 0.0, nan_rate: 0.1, err_rate: 0.1, seed });
         let mut parallel_cfg = config.clone();
         parallel_cfg.threads = threads;
         let serial = Synthesizer::new(&system, config).run().expect("schedulable system");
@@ -265,6 +272,7 @@ proptest! {
         prop_assert_eq!(serial.evaluations, parallel.evaluations);
         prop_assert_eq!(serial.stop_reason, parallel.stop_reason);
         prop_assert_eq!(&serial.counters, &parallel.counters);
+        prop_assert_eq!(serial.rejected, parallel.rejected);
     }
 
     /// Memoisation is sound because fitness is pure: serving a genome's
