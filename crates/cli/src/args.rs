@@ -3,8 +3,13 @@
 //! Hand-rolled on purpose: the CLI has a handful of subcommands with a
 //! handful of flags each, and keeping the workspace's dependency footprint
 //! small (see `DESIGN.md`) beats pulling in a full parser generator.
+//! Each subcommand declares its flags in a table; one scanner walks argv
+//! against the table and a few typed getters read what it found.
 
-use std::fmt;
+use std::str::FromStr;
+use std::time::Duration;
+
+use momsynth_serve::ServerConfig;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +38,7 @@ pub enum Command {
         preset: Option<GeneratePreset>,
         /// Seed for free-form generation.
         seed: u64,
-        /// Mode count for free-form generation.
+        /// Mode count for free-form generation (at least 1).
         modes: usize,
         /// Output path (`-` = stdout).
         output: String,
@@ -53,20 +58,8 @@ pub enum Command {
     Synth {
         /// Path of the system specification.
         path: String,
-        /// Enable voltage scaling.
-        dvs: bool,
-        /// Use the probability-neglecting baseline flow.
-        neglect: bool,
-        /// GA seed.
-        seed: u64,
-        /// Use the fast preset.
-        quick: bool,
-        /// Worker threads for batch fitness evaluation (0 = all cores).
-        threads: usize,
-        /// Wall-clock budget in seconds.
-        max_seconds: Option<f64>,
-        /// Fitness-evaluation budget.
-        max_evals: Option<usize>,
+        /// The synthesis flow to run.
+        flow: Flow,
         /// File to periodically checkpoint the GA state to.
         checkpoint: Option<String>,
         /// Checkpoint period in generations.
@@ -103,15 +96,9 @@ pub enum Command {
         path: String,
         /// Exploration budget for the branch-and-bound proof.
         budget: ProveBudget,
-        /// Enable voltage scaling (the GA incumbent and the certificate
-        /// bound both account for it).
-        dvs: bool,
-        /// Use the probability-neglecting baseline flow.
-        neglect: bool,
-        /// GA seed for the incumbent run.
-        seed: u64,
-        /// Use the fast GA preset for the incumbent run.
-        quick: bool,
+        /// The flow of the incumbent run (with DVS, the certificate bound
+        /// accounts for it too).
+        flow: Flow,
         /// Where to write the JSON certificate.
         report_out: Option<String>,
         /// Silence all human chatter on stdout/stderr.
@@ -134,26 +121,15 @@ pub enum Command {
     /// [--metrics-listen ADDR] [--no-metrics]` — run the resident job
     /// server.
     Serve {
-        /// Journal directory (jobs, specs, checkpoints, traces, results).
-        root: String,
+        /// The server's journal root and tuning; flags left out keep the
+        /// [`ServerConfig::new`] defaults.
+        config: ServerConfig,
         /// Unix-socket path to listen on.
         socket: Option<String>,
         /// Speak the protocol on stdin/stdout instead of a socket.
         oneshot: bool,
-        /// Worker slots running jobs concurrently.
-        workers: usize,
-        /// Submission-queue bound (back-pressure beyond it).
-        queue_capacity: usize,
-        /// Checkpoint running jobs every N generations.
-        checkpoint_every: usize,
-        /// Also checkpoint whenever this many seconds passed.
-        checkpoint_every_seconds: Option<f64>,
-        /// Retries after a transient failure before failing for good.
-        max_retries: u32,
         /// TCP address for the Prometheus text exposition endpoint.
         metrics_listen: Option<String>,
-        /// Whether the metrics registry is enabled at all.
-        metrics: bool,
     },
     /// `job <request> --socket PATH` — client for a running job server.
     Job {
@@ -186,18 +162,9 @@ pub enum JobRequest {
         path: String,
         /// Scheduling priority (higher runs first, sheds lower).
         priority: u8,
-        /// Use the fast preset.
-        quick: bool,
-        /// Enable voltage scaling.
-        dvs: bool,
-        /// Run the probability-neglecting baseline flow.
-        neglect: bool,
-        /// GA seed.
-        seed: u64,
-        /// Wall-clock optimisation budget in seconds.
-        max_seconds: Option<f64>,
-        /// Fitness-evaluation budget.
-        max_evals: Option<usize>,
+        /// The synthesis flow to run (`threads` stays 0, the server's
+        /// automatic choice).
+        flow: Flow,
         /// Hard per-attempt timeout; the server marks the job timed-out.
         timeout_seconds: Option<f64>,
         /// Block until the job is terminal and exit by its state.
@@ -238,6 +205,44 @@ pub enum JobRequest {
     Shutdown,
 }
 
+/// The synthesis-flow flags `synth`, `prove` and `job submit` share.
+/// A field whose flag a subcommand does not accept keeps its default.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Flow {
+    /// GA seed (`--seed`, default 0).
+    pub seed: u64,
+    /// Use the fast preset (`--quick`).
+    pub quick: bool,
+    /// Enable voltage scaling (`--dvs`).
+    pub dvs: bool,
+    /// Use the probability-neglecting baseline flow
+    /// (`--neglect-probabilities`).
+    pub neglect: bool,
+    /// Worker threads for batch fitness evaluation, 0 = all cores
+    /// (`--threads`).
+    pub threads: usize,
+    /// Wall-clock budget in seconds (`--max-seconds`).
+    pub max_seconds: Option<f64>,
+    /// Fitness-evaluation budget (`--max-evals`).
+    pub max_evals: Option<usize>,
+}
+
+impl Flow {
+    /// Reads the flow flags from `scan`; `threads` applies when
+    /// `--threads` is absent.
+    fn read(scan: &Scan<'_>, threads: usize) -> Result<Self, String> {
+        Ok(Self {
+            seed: scan.get("--seed")?.unwrap_or(0),
+            quick: scan.has("--quick"),
+            dvs: scan.has("--dvs"),
+            neglect: scan.has("--neglect-probabilities"),
+            threads: scan.get("--threads")?.unwrap_or(threads),
+            max_seconds: scan.seconds("--max-seconds")?,
+            max_evals: scan.get("--max-evals")?,
+        })
+    }
+}
+
 /// A named system preset for `generate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeneratePreset {
@@ -247,6 +252,25 @@ pub enum GeneratePreset {
     Smartphone,
     /// The automotive ECU example (paper Table 3 flavour).
     Automotive,
+}
+
+impl FromStr for GeneratePreset {
+    type Err = String;
+
+    fn from_str(v: &str) -> Result<Self, String> {
+        match v {
+            "smartphone" => Ok(Self::Smartphone),
+            "automotive" => Ok(Self::Automotive),
+            _ => v
+                .strip_prefix("mul")
+                .and_then(|n| n.parse().ok())
+                .filter(|n| (1..=12).contains(n))
+                .map(Self::Mul)
+                .ok_or_else(|| {
+                    format!("unknown preset `{v}` (use mul1..mul12, smartphone or automotive)")
+                }),
+        }
+    }
 }
 
 /// The exploration budget of a `prove` run.
@@ -264,6 +288,22 @@ pub enum ProveBudget {
     Seconds(f64),
 }
 
+impl FromStr for ProveBudget {
+    type Err = String;
+
+    fn from_str(v: &str) -> Result<Self, String> {
+        match v.strip_suffix('s') {
+            Some(secs) => {
+                seconds(secs).map(Self::Seconds).ok_or_else(|| format!("invalid --budget `{v}`"))
+            }
+            None => v
+                .parse()
+                .map(Self::Evals)
+                .map_err(|_| format!("invalid --budget `{v}` (use an eval count or `<T>s`)")),
+        }
+    }
+}
+
 /// What the `dot` subcommand renders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DotTarget {
@@ -275,555 +315,354 @@ pub enum DotTarget {
     Mode(usize),
 }
 
-/// A parse failure with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
+impl FromStr for DotTarget {
+    type Err = String;
 
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+    fn from_str(v: &str) -> Result<Self, String> {
+        match v {
+            "omsm" => Ok(Self::Omsm),
+            "arch" => Ok(Self::Arch),
+            _ => match v.strip_prefix("mode:") {
+                Some(n) => {
+                    n.parse().map(Self::Mode).map_err(|_| format!("invalid mode index `{n}`"))
+                }
+                None => Err(format!("unknown dot target `{v}` (use omsm, arch or mode:<n>)")),
+            },
+        }
     }
 }
 
-impl std::error::Error for ParseError {}
+fn invalid(flag: &str) -> String {
+    format!("invalid {flag}")
+}
 
-fn take_value<'a>(
+fn missing(cmd: &str, what: &str) -> String {
+    format!("{cmd} requires a {what}")
+}
+
+/// Parses a number of seconds that is non-negative, finite and small
+/// enough for a [`Duration`] — the bound the job server applies to the
+/// time budgets of a submitted spec.
+fn seconds(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|&s| Duration::try_from_secs_f64(s).is_ok())
+}
+
+/// One flag a subcommand accepts.
+struct Flag {
+    /// The long name; error messages use it.
+    name: &'static str,
+    /// A short alias.
+    alias: Option<&'static str>,
+    /// Whether the next word is the flag's value.
+    takes_value: bool,
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { name, alias: None, takes_value: false }
+}
+
+const fn value(name: &'static str) -> Flag {
+    Flag { name, alias: None, takes_value: true }
+}
+
+const OUTPUT: Flag = Flag { name: "--output", alias: Some("-o"), takes_value: true };
+const QUIET: Flag = Flag { name: "--quiet", alias: Some("-q"), takes_value: false };
+
+const DOT: &[Flag] = &[value("--what")];
+const GENERATE: &[Flag] = &[value("--preset"), value("--seed"), value("--modes"), OUTPUT];
+const CONVERT: &[Flag] = &[OUTPUT];
+/// The flow flags of `synth`, `prove` and `job submit`.
+const FLOW: &[Flag] =
+    &[value("--seed"), switch("--quick"), switch("--dvs"), switch("--neglect-probabilities")];
+/// The budget flags of `synth` and `job submit`.
+const BUDGETS: &[Flag] = &[value("--max-seconds"), value("--max-evals")];
+const SYNTH: &[Flag] = &[
+    value("--threads"),
+    value("--checkpoint"),
+    value("--checkpoint-every"),
+    value("--resume"),
+    OUTPUT,
+    value("--vcd"),
+    value("--trace-out"),
+    value("--metrics-out"),
+    switch("--progress"),
+    QUIET,
+];
+/// The report flag of `analyze`, `check` and `prove`.
+const REPORT: &[Flag] = &[value("--report-out")];
+const PROVE: &[Flag] = &[value("--budget"), QUIET];
+const SERVE: &[Flag] = &[
+    value("--root"),
+    value("--socket"),
+    switch("--oneshot"),
+    value("--workers"),
+    value("--queue-capacity"),
+    value("--checkpoint-every"),
+    value("--checkpoint-every-seconds"),
+    value("--max-retries"),
+    value("--metrics-listen"),
+    switch("--no-metrics"),
+];
+/// The flag every `job` request accepts.
+const JOB: &[Flag] = &[value("--socket")];
+const SUBMIT: &[Flag] = &[value("--priority"), value("--timeout-seconds"), switch("--wait")];
+const WAIT: &[Flag] = &[value("--timeout-s")];
+const METRICS: &[Flag] = &[switch("--text")];
+const PROFILE: &[Flag] = &[switch("--collapsed"), OUTPUT];
+
+/// What [`scan`] found: the positional words in order, and every flag
+/// occurrence under its long name (a switch with an empty value).
+struct Scan<'a> {
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'static str, &'a str)>,
+}
+
+/// Walks `args` against the flag `tables`. The first `leading` words are
+/// positional whatever they look like. Every later word is a flag, a
+/// flag's value or, when `floating`, the one extra positional, which may
+/// sit anywhere among the flags.
+fn scan<'a>(
     args: &'a [String],
-    i: &mut usize,
-    flag: &str,
-) -> Result<&'a str, ParseError> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| ParseError(format!("{flag} requires a value")))
+    leading: usize,
+    floating: bool,
+    tables: &[&[Flag]],
+) -> Result<Scan<'a>, String> {
+    let (head, tail) = args.split_at(leading.min(args.len()));
+    let mut found =
+        Scan { positionals: head.iter().map(String::as_str).collect(), flags: Vec::new() };
+    let mut words = tail.iter().map(String::as_str);
+    while let Some(word) = words.next() {
+        let flag =
+            tables.iter().flat_map(|t| t.iter()).find(|f| f.name == word || f.alias == Some(word));
+        match flag {
+            Some(flag) if flag.takes_value => {
+                let value =
+                    words.next().ok_or_else(|| format!("{} requires a value", flag.name))?;
+                found.flags.push((flag.name, value));
+            }
+            Some(flag) => found.flags.push((flag.name, "")),
+            None if floating && !word.starts_with('-') && found.positionals.len() == leading => {
+                found.positionals.push(word);
+            }
+            None => return Err(format!("unknown flag `{word}`")),
+        }
+    }
+    Ok(found)
 }
 
-/// Takes a flag's value as a non-negative, finite number of seconds.
-fn take_seconds(args: &[String], i: &mut usize, flag: &str) -> Result<f64, ParseError> {
-    let v: f64 =
-        take_value(args, i, flag)?.parse().map_err(|_| ParseError(format!("invalid {flag}")))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(ParseError(format!("invalid {flag}")));
+impl Scan<'_> {
+    /// Whether the switch `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|&(n, _)| n == name)
     }
-    Ok(v)
+
+    /// The last value of `name` as `read` converts it, `None` when the
+    /// flag is absent. Every occurrence is converted, so a bad value is
+    /// never masked by a later good one.
+    fn read<T>(
+        &self,
+        name: &str,
+        read: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let mut last = None;
+        for &(_, v) in self.flags.iter().filter(|&&(n, _)| n == name) {
+            last = Some(read(v)?);
+        }
+        Ok(last)
+    }
+
+    /// The last value of `name` parsed as a `T`.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.read(name, |v| v.parse().map_err(|_| invalid(name)))
+    }
+
+    /// The last value of `name` as a number of [`seconds`].
+    fn seconds(&self, name: &str) -> Result<Option<f64>, String> {
+        self.read(name, |v| seconds(v).ok_or_else(|| invalid(name)))
+    }
+
+    /// Positional `i`, which `cmd` requires as its `what`.
+    fn positional(&self, i: usize, cmd: &str, what: &str) -> Result<String, String> {
+        self.positionals.get(i).map(|&p| p.to_owned()).ok_or_else(|| missing(cmd, what))
+    }
 }
 
 /// Parses the argument list (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
+pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
+    let rest = &args[1..];
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "info" | "lint" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError(format!("{cmd} requires a system file")))?
-                .clone();
+            // Both take the path and ignore any words after it.
+            let path = rest.first().cloned().ok_or_else(|| missing(cmd, "system file"))?;
             Ok(if cmd == "info" { Command::Info { path } } else { Command::Lint { path } })
         }
         "dot" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("dot requires a system file".into()))?
-                .clone();
-            let mut what = DotTarget::Omsm;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--what" => {
-                        let v = take_value(args, &mut i, "--what")?;
-                        what = match v {
-                            "omsm" => DotTarget::Omsm,
-                            "arch" => DotTarget::Arch,
-                            other => match other.strip_prefix("mode:") {
-                                Some(n) => DotTarget::Mode(n.parse().map_err(|_| {
-                                    ParseError(format!("invalid mode index `{n}`"))
-                                })?),
-                                None => {
-                                    return Err(ParseError(format!(
-                                        "unknown dot target `{other}` (use omsm, arch or mode:<n>)"
-                                    )))
-                                }
-                            },
-                        };
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Dot { path, what })
+            let s = scan(rest, 1, false, &[DOT])?;
+            Ok(Command::Dot {
+                path: s.positional(0, cmd, "system file")?,
+                what: s.read("--what", str::parse)?.unwrap_or(DotTarget::Omsm),
+            })
         }
         "generate" => {
-            let mut preset = None;
-            let mut seed = 1;
-            let mut modes = 4;
-            let mut output = "-".to_owned();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--preset" => {
-                        let v = take_value(args, &mut i, "--preset")?;
-                        preset = Some(match v {
-                            "smartphone" => GeneratePreset::Smartphone,
-                            "automotive" => GeneratePreset::Automotive,
-                            _ => {
-                                let n = v
-                                    .strip_prefix("mul")
-                                    .and_then(|n| n.parse().ok())
-                                    .filter(|n| (1..=12).contains(n))
-                                    .ok_or_else(|| {
-                                        ParseError(format!(
-                                            "unknown preset `{v}` (use mul1..mul12, smartphone \
-                                             or automotive)"
-                                        ))
-                                    })?;
-                                GeneratePreset::Mul(n)
-                            }
-                        });
-                    }
-                    "--seed" => {
-                        seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --seed".into()))?;
-                    }
-                    "--modes" => {
-                        modes = take_value(args, &mut i, "--modes")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --modes".into()))?;
-                    }
-                    "-o" | "--output" => {
-                        output = take_value(args, &mut i, "--output")?.to_owned();
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Generate { preset, seed, modes, output })
+            let s = scan(rest, 0, false, &[GENERATE])?;
+            Ok(Command::Generate {
+                preset: s.read("--preset", str::parse)?,
+                seed: s.get("--seed")?.unwrap_or(1),
+                modes: s
+                    .read("--modes", |v| {
+                        v.parse().ok().filter(|&m| m > 0).ok_or_else(|| invalid("--modes"))
+                    })?
+                    .unwrap_or(4),
+                output: s.get("--output")?.unwrap_or_else(|| "-".to_owned()),
+            })
         }
         "convert" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("convert requires a tgff file".into()))?
-                .clone();
-            let mut output = "-".to_owned();
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "-o" | "--output" => {
-                        output = take_value(args, &mut i, "--output")?.to_owned();
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Convert { path, output })
+            let s = scan(rest, 1, false, &[CONVERT])?;
+            Ok(Command::Convert {
+                path: s.positional(0, cmd, "tgff file")?,
+                output: s.get("--output")?.unwrap_or_else(|| "-".to_owned()),
+            })
         }
         "synth" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("synth requires a system file".into()))?
-                .clone();
-            let mut dvs = false;
-            let mut neglect = false;
-            let mut seed = 0;
-            let mut quick = false;
-            let mut threads = 1;
-            let mut max_seconds = None;
-            let mut max_evals = None;
-            let mut checkpoint = None;
-            let mut checkpoint_every = 10;
-            let mut resume = None;
-            let mut output = None;
-            let mut vcd = None;
-            let mut trace_out = None;
-            let mut metrics_out = None;
-            let mut progress = false;
-            let mut quiet = false;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--dvs" => dvs = true,
-                    "--neglect-probabilities" => neglect = true,
-                    "--quick" => quick = true,
-                    "--seed" => {
-                        seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --seed".into()))?;
-                    }
-                    "--threads" => {
-                        threads = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --threads".into()))?;
-                    }
-                    "--max-seconds" => {
-                        max_seconds = Some(take_seconds(args, &mut i, "--max-seconds")?);
-                    }
-                    "--max-evals" => {
-                        max_evals = Some(
-                            take_value(args, &mut i, "--max-evals")?
-                                .parse()
-                                .map_err(|_| ParseError("invalid --max-evals".into()))?,
-                        );
-                    }
-                    "--checkpoint" => {
-                        checkpoint = Some(take_value(args, &mut i, "--checkpoint")?.to_owned());
-                    }
-                    "--checkpoint-every" => {
-                        checkpoint_every = take_value(args, &mut i, "--checkpoint-every")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --checkpoint-every".into()))?;
-                    }
-                    "--resume" => {
-                        resume = Some(take_value(args, &mut i, "--resume")?.to_owned());
-                    }
-                    "-o" | "--output" => {
-                        output = Some(take_value(args, &mut i, "--output")?.to_owned());
-                    }
-                    "--vcd" => {
-                        vcd = Some(take_value(args, &mut i, "--vcd")?.to_owned());
-                    }
-                    "--trace-out" => {
-                        trace_out = Some(take_value(args, &mut i, "--trace-out")?.to_owned());
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(take_value(args, &mut i, "--metrics-out")?.to_owned());
-                    }
-                    "--progress" => progress = true,
-                    "--quiet" | "-q" => quiet = true,
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
+            let s = scan(rest, 1, false, &[FLOW, BUDGETS, SYNTH])?;
+            let synth = Command::Synth {
+                path: s.positional(0, cmd, "system file")?,
+                flow: Flow::read(&s, 1)?,
+                checkpoint: s.get("--checkpoint")?,
+                checkpoint_every: s.get("--checkpoint-every")?.unwrap_or(10),
+                resume: s.get("--resume")?,
+                output: s.get("--output")?,
+                vcd: s.get("--vcd")?,
+                trace_out: s.get("--trace-out")?,
+                metrics_out: s.get("--metrics-out")?,
+                progress: s.has("--progress"),
+                quiet: s.has("--quiet"),
+            };
+            if s.has("--progress") && s.has("--quiet") {
+                return Err("--progress and --quiet are mutually exclusive".into());
             }
-            if progress && quiet {
-                return Err(ParseError("--progress and --quiet are mutually exclusive".into()));
-            }
-            Ok(Command::Synth {
-                path,
-                dvs,
-                neglect,
-                seed,
-                quick,
-                threads,
-                max_seconds,
-                max_evals,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                output,
-                vcd,
-                trace_out,
-                metrics_out,
-                progress,
-                quiet,
-            })
+            Ok(synth)
         }
         "analyze" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("analyze requires a system file".into()))?
-                .clone();
-            let mut report_out = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--report-out" => {
-                        report_out = Some(take_value(args, &mut i, "--report-out")?.to_owned());
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Analyze { path, report_out })
-        }
-        "prove" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("prove requires a system file".into()))?
-                .clone();
-            let mut budget = ProveBudget::Evals(100_000);
-            let mut dvs = false;
-            let mut neglect = false;
-            let mut seed = 0;
-            let mut quick = false;
-            let mut report_out = None;
-            let mut quiet = false;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--budget" => {
-                        let v = take_value(args, &mut i, "--budget")?;
-                        budget = match v.strip_suffix('s') {
-                            Some(secs) => {
-                                let t: f64 = secs.parse().map_err(|_| {
-                                    ParseError(format!("invalid --budget `{v}`"))
-                                })?;
-                                if !t.is_finite() || t < 0.0 {
-                                    return Err(ParseError(format!("invalid --budget `{v}`")));
-                                }
-                                ProveBudget::Seconds(t)
-                            }
-                            None => ProveBudget::Evals(v.parse().map_err(|_| {
-                                ParseError(format!(
-                                    "invalid --budget `{v}` (use an eval count or `<T>s`)"
-                                ))
-                            })?),
-                        };
-                    }
-                    "--dvs" => dvs = true,
-                    "--neglect-probabilities" => neglect = true,
-                    "--seed" => {
-                        seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --seed".into()))?;
-                    }
-                    "--quick" => quick = true,
-                    "--report-out" => {
-                        report_out = Some(take_value(args, &mut i, "--report-out")?.to_owned());
-                    }
-                    "--quiet" | "-q" => quiet = true,
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Prove { path, budget, dvs, neglect, seed, quick, report_out, quiet })
-        }
-        "check" => {
-            let path = args
-                .get(1)
-                .ok_or_else(|| ParseError("check requires a system file".into()))?
-                .clone();
-            let solution = args
-                .get(2)
-                .ok_or_else(|| ParseError("check requires a solution file".into()))?
-                .clone();
-            let mut report_out = None;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--report-out" => {
-                        report_out = Some(take_value(args, &mut i, "--report-out")?.to_owned());
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Check { path, solution, report_out })
-        }
-        "serve" => {
-            let mut root = None;
-            let mut socket = None;
-            let mut oneshot = false;
-            let mut workers = 2;
-            let mut queue_capacity = 16;
-            let mut checkpoint_every = 5;
-            let mut checkpoint_every_seconds = Some(2.0);
-            let mut max_retries = 2;
-            let mut metrics_listen = None;
-            let mut metrics = true;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--root" => root = Some(take_value(args, &mut i, "--root")?.to_owned()),
-                    "--socket" => {
-                        socket = Some(take_value(args, &mut i, "--socket")?.to_owned());
-                    }
-                    "--oneshot" => oneshot = true,
-                    "--workers" => {
-                        workers = take_value(args, &mut i, "--workers")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --workers".into()))?;
-                    }
-                    "--queue-capacity" => {
-                        queue_capacity = take_value(args, &mut i, "--queue-capacity")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --queue-capacity".into()))?;
-                    }
-                    "--checkpoint-every" => {
-                        checkpoint_every = take_value(args, &mut i, "--checkpoint-every")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --checkpoint-every".into()))?;
-                    }
-                    "--checkpoint-every-seconds" => {
-                        let v: f64 = take_value(args, &mut i, "--checkpoint-every-seconds")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --checkpoint-every-seconds".into()))?;
-                        if !v.is_finite() || v <= 0.0 {
-                            return Err(ParseError("invalid --checkpoint-every-seconds".into()));
-                        }
-                        checkpoint_every_seconds = Some(v);
-                    }
-                    "--max-retries" => {
-                        max_retries = take_value(args, &mut i, "--max-retries")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --max-retries".into()))?;
-                    }
-                    "--metrics-listen" => {
-                        metrics_listen =
-                            Some(take_value(args, &mut i, "--metrics-listen")?.to_owned());
-                    }
-                    "--no-metrics" => metrics = false,
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            let root = root.ok_or_else(|| ParseError("serve requires --root DIR".into()))?;
-            if oneshot && socket.is_some() {
-                return Err(ParseError("--oneshot and --socket are mutually exclusive".into()));
-            }
-            if !oneshot && socket.is_none() {
-                return Err(ParseError("serve requires --socket PATH or --oneshot".into()));
-            }
-            if !metrics && metrics_listen.is_some() {
-                return Err(ParseError(
-                    "--no-metrics and --metrics-listen are mutually exclusive".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                root,
-                socket,
-                oneshot,
-                workers,
-                queue_capacity,
-                checkpoint_every,
-                checkpoint_every_seconds,
-                max_retries,
-                metrics_listen,
-                metrics,
+            let s = scan(rest, 1, false, &[REPORT])?;
+            Ok(Command::Analyze {
+                path: s.positional(0, cmd, "system file")?,
+                report_out: s.get("--report-out")?,
             })
         }
-        "job" => {
-            let verb = args
-                .get(1)
-                .ok_or_else(|| {
-                    ParseError(
-                        "job requires a request (submit, status, result, cancel, wait, list, \
-                         metrics, ping, shutdown)"
-                            .into(),
-                    )
-                })?
-                .clone();
-            let mut socket = None;
-            let needs_path = verb == "submit";
-            let mut positional = None;
-            let mut priority = 0u8;
-            let mut quick = false;
-            let mut dvs = false;
-            let mut neglect = false;
-            let mut seed = 0u64;
-            let mut max_seconds = None;
-            let mut max_evals = None;
-            let mut timeout_seconds = None;
-            let mut wait = false;
-            let mut timeout_s = 600.0f64;
-            let mut text = false;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--socket" => {
-                        socket = Some(take_value(args, &mut i, "--socket")?.to_owned());
-                    }
-                    "--priority" if needs_path => {
-                        priority = take_value(args, &mut i, "--priority")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --priority".into()))?;
-                    }
-                    "--quick" if needs_path => quick = true,
-                    "--dvs" if needs_path => dvs = true,
-                    "--neglect-probabilities" if needs_path => neglect = true,
-                    "--seed" if needs_path => {
-                        seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| ParseError("invalid --seed".into()))?;
-                    }
-                    "--max-seconds" if needs_path => {
-                        max_seconds = Some(take_seconds(args, &mut i, "--max-seconds")?);
-                    }
-                    "--max-evals" if needs_path => {
-                        max_evals = Some(
-                            take_value(args, &mut i, "--max-evals")?
-                                .parse()
-                                .map_err(|_| ParseError("invalid --max-evals".into()))?,
-                        );
-                    }
-                    "--timeout-seconds" if needs_path => {
-                        timeout_seconds = Some(take_seconds(args, &mut i, "--timeout-seconds")?);
-                    }
-                    "--wait" if needs_path => wait = true,
-                    "--timeout-s" if verb == "wait" => {
-                        timeout_s = take_seconds(args, &mut i, "--timeout-s")?;
-                    }
-                    "--text" if verb == "metrics" => text = true,
-                    other if !other.starts_with('-') && positional.is_none() => {
-                        positional = Some(other.to_owned());
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
+        "prove" => {
+            let s = scan(rest, 1, false, &[FLOW, REPORT, PROVE])?;
+            Ok(Command::Prove {
+                path: s.positional(0, cmd, "system file")?,
+                budget: s.read("--budget", str::parse)?.unwrap_or(ProveBudget::Evals(100_000)),
+                flow: Flow::read(&s, 1)?,
+                report_out: s.get("--report-out")?,
+                quiet: s.has("--quiet"),
+            })
+        }
+        "check" => {
+            let s = scan(rest, 2, false, &[REPORT])?;
+            Ok(Command::Check {
+                path: s.positional(0, cmd, "system file")?,
+                solution: s.positional(1, cmd, "solution file")?,
+                report_out: s.get("--report-out")?,
+            })
+        }
+        "serve" => {
+            let s = scan(rest, 0, false, &[SERVE])?;
+            let defaults = ServerConfig::new(s.get("--root")?.unwrap_or_default());
+            let config = ServerConfig {
+                workers: s.get("--workers")?.unwrap_or(defaults.workers),
+                queue_capacity: s.get("--queue-capacity")?.unwrap_or(defaults.queue_capacity),
+                checkpoint_every: s.get("--checkpoint-every")?.unwrap_or(defaults.checkpoint_every),
+                checkpoint_every_seconds: s
+                    .read("--checkpoint-every-seconds", |v| {
+                        seconds(v)
+                            .filter(|&t| t > 0.0)
+                            .ok_or_else(|| invalid("--checkpoint-every-seconds"))
+                    })?
+                    .or(defaults.checkpoint_every_seconds),
+                max_retries: s.get("--max-retries")?.unwrap_or(defaults.max_retries),
+                metrics: !s.has("--no-metrics"),
+                ..defaults
+            };
+            let serve = Command::Serve {
+                config,
+                socket: s.get("--socket")?,
+                oneshot: s.has("--oneshot"),
+                metrics_listen: s.get("--metrics-listen")?,
+            };
+            if !s.has("--root") {
+                return Err("serve requires --root DIR".into());
             }
-            let socket =
-                socket.ok_or_else(|| ParseError("job requires --socket PATH".into()))?;
-            let request = match verb.as_str() {
-                "submit" => {
-                    let path = positional
-                        .ok_or_else(|| ParseError("job submit requires a system file".into()))?;
-                    JobRequest::Submit {
-                        path,
-                        priority,
-                        quick,
-                        dvs,
-                        neglect,
-                        seed,
-                        max_seconds,
-                        max_evals,
-                        timeout_seconds,
-                        wait,
-                    }
-                }
-                "status" | "result" | "cancel" | "wait" => {
-                    let id = positional
-                        .ok_or_else(|| ParseError(format!("job {verb} requires a job id")))?;
-                    match verb.as_str() {
-                        "status" => JobRequest::Status { id },
-                        "result" => JobRequest::Result { id },
-                        "cancel" => JobRequest::Cancel { id },
-                        _ => JobRequest::Wait { id, timeout_s },
-                    }
-                }
+            if s.has("--oneshot") && s.has("--socket") {
+                return Err("--oneshot and --socket are mutually exclusive".into());
+            }
+            if !s.has("--oneshot") && !s.has("--socket") {
+                return Err("serve requires --socket PATH or --oneshot".into());
+            }
+            if s.has("--no-metrics") && s.has("--metrics-listen") {
+                return Err("--no-metrics and --metrics-listen are mutually exclusive".into());
+            }
+            Ok(serve)
+        }
+        "job" => {
+            let verb = rest.first().map(String::as_str).ok_or(
+                "job requires a request (submit, status, result, cancel, wait, list, metrics, \
+                 ping, shutdown)",
+            )?;
+            let tables: &[&[Flag]] = match verb {
+                "submit" => &[JOB, FLOW, BUDGETS, SUBMIT],
+                "wait" => &[JOB, WAIT],
+                "metrics" => &[JOB, METRICS],
+                _ => &[JOB],
+            };
+            let s = scan(&rest[1..], 0, true, tables)?;
+            let priority = s.get("--priority")?.unwrap_or(0);
+            let flow = Flow::read(&s, 0)?;
+            let timeout_seconds = s.seconds("--timeout-seconds")?;
+            let timeout_s = s.seconds("--timeout-s")?.unwrap_or(600.0);
+            let socket = s.get("--socket")?.ok_or("job requires --socket PATH")?;
+            let cmd = format!("job {verb}");
+            let id = || s.positional(0, &cmd, "job id");
+            let request = match verb {
+                "submit" => JobRequest::Submit {
+                    path: s.positional(0, &cmd, "system file")?,
+                    priority,
+                    flow,
+                    timeout_seconds,
+                    wait: s.has("--wait"),
+                },
+                "status" => JobRequest::Status { id: id()? },
+                "result" => JobRequest::Result { id: id()? },
+                "cancel" => JobRequest::Cancel { id: id()? },
+                "wait" => JobRequest::Wait { id: id()?, timeout_s },
                 "list" => JobRequest::List,
-                "metrics" => JobRequest::Metrics { text },
+                "metrics" => JobRequest::Metrics { text: s.has("--text") },
                 "ping" => JobRequest::Ping,
                 "shutdown" => JobRequest::Shutdown,
                 other => {
-                    return Err(ParseError(format!(
+                    return Err(format!(
                         "unknown job request `{other}` (use submit, status, result, cancel, \
                          wait, list, metrics, ping or shutdown)"
-                    )))
+                    ))
                 }
             };
             Ok(Command::Job { socket, request })
         }
         "profile" => {
-            let trace = args
-                .get(1)
-                .ok_or_else(|| ParseError("profile requires a trace file".into()))?
-                .clone();
-            let mut collapsed = false;
-            let mut output = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--collapsed" => collapsed = true,
-                    "-o" | "--output" => {
-                        output = Some(take_value(args, &mut i, "--output")?.to_owned());
-                    }
-                    other => return Err(ParseError(format!("unknown flag `{other}`"))),
-                }
-                i += 1;
-            }
-            Ok(Command::Profile { trace, collapsed, output })
+            let s = scan(rest, 1, false, &[PROFILE])?;
+            Ok(Command::Profile {
+                trace: s.positional(0, cmd, "trace file")?,
+                collapsed: s.has("--collapsed"),
+                output: s.get("--output")?,
+            })
         }
-        other => Err(ParseError(format!("unknown command `{other}` (try `momsynth help`)"))),
+        other => Err(format!("unknown command `{other}` (try `momsynth help`)")),
     }
 }
 
@@ -1046,6 +885,8 @@ mod tests {
         assert_eq!(cmd, Command::Generate { preset: None, seed: 9, modes: 3, output: "-".into() });
         assert!(parse(&argv("generate --preset mul13")).is_err());
         assert!(parse(&argv("generate --seed")).is_err());
+        let err = parse(&argv("generate --modes 0")).unwrap_err();
+        assert_eq!(err.to_string(), "invalid --modes");
     }
 
     #[test]
@@ -1067,13 +908,15 @@ mod tests {
             cmd,
             Command::Synth {
                 path: "s.json".into(),
-                dvs: true,
-                neglect: true,
-                seed: 4,
-                quick: true,
-                threads: 1,
-                max_seconds: None,
-                max_evals: None,
+                flow: Flow {
+                    seed: 4,
+                    quick: true,
+                    dvs: true,
+                    neglect: true,
+                    threads: 1,
+                    max_seconds: None,
+                    max_evals: None,
+                },
                 checkpoint: None,
                 checkpoint_every: 10,
                 resume: None,
@@ -1092,15 +935,15 @@ mod tests {
     #[test]
     fn synth_threads_flag_parses() {
         match parse(&argv("synth s.json --threads 8")).unwrap() {
-            Command::Synth { threads, .. } => assert_eq!(threads, 8),
+            Command::Synth { flow, .. } => assert_eq!(flow.threads, 8),
             other => panic!("unexpected parse: {other:?}"),
         }
         match parse(&argv("synth s.json --threads 0")).unwrap() {
-            Command::Synth { threads, .. } => assert_eq!(threads, 0),
+            Command::Synth { flow, .. } => assert_eq!(flow.threads, 0),
             other => panic!("unexpected parse: {other:?}"),
         }
         match parse(&argv("synth s.json")).unwrap() {
-            Command::Synth { threads, .. } => assert_eq!(threads, 1),
+            Command::Synth { flow, .. } => assert_eq!(flow.threads, 1),
             other => panic!("unexpected parse: {other:?}"),
         }
         assert!(parse(&argv("synth s.json --threads")).is_err());
@@ -1138,16 +981,9 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Synth {
-                max_seconds,
-                max_evals,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                ..
-            } => {
-                assert_eq!(max_seconds, Some(1.5));
-                assert_eq!(max_evals, Some(500));
+            Command::Synth { flow, checkpoint, checkpoint_every, resume, .. } => {
+                assert_eq!(flow.max_seconds, Some(1.5));
+                assert_eq!(flow.max_evals, Some(500));
                 assert_eq!(checkpoint.as_deref(), Some("cp.json"));
                 assert_eq!(checkpoint_every, 3);
                 assert_eq!(resume.as_deref(), Some("old.json"));
@@ -1156,6 +992,7 @@ mod tests {
         }
         assert!(parse(&argv("synth s.json --max-seconds nope")).is_err());
         assert!(parse(&argv("synth s.json --max-seconds -2")).is_err());
+        assert!(parse(&argv("synth s.json --max-seconds 1e300")).is_err());
         assert!(parse(&argv("synth s.json --max-evals -1")).is_err());
         assert!(parse(&argv("synth s.json --checkpoint")).is_err());
     }
@@ -1202,10 +1039,15 @@ mod tests {
             Command::Prove {
                 path: "sys.json".into(),
                 budget: ProveBudget::Evals(100_000),
-                dvs: false,
-                neglect: false,
-                seed: 0,
-                quick: false,
+                flow: Flow {
+                    seed: 0,
+                    quick: false,
+                    dvs: false,
+                    neglect: false,
+                    threads: 1,
+                    max_seconds: None,
+                    max_evals: None,
+                },
                 report_out: None,
                 quiet: false,
             }
@@ -1219,10 +1061,15 @@ mod tests {
             Command::Prove {
                 path: "sys.json".into(),
                 budget: ProveBudget::Evals(5000),
-                dvs: true,
-                neglect: true,
-                seed: 7,
-                quick: true,
+                flow: Flow {
+                    seed: 7,
+                    quick: true,
+                    dvs: true,
+                    neglect: true,
+                    threads: 1,
+                    max_seconds: None,
+                    max_evals: None,
+                },
                 report_out: Some("cert.json".into()),
                 quiet: true,
             }
@@ -1235,6 +1082,8 @@ mod tests {
         assert!(parse(&argv("prove sys.json --budget")).is_err());
         assert!(parse(&argv("prove sys.json --budget nope")).is_err());
         assert!(parse(&argv("prove sys.json --budget -3s")).is_err());
+        let err = parse(&argv("prove sys.json --budget 1e300s")).unwrap_err();
+        assert_eq!(err.to_string(), "invalid --budget `1e300s`");
         assert!(parse(&argv("prove sys.json --bogus")).is_err());
     }
 
@@ -1248,23 +1097,24 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Serve {
-                root: "jobs".into(),
+                config: ServerConfig {
+                    workers: 4,
+                    queue_capacity: 8,
+                    checkpoint_every: 3,
+                    checkpoint_every_seconds: Some(1.5),
+                    max_retries: 5,
+                    ..ServerConfig::new("jobs".into())
+                },
                 socket: Some("momsynth.sock".into()),
                 oneshot: false,
-                workers: 4,
-                queue_capacity: 8,
-                checkpoint_every: 3,
-                checkpoint_every_seconds: Some(1.5),
-                max_retries: 5,
                 metrics_listen: None,
-                metrics: true,
             }
         );
         match parse(&argv("serve --root jobs --oneshot")).unwrap() {
-            Command::Serve { oneshot, socket, metrics, metrics_listen, .. } => {
+            Command::Serve { oneshot, socket, config, metrics_listen } => {
                 assert!(oneshot);
                 assert_eq!(socket, None);
-                assert!(metrics, "metrics are on by default");
+                assert!(config.metrics, "metrics are on by default");
                 assert_eq!(metrics_listen, None);
             }
             other => panic!("unexpected parse: {other:?}"),
@@ -1273,20 +1123,23 @@ mod tests {
         assert!(parse(&argv("serve --root jobs")).is_err(), "a transport is required");
         assert!(parse(&argv("serve --root jobs --oneshot --socket s.sock")).is_err());
         assert!(parse(&argv("serve --root jobs --oneshot --checkpoint-every-seconds 0")).is_err());
+        assert!(
+            parse(&argv("serve --root jobs --oneshot --checkpoint-every-seconds 1e300")).is_err()
+        );
     }
 
     #[test]
     fn serve_metrics_flags_parse() {
         match parse(&argv("serve --root jobs --oneshot --metrics-listen 127.0.0.1:9187")).unwrap()
         {
-            Command::Serve { metrics_listen, metrics, .. } => {
+            Command::Serve { metrics_listen, config, .. } => {
                 assert_eq!(metrics_listen.as_deref(), Some("127.0.0.1:9187"));
-                assert!(metrics);
+                assert!(config.metrics);
             }
             other => panic!("unexpected parse: {other:?}"),
         }
         match parse(&argv("serve --root jobs --oneshot --no-metrics")).unwrap() {
-            Command::Serve { metrics, .. } => assert!(!metrics),
+            Command::Serve { config, .. } => assert!(!config.metrics),
             other => panic!("unexpected parse: {other:?}"),
         }
         assert!(parse(&argv("serve --root jobs --oneshot --metrics-listen")).is_err());
@@ -1311,12 +1164,15 @@ mod tests {
                 request: JobRequest::Submit {
                     path: "sys.json".into(),
                     priority: 7,
-                    quick: true,
-                    dvs: false,
-                    neglect: false,
-                    seed: 3,
-                    max_seconds: None,
-                    max_evals: None,
+                    flow: Flow {
+                        seed: 3,
+                        quick: true,
+                        dvs: false,
+                        neglect: false,
+                        threads: 0,
+                        max_seconds: None,
+                        max_evals: None,
+                    },
                     timeout_seconds: Some(30.0),
                     wait: true,
                 },
@@ -1361,6 +1217,9 @@ mod tests {
             "job submit sys.json --socket s.sock --timeout-seconds inf",
             "job wait job-000002 --socket s.sock --timeout-s -5",
             "job wait job-000002 --socket s.sock --timeout-s NaN",
+            "job submit sys.json --socket s.sock --max-seconds 1e300",
+            "job submit sys.json --socket s.sock --timeout-seconds 1e300",
+            "job wait job-000002 --socket s.sock --timeout-s 1e300",
         ] {
             assert!(parse(&argv(bad)).is_err(), "{bad}");
         }
@@ -1383,6 +1242,29 @@ mod tests {
         assert!(parse(&argv("profile")).is_err());
         assert!(parse(&argv("profile events.jsonl --bogus")).is_err());
         assert!(parse(&argv("profile events.jsonl -o")).is_err());
+    }
+
+    /// `HELP` and the flag tables cannot drift apart: every table flag is
+    /// documented, and every documented `--flag` is accepted somewhere.
+    #[test]
+    fn help_matches_the_flag_tables() {
+        let tables = [
+            DOT, GENERATE, CONVERT, FLOW, BUDGETS, SYNTH, REPORT, PROVE, SERVE, JOB, SUBMIT, WAIT,
+            METRICS, PROFILE,
+        ];
+        let flags = || tables.iter().flat_map(|t| t.iter());
+        let words: Vec<&str> =
+            HELP.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).collect();
+        for flag in flags() {
+            assert!(
+                words.contains(&flag.name) || flag.alias.is_some_and(|a| words.contains(&a)),
+                "HELP does not mention {}",
+                flag.name
+            );
+        }
+        for word in words.iter().filter(|w| w.starts_with("--")) {
+            assert!(flags().any(|f| f.name == *word), "HELP mentions {word}, which no table has");
+        }
     }
 
     #[test]

@@ -19,18 +19,19 @@ mod profile;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use momsynth_check::StoredSolution;
 use momsynth_core::telemetry::{Fanout, JsonlSink, ProgressSink, Sink, WarningSink};
 use momsynth_core::{
-    Checkpoint, CheckpointSpec, ProveOptions, StopReason, SynthControl, SynthesisConfig,
-    SynthesisError, Synthesizer,
+    Checkpoint, CheckpointSpec, ProveOptions, StopReason, SynthControl, SynthesisError, Synthesizer,
 };
 use momsynth_gen::suite::{generate, mul, GeneratorParams};
 use momsynth_model::{dot, lint, System};
 use momsynth_power::energy_breakdown;
+use momsynth_serve::JobSpec;
 
-use args::{parse, Command, DotTarget, GeneratePreset, JobRequest, ProveBudget, HELP};
+use args::{parse, Command, DotTarget, Flow, GeneratePreset, JobRequest, ProveBudget, HELP};
 
 /// `synth` finished but the best solution violates constraints.
 const EXIT_INFEASIBLE: u8 = 2;
@@ -111,6 +112,31 @@ fn load_system(path: &str) -> Result<System, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read `{path}`: {e}"))?;
     Ok(serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))?)
+}
+
+/// The job spec of a `flow` run on `system`. `synth` and `prove` take
+/// their synthesis config from it too, so every front end configures a
+/// run the way the job server does.
+fn job_spec(system: System, flow: &Flow) -> JobSpec {
+    JobSpec {
+        seed: flow.seed,
+        quick: flow.quick,
+        dvs: flow.dvs,
+        neglect: flow.neglect,
+        threads: flow.threads,
+        max_seconds: flow.max_seconds,
+        max_evaluations: flow.max_evals,
+        ..JobSpec::new(system)
+    }
+}
+
+/// The flow's optimisation target and voltage mode, for progress lines.
+fn flow_label(flow: &Flow) -> String {
+    format!(
+        "{}, {}",
+        if flow.neglect { "probability-neglecting" } else { "probability-aware" },
+        if flow.dvs { "DVS" } else { "fixed voltage" },
+    )
 }
 
 fn write_output(path: &str, contents: &str, quiet: bool) -> Result<(), Box<dyn std::error::Error>> {
@@ -232,26 +258,17 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 ExitCode::SUCCESS
             })
         }
-        Command::Prove { path, budget, dvs, neglect, seed, quick, report_out, quiet } => {
-            let system = load_system(&path)?;
-            let mut config = if quick {
-                SynthesisConfig::fast_preset(seed)
-            } else {
-                SynthesisConfig::new(seed)
-            };
-            config.probability_aware = !neglect;
-            if dvs {
-                config = config.with_dvs();
-            }
+        Command::Prove { path, budget, flow, report_out, quiet } => {
+            let spec = job_spec(load_system(&path)?, &flow);
+            let (system, config) = (&spec.system, spec.config());
             if !quiet {
                 eprintln!(
-                    "synthesising `{}` for an incumbent ({}, {}) …",
+                    "synthesising `{}` for an incumbent ({}) …",
                     system.name(),
-                    if neglect { "probability-neglecting" } else { "probability-aware" },
-                    if dvs { "DVS" } else { "fixed voltage" },
+                    flow_label(&flow)
                 );
             }
-            let result = match Synthesizer::new(&system, config.clone()).run() {
+            let result = match Synthesizer::new(system, config.clone()).run() {
                 Ok(result) => result,
                 Err(SynthesisError::Infeasible(analysis)) => {
                     if !quiet {
@@ -268,15 +285,16 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 ProveBudget::Evals(n) => options.max_evals = n,
                 ProveBudget::Seconds(t) => {
                     options.max_evals = u64::MAX;
-                    options.deadline = Some(
-                        std::time::Instant::now() + std::time::Duration::from_secs_f64(t),
-                    );
+                    // The parser bounds `t` to a valid `Duration`; the
+                    // clock may still be unable to reach it.
+                    let deadline = Instant::now().checked_add(Duration::from_secs_f64(t));
+                    options.deadline = Some(deadline.ok_or(format!("invalid --budget `{t}s`"))?);
                 }
             }
             if !quiet {
                 eprintln!("certifying with branch-and-bound ({budget:?}) …");
             }
-            let cert = match momsynth_core::prove(&system, &config, &options) {
+            let cert = match momsynth_core::prove(system, &config, &options) {
                 Ok(cert) => cert,
                 Err(SynthesisError::Infeasible(analysis)) => {
                     if !quiet {
@@ -291,14 +309,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             // it undercut the GA, the GA's otherwise — with the
             // independent checker before trusting the certificate.
             let reported = cert.best.as_ref().unwrap_or(&result.best);
-            let stored = StoredSolution {
-                mapping: reported.mapping.clone(),
-                alloc: reported.alloc.clone(),
-                schedules: reported.schedules.clone(),
-                voltage_schedules: Some(reported.voltage_schedules.clone()),
-                power: reported.power.clone(),
-            };
-            let report = stored.check(&system);
+            let report = momsynth_core::verify_solution(system, reported);
             if !report.is_clean() {
                 if !quiet {
                     eprintln!("certified solution failed independent re-verification:");
@@ -376,13 +387,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         Command::Synth {
             path,
-            dvs,
-            neglect,
-            seed,
-            quick,
-            threads,
-            max_seconds,
-            max_evals,
+            flow,
             checkpoint,
             checkpoint_every,
             resume,
@@ -393,19 +398,8 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             progress,
             quiet,
         } => {
-            let system = load_system(&path)?;
-            let mut config = if quick {
-                SynthesisConfig::fast_preset(seed)
-            } else {
-                SynthesisConfig::new(seed)
-            };
-            config.probability_aware = !neglect;
-            if dvs {
-                config = config.with_dvs();
-            }
-            config.threads = threads;
-            config.ga.max_seconds = max_seconds;
-            config.ga.max_evaluations = max_evals;
+            let spec = job_spec(load_system(&path)?, &flow);
+            let system = &spec.system;
             let resume = match resume {
                 Some(p) => {
                     // Torn or corrupt primary checkpoints fall back to the
@@ -444,14 +438,9 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 trace_id: None,
             };
             if !quiet {
-                eprintln!(
-                    "synthesising `{}` ({}, {}) …",
-                    system.name(),
-                    if neglect { "probability-neglecting" } else { "probability-aware" },
-                    if dvs { "DVS" } else { "fixed voltage" },
-                );
+                eprintln!("synthesising `{}` ({}) …", system.name(), flow_label(&flow));
             }
-            let synthesizer = Synthesizer::new(&system, config);
+            let synthesizer = Synthesizer::new(system, spec.config());
             let result = match synthesizer.run_controlled(control) {
                 Ok(result) => result,
                 Err(SynthesisError::Infeasible(analysis)) => {
@@ -469,11 +458,11 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             };
             sink.flush();
             if !quiet {
-                print_solution(&system, &result);
+                print_solution(system, &result);
             }
 
             if let Some(p) = &metrics_out {
-                let summary = result.summary(&system, synthesizer.config());
+                let summary = result.summary(system, synthesizer.config());
                 write_output(p, &serde_json::to_string_pretty(&summary)?, quiet)?;
             }
 
@@ -482,7 +471,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     .map_err(|e| format!("cannot create `{dir}`: {e}"))?;
                 for schedule in &result.best.schedules {
                     let mode = system.omsm().mode(schedule.mode());
-                    let text = momsynth_sched::schedule_to_vcd(&system, schedule);
+                    let text = momsynth_sched::schedule_to_vcd(system, schedule);
                     let file = format!("{dir}/{}.vcd", mode.name().replace(char::is_whitespace, "_"));
                     std::fs::write(&file, text)
                         .map_err(|e| format!("cannot write `{file}`: {e}"))?;
@@ -493,7 +482,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
 
             if let Some(path) = output {
-                let report = result.report(&system);
+                let report = result.report(system);
                 write_output(&path, &serde_json::to_string_pretty(&report)?, quiet)?;
             }
             Ok(if result.stop_reason == StopReason::Cancelled {
@@ -504,28 +493,11 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 ExitCode::SUCCESS
             })
         }
-        Command::Serve {
-            root,
-            socket,
-            oneshot,
-            workers,
-            queue_capacity,
-            checkpoint_every,
-            checkpoint_every_seconds,
-            max_retries,
-            metrics_listen,
-            metrics,
-        } => {
+        Command::Serve { config, socket, oneshot, metrics_listen } => {
             use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
             use momsynth_sync::sync::Arc;
 
-            let mut config = momsynth_serve::ServerConfig::new(PathBuf::from(&root));
-            config.workers = workers;
-            config.queue_capacity = queue_capacity;
-            config.checkpoint_every = checkpoint_every;
-            config.checkpoint_every_seconds = checkpoint_every_seconds;
-            config.max_retries = max_retries;
-            config.metrics = metrics;
+            let root = config.root.clone();
             let server = momsynth_serve::Server::start(config)?;
             for note in server.recovery_notes() {
                 eprintln!("recovery: {note}");
@@ -595,7 +567,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
 fn serve_on_socket(
     server: momsynth_serve::Server,
     socket: &str,
-    root: &str,
+    root: &Path,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
     use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
     use momsynth_sync::sync::Arc;
@@ -614,7 +586,7 @@ fn serve_on_socket(
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
     });
-    eprintln!("serving on `{socket}` (journal `{root}`)");
+    eprintln!("serving on `{socket}` (journal `{}`)", root.display());
     let served = momsynth_serve::socket::serve_unix(&server, Path::new(socket), &stop);
     stop.store(true, Ordering::Release);
     let _ = bridge.join();
@@ -623,7 +595,7 @@ fn serve_on_socket(
         Err(server) => drop(server),
     }
     served.map_err(|e| format!("cannot serve on `{socket}`: {e}"))?;
-    eprintln!("server stopped; journal preserved in `{root}`");
+    eprintln!("server stopped; journal preserved in `{}`", root.display());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -631,175 +603,105 @@ fn serve_on_socket(
 fn serve_on_socket(
     _server: momsynth_serve::Server,
     _socket: &str,
-    _root: &str,
+    _root: &Path,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
     Err("unix sockets are not supported on this platform; use --oneshot".into())
 }
 
-/// Maps a terminal job state to the CLI's documented exit codes:
-/// verified → 0, cancelled → 3, any other terminal state → 2.
-fn job_state_exit(state: &str) -> ExitCode {
-    match state {
-        "verified" => ExitCode::SUCCESS,
-        "cancelled" => ExitCode::from(EXIT_CANCELLED),
+/// Maps the terminal job state in a `wait` reply to the CLI's documented
+/// exit codes: verified → 0, cancelled → 3, any other state → 2.
+#[cfg(unix)]
+fn job_state_exit(reply: &serde_json::Value) -> ExitCode {
+    match reply.get("job").and_then(|j| j.get("state")).and_then(|v| v.as_str()) {
+        Some("verified") => ExitCode::SUCCESS,
+        Some("cancelled") => ExitCode::from(EXIT_CANCELLED),
         _ => ExitCode::from(EXIT_INFEASIBLE),
     }
 }
 
-/// One request/response round trip on the client connection.
+/// The protocol request line of a client request.
 #[cfg(unix)]
-fn roundtrip(
-    stream: &mut std::os::unix::net::UnixStream,
-    reader: &mut impl std::io::BufRead,
-    request: &serde_json::Value,
-) -> Result<serde_json::Value, Box<dyn std::error::Error>> {
-    use std::io::Write;
-    writeln!(stream, "{}", serde_json::to_string(request)?)?;
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    if response.trim().is_empty() {
-        return Err("server closed the connection".into());
-    }
-    Ok(serde_json::from_str(response.trim())?)
+fn request_line(request: &JobRequest) -> Result<serde_json::Value, Box<dyn std::error::Error>> {
+    use serde_json::json;
+    Ok(match request {
+        JobRequest::Submit { path, priority, flow, timeout_seconds, .. } => {
+            let spec = JobSpec {
+                priority: *priority,
+                timeout_seconds: *timeout_seconds,
+                ..job_spec(load_system(path)?, flow)
+            };
+            json!({"cmd": "submit", "spec": spec})
+        }
+        JobRequest::Status { id } => json!({"cmd": "status", "id": id}),
+        JobRequest::Result { id } => json!({"cmd": "result", "id": id}),
+        JobRequest::Cancel { id } => json!({"cmd": "cancel", "id": id}),
+        JobRequest::Wait { id, timeout_s } => {
+            json!({"cmd": "wait", "id": id, "timeout_s": timeout_s})
+        }
+        JobRequest::List => json!({"cmd": "list"}),
+        JobRequest::Ping => json!({"cmd": "ping"}),
+        JobRequest::Metrics { text: true } => json!({"cmd": "metrics", "format": "text"}),
+        JobRequest::Metrics { text: false } => json!({"cmd": "metrics"}),
+        JobRequest::Shutdown => json!({"cmd": "shutdown"}),
+    })
 }
 
 /// The `job` client: sends one protocol request to a running server and
-/// prints the JSON response line. `submit --wait` and `wait` exit by the
-/// job's terminal state (0 verified, 3 cancelled, 2 otherwise).
+/// prints the JSON response line. `submit --wait` follows up with a
+/// `wait` request; both wait forms exit by the job's terminal state (0
+/// verified, 3 cancelled, 2 otherwise).
 #[cfg(unix)]
 fn run_job_client(
     socket: &str,
     request: &JobRequest,
 ) -> Result<ExitCode, Box<dyn std::error::Error>> {
+    use std::io::{BufRead, Write};
     use std::os::unix::net::UnixStream;
 
     let mut stream = UnixStream::connect(socket)
         .map_err(|e| format!("cannot connect to `{socket}`: {e}"))?;
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
+    let mut roundtrip =
+        |request: &JobRequest| -> Result<serde_json::Value, Box<dyn std::error::Error>> {
+            writeln!(stream, "{}", serde_json::to_string(&request_line(request)?)?)?;
+            let mut response = String::new();
+            reader.read_line(&mut response)?;
+            if response.trim().is_empty() {
+                return Err("server closed the connection".into());
+            }
+            Ok(serde_json::from_str(response.trim())?)
+        };
     let ok = |v: &serde_json::Value| v.get("ok").and_then(|o| o.as_bool()) == Some(true);
-    let simple = |req: serde_json::Value,
-                  stream: &mut UnixStream,
-                  reader: &mut std::io::BufReader<UnixStream>|
-     -> Result<ExitCode, Box<dyn std::error::Error>> {
-        let resp = roundtrip(stream, reader, &req)?;
-        println!("{}", serde_json::to_string(&resp)?);
-        Ok(if ok(&resp) { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-    };
-    match request {
-        JobRequest::Submit {
-            path,
-            priority,
-            quick,
-            dvs,
-            neglect,
-            seed,
-            max_seconds,
-            max_evals,
-            timeout_seconds,
-            wait,
-        } => {
-            let system = load_system(path)?;
-            let spec = serde_json::json!({
-                "system": system,
-                "priority": priority,
-                "seed": seed,
-                "quick": quick,
-                "dvs": dvs,
-                "neglect": neglect,
-                "max_seconds": max_seconds,
-                "max_evaluations": max_evals,
-                "timeout_seconds": timeout_seconds,
-            });
-            let resp = roundtrip(
-                &mut stream,
-                &mut reader,
-                &serde_json::json!({"cmd": "submit", "spec": spec}),
-            )?;
-            println!("{}", serde_json::to_string(&resp)?);
-            if !ok(&resp) {
-                return Ok(ExitCode::FAILURE);
-            }
-            if !wait {
-                return Ok(ExitCode::SUCCESS);
-            }
-            let id = resp
+
+    let mut reply = roundtrip(request)?;
+    // With --text, print the exposition body itself so the output can be
+    // piped straight into Prometheus tooling.
+    let text_only = matches!(request, JobRequest::Metrics { text: true }) && ok(&reply);
+    match reply.get("text").and_then(|v| v.as_str()).filter(|_| text_only) {
+        Some(body) => print!("{body}"),
+        None => println!("{}", serde_json::to_string(&reply)?),
+    }
+    let waits = match request {
+        JobRequest::Submit { wait: true, .. } if ok(&reply) => {
+            let id = reply
                 .get("id")
                 .and_then(|v| v.as_str())
                 .ok_or("submit response carries no job id")?
                 .to_owned();
-            let resp = roundtrip(
-                &mut stream,
-                &mut reader,
-                &serde_json::json!({"cmd": "wait", "id": id, "timeout_s": 3600.0}),
-            )?;
-            println!("{}", serde_json::to_string(&resp)?);
-            if !ok(&resp) {
-                return Ok(ExitCode::FAILURE);
-            }
-            let state = resp
-                .get("job")
-                .and_then(|j| j.get("state"))
-                .and_then(|v| v.as_str())
-                .unwrap_or("");
-            Ok(job_state_exit(state))
+            reply = roundtrip(&JobRequest::Wait { id, timeout_s: 3600.0 })?;
+            println!("{}", serde_json::to_string(&reply)?);
+            true
         }
-        JobRequest::Wait { id, timeout_s } => {
-            let resp = roundtrip(
-                &mut stream,
-                &mut reader,
-                &serde_json::json!({"cmd": "wait", "id": id, "timeout_s": timeout_s}),
-            )?;
-            println!("{}", serde_json::to_string(&resp)?);
-            if !ok(&resp) {
-                return Ok(ExitCode::FAILURE);
-            }
-            let state = resp
-                .get("job")
-                .and_then(|j| j.get("state"))
-                .and_then(|v| v.as_str())
-                .unwrap_or("");
-            Ok(job_state_exit(state))
-        }
-        JobRequest::Status { id } => simple(
-            serde_json::json!({"cmd": "status", "id": id}),
-            &mut stream,
-            &mut reader,
-        ),
-        JobRequest::Result { id } => simple(
-            serde_json::json!({"cmd": "result", "id": id}),
-            &mut stream,
-            &mut reader,
-        ),
-        JobRequest::Cancel { id } => simple(
-            serde_json::json!({"cmd": "cancel", "id": id}),
-            &mut stream,
-            &mut reader,
-        ),
-        JobRequest::List => {
-            simple(serde_json::json!({"cmd": "list"}), &mut stream, &mut reader)
-        }
-        JobRequest::Metrics { text } => {
-            let req = if *text {
-                serde_json::json!({"cmd": "metrics", "format": "text"})
-            } else {
-                serde_json::json!({"cmd": "metrics"})
-            };
-            let resp = roundtrip(&mut stream, &mut reader, &req)?;
-            // With --text, print the exposition body itself so the output
-            // can be piped straight into Prometheus tooling.
-            match resp.get("text").and_then(|v| v.as_str()).filter(|_| *text && ok(&resp)) {
-                Some(body) => print!("{body}"),
-                None => println!("{}", serde_json::to_string(&resp)?),
-            }
-            Ok(if ok(&resp) { ExitCode::SUCCESS } else { ExitCode::FAILURE })
-        }
-        JobRequest::Ping => {
-            simple(serde_json::json!({"cmd": "ping"}), &mut stream, &mut reader)
-        }
-        JobRequest::Shutdown => {
-            simple(serde_json::json!({"cmd": "shutdown"}), &mut stream, &mut reader)
-        }
-    }
+        JobRequest::Wait { .. } => true,
+        _ => false,
+    };
+    Ok(if !ok(&reply) {
+        ExitCode::FAILURE
+    } else if waits {
+        job_state_exit(&reply)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 #[cfg(not(unix))]

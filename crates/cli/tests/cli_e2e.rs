@@ -145,6 +145,22 @@ fn usage_errors_exit_with_code_1() {
     assert_eq!(momsynth(&["synth", "s.json", "--max-seconds", "nope"]).status.code(), Some(1));
 }
 
+/// Flag values the engine cannot take are usage errors, not crashes.
+#[test]
+fn out_of_range_flag_values_exit_with_code_1() {
+    let out = momsynth(&["generate", "--modes", "0"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("invalid --modes"), "{}", stderr(&out));
+
+    let sys_path = tmp_file("budget_range_sys.json");
+    let sys_str = sys_path.to_str().expect("utf-8 temp path");
+    assert!(momsynth(&["generate", "--preset", "mul1", "-o", sys_str]).status.success());
+    let out = momsynth(&["prove", sys_str, "--quick", "--budget", "1e300s"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("invalid --budget"), "{}", stderr(&out));
+    std::fs::remove_file(&sys_path).ok();
+}
+
 /// A single 10 ms software task against a 1 ms period: the static
 /// analyzer proves no mapping can be feasible, so `synth` must fail fast
 /// with exit code 2 and `analyze` must report the same proof.
