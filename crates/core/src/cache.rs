@@ -97,12 +97,6 @@ pub struct EvalCache {
     shard_capacity: usize,
     /// Monotonic recency clock; incremented by every get-hit and insert.
     tick: u64,
-    /// LRU evictions since construction (or since the last
-    /// [`EvalCache::restore`] — a resume's base total lives in the
-    /// restored counter set, so the live count restarts at zero).
-    /// Deterministic: eviction happens only in the serial cache-fill
-    /// stage on the driver thread, never inside parallel pricing.
-    evictions: u64,
 }
 
 impl EvalCache {
@@ -115,13 +109,7 @@ impl EvalCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(SHARD_COUNT),
             tick: 0,
-            evictions: 0,
         }
-    }
-
-    /// LRU evictions performed since construction or the last restore.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Total entries currently cached.
@@ -150,8 +138,10 @@ impl EvalCache {
 
     /// Caches `cost` for `genome`, evicting the shard's least-recently
     /// used entry when full. Re-inserting an existing genome refreshes
-    /// its recency and cost.
-    pub fn insert(&mut self, genome: &[Gene], cost: f64) {
+    /// its recency and cost. Returns whether an entry was evicted.
+    /// Deterministic: the GA fills the cache only in the serial stage
+    /// of a batch, never inside parallel pricing.
+    pub fn insert(&mut self, genome: &[Gene], cost: f64) -> bool {
         let hash = genome_hash(0, genome);
         let tick = self.tick;
         self.tick += 1;
@@ -160,12 +150,12 @@ impl EvalCache {
             if let Some(entry) = chain.iter_mut().find(|e| e.genome == genome) {
                 entry.cost = cost;
                 entry.tick = tick;
-                return;
+                return false;
             }
         }
-        if shard.len >= self.shard_capacity {
+        let evict = shard.len >= self.shard_capacity;
+        if evict {
             shard.evict_oldest();
-            self.evictions += 1;
         }
         shard
             .map
@@ -173,6 +163,7 @@ impl EvalCache {
             .or_default()
             .push(CacheEntry { genome: genome.to_vec(), cost, tick });
         shard.len += 1;
+        evict
     }
 
     /// Exports the cache for checkpointing: all entries, ascending by
@@ -190,7 +181,8 @@ impl EvalCache {
     /// Rebuilds the cache from a checkpointed state. Entries are
     /// replayed in tick order, so when this cache's capacity is smaller
     /// than the captured one, the least recent entries of each full
-    /// shard are deterministically dropped.
+    /// shard are deterministically dropped. Those drops were never
+    /// evictions of the original run, so none is reported.
     pub fn restore(&mut self, state: &CacheState) {
         for shard in &mut self.shards {
             *shard = Shard::default();
@@ -210,10 +202,6 @@ impl EvalCache {
             }
         }
         self.tick = state.tick.max(self.tick);
-        // Replaying into a smaller cache may evict, but those drops were
-        // never evictions of the original run; the cumulative total up
-        // to the checkpoint is restored into the counter set instead.
-        self.evictions = 0;
     }
 }
 
@@ -248,12 +236,13 @@ mod tests {
         // the same shard compete, and the older one must go.
         let mut cache = EvalCache::new(16);
         let genomes: Vec<Vec<Gene>> = (0..64).map(|i| genome(i, 6)).collect();
+        let mut evicted = 0;
         for (i, g) in genomes.iter().enumerate() {
-            cache.insert(g, i as f64);
+            evicted += u64::from(cache.insert(g, i as f64));
         }
         assert!(cache.len() <= 16);
-        // Every entry beyond capacity was evicted, and counted.
-        assert_eq!(cache.evictions(), 64 - cache.len() as u64);
+        // Every entry beyond capacity was evicted, and reported.
+        assert_eq!(evicted, 64 - cache.len() as u64);
         // The most recent insert of every non-empty shard must survive.
         let survivors: Vec<usize> =
             (0..64).filter(|&i| cache.get(&genomes[i]).is_some()).collect();
@@ -287,9 +276,6 @@ mod tests {
         assert!(small.len() <= 16);
         assert!(small.get(&genome(0, 5)).is_some() || small.get(&genome(1, 5)).is_some());
         assert!(small.tick >= state.tick);
-        // Capacity trimming during a restore is not an eviction of the
-        // resumed run: the live counter restarts at zero.
-        assert_eq!(small.evictions(), 0);
     }
 
     #[test]

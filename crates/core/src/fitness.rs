@@ -17,7 +17,7 @@
 //! limits. The reported [`Solution::power`] always uses the true
 //! probabilities.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
@@ -28,7 +28,7 @@ use momsynth_power::{power_report_with, ModeImplementation, PowerReport};
 use momsynth_sched::{
     schedule_mode_with, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
 };
-use momsynth_telemetry::{Phase, PhaseAccumulator, PhaseTiming};
+use momsynth_telemetry::{Counters, Phase, PhaseAccumulator, PhaseTiming};
 
 use crate::alloc::derive_allocation;
 use crate::config::SynthesisConfig;
@@ -180,9 +180,11 @@ struct EvalScratch {
 
 /// Evaluates mapping candidates for one system under one configuration.
 ///
-/// Not `Sync` (scratch buffers, counters and timers use interior
-/// mutability): parallel batch evaluation gives each worker thread its
-/// own evaluator and folds the counters back together afterwards.
+/// An evaluator is one pricing unit: it owns the run [`Counters`] and
+/// the phase timers of everything priced through it. Not `Sync`
+/// (scratch buffers, counters and timers use interior mutability):
+/// parallel batch evaluation gives each worker thread its own
+/// [`Evaluator::worker`] and folds it back with [`Evaluator::absorb`].
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     system: &'a System,
@@ -192,8 +194,9 @@ pub struct Evaluator<'a> {
     /// Per-phase wall-clock accumulator (disabled unless a telemetry
     /// sink asks for traces).
     phases: PhaseAccumulator,
-    /// Total PV-DVS inner-loop iterations across all evaluations.
-    dvs_iterations: Cell<u64>,
+    /// This unit's run counters. Evaluation itself counts PV-DVS
+    /// iterations; callers count the rest through [`Evaluator::count`].
+    counters: RefCell<Counters>,
     /// Scratch buffers reused across evaluations (`RefCell` because
     /// [`Evaluator::evaluate`] takes `&self`; evaluation never re-enters).
     scratch: RefCell<EvalScratch>,
@@ -213,8 +216,21 @@ impl<'a> Evaluator<'a> {
             config,
             weights,
             phases: PhaseAccumulator::disabled(),
-            dvs_iterations: Cell::new(0),
-            scratch: RefCell::new(EvalScratch::default()),
+            counters: RefCell::default(),
+            scratch: RefCell::default(),
+        }
+    }
+
+    /// A fresh evaluator for the same system and configuration that
+    /// times phases exactly when this one does: a parallel batch worker,
+    /// folded back with [`Evaluator::absorb`].
+    pub fn worker(&self) -> Self {
+        Self {
+            weights: self.weights.clone(),
+            phases: PhaseAccumulator::new(self.phases.enabled()),
+            counters: RefCell::default(),
+            scratch: RefCell::default(),
+            ..*self
         }
     }
 
@@ -229,33 +245,29 @@ impl<'a> Evaluator<'a> {
         self.phases.enable();
     }
 
-    /// Whether per-phase wall-clock measurement is on — mirrored onto
-    /// per-worker evaluators so a parallel batch measures exactly the
-    /// phases a serial run would.
-    pub fn phase_timing_enabled(&self) -> bool {
-        self.phases.enabled()
-    }
-
     /// Accumulated per-phase timings (empty while timing is disabled).
     pub fn phase_timings(&self) -> Vec<PhaseTiming> {
         self.phases.timings()
     }
 
-    /// Folds a worker evaluator's phase timings into this one after a
-    /// parallel batch. No-op while timing is disabled.
-    pub fn absorb_phase_timings(&self, timings: &[PhaseTiming]) {
-        self.phases.absorb(timings);
+    /// The run counters so far. PV-DVS iterations are counted
+    /// deterministically, whether or not phase timing is on.
+    pub fn counters(&self) -> Counters {
+        self.counters.borrow().clone()
     }
 
-    /// Total PV-DVS inner-loop iterations performed so far. Counted
-    /// deterministically — independent of whether phase timing is on.
-    pub fn dvs_iterations(&self) -> u64 {
-        self.dvs_iterations.get()
+    /// Updates the run counters, e.g. to count a rejected candidate or
+    /// to restore a checkpoint's totals.
+    pub fn count(&self, update: impl FnOnce(&mut Counters)) {
+        update(&mut self.counters.borrow_mut());
     }
 
-    /// Adds a worker evaluator's PV-DVS iteration count to this one.
-    pub fn add_dvs_iterations(&self, n: u64) {
-        self.dvs_iterations.set(self.dvs_iterations.get() + n);
+    /// Folds a worker's counters and phase timings into this evaluator
+    /// after a parallel batch. Both are sums, so the totals do not
+    /// depend on how the batch was split.
+    pub fn absorb(&self, worker: &Evaluator<'_>) {
+        self.counters.borrow_mut().add(&worker.counters.borrow());
+        self.phases.absorb(&worker.phases);
     }
 
     /// Fully evaluates a mapping. `dvs` selects the voltage-scaling
@@ -328,8 +340,7 @@ impl<'a> Evaluator<'a> {
                     let scaled = self.phases.measure(Phase::VoltageScaling, || {
                         scale_mode_with(system, &schedule, options, dvs_scratch)
                     });
-                    self.dvs_iterations
-                        .set(self.dvs_iterations.get() + scaled.iterations() as u64);
+                    self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
                     factors.push(scaled.energy_factors().to_vec());
                     voltage_schedules.push(
                         m.graph()
@@ -347,82 +358,83 @@ impl<'a> Evaluator<'a> {
             }
         }
 
-        let _pricing = self.phases.measure_guard(Phase::PowerPricing);
-        let implementations: Vec<ModeImplementation<'_>> = schedules
-            .iter()
-            .zip(&factors)
-            .map(|(s, f)| ModeImplementation::scaled(s, f))
-            .collect();
-        let true_probabilities: Vec<f64> =
-            system.omsm().modes().map(|(_, m)| m.probability()).collect();
-        let power = power_report_with(system, &implementations, &true_probabilities);
-        let weighted: Watts = power
-            .modes
-            .iter()
-            .zip(&self.weights)
-            .map(|(m, &w)| m.total() * w)
-            .sum();
+        Ok(self.phases.measure(Phase::PowerPricing, move || {
+            let implementations: Vec<ModeImplementation<'_>> = schedules
+                .iter()
+                .zip(&factors)
+                .map(|(s, f)| ModeImplementation::scaled(s, f))
+                .collect();
+            let true_probabilities: Vec<f64> =
+                system.omsm().modes().map(|(_, m)| m.probability()).collect();
+            let power = power_report_with(system, &implementations, &true_probabilities);
+            let weighted: Watts = power
+                .modes
+                .iter()
+                .zip(&self.weights)
+                .map(|(m, &w)| m.total() * w)
+                .sum();
 
-        let total_lateness: Seconds = schedules
-            .iter()
-            .map(|s| s.total_lateness(system.omsm().mode(s.mode()).graph()))
-            .sum();
-        let mut timing_penalty = 1.0;
-        for s in &schedules {
-            let graph = system.omsm().mode(s.mode()).graph();
-            timing_penalty +=
-                self.config.weights.timing * (s.total_lateness(graph) / graph.period());
-        }
-
-        let mut area_overruns = Vec::new();
-        let mut area_penalty = 1.0;
-        for pe in system.arch().hardware_pes() {
-            let info = system.arch().pe(pe);
-            let capacity = info.area().expect("hardware PEs declare area");
-            let used = if info.kind().is_reconfigurable() {
-                system
-                    .omsm()
-                    .mode_ids()
-                    .map(|m| alloc.mode_area(system, pe, m))
-                    .max()
-                    .unwrap_or(Cells::ZERO)
-            } else {
-                alloc.static_area(system, pe)
-            };
-            if used > capacity {
-                area_overruns.push(AreaOverrun { pe, used, capacity });
-                let overshoot_percent = (used.value() - capacity.value()) as f64
-                    / (capacity.value().max(1) as f64 * 0.01);
-                area_penalty += self.config.weights.area * overshoot_percent;
+            let total_lateness: Seconds = schedules
+                .iter()
+                .map(|s| s.total_lateness(system.omsm().mode(s.mode()).graph()))
+                .sum();
+            let mut timing_penalty = 1.0;
+            for s in &schedules {
+                let graph = system.omsm().mode(s.mode()).graph();
+                timing_penalty +=
+                    self.config.weights.timing * (s.total_lateness(graph) / graph.period());
             }
-        }
 
-        let transitions = transition_timings(system, &alloc);
-        let mut transition_penalty = 1.0;
-        for t in &transitions {
-            if !t.is_feasible() {
-                transition_penalty *= (self.config.weights.transition * t.overrun()).max(1.0);
+            let mut area_overruns = Vec::new();
+            let mut area_penalty = 1.0;
+            for pe in system.arch().hardware_pes() {
+                let info = system.arch().pe(pe);
+                let capacity = info.area().expect("hardware PEs declare area");
+                let used = if info.kind().is_reconfigurable() {
+                    system
+                        .omsm()
+                        .mode_ids()
+                        .map(|m| alloc.mode_area(system, pe, m))
+                        .max()
+                        .unwrap_or(Cells::ZERO)
+                } else {
+                    alloc.static_area(system, pe)
+                };
+                if used > capacity {
+                    area_overruns.push(AreaOverrun { pe, used, capacity });
+                    let overshoot_percent = (used.value() - capacity.value()) as f64
+                        / (capacity.value().max(1) as f64 * 0.01);
+                    area_penalty += self.config.weights.area * overshoot_percent;
+                }
             }
-        }
 
-        let mut fitness = weighted.value() * timing_penalty * area_penalty * transition_penalty;
-        let violated = total_lateness.value() > 1e-12
-            || !area_overruns.is_empty()
-            || transitions.iter().any(|t| !t.is_feasible());
-        if violated {
-            fitness *= self.config.weights.infeasibility_boost.max(1.0);
-        }
-        Ok(Solution {
-            mapping,
-            alloc,
-            schedules,
-            voltage_schedules,
-            power,
-            total_lateness,
-            area_overruns,
-            transitions,
-            fitness,
-        })
+            let transitions = transition_timings(system, &alloc);
+            let mut transition_penalty = 1.0;
+            for t in &transitions {
+                if !t.is_feasible() {
+                    transition_penalty *= (self.config.weights.transition * t.overrun()).max(1.0);
+                }
+            }
+
+            let mut fitness = weighted.value() * timing_penalty * area_penalty * transition_penalty;
+            let violated = total_lateness.value() > 1e-12
+                || !area_overruns.is_empty()
+                || transitions.iter().any(|t| !t.is_feasible());
+            if violated {
+                fitness *= self.config.weights.infeasibility_boost.max(1.0);
+            }
+            Solution {
+                mapping,
+                alloc,
+                schedules,
+                voltage_schedules,
+                power,
+                total_lateness,
+                area_overruns,
+                transitions,
+                fitness,
+            }
+        }))
     }
 }
 

@@ -39,8 +39,7 @@ use momsynth_ga::{GaConfig, GaProblem, GaSnapshot, RunControl, StopReason, REJEC
 use momsynth_model::units::Watts;
 use momsynth_model::System;
 use momsynth_telemetry::{
-    CounterSet, Counters, Event, ModeSummary, PhaseTiming, RunStart, RunSummary, Sink, SpanEvent,
-    Warning,
+    Counters, Event, ModeSummary, PhaseTiming, RunStart, RunSummary, Sink, SpanEvent, Warning,
 };
 
 use crate::cache::{CacheState, EvalCache};
@@ -278,13 +277,10 @@ impl std::fmt::Debug for SynthControl<'_> {
 #[derive(Debug)]
 struct MappingProblem<'a> {
     layout: &'a GenomeLayout,
+    /// The run's pricing unit; its counters are the run's counters.
     evaluator: &'a Evaluator<'a>,
     system: &'a System,
     config: &'a SynthesisConfig,
-    /// Cumulative telemetry counters (interior mutability because
-    /// [`GaProblem::cost_batch`] takes `&self`). [`CounterSet::rejected`]
-    /// doubles as the rejected-evaluation count of the run.
-    counters: CounterSet,
     /// Genome-keyed cost memo (`None` when `cache_capacity` is 0). Only
     /// the driver thread touches it: batches probe it serially before,
     /// and fill it serially after, the parallel pricing stage, so its
@@ -296,14 +292,13 @@ struct MappingProblem<'a> {
 
 /// Prices one genome for the GA: an injected fault or any
 /// [`Evaluator::try_evaluate`] failure rejects the candidate with
-/// [`REJECTED_COST`]. A free function (rather than a method) so
-/// parallel workers can run it against their own evaluator and counter
-/// set without sharing the `!Sync` [`MappingProblem`].
+/// [`REJECTED_COST`]. Counts on `evaluator`. A free function (rather
+/// than a method) so parallel workers can run it against their own
+/// evaluator without sharing the `!Sync` [`MappingProblem`].
 fn price_genome(
     layout: &GenomeLayout,
     config: &SynthesisConfig,
     evaluator: &Evaluator<'_>,
-    counters: &CounterSet,
     genome: &[Gene],
 ) -> f64 {
     let dvs = config.dvs.as_ref().map(|d| d.eval);
@@ -314,34 +309,22 @@ fn price_genome(
     };
     match priced {
         Some(s) => {
-            counters.note_violations(
-                s.total_lateness.value() > 1e-12,
-                !s.area_overruns.is_empty(),
-                s.transitions.iter().any(|t| !t.is_feasible()),
-            );
+            evaluator.count(|c| {
+                c.timing_violations += u64::from(s.total_lateness.value() > 1e-12);
+                c.area_violations += u64::from(!s.area_overruns.is_empty());
+                c.transition_violations +=
+                    u64::from(s.transitions.iter().any(|t| !t.is_feasible()));
+            });
             s.fitness
         }
         None => {
-            counters.add_rejected();
+            evaluator.count(|c| c.rejected += 1);
             REJECTED_COST
         }
     }
 }
 
 impl MappingProblem<'_> {
-    /// Current counters, merged with the evaluator's deterministic DVS
-    /// iteration count. Captured into checkpoints and generation events.
-    fn counters_snapshot(&self) -> Counters {
-        let mut counters = self.counters.snapshot();
-        counters.dvs_iterations += self.evaluator.dvs_iterations();
-        // Like `dvs_iterations`, the live cache counts evictions since
-        // this process started; a resume restores the checkpointed
-        // cumulative total into the counter set's base, so the sum stays
-        // cumulative across interruptions.
-        counters.cache_evictions += self.cache.as_ref().map_or(0, |c| c.borrow().evictions());
-        counters
-    }
-
     /// The evaluation cache's current contents, for checkpointing.
     fn cache_state(&self) -> CacheState {
         self.cache.as_ref().map(|c| c.borrow().state()).unwrap_or_default()
@@ -373,16 +356,9 @@ impl GaProblem for MappingProblem<'_> {
         // Stage 1: probe the cache, serially, in batch order.
         let mut misses: Vec<usize> = Vec::new();
         for (i, genome) in genomes.iter().enumerate() {
-            let hit = self.cache.as_ref().and_then(|c| c.borrow_mut().get(genome));
-            match hit {
-                Some(cost) => {
-                    costs[i] = cost;
-                    self.counters.add_cache_hits(1);
-                }
-                None => {
-                    self.counters.add_cache_misses(1);
-                    misses.push(i);
-                }
+            match self.cache.as_ref().and_then(|c| c.borrow_mut().get(genome)) {
+                Some(cost) => costs[i] = cost,
+                None => misses.push(i),
             }
         }
         // Stage 2: identical genomes within the batch are priced once;
@@ -398,10 +374,14 @@ impl GaProblem for MappingProblem<'_> {
             }
             slot_of.push(slot);
         }
-        self.counters.add_evaluated(unique.len() as u64);
-        // Stage 3: price the unique misses. Workers get their own
-        // evaluator and counter set; the folds below are commutative
-        // sums, so totals are independent of worker scheduling.
+        self.evaluator.count(|c| {
+            c.cache_hits += (genomes.len() - misses.len()) as u64;
+            c.cache_misses += misses.len() as u64;
+            c.evaluated += unique.len() as u64;
+        });
+        // Stage 3: price the unique misses. Each worker is a pricing
+        // unit of its own; folding it back is a commutative sum, so
+        // totals are independent of worker scheduling.
         let mut unique_costs = vec![REJECTED_COST; unique.len()];
         // Under the loom model checker the scoped parallel arm is
         // compiled out (loom has no scoped threads); batches price
@@ -413,40 +393,32 @@ impl GaProblem for MappingProblem<'_> {
         if serial {
             for (slot, &i) in unique.iter().enumerate() {
                 unique_costs[slot] =
-                    price_genome(self.layout, self.config, self.evaluator, &self.counters, &genomes[i]);
+                    price_genome(self.layout, self.config, self.evaluator, &genomes[i]);
             }
         }
         #[cfg(not(loom))]
         if !serial {
             let workers = self.threads.min(unique.len());
             let chunk = unique.len().div_ceil(workers);
-            let (layout, system, config) = (self.layout, self.system, self.config);
-            let trace = self.evaluator.phase_timing_enabled();
+            let (layout, config) = (self.layout, self.config);
             momsynth_sync::thread::scope(|scope| {
                 let handles: Vec<_> = unique
                     .chunks(chunk)
                     .zip(unique_costs.chunks_mut(chunk))
                     .map(|(ids, out)| {
+                        let worker = self.evaluator.worker();
                         scope.spawn(move || {
-                            let mut evaluator = Evaluator::new(system, config);
-                            if trace {
-                                evaluator.enable_phase_timing();
-                            }
-                            let counters = CounterSet::new();
                             for (&i, slot) in ids.iter().zip(out.iter_mut()) {
-                                *slot =
-                                    price_genome(layout, config, &evaluator, &counters, &genomes[i]);
+                                *slot = price_genome(layout, config, &worker, &genomes[i]);
                             }
-                            (counters.snapshot(), evaluator.dvs_iterations(), evaluator.phase_timings())
+                            worker
                         })
                     })
                     .collect();
                 for handle in handles {
-                    let (counters, dvs, timings) =
+                    let worker =
                         handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                    self.counters.merge(&counters);
-                    self.evaluator.add_dvs_iterations(dvs);
-                    self.evaluator.absorb_phase_timings(&timings);
+                    self.evaluator.absorb(&worker);
                 }
             });
         }
@@ -457,20 +429,25 @@ impl GaProblem for MappingProblem<'_> {
         }
         if let Some(cache) = &self.cache {
             let mut cache = cache.borrow_mut();
+            let mut evicted = 0;
             for &i in &misses {
-                cache.insert(&genomes[i], costs[i]);
+                evicted += u64::from(cache.insert(&genomes[i], costs[i]));
             }
+            self.evaluator.count(|c| c.cache_evictions += evicted);
         }
         costs
     }
 
     fn improve(&self, genome: &mut [Gene], rng: &mut dyn RngCore) {
         let (op, changed) = improve_random(self.system, self.layout, genome, rng);
-        self.counters.note_improve(op.index(), changed);
+        self.evaluator.count(|c| {
+            c.improve_applied[op.index()] += 1;
+            c.improve_accepted[op.index()] += u64::from(changed);
+        });
     }
 
     fn counters(&self) -> Counters {
-        self.counters_snapshot()
+        self.evaluator.counters()
     }
 
     /// Seed the population with the trivial all-software mapping (every
@@ -582,7 +559,6 @@ impl<'a> Synthesizer<'a> {
             evaluator: &evaluator,
             system: self.system,
             config: &self.config,
-            counters: CounterSet::new(),
             cache: (self.config.cache_capacity > 0)
                 .then(|| RefCell::new(EvalCache::new(self.config.cache_capacity))),
             threads: self.config.effective_threads(),
@@ -595,7 +571,7 @@ impl<'a> Synthesizer<'a> {
                 // cache so the resumed trace — including the hit/miss
                 // sequence — continues exactly where the original left
                 // off.
-                problem.counters.restore(&checkpoint.counters);
+                evaluator.count(|c| *c = checkpoint.counters.clone());
                 if let Some(cache) = &problem.cache {
                     cache.borrow_mut().restore(&checkpoint.cache);
                 }
@@ -653,7 +629,7 @@ impl<'a> Synthesizer<'a> {
                         layout,
                         seed,
                         snapshot,
-                        problem_ref.counters_snapshot(),
+                        problem_ref.evaluator.counters(),
                         problem_ref.cache_state(),
                     );
                     let due = snapshot.generation.is_multiple_of(*every)
@@ -802,7 +778,7 @@ impl<'a> Synthesizer<'a> {
             }
         }
 
-        let counters = problem.counters_snapshot();
+        let counters = evaluator.counters();
         let result = SynthesisResult {
             best,
             generations: outcome.generations,

@@ -31,13 +31,15 @@
 //! the snapshot into its line-JSON protocol (`metrics` request), an HTTP
 //! exposition endpoint (`--metrics-listen`) and periodic journal files.
 //!
-//! The [`MetricsSink`] adapter re-emits telemetry events (generation
-//! counters, phase timings, run summaries) as registry instruments, so
-//! the synthesis core needs no direct dependency on this crate.
+//! [`RunMetrics`] registers the synthesis core-loop families once per
+//! registry, and a per-run [`MetricsSink`] re-emits telemetry events
+//! (generation counters, phase timings, run summaries) on them, so the
+//! synthesis core needs no direct dependency on this crate. Every
+//! family goes through one registration routine.
 
 mod sink;
 
-pub use sink::MetricsSink;
+pub use sink::{MetricsSink, RunMetrics};
 
 use std::collections::BTreeMap;
 
@@ -68,17 +70,6 @@ fn add_f64(bits: &AtomicU64, v: f64) {
             Err(now) => cur = now,
         }
     }
-}
-
-/// The kind of an instrument family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Kind {
-    /// Monotonically increasing total.
-    Counter,
-    /// Instantaneous level that can go up and down.
-    Gauge,
-    /// Fixed-bucket distribution.
-    Histogram,
 }
 
 /// Shared state of one histogram series.
@@ -113,18 +104,18 @@ impl HistCore {
     }
 }
 
-/// One registered series: a value cell plus its label set.
-#[derive(Debug)]
+/// One registered series' value cell; its variant is the instrument
+/// kind, shared by every series of a family.
+#[derive(Debug, Clone)]
 enum SeriesCell {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistCore>),
 }
 
-/// One instrument family: a help string, a kind, and its labelled series.
+/// One instrument family: a help string and its labelled series.
 #[derive(Debug)]
 struct Family {
-    kind: Kind,
     help: String,
     /// Keyed by the rendered label set (`key="value",...`), which keeps
     /// snapshot and exposition order deterministic.
@@ -187,47 +178,23 @@ impl Registry {
     /// Registers (or retrieves) a counter series. Repeated registration
     /// with the same name and labels returns a handle onto the same cell.
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let Some(inner) = &self.inner else { return Counter { cell: None } };
-        let mut families = inner.families.lock().expect("metrics registry poisoned");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            kind: Kind::Counter,
-            help: help.to_string(),
-            series: BTreeMap::new(),
-        });
-        assert_eq!(family.kind, Kind::Counter, "{name} already registered with another kind");
-        let key = label_key(labels);
-        let owned: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect();
-        let (_, cell) = family
-            .series
-            .entry(key)
-            .or_insert_with(|| (owned, SeriesCell::Counter(Arc::new(AtomicU64::new(0)))));
-        match cell {
-            SeriesCell::Counter(c) => Counter { cell: Some(Arc::clone(c)) },
-            _ => unreachable!("kind checked above"),
+        let fresh = || SeriesCell::Counter(Arc::new(AtomicU64::new(0)));
+        Counter {
+            cell: self.register(name, help, labels, fresh).map(|cell| match cell {
+                SeriesCell::Counter(c) => c,
+                _ => unreachable!("register checks the kind"),
+            }),
         }
     }
 
     /// Registers (or retrieves) a gauge series.
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let Some(inner) = &self.inner else { return Gauge { cell: None } };
-        let mut families = inner.families.lock().expect("metrics registry poisoned");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            kind: Kind::Gauge,
-            help: help.to_string(),
-            series: BTreeMap::new(),
-        });
-        assert_eq!(family.kind, Kind::Gauge, "{name} already registered with another kind");
-        let key = label_key(labels);
-        let owned: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect();
-        let (_, cell) = family
-            .series
-            .entry(key)
-            .or_insert_with(|| (owned, SeriesCell::Gauge(Arc::new(AtomicI64::new(0)))));
-        match cell {
-            SeriesCell::Gauge(g) => Gauge { cell: Some(Arc::clone(g)) },
-            _ => unreachable!("kind checked above"),
+        let fresh = || SeriesCell::Gauge(Arc::new(AtomicI64::new(0)));
+        Gauge {
+            cell: self.register(name, help, labels, fresh).map(|cell| match cell {
+                SeriesCell::Gauge(g) => g,
+                _ => unreachable!("register checks the kind"),
+            }),
         }
     }
 
@@ -240,25 +207,44 @@ impl Registry {
         bounds: &[f64],
         labels: &[(&str, &str)],
     ) -> Histogram {
-        let Some(inner) = &self.inner else { return Histogram { cell: None } };
-        let mut families = inner.families.lock().expect("metrics registry poisoned");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            kind: Kind::Histogram,
-            help: help.to_string(),
-            series: BTreeMap::new(),
-        });
-        assert_eq!(family.kind, Kind::Histogram, "{name} already registered with another kind");
-        let key = label_key(labels);
-        let owned: Vec<(String, String)> =
-            labels.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect();
-        let (_, cell) = family
-            .series
-            .entry(key)
-            .or_insert_with(|| (owned, SeriesCell::Histogram(Arc::new(HistCore::new(bounds)))));
-        match cell {
-            SeriesCell::Histogram(h) => Histogram { cell: Some(Arc::clone(h)) },
-            _ => unreachable!("kind checked above"),
+        let fresh = || SeriesCell::Histogram(Arc::new(HistCore::new(bounds)));
+        Histogram {
+            cell: self.register(name, help, labels, fresh).map(|cell| match cell {
+                SeriesCell::Histogram(h) => h,
+                _ => unreachable!("register checks the kind"),
+            }),
         }
+    }
+
+    /// The one registration routine: finds or creates family `name` and
+    /// its series for `labels`, keeping the cell `fresh` makes when the
+    /// series is new. `None`, without calling `fresh`, when the registry
+    /// is disabled.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is already registered with another kind.
+    fn register(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        fresh: impl FnOnce() -> SeriesCell,
+    ) -> Option<SeriesCell> {
+        let inner = self.inner.as_ref()?;
+        let fresh = fresh();
+        let mut families = inner.families.lock().expect("metrics registry poisoned");
+        let family = families
+            .entry(name.to_string())
+            .or_insert_with(|| Family { help: help.to_string(), series: BTreeMap::new() });
+        let kind = std::mem::discriminant(&fresh);
+        assert!(
+            family.series.values().all(|(_, cell)| std::mem::discriminant(cell) == kind),
+            "{name} already registered with another kind"
+        );
+        let owned = labels.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect();
+        let (_, cell) = family.series.entry(label_key(labels)).or_insert((owned, fresh));
+        Some(cell.clone())
     }
 
     /// A point-in-time copy of every instrument, ready to serialise or
@@ -398,12 +384,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in seconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Total number of observations (0 when disabled).
     pub fn count(&self) -> u64 {
         self.cell.as_ref().map_or(0, |c| c.count.load(Ordering::Relaxed))
@@ -489,23 +469,6 @@ impl HistogramSample {
             return lower + (upper - lower) * into.clamp(0.0, 1.0);
         }
         self.bounds.last().copied().unwrap_or(0.0)
-    }
-
-    /// Folds another sample over the same bucket layout into this one.
-    ///
-    /// # Panics
-    ///
-    /// If the bucket bounds differ.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.bounds, other.bounds, "histogram merge needs identical buckets");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-        self.p50 = self.quantile(0.50);
-        self.p95 = self.quantile(0.95);
-        self.p99 = self.quantile(0.99);
     }
 }
 
@@ -698,31 +661,5 @@ mod tests {
     fn label_values_are_escaped() {
         let key = label_key(&[("path", "a\"b\\c\nd")]);
         assert_eq!(key, "path=\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn histogram_merge_matches_single_stream() {
-        let registry = Registry::new();
-        let a = registry.histogram("momsynth_a_seconds", "a", &[0.1, 1.0], &[]);
-        let b = registry.histogram("momsynth_b_seconds", "b", &[0.1, 1.0], &[]);
-        let whole = registry.histogram("momsynth_w_seconds", "w", &[0.1, 1.0], &[]);
-        for (i, v) in [0.05, 0.2, 0.7, 1.5, 0.01, 0.9].iter().enumerate() {
-            if i % 2 == 0 {
-                a.observe(*v);
-            } else {
-                b.observe(*v);
-            }
-            whole.observe(*v);
-        }
-        let snap = registry.snapshot();
-        let mut merged = snap.histogram_sample("momsynth_a_seconds", &[]).unwrap().clone();
-        merged.merge(snap.histogram_sample("momsynth_b_seconds", &[]).unwrap());
-        let reference = snap.histogram_sample("momsynth_w_seconds", &[]).unwrap();
-        assert_eq!(merged.counts, reference.counts);
-        assert_eq!(merged.count, reference.count);
-        assert!((merged.sum - reference.sum).abs() < 1e-12);
-        assert_eq!(merged.p50, reference.p50);
-        assert_eq!(merged.p95, reference.p95);
-        assert_eq!(merged.p99, reference.p99);
     }
 }

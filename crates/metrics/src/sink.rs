@@ -12,62 +12,59 @@ const PHASE_BOUNDS_S: [f64; 16] = [
     1.0, 5.0,
 ];
 
-/// A telemetry [`Sink`] that re-emits run events as registry
-/// instruments: per-phase wall time as histograms, eval-cache
-/// hit/miss/eviction totals as counters (delta-decoded from the
-/// cumulative per-generation [`Counters`]), live `evals/sec` as a
-/// gauge, and run durations as a histogram.
-///
-/// The sink reports [`Sink::enabled`] only when its registry is
-/// enabled, so the synthesis core skips event construction entirely for
-/// a disabled registry — the same zero-cost contract as every other
-/// sink.
-#[derive(Debug)]
-pub struct MetricsSink {
+/// The counter families delta-decoded from the cumulative
+/// per-generation [`Counters`]: family, help string and the field read.
+type CounterFamily = (&'static str, &'static str, fn(&Counters) -> u64);
+
+const COUNTER_FAMILIES: [CounterFamily; 6] = [
+    ("momsynth_evaluations_total", "Fitness evaluations actually priced", |c| c.evaluated),
+    (
+        "momsynth_evaluations_rejected_total",
+        "Evaluations rejected (errored, panicked or non-finite)",
+        |c| c.rejected,
+    ),
+    (
+        "momsynth_eval_cache_hits_total",
+        "Cost lookups served by the evaluation cache",
+        |c| c.cache_hits,
+    ),
+    (
+        "momsynth_eval_cache_misses_total",
+        "Cost lookups that missed the evaluation cache",
+        |c| c.cache_misses,
+    ),
+    (
+        "momsynth_eval_cache_evictions_total",
+        "Entries evicted from the evaluation cache",
+        |c| c.cache_evictions,
+    ),
+    ("momsynth_dvs_iterations_total", "PV-DVS inner-loop iterations spent", |c| c.dvs_iterations),
+];
+
+/// The core-loop instrument families: per-phase wall time as
+/// histograms, six counters mirroring fields of [`Counters`], live
+/// `evals/sec` as a gauge, and run counts and durations. Registered once per registry — the job
+/// server does it at start, next to its own families — and shared by
+/// every run's [`MetricsSink`]; a clone shares the same cells.
+#[derive(Debug, Clone)]
+pub struct RunMetrics {
     enabled: bool,
     runs_started: Counter,
     runs_finished: Counter,
     run_duration: Histogram,
     generations: Counter,
-    evaluations: Counter,
-    rejected: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
-    dvs_iterations: Counter,
     evals_per_sec: Gauge,
-    phase_seconds: Vec<(Phase, Histogram)>,
-    /// Delta-decoder state: the cumulative counters of the last
-    /// generation seen, and whether the next generation event is the
-    /// baseline of a resumed run (whose deltas must not be re-counted).
-    state: Mutex<DeltaState>,
+    /// One counter per [`COUNTER_FAMILIES`] entry, in table order.
+    counters: Vec<Counter>,
+    /// One histogram per phase, indexed by [`Phase::index`].
+    phase_seconds: Vec<Histogram>,
 }
 
-#[derive(Debug, Default)]
-struct DeltaState {
-    last: Option<Counters>,
-    resumed: bool,
-}
-
-impl MetricsSink {
-    /// Builds the sink and registers its instrument families on
-    /// `registry`. All families exist (at zero) from this point, so
-    /// scrapes before the first run still see the full taxonomy.
+impl RunMetrics {
+    /// Registers the core-loop families on `registry`. All of them exist
+    /// (at zero) from this point, so scrapes before the first run still
+    /// see the full taxonomy.
     pub fn new(registry: &Registry) -> Self {
-        let phase_seconds = Phase::ALL
-            .iter()
-            .map(|&phase| {
-                (
-                    phase,
-                    registry.histogram(
-                        "momsynth_run_phase_seconds",
-                        "Wall time per synthesis phase, one observation per run",
-                        &PHASE_BOUNDS_S,
-                        &[("phase", phase.name())],
-                    ),
-                )
-            })
-            .collect();
         Self {
             enabled: registry.is_enabled(),
             runs_started: registry.counter(
@@ -91,100 +88,101 @@ impl MetricsSink {
                 "GA generations completed",
                 &[],
             ),
-            evaluations: registry.counter(
-                "momsynth_evaluations_total",
-                "Fitness evaluations actually priced",
-                &[],
-            ),
-            rejected: registry.counter(
-                "momsynth_evaluations_rejected_total",
-                "Evaluations rejected (errored, panicked or non-finite)",
-                &[],
-            ),
-            cache_hits: registry.counter(
-                "momsynth_eval_cache_hits_total",
-                "Cost lookups served by the evaluation cache",
-                &[],
-            ),
-            cache_misses: registry.counter(
-                "momsynth_eval_cache_misses_total",
-                "Cost lookups that missed the evaluation cache",
-                &[],
-            ),
-            cache_evictions: registry.counter(
-                "momsynth_eval_cache_evictions_total",
-                "Entries evicted from the evaluation cache",
-                &[],
-            ),
-            dvs_iterations: registry.counter(
-                "momsynth_dvs_iterations_total",
-                "PV-DVS inner-loop iterations spent",
-                &[],
-            ),
             evals_per_sec: registry.gauge(
                 "momsynth_evals_per_sec",
                 "Live evaluation throughput of the most recent generation",
                 &[],
             ),
-            phase_seconds,
-            state: Mutex::new(DeltaState::default()),
+            counters: COUNTER_FAMILIES
+                .iter()
+                .map(|(name, help, _)| registry.counter(name, help, &[]))
+                .collect(),
+            phase_seconds: Phase::ALL
+                .iter()
+                .map(|phase| {
+                    registry.histogram(
+                        "momsynth_run_phase_seconds",
+                        "Wall time per synthesis phase, one observation per run",
+                        &PHASE_BOUNDS_S,
+                        &[("phase", phase.name())],
+                    )
+                })
+                .collect(),
         }
+    }
+}
+
+/// A telemetry [`Sink`] that re-emits one run's events on the shared
+/// [`RunMetrics`]. The counter families are delta-decoded from the
+/// cumulative per-generation [`Counters`], so the sink keeps only its
+/// run's decoder state and registers nothing itself.
+///
+/// The sink reports [`Sink::enabled`] only when its registry is
+/// enabled, so the synthesis core skips event construction entirely for
+/// a disabled registry — the same zero-cost contract as every other
+/// sink.
+#[derive(Debug)]
+pub struct MetricsSink {
+    metrics: RunMetrics,
+    /// Delta-decoder state: the cumulative counters of the last
+    /// generation seen, and whether the next generation event is the
+    /// baseline of a resumed run (whose deltas must not be re-counted).
+    state: Mutex<DeltaState>,
+}
+
+#[derive(Debug, Default)]
+struct DeltaState {
+    last: Option<Counters>,
+    resumed: bool,
+}
+
+impl MetricsSink {
+    /// A sink for one run, recording on `metrics`.
+    pub fn new(metrics: &RunMetrics) -> Self {
+        Self { metrics: metrics.clone(), state: Mutex::new(DeltaState::default()) }
     }
 }
 
 impl Sink for MetricsSink {
     fn enabled(&self) -> bool {
-        self.enabled
+        self.metrics.enabled
     }
 
     fn record(&self, event: &Event) {
+        let metrics = &self.metrics;
         match event {
             Event::RunStart(start) => {
-                self.runs_started.inc();
+                metrics.runs_started.inc();
                 let mut state = self.state.lock().expect("metrics sink poisoned");
                 state.last = None;
                 state.resumed = start.resumed_generation.is_some();
             }
             Event::Generation(g) => {
-                self.evals_per_sec.set(g.evals_per_sec as i64);
+                metrics.evals_per_sec.set(g.evals_per_sec as i64);
                 let mut state = self.state.lock().expect("metrics sink poisoned");
-                if let Some(last) = &state.last {
-                    self.generations.inc();
-                    let d = |cur: u64, prev: u64| cur.saturating_sub(prev);
-                    self.evaluations.add(d(g.counters.evaluated, last.evaluated));
-                    self.rejected.add(d(g.counters.rejected, last.rejected));
-                    self.cache_hits.add(d(g.counters.cache_hits, last.cache_hits));
-                    self.cache_misses.add(d(g.counters.cache_misses, last.cache_misses));
-                    self.cache_evictions
-                        .add(d(g.counters.cache_evictions, last.cache_evictions));
-                    self.dvs_iterations
-                        .add(d(g.counters.dvs_iterations, last.dvs_iterations));
-                } else if !state.resumed {
-                    // First generation of a fresh run: everything so far
-                    // is new. A resumed run's first event only sets the
-                    // baseline — its counters were counted before the
-                    // interruption.
-                    self.generations.inc();
-                    self.evaluations.add(g.counters.evaluated);
-                    self.rejected.add(g.counters.rejected);
-                    self.cache_hits.add(g.counters.cache_hits);
-                    self.cache_misses.add(g.counters.cache_misses);
-                    self.cache_evictions.add(g.counters.cache_evictions);
-                    self.dvs_iterations.add(g.counters.dvs_iterations);
+                // A fresh run counts everything since zero. A resumed
+                // run's first event only sets the baseline: its counters
+                // were counted before the interruption.
+                let zero = Counters::default();
+                let base = match &state.last {
+                    Some(last) => Some(last),
+                    None => (!state.resumed).then_some(&zero),
+                };
+                if let Some(base) = base {
+                    metrics.generations.inc();
+                    for ((_, _, field), counter) in COUNTER_FAMILIES.iter().zip(&metrics.counters) {
+                        counter.add(field(&g.counters).saturating_sub(field(base)));
+                    }
                 }
                 state.last = Some(g.counters.clone());
             }
             Event::Phase(timing) => {
-                if let Some((_, h)) =
-                    self.phase_seconds.iter().find(|(phase, _)| *phase == timing.phase)
-                {
-                    h.observe(timing.nanos as f64 / 1e9);
-                }
+                metrics.phase_seconds[timing.phase.index()].observe(timing.nanos as f64 / 1e9);
             }
             Event::Summary(summary) => {
-                self.runs_finished.inc();
-                self.run_duration.observe(summary.wall_time_s);
-                self.evals_per_sec.set(0);
+                metrics.runs_finished.inc();
+                metrics.run_duration.observe(summary.wall_time_s);
+                metrics.evals_per_sec.set(0);
             }
             Event::Warning(_) | Event::Span(_) => {}
         }
@@ -236,7 +234,7 @@ mod tests {
     #[test]
     fn deltas_accumulate_from_cumulative_counters() {
         let registry = Registry::new();
-        let sink = MetricsSink::new(&registry);
+        let sink = MetricsSink::new(&RunMetrics::new(&registry));
         sink.record(&start(None));
         sink.record(&generation(0, 2, 10, 1));
         sink.record(&generation(1, 5, 14, 3));
@@ -251,7 +249,7 @@ mod tests {
     #[test]
     fn resumed_runs_do_not_recount_their_baseline() {
         let registry = Registry::new();
-        let sink = MetricsSink::new(&registry);
+        let sink = MetricsSink::new(&RunMetrics::new(&registry));
         sink.record(&start(Some(3)));
         // The resumed baseline carries everything counted before the
         // crash; only growth beyond it may be added.
@@ -266,7 +264,7 @@ mod tests {
     #[test]
     fn phase_and_summary_events_feed_histograms() {
         let registry = Registry::new();
-        let sink = MetricsSink::new(&registry);
+        let sink = MetricsSink::new(&RunMetrics::new(&registry));
         sink.record(&Event::Phase(momsynth_telemetry::PhaseTiming {
             phase: Phase::ListScheduling,
             nanos: 2_000_000,
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn disabled_registry_disables_the_sink() {
         let registry = Registry::disabled();
-        let sink = MetricsSink::new(&registry);
+        let sink = MetricsSink::new(&RunMetrics::new(&registry));
         assert!(!Sink::enabled(&sink));
     }
 }

@@ -4,7 +4,7 @@
 //! including through the [`MetricsSink`] telemetry path the job server
 //! uses.
 
-use momsynth_metrics::{MetricsSink, Registry};
+use momsynth_metrics::{MetricsSink, Registry, RunMetrics};
 use momsynth_sync::sync::Arc;
 use momsynth_sync::thread;
 use momsynth_telemetry::{Counters, Event, GenerationEvent, Sink, Warning};
@@ -110,7 +110,7 @@ proptest! {
         ),
     ) {
         let registry = Registry::disabled();
-        let sink = Arc::new(MetricsSink::new(&registry));
+        let sink = Arc::new(MetricsSink::new(&RunMetrics::new(&registry)));
         let events: Vec<Event> = generations
             .into_iter()
             .map(|(generation, evaluations, best, cache_hit_rate)| {

@@ -1,6 +1,5 @@
-//! Property-based tests of histogram bucketing, snapshot merge and
-//! quantile estimation against a straightforward reference
-//! implementation (and against each other).
+//! Property-based tests of histogram bucketing and quantile estimation
+//! against a straightforward reference implementation.
 
 use proptest::prelude::*;
 
@@ -70,24 +69,6 @@ proptest! {
         prop_assert_eq!(sample.count, obs.len() as u64);
         let expected_sum: f64 = obs.iter().sum();
         prop_assert!((sample.sum - expected_sum).abs() <= 1e-9 * expected_sum.abs().max(1.0));
-    }
-
-    #[test]
-    fn merge_equals_observing_the_union(
-        bounds in bounds(),
-        obs_a in observations(),
-        obs_b in observations(),
-    ) {
-        let mut merged = observed_sample(&bounds, &obs_a);
-        merged.merge(&observed_sample(&bounds, &obs_b));
-        let union: Vec<f64> = obs_a.iter().chain(&obs_b).copied().collect();
-        let direct = observed_sample(&bounds, &union);
-        prop_assert_eq!(&merged.counts, &direct.counts);
-        prop_assert_eq!(merged.count, direct.count);
-        prop_assert!((merged.sum - direct.sum).abs() <= 1e-9 * direct.sum.abs().max(1.0));
-        prop_assert_eq!(merged.p50, direct.p50);
-        prop_assert_eq!(merged.p95, direct.p95);
-        prop_assert_eq!(merged.p99, direct.p99);
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl Journal {
         write_durable(path, &json, &self.timers)
     }
 
-    /// Loads a journaled metrics snapshot, if present.
-    pub fn load_metrics(&self, path: &Path) -> Option<MetricsSnapshot> {
-        read_resilient(path).ok().map(|(v, _)| v)
-    }
-
     /// Loads a job's spec, tolerating a torn primary.
     ///
     /// # Errors

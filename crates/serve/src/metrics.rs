@@ -12,14 +12,14 @@
 //! listener in Prometheus text exposition format, so a stock Prometheus
 //! scrape config (or `curl`) can watch a resident server.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
 use momsynth_sync::sync::Arc;
 use std::time::{Duration, Instant};
 
 use momsynth_metrics::{
-    Counter, Gauge, Histogram, MetricsSnapshot, Registry, DEFAULT_DURATION_BOUNDS_S,
+    Counter, Gauge, Histogram, MetricsSnapshot, Registry, RunMetrics, DEFAULT_DURATION_BOUNDS_S,
     DEFAULT_LATENCY_BOUNDS_S,
 };
 
@@ -35,8 +35,9 @@ const TERMINAL_STATES: [JobState; 5] = [
     JobState::Shed,
 ];
 
-/// All server-side instruments, pre-registered against one registry so
-/// a scrape taken before any job ran already shows the full taxonomy.
+/// All server-side instruments, and the core-loop families every job's
+/// run records on, pre-registered against one registry so a scrape taken
+/// before any job ran already shows the full taxonomy.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     registry: Registry,
@@ -65,11 +66,15 @@ pub struct ServeMetrics {
     pub recovery_scan: Histogram,
     /// Per-terminal-state counter and submission-to-terminal latency.
     terminal: Vec<(JobState, Counter, Histogram)>,
+    /// The synthesis core-loop families, fed by each job's
+    /// [`momsynth_metrics::MetricsSink`].
+    pub run: RunMetrics,
 }
 
 impl ServeMetrics {
-    /// Registers every server instrument family against `registry`.
-    /// With a disabled registry every handle is a no-op.
+    /// Registers every server and core-loop instrument family against
+    /// `registry` — the one place any family is registered. With a
+    /// disabled registry every handle is a no-op.
     pub fn new(registry: &Registry) -> Self {
         let terminal = TERMINAL_STATES
             .iter()
@@ -155,6 +160,7 @@ impl ServeMetrics {
                 &[],
             ),
             terminal,
+            run: RunMetrics::new(registry),
         }
     }
 
@@ -229,39 +235,73 @@ pub fn spawn_exposition(
     Ok((local, handle))
 }
 
+/// Largest request head (request line plus headers) a scrape may send.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
+
+/// Time one scrape exchange may take, from the first byte read to the
+/// last byte written. Scrapes are served one at a time, so this also
+/// bounds how long one client can hold up the next.
+const SCRAPE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Reads a stream until a deadline, however slowly the peer sends: each
+/// read may block only for the time left.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// Answers one HTTP request on `stream`: the exposition text for
-/// `GET /metrics` (or `/`), 404 otherwise.
+/// `GET /metrics` (or `/`), 400 for a request head over
+/// [`MAX_REQUEST_HEAD`], 404 otherwise. A client that has not sent its
+/// head within [`SCRAPE_DEADLINE`] is dropped unanswered.
 fn serve_scrape(stream: TcpStream, metrics: &ServeMetrics) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let deadline = Instant::now() + SCRAPE_DEADLINE;
+    let mut reader = BufReader::new(Deadline { stream: &stream, deadline }.take(MAX_REQUEST_HEAD));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
+    let mut head_ended = false;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+        if reader.read_line(&mut header)? == 0 {
+            break;
+        }
+        if header == "\r\n" || header == "\n" {
+            head_ended = true;
             break;
         }
     }
+    let too_large = !head_ended && reader.get_ref().limit() == 0;
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
-    let mut stream = stream;
-    if method == "GET" && (path == "/metrics" || path == "/") {
-        let body = metrics.snapshot().to_prometheus();
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        )?;
+    let (status, content_type, body) = if too_large {
+        ("400 Bad Request", "text/plain", "request head too large\n".to_owned())
+    } else if method == "GET" && (path == "/metrics" || path == "/") {
+        ("200 OK", "text/plain; version=0.0.4; charset=utf-8", metrics.snapshot().to_prometheus())
     } else {
-        let body = "not found\n";
-        write!(
-            stream,
-            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        )?;
-    }
+        ("404 Not Found", "text/plain", "not found\n".to_owned())
+    };
+    let left = deadline.saturating_duration_since(Instant::now());
+    stream.set_write_timeout(Some(left.max(Duration::from_millis(1))))?;
+    let mut stream = stream;
+    write!(
+        stream,
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )?;
     stream.flush()
 }
 
@@ -302,6 +342,19 @@ mod tests {
             "momsynth_journal_write_seconds",
             "momsynth_journal_fsync_seconds",
             "momsynth_journal_recovery_scan_seconds",
+            // The core-loop families every job's run records on.
+            "momsynth_runs_started_total",
+            "momsynth_runs_finished_total",
+            "momsynth_run_duration_seconds",
+            "momsynth_generations_total",
+            "momsynth_evaluations_total",
+            "momsynth_evaluations_rejected_total",
+            "momsynth_eval_cache_hits_total",
+            "momsynth_eval_cache_misses_total",
+            "momsynth_eval_cache_evictions_total",
+            "momsynth_dvs_iterations_total",
+            "momsynth_evals_per_sec",
+            "momsynth_run_phase_seconds",
         ] {
             assert!(text.contains(family), "exposition must mention {family}");
         }
@@ -309,6 +362,18 @@ mod tests {
             assert!(
                 text.contains(&format!("state=\"{state}\"")),
                 "terminal label {state} must be pre-registered"
+            );
+        }
+        for phase in [
+            "fitness_eval",
+            "core_allocation",
+            "list_scheduling",
+            "voltage_scaling",
+            "power_pricing",
+        ] {
+            assert!(
+                text.contains(&format!("phase=\"{phase}\"")),
+                "phase label {phase} must be pre-registered"
             );
         }
     }

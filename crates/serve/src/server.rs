@@ -690,7 +690,7 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
         Arc::clone(&shared.hub),
     )));
     if shared.metrics.registry().is_enabled() {
-        sink.push(Box::new(MetricsSink::new(shared.metrics.registry())));
+        sink.push(Box::new(MetricsSink::new(&shared.metrics.run)));
     }
     if let Some(note) = resume_note {
         sink.record(&Event::Warning(Warning { message: note }));

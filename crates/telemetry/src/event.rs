@@ -120,6 +120,42 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// Adds `other` onto these totals, field by field. Addition
+    /// commutes, so folding per-worker counters back in after a
+    /// parallel batch yields thread-count-independent totals. The
+    /// destructuring names every field, so a new counter does not
+    /// compile until it is added here too.
+    pub fn add(&mut self, other: &Self) {
+        let Self {
+            rejected,
+            timing_violations,
+            area_violations,
+            transition_violations,
+            dvs_iterations,
+            cache_hits,
+            cache_misses,
+            evaluated,
+            cache_evictions,
+            improve_applied,
+            improve_accepted,
+        } = other;
+        self.rejected += rejected;
+        self.timing_violations += timing_violations;
+        self.area_violations += area_violations;
+        self.transition_violations += transition_violations;
+        self.dvs_iterations += dvs_iterations;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.evaluated += evaluated;
+        self.cache_evictions += cache_evictions;
+        for (mine, theirs) in self.improve_applied.iter_mut().zip(improve_applied) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.improve_accepted.iter_mut().zip(improve_accepted) {
+            *mine += theirs;
+        }
+    }
+
     /// Fraction of cost lookups answered from the evaluation cache,
     /// `0.0` when nothing was looked up.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -348,6 +384,27 @@ mod tests {
             let back: Event = serde_json::from_str(&json).unwrap();
             assert_eq!(back, event);
         }
+    }
+
+    #[test]
+    fn counters_add_component_wise() {
+        let mut total =
+            Counters { cache_hits: 3, cache_misses: 5, evaluated: 4, ..Counters::default() };
+        total.improve_applied[2] = 2;
+        assert!((total.cache_hit_rate() - 3.0 / 8.0).abs() < 1e-12);
+        assert_eq!(Counters::default().cache_hit_rate(), 0.0);
+
+        let mut worker =
+            Counters { rejected: 1, dvs_iterations: 7, evaluated: 2, ..Counters::default() };
+        worker.improve_applied[1] = 1;
+        worker.improve_accepted[1] = 1;
+        total.add(&worker);
+        assert_eq!(total.rejected, 1);
+        assert_eq!(total.dvs_iterations, 7);
+        assert_eq!(total.evaluated, 6);
+        assert_eq!(total.cache_hits, 3);
+        assert_eq!(total.improve_applied, vec![0, 1, 2, 0]);
+        assert_eq!(total.improve_accepted, vec![0, 1, 0, 0]);
     }
 
     #[test]

@@ -31,6 +31,18 @@
 //!   p̄ per Eq. 1 of the paper, per-mode dynamic/static power breakdown,
 //!   stop reason, wall time and evaluation throughput.
 //!
+//! # One instrument model
+//!
+//! [`Counters`] is the only counter type and [`PhaseAccumulator`] the
+//! only phase timer. Each pricing unit (the synthesis core's evaluator,
+//! and each parallel worker it spawns) owns one of each; a worker folds
+//! back with one component-wise [`Counters::add`] and one
+//! [`PhaseAccumulator::absorb`], and a checkpoint restores a run's
+//! counters by cloning them. The event stream is the single source of
+//! truth: every [`GenerationEvent`] carries the cumulative counters, and
+//! consumers such as `momsynth-metrics`' `MetricsSink` derive their
+//! totals from it instead of counting on their own.
+//!
 //! # Sinks
 //!
 //! | sink | purpose |
@@ -67,15 +79,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod counters;
 mod event;
 mod sink;
 mod timing;
 
-pub use counters::CounterSet;
 pub use event::{
     Counters, Event, GenerationEvent, JobEvent, ModeSummary, RunStart, RunSummary, SpanEvent,
     Warning, OPERATOR_COUNT, OPERATOR_NAMES,
 };
-pub use sink::{Fanout, JsonlSink, MemorySink, NullSink, ProgressSink, Sink, WarningSink, NULL};
-pub use timing::{Phase, PhaseAccumulator, PhaseGuard, PhaseTiming};
+pub use sink::{Fanout, JsonlSink, MemorySink, NullSink, ProgressSink, Sink, WarningSink};
+pub use timing::{Phase, PhaseAccumulator, PhaseTiming};

@@ -39,9 +39,6 @@ pub trait Sink {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
-/// A shareable [`NullSink`] instance.
-pub static NULL: NullSink = NullSink;
-
 impl Sink for NullSink {
     fn enabled(&self) -> bool {
         false
@@ -256,8 +253,8 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled() {
-        assert!(!NULL.enabled());
-        NULL.record(&Event::Warning(Warning { message: "x".into() }));
+        assert!(!NullSink.enabled());
+        NullSink.record(&Event::Warning(Warning { message: "x".into() }));
     }
 
     #[test]

@@ -130,25 +130,16 @@ impl PhaseAccumulator {
         out
     }
 
-    /// Starts an RAII span charged to `phase` when the guard drops.
-    /// Useful when a measured region runs to the end of a scope and a
-    /// closure would be awkward.
-    #[inline]
-    pub fn measure_guard(&self, phase: Phase) -> PhaseGuard<'_> {
-        PhaseGuard { acc: self, phase, start: self.enabled.then(Instant::now) }
-    }
-
-    /// Adds already-measured spans onto this accumulator, e.g. folding a
+    /// Adds another accumulator's spans onto this one, e.g. folding a
     /// parallel worker's timings back into the run-wide accumulator
     /// after a batch. No-op when this accumulator is disabled.
-    pub fn absorb(&self, timings: &[PhaseTiming]) {
+    pub fn absorb(&self, other: &Self) {
         if !self.enabled {
             return;
         }
-        for t in timings {
-            let i = t.phase.index();
-            self.nanos[i].set(self.nanos[i].get() + t.nanos);
-            self.spans[i].set(self.spans[i].get() + t.spans);
+        for i in 0..Phase::COUNT {
+            self.nanos[i].set(self.nanos[i].get() + other.nanos[i].get());
+            self.spans[i].set(self.spans[i].get() + other.spans[i].get());
         }
     }
 
@@ -164,26 +155,6 @@ impl PhaseAccumulator {
                 depth: phase.depth(),
             })
             .collect()
-    }
-}
-
-/// An in-flight span from [`PhaseAccumulator::measure_guard`]; charges
-/// its elapsed time on drop. Does nothing when the accumulator is
-/// disabled.
-#[derive(Debug)]
-pub struct PhaseGuard<'a> {
-    acc: &'a PhaseAccumulator,
-    phase: Phase,
-    start: Option<Instant>,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let i = self.phase.index();
-            self.acc.nanos[i].set(self.acc.nanos[i].get() + start.elapsed().as_nanos() as u64);
-            self.acc.spans[i].set(self.acc.spans[i].get() + 1);
-        }
     }
 }
 
@@ -228,23 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_charges_its_span_on_drop() {
-        let acc = PhaseAccumulator::new(true);
-        {
-            let _g = acc.measure_guard(Phase::PowerPricing);
-            std::hint::black_box(0u64);
-        }
-        let timings = acc.timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].phase, Phase::PowerPricing);
-        assert_eq!(timings[0].spans, 1);
-
-        let off = PhaseAccumulator::disabled();
-        drop(off.measure_guard(Phase::PowerPricing));
-        assert!(off.timings().is_empty());
-    }
-
-    #[test]
     fn absorb_folds_worker_timings_in() {
         let worker = PhaseAccumulator::new(true);
         worker.measure(Phase::ListScheduling, || std::hint::black_box(0u64));
@@ -252,7 +206,7 @@ mod tests {
 
         let main = PhaseAccumulator::new(true);
         main.measure(Phase::ListScheduling, || std::hint::black_box(0u64));
-        main.absorb(&worker.timings());
+        main.absorb(&worker);
         let ls = main
             .timings()
             .into_iter()
@@ -261,7 +215,7 @@ mod tests {
         assert_eq!(ls.spans, 3);
 
         let off = PhaseAccumulator::disabled();
-        off.absorb(&worker.timings());
+        off.absorb(&worker);
         assert!(off.timings().is_empty());
     }
 
