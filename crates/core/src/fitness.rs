@@ -54,7 +54,8 @@ pub struct Solution {
     pub alloc: CoreAllocation,
     /// Per-mode schedules (voltage-stretched when DVS is enabled).
     pub schedules: Vec<Schedule>,
-    /// Per-mode, per-task voltage schedules (`None` where unscaled).
+    /// Per-mode, per-task voltage schedules: `Some` for every task on a
+    /// scaled DVS rail, `None` for the rest and everywhere when DVS is off.
     pub voltage_schedules: Vec<Vec<Option<VoltageSchedule>>>,
     /// Power report under the true mode execution probabilities.
     pub power: PowerReport,
@@ -170,8 +171,9 @@ impl std::error::Error for EvalFailure {}
 
 /// Reusable working memory for one evaluator: the list scheduler's and
 /// PV-DVS's per-call buffers. One evaluation allocates these once and
-/// every later evaluation on the same [`Evaluator`] reuses them, which
-/// removes the dominant allocation churn from the GA's hot loop.
+/// every later evaluation on the same [`Evaluator`] reuses them, so the
+/// GA's hot loop allocates little beyond the schedules and voltage
+/// schedules each [`Solution`] keeps.
 #[derive(Debug, Default)]
 struct EvalScratch {
     sched: ListScratch,
@@ -341,14 +343,10 @@ impl<'a> Evaluator<'a> {
                         scale_mode_with(system, &schedule, options, dvs_scratch)
                     });
                     self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
-                    factors.push(scaled.energy_factors().to_vec());
-                    voltage_schedules.push(
-                        m.graph()
-                            .task_ids()
-                            .map(|t| scaled.task_voltage(t).cloned())
-                            .collect(),
-                    );
-                    schedules.push(scaled.schedule().clone());
+                    let (schedule, voltages, energy_factors) = scaled.into_parts();
+                    schedules.push(schedule);
+                    voltage_schedules.push(voltages);
+                    factors.push(energy_factors);
                 }
                 None => {
                     factors.push(vec![1.0; m.graph().task_count()]);

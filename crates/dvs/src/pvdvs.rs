@@ -13,10 +13,7 @@
 //! Activities on single-rail DVS hardware are first merged into virtual
 //! tasks (see [`crate::hw_transform`]) so all cores scale together.
 
-use std::collections::BTreeSet;
-
-use momsynth_model::arch::DvsCapability;
-use momsynth_model::ids::{CommId, TaskId};
+use momsynth_model::ids::{CommId, PeId, TaskId};
 use momsynth_model::units::{Joules, Seconds};
 use momsynth_model::System;
 use momsynth_sched::{ActivityId, Schedule, ScheduledComm, ScheduledTask};
@@ -70,8 +67,10 @@ impl ScaledMode {
         &self.schedule
     }
 
-    /// The voltage schedule derived for `task`, or `None` if the task was
-    /// not scaled.
+    /// The voltage schedule derived for `task`: `Some` for every task on a
+    /// scaled DVS rail (a single nominal-level segment when the task got
+    /// no slack), `None` for tasks on fixed-voltage PEs and on DVS
+    /// hardware that was left nominal.
     ///
     /// # Panics
     ///
@@ -98,6 +97,13 @@ impl ScaledMode {
     /// Number of greedy extension steps performed.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Splits the result into the stretched schedule, the per-task voltage
+    /// schedules and the per-task energy factors (both indexed by task
+    /// id) without copying them.
+    pub fn into_parts(self) -> (Schedule, Vec<Option<VoltageSchedule>>, Vec<f64>) {
+        (self.schedule, self.task_voltages, self.task_energy_factors)
     }
 
     /// Total nominal and scaled dynamic task energy of the mode — the
@@ -142,6 +148,8 @@ impl EnergySummary {
     }
 }
 
+/// A member of a virtual task: where it starts within the group's span
+/// and how long it runs at nominal voltage.
 #[derive(Debug, Clone)]
 struct GroupMember {
     task: TaskId,
@@ -156,9 +164,11 @@ enum UnitPayload {
     Group { members: Vec<GroupMember> },
 }
 
-#[derive(Debug, Clone)]
+/// How a scalable unit scales. The snap looks the DVS capability up
+/// through `pe`, so a unit holds no copy of its level vector.
+#[derive(Debug, Clone, Copy)]
 struct ScaleInfo {
-    cap: DvsCapability,
+    pe: PeId,
     model: VoltageModel,
     energy: Joules,
     max_stretch: f64,
@@ -173,18 +183,66 @@ struct Unit {
     scale: Option<ScaleInfo>,
 }
 
-/// Reusable buffers for [`scale_mode_with`]: the greedy slack
-/// distribution recomputes earliest/latest finish times (`es`/`ef`/`lf`
-/// slot vectors) on every iteration, so hoisting them out of the loop and
-/// across calls removes the scaler's dominant allocation churn. Buffers
-/// are cleared on entry; reuse can never leak state between calls.
+/// Adjacency in compressed rows: the neighbours of unit `u` are
+/// `targets[offsets[u]..offsets[u + 1]]`.
+#[derive(Debug, Default)]
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Csr {
+    /// Refills the rows of `rows` units from `(row, target)` pairs. Each
+    /// row lists its targets in pair order (a stable counting sort).
+    fn fill(&mut self, rows: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) {
+        let Self { offsets, targets } = self;
+        offsets.clear();
+        offsets.resize(rows + 1, 0);
+        for (row, _) in pairs.clone() {
+            offsets[row + 1] += 1;
+        }
+        for u in 0..rows {
+            offsets[u + 1] += offsets[u];
+        }
+        targets.clear();
+        targets.resize(offsets[rows], 0);
+        // While filling, `offsets[row]` is the row's next free slot; it
+        // ends at the next row's start, so one shift restores the starts.
+        for (row, target) in pairs {
+            targets[offsets[row]] = target;
+            offsets[row] += 1;
+        }
+        offsets.copy_within(0..rows, 1);
+        offsets[0] = 0;
+    }
+
+    fn row(&self, u: usize) -> &[usize] {
+        &self.targets[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+/// Reusable working memory for [`scale_mode_with`]. A call builds its
+/// mode's constraint graph here — the scaling units, sorted edge list,
+/// successor and predecessor rows and the topological order — and the
+/// greedy loop reruns its earliest/latest finish passes over the
+/// `es`/`ef`/`lf` slot vectors. Once the buffers have grown to a mode's
+/// size, a call allocates what its [`ScaledMode`] keeps, one small
+/// throwaway level fit per stretched unit and, on DVS hardware, its
+/// virtual tasks. Every buffer is refilled on entry; reuse can never
+/// leak state between calls.
 #[derive(Debug, Default)]
 pub struct DvsScratch {
+    units: Vec<Unit>,
+    task_unit: Vec<usize>,
+    comm_unit: Vec<Option<usize>>,
+    edges: Vec<(usize, usize)>,
+    succs: Csr,
+    preds: Csr,
+    indegree: Vec<usize>,
+    topo: Vec<usize>,
     es: Vec<Seconds>,
     ef: Vec<Seconds>,
     lf: Vec<Seconds>,
-    task_unit: Vec<usize>,
-    comm_unit: Vec<Option<usize>>,
 }
 
 /// Applies PV-DVS to one mode's schedule.
@@ -221,294 +279,325 @@ fn scale_mode_inner(
     allow_groups: bool,
     scratch: &mut DvsScratch,
 ) -> ScaledMode {
-    let graph = system.omsm().mode(schedule.mode()).graph();
-    let period = graph.period();
-    let n = graph.task_count();
+    scratch.build_units(system, schedule, allow_groups);
+    // Virtual-task merging can, in rare interleavings, create cycles;
+    // fall back to group-free scaling then.
+    if !scratch.build_constraint_graph(system, schedule) {
+        debug_assert!(allow_groups, "group-free unit graph must be acyclic");
+        return scale_mode_inner(system, schedule, options, false, scratch);
+    }
+    let period = system.omsm().mode(schedule.mode()).graph().period();
+    let iterations = scratch.distribute_slack(period, options);
+    scratch.snap(system, schedule, iterations)
+}
 
-    // ---- Build units -----------------------------------------------------
-    let mut units: Vec<Unit> = Vec::new();
-    let task_unit = &mut scratch.task_unit;
-    task_unit.clear();
-    task_unit.resize(n, usize::MAX);
-    let comm_unit = &mut scratch.comm_unit;
-    comm_unit.clear();
-    comm_unit.resize(graph.comm_count(), None);
+impl DvsScratch {
+    /// Fills `units` with one unit per virtual task (when `allow_groups`),
+    /// per task outside a virtual task and per remote communication.
+    fn build_units(&mut self, system: &System, schedule: &Schedule, allow_groups: bool) {
+        let graph = system.omsm().mode(schedule.mode()).graph();
+        let period = graph.period();
+        let Self { units, task_unit, comm_unit, .. } = self;
+        units.clear();
+        task_unit.clear();
+        task_unit.resize(graph.task_count(), usize::MAX);
+        comm_unit.clear();
+        comm_unit.resize(graph.comm_count(), None);
 
-    if allow_groups {
-        for pe in system.arch().dvs_pes().collect::<Vec<_>>() {
-            if !system.arch().pe(pe).kind().is_hardware() {
+        if allow_groups {
+            for pe in system.arch().dvs_pes() {
+                let pe_info = system.arch().pe(pe);
+                if !pe_info.kind().is_hardware() {
+                    continue;
+                }
+                let cap = pe_info.dvs().expect("dvs_pes yields DVS PEs");
+                let model = VoltageModel::from_capability(cap);
+                let max_stretch = model.max_stretch(cap.v_min());
+                for group in virtual_tasks(system, schedule, pe) {
+                    let idx = units.len();
+                    let mut deadline = period;
+                    let members: Vec<GroupMember> = group
+                        .members
+                        .iter()
+                        .map(|&t| {
+                            deadline = deadline.min(graph.effective_deadline(t));
+                            task_unit[t.index()] = idx;
+                            let e = schedule.task(t);
+                            GroupMember {
+                                task: t,
+                                rel_start: e.start - group.start,
+                                nominal: e.exec_time,
+                            }
+                        })
+                        .collect();
+                    units.push(Unit {
+                        payload: UnitPayload::Group { members },
+                        deadline,
+                        nominal: group.duration(),
+                        dur: group.duration(),
+                        scale: Some(ScaleInfo { pe, model, energy: group.energy, max_stretch }),
+                    });
+                }
+            }
+        }
+
+        for entry in schedule.tasks() {
+            let t = entry.task;
+            if task_unit[t.index()] != usize::MAX {
                 continue;
             }
-            let cap = system.arch().pe(pe).dvs().expect("dvs_pes yields DVS PEs").clone();
-            let model = VoltageModel::from_capability(&cap);
-            let max_stretch = model.max_stretch(cap.v_min());
-            for group in virtual_tasks(system, schedule, pe) {
-                let idx = units.len();
-                let mut deadline = period;
-                let members: Vec<GroupMember> = group
-                    .members
-                    .iter()
-                    .map(|&t| {
-                        deadline = deadline.min(graph.effective_deadline(t));
-                        let e = schedule.task(t);
-                        GroupMember {
-                            task: t,
-                            rel_start: e.start - group.start,
-                            nominal: e.exec_time,
-                        }
-                    })
-                    .collect();
-                for m in &members {
-                    task_unit[m.task.index()] = idx;
-                }
-                units.push(Unit {
-                    payload: UnitPayload::Group { members },
-                    deadline,
-                    nominal: group.duration(),
-                    dur: group.duration(),
-                    scale: Some(ScaleInfo {
-                        cap: cap.clone(),
+            let pe_info = system.arch().pe(entry.pe);
+            let scale = match pe_info.dvs() {
+                Some(cap) if pe_info.kind().is_software() => {
+                    let model = VoltageModel::from_capability(cap);
+                    let energy = system
+                        .tech()
+                        .impl_of(graph.task(t).task_type(), entry.pe)
+                        .expect("scheduled task has an implementation")
+                        .energy();
+                    Some(ScaleInfo {
+                        pe: entry.pe,
                         model,
-                        energy: group.energy,
-                        max_stretch,
-                    }),
-                });
-            }
+                        energy,
+                        max_stretch: model.max_stretch(cap.v_min()),
+                    })
+                }
+                _ => None,
+            };
+            task_unit[t.index()] = units.len();
+            units.push(Unit {
+                payload: UnitPayload::Task(t),
+                deadline: graph.effective_deadline(t),
+                nominal: entry.exec_time,
+                dur: entry.exec_time,
+                scale,
+            });
+        }
+
+        for entry in schedule.remote_comms() {
+            comm_unit[entry.comm.index()] = Some(units.len());
+            units.push(Unit {
+                payload: UnitPayload::Comm(entry.comm),
+                deadline: period,
+                nominal: entry.duration,
+                dur: entry.duration,
+                scale: None,
+            });
         }
     }
 
-    for entry in schedule.tasks() {
-        let t = entry.task;
-        if task_unit[t.index()] != usize::MAX {
-            continue;
-        }
-        let pe_info = system.arch().pe(entry.pe);
-        let scale = match pe_info.dvs() {
-            Some(cap) if pe_info.kind().is_software() => {
-                let model = VoltageModel::from_capability(cap);
-                let energy = system
-                    .tech()
-                    .impl_of(graph.task(t).task_type(), entry.pe)
-                    .expect("scheduled task has an implementation")
-                    .energy();
-                Some(ScaleInfo {
-                    cap: cap.clone(),
-                    model,
-                    energy,
-                    max_stretch: model.max_stretch(cap.v_min()),
-                })
-            }
-            _ => None,
-        };
-        let idx = units.len();
-        task_unit[t.index()] = idx;
-        units.push(Unit {
-            payload: UnitPayload::Task(t),
-            deadline: graph.effective_deadline(t),
-            nominal: entry.exec_time,
-            dur: entry.exec_time,
-            scale,
-        });
-    }
-
-    for entry in schedule.remote_comms() {
-        let idx = units.len();
-        comm_unit[entry.comm.index()] = Some(idx);
-        units.push(Unit {
-            payload: UnitPayload::Comm(entry.comm),
-            deadline: period,
-            nominal: entry.duration,
-            dur: entry.duration,
-            scale: None,
-        });
-    }
-
-    // ---- Constraint edges -------------------------------------------------
-    let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (c, edge) in graph.comms() {
-        let su = task_unit[edge.src().index()];
-        let du = task_unit[edge.dst().index()];
-        match comm_unit[c.index()] {
-            Some(cu) => {
-                if su != cu {
-                    edges.insert((su, cu));
+    /// Builds the constraint edges between units — precedence edges from
+    /// the task graph (through remote communications where they exist)
+    /// and resource-order edges from the per-resource sequences — with
+    /// their successor/predecessor rows and a topological order. Returns
+    /// `false` if the unit graph is cyclic.
+    fn build_constraint_graph(&mut self, system: &System, schedule: &Schedule) -> bool {
+        let graph = system.omsm().mode(schedule.mode()).graph();
+        let Self { units, task_unit, comm_unit, edges, succs, preds, indegree, topo, .. } = self;
+        edges.clear();
+        for (c, edge) in graph.comms() {
+            let su = task_unit[edge.src().index()];
+            let du = task_unit[edge.dst().index()];
+            match comm_unit[c.index()] {
+                Some(cu) => {
+                    if su != cu {
+                        edges.push((su, cu));
+                    }
+                    if cu != du {
+                        edges.push((cu, du));
+                    }
                 }
-                if cu != du {
-                    edges.insert((cu, du));
-                }
-            }
-            None => {
-                if su != du {
-                    edges.insert((su, du));
+                None => {
+                    if su != du {
+                        edges.push((su, du));
+                    }
                 }
             }
         }
-    }
-    for (_, acts) in schedule.sequences() {
-        for pair in acts.windows(2) {
-            let ua = activity_unit(pair[0], task_unit, comm_unit);
-            let ub = activity_unit(pair[1], task_unit, comm_unit);
-            if ua != ub {
-                edges.insert((ua, ub));
+        for (_, acts) in schedule.sequences() {
+            for pair in acts.windows(2) {
+                let ua = activity_unit(pair[0], task_unit, comm_unit);
+                let ub = activity_unit(pair[1], task_unit, comm_unit);
+                if ua != ub {
+                    edges.push((ua, ub));
+                }
             }
         }
+        // Sorted and deduplicated, the list holds each edge once in
+        // ascending (from, to) order, so every row below lists its
+        // neighbours in ascending order: that order fixes Kahn's queue
+        // and the order of the passes' `max`/`min` folds.
+        edges.sort_unstable();
+        edges.dedup();
+
+        let n = units.len();
+        succs.fill(n, edges.iter().copied());
+        preds.fill(n, edges.iter().map(|&(a, b)| (b, a)));
+
+        // Kahn's algorithm; the queue, read front to back, is the order.
+        indegree.clear();
+        indegree.extend((0..n).map(|u| preds.row(u).len()));
+        topo.clear();
+        topo.extend((0..n).filter(|&u| indegree[u] == 0));
+        let mut head = 0;
+        while head < topo.len() {
+            let u = topo[head];
+            head += 1;
+            for &s in succs.row(u) {
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    topo.push(s);
+                }
+            }
+        }
+        topo.len() == n
     }
 
-    // ---- Topological order (Kahn). Virtual-task merging can, in rare
-    // interleavings, create cycles; fall back to group-free scaling then.
-    let topo = match topo_order(units.len(), &edges) {
-        Some(order) => order,
-        None => {
-            debug_assert!(allow_groups, "group-free unit graph must be acyclic");
-            return scale_mode_inner(system, schedule, options, false, scratch);
-        }
-    };
-    let succs: Vec<Vec<usize>> = {
-        let mut s = vec![Vec::new(); units.len()];
-        for &(a, b) in &edges {
-            s[a].push(b);
-        }
-        s
-    };
-    let preds: Vec<Vec<usize>> = {
-        let mut p = vec![Vec::new(); units.len()];
-        for &(a, b) in &edges {
-            p[b].push(a);
-        }
-        p
-    };
-
-    // The slot vectors are refilled from scratch buffers on every greedy
-    // iteration instead of being reallocated.
-    let forward = |units: &[Unit], es: &mut Vec<Seconds>, ef: &mut Vec<Seconds>| {
+    /// Earliest start and finish of every unit under the current
+    /// durations.
+    fn forward(&mut self) {
+        let Self { units, preds, topo, es, ef, .. } = self;
         es.clear();
         es.resize(units.len(), Seconds::ZERO);
         ef.clear();
         ef.resize(units.len(), Seconds::ZERO);
-        for &u in &topo {
-            let start = preds[u].iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max);
+        for &u in topo.iter() {
+            let start = preds.row(u).iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max);
             es[u] = start;
             ef[u] = start + units[u].dur;
         }
-    };
-    let backward = |units: &[Unit], lf: &mut Vec<Seconds>| {
+    }
+
+    /// Latest finish of every unit that keeps all deadlines.
+    fn backward(&mut self) {
+        let Self { units, succs, topo, lf, .. } = self;
         lf.clear();
         lf.extend(units.iter().map(|u| u.deadline));
         for &u in topo.iter().rev() {
-            for &s in &succs[u] {
+            for &s in succs.row(u) {
                 lf[u] = lf[u].min(lf[s] - units[s].dur);
             }
         }
-    };
+    }
 
-    // ---- Greedy slack distribution ---------------------------------------
-    let quantum = period / options.quantum_divisor.max(1.0);
-    let eps = period * 1e-9;
-    let mut iterations = 0usize;
-    while iterations < options.max_iterations {
-        forward(&units, &mut scratch.es, &mut scratch.ef);
-        backward(&units, &mut scratch.lf);
-        let ef = &scratch.ef;
-        let lf = &scratch.lf;
-        let mut best: Option<(usize, Seconds, f64)> = None;
-        for (u, unit) in units.iter().enumerate() {
+    /// The greedy slack distribution: repeatedly extends the unit whose
+    /// next quantum saves the most energy per second. Returns the number
+    /// of extensions.
+    fn distribute_slack(&mut self, period: Seconds, options: &DvsOptions) -> usize {
+        let quantum = period / options.quantum_divisor.max(1.0);
+        let eps = period * 1e-9;
+        let mut iterations = 0usize;
+        while iterations < options.max_iterations {
+            self.forward();
+            self.backward();
+            let mut best: Option<(usize, Seconds, f64)> = None;
+            for (u, unit) in self.units.iter().enumerate() {
+                let Some(scale) = &unit.scale else { continue };
+                if unit.nominal.value() <= 0.0 {
+                    continue;
+                }
+                let slack = self.lf[u] - self.ef[u];
+                let room = unit.nominal * scale.max_stretch - unit.dur;
+                let delta = quantum.min(slack).min(room);
+                if delta <= eps {
+                    continue;
+                }
+                let k_now = unit.dur / unit.nominal;
+                let k_new = (unit.dur + delta) / unit.nominal;
+                let e_now = scale.energy.value() * scale.model.energy_factor_for_stretch(k_now);
+                let e_new = scale.energy.value() * scale.model.energy_factor_for_stretch(k_new);
+                let gain = (e_now - e_new) / delta.value();
+                if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
+                    best = Some((u, delta, gain));
+                }
+            }
+            let Some((u, delta, _)) = best else { break };
+            self.units[u].dur += delta;
+            iterations += 1;
+        }
+        iterations
+    }
+
+    /// Snaps every extension to the discrete levels and rebuilds the
+    /// schedule from the realised durations.
+    fn snap(&mut self, system: &System, schedule: &Schedule, iterations: usize) -> ScaledMode {
+        let graph = system.omsm().mode(schedule.mode()).graph();
+        let n = graph.task_count();
+        let cap = |scale: &ScaleInfo| {
+            system.arch().pe(scale.pe).dvs().expect("scaled units run on DVS PEs")
+        };
+        let mut task_voltages: Vec<Option<VoltageSchedule>> = vec![None; n];
+        let mut task_factors = vec![1.0f64; n];
+        // `Schedule::tasks` runs in task-id order, so entry `t` is task `t`.
+        let mut new_tasks: Vec<ScheduledTask> = schedule.tasks().copied().collect();
+        let mut new_comms: Vec<Option<ScheduledComm>> =
+            graph.comm_ids().map(|c| schedule.comm(c).copied()).collect();
+
+        // First pass: apply snapped durations so the final forward pass
+        // uses realised (discrete) times.
+        for unit in &mut self.units {
             let Some(scale) = &unit.scale else { continue };
-            if unit.nominal.value() <= 0.0 {
+            if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
+                unit.dur = unit.nominal;
                 continue;
             }
-            let slack = lf[u] - ef[u];
-            let room = unit.nominal * scale.max_stretch - unit.dur;
-            let delta = quantum.min(slack).min(room);
-            if delta <= eps {
-                continue;
-            }
-            let k_now = unit.dur / unit.nominal;
-            let k_new = (unit.dur + delta) / unit.nominal;
-            let e_now = scale.energy.value() * scale.model.energy_factor_for_stretch(k_now);
-            let e_new = scale.energy.value() * scale.model.energy_factor_for_stretch(k_new);
-            let gain = (e_now - e_new) / delta.value();
-            if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((u, delta, gain));
-            }
+            let vs = VoltageSchedule::fit(cap(scale), &scale.model, unit.nominal, unit.dur);
+            unit.dur = vs.total_time();
         }
-        let Some((u, delta, _)) = best else { break };
-        units[u].dur += delta;
-        iterations += 1;
-    }
+        self.forward();
+        let es = &self.es;
 
-    // ---- Snap to discrete levels and rebuild the schedule -----------------
-    let mut task_voltages: Vec<Option<VoltageSchedule>> = vec![None; n];
-    let mut task_factors = vec![1.0f64; n];
-    let mut new_tasks: Vec<ScheduledTask> =
-        schedule.tasks().cloned().collect::<Vec<_>>();
-    new_tasks.sort_by_key(|e| e.task);
-    let mut new_comms: Vec<Option<ScheduledComm>> =
-        graph.comm_ids().map(|c| schedule.comm(c).cloned()).collect();
-
-    // First pass: apply snapped durations so the final forward pass uses
-    // realised (discrete) times.
-    for unit in &mut units {
-        let Some(scale) = &unit.scale else { continue };
-        if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
-            unit.dur = unit.nominal;
-            continue;
-        }
-        let vs = VoltageSchedule::fit(&scale.cap, &scale.model, unit.nominal, unit.dur);
-        unit.dur = vs.total_time();
-    }
-    forward(&units, &mut scratch.es, &mut scratch.ef);
-    let es = &scratch.es;
-
-    for (u, unit) in units.iter().enumerate() {
-        match &unit.payload {
-            UnitPayload::Task(t) => {
-                let entry = &mut new_tasks[t.index()];
-                entry.start = es[u];
-                if let Some(scale) = &unit.scale {
-                    let vs =
-                        VoltageSchedule::fit(&scale.cap, &scale.model, unit.nominal, unit.dur);
-                    entry.exec_time = vs.total_time();
-                    task_factors[t.index()] = vs.energy_factor(&scale.model);
-                    task_voltages[t.index()] = Some(vs);
+        for (u, unit) in self.units.iter().enumerate() {
+            match &unit.payload {
+                UnitPayload::Task(t) => {
+                    let entry = &mut new_tasks[t.index()];
+                    entry.start = es[u];
+                    if let Some(scale) = &unit.scale {
+                        let vs =
+                            VoltageSchedule::fit(cap(scale), &scale.model, unit.nominal, unit.dur);
+                        entry.exec_time = vs.total_time();
+                        task_factors[t.index()] = vs.energy_factor(&scale.model);
+                        task_voltages[t.index()] = Some(vs);
+                    }
                 }
-            }
-            UnitPayload::Comm(c) => {
-                let entry = new_comms[c.index()]
-                    .as_mut()
-                    .expect("comm unit exists only for remote comms");
-                entry.start = es[u];
-            }
-            UnitPayload::Group { members, .. } => {
-                let scale = unit.scale.as_ref().expect("groups are always scalable");
-                let k = if unit.nominal.value() > 0.0 { unit.dur / unit.nominal } else { 1.0 };
-                for m in members {
-                    let entry = &mut new_tasks[m.task.index()];
-                    entry.start = es[u] + m.rel_start * k;
-                    let vs = VoltageSchedule::fit(
-                        &scale.cap,
-                        &scale.model,
-                        m.nominal,
-                        m.nominal * k,
-                    );
-                    entry.exec_time = vs.total_time();
-                    task_factors[m.task.index()] = vs.energy_factor(&scale.model);
-                    task_voltages[m.task.index()] = Some(vs);
+                UnitPayload::Comm(c) => {
+                    let entry = new_comms[c.index()]
+                        .as_mut()
+                        .expect("comm unit exists only for remote comms");
+                    entry.start = es[u];
+                }
+                UnitPayload::Group { members } => {
+                    let scale = unit.scale.as_ref().expect("groups are always scalable");
+                    let k = if unit.nominal.value() > 0.0 { unit.dur / unit.nominal } else { 1.0 };
+                    for m in members {
+                        let entry = &mut new_tasks[m.task.index()];
+                        entry.start = es[u] + m.rel_start * k;
+                        let vs = VoltageSchedule::fit(
+                            cap(scale),
+                            &scale.model,
+                            m.nominal,
+                            m.nominal * k,
+                        );
+                        entry.exec_time = vs.total_time();
+                        task_factors[m.task.index()] = vs.energy_factor(&scale.model);
+                        task_voltages[m.task.index()] = Some(vs);
+                    }
                 }
             }
         }
-    }
 
-    let new_schedule = Schedule::from_parts(
-        schedule.mode(),
-        new_tasks,
-        new_comms,
-        schedule.sequences().to_vec(),
-    );
-    ScaledMode {
-        schedule: new_schedule,
-        task_voltages,
-        task_energy_factors: task_factors,
-        iterations,
+        let new_schedule = Schedule::from_parts(
+            schedule.mode(),
+            new_tasks,
+            new_comms,
+            schedule.sequences().to_vec(),
+        );
+        ScaledMode {
+            schedule: new_schedule,
+            task_voltages,
+            task_energy_factors: task_factors,
+            iterations,
+        }
     }
 }
 
@@ -523,30 +612,6 @@ fn activity_unit(
             comm_unit[c.index()].expect("sequences only contain scheduled remote comms")
         }
     }
-}
-
-fn topo_order(n: usize, edges: &BTreeSet<(usize, usize)>) -> Option<Vec<usize>> {
-    let mut indegree = vec![0usize; n];
-    let mut succs = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        indegree[b] += 1;
-        succs[a].push(b);
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        order.push(u);
-        for &s in &succs[u] {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 #[cfg(test)]

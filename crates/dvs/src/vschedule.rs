@@ -62,33 +62,35 @@ impl VoltageSchedule {
     pub fn fit(cap: &DvsCapability, model: &VoltageModel, t_min: Seconds, target: Seconds) -> Self {
         assert!(t_min.value() > 0.0, "nominal execution time must be positive");
         let levels = cap.levels();
-        let times: Vec<Seconds> =
-            levels.iter().map(|&v| t_min * model.stretch(v)).collect();
+        // Execution time at level `i`, computed where it is needed.
+        let time = |i: usize| t_min * model.stretch(levels[i]);
         let highest = levels.len() - 1;
 
-        if target.value() <= times[highest].value() + 1e-15 {
-            return Self::nominal(levels[highest], times[highest]);
+        let t_highest = time(highest);
+        if target.value() <= t_highest.value() + 1e-15 {
+            return Self::nominal(levels[highest], t_highest);
         }
-        if target.value() >= times[0].value() - 1e-15 {
+        let t_lowest = time(0);
+        if target.value() >= t_lowest.value() - 1e-15 {
             return Self {
                 segments: vec![VoltageSegment {
                     voltage: levels[0],
                     cycle_fraction: 1.0,
-                    duration: times[0],
+                    duration: t_lowest,
                 }],
             };
         }
         // Find the adjacent level pair (lo, hi = lo + 1) bracketing the
-        // target: levels ascend in voltage so `times` descends; walk down
-        // until times[lo - 1] >= target > times[lo], then the pair is
+        // target: levels ascend in voltage so times descend; walk down
+        // until time(lo - 1) >= target > time(lo), then the pair is
         // (lo - 1, lo). The early returns above guarantee lo never hits 0.
         let mut lo = highest;
-        while lo > 0 && times[lo - 1].value() < target.value() {
+        while lo > 0 && time(lo - 1).value() < target.value() {
             lo -= 1;
         }
         let lo = lo - 1; // index of the lower level of the pair
         let hi = lo + 1;
-        let (t_lo, t_hi) = (times[lo], times[hi]);
+        let (t_lo, t_hi) = (time(lo), time(hi));
         debug_assert!(t_hi.value() <= target.value() + 1e-12);
         debug_assert!(t_lo.value() >= target.value() - 1e-12);
         // x = fraction of cycles at the higher voltage.

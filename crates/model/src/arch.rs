@@ -100,7 +100,10 @@ impl std::fmt::Display for PeKind {
 /// nominal supply voltage `v_max`; at a scaled voltage `V` the dynamic
 /// energy shrinks by `(V / v_max)²` while execution time stretches
 /// according to the alpha-power delay model (see `momsynth-dvs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised capability goes through [`DvsCapability::new`], so its
+/// levels are ascending and distinct however a spec lists them.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DvsCapability {
     v_max: Volts,
     v_threshold: Volts,
@@ -168,6 +171,13 @@ impl DvsCapability {
             return fail("the highest level must equal the nominal voltage");
         }
         Ok(())
+    }
+}
+
+impl<'de> Deserialize<'de> for DvsCapability {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::DvsCapability { v_max, v_threshold, levels } = Deserialize::from_value(value)?;
+        Ok(Self::new(v_max, v_threshold, levels))
     }
 }
 
@@ -337,10 +347,50 @@ impl Cl {
 }
 
 /// A validated architecture graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised architecture is rebuilt through [`ArchitectureBuilder`],
+/// so a spec with a malformed link or DVS capability fails to load with
+/// the builder's [`ModelError`] reason.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Architecture {
     pes: Vec<Pe>,
     cls: Vec<Cl>,
+}
+
+impl<'de> Deserialize<'de> for Architecture {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::Architecture { pes, cls } = Deserialize::from_value(value)?;
+        let mut builder = ArchitectureBuilder::new();
+        for pe in pes {
+            builder.add_pe(pe);
+        }
+        for cl in cls {
+            builder.add_cl(cl).map_err(serde::Error::custom)?;
+        }
+        builder.build().map_err(serde::Error::custom)
+    }
+}
+
+/// The serialised shapes of the types whose deserialisation re-derives
+/// their invariants.
+mod wire {
+    use serde::Deserialize;
+
+    use super::{Cl, Pe};
+    use crate::units::Volts;
+
+    #[derive(Deserialize)]
+    pub(super) struct DvsCapability {
+        pub(super) v_max: Volts,
+        pub(super) v_threshold: Volts,
+        pub(super) levels: Vec<Volts>,
+    }
+
+    #[derive(Deserialize)]
+    pub(super) struct Architecture {
+        pub(super) pes: Vec<Pe>,
+        pub(super) cls: Vec<Cl>,
+    }
 }
 
 impl Architecture {

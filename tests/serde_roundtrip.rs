@@ -69,3 +69,53 @@ fn pretty_json_is_stable() {
     let b = serde_json::to_string_pretty(&roundtrip::<System>(&system)).unwrap();
     assert_eq!(a, b);
 }
+
+/// The smartphone spec with its GPP's DVS levels written as `levels`.
+fn phone_with_gpp_levels(levels: &str) -> String {
+    let json = serde_json::to_string(&smartphone()).expect("serialises");
+    let listed = r#""levels":[1.2,1.8,2.4,3.3]"#;
+    assert_eq!(json.matches(listed).count(), 1, "the GPP is the only DVS PE");
+    json.replace(listed, &format!(r#""levels":{levels}"#))
+}
+
+#[test]
+fn unsorted_dvs_levels_load_in_ascending_order() {
+    // A spec may list levels in any order and repeat one; it loads as the
+    // builder would have built it, so PV-DVS sees ascending levels.
+    let back: System =
+        serde_json::from_str(&phone_with_gpp_levels("[2.4,1.2,1.8,3.3,1.8]")).expect("loads");
+    assert_eq!(back, smartphone());
+}
+
+#[test]
+fn dvs_levels_below_the_nominal_voltage_fail_to_load() {
+    let error = serde_json::from_str::<System>(&phone_with_gpp_levels("[1.2,1.8,2.4]"))
+        .expect_err("the top level must be v_max");
+    assert!(
+        error.to_string().contains(
+            "processing element `GPP` has invalid DVS capability: \
+             the highest level must equal the nominal voltage"
+        ),
+        "{error}"
+    );
+}
+
+/// The smartphone spec with its bus's endpoints written as `endpoints`.
+fn phone_with_bus_endpoints(endpoints: &str) -> String {
+    let json = serde_json::to_string(&smartphone()).expect("serialises");
+    let listed = r#""endpoints":[0,1,2]"#;
+    assert_eq!(json.matches(listed).count(), 1, "the bus is the only link");
+    json.replace(listed, &format!(r#""endpoints":{endpoints}"#))
+}
+
+#[test]
+fn malformed_links_fail_to_load() {
+    for (endpoints, reason) in [
+        ("[0,1,7]", "reference to unknown processing element PE7"),
+        ("[1,1]", "communication link `BUS` connects fewer than two PEs"),
+    ] {
+        let error = serde_json::from_str::<System>(&phone_with_bus_endpoints(endpoints))
+            .expect_err("the builder refuses the link");
+        assert!(error.to_string().contains(reason), "{endpoints}: {error}");
+    }
+}
