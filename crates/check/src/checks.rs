@@ -77,6 +77,7 @@ fn check_shape(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violation
     let omsm = system.omsm();
     let modes = omsm.mode_count();
     let pes = system.arch().pe_count();
+    let cls = system.arch().cl_count();
     let types = system.tech().type_count();
     let before = out.len();
     let malformed =
@@ -141,6 +142,24 @@ fn check_shape(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violation
             for (i, entry) in entries.iter().enumerate() {
                 if entry.task.index() != i || entry.pe.index() >= pes {
                     malformed(out, format!("mode {m}: schedule entry {i} is inconsistent"));
+                }
+            }
+            let comms = mode.graph().comm_count();
+            if schedule.comm_count() != comms {
+                malformed(
+                    out,
+                    format!(
+                        "mode {m}: schedule has {} of {comms} comm entries",
+                        schedule.comm_count()
+                    ),
+                );
+                continue;
+            }
+            for c in mode.graph().comm_ids() {
+                if let Some(entry) = schedule.comm(c) {
+                    if entry.comm != c || entry.cl.index() >= cls {
+                        malformed(out, format!("mode {m}: comm entry {c} is inconsistent"));
+                    }
                 }
             }
         }

@@ -344,6 +344,74 @@ fn generate_freeform_respects_modes() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The field `name` of a JSON object.
+fn field<'a>(value: &'a mut serde_json::Value, name: &str) -> &'a mut serde_json::Value {
+    let serde_json::Value::Object(entries) = value else { panic!("expected an object") };
+    &mut entries.iter_mut().find(|(key, _)| key == name).expect("field present").1
+}
+
+/// The items of a JSON array.
+fn items(value: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+    let serde_json::Value::Array(items) = value else { panic!("expected an array") };
+    items
+}
+
+/// `check` reports a solution whose comm table is cut short, or whose
+/// transfer names a link the architecture lacks, as malformed: exit 2
+/// with a report, not a panic.
+#[test]
+fn check_reports_malformed_comm_tables() {
+    let sys_path = tmp_file("comm_sys.json");
+    let sol_path = tmp_file("comm_sol.json");
+    let bad_path = tmp_file("comm_bad.json");
+    let rep_path = tmp_file("comm_rep.json");
+    let sys_str = sys_path.to_str().expect("utf-8 temp path");
+    let sol_str = sol_path.to_str().expect("utf-8 temp path");
+    let bad_str = bad_path.to_str().expect("utf-8 temp path");
+    let rep_str = rep_path.to_str().expect("utf-8 temp path");
+
+    let out = momsynth(&["generate", "--preset", "automotive", "-o", sys_str]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = momsynth(&["synth", sys_str, "--quick", "--seed", "1", "-o", sol_str]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let solution: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&sol_path).expect("written")).expect("JSON");
+
+    let cut = |comms: &mut Vec<serde_json::Value>| comms.truncate(1);
+    let relink = |comms: &mut Vec<serde_json::Value>| {
+        let transfer = comms.iter_mut().find(|c| !c.is_null()).expect("a routed transfer");
+        *field(transfer, "cl") = serde_json::json!(99);
+    };
+    for (name, edit) in [
+        ("cut", &cut as &dyn Fn(&mut Vec<serde_json::Value>)),
+        ("relink", &relink),
+    ] {
+        let mut bad = solution.clone();
+        edit(items(field(&mut items(field(&mut bad, "schedules"))[0], "comms")));
+        std::fs::write(&bad_path, serde_json::to_string_pretty(&bad).expect("JSON"))
+            .expect("write");
+        let out = momsynth(&["check", sys_str, bad_str, "--report-out", rep_str]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {}\n{}", stdout(&out), stderr(&out));
+        assert!(!stderr(&out).contains("panicked"), "{name}: {}", stderr(&out));
+        let report: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&rep_path).expect("report written"))
+                .expect("valid JSON");
+        assert_eq!(report["clean"].as_bool(), Some(false), "{name}");
+        let codes: Vec<&str> = report["violations"]
+            .as_array()
+            .expect("violations")
+            .iter()
+            .map(|v| v["code"].as_str().expect("code"))
+            .collect();
+        assert!(!codes.is_empty() && codes.iter().all(|&c| c == "malformed"), "{name}: {codes:?}");
+        std::fs::remove_file(&rep_path).ok();
+    }
+
+    for path in [&sys_path, &sol_path, &bad_path] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// `check` re-proves a clean solution (exit 0) and rejects a corrupted
 /// one (exit 2), with the JSON report mirroring both verdicts.
 #[test]

@@ -33,9 +33,38 @@ impl Default for AllocOptions {
 
 /// Derives the core allocation implied by `mapping`, optionally
 /// replicating cores for parallel low-mobility tasks while area allows.
+/// Analyses every mode's timing and then runs
+/// [`derive_allocation_timed`].
 pub fn derive_allocation(
     system: &System,
     mapping: &SystemMapping,
+    options: &AllocOptions,
+) -> CoreAllocation {
+    let timing: Vec<TimingAnalysis> = if options.replicate {
+        system
+            .omsm()
+            .mode_ids()
+            .map(|mode| TimingAnalysis::analyze(system, mode, mapping))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    derive_allocation_timed(system, mapping, &timing, options)
+}
+
+/// [`derive_allocation`] from `timing`, one analysis per mode in mode
+/// order under `mapping`, which the caller computed once and shares,
+/// e.g. with the list scheduler. Reads `timing` only when
+/// `options.replicate` is set.
+///
+/// # Panics
+///
+/// Panics if replication is on and `timing` covers fewer modes than
+/// `system` has.
+pub fn derive_allocation_timed(
+    system: &System,
+    mapping: &SystemMapping,
+    timing: &[TimingAnalysis],
     options: &AllocOptions,
 ) -> CoreAllocation {
     let mut alloc = CoreAllocation::minimal(system, mapping);
@@ -45,7 +74,7 @@ pub fn derive_allocation(
 
     for (mode, m) in system.omsm().modes() {
         let graph = m.graph();
-        let analysis = TimingAnalysis::analyze(system, mode, mapping);
+        let analysis = &timing[mode.index()];
         let threshold = graph.period() * options.mobility_threshold;
 
         // Demand per (hardware PE, type): the peak number of concurrently

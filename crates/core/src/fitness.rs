@@ -26,11 +26,12 @@ use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
 use momsynth_power::{power_report_with, ModeImplementation, PowerReport};
 use momsynth_sched::{
-    schedule_mode_with, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
+    schedule_mode_timed, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
+    TimingAnalysis,
 };
 use momsynth_telemetry::{Counters, Phase, PhaseAccumulator, PhaseTiming};
 
-use crate::alloc::derive_allocation;
+use crate::alloc::derive_allocation_timed;
 use crate::config::SynthesisConfig;
 use crate::transition::{transition_timings, TransitionTiming};
 
@@ -169,13 +170,15 @@ impl std::fmt::Display for EvalFailure {
 
 impl std::error::Error for EvalFailure {}
 
-/// Reusable working memory for one evaluator: the list scheduler's and
-/// PV-DVS's per-call buffers. One evaluation allocates these once and
-/// every later evaluation on the same [`Evaluator`] reuses them, so the
-/// GA's hot loop allocates little beyond the schedules and voltage
-/// schedules each [`Solution`] keeps.
+/// Reusable working memory for one evaluator: one timing analysis per
+/// mode, which core allocation and the list scheduler both read, and the
+/// scheduler's and PV-DVS's per-call buffers. One evaluation allocates
+/// these once and every later evaluation on the same [`Evaluator`]
+/// reuses them, so the GA's hot loop allocates little beyond the
+/// schedules and voltage schedules each [`Solution`] keeps.
 #[derive(Debug, Default)]
 struct EvalScratch {
+    timing: Vec<TimingAnalysis>,
     sched: ListScratch,
     dvs: DvsScratch,
 }
@@ -324,17 +327,31 @@ impl<'a> Evaluator<'a> {
         let system = self.system;
         // One borrow for the whole evaluation; never re-entered.
         let scratch = &mut *self.scratch.borrow_mut();
-        let alloc = self
-            .phases
-            .measure(Phase::CoreAllocation, || derive_allocation(system, &mapping, &self.config.alloc));
+        // Each mode's timing is analysed once, here, and read by both
+        // allocation and scheduling.
+        let timing = &mut scratch.timing;
+        let alloc = self.phases.measure(Phase::CoreAllocation, || {
+            timing.resize_with(system.omsm().mode_count(), TimingAnalysis::default);
+            for (mode, analysis) in system.omsm().mode_ids().zip(timing.iter_mut()) {
+                analysis.refresh(system, mode, &mapping);
+            }
+            derive_allocation_timed(system, &mapping, timing, &self.config.alloc)
+        });
 
         let mut schedules = Vec::with_capacity(system.omsm().mode_count());
         let mut voltage_schedules = Vec::with_capacity(system.omsm().mode_count());
         let mut factors: Vec<Vec<f64>> = Vec::with_capacity(system.omsm().mode_count());
         for (mode, m) in system.omsm().modes() {
-            let sched_scratch = &mut scratch.sched;
+            let (analysis, sched_scratch) = (&scratch.timing[mode.index()], &mut scratch.sched);
             let schedule = self.phases.measure(Phase::ListScheduling, || {
-                schedule_mode_with(system, mode, &mapping, &alloc, self.config.scheduler, sched_scratch)
+                schedule_mode_timed(
+                    system,
+                    &mapping,
+                    &alloc,
+                    analysis,
+                    self.config.scheduler,
+                    sched_scratch,
+                )
             })?;
             match dvs {
                 Some(options) => {

@@ -54,7 +54,7 @@ pub mod synthesis;
 pub mod transition;
 pub mod verify;
 
-pub use alloc::{derive_allocation, AllocOptions};
+pub use alloc::{derive_allocation, derive_allocation_timed, AllocOptions};
 pub use cache::{CacheEntry, CacheState, EvalCache};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::{

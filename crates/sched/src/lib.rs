@@ -58,9 +58,11 @@ pub mod trace;
 pub mod validate;
 
 pub use error::SchedError;
-pub use list::{schedule_mode, schedule_mode_with, ListScratch, Priority, SchedulerOptions};
+pub use list::{
+    schedule_mode, schedule_mode_timed, schedule_mode_with, ListScratch, Priority, SchedulerOptions,
+};
 pub use mapping::{CoreAllocation, SystemMapping};
-pub use mobility::{MobilityScratch, TimingAnalysis};
+pub use mobility::TimingAnalysis;
 pub use schedule::{ActivityId, ResourceKey, Schedule, ScheduledComm, ScheduledTask};
 pub use stats::{schedule_stats, ResourceStats, ScheduleStats};
 pub use trace::schedule_to_vcd;

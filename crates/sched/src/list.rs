@@ -12,15 +12,16 @@
 //! different cores run in parallel; tasks contending for the same core
 //! instance sequentialise — the paper's hardware-sharing semantics.
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-use momsynth_model::ids::{ModeId, TaskId};
+use momsynth_model::ids::{ClId, ModeId, PeId, TaskId, TaskTypeId};
 use momsynth_model::units::Seconds;
 use momsynth_model::System;
 
 use crate::error::SchedError;
 use crate::mapping::{CoreAllocation, SystemMapping};
-use crate::mobility::{MobilityScratch, TimingAnalysis};
+use crate::mobility::TimingAnalysis;
 use crate::schedule::{ActivityId, ResourceKey, Schedule, ScheduledComm, ScheduledTask};
 
 /// The rule used to order ready tasks.
@@ -40,20 +41,39 @@ pub struct SchedulerOptions {
     pub priority: Priority,
 }
 
-/// Reusable buffers for [`schedule_mode_with`]. One instance per
-/// evaluation worker amortises the scheduler's per-call allocations
-/// (priority order, ranks, ready list, dependency counters and the
-/// mobility analysis) across the thousands of schedule calls of a
-/// synthesis run. Buffers are cleared on entry, so reuse can never leak
-/// state between calls.
+/// Reusable buffers for [`schedule_mode_with`] and
+/// [`schedule_mode_timed`]. One instance per evaluation worker amortises
+/// the scheduler's per-call allocations across the thousands of schedule
+/// calls of a synthesis run. Buffers are cleared on entry, so reuse can
+/// never leak state between calls.
+///
+/// Resources live in dense slots laid out in [`ResourceKey`] order: one
+/// per PE (software PEs use theirs), then one per `(PE, type, instance)`
+/// core of the mode's hardware tasks, then one per link.
 #[derive(Debug, Default)]
 pub struct ListScratch {
-    mobility: MobilityScratch,
+    /// The analysis [`schedule_mode_with`] computes for its own call.
+    timing: TimingAnalysis,
     order: Vec<TaskId>,
     rank: Vec<usize>,
     scheduled: Vec<Option<ScheduledTask>>,
     pending_preds: Vec<usize>,
-    ready: Vec<TaskId>,
+    /// Ranks of the ready tasks; ranks are unique, so the heap pops the
+    /// most urgent task as a scan for the minimum rank would.
+    ready: BinaryHeap<Reverse<usize>>,
+    /// The sorted, deduplicated `(PE, type)` pairs of the mode's
+    /// hardware tasks.
+    cores: Vec<(PeId, TaskTypeId)>,
+    /// The first slot of each pair's instances, plus the first link slot.
+    core_slots: Vec<usize>,
+    /// The resource of every slot, ascending.
+    slot_keys: Vec<ResourceKey>,
+    /// When each slot is next free.
+    avail: Vec<Seconds>,
+    /// Every placed activity with its slot, in placement order.
+    placed: Vec<(usize, ActivityId)>,
+    /// Per slot: its activity count, then its index among the sequences.
+    bucket: Vec<usize>,
 }
 
 /// Schedules one mode of `system` under `mapping` and `alloc`.
@@ -63,7 +83,7 @@ pub struct ListScratch {
 /// [`Schedule::total_lateness`] and applies the paper's timing penalty.
 ///
 /// Allocates fresh working buffers per call; the synthesis hot loop uses
-/// [`schedule_mode_with`] with a reusable [`ListScratch`] instead.
+/// [`schedule_mode_timed`] with a reusable [`ListScratch`] instead.
 ///
 /// # Errors
 ///
@@ -81,7 +101,8 @@ pub fn schedule_mode(
 }
 
 /// [`schedule_mode`] with caller-provided scratch buffers; produces the
-/// identical schedule.
+/// identical schedule. Analyses the mode's timing into `scratch` and
+/// then runs [`schedule_mode_timed`].
 ///
 /// # Errors
 ///
@@ -94,54 +115,105 @@ pub fn schedule_mode_with(
     options: SchedulerOptions,
     scratch: &mut ListScratch,
 ) -> Result<Schedule, SchedError> {
+    let mut timing = std::mem::take(&mut scratch.timing);
+    timing.refresh(system, mode, mapping);
+    let schedule = schedule_mode_timed(system, mapping, alloc, &timing, options, scratch);
+    scratch.timing = timing;
+    schedule
+}
+
+/// [`schedule_mode`] for the mode of `timing`, an analysis of that mode
+/// under `mapping` that the caller computed once and shares, e.g. with
+/// core allocation. Produces the identical schedule.
+///
+/// # Errors
+///
+/// As [`schedule_mode`].
+pub fn schedule_mode_timed(
+    system: &System,
+    mapping: &SystemMapping,
+    alloc: &CoreAllocation,
+    timing: &TimingAnalysis,
+    options: SchedulerOptions,
+    scratch: &mut ListScratch,
+) -> Result<Schedule, SchedError> {
+    let mode = timing.mode();
     let graph = system.omsm().mode(mode).graph();
+    let arch = system.arch();
     let n = graph.task_count();
+    let ListScratch {
+        timing: _,
+        order,
+        rank,
+        scheduled,
+        pending_preds,
+        ready,
+        cores,
+        core_slots,
+        slot_keys,
+        avail,
+        placed,
+        bucket,
+    } = scratch;
 
     // Priority ranks: rank[task] = position in the chosen order.
-    let order = &mut scratch.order;
     match options.priority {
-        Priority::Mobility => TimingAnalysis::priority_order_into(
-            system,
-            mode,
-            mapping,
-            &mut scratch.mobility,
-            order,
-        ),
+        Priority::Mobility => timing.fill_priority_order(order),
         Priority::Fifo => {
             order.clear();
             order.extend(graph.task_ids());
         }
     }
-    let rank = &mut scratch.rank;
     rank.clear();
     rank.resize(n, 0);
     for (pos, &t) in order.iter().enumerate() {
         rank[t.index()] = pos;
     }
 
-    let scheduled = &mut scratch.scheduled;
+    // Dense resource slots in `ResourceKey` order. A PE out of range has
+    // no implementation, which the main loop reports before any lookup.
+    cores.clear();
+    cores.extend(
+        graph
+            .tasks()
+            .map(|(task, t)| (mapping.pe_of(mode, task), t.task_type()))
+            .filter(|&(pe, _)| pe.index() < arch.pe_count() && arch.pe(pe).kind().is_hardware()),
+    );
+    cores.sort_unstable();
+    cores.dedup();
+    slot_keys.clear();
+    slot_keys.extend(arch.pe_ids().map(ResourceKey::SwPe));
+    core_slots.clear();
+    for &(pe, ty) in cores.iter() {
+        core_slots.push(slot_keys.len());
+        let instances = alloc.instances(mode, pe, ty).max(1);
+        slot_keys.extend((0..instances).map(|i| ResourceKey::HwCore(pe, ty, i)));
+    }
+    let first_link = slot_keys.len();
+    core_slots.push(first_link);
+    slot_keys.extend((0..arch.cl_count()).map(|cl| ResourceKey::Link(ClId::new(cl))));
+    avail.clear();
+    avail.resize(slot_keys.len(), Seconds::ZERO);
+    placed.clear();
+
     scheduled.clear();
     scheduled.resize(n, None);
-    // The comm entries and resource sequences escape into the returned
-    // `Schedule`, so they are freshly allocated.
+    // The comm entries escape into the returned `Schedule`, so they are
+    // freshly allocated.
     let mut comms: Vec<Option<ScheduledComm>> = vec![None; graph.comm_count()];
-    let mut avail: BTreeMap<ResourceKey, Seconds> = BTreeMap::new();
-    let mut sequences: BTreeMap<ResourceKey, Vec<ActivityId>> = BTreeMap::new();
 
-    let pending_preds = &mut scratch.pending_preds;
     pending_preds.clear();
     pending_preds.extend(graph.task_ids().map(|t| graph.predecessors(t).len()));
-    let ready = &mut scratch.ready;
     ready.clear();
-    ready.extend(graph.task_ids().filter(|t| pending_preds[t.index()] == 0));
+    ready.extend(
+        graph
+            .task_ids()
+            .filter(|t| pending_preds[t.index()] == 0)
+            .map(|t| Reverse(rank[t.index()])),
+    );
 
-    while let Some(pos) = ready
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, t)| rank[t.index()])
-        .map(|(i, _)| i)
-    {
-        let task = ready.swap_remove(pos);
+    while let Some(Reverse(next)) = ready.pop() {
+        let task = order[next];
         let pe = mapping.pe_of(mode, task);
         let ty = graph.task(task).task_type();
         let imp = system
@@ -161,54 +233,55 @@ pub fn schedule_mode_with(
             }
             let edge = graph.comm(comm);
             // Pick the connecting link with the earliest transfer finish.
-            let mut best: Option<(ResourceKey, ScheduledComm)> = None;
-            for cl in system.arch().cls_between(src_pe, pe) {
-                let key = ResourceKey::Link(cl);
-                let link_free = avail.get(&key).copied().unwrap_or(Seconds::ZERO);
-                let start = link_free.max(pred_entry.finish());
-                let duration = system.arch().cl(cl).transfer_time(edge.data_units());
+            let mut best: Option<(usize, ScheduledComm)> = None;
+            for cl in arch.cls_between(src_pe, pe) {
+                let slot = first_link + cl.index();
+                let start = avail[slot].max(pred_entry.finish());
+                let duration = arch.cl(cl).transfer_time(edge.data_units());
                 let candidate = ScheduledComm { comm, cl, start, duration };
                 let better = match &best {
                     None => true,
                     Some((_, b)) => candidate.finish() < b.finish(),
                 };
                 if better {
-                    best = Some((key, candidate));
+                    best = Some((slot, candidate));
                 }
             }
-            let (key, entry) =
+            let (slot, entry) =
                 best.ok_or(SchedError::NoRoute { mode, from: src_pe, to: pe })?;
-            avail.insert(key, entry.finish());
-            sequences.entry(key).or_default().push(ActivityId::Comm(comm));
+            avail[slot] = entry.finish();
+            placed.push((slot, ActivityId::Comm(comm)));
             comms[comm.index()] = Some(entry);
             est = est.max(entry.finish());
         }
 
-        // Pick the execution resource.
-        let resource = if system.arch().pe(pe).kind().is_software() {
-            ResourceKey::SwPe(pe)
+        // Pick the execution resource: the PE's own slot, or the core
+        // instance that is free first (the lowest index on a tie).
+        let slot = if arch.pe(pe).kind().is_software() {
+            pe.index()
         } else {
-            let instances = alloc.instances(mode, pe, ty).max(1);
-            (0..instances)
-                .map(|i| ResourceKey::HwCore(pe, ty, i))
-                .min_by(|a, b| {
-                    let fa = avail.get(a).copied().unwrap_or(Seconds::ZERO);
-                    let fb = avail.get(b).copied().unwrap_or(Seconds::ZERO);
-                    fa.value().total_cmp(&fb.value())
-                })
-                .expect("at least one core instance")
+            let pair = cores
+                .binary_search(&(pe, ty))
+                .expect("every hardware task's core is laid out");
+            let mut best = core_slots[pair];
+            for instance in best + 1..core_slots[pair + 1] {
+                if avail[instance].value().total_cmp(&avail[best].value()) == Ordering::Less {
+                    best = instance;
+                }
+            }
+            best
         };
-        let res_free = avail.get(&resource).copied().unwrap_or(Seconds::ZERO);
-        let start = est.max(res_free);
+        let start = est.max(avail[slot]);
+        let resource = slot_keys[slot];
         let entry = ScheduledTask { task, pe, resource, start, exec_time: imp.exec_time() };
-        avail.insert(resource, entry.finish());
-        sequences.entry(resource).or_default().push(ActivityId::Task(task));
+        avail[slot] = entry.finish();
+        placed.push((slot, ActivityId::Task(task)));
         scheduled[task.index()] = Some(entry);
 
         for &(_, succ) in graph.successors(task) {
             pending_preds[succ.index()] -= 1;
             if pending_preds[succ.index()] == 0 {
-                ready.push(succ);
+                ready.push(Reverse(rank[succ.index()]));
             }
         }
     }
@@ -217,7 +290,24 @@ pub fn schedule_mode_with(
         .iter_mut()
         .map(|t| t.take().expect("acyclic graph schedules every task"))
         .collect();
-    let sequences: Vec<(ResourceKey, Vec<ActivityId>)> = sequences.into_iter().collect();
+
+    // A stable counting sort of the placements by slot gives every used
+    // resource's activities in placement order, resources ascending.
+    bucket.clear();
+    bucket.resize(slot_keys.len(), 0);
+    for &(slot, _) in placed.iter() {
+        bucket[slot] += 1;
+    }
+    let mut sequences: Vec<(ResourceKey, Vec<ActivityId>)> = Vec::new();
+    for (slot, entry) in bucket.iter_mut().enumerate() {
+        if *entry > 0 {
+            sequences.push((slot_keys[slot], Vec::with_capacity(*entry)));
+            *entry = sequences.len() - 1;
+        }
+    }
+    for &(slot, activity) in placed.iter() {
+        sequences[bucket[slot]].1.push(activity);
+    }
     Ok(Schedule::from_parts(mode, tasks, comms, sequences))
 }
 

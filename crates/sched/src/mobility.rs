@@ -18,6 +18,11 @@ use momsynth_model::System;
 use crate::mapping::SystemMapping;
 
 /// The ASAP/ALAP start times of every task in one mode.
+///
+/// An analysis can be refilled in place with [`TimingAnalysis::refresh`],
+/// so one evaluation worker keeps one per mode and re-analyses each
+/// candidate without allocating; core allocation and the list scheduler
+/// then read the same analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingAnalysis {
     mode: ModeId,
@@ -26,98 +31,12 @@ pub struct TimingAnalysis {
     alap: Vec<Seconds>,
 }
 
-/// Reusable buffers for [`TimingAnalysis::priority_order_into`]. One
-/// instance per evaluation worker amortises the analysis allocations
-/// across the many schedule calls of a synthesis run.
-#[derive(Debug, Default)]
-pub struct MobilityScratch {
-    exec: Vec<Seconds>,
-    asap: Vec<Seconds>,
-    alap: Vec<Seconds>,
-    alap_finish: Vec<Seconds>,
-}
-
-/// Fills `exec`, `asap`, `alap` (and the `alap_finish` intermediate) for
-/// `mode`, reusing whatever capacity the buffers already have.
-fn analyze_into(
-    system: &System,
-    mode: ModeId,
-    mapping: &SystemMapping,
-    exec: &mut Vec<Seconds>,
-    asap: &mut Vec<Seconds>,
-    alap: &mut Vec<Seconds>,
-    alap_finish: &mut Vec<Seconds>,
-) {
-    let graph = system.omsm().mode(mode).graph();
-    let n = graph.task_count();
-
-    exec.clear();
-    exec.extend(graph.tasks().map(|(task, t)| {
-        let pe = mapping.pe_of(mode, task);
-        system
-            .tech()
-            .impl_of(t.task_type(), pe)
-            .map(|imp| imp.exec_time())
-            .or_else(|| system.tech().fastest_exec_time(t.task_type()))
-            .unwrap_or(Seconds::ZERO)
-    }));
-
-    let comm_est = |comm: momsynth_model::ids::CommId| -> Seconds {
-        let edge = graph.comm(comm);
-        let src_pe = mapping.pe_of(mode, edge.src());
-        let dst_pe = mapping.pe_of(mode, edge.dst());
-        if src_pe == dst_pe {
-            return Seconds::ZERO;
-        }
-        system
-            .arch()
-            .cls_between(src_pe, dst_pe)
-            .map(|cl| system.arch().cl(cl).transfer_time(edge.data_units()))
-            .fold(None, |best: Option<Seconds>, t| {
-                Some(best.map_or(t, |b| b.min(t)))
-            })
-            .unwrap_or(Seconds::ZERO)
-    };
-
-    // Forward pass: earliest start ignoring resource contention.
-    asap.clear();
-    asap.resize(n, Seconds::ZERO);
-    for &t in graph.topological_order() {
-        let mut start = Seconds::ZERO;
-        for &(comm, pred) in graph.predecessors(t) {
-            let arrival = asap[pred.index()] + exec[pred.index()] + comm_est(comm);
-            start = start.max(arrival);
-        }
-        asap[t.index()] = start;
+impl Default for TimingAnalysis {
+    /// An empty analysis of mode 0, to be filled by
+    /// [`TimingAnalysis::refresh`].
+    fn default() -> Self {
+        Self { mode: ModeId::new(0), exec: Vec::new(), asap: Vec::new(), alap: Vec::new() }
     }
-
-    // Backward pass: latest start meeting min(θ, φ) everywhere.
-    alap_finish.clear();
-    alap_finish.extend(graph.task_ids().map(|t| graph.effective_deadline(t)));
-    for &t in graph.topological_order().iter().rev() {
-        let mut finish = graph.effective_deadline(t);
-        for &(comm, succ) in graph.successors(t) {
-            let succ_start = alap_finish[succ.index()] - exec[succ.index()];
-            finish = finish.min(succ_start - comm_est(comm));
-        }
-        alap_finish[t.index()] = finish;
-    }
-    alap.clear();
-    alap.extend(alap_finish.iter().zip(exec.iter()).map(|(&f, &e)| f - e));
-}
-
-/// Sorts all task ids by ascending mobility (`alap − asap`), ties broken
-/// by ASAP time and then task id, into `out`.
-fn fill_priority_order(asap: &[Seconds], alap: &[Seconds], out: &mut Vec<TaskId>) {
-    out.clear();
-    out.extend((0..asap.len()).map(TaskId::new));
-    out.sort_by(|&a, &b| {
-        let mob = |t: TaskId| (alap[t.index()] - asap[t.index()]).value();
-        mob(a)
-            .total_cmp(&mob(b))
-            .then(asap[a.index()].value().total_cmp(&asap[b.index()].value()))
-            .then(a.index().cmp(&b.index()))
-    });
 }
 
 impl TimingAnalysis {
@@ -128,36 +47,90 @@ impl TimingAnalysis {
     /// analysis stays total; such mappings are rejected later by
     /// [`SystemMapping::validate`] and the scheduler.
     pub fn analyze(system: &System, mode: ModeId, mapping: &SystemMapping) -> Self {
-        let mut exec = Vec::new();
-        let mut asap = Vec::new();
-        let mut alap = Vec::new();
-        let mut alap_finish = Vec::new();
-        analyze_into(system, mode, mapping, &mut exec, &mut asap, &mut alap, &mut alap_finish);
-        Self { mode, exec, asap, alap }
+        let mut analysis = Self::default();
+        analysis.refresh(system, mode, mapping);
+        analysis
     }
 
-    /// Computes [`TimingAnalysis::priority_order`] for `mode` directly
-    /// into `out`, reusing `scratch` instead of allocating a fresh
-    /// analysis — the allocation-free path for the list scheduler's hot
-    /// loop. Produces exactly the order `analyze(..).priority_order()`
-    /// returns.
-    pub fn priority_order_into(
-        system: &System,
-        mode: ModeId,
-        mapping: &SystemMapping,
-        scratch: &mut MobilityScratch,
-        out: &mut Vec<TaskId>,
-    ) {
-        analyze_into(
-            system,
-            mode,
-            mapping,
-            &mut scratch.exec,
-            &mut scratch.asap,
-            &mut scratch.alap,
-            &mut scratch.alap_finish,
-        );
-        fill_priority_order(&scratch.asap, &scratch.alap, out);
+    /// Re-analyses `mode` of `system` under `mapping` in place, reusing
+    /// the buffers' capacity. Leaves exactly the analysis
+    /// [`TimingAnalysis::analyze`] returns.
+    pub fn refresh(&mut self, system: &System, mode: ModeId, mapping: &SystemMapping) {
+        let graph = system.omsm().mode(mode).graph();
+        let n = graph.task_count();
+        let Self { mode: analysed, exec, asap, alap } = self;
+        *analysed = mode;
+
+        exec.clear();
+        exec.extend(graph.tasks().map(|(task, t)| {
+            let pe = mapping.pe_of(mode, task);
+            system
+                .tech()
+                .impl_of(t.task_type(), pe)
+                .map(|imp| imp.exec_time())
+                .or_else(|| system.tech().fastest_exec_time(t.task_type()))
+                .unwrap_or(Seconds::ZERO)
+        }));
+
+        let comm_est = |comm: momsynth_model::ids::CommId| -> Seconds {
+            let edge = graph.comm(comm);
+            let src_pe = mapping.pe_of(mode, edge.src());
+            let dst_pe = mapping.pe_of(mode, edge.dst());
+            if src_pe == dst_pe {
+                return Seconds::ZERO;
+            }
+            system
+                .arch()
+                .cls_between(src_pe, dst_pe)
+                .map(|cl| system.arch().cl(cl).transfer_time(edge.data_units()))
+                .fold(None, |best: Option<Seconds>, t| {
+                    Some(best.map_or(t, |b| b.min(t)))
+                })
+                .unwrap_or(Seconds::ZERO)
+        };
+
+        // Forward pass: earliest start ignoring resource contention.
+        asap.clear();
+        asap.resize(n, Seconds::ZERO);
+        for &t in graph.topological_order() {
+            let mut start = Seconds::ZERO;
+            for &(comm, pred) in graph.predecessors(t) {
+                let arrival = asap[pred.index()] + exec[pred.index()] + comm_est(comm);
+                start = start.max(arrival);
+            }
+            asap[t.index()] = start;
+        }
+
+        // Backward pass: latest finish meeting min(θ, φ) everywhere, held
+        // in `alap` until every successor's finish is known.
+        alap.clear();
+        alap.resize(n, Seconds::ZERO);
+        for &t in graph.topological_order().iter().rev() {
+            let mut finish = graph.effective_deadline(t);
+            for &(comm, succ) in graph.successors(t) {
+                let succ_start = alap[succ.index()] - exec[succ.index()];
+                finish = finish.min(succ_start - comm_est(comm));
+            }
+            alap[t.index()] = finish;
+        }
+        for (latest, &e) in alap.iter_mut().zip(exec.iter()) {
+            *latest -= e;
+        }
+    }
+
+    /// Writes all task ids into `out`, sorted by ascending mobility
+    /// (`alap − asap`), ties broken by ASAP time and then task id.
+    pub(crate) fn fill_priority_order(&self, out: &mut Vec<TaskId>) {
+        let (asap, alap) = (&self.asap, &self.alap);
+        out.clear();
+        out.extend((0..asap.len()).map(TaskId::new));
+        out.sort_by(|&a, &b| {
+            let mob = |t: TaskId| (alap[t.index()] - asap[t.index()]).value();
+            mob(a)
+                .total_cmp(&mob(b))
+                .then(asap[a.index()].value().total_cmp(&asap[b.index()].value()))
+                .then(a.index().cmp(&b.index()))
+        });
     }
 
     /// Returns the analysed mode.
@@ -208,7 +181,7 @@ impl TimingAnalysis {
     /// priority order.
     pub fn priority_order(&self) -> Vec<TaskId> {
         let mut order = Vec::new();
-        fill_priority_order(&self.asap, &self.alap, &mut order);
+        self.fill_priority_order(&mut order);
         order
     }
 
@@ -376,25 +349,18 @@ mod tests {
     }
 
     #[test]
-    fn scratch_priority_order_matches_the_allocating_path() {
+    fn refresh_reproduces_a_fresh_analysis() {
         let sys = fork_join_system(100.0);
-        let mut scratch = MobilityScratch::default();
-        let mut order = Vec::new();
-        // Reuse the same scratch across different mappings: stale buffer
+        let mut reused = TimingAnalysis::default();
+        // Reuse one analysis across different mappings: stale buffer
         // contents must not leak into later analyses.
-        for hw_task in [1usize, 2] {
+        for hw_task in [1usize, 2, 3] {
             let mut mapping = all_cpu_mapping(&sys);
             mapping.set(ModeId::new(0), TaskId::new(hw_task), PeId::new(1));
-            TimingAnalysis::priority_order_into(
-                &sys,
-                ModeId::new(0),
-                &mapping,
-                &mut scratch,
-                &mut order,
-            );
-            let expected =
-                TimingAnalysis::analyze(&sys, ModeId::new(0), &mapping).priority_order();
-            assert_eq!(order, expected);
+            reused.refresh(&sys, ModeId::new(0), &mapping);
+            let fresh = TimingAnalysis::analyze(&sys, ModeId::new(0), &mapping);
+            assert_eq!(reused, fresh);
+            assert_eq!(reused.priority_order(), fresh.priority_order());
         }
     }
 

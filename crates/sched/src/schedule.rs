@@ -146,6 +146,12 @@ impl Schedule {
         self.comms[comm.index()].as_ref()
     }
 
+    /// Returns the length of the comm table: one entry per communication
+    /// edge of the mode, local ones included.
+    pub fn comm_count(&self) -> usize {
+        self.comms.len()
+    }
+
     /// Iterates over all remote communications.
     pub fn remote_comms(&self) -> impl Iterator<Item = &ScheduledComm> + '_ {
         self.comms.iter().flatten()

@@ -32,6 +32,8 @@ EXPECTED = {
         "dvs.iterations": 0,
         "ga.evaluations": 65870,
         "ga.bnb.pruned_by_bound": 134649,
+        "ga.best_power_mw": 49.504864593634096,
+        "ga.bnb.certified_gap": 5.133048750886282,
     },
     "many-modes": {
         "dvs.iterations": 0,
@@ -41,6 +43,7 @@ EXPECTED = {
     "serve-small": {
         "dvs.iterations": 0,
         "ga.evaluations": 3041,
+        "ga.best_power_mw": 61.66490319880358,
     },
 }
 

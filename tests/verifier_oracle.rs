@@ -9,11 +9,13 @@
 
 use proptest::prelude::*;
 
-use momsynth::check::{check_solution, SolutionView, Violation};
+use momsynth::check::{check_solution, CheckReport, SolutionView, Violation};
 use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
 use momsynth::generators::suite::{generate, GeneratorParams};
+use momsynth::model::ids::{ClId, CommId};
 use momsynth::model::System;
+use momsynth::sched::{Schedule, ScheduledComm};
 use momsynth::synthesis::{verify_solution, Solution, SynthesisConfig, Synthesizer};
 
 /// Runs synthesis and holds the result against the oracle: a feasible
@@ -83,6 +85,66 @@ fn corrupted_smartphone_solutions_are_rejected() {
         .expect("corrupted schedule still deserialises");
     let report = verify_solution(&system, &mutated);
     assert!(!report.is_clean(), "mutated voltage slot not caught");
+}
+
+/// `good` with mode `mode`'s comm table replaced by what `edit` makes
+/// of it, checked by the independent checker.
+fn check_edited(
+    system: &System,
+    good: &Solution,
+    mode: usize,
+    edit: impl FnOnce(&mut Vec<Option<ScheduledComm>>),
+) -> CheckReport {
+    let schedule = &good.schedules[mode];
+    let graph = system.omsm().mode(schedule.mode()).graph();
+    let mut comms: Vec<Option<ScheduledComm>> =
+        graph.comm_ids().map(|c| schedule.comm(c).copied()).collect();
+    edit(&mut comms);
+    let mut edited = good.clone();
+    edited.schedules[mode] = Schedule::from_parts(
+        schedule.mode(),
+        schedule.tasks().copied().collect(),
+        comms,
+        schedule.sequences().to_vec(),
+    );
+    verify_solution(system, &edited)
+}
+
+/// A comm table shorter than the mode's graph, a transfer over a link
+/// the architecture lacks and a transfer filed under another edge's
+/// slot are malformed findings. The shape pass must catch them, because
+/// the deeper checks index both the comm table and the link table.
+#[test]
+fn malformed_comm_tables_are_reported_not_panicked_on() {
+    let system = automotive_ecu();
+    let good = Synthesizer::new(&system, SynthesisConfig::fast_preset(1))
+        .run()
+        .expect("schedulable system")
+        .best;
+    let malformed = |report: &CheckReport| {
+        !report.is_clean()
+            && report.violations().iter().all(|v| matches!(v, Violation::Malformed { .. }))
+    };
+
+    assert!(good.schedules[0].comm_count() > 1, "mode 0 must have a comm table to cut");
+    let report = check_edited(&system, &good, 0, |comms| comms.truncate(1));
+    assert!(malformed(&report), "short comm table:\n{report}");
+
+    let (mode, slot) = good
+        .schedules
+        .iter()
+        .enumerate()
+        .find_map(|(m, s)| s.remote_comms().next().map(|c| (m, c.comm.index())))
+        .expect("the solution routes at least one transfer");
+    let report = check_edited(&system, &good, mode, |comms| {
+        comms[slot].as_mut().expect("remote transfer").cl = ClId::new(99);
+    });
+    assert!(malformed(&report), "unknown link:\n{report}");
+
+    let report = check_edited(&system, &good, mode, |comms| {
+        comms[slot].as_mut().expect("remote transfer").comm = CommId::new(slot + 1);
+    });
+    assert!(malformed(&report), "misplaced comm entry:\n{report}");
 }
 
 #[test]
