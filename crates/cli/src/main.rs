@@ -522,7 +522,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             let served = if oneshot {
                 let stdin = std::io::stdin();
                 let stdout = std::io::stdout();
-                momsynth_serve::socket::serve_stdio(
+                momsynth_serve::socket::serve_session(
                     &server,
                     stdin.lock(),
                     stdout.lock(),

@@ -9,7 +9,8 @@
 //! [`momsynth_ga::run_controlled`]).
 //!
 //! Files are plain JSON with a `version` field; [`Checkpoint::load`]
-//! rejects unknown versions, and [`Checkpoint::validate`] cross-checks the
+//! reads versions [`OLDEST_READABLE_VERSION`] to [`CHECKPOINT_VERSION`]
+//! and rejects the rest, and [`Checkpoint::validate`] cross-checks the
 //! header against the system a resume targets (name, mode/task counts,
 //! genome length, GA seed) so a checkpoint can never silently resume onto
 //! the wrong problem. Writes go through an fsync'd temporary sibling file
@@ -27,16 +28,21 @@ use momsynth_ga::GaSnapshot;
 use momsynth_model::System;
 use momsynth_telemetry::Counters;
 
-use crate::cache::CacheState;
 use crate::genome::{Gene, GenomeLayout};
 
-/// The checkpoint format version this build reads and writes.
+/// The checkpoint format version this build writes.
 ///
 /// Version 2 added the cumulative telemetry [`Counters`], so resumed
-/// runs produce continuous traces. Version 3 added the evaluation
-/// [`CacheState`], so a resumed run replays the exact hit/miss sequence
-/// (and therefore the exact counters) of an uninterrupted one.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// runs produce continuous traces. Version 3 added the contents of a
+/// genome-keyed evaluation cache. Version 4 drops them again: the cache
+/// is gone, and fitness is a pure function of the genome, so nothing a
+/// resumed run computes depends on them.
+pub const CHECKPOINT_VERSION: u32 = 4;
+
+/// The oldest format version [`Checkpoint::load`] still reads. A
+/// version 3 file differs from version 4 only in its `cache` key, which
+/// loading ignores.
+pub const OLDEST_READABLE_VERSION: u32 = 3;
 
 /// A failure while saving, loading or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +87,8 @@ impl fmt::Display for CheckpointError {
             }
             Self::Version { found, supported } => write!(
                 f,
-                "checkpoint format version {found} is not supported (this build reads {supported})"
+                "checkpoint format version {found} is not supported \
+                 (this build reads {OLDEST_READABLE_VERSION} to {supported})"
             ),
             Self::Mismatch { reason } => write!(f, "checkpoint does not match: {reason}"),
         }
@@ -100,7 +107,8 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// Frozen GA engine state plus a header tying it to one system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
+    /// Format version: [`CHECKPOINT_VERSION`] when written by this
+    /// build, as read from the file when loaded.
     pub version: u32,
     /// Name of the system the run optimises.
     pub system: String,
@@ -131,10 +139,6 @@ pub struct Checkpoint {
     /// Cumulative telemetry counters at the time of capture, so a
     /// resumed run emits a trace continuous with the original.
     pub counters: Counters,
-    /// Evaluation-cache contents at the time of capture (empty when
-    /// caching is disabled), so a resumed run's hit/miss sequence is an
-    /// exact tail of the uninterrupted run's.
-    pub cache: CacheState,
 }
 
 impl Checkpoint {
@@ -145,7 +149,6 @@ impl Checkpoint {
         seed: u64,
         snapshot: &GaSnapshot<Gene>,
         counters: Counters,
-        cache: CacheState,
     ) -> Self {
         Self {
             version: CHECKPOINT_VERSION,
@@ -163,7 +166,6 @@ impl Checkpoint {
             best_cost: snapshot.best.1,
             population: snapshot.population.clone(),
             counters,
-            cache,
         }
     }
 
@@ -244,13 +246,15 @@ impl Checkpoint {
         }
     }
 
-    /// Reads and version-checks a checkpoint file.
+    /// Reads and version-checks a checkpoint file. Keys this build does
+    /// not know, such as a version 3 file's `cache`, are ignored.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] if the file cannot be read,
     /// [`CheckpointError::Parse`] if it is not a checkpoint document, and
-    /// [`CheckpointError::Version`] for unknown format versions.
+    /// [`CheckpointError::Version`] for versions outside
+    /// [`OLDEST_READABLE_VERSION`]`..=`[`CHECKPOINT_VERSION`].
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
             path: path.to_owned(),
@@ -261,7 +265,7 @@ impl Checkpoint {
                 path: path.to_owned(),
                 reason: e.to_string(),
             })?;
-        if checkpoint.version != CHECKPOINT_VERSION {
+        if !(OLDEST_READABLE_VERSION..=CHECKPOINT_VERSION).contains(&checkpoint.version) {
             return Err(CheckpointError::Version {
                 found: checkpoint.version,
                 supported: CHECKPOINT_VERSION,
@@ -338,11 +342,6 @@ impl Checkpoint {
         {
             return mismatch("checkpoint operator counters have the wrong arity".to_owned());
         }
-        if self.cache.entries.iter().any(|e| e.genome.len() != self.genome_len) {
-            return mismatch(
-                "checkpoint cache contains genomes of the wrong length".to_owned(),
-            );
-        }
         Ok(())
     }
 
@@ -372,16 +371,6 @@ mod tests {
         generate(&params)
     }
 
-    fn sample_cache(len: usize) -> CacheState {
-        CacheState {
-            tick: 2,
-            entries: vec![
-                crate::cache::CacheEntry { genome: vec![0; len], cost: 4.5, tick: 0 },
-                crate::cache::CacheEntry { genome: vec![1; len], cost: 6.0, tick: 1 },
-            ],
-        }
-    }
-
     fn sample_snapshot(len: usize) -> GaSnapshot<Gene> {
         GaSnapshot {
             generation: 2,
@@ -404,7 +393,7 @@ mod tests {
     fn save_load_round_trip_preserves_everything() {
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let cp = Checkpoint::capture(&system, &layout, 42, &sample_snapshot(layout.len()), Counters::default(), sample_cache(layout.len()));
+        let cp = Checkpoint::capture(&system, &layout, 42, &sample_snapshot(layout.len()), Counters::default());
         let path = tmp_path("round_trip.json");
         cp.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
@@ -420,7 +409,7 @@ mod tests {
         let layout = GenomeLayout::new(&system);
         let mut snapshot = sample_snapshot(layout.len());
         snapshot.population[1].1 = momsynth_ga::REJECTED_COST;
-        let cp = Checkpoint::capture(&system, &layout, 0, &snapshot, Counters::default(), sample_cache(layout.len()));
+        let cp = Checkpoint::capture(&system, &layout, 0, &snapshot, Counters::default());
         let path = tmp_path("sentinel.json");
         cp.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
@@ -429,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_missing_garbage_and_future_versions() {
+    fn load_rejects_missing_garbage_and_unknown_versions() {
         let missing = tmp_path("missing.json");
         assert!(matches!(Checkpoint::load(&missing), Err(CheckpointError::Io { .. })));
 
@@ -442,7 +431,7 @@ mod tests {
 
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let mut cp = Checkpoint::capture(&system, &layout, 0, &sample_snapshot(layout.len()), Counters::default(), sample_cache(layout.len()));
+        let mut cp = Checkpoint::capture(&system, &layout, 0, &sample_snapshot(layout.len()), Counters::default());
         cp.version = CHECKPOINT_VERSION + 1;
         let future = tmp_path("future.json");
         cp.save(&future).unwrap();
@@ -450,6 +439,12 @@ mod tests {
             Checkpoint::load(&future),
             Err(CheckpointError::Version { found, supported })
                 if found == CHECKPOINT_VERSION + 1 && supported == CHECKPOINT_VERSION
+        ));
+        cp.version = OLDEST_READABLE_VERSION - 1;
+        cp.save(&future).unwrap();
+        assert!(matches!(
+            Checkpoint::load(&future),
+            Err(CheckpointError::Version { found, .. }) if found == OLDEST_READABLE_VERSION - 1
         ));
         std::fs::remove_file(&future).ok();
     }
@@ -465,12 +460,12 @@ mod tests {
 
         // Two consecutive saves: the second keeps the first as `.bak`.
         let mut snapshot = sample_snapshot(layout.len());
-        let older = Checkpoint::capture(&system, &layout, 7, &snapshot, Counters::default(), sample_cache(layout.len()));
+        let older = Checkpoint::capture(&system, &layout, 7, &snapshot, Counters::default());
         older.save(&path).unwrap();
         snapshot.generation = 3;
         snapshot.evaluations = 45;
         snapshot.history.push(4.0);
-        let newer = Checkpoint::capture(&system, &layout, 7, &snapshot, Counters::default(), sample_cache(layout.len()));
+        let newer = Checkpoint::capture(&system, &layout, 7, &snapshot, Counters::default());
         newer.save(&path).unwrap();
         assert!(bak.exists(), "save must keep the previous good checkpoint");
 
@@ -506,7 +501,7 @@ mod tests {
         let path = tmp_path("first_save.json");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(Checkpoint::backup_path(&path)).ok();
-        let cp = Checkpoint::capture(&system, &layout, 1, &sample_snapshot(layout.len()), Counters::default(), sample_cache(layout.len()));
+        let cp = Checkpoint::capture(&system, &layout, 1, &sample_snapshot(layout.len()), Counters::default());
         cp.save(&path).unwrap();
         assert!(!Checkpoint::backup_path(&path).exists());
         std::fs::remove_file(&path).ok();
@@ -516,7 +511,7 @@ mod tests {
     fn validate_rejects_wrong_system_seed_and_shapes() {
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let cp = Checkpoint::capture(&system, &layout, 5, &sample_snapshot(layout.len()), Counters::default(), sample_cache(layout.len()));
+        let cp = Checkpoint::capture(&system, &layout, 5, &sample_snapshot(layout.len()), Counters::default());
 
         let mut other_params = GeneratorParams::new("other", 4);
         other_params.modes = 3;
@@ -539,9 +534,6 @@ mod tests {
         assert!(broken.validate(&system, &layout, 5).is_err());
         let mut broken = cp.clone();
         broken.history.pop();
-        assert!(broken.validate(&system, &layout, 5).is_err());
-        let mut broken = cp.clone();
-        broken.cache.entries[0].genome.pop();
         assert!(broken.validate(&system, &layout, 5).is_err());
 
         cp.validate(&system, &layout, 5).unwrap();

@@ -157,10 +157,6 @@ pub struct SynthesisConfig {
     /// evaluates serially, `0` uses every available core. The evolution
     /// trajectory is bit-identical at any thread count.
     pub threads: usize,
-    /// Bound of the genome-keyed evaluation cache (entries across all
-    /// shards); `0` disables caching. Sound because the fitness is a
-    /// pure function of the genome.
-    pub cache_capacity: usize,
     /// Build the genome from the statically pruned capable-PE domains of
     /// the pre-synthesis analyzer, so mutation and crossover never
     /// generate a gene that provably violates a deadline or period.
@@ -184,7 +180,6 @@ impl SynthesisConfig {
             fault_injection: None,
             verify_each_generation: cfg!(debug_assertions),
             threads: 1,
-            cache_capacity: 4096,
             prune_domains: true,
         }
     }
@@ -244,7 +239,6 @@ mod tests {
         assert!(cfg.improvement_operators);
         assert!(cfg.weights.timing > 0.0);
         assert_eq!(cfg.threads, 1, "parallelism is opt-in");
-        assert!(cfg.cache_capacity > 0, "caching defaults on");
         assert!(cfg.prune_domains, "static domain pruning defaults on");
     }
 

@@ -16,8 +16,8 @@ pub type Gene = u16;
 
 /// FNV-1a over `seed` and the genes, finished with a SplitMix mix so
 /// low-entropy genomes still spread over all 64 bits. Keys the
-/// evaluation cache's shards (seed 0) and the fault-injection pattern;
-/// both are persisted or replayed, so the output must never change.
+/// fault-injection pattern, which seeded chaos runs replay, so the
+/// output must never change.
 pub(crate) fn genome_hash(seed: u64, genes: &[Gene]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed;
     for &gene in genes {
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn genome_hash_is_pinned() {
-        // Checkpointed cache shards and fault patterns depend on these.
+        // Replayed fault patterns depend on these.
         assert_eq!(genome_hash(0, &[]), 0xc381_7c01_6ba4_ff30);
         assert_eq!(genome_hash(0, &[1, 2, 3]), 0x8766_8959_ade0_90f8);
         assert_eq!(genome_hash(11, &[4, 0, 65535]), 0xe8be_29ea_34cc_910b);

@@ -42,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
-pub mod cache;
 pub mod checkpoint;
 pub mod config;
 pub mod fitness;
@@ -55,7 +54,6 @@ pub mod transition;
 pub mod verify;
 
 pub use alloc::{derive_allocation, derive_allocation_timed, AllocOptions};
-pub use cache::{CacheEntry, CacheState, EvalCache};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::{
     DvsSynthesisOptions, FaultInjection, InjectedFault, PenaltyWeights, SynthesisConfig,

@@ -42,7 +42,6 @@ use momsynth_telemetry::{
     Counters, Event, ModeSummary, PhaseTiming, RunStart, RunSummary, Sink, SpanEvent, Warning,
 };
 
-use crate::cache::{CacheState, EvalCache};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::{InjectedFault, SynthesisConfig};
 use crate::fitness::{Evaluator, Solution};
@@ -126,7 +125,6 @@ impl SynthesisResult {
             wall_time_s: wall,
             evals_per_sec: if wall > 0.0 { self.evaluations as f64 / wall } else { 0.0 },
             threads: config.effective_threads() as u64,
-            cache_hit_rate: self.counters.cache_hit_rate(),
             power_lower_bound_mw: lb.as_milli(),
             optimality_gap,
             counters: self.counters.clone(),
@@ -281,11 +279,6 @@ struct MappingProblem<'a> {
     evaluator: &'a Evaluator<'a>,
     system: &'a System,
     config: &'a SynthesisConfig,
-    /// Genome-keyed cost memo (`None` when `cache_capacity` is 0). Only
-    /// the driver thread touches it: batches probe it serially before,
-    /// and fill it serially after, the parallel pricing stage, so its
-    /// contents are independent of the thread count.
-    cache: Option<RefCell<EvalCache>>,
     /// Resolved worker-thread count for batch pricing.
     threads: usize,
 }
@@ -324,13 +317,6 @@ fn price_genome(
     }
 }
 
-impl MappingProblem<'_> {
-    /// The evaluation cache's current contents, for checkpointing.
-    fn cache_state(&self) -> CacheState {
-        self.cache.as_ref().map(|c| c.borrow().state()).unwrap_or_default()
-    }
-}
-
 impl GaProblem for MappingProblem<'_> {
     type Gene = Gene;
 
@@ -343,45 +329,31 @@ impl GaProblem for MappingProblem<'_> {
     }
 
     /// Batched pricing: the GA hands over each generation's unevaluated
-    /// genomes at once. The batch is served in four strictly ordered
-    /// stages — (1) serial cache probe in batch order, (2) dedup of
-    /// identical genomes among the misses, (3) pricing of the unique
-    /// misses, parallel across `threads` workers, (4) serial cache fill
-    /// in batch order. Fitness is a pure function of the genome, so
-    /// stage 3's scheduling cannot influence any returned cost, and
-    /// stages 1, 2 and 4 never depend on the thread count: trajectories,
-    /// counters and cache contents are bit-identical for any `threads`.
+    /// genomes at once. Identical genomes within the batch are priced
+    /// once, the unique ones across `threads` workers, and the costs are
+    /// scattered back in batch order. Fitness is a pure function of the
+    /// genome, so worker scheduling cannot influence any returned cost,
+    /// and the dedup never depends on the thread count: trajectories and
+    /// counters are bit-identical for any `threads`.
     fn cost_batch(&self, genomes: &[Vec<Gene>]) -> Vec<f64> {
-        let mut costs = vec![REJECTED_COST; genomes.len()];
-        // Stage 1: probe the cache, serially, in batch order.
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, genome) in genomes.iter().enumerate() {
-            match self.cache.as_ref().and_then(|c| c.borrow_mut().get(genome)) {
-                Some(cost) => costs[i] = cost,
-                None => misses.push(i),
-            }
-        }
-        // Stage 2: identical genomes within the batch are priced once;
-        // `slot_of[k]` maps the k-th miss to its unique-genome slot.
+        // `slot_of[i]` maps the i-th genome to its unique-genome slot.
         let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(misses.len());
         let mut first: HashMap<&[Gene], usize> = HashMap::new();
-        for &i in &misses {
+        let mut slot_of: Vec<usize> = Vec::with_capacity(genomes.len());
+        for (i, genome) in genomes.iter().enumerate() {
             let next = unique.len();
-            let slot = *first.entry(genomes[i].as_slice()).or_insert(next);
+            let slot = *first.entry(genome.as_slice()).or_insert(next);
             if slot == next {
                 unique.push(i);
             }
             slot_of.push(slot);
         }
         self.evaluator.count(|c| {
-            c.cache_hits += (genomes.len() - misses.len()) as u64;
-            c.cache_misses += misses.len() as u64;
+            c.cache_misses += genomes.len() as u64;
             c.evaluated += unique.len() as u64;
         });
-        // Stage 3: price the unique misses. Each worker is a pricing
-        // unit of its own; folding it back is a commutative sum, so
-        // totals are independent of worker scheduling.
+        // Each worker is a pricing unit of its own; folding it back is a
+        // commutative sum, so totals are independent of worker scheduling.
         let mut unique_costs = vec![REJECTED_COST; unique.len()];
         // Under the loom model checker the scoped parallel arm is
         // compiled out (loom has no scoped threads); batches price
@@ -422,20 +394,7 @@ impl GaProblem for MappingProblem<'_> {
                 }
             });
         }
-        // Stage 4: scatter the results and fill the cache, serially, in
-        // batch order.
-        for (&i, &slot) in misses.iter().zip(&slot_of) {
-            costs[i] = unique_costs[slot];
-        }
-        if let Some(cache) = &self.cache {
-            let mut cache = cache.borrow_mut();
-            let mut evicted = 0;
-            for &i in &misses {
-                evicted += u64::from(cache.insert(&genomes[i], costs[i]));
-            }
-            self.evaluator.count(|c| c.cache_evictions += evicted);
-        }
-        costs
+        slot_of.iter().map(|&slot| unique_costs[slot]).collect()
     }
 
     fn improve(&self, genome: &mut [Gene], rng: &mut dyn RngCore) {
@@ -559,22 +518,15 @@ impl<'a> Synthesizer<'a> {
             evaluator: &evaluator,
             system: self.system,
             config: &self.config,
-            cache: (self.config.cache_capacity > 0)
-                .then(|| RefCell::new(EvalCache::new(self.config.cache_capacity))),
             threads: self.config.effective_threads(),
         };
 
         let resume = match control.resume {
             Some(checkpoint) => {
                 checkpoint.validate(self.system, &layout, ga_config.seed)?;
-                // Restore the cumulative counters and the evaluation
-                // cache so the resumed trace — including the hit/miss
-                // sequence — continues exactly where the original left
-                // off.
+                // Restore the cumulative counters so the resumed trace
+                // continues exactly where the original left off.
                 evaluator.count(|c| *c = checkpoint.counters.clone());
-                if let Some(cache) = &problem.cache {
-                    cache.borrow_mut().restore(&checkpoint.cache);
-                }
                 Some(checkpoint.into_snapshot())
             }
             None => None,
@@ -630,7 +582,6 @@ impl<'a> Synthesizer<'a> {
                         seed,
                         snapshot,
                         problem_ref.evaluator.counters(),
-                        problem_ref.cache_state(),
                     );
                     let due = snapshot.generation.is_multiple_of(*every)
                         || every_seconds.is_some_and(|s| {
@@ -687,7 +638,7 @@ impl<'a> Synthesizer<'a> {
         // restart resumes from exactly where the run stopped even when
         // the periodic cadence (`every` > 1) left the file stale. The
         // capture was taken inside the generation hook, so its counters
-        // and cache exclude any discarded partial generation.
+        // exclude any discarded partial generation.
         if outcome.stop_reason.is_interrupted() {
             if let Some(spec) = &control.checkpoint {
                 if let Some(cp) = latest_checkpoint.borrow_mut().take() {
@@ -1038,34 +989,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cache_and_threads_leave_the_trajectory_bit_identical() {
+    fn threads_leave_the_trajectory_bit_identical() {
         let system = skewed_system();
-        let base = SynthesisConfig::fast_preset(7);
-        let run = |threads: usize, cache_capacity: usize| {
-            let mut cfg = base.clone();
+        let run = |threads: usize| {
+            let mut cfg = SynthesisConfig::fast_preset(7);
             cfg.threads = threads;
-            cfg.cache_capacity = cache_capacity;
             Synthesizer::new(&system, cfg).run().unwrap()
         };
-        let plain = run(1, 0);
-        let cached = run(1, 4096);
-        let threaded = run(4, 4096);
-        for other in [&cached, &threaded] {
-            assert_eq!(plain.history, other.history);
-            assert_eq!(plain.best.mapping, other.best.mapping);
-            assert_eq!(plain.best.fitness, other.best.fitness);
-            assert_eq!(plain.evaluations, other.evaluations);
-            assert_eq!(plain.stop_reason, other.stop_reason);
-        }
-        // The GA revisits genomes, so the memo must actually serve hits,
-        // and the hit/miss/evaluated split must not depend on threads.
-        assert!(cached.counters.cache_hits > 0, "{:?}", cached.counters);
-        assert_eq!(cached.counters, threaded.counters);
-        assert!(cached.counters.evaluated <= cached.counters.cache_misses);
-        // Without a cache nothing is looked up, but pricing still counts.
-        assert_eq!(plain.counters.cache_hits, 0);
-        assert!(plain.counters.evaluated > 0);
-        assert!(cached.summary(&system, &base).cache_hit_rate > 0.0);
+        let serial = run(1);
+        let threaded = run(4);
+        assert_eq!(serial.history, threaded.history);
+        assert_eq!(serial.best.mapping, threaded.best.mapping);
+        assert_eq!(serial.best.fitness, threaded.best.fitness);
+        assert_eq!(serial.evaluations, threaded.evaluations);
+        assert_eq!(serial.stop_reason, threaded.stop_reason);
+        assert_eq!(serial.counters, threaded.counters);
+        // Every genome handed over is looked up and none is served from
+        // memory; in-batch repeats are priced once.
+        assert_eq!(serial.counters.cache_hits, 0);
+        assert!(serial.counters.evaluated > 0);
+        assert!(serial.counters.evaluated <= serial.counters.cache_misses);
     }
 
     #[test]
@@ -1184,7 +1127,6 @@ pub(crate) mod tests {
             999,
             &snapshot,
             Counters::default(),
-            crate::cache::CacheState::default(),
         );
         let err = Synthesizer::new(&system, cfg)
             .run_controlled(SynthControl { resume: Some(checkpoint), ..SynthControl::default() })

@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use momsynth_core::{CacheEntry, CacheState, Checkpoint, Gene, GenomeLayout};
+use momsynth_core::{Checkpoint, Gene, GenomeLayout};
 use momsynth_ga::GaSnapshot;
 use momsynth_telemetry::Counters;
 use momsynth_gen::suite::{generate, GeneratorParams};
@@ -33,15 +33,9 @@ fn checkpoint_pair(path: &Path) -> (Checkpoint, Checkpoint) {
         best: (vec![0; len], 4.5),
         population: vec![(vec![0; len], 4.5), (vec![1; len], 6.0)],
     };
-    let cache = CacheState {
-        tick: 1,
-        entries: vec![CacheEntry { genome: vec![0; len], cost: 4.5, tick: 0 }],
-    };
-    let older =
-        Checkpoint::capture(&system, &layout, 5, &snapshot(2), Counters::default(), cache.clone());
+    let older = Checkpoint::capture(&system, &layout, 5, &snapshot(2), Counters::default());
     older.save(path).unwrap();
-    let newer =
-        Checkpoint::capture(&system, &layout, 5, &snapshot(4), Counters::default(), cache);
+    let newer = Checkpoint::capture(&system, &layout, 5, &snapshot(4), Counters::default());
     newer.save(path).unwrap(); // keeps `older` as `.bak`
     (older, newer)
 }

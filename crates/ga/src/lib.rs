@@ -32,8 +32,8 @@
 //!
 //! Each generation's unevaluated genomes are priced through a single
 //! [`GaProblem::cost_batch`] call and the results written back by index.
-//! A problem may evaluate the batch on worker threads or serve repeats
-//! from a cache, with a bit-identical trajectory for a fixed seed because
+//! A problem may evaluate the batch on worker threads or price repeated
+//! genomes once, with a bit-identical trajectory for a fixed seed because
 //! the engine's randomness never depends on how a batch was priced.
 //! Elites keep their known cost and are never re-evaluated.
 //!
@@ -110,7 +110,7 @@ pub trait GaProblem {
     /// The engine routes every unevaluated genome of a generation through
     /// this method in one call and writes the results back by index, so an
     /// implementation is free to evaluate out of order — in parallel
-    /// worker threads, through a memoisation cache — without perturbing
+    /// worker threads, pricing repeated genomes once — without perturbing
     /// the evolution trajectory: for a fixed seed the outcome is
     /// bit-identical at any thread count as long as each returned cost is
     /// a pure function of its genome.
@@ -438,7 +438,6 @@ pub fn run_controlled<P: GaProblem>(
             worst,
             stagnation: stagnation as u64,
             evals_per_sec,
-            cache_hit_rate: counters.cache_hit_rate(),
             counters,
         }));
     };

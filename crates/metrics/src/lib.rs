@@ -5,7 +5,7 @@
 //! inner loop:
 //!
 //! - **Counters** — monotonically increasing `u64` totals (admissions,
-//!   sheds, cache hits).
+//!   sheds, evaluations).
 //! - **Gauges** — instantaneous `i64` levels (queue depth, busy workers).
 //! - **Histograms** — fixed-bucket latency/size distributions with
 //!   p50/p95/p99 summaries derived from cumulative bucket counts.

@@ -16,33 +16,18 @@ const PHASE_BOUNDS_S: [f64; 16] = [
 /// per-generation [`Counters`]: family, help string and the field read.
 type CounterFamily = (&'static str, &'static str, fn(&Counters) -> u64);
 
-const COUNTER_FAMILIES: [CounterFamily; 6] = [
+const COUNTER_FAMILIES: [CounterFamily; 3] = [
     ("momsynth_evaluations_total", "Fitness evaluations actually priced", |c| c.evaluated),
     (
         "momsynth_evaluations_rejected_total",
         "Evaluations rejected (errored, panicked or non-finite)",
         |c| c.rejected,
     ),
-    (
-        "momsynth_eval_cache_hits_total",
-        "Cost lookups served by the evaluation cache",
-        |c| c.cache_hits,
-    ),
-    (
-        "momsynth_eval_cache_misses_total",
-        "Cost lookups that missed the evaluation cache",
-        |c| c.cache_misses,
-    ),
-    (
-        "momsynth_eval_cache_evictions_total",
-        "Entries evicted from the evaluation cache",
-        |c| c.cache_evictions,
-    ),
     ("momsynth_dvs_iterations_total", "PV-DVS inner-loop iterations spent", |c| c.dvs_iterations),
 ];
 
 /// The core-loop instrument families: per-phase wall time as
-/// histograms, six counters mirroring fields of [`Counters`], live
+/// histograms, three counters mirroring fields of [`Counters`], live
 /// `evals/sec` as a gauge, and run counts and durations. Registered once per registry — the job
 /// server does it at start, next to its own families — and shared by
 /// every run's [`MetricsSink`]; a clone shares the same cells.
@@ -210,23 +195,17 @@ mod tests {
         })
     }
 
-    fn generation(generation: u64, hits: u64, misses: u64, evicted: u64) -> Event {
-        let counters = Counters {
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_evictions: evicted,
-            evaluated: misses,
-            ..Counters::default()
-        };
+    fn generation(generation: u64, evaluated: u64, rejected: u64, dvs: u64) -> Event {
+        let counters =
+            Counters { evaluated, rejected, dvs_iterations: dvs, ..Counters::default() };
         Event::Generation(GenerationEvent {
             generation,
-            evaluations: misses,
+            evaluations: evaluated,
             best: 1.0,
             mean: 1.0,
             worst: 1.0,
             stagnation: 0,
             evals_per_sec: 100.0,
-            cache_hit_rate: 0.0,
             counters,
         })
     }
@@ -239,9 +218,9 @@ mod tests {
         sink.record(&generation(0, 2, 10, 1));
         sink.record(&generation(1, 5, 14, 3));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("momsynth_eval_cache_hits_total", &[]), Some(5));
-        assert_eq!(snap.counter_value("momsynth_eval_cache_misses_total", &[]), Some(14));
-        assert_eq!(snap.counter_value("momsynth_eval_cache_evictions_total", &[]), Some(3));
+        assert_eq!(snap.counter_value("momsynth_evaluations_total", &[]), Some(5));
+        assert_eq!(snap.counter_value("momsynth_evaluations_rejected_total", &[]), Some(14));
+        assert_eq!(snap.counter_value("momsynth_dvs_iterations_total", &[]), Some(3));
         assert_eq!(snap.counter_value("momsynth_generations_total", &[]), Some(2));
         assert_eq!(snap.gauge_value("momsynth_evals_per_sec", &[]), Some(100));
     }
@@ -256,9 +235,9 @@ mod tests {
         sink.record(&generation(4, 100, 200, 50));
         sink.record(&generation(5, 101, 205, 50));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("momsynth_eval_cache_hits_total", &[]), Some(1));
-        assert_eq!(snap.counter_value("momsynth_eval_cache_misses_total", &[]), Some(5));
-        assert_eq!(snap.counter_value("momsynth_eval_cache_evictions_total", &[]), Some(0));
+        assert_eq!(snap.counter_value("momsynth_evaluations_total", &[]), Some(1));
+        assert_eq!(snap.counter_value("momsynth_evaluations_rejected_total", &[]), Some(5));
+        assert_eq!(snap.counter_value("momsynth_dvs_iterations_total", &[]), Some(0));
     }
 
     #[test]

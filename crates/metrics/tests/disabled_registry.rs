@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn metrics_sink_over_disabled_registry_records_nothing(
         generations in proptest::collection::vec(
-            (0..10_000u64, 0..1_000_000u64, -1e6..1e6f64, 0.0..1.0f64),
+            (0..10_000u64, 0..1_000_000u64, -1e6..1e6f64, 0.0..1e6f64),
             1..25,
         ),
     ) {
@@ -113,7 +113,7 @@ proptest! {
         let sink = Arc::new(MetricsSink::new(&RunMetrics::new(&registry)));
         let events: Vec<Event> = generations
             .into_iter()
-            .map(|(generation, evaluations, best, cache_hit_rate)| {
+            .map(|(generation, evaluations, best, evals_per_sec)| {
                 Event::Generation(GenerationEvent {
                     generation,
                     evaluations,
@@ -121,8 +121,7 @@ proptest! {
                     mean: best + 1.0,
                     worst: best + 2.0,
                     stagnation: 0,
-                    evals_per_sec: 10.0,
-                    cache_hit_rate,
+                    evals_per_sec,
                     counters: Counters::default(),
                 })
             })

@@ -271,8 +271,6 @@ pub struct JobProgress {
     pub best: f64,
     /// Live evaluation throughput in evaluations per second.
     pub evals_per_sec: f64,
-    /// Fraction of cost lookups served by the evaluation cache.
-    pub cache_hit_rate: f64,
 }
 
 #[cfg(test)]

@@ -349,9 +349,6 @@ mod tests {
             "momsynth_generations_total",
             "momsynth_evaluations_total",
             "momsynth_evaluations_rejected_total",
-            "momsynth_eval_cache_hits_total",
-            "momsynth_eval_cache_misses_total",
-            "momsynth_eval_cache_evictions_total",
             "momsynth_dvs_iterations_total",
             "momsynth_evals_per_sec",
             "momsynth_run_phase_seconds",

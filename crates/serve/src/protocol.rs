@@ -23,6 +23,13 @@
 //! `status`, `list` and `metrics` responses additionally carry a
 //! `server` block (`{"queue_depth": ..., "uptime_s": ...}`); each job
 //! value carries its `trace_id` and `age_s` (seconds since submission).
+//!
+//! The transports ([`crate::socket`]) answer a line that is not UTF-8
+//! with `{"ok": false, "error": ...}` and keep the session. They refuse
+//! a line over [`crate::socket::MAX_LINE_BYTES`], and a Unix-socket
+//! connection over [`crate::socket::MAX_CONNECTIONS`], with
+//! `{"ok": false, "error": ..., "limit": "line_bytes" | "connections",
+//! "max": ...}` and end the session.
 
 use momsynth_sync::sync::mpsc;
 use std::time::Duration;

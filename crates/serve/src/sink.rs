@@ -96,7 +96,6 @@ impl Sink for ServeSink {
                 evaluations: g.evaluations,
                 best: g.best,
                 evals_per_sec: g.evals_per_sec,
-                cache_hit_rate: g.cache_hit_rate,
             });
         }
         let tagged = JobEvent { job: self.job.clone(), event: event.clone() };
@@ -145,7 +144,6 @@ mod tests {
             worst: 4.0,
             stagnation: 0,
             evals_per_sec: 100.0,
-            cache_hit_rate: 0.5,
             counters: Counters::default(),
         }));
 

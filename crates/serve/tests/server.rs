@@ -19,12 +19,13 @@ fn small_system(name: &str, seed: u64) -> System {
     generate(&params)
 }
 
-/// A system big enough that its quick run takes long enough to observe
-/// `Running` (and to cancel, time out or interrupt it).
+/// A system big enough that a full (non-quick) run of it outlasts the
+/// 0.2 s per-job timeout many times over, so `Running` can be observed
+/// (and the job cancelled, timed out or interrupted) with margin.
 fn slow_system(name: &str, seed: u64) -> System {
     let mut params = GeneratorParams::new(name, seed);
-    params.modes = 3;
-    params.tasks_per_mode = (8, 10);
+    params.modes = 4;
+    params.tasks_per_mode = (12, 16);
     generate(&params)
 }
 
@@ -35,10 +36,10 @@ fn quick_spec(system: System) -> JobSpec {
     spec
 }
 
+/// The default GA, not the quick preset: at least 40 generations of 50
+/// (the stagnation limit) before the two local-search passes.
 fn slow_spec(system: System) -> JobSpec {
-    let mut spec = JobSpec::new(system);
-    spec.quick = true;
-    spec
+    JobSpec::new(system)
 }
 
 fn tmp_root(name: &str) -> PathBuf {
@@ -107,10 +108,12 @@ fn full_queues_reject_with_retry_hints_and_shed_for_priority() {
     cfg.queue_capacity = 1;
     let server = Server::start(cfg).unwrap();
 
-    // Occupy the single worker, then the single queue slot.
+    // Occupy the single worker, then the single queue slot. Waiting for
+    // `Running` rather than just past `Queued` keeps the job out of its
+    // analysis when it is cancelled below.
     let running = server.submit(&slow_spec(slow_system("serve-busy", 3))).unwrap();
     wait_for(&server, &running, Duration::from_secs(30), |s| {
-        s.record.state != JobState::Queued
+        s.record.state == JobState::Running
     });
     let queued = server.submit(&quick_spec(small_system("serve-q", 4))).unwrap();
 
@@ -358,7 +361,7 @@ fn trace_ids_and_metrics_agree_across_status_trace_journal_and_scrape() {
     );
     let mut output = Vec::new();
     let stop = AtomicBool::new(false);
-    socket::serve_stdio(&server, input.as_bytes(), &mut output, &stop);
+    socket::serve_session(&server, input.as_bytes(), &mut output, &stop);
     let lines: Vec<serde_json::Value> = String::from_utf8(output)
         .unwrap()
         .lines()
@@ -442,7 +445,7 @@ fn the_stdio_protocol_round_trips_submit_wait_result() {
     );
     let mut output = Vec::new();
     let stop = AtomicBool::new(false);
-    let saw_shutdown = socket::serve_stdio(&server, input.as_bytes(), &mut output, &stop);
+    let saw_shutdown = socket::serve_session(&server, input.as_bytes(), &mut output, &stop);
     assert!(saw_shutdown, "the shutdown command must be honoured");
     server.shutdown();
 

@@ -102,17 +102,17 @@ pub struct Counters {
     pub transition_violations: u64,
     /// Total PV-DVS inner-loop iterations spent.
     pub dvs_iterations: u64,
-    /// Genomes whose cost was served by the evaluation cache.
+    /// Always 0: no genome's cost is served from memory. Kept, with
+    /// [`Counters::cache_misses`], because the benchmark's per-layer
+    /// report reads both (`core.cache.hit_rate`,
+    /// `core.cache.priced_ratio`).
     pub cache_hits: u64,
-    /// Genomes that missed the evaluation cache.
+    /// Every genome handed to batch pricing, repeats included. Kept for
+    /// the benchmark's per-layer report, like [`Counters::cache_hits`].
     pub cache_misses: u64,
     /// Genomes actually run through the constructive inner loop. At most
     /// `cache_misses`: identical genomes within one batch are priced once.
     pub evaluated: u64,
-    /// Entries evicted from the evaluation cache to make room. Absent
-    /// (zero) in traces written before eviction accounting existed.
-    #[serde(default)]
-    pub cache_evictions: u64,
     /// Applications of each improvement operator (see [`OPERATOR_NAMES`]).
     pub improve_applied: Vec<u64>,
     /// Applications that actually changed the genome, per operator.
@@ -135,7 +135,6 @@ impl Counters {
             cache_hits,
             cache_misses,
             evaluated,
-            cache_evictions,
             improve_applied,
             improve_accepted,
         } = other;
@@ -147,23 +146,11 @@ impl Counters {
         self.cache_hits += cache_hits;
         self.cache_misses += cache_misses;
         self.evaluated += evaluated;
-        self.cache_evictions += cache_evictions;
         for (mine, theirs) in self.improve_applied.iter_mut().zip(improve_applied) {
             *mine += theirs;
         }
         for (mine, theirs) in self.improve_accepted.iter_mut().zip(improve_accepted) {
             *mine += theirs;
-        }
-    }
-
-    /// Fraction of cost lookups answered from the evaluation cache,
-    /// `0.0` when nothing was looked up.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
         }
     }
 }
@@ -179,7 +166,6 @@ impl Default for Counters {
             cache_hits: 0,
             cache_misses: 0,
             evaluated: 0,
-            cache_evictions: 0,
             improve_applied: vec![0; OPERATOR_COUNT],
             improve_accepted: vec![0; OPERATOR_COUNT],
         }
@@ -192,8 +178,7 @@ impl Default for Counters {
 /// for a fixed seed: a run and its checkpoint-resumed counterpart produce
 /// identical generation events once [`GenerationEvent::normalized`]
 /// zeroes the throughput. Live consumers (a job server's status endpoint,
-/// a progress view) read throughput and cache efficiency directly from
-/// the periodic event instead of waiting for the end-of-run
+/// a progress view) read throughput directly from the periodic event instead of waiting for the end-of-run
 /// [`RunSummary`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GenerationEvent {
@@ -215,11 +200,6 @@ pub struct GenerationEvent {
     /// replays. Absent in traces written before this field existed.
     #[serde(default)]
     pub evals_per_sec: f64,
-    /// Fraction of cost lookups served by the evaluation cache so far.
-    /// Deterministic for a fixed seed (mirrors
-    /// [`Counters::cache_hit_rate`]). Absent in older traces.
-    #[serde(default)]
-    pub cache_hit_rate: f64,
     /// Cumulative run counters at this generation.
     pub counters: Counters,
 }
@@ -227,8 +207,8 @@ pub struct GenerationEvent {
 impl GenerationEvent {
     /// A copy with the wall-clock-derived throughput zeroed, for
     /// comparing the generation streams of deterministic replays (a run
-    /// against its checkpoint-resumed counterpart). All other fields —
-    /// `cache_hit_rate` included — are deterministic and survive.
+    /// against its checkpoint-resumed counterpart). All other fields are
+    /// deterministic and survive.
     #[must_use]
     pub fn normalized(&self) -> Self {
         let mut g = self.clone();
@@ -305,8 +285,6 @@ pub struct RunSummary {
     pub evals_per_sec: f64,
     /// Worker threads used for batch fitness evaluation.
     pub threads: u64,
-    /// Fraction of cost lookups served by the evaluation cache.
-    pub cache_hit_rate: f64,
     /// Provable Eq. 1 power lower bound p̄_LB of the pre-synthesis static
     /// analyzer, in mW.
     pub power_lower_bound_mw: f64,
@@ -323,8 +301,8 @@ pub struct RunSummary {
 impl RunSummary {
     /// A copy with every wall-clock-derived field zeroed, for comparing
     /// the summaries of deterministic replays (e.g. a run against its
-    /// checkpoint-resumed counterpart). `threads` and `cache_hit_rate`
-    /// survive normalisation: both are deterministic for a fixed seed.
+    /// checkpoint-resumed counterpart). `threads` survives
+    /// normalisation: it is deterministic for a fixed seed.
     pub fn normalized(&self) -> Self {
         let mut s = self.clone();
         s.wall_time_s = 0.0;
@@ -362,7 +340,6 @@ mod tests {
                 worst: 9.0,
                 stagnation: 1,
                 evals_per_sec: 120.5,
-                cache_hit_rate: 0.25,
                 counters: Counters { rejected: 2, ..Counters::default() },
             }),
             Event::Phase(PhaseTiming {
@@ -391,8 +368,6 @@ mod tests {
         let mut total =
             Counters { cache_hits: 3, cache_misses: 5, evaluated: 4, ..Counters::default() };
         total.improve_applied[2] = 2;
-        assert!((total.cache_hit_rate() - 3.0 / 8.0).abs() < 1e-12);
-        assert_eq!(Counters::default().cache_hit_rate(), 0.0);
 
         let mut worker =
             Counters { rejected: 1, dvs_iterations: 7, evaluated: 2, ..Counters::default() };
@@ -417,19 +392,17 @@ mod tests {
             worst: 5.0,
             stagnation: 0,
             evals_per_sec: 750.0,
-            cache_hit_rate: 0.5,
             counters: Counters::default(),
         };
         let norm = g.normalized();
         assert_eq!(norm.evals_per_sec, 0.0);
-        assert_eq!(norm.cache_hit_rate, g.cache_hit_rate);
         assert_eq!(norm.best, g.best);
         assert_eq!(norm.counters, g.counters);
     }
 
     #[test]
     fn generation_events_without_live_progress_fields_still_parse() {
-        // A trace line written before evals_per_sec/cache_hit_rate existed.
+        // A trace line written before evals_per_sec existed.
         let json = r#"{"Generation":{"generation":1,"evaluations":10,
             "best":1.0,"mean":2.0,"worst":3.0,"stagnation":0,
             "counters":{"rejected":0,"timing_violations":0,
@@ -440,9 +413,6 @@ mod tests {
         let event: Event = serde_json::from_str(json).unwrap();
         let Event::Generation(g) = event else { panic!("not a generation") };
         assert_eq!(g.evals_per_sec, 0.0);
-        assert_eq!(g.cache_hit_rate, 0.0);
-        // Eviction accounting postdates this trace format too.
-        assert_eq!(g.counters.cache_evictions, 0);
     }
 
     #[test]
@@ -501,7 +471,6 @@ mod tests {
             wall_time_s: 1.25,
             evals_per_sec: 400.0,
             threads: 4,
-            cache_hit_rate: 0.25,
             power_lower_bound_mw: 1.75,
             optimality_gap: 1.0,
             counters: Counters::default(),
@@ -518,7 +487,6 @@ mod tests {
         assert!(norm.phases.is_empty());
         assert_eq!(norm.average_power_mw, summary.average_power_mw);
         assert_eq!(norm.threads, summary.threads);
-        assert_eq!(norm.cache_hit_rate, summary.cache_hit_rate);
         let json = serde_json::to_string(&Event::Summary(summary)).unwrap();
         let back: Event = serde_json::from_str(&json).unwrap();
         assert!(matches!(back, Event::Summary(_)));

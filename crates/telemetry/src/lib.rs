@@ -16,11 +16,11 @@
 //!
 //! * [`RunStart`] — run identity: system, seed, flow flags, genome size;
 //! * [`GenerationEvent`] — per-generation fitness statistics plus the
-//!   cumulative [`Counters`] and live progress (`evals_per_sec`,
-//!   `cache_hit_rate`). Apart from the wall-clock-derived throughput —
-//!   zeroed by [`GenerationEvent::normalized`] — every field is
-//!   deterministic, so the traces of a run and its checkpoint-resumed
-//!   counterpart are comparable once normalised;
+//!   cumulative [`Counters`] and live throughput (`evals_per_sec`).
+//!   Apart from that wall-clock-derived throughput — zeroed by
+//!   [`GenerationEvent::normalized`] — every field is deterministic, so
+//!   the traces of a run and its checkpoint-resumed counterpart are
+//!   comparable once normalised;
 //! * [`PhaseTiming`] — accumulated monotonic-clock spans of one inner
 //!   [`Phase`];
 //! * [`Warning`] — a non-fatal condition (e.g. a failed checkpoint save);
@@ -69,7 +69,6 @@
 //!         worst: 4.0,
 //!         stagnation: 0,
 //!         evals_per_sec: 0.0,
-//!         cache_hit_rate: 0.0,
 //!         counters: Counters::default(),
 //!     }));
 //! }

@@ -24,7 +24,9 @@ import sys
 
 EXPECTED = {
     "phone-dvs": {
-        "dvs.iterations": 437956,
+        # 437956 while the genome cache existed: its hits skipped
+        # re-pricing those genomes, and so their PV-DVS iterations.
+        "dvs.iterations": 438225,
         "ga.evaluations": 3371,
         "ga.best_power_mw": 10.314120944510918,
     },

@@ -20,9 +20,9 @@ use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 #[test]
 fn dvs_synthesis_trajectories_are_pinned() {
     let cases = [
-        ("mul1", mul(1), 0x3fa2_68e0_31a5_d5c7_u64, 45_588_u64, 807_usize),
-        ("mul6", mul(6), 0x3f8a_5c97_1b82_cba2, 62_027, 801),
-        ("mul12", mul(12), 0x3f96_f586_e6d7_5291, 102_747, 870),
+        ("mul1", mul(1), 0x3fa2_68e0_31a5_d5c7_u64, 48_772_u64, 807_usize),
+        ("mul6", mul(6), 0x3f8a_5c97_1b82_cba2, 67_983, 801),
+        ("mul12", mul(12), 0x3f96_f586_e6d7_5291, 104_508, 870),
         ("smartphone", smartphone(), 0x3f76_8587_af90_87e0, 118_176, 961),
     ];
     for (name, system, fitness, dvs_iterations, evaluations) in cases {

@@ -18,27 +18,21 @@ use momsynth_serve::{spawn_exposition, JobSpec, JobState, ServeMetrics, Server, 
 /// The `Counters` field a counter family mirrors.
 type Field = fn(&Counters) -> u64;
 
-/// The six counter families decoded from `Counters`.
-const COUNTER_FAMILIES: [(&str, Field); 6] = [
+/// The three counter families decoded from `Counters`.
+const COUNTER_FAMILIES: [(&str, Field); 3] = [
     ("momsynth_evaluations_total", |c| c.evaluated),
     ("momsynth_evaluations_rejected_total", |c| c.rejected),
-    ("momsynth_eval_cache_hits_total", |c| c.cache_hits),
-    ("momsynth_eval_cache_misses_total", |c| c.cache_misses),
-    ("momsynth_eval_cache_evictions_total", |c| c.cache_evictions),
     ("momsynth_dvs_iterations_total", |c| c.dvs_iterations),
 ];
 
 /// Every family the core loop records on.
-const CORE_LOOP_FAMILIES: [&str; 12] = [
+const CORE_LOOP_FAMILIES: [&str; 9] = [
     "momsynth_runs_started_total",
     "momsynth_runs_finished_total",
     "momsynth_run_duration_seconds",
     "momsynth_generations_total",
     "momsynth_evaluations_total",
     "momsynth_evaluations_rejected_total",
-    "momsynth_eval_cache_hits_total",
-    "momsynth_eval_cache_misses_total",
-    "momsynth_eval_cache_evictions_total",
     "momsynth_dvs_iterations_total",
     "momsynth_evals_per_sec",
     "momsynth_run_phase_seconds",

@@ -274,22 +274,4 @@ proptest! {
         prop_assert_eq!(&serial.counters, &parallel.counters);
         prop_assert_eq!(serial.rejected, parallel.rejected);
     }
-
-    /// Memoisation is sound because fitness is pure: serving a genome's
-    /// cost from the cache must leave the whole run bit-identical to
-    /// re-deriving it (counters differ by design — hits are counted).
-    #[test]
-    fn synthesis_is_cache_invariant(seed in 1u64..200) {
-        let (system, cached_cfg) = short_synthesis_config(seed);
-        prop_assert!(cached_cfg.cache_capacity > 0);
-        let mut plain_cfg = cached_cfg.clone();
-        plain_cfg.cache_capacity = 0;
-        let cached = Synthesizer::new(&system, cached_cfg).run().expect("schedulable system");
-        let plain = Synthesizer::new(&system, plain_cfg).run().expect("schedulable system");
-        prop_assert_eq!(&cached.best, &plain.best);
-        prop_assert_eq!(&cached.history, &plain.history);
-        prop_assert_eq!(cached.evaluations, plain.evaluations);
-        prop_assert_eq!(cached.stop_reason, plain.stop_reason);
-        prop_assert_eq!(plain.counters.cache_hits, 0);
-    }
 }

@@ -148,40 +148,35 @@ fn malformed_comm_tables_are_reported_not_panicked_on() {
 }
 
 #[test]
-fn cache_hits_never_skip_final_reverification() {
-    // The evaluation cache serves memoised fitness values to the GA, but
-    // the returned solution is always re-built and re-polished from
-    // scratch — a cache hit must never short-circuit the final
-    // verification. Run with the cache and worker threads on, confirm
-    // the cache actually fired, and hold the result to the oracle and to
-    // the serial cache-less run bit for bit.
+fn threaded_verified_runs_equal_the_serial_run() {
+    // Worker threads price the GA's batches, but the returned solution
+    // is always re-built and re-polished on the driver thread. Run with
+    // per-generation verification and worker threads on, hold the result
+    // to the oracle, and to the serial run bit for bit.
     let system = automotive_ecu();
     let mut config = SynthesisConfig::fast_preset(3);
     config.verify_each_generation = true;
     config.threads = 4;
-    assert!(config.cache_capacity > 0, "the cache is on by default");
-    let cached = Synthesizer::new(&system, config).run().expect("schedulable system");
-    assert!(cached.counters.cache_hits > 0, "run never exercised the cache");
+    let threaded = Synthesizer::new(&system, config).run().expect("schedulable system");
 
-    let report = verify_solution(&system, &cached.best);
-    if cached.best.is_feasible() {
-        assert!(report.is_clean(), "cached solution failed verification:\n{report}");
+    let report = verify_solution(&system, &threaded.best);
+    if threaded.best.is_feasible() {
+        assert!(report.is_clean(), "threaded solution failed verification:\n{report}");
     } else {
         assert!(
             !report.has_consistency_violations(),
-            "cached solution is internally inconsistent:\n{report}"
+            "threaded solution is internally inconsistent:\n{report}"
         );
     }
 
     let mut plain = SynthesisConfig::fast_preset(3);
     plain.verify_each_generation = true;
     plain.threads = 1;
-    plain.cache_capacity = 0;
     let serial = Synthesizer::new(&system, plain).run().expect("schedulable system");
-    assert_eq!(cached.best, serial.best);
-    assert_eq!(cached.history, serial.history);
-    assert_eq!(cached.evaluations, serial.evaluations);
-    assert_eq!(cached.stop_reason, serial.stop_reason);
+    assert_eq!(threaded.best, serial.best);
+    assert_eq!(threaded.history, serial.history);
+    assert_eq!(threaded.evaluations, serial.evaluations);
+    assert_eq!(threaded.stop_reason, serial.stop_reason);
 }
 
 proptest! {
