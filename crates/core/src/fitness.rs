@@ -24,7 +24,7 @@ use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::PeId;
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
-use momsynth_power::{power_report_with, ModeImplementation, PowerReport};
+use momsynth_power::{mode_power, ModeImplementation, ModePower, PowerReport};
 use momsynth_sched::{
     schedule_mode_timed, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
     TimingAnalysis,
@@ -179,8 +179,44 @@ impl std::error::Error for EvalFailure {}
 #[derive(Debug, Default)]
 struct EvalScratch {
     timing: Vec<TimingAnalysis>,
+    /// The mapping row each analysis in `timing` was refreshed under, or
+    /// `None` while it is being refreshed: an analysis is redone only
+    /// when its mode's row changed since.
+    timing_rows: Vec<Option<Vec<PeId>>>,
     sched: ListScratch,
     dvs: DvsScratch,
+}
+
+impl EvalScratch {
+    /// Brings every mode's timing analysis up to date with `mapping`.
+    fn refresh_timing(&mut self, system: &System, mapping: &SystemMapping) {
+        let modes = system.omsm().mode_count();
+        self.timing.resize_with(modes, TimingAnalysis::default);
+        self.timing_rows.resize(modes, None);
+        let analyses = self.timing.iter_mut().zip(&mut self.timing_rows);
+        for (mode, (analysis, key)) in system.omsm().mode_ids().zip(analyses) {
+            let row = mapping.row(mode);
+            if key.as_deref() == Some(row) {
+                continue;
+            }
+            // Invalidate before refreshing: a refresh that panics must not
+            // leave a half-written analysis under a valid key.
+            let mut kept = key.take().unwrap_or_default();
+            analysis.refresh(system, mode, mapping);
+            kept.clear();
+            kept.extend_from_slice(row);
+            *key = Some(kept);
+        }
+    }
+}
+
+/// One mode's Eq. 1 term, before the report is assembled.
+enum ModeTerm {
+    /// Price the mode's new schedule at these per-task energy factors
+    /// (`None`: nominal voltage).
+    Price(Option<Vec<f64>>),
+    /// The base solution's term, unchanged.
+    Reuse(ModePower),
 }
 
 /// Evaluates mapping candidates for one system under one configuration.
@@ -289,7 +325,7 @@ impl<'a> Evaluator<'a> {
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
     ) -> Result<Solution, SchedError> {
-        self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs))
+        self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs, None))
     }
 
     /// [`Evaluator::evaluate`] with fault isolation: a scheduler error, a
@@ -298,6 +334,15 @@ impl<'a> Evaluator<'a> {
     /// search down or win it. Every pricing path of the crate goes
     /// through here and keeps only its own policy for a failure.
     ///
+    /// `base` is an optional neighbour to price against. Every mode whose
+    /// mapping row and core-allocation row both equal the base's keeps
+    /// the base's schedule, voltage schedules and Eq. 1 term instead of
+    /// being scheduled, voltage-scaled and priced again; the allocation,
+    /// Eq. 1's sums and every penalty are still computed over all modes,
+    /// so the result is the one `None` gives, bit for bit. The base must
+    /// have been priced by an evaluator of the same system and
+    /// configuration, under the same `dvs`.
+    ///
     /// # Errors
     ///
     /// Returns the [`EvalFailure`] that kept the candidate from pricing.
@@ -305,8 +350,12 @@ impl<'a> Evaluator<'a> {
         &self,
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
+        base: Option<&Solution>,
     ) -> Result<Solution, EvalFailure> {
-        match catch_unwind(AssertUnwindSafe(|| self.evaluate(mapping, dvs))) {
+        let evaluate = || {
+            self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs, base))
+        };
+        match catch_unwind(AssertUnwindSafe(evaluate)) {
             Ok(Ok(solution)) if solution.fitness.is_finite() => Ok(solution),
             Ok(Ok(_)) => Err(EvalFailure::NonFinite),
             Ok(Err(e)) => Err(EvalFailure::Sched(e)),
@@ -323,25 +372,34 @@ impl<'a> Evaluator<'a> {
         &self,
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
+        base: Option<&Solution>,
     ) -> Result<Solution, SchedError> {
         let system = self.system;
         // One borrow for the whole evaluation; never re-entered.
         let scratch = &mut *self.scratch.borrow_mut();
-        // Each mode's timing is analysed once, here, and read by both
-        // allocation and scheduling.
-        let timing = &mut scratch.timing;
+        // Each mode's timing is analysed here, once per change of its
+        // row, and read by both allocation and scheduling.
         let alloc = self.phases.measure(Phase::CoreAllocation, || {
-            timing.resize_with(system.omsm().mode_count(), TimingAnalysis::default);
-            for (mode, analysis) in system.omsm().mode_ids().zip(timing.iter_mut()) {
-                analysis.refresh(system, mode, &mapping);
-            }
-            derive_allocation_timed(system, &mapping, timing, &self.config.alloc)
+            scratch.refresh_timing(system, &mapping);
+            derive_allocation_timed(system, &mapping, &scratch.timing, &self.config.alloc)
         });
 
-        let mut schedules = Vec::with_capacity(system.omsm().mode_count());
-        let mut voltage_schedules = Vec::with_capacity(system.omsm().mode_count());
-        let mut factors: Vec<Vec<f64>> = Vec::with_capacity(system.omsm().mode_count());
+        let mode_count = system.omsm().mode_count();
+        let mut schedules = Vec::with_capacity(mode_count);
+        let mut voltage_schedules = Vec::with_capacity(mode_count);
+        let mut terms = Vec::with_capacity(mode_count);
         for (mode, m) in system.omsm().modes() {
+            // A mode's schedule, voltages and Eq. 1 term depend only on
+            // its mapping row, its allocation row and `dvs`.
+            let reusable = base.filter(|b| {
+                b.mapping.row(mode) == mapping.row(mode) && b.alloc.mode_eq(&alloc, mode)
+            });
+            if let Some(base) = reusable {
+                schedules.push(base.schedules[mode.index()].clone());
+                voltage_schedules.push(base.voltage_schedules[mode.index()].clone());
+                terms.push(ModeTerm::Reuse(base.power.modes[mode.index()].clone()));
+                continue;
+            }
             let (analysis, sched_scratch) = (&scratch.timing[mode.index()], &mut scratch.sched);
             let schedule = self.phases.measure(Phase::ListScheduling, || {
                 schedule_mode_timed(
@@ -363,25 +421,31 @@ impl<'a> Evaluator<'a> {
                     let (schedule, voltages, energy_factors) = scaled.into_parts();
                     schedules.push(schedule);
                     voltage_schedules.push(voltages);
-                    factors.push(energy_factors);
+                    terms.push(ModeTerm::Price(Some(energy_factors)));
                 }
                 None => {
-                    factors.push(vec![1.0; m.graph().task_count()]);
                     voltage_schedules.push(vec![None; m.graph().task_count()]);
                     schedules.push(schedule);
+                    terms.push(ModeTerm::Price(None));
                 }
             }
         }
 
         Ok(self.phases.measure(Phase::PowerPricing, move || {
-            let implementations: Vec<ModeImplementation<'_>> = schedules
-                .iter()
-                .zip(&factors)
-                .map(|(s, f)| ModeImplementation::scaled(s, f))
+            let modes = terms
+                .into_iter()
+                .zip(&schedules)
+                .map(|(term, schedule)| match term {
+                    ModeTerm::Reuse(power) => power,
+                    ModeTerm::Price(factors) => mode_power(
+                        system,
+                        ModeImplementation { schedule, energy_factors: factors.as_deref() },
+                    ),
+                })
                 .collect();
             let true_probabilities: Vec<f64> =
                 system.omsm().modes().map(|(_, m)| m.probability()).collect();
-            let power = power_report_with(system, &implementations, &true_probabilities);
+            let power = PowerReport::from_modes(modes, &true_probabilities);
             let weighted: Watts = power
                 .modes
                 .iter()
@@ -653,7 +717,8 @@ mod tests {
         let system = crate::synthesis::tests::unroutable_system();
         let config = SynthesisConfig::new(0);
         let mapping = crate::genome::GenomeLayout::new(&system).decode(&[0, 0, 0]);
-        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
+        let failure =
+            Evaluator::new(&system, &config).try_evaluate(mapping, None, None).unwrap_err();
         let EvalFailure::Sched(e) = &failure else { panic!("expected Sched, got {failure:?}") };
         assert_eq!(failure.to_string(), e.to_string());
     }
@@ -665,7 +730,8 @@ mod tests {
         let system = sys(600, 100.0);
         let config = SynthesisConfig::new(0);
         let mapping = SystemMapping::from_fn(&system, |_| PeId::new(9));
-        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
+        let failure =
+            Evaluator::new(&system, &config).try_evaluate(mapping, None, None).unwrap_err();
         assert!(matches!(failure, EvalFailure::Panic(_)), "{failure:?}");
         assert!(failure.to_string().starts_with("evaluator panicked"), "{failure}");
     }
@@ -679,7 +745,7 @@ mod tests {
         config.weights.infeasibility_boost = f64::INFINITY;
         let ev = Evaluator::new(&system, &config);
         assert_eq!(ev.evaluate(all_cpu(&system), None).unwrap().fitness, f64::INFINITY);
-        let failure = ev.try_evaluate(all_cpu(&system), None).unwrap_err();
+        let failure = ev.try_evaluate(all_cpu(&system), None, None).unwrap_err();
         assert_eq!(failure, EvalFailure::NonFinite);
         assert_eq!(failure.to_string(), "non-finite fitness");
     }

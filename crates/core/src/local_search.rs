@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use momsynth_ga::REJECTED_COST;
 
-use crate::fitness::Evaluator;
+use crate::fitness::{Evaluator, Solution};
 use crate::genome::{Gene, GenomeLayout};
 use momsynth_dvs::DvsOptions;
 
@@ -93,12 +93,15 @@ pub fn polish(
 ) -> LocalSearchStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evaluations = 0usize;
-    let cost = |genes: &[Gene], evals: &mut usize| -> f64 {
+    // Prices `genes` against `base`, the current solution: a single-gene
+    // move leaves every other mode as the base has it.
+    let price = |genes: &[Gene], base: Option<&Solution>, evals: &mut usize| {
         *evals += 1;
-        evaluator.try_evaluate(layout.decode(genes), dvs).map_or(REJECTED_COST, |s| s.fitness)
+        let solution = evaluator.try_evaluate(layout.decode(genes), dvs, base).ok();
+        (solution.as_ref().map_or(REJECTED_COST, |s| s.fitness), solution)
     };
 
-    let mut current = cost(genes, &mut evaluations);
+    let (mut current, mut current_solution) = price(genes, None, &mut evaluations);
     let fitness_before = current;
     let mut moves_accepted = 0usize;
     let mut interrupted = false;
@@ -116,7 +119,7 @@ pub fn polish(
             if alternatives < 2 {
                 continue;
             }
-            let mut best_alt: Option<(Gene, f64)> = None;
+            let mut best_alt: Option<(Gene, f64, Option<Solution>)> = None;
             for alt in 0..alternatives as Gene {
                 if alt == original {
                     continue;
@@ -127,15 +130,16 @@ pub fn polish(
                     break 'passes;
                 }
                 genes[locus] = alt;
-                let c = cost(genes, &mut evaluations);
-                if c < current && best_alt.is_none_or(|(_, b)| c < b) {
-                    best_alt = Some((alt, c));
+                let (c, solution) = price(genes, current_solution.as_ref(), &mut evaluations);
+                if c < current && best_alt.as_ref().is_none_or(|(_, b, _)| c < *b) {
+                    best_alt = Some((alt, c, solution));
                 }
             }
             match best_alt {
-                Some((alt, c)) => {
+                Some((alt, c, solution)) => {
                     genes[locus] = alt;
                     current = c;
+                    current_solution = solution;
                     moves_accepted += 1;
                     improved = true;
                 }

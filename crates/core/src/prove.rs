@@ -178,6 +178,9 @@ struct MappingBnb<'a> {
     edges: Vec<(usize, usize, Vec<Vec<f64>>)>,
     use_bounds: bool,
     genes: Vec<Gene>,
+    /// The last leaf that priced, the base the next leaf is priced
+    /// against: depth-first order changes few loci between leaves.
+    last: Option<Solution>,
 }
 
 impl<'a> MappingBnb<'a> {
@@ -289,6 +292,7 @@ impl<'a> MappingBnb<'a> {
             edges,
             use_bounds,
             genes: vec![0; layout.len()],
+            last: None,
         }
     }
 }
@@ -325,9 +329,15 @@ impl BnbProblem for MappingBnb<'_> {
         // Unschedulable or panicking assignments cannot be the optimum;
         // infinity keeps them out of `best` and above every admissible
         // bound.
-        self.evaluator
-            .try_evaluate(self.layout.decode(&self.genes), self.dvs.as_ref())
-            .map_or(f64::INFINITY, |solution| solution.fitness)
+        let mapping = self.layout.decode(&self.genes);
+        match self.evaluator.try_evaluate(mapping, self.dvs.as_ref(), self.last.as_ref()) {
+            Ok(solution) => {
+                let fitness = solution.fitness;
+                self.last = Some(solution);
+                fitness
+            }
+            Err(_) => f64::INFINITY,
+        }
     }
 }
 
@@ -401,7 +411,7 @@ pub fn prove(
         .and_then(|(choices, _)| {
             let genes: Vec<Gene> = choices.iter().map(|&c| c as Gene).collect();
             let dvs = config.dvs.as_ref().map(|d| d.eval);
-            evaluator.try_evaluate(layout.decode(&genes), dvs.as_ref()).ok()
+            evaluator.try_evaluate(layout.decode(&genes), dvs.as_ref(), None).ok()
         });
     Ok(Certificate {
         status,

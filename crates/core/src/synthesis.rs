@@ -298,7 +298,7 @@ fn price_genome(
     let priced = if config.fault_injection.is_some_and(|f| f.roll(genome).is_some()) {
         None
     } else {
-        evaluator.try_evaluate(layout.decode(genome), dvs.as_ref()).ok()
+        evaluator.try_evaluate(layout.decode(genome), dvs.as_ref(), None).ok()
     };
     match priced {
         Some(s) => {
@@ -608,8 +608,11 @@ impl<'a> Synthesizer<'a> {
                     // individual and hold it against the independent
                     // checker. An unschedulable best (every candidate
                     // rejected) has nothing to verify.
-                    let solution = evaluator
-                        .try_evaluate(layout.decode(&snapshot.best.0), dvs_eval.as_ref());
+                    let solution = evaluator.try_evaluate(
+                        layout.decode(&snapshot.best.0),
+                        dvs_eval.as_ref(),
+                        None,
+                    );
                     if let Ok(solution) = solution {
                         if let Some(report) = crate::verify::invariant_breach(system, &solution) {
                             report_breach(
@@ -797,7 +800,7 @@ impl<'a> Synthesizer<'a> {
                 None => {}
             }
         }
-        evaluator.try_evaluate(layout.decode(genes), refine).map_err(|e| e.to_string())
+        evaluator.try_evaluate(layout.decode(genes), refine, None).map_err(|e| e.to_string())
     }
 }
 

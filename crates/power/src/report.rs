@@ -79,6 +79,28 @@ pub struct PowerReport {
 }
 
 impl PowerReport {
+    /// Assembles the report from one breakdown per mode under the mode
+    /// weights: Eq. 1's weighted sum, accumulated in mode order. Every
+    /// report is built here, whether its modes were just priced or kept
+    /// from an earlier report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modes` and `weights` differ in length or `modes` is not
+    /// in mode-id order.
+    pub fn from_modes(modes: Vec<ModePower>, weights: &[f64]) -> Self {
+        assert_eq!(weights.len(), modes.len(), "one weight per mode");
+        for (i, m) in modes.iter().enumerate() {
+            assert_eq!(m.mode.index(), i, "implementations in mode order");
+        }
+        let average: Watts = modes
+            .iter()
+            .zip(weights)
+            .map(|(m, &w)| m.total() * w)
+            .sum();
+        Self { modes, average }
+    }
+
     /// Relative reduction of this report's average power versus `other`,
     /// in percent (positive when `self` is lower).
     pub fn reduction_vs(&self, other: &PowerReport) -> f64 {
@@ -196,23 +218,13 @@ pub fn power_report_with(
     implementations: &[ModeImplementation<'_>],
     weights: &[f64],
 ) -> PowerReport {
-    let mode_count = system.omsm().mode_count();
-    assert_eq!(implementations.len(), mode_count, "one implementation per mode");
-    assert_eq!(weights.len(), mode_count, "one weight per mode");
-    let modes: Vec<ModePower> = implementations
-        .iter()
-        .enumerate()
-        .map(|(i, imp)| {
-            assert_eq!(imp.schedule.mode().index(), i, "implementations in mode order");
-            mode_power(system, *imp)
-        })
-        .collect();
-    let average: Watts = modes
-        .iter()
-        .zip(weights)
-        .map(|(m, &w)| m.total() * w)
-        .sum();
-    PowerReport { modes, average }
+    assert_eq!(
+        implementations.len(),
+        system.omsm().mode_count(),
+        "one implementation per mode"
+    );
+    let modes = implementations.iter().map(|imp| mode_power(system, *imp)).collect();
+    PowerReport::from_modes(modes, weights)
 }
 
 /// Uniform mode weights (`1/|Ω|`), the paper's probability-neglecting

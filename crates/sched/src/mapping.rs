@@ -89,6 +89,16 @@ impl SystemMapping {
         self.pe_of(id.mode, id.task)
     }
 
+    /// Returns the PEs of `mode`'s tasks, indexed by task id: the row of
+    /// the mapping string that everything mode-local depends on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` is out of range.
+    pub fn row(&self, mode: ModeId) -> &[PeId] {
+        &self.pes[mode.index()]
+    }
+
     /// Re-maps `task` of `mode` onto `pe`.
     ///
     /// # Panics
@@ -288,6 +298,16 @@ impl CoreAllocation {
         self.per_mode[mode.index()].iter().map(|(&k, &v)| (k, v))
     }
 
+    /// `true` when `mode` has the same cores with the same instance counts
+    /// here as in `other`, whatever the other modes hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode` is out of range in either allocation.
+    pub fn mode_eq(&self, other: &CoreAllocation, mode: ModeId) -> bool {
+        self.per_mode[mode.index()] == other.per_mode[mode.index()]
+    }
+
     /// Area occupied on `pe` during `mode` (FPGA view: only that mode's
     /// cores are loaded).
     pub fn mode_area(&self, system: &System, pe: PeId, mode: ModeId) -> Cells {
@@ -423,6 +443,7 @@ mod tests {
         assert_eq!(m.active_pes(ModeId::new(0)), vec![PeId::new(0)]);
         assert_eq!(m.active_pes(ModeId::new(1)), vec![PeId::new(0), PeId::new(1)]);
         assert_eq!(m.mapping_string(), "[0 0 | 1 0]");
+        assert_eq!(m.row(ModeId::new(1)), &[PeId::new(1), PeId::new(0)]);
     }
 
     #[test]
@@ -486,6 +507,18 @@ mod tests {
             alloc.reconfig_area(&sys, PeId::new(1), ModeId::new(1), ModeId::new(0)),
             Cells::ZERO
         );
+    }
+
+    #[test]
+    fn mode_equality_compares_one_mode_only() {
+        let mut a = CoreAllocation::new(2);
+        a.set_instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0), 1);
+        let mut b = a.clone();
+        b.set_instances(ModeId::new(1), PeId::new(1), TaskTypeId::new(0), 2);
+        assert!(a.mode_eq(&b, ModeId::new(0)));
+        assert!(!a.mode_eq(&b, ModeId::new(1)));
+        b.set_instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0), 2);
+        assert!(!a.mode_eq(&b, ModeId::new(0)));
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub struct JobSpec {
     /// Run the probability-neglecting baseline flow.
     #[serde(default)]
     pub neglect: bool,
-    /// Worker threads for batch fitness evaluation (0 = automatic).
+    /// Worker threads for batch fitness evaluation. 0 is automatic: the
+    /// server divides the host's cores among its workers (at least 1
+    /// each), so concurrent jobs do not oversubscribe the host.
     #[serde(default)]
     pub threads: usize,
     /// Optimisation wall-clock budget in seconds (the run stops

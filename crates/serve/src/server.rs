@@ -640,7 +640,10 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
         finish(shared, id, JobState::Failed, Some(e), None);
         return;
     }
-    let config = spec.config();
+    let mut config = spec.config();
+    if config.threads == 0 {
+        config.threads = automatic_threads(shared.config.workers);
+    }
     let system = spec.system.clone();
 
     // Resume from the job's checkpoint when one exists (crash recovery
@@ -790,6 +793,15 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
             }
         }
     }
+}
+
+/// The batch-pricing threads of a job that asked for the automatic
+/// count (0): its worker's share of the host's cores, at least 1, so the
+/// server's workers together never price on more threads than there are
+/// cores.
+fn automatic_threads(workers: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    (cores / workers.max(1)).max(1)
 }
 
 /// Applies a terminal transition.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the `momsynth` binary.
 #
-# Builds the CLI once, then drives it through six scenarios, each in its
+# Builds the CLI once, then drives it through seven scenarios, each in its
 # own directory under OUT_DIR (default `smoke-out`):
 #
 #   check      synth a solution report and re-verify it with `check`
 #   analyze    static bounds on three systems; a broken spec must exit 2
 #   telemetry  trace and run-summary outputs of `synth`
+#   threads    one synth at 1 and at 2 threads: identical results and counters
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
 #   prove      certificates for the smartphone and the redundant-GPP fixture
@@ -150,6 +151,38 @@ weighted = sum(m["total_mw"] * m["probability"] for m in metrics["modes"])
 assert abs(weighted - metrics["average_power_mw"]) < 1e-6 * max(1.0, weighted)
 print(f"ok: {len(events)} events, {len(generations)} generations,"
       f" {metrics['average_power_mw']:.4f} mW")
+PY
+}
+
+threads_scenario() {
+  scenario threads
+  # The search trajectory is bit-identical at every thread count: the
+  # mapping, the power report, the evaluations and every work counter.
+  momsynth generate --seed 1 --modes 10 -o big.json
+  for n in 1 2; do
+    momsynth synth big.json --quick --seed 3 --threads "$n" \
+      --metrics-out "metrics_$n.json" > "report_$n.txt"
+  done
+  python3 - <<'PY'
+import json
+import re
+
+def report(path):
+    lines = open(path).read().splitlines()
+    mapping = [l for l in lines if l.startswith("mapping:")]
+    assert len(mapping) == 1, lines
+    # The first line ends in the wall time, the only part that may differ.
+    power = [re.sub(r", [0-9.]+ s\)$", ")", l) for l in lines if "mW" in l]
+    assert power and "evaluations" in power[0], lines
+    return mapping, power
+
+serial, parallel = report("report_1.txt"), report("report_2.txt")
+assert serial == parallel, (serial, parallel)
+m1, m2 = (json.load(open(f"metrics_{n}.json")) for n in (1, 2))
+assert (m1["threads"], m2["threads"]) == (1, 2), (m1["threads"], m2["threads"])
+for key in ("average_power_mw", "evaluations", "generations", "counters"):
+    assert m1[key] == m2[key], (key, m1[key], m2[key])
+print(f"ok: {m1['evaluations']} evaluations and counters identical at 1 and 2 threads")
 PY
 }
 
@@ -321,6 +354,7 @@ momsynth generate --preset mul3 -o "$OUT/mul3.json"
 check_scenario
 analyze_scenario
 telemetry_scenario
+threads_scenario
 serve_scenario
 metrics_scenario
 prove_scenario

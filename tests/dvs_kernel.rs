@@ -17,13 +17,18 @@ use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 /// Best fitness bits, PV-DVS iterations and evaluations of a
 /// `fast_preset(0)` DVS synthesis. The `mul` systems scale DVS ASICs
 /// through virtual tasks; the smartphone scales a DVS GPP.
+///
+/// The memetic polish prices each single-gene move against its current
+/// solution, so the modes a move leaves unchanged skip PV-DVS: the
+/// iteration counts are those of the modes actually re-scaled (48 772,
+/// 67 983, 104 508 and 118 176 while every move re-scaled every mode).
 #[test]
 fn dvs_synthesis_trajectories_are_pinned() {
     let cases = [
-        ("mul1", mul(1), 0x3fa2_68e0_31a5_d5c7_u64, 48_772_u64, 807_usize),
-        ("mul6", mul(6), 0x3f8a_5c97_1b82_cba2, 67_983, 801),
-        ("mul12", mul(12), 0x3f96_f586_e6d7_5291, 104_508, 870),
-        ("smartphone", smartphone(), 0x3f76_8587_af90_87e0, 118_176, 961),
+        ("mul1", mul(1), 0x3fa2_68e0_31a5_d5c7_u64, 44_726_u64, 807_usize),
+        ("mul6", mul(6), 0x3f8a_5c97_1b82_cba2, 64_511, 801),
+        ("mul12", mul(12), 0x3f96_f586_e6d7_5291, 91_497, 870),
+        ("smartphone", smartphone(), 0x3f76_8587_af90_87e0, 90_499, 961),
     ];
     for (name, system, fitness, dvs_iterations, evaluations) in cases {
         let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(0).with_dvs())

@@ -12,7 +12,9 @@ use momsynth::power::{mode_power, ModeImplementation};
 use momsynth::sched::{
     schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
 };
-use momsynth::synthesis::{FaultInjection, SynthesisConfig, Synthesizer};
+use momsynth::synthesis::{
+    Evaluator, FaultInjection, Gene, GenomeLayout, SynthesisConfig, Synthesizer,
+};
 
 /// A small generated system plus a random (valid) mapping for it.
 fn system_and_mapping() -> impl Strategy<Value = (System, SystemMapping)> {
@@ -273,5 +275,64 @@ proptest! {
         prop_assert_eq!(serial.stop_reason, parallel.stop_reason);
         prop_assert_eq!(&serial.counters, &parallel.counters);
         prop_assert_eq!(serial.rejected, parallel.rejected);
+    }
+}
+
+/// A generated system of two or three modes plus a random genome of it.
+fn multi_mode_system_and_genome() -> impl Strategy<Value = (System, Vec<Gene>)> {
+    (1u64..500, 2usize..4, 0usize..2, proptest::collection::vec(0usize..8, 64)).prop_map(
+        |(seed, modes, extra_hw, picks)| {
+            let mut params = GeneratorParams::new("neighbours", seed);
+            params.modes = modes;
+            params.tasks_per_mode = (3, 8);
+            params.hardware_pes = 1 + extra_hw;
+            params.type_pool = 6;
+            let system = generate(&params);
+            let layout = GenomeLayout::new(&system);
+            let genes = (0..layout.len())
+                .map(|l| (picks[l % picks.len()] % layout.candidates(l).len()) as Gene)
+                .collect();
+            (system, genes)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Pricing a single-gene neighbour against the solution it moved
+    /// from reuses every mode the move left alone, and must give exactly
+    /// the solution a fresh evaluator gives without a base, at fixed
+    /// voltage and under the synthesis's PV-DVS options alike.
+    #[test]
+    fn neighbour_pricing_equals_fresh_pricing((system, genes) in multi_mode_system_and_genome()) {
+        let layout = GenomeLayout::new(&system);
+        let fixed_voltage = SynthesisConfig::fast_preset(0);
+        for config in [fixed_voltage.clone(), fixed_voltage.with_dvs()] {
+            let dvs = config.dvs.as_ref().map(|d| d.eval);
+            let reused = Evaluator::new(&system, &config);
+            let base = reused
+                .try_evaluate(layout.decode(&genes), dvs.as_ref(), None)
+                .expect("generated architectures are fully connected");
+            let mut neighbour = genes.clone();
+            for locus in 0..layout.len() {
+                for alt in 0..layout.candidates(locus).len() as Gene {
+                    if alt == genes[locus] {
+                        continue;
+                    }
+                    neighbour[locus] = alt;
+                    let mapping = layout.decode(&neighbour);
+                    let priced = reused.try_evaluate(mapping.clone(), dvs.as_ref(), Some(&base));
+                    let fresh = Evaluator::new(&system, &config)
+                        .try_evaluate(mapping, dvs.as_ref(), None);
+                    prop_assert_eq!(
+                        priced.as_ref().map(|s| s.fitness.to_bits()),
+                        fresh.as_ref().map(|s| s.fitness.to_bits())
+                    );
+                    prop_assert_eq!(priced, fresh);
+                }
+                neighbour[locus] = genes[locus];
+            }
+        }
     }
 }

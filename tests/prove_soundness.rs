@@ -129,3 +129,40 @@ proptest! {
         );
     }
 }
+
+/// Certificates of 2 000-leaf searches on three suite systems, with and
+/// without DVS, pinned as `(best fitness bits, lower bound bits,
+/// explored, pruned by bound)`. Leaves are priced in depth-first order,
+/// each against the previous leaf, so a change to how a leaf is priced
+/// that is meant to be bit-identical must keep these green.
+#[test]
+fn mul_certificates_are_pinned() {
+    use momsynth::generators::suite::mul;
+
+    let cases = [
+        (7, false, 0x3fca_acb3_4e11_7c8a_u64, 0x3fa2_21a2_e4db_d43b_u64, 2000, 5514),
+        (9, false, 0x3fc1_8841_18b0_864c, 0x3faa_7ae3_0d07_0aaa, 2000, 145),
+        (11, false, 0x3fae_0c01_4ea0_97e0, 0x3fa0_bbeb_00f0_08b4, 2000, 2489),
+        (11, true, 0x3fa4_23e6_2c94_8bce, 0x3f72_29d9_a0c1_07ca, 2000, 0),
+    ];
+    for (n, dvs, best, lower_bound, explored, pruned_by_bound) in cases {
+        let mut config = SynthesisConfig::fast_preset(1);
+        if dvs {
+            config = config.with_dvs();
+        }
+        let cert = prove(
+            &mul(n),
+            &config,
+            &ProveOptions { max_evals: 2000, ..ProveOptions::default() },
+        )
+        .expect("the suite systems analyse clean");
+        let best_bits = cert.best_fitness.expect("leaves were priced").to_bits();
+        assert_eq!(
+            (best_bits, cert.lower_bound.to_bits(), cert.explored, cert.pruned_by_bound),
+            (best, lower_bound, explored, pruned_by_bound),
+            "mul{n} (dvs {dvs}): best {:?}, lower bound {}",
+            cert.best_fitness,
+            cert.lower_bound
+        );
+    }
+}
