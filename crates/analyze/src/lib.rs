@@ -4,8 +4,9 @@
 //! provable bounds from the model alone:
 //!
 //! - **Timing.** Per mode, the critical-path lower bound (every task at
-//!   its fastest nominal implementation, communication free) against the
-//!   period, and per-task finish-time floors against effective deadlines
+//!   its fastest nominal implementation, plus the fastest link latency of
+//!   every transfer that must cross a link) against the period, and
+//!   per-task finish-time floors against effective deadlines
 //!   `min(θ, φ)`. DVS only *stretches* execution times relative to the
 //!   nominal fastest implementation, so these floors hold for scaled
 //!   runs too.
@@ -26,6 +27,9 @@
 //!   produce.
 //! - **Transitions.** The `t_T^max` floor from FPGA reconfiguration
 //!   times, and OMSM reachability.
+//! - **Advisories.** Legal but suspicious specifications: deadlines
+//!   beyond the period, probable stub modes, hardware PEs no task type
+//!   can use and DVS rails with a single level.
 //! - **Genome domains.** The per-`(mode, task)` capable-PE sets, with
 //!   `(task, PE)` pairs removed when mapping the task there provably
 //!   violates a deadline or the period, and whole PEs removed from a
@@ -35,12 +39,16 @@
 //!   and crossover never generate a gene outside its statically proven
 //!   domain, and `momsynth prove` branches only over the reduced space.
 //!
-//! Findings are graded [`Severity::Error`] (a *proof* of infeasibility),
-//! [`Severity::Warning`] or [`Severity::Info`]. Like `momsynth-check`,
-//! this crate sits *below* the synthesis core and shares no code with
-//! the constructive inner loop: it re-derives everything from
-//! `momsynth-model` and the `momsynth-dvs` voltage mathematics, so its
-//! verdicts are independent evidence, not an echo of the optimiser.
+//! The analysis takes a loaded [`System`], whose builders have already
+//! rejected structurally broken specifications (cycles, dangling
+//! references, unimplementable task types, probabilities that do not sum
+//! to one). Findings are graded [`Severity::Error`] (a *proof* of
+//! infeasibility), [`Severity::Warning`] or [`Severity::Info`]. Like
+//! `momsynth-check`, this crate sits *below* the synthesis core and
+//! shares no code with the constructive inner loop: it re-derives
+//! everything from `momsynth-model` and the `momsynth-dvs` voltage
+//! mathematics, so its verdicts are independent evidence, not an echo
+//! of the optimiser.
 //!
 //! # Examples
 //!
@@ -74,7 +82,6 @@ pub use report::{Analysis, AreaBound, DomainReduction, Finding, ModeBounds, Seve
 
 use momsynth_dvs::VoltageModel;
 use momsynth_model::ids::{GlobalTaskId, PeId, TaskTypeId};
-use momsynth_model::omsm::PROBABILITY_SUM_TOLERANCE;
 use momsynth_model::units::{Cells, Joules, Seconds, Watts};
 use momsynth_model::{Pe, System, TaskGraph};
 
@@ -124,7 +131,7 @@ fn dvs_energy_floor(pe: &Pe, exec: Seconds, allowed: Seconds) -> f64 {
 
 /// Per-task path floors of one mode: earliest-finish and downstream-tail
 /// lower bounds with every task at its fastest nominal implementation
-/// and free communication.
+/// and every transfer at its unavoidable link latency.
 struct PathFloors {
     /// Earliest possible start of each task (longest predecessor chain).
     start_lb: Vec<Seconds>,
@@ -188,20 +195,18 @@ pub fn analyze_system(system: &System) -> Analysis {
         }
     }
 
-    // Probability mass: the builder enforces Σ Ψ_O ≈ 1, but deserialised
-    // specifications arrive unchecked.
-    let sum: f64 = omsm.modes().map(|(_, m)| m.probability()).sum();
-    if (sum - 1.0).abs() > PROBABILITY_SUM_TOLERANCE {
-        findings.push(Finding::ProbabilityMassDrift { sum });
-    }
-
     for (mode, m) in omsm.modes() {
         let graph = m.graph();
         let period = graph.period();
 
-        // Candidate lists and fastest nominal execution times. A task
-        // without candidates (possible only for deserialised systems) is
-        // an error; its zero weight keeps the path floors conservative.
+        // A single task carrying real probability mass in a multi-mode
+        // system is probably an unfinished specification.
+        if m.probability() > 0.01 && graph.task_count() == 1 && omsm.mode_count() > 1 {
+            findings.push(Finding::ProbableStubMode { mode });
+        }
+
+        // Candidate lists and fastest nominal execution times. Every
+        // used task type has at least one implementation (`System::new`).
         let candidates: Vec<Vec<PeId>> = graph
             .task_ids()
             .map(|t| system.candidate_pes(GlobalTaskId::new(mode, t)))
@@ -210,11 +215,6 @@ pub fn analyze_system(system: &System) -> Analysis {
             .task_ids()
             .map(|t| tech.fastest_exec_time(graph.task(t).task_type()).unwrap_or(Seconds::ZERO))
             .collect();
-        for (task, c) in graph.task_ids().zip(&candidates) {
-            if c.is_empty() {
-                findings.push(Finding::TaskWithNoCapablePe { mode, task });
-            }
-        }
 
         // Communication floors. When the candidate sets of a
         // communication's endpoints are disjoint the transfer is remote
@@ -226,7 +226,7 @@ pub fn analyze_system(system: &System) -> Analysis {
         for (cid, comm) in graph.comms() {
             let src = &candidates[comm.src().index()];
             let dst = &candidates[comm.dst().index()];
-            if src.is_empty() || dst.is_empty() || src.iter().any(|pe| dst.contains(pe)) {
+            if src.iter().any(|pe| dst.contains(pe)) {
                 continue; // The transfer may be PE-local (free) under some mapping.
             }
             let mut min_time: Option<Seconds> = None;
@@ -278,6 +278,10 @@ pub fn analyze_system(system: &System) -> Analysis {
             let i = task.index();
             let ty = graph.task(task).task_type();
             let effective = graph.effective_deadline(task);
+
+            if graph.task(task).deadline().is_some_and(|d| d > period) {
+                findings.push(Finding::DeadlineBeyondPeriod { mode, task });
+            }
 
             // A task whose own deadline (strictly tighter than the
             // period) sits below its finish floor is a proof of
@@ -443,7 +447,16 @@ pub fn analyze_system(system: &System) -> Analysis {
         if floor > capacity {
             findings.push(Finding::HardwareAreaFloorExceedsCapacity { pe, floor, capacity });
         }
+        if !tech.type_ids().any(|ty| tech.impl_of(ty, pe).is_some()) {
+            findings.push(Finding::UnusableHardwarePe { pe });
+        }
         area_bounds.push(AreaBound { pe, name: info.name().to_owned(), floor, capacity });
+    }
+
+    for (pe, info) in arch.pes() {
+        if info.dvs().is_some_and(|cap| cap.levels().len() < 2) {
+            findings.push(Finding::SingleLevelDvsRail { pe });
+        }
     }
 
     // Transition-time floors: loading even the smallest loadable core of
@@ -490,7 +503,7 @@ mod tests {
     use super::*;
     use momsynth_gen::automotive::automotive_ecu;
     use momsynth_gen::smartphone::smartphone;
-    use momsynth_model::ids::TaskId;
+    use momsynth_model::ids::ModeId;
     use momsynth_model::units::Volts;
     use momsynth_model::{
         ArchitectureBuilder, Cl, DvsCapability, Implementation, OmsmBuilder, Pe, PeKind,
@@ -544,8 +557,7 @@ mod tests {
     }
 
     /// Descends a serialized [`System`] tree by field names / array
-    /// indices, for building broken specifications that `System::new`
-    /// would reject but deserialization admits.
+    /// indices, for editing one field of a built specification.
     fn path_mut<'a>(
         mut v: &'a mut serde_json::Value,
         path: &[&str],
@@ -855,36 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn mutated_library_row_yields_no_capable_pe() {
-        let system = cpu_asic_system(None);
-        let mut v = serde_json::to_value(&system);
-        // Erase every implementation of type B (index 1): its task now has
-        // no candidate PE. System::new would reject this; deserialisation
-        // bypasses it.
-        *path_mut(&mut v, &["tech", "impls", "1"]) = serde_json::json!([]);
-        let broken: System = serde_json::from_value(&v).unwrap();
-        let analysis = analyze_system(&broken);
-        assert!(analysis.has_errors());
-        assert!(codes(&analysis).contains(&"no-capable-pe"), "{analysis}");
-    }
-
-    #[test]
-    fn mutated_probability_mass_drifts() {
-        let system = smartphone();
-        let mut v = serde_json::to_value(&system);
-        *path_mut(&mut v, &["omsm", "modes", "0", "probability"]) = serde_json::json!(0.999);
-        let drifted: System = serde_json::from_value(&v).unwrap();
-        let analysis = analyze_system(&drifted);
-        assert!(codes(&analysis).contains(&"probability-mass-drift"), "{analysis}");
-        let finding = analysis
-            .findings()
-            .iter()
-            .find(|f| f.code() == "probability-mass-drift")
-            .unwrap();
-        assert_eq!(finding.severity(), Severity::Warning);
-    }
-
-    #[test]
     fn mutated_smartphone_deadline_below_floor_is_an_error() {
         let system = smartphone();
         let mut v = serde_json::to_value(&system);
@@ -901,29 +883,6 @@ mod tests {
             .iter()
             .find(|f| f.code() == "deadline-below-critical-path")
             .unwrap();
-        assert_eq!(finding.severity(), Severity::Error);
-    }
-
-    #[test]
-    fn mutated_automotive_library_row_yields_no_capable_pe() {
-        let system = automotive_ecu();
-        let mut v = serde_json::to_value(&system);
-        // Erase every implementation of the first task's type: that task
-        // can no longer be mapped anywhere.
-        let ty = system
-            .task_type_of(GlobalTaskId::new(
-                momsynth_model::ids::ModeId::new(0),
-                TaskId::new(0),
-            ))
-            .index()
-            .to_string();
-        *path_mut(&mut v, &["tech", "impls", &ty]) = serde_json::json!([]);
-        let broken: System = serde_json::from_value(&v).unwrap();
-        let analysis = analyze_system(&broken);
-        assert!(analysis.has_errors());
-        assert!(codes(&analysis).contains(&"no-capable-pe"), "{analysis}");
-        let finding =
-            analysis.findings().iter().find(|f| f.code() == "no-capable-pe").unwrap();
         assert_eq!(finding.severity(), Severity::Error);
     }
 
@@ -1030,13 +989,10 @@ mod tests {
                 .unwrap();
         let analysis = analyze_system(&system);
         assert!(!analysis.has_errors(), "{analysis}");
-        assert_eq!(
-            codes(&analysis)
-                .iter()
-                .filter(|&&c| c == "transition-below-reconfig-floor")
-                .count(),
-            2
-        );
+        let count = |code| codes(&analysis).iter().filter(|&&c| c == code).count();
+        assert_eq!(count("transition-below-reconfig-floor"), 2);
+        // Each single-task mode carries half the probability mass.
+        assert_eq!(count("probable-stub-mode"), 2);
     }
 
     #[test]
@@ -1061,8 +1017,12 @@ mod tests {
     fn severity_order_and_codes_are_stable() {
         assert!(Severity::Info < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
-        let f = Finding::TaskWithNoCapablePe { mode: ModeIdAlias::new(0), task: TaskId::new(0) };
-        assert_eq!(f.code(), "no-capable-pe");
+        let f = Finding::PeriodBelowCriticalPathFloor {
+            mode: ModeId::new(0),
+            floor: Seconds::new(1.0),
+            period: Seconds::new(0.5),
+        };
+        assert_eq!(f.code(), "period-below-critical-path");
         assert_eq!(f.severity(), Severity::Error);
         assert_eq!(Severity::Error.to_string(), "error");
     }
@@ -1090,6 +1050,4 @@ mod tests {
         assert!(exceeds(Seconds::new(1.0 + 1e-6), Seconds::new(1.0)));
         assert!(exceeds(Seconds::new(1e-9), Seconds::ZERO));
     }
-
-    use momsynth_model::ids::ModeId as ModeIdAlias;
 }

@@ -44,19 +44,11 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Finding {
-    /// A task's type has no implementation on any PE — the genome has no
-    /// candidate for this locus. [`System::new`](momsynth_model::System::new)
-    /// rejects this, but deserialised specifications bypass it.
-    TaskWithNoCapablePe {
-        /// The mode containing the task.
-        mode: ModeId,
-        /// The incapacitated task.
-        task: TaskId,
-    },
     /// A task's effective deadline `min(θ, φ)` is below its earliest
     /// possible finish time — the task's critical-path floor — even with
-    /// every task at its fastest nominal implementation and free
-    /// communication. No mapping can meet it (DVS only stretches times).
+    /// every task at its fastest nominal implementation and every
+    /// transfer at its unavoidable link latency. No mapping can meet it
+    /// (DVS only stretches times).
     DeadlineBelowCriticalPathFloor {
         /// The mode containing the task.
         mode: ModeId,
@@ -99,12 +91,6 @@ pub enum Finding {
         /// The reconfiguration time of the PE's smallest loadable core.
         floor: Seconds,
     },
-    /// The mode execution probabilities do not sum to 1; Eq. 1 averages
-    /// computed from this profile are mis-weighted.
-    ProbabilityMassDrift {
-        /// The actual probability sum `Σ Ψ_O`.
-        sum: f64,
-    },
     /// A mode cannot be entered from any other mode.
     ModeUnreachable {
         /// The unreachable mode.
@@ -145,38 +131,68 @@ pub enum Finding {
         /// The dominating witness PE that remains in the domain.
         by: PeId,
     },
+    /// A task's deadline exceeds its mode's period and is therefore
+    /// ignored (the effective deadline is `min(θ, φ)`).
+    DeadlineBeyondPeriod {
+        /// The mode containing the task.
+        mode: ModeId,
+        /// The task with the oversized deadline.
+        task: TaskId,
+    },
+    /// A mode with meaningful probability mass (`> 1 %`) whose task graph
+    /// is a single task — probably an unfinished specification.
+    ProbableStubMode {
+        /// The suspicious mode.
+        mode: ModeId,
+    },
+    /// A hardware PE that no task type can be implemented on.
+    UnusableHardwarePe {
+        /// The unusable PE.
+        pe: PeId,
+    },
+    /// A DVS-enabled PE with a single supply level: scaling can never
+    /// change anything.
+    SingleLevelDvsRail {
+        /// The affected PE.
+        pe: PeId,
+    },
 }
 
 impl Finding {
     /// The finding's severity.
     pub fn severity(&self) -> Severity {
         match self {
-            Self::TaskWithNoCapablePe { .. }
-            | Self::DeadlineBelowCriticalPathFloor { .. }
+            Self::DeadlineBelowCriticalPathFloor { .. }
             | Self::PeriodBelowCriticalPathFloor { .. }
             | Self::HardwareAreaFloorExceedsCapacity { .. } => Severity::Error,
-            Self::TransitionTimeBelowReconfigFloor { .. }
-            | Self::ProbabilityMassDrift { .. }
-            | Self::ModeUnreachable { .. } => Severity::Warning,
+            Self::TransitionTimeBelowReconfigFloor { .. } | Self::ModeUnreachable { .. } => {
+                Severity::Warning
+            }
             Self::ModeTrapping { .. }
             | Self::GenePruned { .. }
-            | Self::GeneDominated { .. } => Severity::Info,
+            | Self::GeneDominated { .. }
+            | Self::DeadlineBeyondPeriod { .. }
+            | Self::ProbableStubMode { .. }
+            | Self::UnusableHardwarePe { .. }
+            | Self::SingleLevelDvsRail { .. } => Severity::Info,
         }
     }
 
     /// A stable machine-readable identifier for this kind of finding.
     pub fn code(&self) -> &'static str {
         match self {
-            Self::TaskWithNoCapablePe { .. } => "no-capable-pe",
             Self::DeadlineBelowCriticalPathFloor { .. } => "deadline-below-critical-path",
             Self::PeriodBelowCriticalPathFloor { .. } => "period-below-critical-path",
             Self::HardwareAreaFloorExceedsCapacity { .. } => "area-floor-exceeds-capacity",
             Self::TransitionTimeBelowReconfigFloor { .. } => "transition-below-reconfig-floor",
-            Self::ProbabilityMassDrift { .. } => "probability-mass-drift",
             Self::ModeUnreachable { .. } => "mode-unreachable",
             Self::ModeTrapping { .. } => "mode-trapping",
             Self::GenePruned { .. } => "gene-pruned",
             Self::GeneDominated { .. } => "gene-dominated",
+            Self::DeadlineBeyondPeriod { .. } => "deadline-beyond-period",
+            Self::ProbableStubMode { .. } => "probable-stub-mode",
+            Self::UnusableHardwarePe { .. } => "unusable-hardware-pe",
+            Self::SingleLevelDvsRail { .. } => "single-level-dvs-rail",
         }
     }
 }
@@ -184,9 +200,6 @@ impl Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::TaskWithNoCapablePe { mode, task } => {
-                write!(f, "task {task} of mode {mode} has no capable PE in the technology library")
-            }
             Self::DeadlineBelowCriticalPathFloor { mode, task, floor, deadline } => write!(
                 f,
                 "task {task} of mode {mode}: effective deadline {deadline:.6} is below the \
@@ -207,11 +220,6 @@ impl fmt::Display for Finding {
                 "transition {transition}: t_T^max is below {floor:.6}, the time to reconfigure \
                  even the smallest loadable core of {pe}"
             ),
-            Self::ProbabilityMassDrift { sum } => write!(
-                f,
-                "mode execution probabilities sum to {sum:.9} instead of 1 — Eq. 1 averages \
-                 will be mis-weighted"
-            ),
             Self::ModeUnreachable { mode } => {
                 write!(f, "mode {mode} is unreachable from every other mode")
             }
@@ -226,6 +234,20 @@ impl fmt::Display for Finding {
                 "task {task} of mode {mode} never needs {pe}: {by} is a no-worse host for \
                  every task of the mode — gene dominated"
             ),
+            Self::DeadlineBeyondPeriod { mode, task } => write!(
+                f,
+                "task {task} of mode {mode} has a deadline beyond the period (ignored)"
+            ),
+            Self::ProbableStubMode { mode } => write!(
+                f,
+                "mode {mode} carries probability mass but contains a single task"
+            ),
+            Self::UnusableHardwarePe { pe } => {
+                write!(f, "hardware PE {pe} cannot implement any task type")
+            }
+            Self::SingleLevelDvsRail { pe } => {
+                write!(f, "PE {pe} is DVS-enabled but offers a single supply level")
+            }
         }
     }
 }
@@ -238,8 +260,9 @@ pub struct ModeBounds {
     /// The mode's name, for self-contained rendering.
     pub name: String,
     /// Critical-path lower bound: every task at its fastest nominal
-    /// implementation, communication free. No schedule of this mode can
-    /// finish earlier, with or without DVS.
+    /// implementation, every transfer whose endpoints can never share a
+    /// PE at its fastest link. No schedule of this mode can finish
+    /// earlier, with or without DVS.
     pub critical_path_lb: Seconds,
     /// The mode's period `φ`.
     pub period: Seconds,
@@ -348,8 +371,8 @@ impl Analysis {
     /// locus, in the genome's locus order (modes in order, tasks in
     /// order). A subset of the technology library's candidate list: PEs
     /// on which the task provably violates a deadline or the period are
-    /// removed. Never empty unless the task has no candidates at all
-    /// (then [`Analysis::has_errors`] is `true`).
+    /// removed. Never empty: a loaded system implements every used task
+    /// type somewhere.
     pub fn capable_pes(&self) -> &[Vec<PeId>] {
         &self.capable_pes
     }

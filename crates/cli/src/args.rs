@@ -14,13 +14,9 @@ use momsynth_serve::ServerConfig;
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `info <system.json>` — summary, sizes, shared types.
+    /// `info <system.json>` — summary, sizes, shared types, analysis
+    /// counts.
     Info {
-        /// Path of the system specification.
-        path: String,
-    },
-    /// `lint <system.json>` — specification diagnostics.
-    Lint {
         /// Path of the system specification.
         path: String,
     },
@@ -495,10 +491,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let rest = &args[1..];
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "info" | "lint" => {
-            // Both take the path and ignore any words after it.
+        "info" => {
+            // Takes the path and ignores any words after it.
             let path = rest.first().cloned().ok_or_else(|| missing(cmd, "system file"))?;
-            Ok(if cmd == "info" { Command::Info { path } } else { Command::Lint { path } })
+            Ok(Command::Info { path })
         }
         "dot" => {
             let s = scan(rest, 1, false, &[DOT])?;
@@ -675,7 +671,6 @@ USAGE:
 
 COMMANDS:
     info <system.json>       summarise a system specification
-    lint <system.json>       report specification diagnostics
     dot <system.json>        export Graphviz (--what omsm|arch|mode:<n>)
     generate                 emit a system (--preset mul1..mul12|smartphone|automotive
                              | --seed S --modes M) [-o file]
@@ -819,16 +814,13 @@ mod tests {
     }
 
     #[test]
-    fn info_and_lint_need_a_path() {
+    fn info_needs_a_path() {
         assert_eq!(
             parse(&argv("info sys.json")).unwrap(),
             Command::Info { path: "sys.json".into() }
         );
         assert!(parse(&argv("info")).is_err());
-        assert_eq!(
-            parse(&argv("lint sys.json")).unwrap(),
-            Command::Lint { path: "sys.json".into() }
-        );
+        assert!(parse(&argv("lint sys.json")).unwrap_err().contains("unknown command `lint`"));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use momsynth_core::{
     Checkpoint, CheckpointSpec, ProveOptions, StopReason, SynthControl, SynthesisError, Synthesizer,
 };
 use momsynth_gen::suite::{generate, mul, GeneratorParams};
-use momsynth_model::{dot, lint, System};
+use momsynth_analyze::Severity;
+use momsynth_model::{dot, System};
 use momsynth_power::energy_breakdown;
 use momsynth_serve::JobSpec;
 
@@ -176,22 +177,16 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     shared.iter().map(|&t| system.tech().type_name(t)).collect();
                 println!("shared task types: {}", names.join(", "));
             }
-            let warnings = lint::lint_system(&system);
-            if warnings.is_empty() {
-                println!("lint: clean");
+            let analysis = momsynth_analyze::analyze_system(&system);
+            if analysis.is_clean() {
+                println!("analysis: clean");
             } else {
-                println!("lint: {} warning(s) — run `momsynth lint`", warnings.len());
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        Command::Lint { path } => {
-            let system = load_system(&path)?;
-            let warnings = lint::lint_system(&system);
-            if warnings.is_empty() {
-                println!("no diagnostics");
-            }
-            for w in warnings {
-                println!("warning: {w}");
+                println!(
+                    "analysis: {} error(s), {} warning(s), {} info(s) — run `momsynth analyze`",
+                    analysis.count(Severity::Error),
+                    analysis.count(Severity::Warning),
+                    analysis.count(Severity::Info)
+                );
             }
             Ok(ExitCode::SUCCESS)
         }

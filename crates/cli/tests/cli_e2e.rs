@@ -1,6 +1,7 @@
-//! End-to-end tests of the `momsynth` binary: generate → info → lint →
-//! dot → synth, via real process invocations.
+//! End-to-end tests of the `momsynth` binary: generate → info → analyze
+//! → dot → synth, via real process invocations.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -43,7 +44,7 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
-fn generate_info_lint_dot_round_trip() {
+fn generate_info_analyze_dot_round_trip() {
     let path = tmp_file("sys.json");
     let path_str = path.to_str().expect("utf-8 temp path");
 
@@ -56,10 +57,16 @@ fn generate_info_lint_dot_round_trip() {
     let text = stdout(&out);
     assert!(text.contains("mul9"));
     assert!(text.contains("modes"));
-    assert!(text.contains("lint:"));
+    assert!(text.contains("analysis: clean"), "{text}");
 
+    let out = momsynth(&["analyze", path_str]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("ok: no findings"), "{}", stdout(&out));
+
+    // The analysis is the only spec diagnostic: `lint` is gone.
     let out = momsynth(&["lint", path_str]);
-    assert!(out.status.success());
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("unknown command `lint`"), "{}", stderr(&out));
 
     for what in ["omsm", "arch", "mode:0"] {
         let out = momsynth(&["dot", path_str, "--what", what]);
@@ -308,23 +315,30 @@ fn sigint_reports_best_so_far_and_exits_with_code_3() {
     let out = momsynth(&["generate", "--seed", "1", "--modes", "10", "-o", sys_str]);
     assert!(out.status.success());
 
-    // Full-size (non --quick) synthesis on a 10-mode system runs for many
-    // seconds — ample time to interrupt it.
-    let child = Command::new(env!("CARGO_BIN_EXE_momsynth"))
-        .args(["synth", sys_str, "--seed", "0"])
+    // Interrupt a full-size (non --quick) synthesis once its first
+    // generation line shows it is inside the GA loop, however fast the
+    // host runs it.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_momsynth"))
+        .args(["synth", sys_str, "--seed", "0", "--progress"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("binary spawns");
-    std::thread::sleep(std::time::Duration::from_millis(1000));
+    let pipe = child.stderr.take().expect("stderr is piped");
+    let mut progress = BufReader::new(pipe).lines().map_while(Result::ok);
+    let started = progress.by_ref().any(|line| line.trim_start().starts_with("gen "));
+    assert!(started, "synth exited before its first generation");
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])
         .status()
         .expect("kill runs");
     assert!(kill.success());
+    // Keep draining stderr so the child never blocks on a full pipe.
+    let drain = std::thread::spawn(move || progress.collect::<Vec<_>>().join("\n"));
     let out = child.wait_with_output().expect("child exits");
+    let seen = drain.join().expect("drain thread");
 
-    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert_eq!(out.status.code(), Some(3), "{seen}");
     let text = stdout(&out);
     assert!(text.contains("stopped: cancelled"), "{text}");
     assert!(text.contains("mapping:"), "{text}");

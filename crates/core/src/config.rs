@@ -140,7 +140,7 @@ pub struct SynthesisConfig {
     /// Apply the paper's four improvement mutation operators (design
     /// decision D2; disable for the ablation).
     pub improvement_operators: bool,
-    /// First-improvement local search applied to the GA's winner before
+    /// Single-gene local search applied to the GA's winner before
     /// the final refinement (memetic polish; set `max_passes` to 0 to
     /// disable).
     pub local_search: LocalSearchOptions,

@@ -1,13 +1,14 @@
-//! First-improvement local search over mapping genomes.
+//! Best-move-per-locus local search over mapping genomes.
 //!
 //! A memetic polish stage applied to the GA's winner: sweep the loci in a
 //! seeded random order, try every alternative candidate PE at each locus
-//! and keep the first strict improvement; repeat until a full sweep finds
-//! nothing (or the pass budget is exhausted). Single-gene moves cannot
-//! escape the coordinated local optima of the multi-mode landscape, but
-//! they reliably remove drift artefacts — rare-mode genes parked on
-//! hardware the mode does not need — which the probability-weighted
-//! fitness is nearly blind to during evolution.
+//! and keep the best one that strictly improves on the current fitness;
+//! repeat until a full sweep finds nothing (or the pass budget is
+//! exhausted). Single-gene moves cannot escape the coordinated local
+//! optima of the multi-mode landscape, but they reliably remove drift
+//! artefacts — rare-mode genes parked on hardware the mode does not
+//! need — which the probability-weighted fitness is nearly blind to
+//! during evolution.
 
 use std::time::Instant;
 

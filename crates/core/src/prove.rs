@@ -202,11 +202,7 @@ impl<'a> MappingBnb<'a> {
             }
             match arch.pe(pe).dvs() {
                 Some(cap) => {
-                    let v_min = cap
-                        .levels()
-                        .iter()
-                        .fold(cap.v_max(), |acc, &v| if v < acc { v } else { acc });
-                    let r = v_min.value() / cap.v_max().value();
+                    let r = cap.v_min().value() / cap.v_max().value();
                     (r * r).clamp(0.0, 1.0)
                 }
                 None => 1.0,

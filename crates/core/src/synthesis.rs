@@ -658,7 +658,7 @@ impl<'a> Synthesizer<'a> {
             }
         }
 
-        // Memetic polish: single-gene first-improvement sweeps remove the
+        // Memetic polish: single-gene best-move sweeps remove the
         // drift artefacts evolution under skewed weights leaves behind.
         // Skipped when the GA was already interrupted; otherwise it runs
         // under the remaining budget.

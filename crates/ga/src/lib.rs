@@ -441,18 +441,23 @@ pub fn run_controlled<P: GaProblem>(
             counters,
         }));
     };
-    // Acquire pairs with the raiser's Release store (serve stop path,
-    // CLI Ctrl-C handler): observing the cancellation must also show
-    // the state written before it was raised.
-    let stop_requested =
-        |flag: Option<&AtomicBool>| flag.is_some_and(|f| f.load(Ordering::Acquire));
-    let out_of_time = |start: &Instant| {
-        config
-            .max_seconds
-            .is_some_and(|limit| start.elapsed().as_secs_f64() >= limit)
+    // Why the run must stop before it spends another evaluation, if it
+    // must: a raised stop flag first, then the wall clock, then the
+    // evaluation budget. Acquire pairs with the raiser's Release store
+    // (serve stop path, CLI Ctrl-C handler): observing the cancellation
+    // must also show the state written before it was raised.
+    let stop = control.stop;
+    let interruption = |evaluations: usize| {
+        if stop.is_some_and(|f| f.load(Ordering::Acquire)) {
+            Some(StopReason::Cancelled)
+        } else if config.max_seconds.is_some_and(|limit| start.elapsed().as_secs_f64() >= limit) {
+            Some(StopReason::WallClock)
+        } else if config.max_evaluations.is_some_and(|limit| evaluations >= limit) {
+            Some(StopReason::EvaluationBudget)
+        } else {
+            None
+        }
     };
-    let out_of_evaluations =
-        |evaluations: usize| config.max_evaluations.is_some_and(|limit| evaluations >= limit);
 
     let mut evaluations = 0usize;
     let mut interrupted: Option<StopReason> = None;
@@ -484,43 +489,27 @@ pub fn run_controlled<P: GaProblem>(
         evaluations = snapshot.evaluations;
     } else {
         let mut rng = StdRng::seed_from_u64(generation_seed(config.seed, 0));
-        // The initial population is generated first — budget checks and
-        // evaluation accounting exactly as if each genome were priced on
-        // the spot — then priced as one batch, so a parallel or caching
-        // `cost_batch` sees the whole population at once.
+        // The initial population — the problem's seeds, then random
+        // genomes — is generated first, with budget checks and evaluation
+        // accounting exactly as if each genome were priced on the spot,
+        // then priced as one batch, so a parallel `cost_batch` sees the
+        // whole population at once. The first genome is never refused.
+        let mut seeds = problem.seeds().into_iter().take(config.population_size);
         let mut genomes: Vec<Vec<P::Gene>> = Vec::with_capacity(config.population_size);
-        for genome in problem.seeds().into_iter().take(config.population_size) {
-            assert_eq!(genome.len(), len, "seed genome has wrong length");
-            if interrupted.is_none() && !genomes.is_empty() {
-                if stop_requested(control.stop) {
-                    interrupted = Some(StopReason::Cancelled);
-                } else if out_of_time(&start) {
-                    interrupted = Some(StopReason::WallClock);
-                } else if out_of_evaluations(evaluations) {
-                    interrupted = Some(StopReason::EvaluationBudget);
-                }
-            }
-            if interrupted.is_some() {
-                break;
-            }
-            evaluations += 1;
-            genomes.push(genome);
-        }
-        while interrupted.is_none() && genomes.len() < config.population_size {
+        while genomes.len() < config.population_size {
             if !genomes.is_empty() {
-                if stop_requested(control.stop) {
-                    interrupted = Some(StopReason::Cancelled);
-                    break;
-                } else if out_of_time(&start) {
-                    interrupted = Some(StopReason::WallClock);
-                    break;
-                } else if out_of_evaluations(evaluations) {
-                    interrupted = Some(StopReason::EvaluationBudget);
+                interrupted = interruption(evaluations);
+                if interrupted.is_some() {
                     break;
                 }
             }
-            let genome: Vec<P::Gene> =
-                (0..len).map(|l| problem.random_gene(l, &mut rng)).collect();
+            let genome = match seeds.next() {
+                Some(seed) => {
+                    assert_eq!(seed.len(), len, "seed genome has wrong length");
+                    seed
+                }
+                None => (0..len).map(|l| problem.random_gene(l, &mut rng)).collect(),
+            };
             evaluations += 1;
             genomes.push(genome);
         }
@@ -550,17 +539,8 @@ pub fn run_controlled<P: GaProblem>(
     }
 
     let stop_reason = loop {
-        if let Some(reason) = interrupted {
+        if let Some(reason) = interrupted.or_else(|| interruption(evaluations)) {
             break reason;
-        }
-        if stop_requested(control.stop) {
-            break StopReason::Cancelled;
-        }
-        if out_of_time(&start) {
-            break StopReason::WallClock;
-        }
-        if out_of_evaluations(evaluations) {
-            break StopReason::EvaluationBudget;
         }
         if generations >= config.max_generations {
             break StopReason::GenerationLimit;
@@ -600,16 +580,8 @@ pub fn run_controlled<P: GaProblem>(
         let mut pending: Vec<Vec<P::Gene>> =
             Vec::with_capacity(config.population_size.saturating_sub(next.len()));
         while next.len() + pending.len() < config.population_size {
-            if stop_requested(control.stop) {
-                interrupted = Some(StopReason::Cancelled);
-                break;
-            }
-            if out_of_time(&start) {
-                interrupted = Some(StopReason::WallClock);
-                break;
-            }
-            if out_of_evaluations(evaluations) {
-                interrupted = Some(StopReason::EvaluationBudget);
+            interrupted = interruption(evaluations);
+            if interrupted.is_some() {
                 break;
             }
             let mut child = if rng.gen_bool(config.crossover_rate.clamp(0.0, 1.0)) {

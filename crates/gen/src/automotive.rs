@@ -361,17 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn lints_without_hard_problems() {
-        let ecu = automotive_ecu();
-        for w in momsynth_model::lint::lint_system(&ecu) {
-            assert!(
-                matches!(w, momsynth_model::lint::LintWarning::SoftwareOnlyType { .. }),
-                "unexpected lint: {w}"
-            );
-        }
-    }
-
-    #[test]
     fn construction_is_deterministic() {
         assert_eq!(automotive_ecu(), automotive_ecu());
     }

@@ -463,25 +463,4 @@ mod tests {
     fn mul_rejects_out_of_range() {
         let _ = mul(13);
     }
-
-    #[test]
-    fn generated_systems_lint_without_hard_problems() {
-        // Software-only types are expected (the library is deliberately
-        // sparse) and single-task modes can occur at the small end of the
-        // range; anything else — unreachable modes, impossible periods,
-        // unusable hardware — would make the suite unfair to the flows.
-        for system in mul_suite() {
-            for w in momsynth_model::lint::lint_system(&system) {
-                assert!(
-                    matches!(
-                        w,
-                        momsynth_model::lint::LintWarning::SoftwareOnlyType { .. }
-                            | momsynth_model::lint::LintWarning::ProbableStub { .. }
-                    ),
-                    "{}: unexpected lint {w}",
-                    system.name()
-                );
-            }
-        }
-    }
 }

@@ -48,6 +48,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::ModelError;
 use crate::ids::{ClId, PeId};
 use crate::units::{Cells, Seconds, Volts, Watts};
+use crate::wire;
 
 /// The kind of a processing element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -368,28 +369,6 @@ impl<'de> Deserialize<'de> for Architecture {
             builder.add_cl(cl).map_err(serde::Error::custom)?;
         }
         builder.build().map_err(serde::Error::custom)
-    }
-}
-
-/// The serialised shapes of the types whose deserialisation re-derives
-/// their invariants.
-mod wire {
-    use serde::Deserialize;
-
-    use super::{Cl, Pe};
-    use crate::units::Volts;
-
-    #[derive(Deserialize)]
-    pub(super) struct DvsCapability {
-        pub(super) v_max: Volts,
-        pub(super) v_threshold: Volts,
-        pub(super) levels: Vec<Volts>,
-    }
-
-    #[derive(Deserialize)]
-    pub(super) struct Architecture {
-        pub(super) pes: Vec<Pe>,
-        pub(super) cls: Vec<Cl>,
     }
 }
 

@@ -72,17 +72,16 @@ pub mod arch;
 pub mod dot;
 pub mod error;
 pub mod ids;
-pub mod lint;
 pub mod omsm;
 pub mod system;
 pub mod task_graph;
 pub mod tech;
 pub mod units;
 pub mod usage;
+mod wire;
 
 pub use arch::{Architecture, ArchitectureBuilder, Cl, DvsCapability, Pe, PeKind};
 pub use error::ModelError;
-pub use lint::{lint_system, LintWarning};
 pub use omsm::{Mode, Omsm, OmsmBuilder, Transition, PROBABILITY_SUM_TOLERANCE};
 pub use system::{ModeRef, System};
 pub use task_graph::{Comm, Task, TaskGraph, TaskGraphBuilder};

@@ -39,6 +39,7 @@ use crate::error::ModelError;
 use crate::ids::{ModeId, TransitionId};
 use crate::task_graph::TaskGraph;
 use crate::units::Seconds;
+use crate::wire;
 
 /// Tolerance accepted when checking that mode probabilities sum to one.
 pub const PROBABILITY_SUM_TOLERANCE: f64 = 1e-6;
@@ -94,10 +95,25 @@ impl Transition {
 }
 
 /// A validated operational mode state machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised machine is rebuilt through [`OmsmBuilder`], so a spec
+/// with a dangling transition or probabilities that do not sum to one
+/// fails to load with the builder's [`ModelError`] reason.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Omsm {
     modes: Vec<Mode>,
     transitions: Vec<Transition>,
+}
+
+impl<'de> Deserialize<'de> for Omsm {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::Omsm { modes, transitions } = Deserialize::from_value(value)?;
+        let mut builder = OmsmBuilder { modes, transitions: Vec::new() };
+        for t in transitions {
+            builder.add_transition(t.from, t.to, t.max_time).map_err(serde::Error::custom)?;
+        }
+        builder.build().map_err(serde::Error::custom)
+    }
 }
 
 impl Omsm {

@@ -20,14 +20,26 @@ use crate::ids::{GlobalTaskId, ModeId, PeId, TaskId, TaskTypeId};
 use crate::omsm::Omsm;
 use crate::tech::TechLibrary;
 use crate::units::Cells;
+use crate::wire;
 
 /// A validated co-synthesis problem instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised system is assembled through [`System::new`] from parts
+/// that each load through their own builder, so a spec read from JSON
+/// passes every check a spec built in code does.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct System {
     name: String,
     omsm: Omsm,
     arch: Architecture,
     tech: TechLibrary,
+}
+
+impl<'de> Deserialize<'de> for System {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::System { name, omsm, arch, tech } = Deserialize::from_value(value)?;
+        Self::new(name, omsm, arch, tech).map_err(serde::Error::custom)
+    }
 }
 
 impl System {

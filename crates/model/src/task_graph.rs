@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::ModelError;
 use crate::ids::{CommId, TaskId, TaskTypeId};
 use crate::units::Seconds;
+use crate::wire;
 
 /// An atomic, non-preemptable unit of functionality.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,7 +90,12 @@ impl Comm {
 }
 
 /// An immutable, validated, acyclic task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A graph is written as its builder input (name, period, tasks and
+/// comms) and a deserialised graph is rebuilt through
+/// [`TaskGraphBuilder`], so a spec with a cycle or a dangling comm fails
+/// to load with the builder's [`ModelError`] reason.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     name: String,
     period: Seconds,
@@ -98,6 +104,28 @@ pub struct TaskGraph {
     succs: Vec<Vec<(CommId, TaskId)>>,
     preds: Vec<Vec<(CommId, TaskId)>>,
     topo: Vec<TaskId>,
+}
+
+impl Serialize for TaskGraph {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("name".to_owned(), self.name.to_value()),
+            ("period".to_owned(), self.period.to_value()),
+            ("tasks".to_owned(), self.tasks.to_value()),
+            ("comms".to_owned(), self.comms.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for TaskGraph {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::TaskGraph { name, period, tasks, comms } = Deserialize::from_value(value)?;
+        let mut builder = TaskGraphBuilder { name, period, tasks, comms: Vec::new() };
+        for comm in comms {
+            builder.add_comm(comm.src, comm.dst, comm.data_units).map_err(serde::Error::custom)?;
+        }
+        builder.build().map_err(serde::Error::custom)
+    }
 }
 
 impl TaskGraph {
@@ -191,44 +219,6 @@ impl TaskGraph {
             Some(d) => d.min(self.period),
             None => self.period,
         }
-    }
-
-    /// Length of the longest path through the graph under the supplied task
-    /// and edge weights. Useful for critical-path estimates and for
-    /// calibrating feasible periods in workload generators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use momsynth_model::{TaskGraphBuilder, ids::TaskTypeId, units::Seconds};
-    /// # fn main() -> Result<(), momsynth_model::ModelError> {
-    /// let mut b = TaskGraphBuilder::new("g", Seconds::new(1.0));
-    /// let a = b.add_task("a", TaskTypeId::new(0));
-    /// let c = b.add_task("c", TaskTypeId::new(0));
-    /// b.add_comm(a, c, 10.0)?;
-    /// let g = b.build()?;
-    /// let cp = g.critical_path(|_| Seconds::new(0.5), |_| Seconds::new(0.1));
-    /// assert!((cp.value() - 1.1).abs() < 1e-12);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn critical_path<FT, FC>(&self, mut task_weight: FT, mut comm_weight: FC) -> Seconds
-    where
-        FT: FnMut(TaskId) -> Seconds,
-        FC: FnMut(CommId) -> Seconds,
-    {
-        let mut finish = vec![Seconds::ZERO; self.tasks.len()];
-        let mut longest = Seconds::ZERO;
-        for &t in &self.topo {
-            let mut start = Seconds::ZERO;
-            for &(comm, pred) in &self.preds[t.index()] {
-                let arrival = finish[pred.index()] + comm_weight(comm);
-                start = start.max(arrival);
-            }
-            finish[t.index()] = start + task_weight(t);
-            longest = longest.max(finish[t.index()]);
-        }
-        longest
     }
 
     /// Returns the distinct task types used by this graph, in ascending order.
@@ -504,27 +494,6 @@ mod tests {
         assert_eq!(g.effective_deadline(a), Seconds::new(1.0));
         assert_eq!(g.effective_deadline(c), Seconds::new(0.3));
         assert_eq!(g.effective_deadline(d), Seconds::new(1.0));
-    }
-
-    #[test]
-    fn critical_path_of_diamond() {
-        let g = diamond();
-        // task weight 1, comm weight = data units * 0.1
-        let cp = g.critical_path(
-            |_| Seconds::new(1.0),
-            |c| Seconds::new(g.comm(c).data_units() * 0.1),
-        );
-        // a(1) + comm(0.2) + r(1) + comm(0.4) + s(1) = 3.6
-        assert!((cp.value() - 3.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn critical_path_single_task() {
-        let mut b = TaskGraphBuilder::new("one", Seconds::new(1.0));
-        b.add_task("a", ty(0));
-        let g = b.build().unwrap();
-        let cp = g.critical_path(|_| Seconds::new(0.7), |_| Seconds::ZERO);
-        assert!((cp.value() - 0.7).abs() < 1e-12);
     }
 
     #[test]

@@ -36,8 +36,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::ModelError;
 use crate::ids::{PeId, TaskTypeId};
 use crate::units::{Cells, Joules, Seconds, Watts};
+use crate::wire;
 
 /// One implementation alternative of a task type on a specific PE.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,11 +82,39 @@ impl Implementation {
 }
 
 /// A technology library mapping `(task type, PE)` to implementations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A deserialised library is rebuilt through [`TechLibraryBuilder`], so
+/// its rows load sorted however a spec lists them. A spec must carry one
+/// `impls` row per task type: a missing row fails to load as
+/// [`ModelError::UnimplementableType`], a surplus one as
+/// [`ModelError::UnknownTaskType`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TechLibrary {
     type_names: Vec<String>,
     /// `impls[type]` is a sparse, sorted list of `(pe, implementation)`.
     impls: Vec<Vec<(PeId, Implementation)>>,
+}
+
+impl<'de> Deserialize<'de> for TechLibrary {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let wire::TechLibrary { type_names, impls } = Deserialize::from_value(value)?;
+        if impls.len() < type_names.len() {
+            let task_type = TaskTypeId::new(impls.len());
+            return Err(serde::Error::custom(ModelError::UnimplementableType { task_type }));
+        }
+        if impls.len() > type_names.len() {
+            let task_type = TaskTypeId::new(type_names.len());
+            return Err(serde::Error::custom(ModelError::UnknownTaskType { task_type }));
+        }
+        let mut builder = TechLibraryBuilder::new();
+        for (name, row) in type_names.into_iter().zip(impls) {
+            let ty = builder.add_type(name);
+            for (pe, implementation) in row {
+                builder.set_impl(ty, pe, implementation);
+            }
+        }
+        Ok(builder.build())
+    }
 }
 
 impl TechLibrary {

@@ -79,22 +79,6 @@ proptest! {
     }
 
     #[test]
-    fn critical_path_dominates_every_single_task(graph in random_dag(), w in finite_positive()) {
-        let weight = Seconds::new(w);
-        let cp = graph.critical_path(|_| weight, |_| Seconds::ZERO);
-        prop_assert!(cp >= weight);
-        // And is at most the serial sum.
-        prop_assert!(cp.value() <= weight.value() * graph.task_count() as f64 + 1e-9);
-    }
-
-    #[test]
-    fn critical_path_is_monotone_in_task_weights(graph in random_dag(), w in finite_positive()) {
-        let short = graph.critical_path(|_| Seconds::new(w), |_| Seconds::ZERO);
-        let long = graph.critical_path(|_| Seconds::new(w * 2.0), |_| Seconds::ZERO);
-        prop_assert!(long >= short);
-    }
-
-    #[test]
     fn effective_deadline_never_exceeds_period(graph in random_dag()) {
         for t in graph.task_ids() {
             prop_assert!(graph.effective_deadline(t) <= graph.period());

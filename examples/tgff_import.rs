@@ -2,8 +2,8 @@
 //!
 //! Run with: `cargo run --example tgff_import`
 
+use momsynth::analyze::analyze_system;
 use momsynth::generators::tgff::parse_system;
-use momsynth::model::lint::lint_system;
 use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -11,9 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     let system = parse_system("sample", &text)?;
     println!("{}", system.summary());
-    for w in lint_system(&system) {
-        println!("lint: {w}");
-    }
+    println!("{}", analyze_system(&system));
 
     let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(2).with_dvs()).run().expect("schedulable system");
     print!("{}", result.best.describe(&system));

@@ -5,7 +5,9 @@
 # own directory under OUT_DIR (default `smoke-out`):
 #
 #   check      synth a solution report and re-verify it with `check`
-#   analyze    static bounds on three systems; a broken spec must exit 2
+#   analyze    static bounds on three systems; an infeasible spec must exit 2
+#              and `info` must count its error; a cyclic spec must fail to
+#              load in `info`, `analyze` and `synth` (exit 1, no panic)
 #   telemetry  trace and run-summary outputs of `synth`
 #   threads    one synth at 1 and at 2 threads: identical results and counters
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
@@ -98,6 +100,13 @@ spec = json.load(open(sys.argv[1]))
 # unschedulable; the analyzer must reject it before synthesis.
 spec["omsm"]["modes"][0]["graph"]["tasks"][0]["deadline"] = 1e-9
 json.dump(spec, open("broken.json", "w"))
+
+# A comm that reverses an existing one closes a dependency cycle: the
+# task-graph builder refuses the spec before anything else sees it.
+spec = json.load(open(sys.argv[1]))
+comms = spec["omsm"]["modes"][0]["graph"]["comms"]
+comms.append({"src": comms[0]["dst"], "dst": comms[0]["src"], "data_units": 1.0})
+json.dump(spec, open("cyclic.json", "w"))
 PY
   local code=0
   momsynth analyze broken.json --report-out analysis_broken.json || code=$?
@@ -105,6 +114,23 @@ PY
     echo "error: analyze exited with $code instead of 2 on a provably infeasible spec" >&2
     return 1
   fi
+  momsynth info broken.json > info_broken.txt
+  if ! grep -Eq "analysis: [1-9][0-9]* error\(s\)" info_broken.txt; then
+    echo "error: info does not report the analysis error:" >&2
+    cat info_broken.txt >&2
+    return 1
+  fi
+  for cmd in info analyze synth; do
+    code=0
+    momsynth "$cmd" cyclic.json > /dev/null 2> "cyclic_$cmd.err" || code=$?
+    if [ "$code" -ne 1 ] || ! grep -q "dependency cycle" "cyclic_$cmd.err" \
+      || grep -q "panicked" "cyclic_$cmd.err"; then
+      echo "error: $cmd exited with $code on a cyclic spec instead of refusing it:" >&2
+      cat "cyclic_$cmd.err" >&2
+      return 1
+    fi
+  done
+  echo "ok: info, analyze and synth refuse the cyclic spec with exit 1"
   python3 - <<'PY'
 import json
 

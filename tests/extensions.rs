@@ -1,12 +1,12 @@
 //! Integration tests of the beyond-the-paper extensions: usage-profile
 //! derivation, probability replacement, component breakdown, battery
-//! life, lint and DOT export — exercised together on real systems.
+//! life and DOT export — exercised together on real systems.
 
 use momsynth::generators::smartphone::smartphone;
 use momsynth::generators::suite::mul;
 use momsynth::model::units::Volts;
 use momsynth::model::usage::UsageModel;
-use momsynth::model::{dot, lint, System};
+use momsynth::model::{dot, System};
 use momsynth::power::{
     battery_energy, battery_lifetime, energy_breakdown, power_report, ModeImplementation,
 };
@@ -68,17 +68,8 @@ fn breakdown_attributes_all_power_and_estimates_battery_life() {
 }
 
 #[test]
-fn smartphone_lints_clean_and_exports_dot() {
+fn smartphone_exports_dot() {
     let phone = smartphone();
-    let warnings = lint::lint_system(&phone);
-    // Display/camera/UI types deliberately stay software-only.
-    for w in &warnings {
-        assert!(
-            matches!(w, lint::LintWarning::SoftwareOnlyType { .. }),
-            "unexpected lint: {w}"
-        );
-    }
-
     let omsm_dot = dot::omsm_to_dot(phone.omsm());
     assert!(omsm_dot.contains("rlc"));
     assert!(omsm_dot.contains("Ψ=0.74"));

@@ -1,9 +1,11 @@
 //! Serialisation round-trips across the public model and result types:
 //! systems (all three sub-models), mappings, allocations, schedules and
-//! power reports survive JSON.
+//! power reports survive JSON, and a loaded spec goes through the same
+//! builder checks as one built in code.
 
+use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
-use momsynth::generators::suite::mul;
+use momsynth::generators::suite::{generate, mul, GeneratorParams};
 use momsynth::model::ids::PeId;
 use momsynth::model::System;
 use momsynth::power::{power_report, ModeImplementation, PowerReport};
@@ -19,12 +21,31 @@ where
         .expect("deserialises")
 }
 
+/// The benchmark's 32-mode system: 16–32 tasks per mode.
+fn many_modes() -> System {
+    let mut params = GeneratorParams::new("many-modes", 1);
+    params.modes = 32;
+    params.tasks_per_mode = (16, 32);
+    params.type_pool = 20;
+    params.software_pes = 2;
+    params.hardware_pes = 3;
+    params.cls = 2;
+    generate(&params)
+}
+
+/// Every shipped system (mul1–12, the smartphone, the automotive ECU)
+/// and the benchmark's 32-mode system load back equal, and a task graph
+/// is written as its builder input, without the derived graph state.
 #[test]
 fn suite_systems_round_trip() {
-    for n in [1, 6, 12] {
-        let system = mul(n);
-        let back: System = roundtrip(&system);
-        assert_eq!(back, system);
+    let systems = (1..=12).map(mul).chain([smartphone(), automotive_ecu(), many_modes()]);
+    for system in systems {
+        let json = serde_json::to_string(&system).expect("serialises");
+        for key in ["succs", "preds", "topo"] {
+            assert!(!json.contains(&format!("\"{key}\"")), "{}: `{key}` written", system.name());
+        }
+        let back: System = serde_json::from_str(&json).expect("deserialises");
+        assert_eq!(back, system, "{}", system.name());
     }
 }
 
