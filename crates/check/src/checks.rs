@@ -1,6 +1,9 @@
 //! The five independent check families over a finished solution.
 
-use momsynth_dvs::{VoltageModel, VoltageSchedule};
+use std::collections::BTreeMap;
+
+use momsynth_dvs::{ModeVoltages, VoltageModel};
+use momsynth_model::ids::{ModeId, PeId, TaskTypeId};
 use momsynth_model::units::Cells;
 use momsynth_model::System;
 use momsynth_power::PowerReport;
@@ -37,7 +40,7 @@ pub struct SolutionView<'a> {
     /// One schedule per mode, in mode-id order.
     pub schedules: &'a [Schedule],
     /// Per-mode, per-task voltage schedules (`None` = runs at nominal).
-    pub voltage_schedules: &'a [Vec<Option<VoltageSchedule>>],
+    pub voltage_schedules: &'a [ModeVoltages],
     /// The power report whose Eq. 1 claim is to be re-proved.
     pub power: &'a PowerReport,
 }
@@ -193,9 +196,33 @@ fn check_shape(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violation
     out.len() == before
 }
 
+/// The cells of one `ty` core on `pe`, from the technology library.
+fn core_cells(system: &System, pe: PeId, ty: TaskTypeId) -> u64 {
+    system.tech().impl_of(ty, pe).map_or(0, |imp| imp.area().value())
+}
+
+/// The cells `count` instances of each `(type, count)` core on `pe`
+/// occupy together.
+fn cells_of(system: &System, pe: PeId, cores: impl Iterator<Item = (TaskTypeId, usize)>) -> u64 {
+    cores.fold(0, |sum: u64, (ty, count)| {
+        sum.saturating_add(core_cells(system, pe, ty).saturating_mul(count as u64))
+    })
+}
+
+/// The `(type, instances)` cores `mode` allocates on `pe`.
+fn cores_on<'a>(
+    view: &SolutionView<'a>,
+    mode: ModeId,
+    pe: PeId,
+) -> impl Iterator<Item = (TaskTypeId, usize)> + 'a {
+    view.alloc.mode_cores(mode).filter(move |&((p, _), _)| p == pe).map(|((_, ty), n)| (ty, n))
+}
+
 /// Family 1: every task's type must have an implementation on its mapped
 /// PE, and the allocated cores must fit each hardware PE's area budget —
-/// the paper's constraint (a).
+/// the paper's constraint (a). The area is folded here from the
+/// allocation's cores and the library, not by the allocation's own area
+/// helpers, which the evaluator prices with.
 fn check_mapping(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violation>) {
     let omsm = system.omsm();
     for (m, mode) in omsm.modes() {
@@ -214,14 +241,21 @@ fn check_mapping(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violati
         // modes and their union must fit.
         let required = if info.kind().is_reconfigurable() {
             omsm.mode_ids()
-                .map(|m| view.alloc.mode_area(system, pe, m))
+                .map(|m| cells_of(system, pe, cores_on(view, m, pe)))
                 .max()
-                .unwrap_or(Cells::ZERO)
+                .unwrap_or(0)
         } else {
-            view.alloc.static_area(system, pe)
+            let mut most: BTreeMap<TaskTypeId, usize> = BTreeMap::new();
+            for m in omsm.mode_ids() {
+                for (ty, count) in cores_on(view, m, pe) {
+                    let slot = most.entry(ty).or_insert(0);
+                    *slot = (*slot).max(count);
+                }
+            }
+            cells_of(system, pe, most.into_iter())
         };
-        if required.value() > capacity.value() {
-            out.push(Violation::AreaOverflow { pe, required, capacity });
+        if required > capacity.value() {
+            out.push(Violation::AreaOverflow { pe, required: Cells::new(required), capacity });
         }
     }
 }
@@ -339,7 +373,8 @@ fn check_voltages(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violat
 
 /// Family 4: constraint (c) — every mode transition's FPGA
 /// reconfiguration, re-derived as `Σ reconfig_time_per_cell · area of the
-/// cores to load`, must stay within the specification's `t_T^max`.
+/// cores to load`, must stay within the specification's `t_T^max`. The
+/// cores to load are the `to` mode's instances the `from` mode lacks.
 fn check_transitions(system: &System, view: &SolutionView<'_>, out: &mut Vec<Violation>) {
     for (id, t) in system.omsm().transitions() {
         let mut time = 0.0;
@@ -347,8 +382,11 @@ fn check_transitions(system: &System, view: &SolutionView<'_>, out: &mut Vec<Vio
             if !info.kind().is_reconfigurable() {
                 continue;
             }
-            let area = view.alloc.reconfig_area(system, pe, t.from(), t.to());
-            time += info.reconfig_time_per_cell().value() * area.value() as f64;
+            let loaded: BTreeMap<TaskTypeId, usize> = cores_on(view, t.from(), pe).collect();
+            let missing = cores_on(view, t.to(), pe).map(|(ty, need)| {
+                (ty, need.saturating_sub(loaded.get(&ty).copied().unwrap_or(0)))
+            });
+            time += info.reconfig_time_per_cell().value() * cells_of(system, pe, missing) as f64;
         }
         if time > t.max_time().value() + EPS {
             out.push(Violation::TransitionOverrun {
@@ -441,7 +479,7 @@ pub struct StoredSolution {
     pub schedules: Vec<Schedule>,
     /// Per-mode, per-task voltage schedules; `None` when the file predates
     /// the field (treated as all-nominal).
-    pub voltage_schedules: Option<Vec<Vec<Option<VoltageSchedule>>>>,
+    pub voltage_schedules: Option<Vec<ModeVoltages>>,
     /// The reported power breakdown.
     pub power: PowerReport,
 }
@@ -479,12 +517,15 @@ impl StoredSolution {
     /// Runs [`check_solution`] over the stored parts, treating a missing
     /// `voltage_schedules` field as all-nominal execution.
     pub fn check(&self, system: &System) -> CheckReport {
-        let nominal: Vec<Vec<Option<VoltageSchedule>>>;
-        let voltage_schedules: &[Vec<Option<VoltageSchedule>>] = match &self.voltage_schedules {
+        let nominal: Vec<ModeVoltages>;
+        let voltage_schedules: &[ModeVoltages] = match &self.voltage_schedules {
             Some(vs) => vs,
             None => {
-                nominal =
-                    self.schedules.iter().map(|s| vec![None; s.tasks().count()]).collect();
+                nominal = self
+                    .schedules
+                    .iter()
+                    .map(|s| ModeVoltages::nominal(s.tasks().count()))
+                    .collect();
                 &nominal
             }
         };

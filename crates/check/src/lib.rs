@@ -34,7 +34,7 @@ pub use violation::{CheckReport, Violation};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use momsynth_dvs::{scale_mode, DvsOptions, VoltageSchedule};
+    use momsynth_dvs::{scale_mode, DvsOptions, ModeVoltages};
     use momsynth_model::arch::DvsCapability;
     use momsynth_model::ids::{ModeId, PeId};
     use momsynth_model::units::{Cells, Seconds, Volts, Watts};
@@ -75,7 +75,7 @@ mod tests {
         SystemMapping,
         CoreAllocation,
         Vec<Schedule>,
-        Vec<Vec<Option<VoltageSchedule>>>,
+        Vec<ModeVoltages>,
         momsynth_power::PowerReport,
     );
 
@@ -94,9 +94,11 @@ mod tests {
         .unwrap();
         let scaled = scale_mode(system, &schedule, &DvsOptions::default());
         let factors = scaled.energy_factors().to_vec();
-        let voltage_schedules = vec![(0..2)
-            .map(|t| scaled.task_voltage(momsynth_model::ids::TaskId::new(t)).cloned())
-            .collect::<Vec<_>>()];
+        let voltage_schedules = vec![ModeVoltages::from(
+            (0..2)
+                .map(|t| scaled.task_voltage(momsynth_model::ids::TaskId::new(t)).cloned())
+                .collect::<Vec<_>>(),
+        )];
         let schedules = vec![scaled.schedule().clone()];
         let power = power_report(system, &[ModeImplementation::scaled(&schedules[0], &factors)]);
         (mapping, alloc, schedules, voltage_schedules, power)
@@ -126,7 +128,7 @@ mod tests {
     fn corrupted_voltage_slot_is_caught() {
         let system = dvs_system();
         let (mapping, alloc, schedules, mut voltage_schedules, power) = solved(&system);
-        let vs = voltage_schedules[0][0].as_mut().expect("task 0 is scaled");
+        let vs = voltage_schedules[0].make_mut()[0].as_mut().expect("task 0 is scaled");
         // Mutate the first segment's supply (through the serde surface —
         // the in-memory type is intentionally unforgeable): the slot
         // re-derivation no longer adds up.
@@ -254,7 +256,7 @@ mod tests {
             schedule_mode(&system, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
                 .unwrap();
         let schedules = vec![schedule];
-        let voltage_schedules = vec![vec![None, None]];
+        let voltage_schedules = vec![ModeVoltages::nominal(2)];
         let power = power_report(&system, &[ModeImplementation::nominal(&schedules[0])]);
         let report = check_solution(
             &system,

@@ -81,8 +81,9 @@ pub fn derive_allocation_timed(
         // runnable low-mobility tasks, estimated by sweeping ASAP windows.
         type Window = (Seconds, Seconds);
         let mut groups: Vec<((PeId, TaskTypeId), Vec<Window>)> = Vec::new();
+        let row = mapping.row(mode);
         for (task, t) in graph.tasks() {
-            let pe = mapping.pe_of(mode, task);
+            let pe = row[task.index()];
             if !system.arch().pe(pe).kind().is_hardware() {
                 continue;
             }

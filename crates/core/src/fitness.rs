@@ -19,8 +19,10 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+// lint: allow(raw-std-sync-import) immutable shared data, nothing for loom to model
+use std::sync::Arc;
 
-use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
+use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, ModeVoltages};
 use momsynth_model::ids::PeId;
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
@@ -47,6 +49,11 @@ pub struct AreaOverrun {
 }
 
 /// A fully elaborated implementation candidate.
+///
+/// Its per-mode results — schedules, voltage schedules and power
+/// breakdowns — are shared, not owned: a candidate priced against a base
+/// shares every mode it left unchanged with the base, and cloning a
+/// solution copies no schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// The task mapping (`Mτ^O` for every mode).
@@ -57,7 +64,7 @@ pub struct Solution {
     pub schedules: Vec<Schedule>,
     /// Per-mode, per-task voltage schedules: `Some` for every task on a
     /// scaled DVS rail, `None` for the rest and everywhere when DVS is off.
-    pub voltage_schedules: Vec<Vec<Option<VoltageSchedule>>>,
+    pub voltage_schedules: Vec<ModeVoltages>,
     /// Power report under the true mode execution probabilities.
     pub power: PowerReport,
     /// Total deadline/period lateness over all modes.
@@ -68,6 +75,9 @@ pub struct Solution {
     pub transitions: Vec<TransitionTiming>,
     /// The fitness `F_M` this candidate was judged by.
     pub fitness: f64,
+    /// Each mode's lateness, in mode order (`total_lateness` is their
+    /// sum), kept so a neighbour that reuses a mode need not recompute it.
+    lateness: Vec<Seconds>,
 }
 
 impl Solution {
@@ -210,13 +220,13 @@ impl EvalScratch {
     }
 }
 
-/// One mode's Eq. 1 term, before the report is assembled.
+/// One mode's Eq. 1 term and lateness, before the report is assembled.
 enum ModeTerm {
     /// Price the mode's new schedule at these per-task energy factors
     /// (`None`: nominal voltage).
     Price(Option<Vec<f64>>),
-    /// The base solution's term, unchanged.
-    Reuse(ModePower),
+    /// The base solution's term and lateness, unchanged.
+    Reuse(Arc<ModePower>, Seconds),
 }
 
 /// Evaluates mapping candidates for one system under one configuration.
@@ -232,6 +242,12 @@ pub struct Evaluator<'a> {
     config: &'a SynthesisConfig,
     /// Mode weights used in the optimisation objective.
     weights: Vec<f64>,
+    /// The true mode execution probabilities, which weight the reported
+    /// average power.
+    probabilities: Vec<f64>,
+    /// Every mode's all-nominal voltage schedules, shared by every
+    /// fixed-voltage candidate.
+    nominal: Vec<ModeVoltages>,
     /// Per-phase wall-clock accumulator (disabled unless a telemetry
     /// sink asks for traces).
     phases: PhaseAccumulator,
@@ -247,15 +263,24 @@ impl<'a> Evaluator<'a> {
     /// Creates an evaluator; the optimisation weights are the true mode
     /// probabilities when `config.probability_aware`, uniform otherwise.
     pub fn new(system: &'a System, config: &'a SynthesisConfig) -> Self {
+        let probabilities: Vec<f64> =
+            system.omsm().modes().map(|(_, m)| m.probability()).collect();
         let weights = if config.probability_aware {
-            system.omsm().modes().map(|(_, m)| m.probability()).collect()
+            probabilities.clone()
         } else {
             momsynth_power::uniform_weights(system)
         };
+        let nominal = system
+            .omsm()
+            .modes()
+            .map(|(_, m)| ModeVoltages::nominal(m.graph().task_count()))
+            .collect();
         Self {
             system,
             config,
             weights,
+            probabilities,
+            nominal,
             phases: PhaseAccumulator::disabled(),
             counters: RefCell::default(),
             scratch: RefCell::default(),
@@ -268,6 +293,8 @@ impl<'a> Evaluator<'a> {
     pub fn worker(&self) -> Self {
         Self {
             weights: self.weights.clone(),
+            probabilities: self.probabilities.clone(),
+            nominal: self.nominal.clone(),
             phases: PhaseAccumulator::new(self.phases.enabled()),
             counters: RefCell::default(),
             scratch: RefCell::default(),
@@ -335,13 +362,14 @@ impl<'a> Evaluator<'a> {
     /// through here and keeps only its own policy for a failure.
     ///
     /// `base` is an optional neighbour to price against. Every mode whose
-    /// mapping row and core-allocation row both equal the base's keeps
-    /// the base's schedule, voltage schedules and Eq. 1 term instead of
-    /// being scheduled, voltage-scaled and priced again; the allocation,
-    /// Eq. 1's sums and every penalty are still computed over all modes,
-    /// so the result is the one `None` gives, bit for bit. The base must
-    /// have been priced by an evaluator of the same system and
-    /// configuration, under the same `dvs`.
+    /// mapping row and core-allocation row both equal the base's shares
+    /// the base's schedule, voltage schedules, Eq. 1 term and lateness
+    /// instead of being scheduled, voltage-scaled and priced again, at
+    /// the cost of a reference count each; the allocation, Eq. 1's sums
+    /// and every penalty are still computed over all modes from the
+    /// per-mode results, so the result is the one `None` gives, bit for
+    /// bit. The base must have been priced by an evaluator of the same
+    /// system and configuration, under the same `dvs`.
     ///
     /// # Errors
     ///
@@ -388,16 +416,17 @@ impl<'a> Evaluator<'a> {
         let mut schedules = Vec::with_capacity(mode_count);
         let mut voltage_schedules = Vec::with_capacity(mode_count);
         let mut terms = Vec::with_capacity(mode_count);
-        for (mode, m) in system.omsm().modes() {
-            // A mode's schedule, voltages and Eq. 1 term depend only on
-            // its mapping row, its allocation row and `dvs`.
+        for mode in system.omsm().mode_ids() {
+            // A mode's schedule, voltages, Eq. 1 term and lateness depend
+            // only on its mapping row, its allocation row and `dvs`.
             let reusable = base.filter(|b| {
                 b.mapping.row(mode) == mapping.row(mode) && b.alloc.mode_eq(&alloc, mode)
             });
             if let Some(base) = reusable {
-                schedules.push(base.schedules[mode.index()].clone());
-                voltage_schedules.push(base.voltage_schedules[mode.index()].clone());
-                terms.push(ModeTerm::Reuse(base.power.modes[mode.index()].clone()));
+                let m = mode.index();
+                schedules.push(base.schedules[m].clone());
+                voltage_schedules.push(base.voltage_schedules[m].clone());
+                terms.push(ModeTerm::Reuse(base.power.modes[m].clone(), base.lateness[m]));
                 continue;
             }
             let (analysis, sched_scratch) = (&scratch.timing[mode.index()], &mut scratch.sched);
@@ -420,11 +449,11 @@ impl<'a> Evaluator<'a> {
                     self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
                     let (schedule, voltages, energy_factors) = scaled.into_parts();
                     schedules.push(schedule);
-                    voltage_schedules.push(voltages);
+                    voltage_schedules.push(ModeVoltages::from(voltages));
                     terms.push(ModeTerm::Price(Some(energy_factors)));
                 }
                 None => {
-                    voltage_schedules.push(vec![None; m.graph().task_count()]);
+                    voltage_schedules.push(self.nominal[mode.index()].clone());
                     schedules.push(schedule);
                     terms.push(ModeTerm::Price(None));
                 }
@@ -432,20 +461,23 @@ impl<'a> Evaluator<'a> {
         }
 
         Ok(self.phases.measure(Phase::PowerPricing, move || {
-            let modes = terms
-                .into_iter()
-                .zip(&schedules)
-                .map(|(term, schedule)| match term {
-                    ModeTerm::Reuse(power) => power,
-                    ModeTerm::Price(factors) => mode_power(
-                        system,
-                        ModeImplementation { schedule, energy_factors: factors.as_deref() },
-                    ),
-                })
-                .collect();
-            let true_probabilities: Vec<f64> =
-                system.omsm().modes().map(|(_, m)| m.probability()).collect();
-            let power = PowerReport::from_modes(modes, &true_probabilities);
+            let mut modes = Vec::with_capacity(mode_count);
+            let mut lateness = Vec::with_capacity(mode_count);
+            for (term, schedule) in terms.into_iter().zip(&schedules) {
+                let (power, late) = match term {
+                    ModeTerm::Reuse(power, late) => (power, late),
+                    ModeTerm::Price(factors) => {
+                        let graph = system.omsm().mode(schedule.mode()).graph();
+                        let implementation =
+                            ModeImplementation { schedule, energy_factors: factors.as_deref() };
+                        let power = Arc::new(mode_power(system, implementation));
+                        (power, schedule.total_lateness(graph))
+                    }
+                };
+                modes.push(power);
+                lateness.push(late);
+            }
+            let power = PowerReport::from_modes(modes, &self.probabilities);
             let weighted: Watts = power
                 .modes
                 .iter()
@@ -453,15 +485,10 @@ impl<'a> Evaluator<'a> {
                 .map(|(m, &w)| m.total() * w)
                 .sum();
 
-            let total_lateness: Seconds = schedules
-                .iter()
-                .map(|s| s.total_lateness(system.omsm().mode(s.mode()).graph()))
-                .sum();
+            let total_lateness: Seconds = lateness.iter().sum();
             let mut timing_penalty = 1.0;
-            for s in &schedules {
-                let graph = system.omsm().mode(s.mode()).graph();
-                timing_penalty +=
-                    self.config.weights.timing * (s.total_lateness(graph) / graph.period());
+            for (&late, (_, m)) in lateness.iter().zip(system.omsm().modes()) {
+                timing_penalty += self.config.weights.timing * (late / m.graph().period());
             }
 
             let mut area_overruns = Vec::new();
@@ -512,6 +539,7 @@ impl<'a> Evaluator<'a> {
                 area_overruns,
                 transitions,
                 fitness,
+                lateness,
             }
         }))
     }

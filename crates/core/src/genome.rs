@@ -33,8 +33,15 @@ pub(crate) fn genome_hash(seed: u64, genes: &[Gene]) -> u64 {
 /// candidate PEs.
 #[derive(Debug, Clone)]
 pub struct GenomeLayout {
-    entries: Vec<(GlobalTaskId, Vec<PeId>)>,
-    mode_offsets: Vec<usize>,
+    /// The task of every locus.
+    ids: Vec<GlobalTaskId>,
+    /// Every locus's candidate list back to back: locus `l`'s is
+    /// `candidates[candidate_starts[l]..candidate_starts[l + 1]]`.
+    candidates: Vec<PeId>,
+    candidate_starts: Vec<usize>,
+    /// The first locus of every mode, then the locus count: loci run in
+    /// mode order, so these are also a decoded mapping's row starts.
+    starts: Vec<usize>,
 }
 
 impl GenomeLayout {
@@ -80,33 +87,37 @@ impl GenomeLayout {
     }
 
     fn build(system: &System, mut candidates_of: impl FnMut(usize, GlobalTaskId) -> Vec<PeId>) -> Self {
-        let mut entries = Vec::with_capacity(system.omsm().total_task_count());
-        let mut mode_offsets = Vec::with_capacity(system.omsm().mode_count());
+        let loci = system.omsm().total_task_count();
+        let mut ids = Vec::with_capacity(loci);
+        let mut candidates = Vec::new();
+        let mut candidate_starts = Vec::with_capacity(loci + 1);
+        candidate_starts.push(0);
+        let mut starts = Vec::with_capacity(system.omsm().mode_count() + 1);
         for (mode, m) in system.omsm().modes() {
-            mode_offsets.push(entries.len());
+            starts.push(ids.len());
             for task in m.graph().task_ids() {
                 let id = GlobalTaskId::new(mode, task);
-                let candidates = candidates_of(entries.len(), id);
-                assert!(!candidates.is_empty(), "task {id} has no candidate PEs");
-                assert!(
-                    candidates.len() <= Gene::MAX as usize,
-                    "too many candidate PEs for gene type"
-                );
-                entries.push((id, candidates));
+                let domain = candidates_of(ids.len(), id);
+                assert!(!domain.is_empty(), "task {id} has no candidate PEs");
+                assert!(domain.len() <= Gene::MAX as usize, "too many candidate PEs for gene type");
+                ids.push(id);
+                candidates.extend(domain);
+                candidate_starts.push(candidates.len());
             }
         }
-        Self { entries, mode_offsets }
+        starts.push(ids.len());
+        Self { ids, candidates, candidate_starts, starts }
     }
 
     /// Number of loci (total tasks across all modes).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// Returns `true` if the system has no tasks (impossible for validated
     /// systems, provided for completeness).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// The candidate PEs of a locus.
@@ -115,7 +126,7 @@ impl GenomeLayout {
     ///
     /// Panics if `locus` is out of range.
     pub fn candidates(&self, locus: usize) -> &[PeId] {
-        &self.entries[locus].1
+        &self.candidates[self.candidate_starts[locus]..self.candidate_starts[locus + 1]]
     }
 
     /// The task a locus encodes.
@@ -124,7 +135,7 @@ impl GenomeLayout {
     ///
     /// Panics if `locus` is out of range.
     pub fn global(&self, locus: usize) -> GlobalTaskId {
-        self.entries[locus].0
+        self.ids[locus]
     }
 
     /// The locus of a task.
@@ -133,7 +144,7 @@ impl GenomeLayout {
     ///
     /// Panics if the identifiers are out of range.
     pub fn locus(&self, mode: ModeId, task: TaskId) -> usize {
-        self.mode_offsets[mode.index()] + task.index()
+        self.starts[mode.index()] + task.index()
     }
 
     /// Decodes a genome into a [`SystemMapping`]. In release builds
@@ -147,18 +158,23 @@ impl GenomeLayout {
     /// Panics if `genes.len()` differs from [`GenomeLayout::len`], and in
     /// debug builds if an allele is outside its locus's candidate domain.
     pub fn decode(&self, genes: &[Gene]) -> SystemMapping {
-        assert_eq!(genes.len(), self.entries.len(), "genome length mismatch");
-        let mut per_mode: Vec<Vec<PeId>> = vec![Vec::new(); self.mode_offsets.len()];
-        for (locus, ((id, candidates), &gene)) in self.entries.iter().zip(genes).enumerate() {
-            debug_assert!(
-                (gene as usize) < candidates.len(),
-                "gene {gene} at locus {locus} is outside the candidate domain (len {})",
-                candidates.len()
-            );
-            let idx = (gene as usize).min(candidates.len() - 1);
-            per_mode[id.mode.index()].push(candidates[idx]);
-        }
-        SystemMapping::from_vecs(per_mode)
+        assert_eq!(genes.len(), self.len(), "genome length mismatch");
+        let pes = (0..genes.len()).map(|locus| self.pe_at(locus, genes[locus])).collect();
+        SystemMapping::from_rows(pes, self.starts.clone())
+    }
+
+    /// `mapping` with `locus` moved to the PE `gene` encodes: the other
+    /// loci's PEs are copied, not decoded. Prices a one-gene move.
+    ///
+    /// # Panics
+    ///
+    /// As [`GenomeLayout::pe_at`], and if `mapping` lacks the locus's
+    /// task.
+    pub fn with_gene(&self, mapping: &SystemMapping, locus: usize, gene: Gene) -> SystemMapping {
+        let mut moved = mapping.clone();
+        let id = self.global(locus);
+        moved.set(id.mode, id.task, self.pe_at(locus, gene));
+        moved
     }
 
     /// Encodes a mapping back into a genome.
@@ -168,11 +184,12 @@ impl GenomeLayout {
     /// Panics if the mapping assigns a task to a PE outside its candidate
     /// list or has the wrong shape.
     pub fn encode(&self, mapping: &SystemMapping) -> Vec<Gene> {
-        self.entries
-            .iter()
-            .map(|(id, candidates)| {
-                let pe = mapping.pe_of_global(*id);
-                let idx = candidates
+        (0..self.len())
+            .map(|locus| {
+                let id = self.ids[locus];
+                let pe = mapping.pe_of_global(id);
+                let idx = self
+                    .candidates(locus)
                     .iter()
                     .position(|&c| c == pe)
                     .unwrap_or_else(|| panic!("{pe} is not a candidate for task {id}"));
@@ -189,7 +206,7 @@ impl GenomeLayout {
     /// Panics if `locus` is out of range, and in debug builds if `gene`
     /// is outside the locus's candidate domain.
     pub fn pe_at(&self, locus: usize, gene: Gene) -> PeId {
-        let candidates = &self.entries[locus].1;
+        let candidates = self.candidates(locus);
         debug_assert!(
             (gene as usize) < candidates.len(),
             "gene {gene} at locus {locus} is outside the candidate domain (len {})",

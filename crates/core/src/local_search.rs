@@ -94,15 +94,15 @@ pub fn polish(
 ) -> LocalSearchStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evaluations = 0usize;
-    // Prices `genes` against `base`, the current solution: a single-gene
+    // Prices `mapping` against `base`, the current solution: a single-gene
     // move leaves every other mode as the base has it.
-    let price = |genes: &[Gene], base: Option<&Solution>, evals: &mut usize| {
+    let price = |mapping, base: Option<&Solution>, evals: &mut usize| {
         *evals += 1;
-        let solution = evaluator.try_evaluate(layout.decode(genes), dvs, base).ok();
+        let solution = evaluator.try_evaluate(mapping, dvs, base).ok();
         (solution.as_ref().map_or(REJECTED_COST, |s| s.fitness), solution)
     };
 
-    let (mut current, mut current_solution) = price(genes, None, &mut evaluations);
+    let (mut current, mut current_solution) = price(layout.decode(genes), None, &mut evaluations);
     let fitness_before = current;
     let mut moves_accepted = 0usize;
     let mut interrupted = false;
@@ -131,7 +131,13 @@ pub fn polish(
                     break 'passes;
                 }
                 genes[locus] = alt;
-                let (c, solution) = price(genes, current_solution.as_ref(), &mut evaluations);
+                // The current solution's mapping is `genes` before this
+                // move, so the move is one copied entry.
+                let mapping = match &current_solution {
+                    Some(base) => layout.with_gene(&base.mapping, locus, alt),
+                    None => layout.decode(genes),
+                };
+                let (c, solution) = price(mapping, current_solution.as_ref(), &mut evaluations);
                 if c < current && best_alt.as_ref().is_none_or(|(_, b, _)| c < *b) {
                     best_alt = Some((alt, c, solution));
                 }

@@ -38,6 +38,7 @@
 use momsynth_analyze::{analyze_system, DomainReduction};
 use momsynth_ga::bnb::{branch_and_bound, BnbBudget, BnbProblem};
 use momsynth_model::System;
+use momsynth_sched::SystemMapping;
 
 use crate::config::SynthesisConfig;
 use crate::fitness::{Evaluator, Solution};
@@ -178,6 +179,9 @@ struct MappingBnb<'a> {
     edges: Vec<(usize, usize, Vec<Vec<f64>>)>,
     use_bounds: bool,
     genes: Vec<Gene>,
+    /// `genes` decoded; a leaf copies it and re-maps only the loci whose
+    /// choice changed since the previous leaf.
+    mapping: SystemMapping,
     /// The last leaf that priced, the base the next leaf is priced
     /// against: depth-first order changes few loci between leaves.
     last: Option<Solution>,
@@ -279,6 +283,7 @@ impl<'a> MappingBnb<'a> {
             }
         }
 
+        let genes = vec![0; layout.len()];
         Self {
             layout,
             evaluator,
@@ -287,7 +292,8 @@ impl<'a> MappingBnb<'a> {
             suffix_min,
             edges,
             use_bounds,
-            genes: vec![0; layout.len()],
+            mapping: layout.decode(&genes),
+            genes,
             last: None,
         }
     }
@@ -319,13 +325,17 @@ impl BnbProblem for MappingBnb<'_> {
     }
 
     fn leaf_cost(&mut self, choices: &[usize]) -> f64 {
-        for (gene, &choice) in self.genes.iter_mut().zip(choices) {
-            *gene = choice as Gene;
+        for (locus, (gene, &choice)) in self.genes.iter_mut().zip(choices).enumerate() {
+            if usize::from(*gene) != choice {
+                *gene = choice as Gene;
+                let id = self.layout.global(locus);
+                self.mapping.set(id.mode, id.task, self.layout.pe_at(locus, *gene));
+            }
         }
         // Unschedulable or panicking assignments cannot be the optimum;
         // infinity keeps them out of `best` and above every admissible
         // bound.
-        let mapping = self.layout.decode(&self.genes);
+        let mapping = self.mapping.clone();
         match self.evaluator.try_evaluate(mapping, self.dvs.as_ref(), self.last.as_ref()) {
             Ok(solution) => {
                 let fitness = solution.fitness;

@@ -351,11 +351,28 @@ impl Cl {
 ///
 /// A deserialised architecture is rebuilt through [`ArchitectureBuilder`],
 /// so a spec with a malformed link or DVS capability fails to load with
-/// the builder's [`ModelError`] reason.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// the builder's [`ModelError`] reason. The builder also derives which
+/// links attach to each PE; that table is never written, so an
+/// architecture serialises as its `pes` and `cls` alone.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     pes: Vec<Pe>,
     cls: Vec<Cl>,
+    /// `attached[attached_start[p]..attached_start[p + 1]]` lists the
+    /// links attached to PE `p`, ascending. It grows with the number of
+    /// endpoints, not with the number of PE pairs, so a spec's size
+    /// bounds it.
+    attached: Vec<ClId>,
+    attached_start: Vec<usize>,
+}
+
+impl Serialize for Architecture {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("pes".to_owned(), self.pes.to_value()),
+            ("cls".to_owned(), self.cls.to_value()),
+        ])
+    }
 }
 
 impl<'de> Deserialize<'de> for Architecture {
@@ -421,13 +438,21 @@ impl Architecture {
         (0..self.cls.len()).map(ClId::new)
     }
 
-    /// Returns the links that connect both `a` and `b`.
+    /// Returns the links that connect both `a` and `b`, ascending (every
+    /// link attached to `a` when `a == b`; none for a PE outside the
+    /// architecture).
     pub fn cls_between(&self, a: PeId, b: PeId) -> impl Iterator<Item = ClId> + '_ {
-        self.cls
-            .iter()
-            .enumerate()
-            .filter(move |(_, cl)| cl.connects(a) && cl.connects(b))
-            .map(|(i, _)| ClId::new(i))
+        Shared { a: self.attached_to(a), b: self.attached_to(b) }
+    }
+
+    /// The links attached to `pe`, ascending; empty for a PE outside the
+    /// architecture.
+    fn attached_to(&self, pe: PeId) -> &[ClId] {
+        let p = pe.index();
+        if p >= self.pes.len() {
+            return &[];
+        }
+        &self.attached[self.attached_start[p]..self.attached_start[p + 1]]
     }
 
     /// Returns `true` if at least one link connects `a` and `b` (or `a == b`).
@@ -455,6 +480,37 @@ impl Architecture {
     }
 }
 
+/// The links two PEs share: a merge of their ascending incidence rows.
+struct Shared<'a> {
+    a: &'a [ClId],
+    b: &'a [ClId],
+}
+
+impl Iterator for Shared<'_> {
+    type Item = ClId;
+
+    fn next(&mut self) -> Option<ClId> {
+        while let (Some(&x), Some(&y)) = (self.a.first(), self.b.first()) {
+            if x <= y {
+                self.a = &self.a[1..];
+            }
+            if y <= x {
+                self.b = &self.b[1..];
+            }
+            if x == y {
+                return Some(x);
+            }
+        }
+        None
+    }
+}
+
+/// `true` for a finite, non-negative quantity: zero is legal for every
+/// link and PE rate the builders check.
+fn non_negative(value: f64) -> bool {
+    value >= 0.0 && value.is_finite()
+}
+
 /// Incremental builder for [`Architecture`].
 #[derive(Debug, Clone, Default)]
 pub struct ArchitectureBuilder {
@@ -479,9 +535,10 @@ impl ArchitectureBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownPe`] if an endpoint was not added, or
+    /// Returns [`ModelError::UnknownPe`] if an endpoint was not added,
     /// [`ModelError::DegenerateLink`] if fewer than two distinct PEs are
-    /// connected.
+    /// connected, or [`ModelError::InvalidLink`] if its time per data
+    /// unit, transfer power or static power is negative or non-finite.
     pub fn add_cl(&mut self, cl: Cl) -> Result<ClId, ModelError> {
         let mut distinct = cl.endpoints.to_vec();
         distinct.sort_unstable();
@@ -494,6 +551,17 @@ impl ArchitectureBuilder {
                 return Err(ModelError::UnknownPe { pe });
             }
         }
+        let rates = [
+            (cl.time_per_data_unit.value(), "time per data unit"),
+            (cl.transfer_power.value(), "transfer power"),
+            (cl.static_power.value(), "static power"),
+        ];
+        if let Some((_, what)) = rates.iter().find(|(value, _)| !non_negative(*value)) {
+            return Err(ModelError::InvalidLink {
+                link: cl.name.clone(),
+                reason: format!("{what} must be non-negative and finite"),
+            });
+        }
         let id = ClId::new(self.cls.len());
         self.cls.push(cl);
         Ok(id)
@@ -503,18 +571,44 @@ impl ArchitectureBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoPes`] for an empty architecture and
-    /// [`ModelError::InvalidDvs`] for malformed DVS capabilities.
+    /// Returns [`ModelError::NoPes`] for an empty architecture,
+    /// [`ModelError::InvalidPe`] for a negative or non-finite static power
+    /// or reconfiguration time, and [`ModelError::InvalidDvs`] for
+    /// malformed DVS capabilities.
     pub fn build(self) -> Result<Architecture, ModelError> {
         if self.pes.is_empty() {
             return Err(ModelError::NoPes);
         }
         for pe in &self.pes {
+            let rates = [
+                (pe.static_power.value(), "static power"),
+                (pe.reconfig_time_per_cell.value(), "reconfiguration time per cell"),
+            ];
+            if let Some((_, what)) = rates.iter().find(|(value, _)| !non_negative(*value)) {
+                return Err(ModelError::InvalidPe {
+                    pe: pe.name.clone(),
+                    reason: format!("{what} must be non-negative and finite"),
+                });
+            }
             if let Some(dvs) = &pe.dvs {
                 dvs.validate(&pe.name)?;
             }
         }
-        Ok(Architecture { pes: self.pes, cls: self.cls })
+        // Every (PE, link) incidence in link order; a stable sort by PE
+        // keeps each PE's links ascending.
+        let mut incidences: Vec<(PeId, ClId)> = Vec::new();
+        for (id, cl) in self.cls.iter().enumerate() {
+            let mut ends = cl.endpoints.clone();
+            ends.sort_unstable();
+            ends.dedup();
+            incidences.extend(ends.into_iter().map(|pe| (pe, ClId::new(id))));
+        }
+        incidences.sort_by_key(|&(pe, _)| pe);
+        let attached = incidences.iter().map(|&(_, cl)| cl).collect();
+        let attached_start = (0..=self.pes.len())
+            .map(|p| incidences.partition_point(|&(pe, _)| pe.index() < p))
+            .collect();
+        Ok(Architecture { pes: self.pes, cls: self.cls, attached, attached_start })
     }
 }
 
@@ -663,6 +757,58 @@ mod tests {
             b.add_cl(Cl::bus("dup", vec![a, a], Seconds::ZERO, Watts::ZERO, Watts::ZERO)),
             Err(ModelError::DegenerateLink { .. })
         ));
+    }
+
+    #[test]
+    fn negative_or_non_finite_rates_are_rejected() {
+        let mut b = ArchitectureBuilder::new();
+        let a = b.add_pe(Pe::software("a", PeKind::Gpp, Watts::ZERO));
+        let c = b.add_pe(Pe::software("c", PeKind::Gpp, Watts::ZERO));
+        let bus = |t: f64, p: f64, s: f64| {
+            Cl::bus("bus", vec![a, c], Seconds::new(t), Watts::new(p), Watts::new(s))
+        };
+        for bad in [bus(-1e-3, 0.0, 0.0), bus(0.0, -5.0, 0.0), bus(0.0, 0.0, f64::NAN)] {
+            assert!(matches!(b.add_cl(bad), Err(ModelError::InvalidLink { .. })));
+        }
+        assert!(b.add_cl(bus(0.0, 0.0, 0.0)).is_ok());
+
+        let build_with = |pe: Pe| {
+            let mut b = ArchitectureBuilder::new();
+            b.add_pe(pe);
+            b.build()
+        };
+        let fpga = || Pe::hardware("f", PeKind::Fpga, Cells::new(10), Watts::ZERO);
+        for bad in [
+            Pe::software("s", PeKind::Gpp, Watts::new(-1.0)),
+            fpga().with_reconfig_time_per_cell(Seconds::new(f64::INFINITY)),
+            fpga().with_reconfig_time_per_cell(Seconds::new(-1e-9)),
+        ] {
+            assert!(matches!(build_with(bad), Err(ModelError::InvalidPe { .. })));
+        }
+        assert!(build_with(fpga()).is_ok());
+    }
+
+    #[test]
+    fn shared_links_come_out_ascending_for_every_pair() {
+        let mut b = ArchitectureBuilder::new();
+        let p: Vec<PeId> = (0..4)
+            .map(|i| b.add_pe(Pe::software(format!("p{i}"), PeKind::Gpp, Watts::ZERO)))
+            .collect();
+        let link = |ends: Vec<PeId>| Cl::bus("l", ends, Seconds::ZERO, Watts::ZERO, Watts::ZERO);
+        b.add_cl(link(vec![p[2], p[0], p[2]])).unwrap();
+        b.add_cl(link(vec![p[1], p[2]])).unwrap();
+        b.add_cl(link(vec![p[0], p[1], p[2]])).unwrap();
+        let arch = b.build().unwrap();
+        let cl = ClId::new;
+        let between = |x: usize, y: usize| arch.cls_between(p[x], p[y]).collect::<Vec<_>>();
+        assert_eq!(between(0, 2), vec![cl(0), cl(2)]);
+        assert_eq!(between(2, 0), vec![cl(0), cl(2)]);
+        assert_eq!(between(1, 2), vec![cl(1), cl(2)]);
+        assert_eq!(between(2, 2), vec![cl(0), cl(1), cl(2)]);
+        assert_eq!(between(0, 3), vec![]);
+        assert_eq!(arch.cls_between(p[0], PeId::new(9)).count(), 0);
+        assert_eq!(arch.cls_between(PeId::new(usize::MAX), p[0]).count(), 0);
+        assert!(!arch.connected(p[3], p[0]));
     }
 
     #[test]

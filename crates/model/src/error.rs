@@ -54,6 +54,17 @@ pub enum ModelError {
         /// Name of the offending task graph.
         graph: String,
     },
+    /// A communication edge carries a negative or non-finite data volume.
+    InvalidDataUnits {
+        /// Name of the offending task graph.
+        graph: String,
+        /// The producing task.
+        src: TaskId,
+        /// The consuming task.
+        dst: TaskId,
+        /// The rejected volume.
+        data_units: f64,
+    },
     /// A task graph has no tasks.
     EmptyGraph {
         /// Name of the offending task graph.
@@ -99,6 +110,22 @@ pub enum ModelError {
     DegenerateLink {
         /// Name of the offending link.
         link: String,
+    },
+    /// A communication link's transfer time or power is negative or
+    /// non-finite.
+    InvalidLink {
+        /// Name of the offending link.
+        link: String,
+        /// Human-readable description of the defect.
+        reason: String,
+    },
+    /// A processing element's static power or reconfiguration time is
+    /// negative or non-finite.
+    InvalidPe {
+        /// Name of the offending processing element.
+        pe: String,
+        /// Human-readable description of the defect.
+        reason: String,
     },
     /// A DVS capability is malformed (empty levels, levels above `v_max`,
     /// or threshold voltage not below the lowest level).
@@ -156,6 +183,10 @@ impl fmt::Display for ModelError {
             Self::InvalidDeadline { task, graph } => {
                 write!(f, "task {task} in graph `{graph}` has an invalid deadline")
             }
+            Self::InvalidDataUnits { graph, src, dst, data_units } => write!(
+                f,
+                "task graph `{graph}` has invalid data volume {data_units} on {src} -> {dst}"
+            ),
             Self::EmptyGraph { graph } => write!(f, "task graph `{graph}` has no tasks"),
             Self::NoModes => write!(f, "operational mode state machine has no modes"),
             Self::InvalidProbabilities { sum } => {
@@ -175,6 +206,12 @@ impl fmt::Display for ModelError {
             Self::UnknownPe { pe } => write!(f, "reference to unknown processing element {pe}"),
             Self::DegenerateLink { link } => {
                 write!(f, "communication link `{link}` connects fewer than two PEs")
+            }
+            Self::InvalidLink { link, reason } => {
+                write!(f, "communication link `{link}` is invalid: {reason}")
+            }
+            Self::InvalidPe { pe, reason } => {
+                write!(f, "processing element `{pe}` is invalid: {reason}")
             }
             Self::InvalidDvs { pe, reason } => {
                 write!(f, "processing element `{pe}` has invalid DVS capability: {reason}")

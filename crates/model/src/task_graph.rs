@@ -290,7 +290,9 @@ impl TaskGraphBuilder {
     /// # Errors
     ///
     /// Returns [`ModelError::UnknownTask`] if either endpoint was not added
-    /// to this builder, or [`ModelError::SelfLoop`] if `src == dst`.
+    /// to this builder, [`ModelError::SelfLoop`] if `src == dst`, or
+    /// [`ModelError::InvalidDataUnits`] if `data_units` is negative or
+    /// non-finite (zero is a pure precedence edge).
     pub fn add_comm(
         &mut self,
         src: TaskId,
@@ -304,6 +306,14 @@ impl TaskGraphBuilder {
         }
         if src == dst {
             return Err(ModelError::SelfLoop { task: src, graph: self.name.clone() });
+        }
+        if !(data_units >= 0.0 && data_units.is_finite()) {
+            return Err(ModelError::InvalidDataUnits {
+                graph: self.name.clone(),
+                src,
+                dst,
+                data_units,
+            });
         }
         let id = CommId::new(self.comms.len());
         self.comms.push(Comm { src, dst, data_units });
@@ -451,6 +461,17 @@ mod tests {
             b.add_comm(a, TaskId::new(5), 1.0),
             Err(ModelError::UnknownTask { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_negative_and_non_finite_data_volumes() {
+        let mut b = TaskGraphBuilder::new("g", Seconds::new(1.0));
+        let a = b.add_task("a", ty(0));
+        let c = b.add_task("c", ty(0));
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(b.add_comm(a, c, bad), Err(ModelError::InvalidDataUnits { .. })));
+        }
+        assert!(b.add_comm(a, c, 0.0).is_ok());
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! p̄ = Σ_O (p̄_O^dyn + p̄_O^stat) · Ψ_O
 //! ```
 
+// lint: allow(raw-std-sync-import) immutable shared data, nothing for loom to model
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use momsynth_model::ids::{ClId, ModeId, PeId};
@@ -70,12 +73,42 @@ impl ModePower {
 }
 
 /// System-wide power report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Each mode's breakdown is shared: a report that keeps a mode from an
+/// earlier report costs a reference count. Serialises as
+/// `{"modes": [...], "average": ...}`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     /// Per-mode breakdowns, indexed by mode id.
-    pub modes: Vec<ModePower>,
+    pub modes: Vec<Arc<ModePower>>,
     /// Probability-weighted average power (Equation 1).
     pub average: Watts,
+}
+
+/// The serialised shape of a [`PowerReport`].
+#[derive(Deserialize)]
+struct ReportShape {
+    modes: Vec<ModePower>,
+    average: Watts,
+}
+
+impl Serialize for PowerReport {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            (
+                "modes".to_owned(),
+                serde::Value::Array(self.modes.iter().map(|m| m.to_value()).collect()),
+            ),
+            ("average".to_owned(), self.average.to_value()),
+        ])
+    }
+}
+
+impl<'de> Deserialize<'de> for PowerReport {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let ReportShape { modes, average } = Deserialize::from_value(value)?;
+        Ok(Self { modes: modes.into_iter().map(Arc::new).collect(), average })
+    }
 }
 
 impl PowerReport {
@@ -88,7 +121,7 @@ impl PowerReport {
     ///
     /// Panics if `modes` and `weights` differ in length or `modes` is not
     /// in mode-id order.
-    pub fn from_modes(modes: Vec<ModePower>, weights: &[f64]) -> Self {
+    pub fn from_modes(modes: Vec<Arc<ModePower>>, weights: &[f64]) -> Self {
         assert_eq!(weights.len(), modes.len(), "one weight per mode");
         for (i, m) in modes.iter().enumerate() {
             assert_eq!(m.mode.index(), i, "implementations in mode order");
@@ -223,7 +256,7 @@ pub fn power_report_with(
         system.omsm().mode_count(),
         "one implementation per mode"
     );
-    let modes = implementations.iter().map(|imp| mode_power(system, *imp)).collect();
+    let modes = implementations.iter().map(|imp| Arc::new(mode_power(system, *imp))).collect();
     PowerReport::from_modes(modes, weights)
 }
 

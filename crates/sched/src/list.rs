@@ -172,11 +172,12 @@ pub fn schedule_mode_timed(
 
     // Dense resource slots in `ResourceKey` order. A PE out of range has
     // no implementation, which the main loop reports before any lookup.
+    let row = mapping.row(mode);
     cores.clear();
     cores.extend(
         graph
             .tasks()
-            .map(|(task, t)| (mapping.pe_of(mode, task), t.task_type()))
+            .map(|(task, t)| (row[task.index()], t.task_type()))
             .filter(|&(pe, _)| pe.index() < arch.pe_count() && arch.pe(pe).kind().is_hardware()),
     );
     cores.sort_unstable();
@@ -214,7 +215,7 @@ pub fn schedule_mode_timed(
 
     while let Some(Reverse(next)) = ready.pop() {
         let task = order[next];
-        let pe = mapping.pe_of(mode, task);
+        let pe = row[task.index()];
         let ty = graph.task(task).task_type();
         let imp = system
             .tech()

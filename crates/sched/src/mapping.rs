@@ -19,8 +19,6 @@
 //! assert_eq!(mapping.pe_of(ModeId::new(0), TaskId::new(1)), PeId::new(1));
 //! ```
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use momsynth_model::ids::{GlobalTaskId, ModeId, PeId, TaskId, TaskTypeId};
@@ -30,16 +28,67 @@ use momsynth_model::System;
 use crate::error::SchedError;
 
 /// Task mapping for every mode of a system (`Mτ^O` for all `O ∈ Ω`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Every mode's row is stored back to back in one buffer, so copying a
+/// mapping to move one task is one buffer copy. A mapping serialises as
+/// `{"pes": [[…], …]}`, one array per mode.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SystemMapping {
-    /// `pes[mode][task]` is the PE executing that task.
+    /// Every mode's row, mode 0 first: `pes[starts[m] + t]` is the PE
+    /// executing task `t` of mode `m`.
+    pes: Vec<PeId>,
+    /// `pes[starts[m]..starts[m + 1]]` is mode `m`'s row.
+    starts: Vec<usize>,
+}
+
+/// The serialised shape of a [`SystemMapping`]: one PE row per mode.
+#[derive(Serialize, Deserialize)]
+struct MappingRows {
     pes: Vec<Vec<PeId>>,
+}
+
+impl Serialize for SystemMapping {
+    fn to_value(&self) -> serde::Value {
+        let pes = (0..self.mode_count()).map(|m| self.row(ModeId::new(m)).to_vec()).collect();
+        MappingRows { pes }.to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for SystemMapping {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let MappingRows { pes } = Deserialize::from_value(value)?;
+        Ok(Self::from_vecs(pes))
+    }
 }
 
 impl SystemMapping {
     /// Creates a mapping from per-mode PE vectors.
-    pub fn from_vecs(pes: Vec<Vec<PeId>>) -> Self {
-        Self { pes }
+    pub fn from_vecs(rows: Vec<Vec<PeId>>) -> Self {
+        let mut starts = Vec::with_capacity(rows.len() + 1);
+        starts.push(0);
+        let mut pes = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        for row in rows {
+            pes.extend(row);
+            starts.push(pes.len());
+        }
+        Self { pes, starts }
+    }
+
+    /// Creates a mapping from every mode's row back to back, mode `m`'s
+    /// row being `pes[starts[m]..starts[m + 1]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `starts` begins at 0, never decreases and ends at
+    /// `pes.len()`.
+    pub fn from_rows(pes: Vec<PeId>, starts: Vec<usize>) -> Self {
+        assert!(
+            starts.first() == Some(&0)
+                && starts.windows(2).all(|w| w[0] <= w[1])
+                && starts.last() == Some(&pes.len()),
+            "row starts must run from 0 to the PE count without decreasing"
+        );
+        Self { pes, starts }
     }
 
     /// Creates a mapping by evaluating `f` for every task of every mode.
@@ -47,19 +96,19 @@ impl SystemMapping {
     where
         F: FnMut(GlobalTaskId) -> PeId,
     {
-        let pes = system
-            .omsm()
-            .modes()
-            .map(|(mode, m)| {
-                m.graph().task_ids().map(|t| f(GlobalTaskId::new(mode, t))).collect()
-            })
-            .collect();
-        Self { pes }
+        let mut pes = Vec::with_capacity(system.omsm().total_task_count());
+        let mut starts = Vec::with_capacity(system.omsm().mode_count() + 1);
+        starts.push(0);
+        for (mode, m) in system.omsm().modes() {
+            pes.extend(m.graph().task_ids().map(|t| f(GlobalTaskId::new(mode, t))));
+            starts.push(pes.len());
+        }
+        Self { pes, starts }
     }
 
     /// Returns the number of modes covered by this mapping.
     pub fn mode_count(&self) -> usize {
-        self.pes.len()
+        self.starts.len() - 1
     }
 
     /// Returns the number of tasks mapped in `mode`.
@@ -68,7 +117,7 @@ impl SystemMapping {
     ///
     /// Panics if `mode` is out of range.
     pub fn task_count(&self, mode: ModeId) -> usize {
-        self.pes[mode.index()].len()
+        self.row(mode).len()
     }
 
     /// Returns the PE executing `task` of `mode`.
@@ -77,7 +126,7 @@ impl SystemMapping {
     ///
     /// Panics if the identifiers are out of range.
     pub fn pe_of(&self, mode: ModeId, task: TaskId) -> PeId {
-        self.pes[mode.index()][task.index()]
+        self.row(mode)[task.index()]
     }
 
     /// Returns the PE executing a globally addressed task.
@@ -96,7 +145,7 @@ impl SystemMapping {
     ///
     /// Panics if `mode` is out of range.
     pub fn row(&self, mode: ModeId) -> &[PeId] {
-        &self.pes[mode.index()]
+        &self.pes[self.starts[mode.index()]..self.starts[mode.index() + 1]]
     }
 
     /// Re-maps `task` of `mode` onto `pe`.
@@ -105,7 +154,8 @@ impl SystemMapping {
     ///
     /// Panics if the identifiers are out of range.
     pub fn set(&mut self, mode: ModeId, task: TaskId, pe: PeId) {
-        self.pes[mode.index()][task.index()] = pe;
+        let (start, end) = (self.starts[mode.index()], self.starts[mode.index() + 1]);
+        self.pes[start..end][task.index()] = pe;
     }
 
     /// Iterates over the tasks of `mode` with their mapped PEs.
@@ -117,10 +167,7 @@ impl SystemMapping {
         &self,
         mode: ModeId,
     ) -> impl Iterator<Item = (TaskId, PeId)> + '_ {
-        self.pes[mode.index()]
-            .iter()
-            .enumerate()
-            .map(|(i, &pe)| (TaskId::new(i), pe))
+        self.row(mode).iter().enumerate().map(|(i, &pe)| (TaskId::new(i), pe))
     }
 
     /// Checks that the mapping matches the system's shape and that every
@@ -131,17 +178,17 @@ impl SystemMapping {
     /// Returns [`SchedError::ShapeMismatch`] or
     /// [`SchedError::UnsupportedMapping`].
     pub fn validate(&self, system: &System) -> Result<(), SchedError> {
-        if self.pes.len() != system.omsm().mode_count() {
+        if self.mode_count() != system.omsm().mode_count() {
             return Err(SchedError::ShapeMismatch {
                 detail: format!(
                     "mapping covers {} modes, system has {}",
-                    self.pes.len(),
+                    self.mode_count(),
                     system.omsm().mode_count()
                 ),
             });
         }
         for (mode, m) in system.omsm().modes() {
-            let row = &self.pes[mode.index()];
+            let row = self.row(mode);
             if row.len() != m.graph().task_count() {
                 return Err(SchedError::ShapeMismatch {
                     detail: format!(
@@ -168,7 +215,7 @@ impl SystemMapping {
     ///
     /// Panics if `mode` is out of range.
     pub fn active_pes(&self, mode: ModeId) -> Vec<PeId> {
-        let mut pes = self.pes[mode.index()].clone();
+        let mut pes = self.row(mode).to_vec();
         pes.sort_unstable();
         pes.dedup();
         pes
@@ -176,10 +223,9 @@ impl SystemMapping {
 
     /// Renders the paper-style mapping string, e.g. `[0 1 1 | 0 0 1]`.
     pub fn mapping_string(&self) -> String {
-        let rows: Vec<String> = self
-            .pes
-            .iter()
-            .map(|row| {
+        let rows: Vec<String> = (0..self.mode_count())
+            .map(|m| {
+                let row = self.row(ModeId::new(m));
                 row.iter().map(|p| p.index().to_string()).collect::<Vec<_>>().join(" ")
             })
             .collect();
@@ -187,53 +233,68 @@ impl SystemMapping {
     }
 }
 
+/// One allocated core: `count` instances of type `ty` on PE `pe`.
+type Core = (PeId, TaskTypeId, usize);
+
 /// Per-mode hardware core allocation.
 ///
 /// For every mode, maps `(hardware PE, task type)` to the number of core
 /// instances available. An allocation of `n` lets up to `n` tasks of that
 /// type execute concurrently on the PE; further tasks contend and
 /// sequentialise, exactly as the paper describes for hardware sharing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every mode's entries are stored back to back as one row sorted by
+/// `(pe, type)`, so comparing or copying a mode's cores touches only its
+/// row, and nothing is sized by the largest id an entry names: a stored
+/// solution may name any PE or type. An entry set to zero instances
+/// stays listed. An allocation serialises as
+/// `{"per_mode": [[[pe, type, count], …], …]}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreAllocation {
-    #[serde(with = "core_map_serde")]
-    per_mode: Vec<BTreeMap<(PeId, TaskTypeId), usize>>,
+    /// Every mode's row, mode 0 first, each sorted by `(pe, type)`
+    /// without repeated pairs.
+    cores: Vec<Core>,
+    /// `cores[starts[m]..starts[m + 1]]` is mode `m`'s row.
+    starts: Vec<usize>,
 }
 
-/// Serialises the per-mode core tables as entry lists so that formats with
-/// string-only map keys (JSON) can represent the tuple keys.
-mod core_map_serde {
-    use super::*;
-    use serde::{Deserializer, Serializer};
+/// The serialised shape of a [`CoreAllocation`]: one entry list per mode.
+#[derive(Serialize, Deserialize)]
+struct AllocationRows {
+    per_mode: Vec<Vec<Core>>,
+}
 
-    type CoreMaps = Vec<BTreeMap<(PeId, TaskTypeId), usize>>;
-
-    pub fn serialize<S: Serializer>(
-        maps: &[BTreeMap<(PeId, TaskTypeId), usize>],
-        serializer: S,
-    ) -> Result<S::Ok, S::Error> {
-        let entries: Vec<Vec<(PeId, TaskTypeId, usize)>> = maps
-            .iter()
-            .map(|m| m.iter().map(|(&(pe, ty), &n)| (pe, ty, n)).collect())
-            .collect();
-        serde::Serialize::serialize(&entries, serializer)
+impl Serialize for CoreAllocation {
+    fn to_value(&self) -> serde::Value {
+        let per_mode = (0..self.mode_count()).map(|m| self.row(ModeId::new(m)).to_vec()).collect();
+        AllocationRows { per_mode }.to_value()
     }
+}
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        deserializer: D,
-    ) -> Result<CoreMaps, D::Error> {
-        let entries: Vec<Vec<(PeId, TaskTypeId, usize)>> =
-            serde::Deserialize::deserialize(deserializer)?;
-        Ok(entries
-            .into_iter()
-            .map(|row| row.into_iter().map(|(pe, ty, n)| ((pe, ty), n)).collect())
-            .collect())
+impl<'de> Deserialize<'de> for CoreAllocation {
+    /// Sorts each row by `(pe, type)`; of repeated pairs the last entry
+    /// wins.
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let AllocationRows { per_mode } = Deserialize::from_value(value)?;
+        let mut cores = Vec::with_capacity(per_mode.iter().map(Vec::len).sum());
+        let mut starts = Vec::with_capacity(per_mode.len() + 1);
+        starts.push(0);
+        for mut row in per_mode {
+            // Reversed, a stable sort puts each pair's last entry first.
+            row.reverse();
+            row.sort_by_key(|&(pe, ty, _)| (pe, ty));
+            row.dedup_by_key(|&mut (pe, ty, _)| (pe, ty));
+            cores.extend(row);
+            starts.push(cores.len());
+        }
+        Ok(Self { cores, starts })
     }
 }
 
 impl CoreAllocation {
     /// Creates an empty allocation for `mode_count` modes.
     pub fn new(mode_count: usize) -> Self {
-        Self { per_mode: vec![BTreeMap::new(); mode_count] }
+        Self { cores: Vec::new(), starts: vec![0; mode_count + 1] }
     }
 
     /// Derives the minimal allocation implied by a mapping: one core per
@@ -241,21 +302,76 @@ impl CoreAllocation {
     /// baseline; the synthesis layer may replicate cores for parallel
     /// low-mobility tasks on top of it.
     pub fn minimal(system: &System, mapping: &SystemMapping) -> Self {
-        let mut alloc = Self::new(system.omsm().mode_count());
+        let arch = system.arch();
+        let mut cores = Vec::new();
+        let mut starts = Vec::with_capacity(system.omsm().mode_count() + 1);
+        starts.push(0);
+        let mut used = Vec::new();
         for (mode, m) in system.omsm().modes() {
-            for (task, t) in m.graph().tasks() {
-                let pe = mapping.pe_of(mode, task);
-                if system.arch().pe(pe).kind().is_hardware() {
-                    alloc.ensure(mode, pe, t.task_type(), 1);
-                }
-            }
+            let row = mapping.row(mode);
+            used.clear();
+            used.extend(
+                m.graph()
+                    .tasks()
+                    .map(|(task, t)| (row[task.index()], t.task_type(), 1))
+                    .filter(|&(pe, _, _)| arch.pe(pe).kind().is_hardware()),
+            );
+            used.sort_unstable();
+            used.dedup();
+            cores.extend_from_slice(&used);
+            starts.push(cores.len());
         }
-        alloc
+        Self { cores, starts }
     }
 
     /// Returns the number of modes covered.
     pub fn mode_count(&self) -> usize {
-        self.per_mode.len()
+        self.starts.len() - 1
+    }
+
+    /// `mode`'s entries, sorted by `(pe, type)`.
+    fn row(&self, mode: ModeId) -> &[Core] {
+        &self.cores[self.starts[mode.index()]..self.starts[mode.index() + 1]]
+    }
+
+    /// `mode`'s entries on `pe`, sorted by type.
+    fn pe_row(&self, mode: ModeId, pe: PeId) -> &[Core] {
+        let row = self.row(mode);
+        let first = row.partition_point(|&(p, _, _)| p < pe);
+        let end = first + row[first..].partition_point(|&(p, _, _)| p == pe);
+        &row[first..end]
+    }
+
+    /// The index in `cores` of `(mode, pe, ty)`'s entry, or where to
+    /// insert it.
+    fn find(&self, mode: ModeId, pe: PeId, ty: TaskTypeId) -> Result<usize, usize> {
+        let start = self.starts[mode.index()];
+        self.row(mode)
+            .binary_search_by_key(&(pe, ty), |&(p, t, _)| (p, t))
+            .map(|i| start + i)
+            .map_err(|i| start + i)
+    }
+
+    /// Applies `count` to the instance count of `(mode, pe, ty)`,
+    /// entering the pair at zero instances first if it is missing.
+    fn update(
+        &mut self,
+        mode: ModeId,
+        pe: PeId,
+        ty: TaskTypeId,
+        count: impl FnOnce(usize) -> usize,
+    ) {
+        let at = match self.find(mode, pe, ty) {
+            Ok(at) => at,
+            Err(at) => {
+                self.cores.insert(at, (pe, ty, 0));
+                for start in &mut self.starts[mode.index() + 1..] {
+                    *start += 1;
+                }
+                at
+            }
+        };
+        self.cores[at].2 = count(self.cores[at].2);
     }
 
     /// Sets the instance count for `(mode, pe, ty)`.
@@ -264,7 +380,7 @@ impl CoreAllocation {
     ///
     /// Panics if `mode` is out of range.
     pub fn set_instances(&mut self, mode: ModeId, pe: PeId, ty: TaskTypeId, count: usize) {
-        self.per_mode[mode.index()].insert((pe, ty), count);
+        self.update(mode, pe, ty, |_| count);
     }
 
     /// Raises the instance count for `(mode, pe, ty)` to at least `count`.
@@ -273,8 +389,7 @@ impl CoreAllocation {
     ///
     /// Panics if `mode` is out of range.
     pub fn ensure(&mut self, mode: ModeId, pe: PeId, ty: TaskTypeId, count: usize) {
-        let entry = self.per_mode[mode.index()].entry((pe, ty)).or_insert(0);
-        *entry = (*entry).max(count);
+        self.update(mode, pe, ty, |have| have.max(count));
     }
 
     /// Returns the instance count for `(mode, pe, ty)` (zero if never set).
@@ -283,10 +398,11 @@ impl CoreAllocation {
     ///
     /// Panics if `mode` is out of range.
     pub fn instances(&self, mode: ModeId, pe: PeId, ty: TaskTypeId) -> usize {
-        self.per_mode[mode.index()].get(&(pe, ty)).copied().unwrap_or(0)
+        self.find(mode, pe, ty).map_or(0, |at| self.cores[at].2)
     }
 
-    /// Iterates over the cores allocated in `mode` as `((pe, ty), count)`.
+    /// Iterates over the cores allocated in `mode` as `((pe, ty), count)`,
+    /// ascending by `(pe, ty)`.
     ///
     /// # Panics
     ///
@@ -295,7 +411,7 @@ impl CoreAllocation {
         &self,
         mode: ModeId,
     ) -> impl Iterator<Item = ((PeId, TaskTypeId), usize)> + '_ {
-        self.per_mode[mode.index()].iter().map(|(&k, &v)| (k, v))
+        self.row(mode).iter().map(|&(pe, ty, count)| ((pe, ty), count))
     }
 
     /// `true` when `mode` has the same cores with the same instance counts
@@ -305,61 +421,59 @@ impl CoreAllocation {
     ///
     /// Panics if `mode` is out of range in either allocation.
     pub fn mode_eq(&self, other: &CoreAllocation, mode: ModeId) -> bool {
-        self.per_mode[mode.index()] == other.per_mode[mode.index()]
+        self.row(mode) == other.row(mode)
     }
 
     /// Area occupied on `pe` during `mode` (FPGA view: only that mode's
     /// cores are loaded).
     pub fn mode_area(&self, system: &System, pe: PeId, mode: ModeId) -> Cells {
-        self.per_mode[mode.index()]
+        self.pe_row(mode, pe)
             .iter()
-            .filter(|((p, _), _)| *p == pe)
-            .map(|((_, ty), &count)| self.core_area(system, pe, *ty) * count as u64)
+            .map(|&(_, ty, count)| core_area(system, pe, ty) * count as u64)
             .sum()
     }
 
     /// Area occupied on `pe` by the union of all modes' cores (ASIC view:
     /// cores are static, a type needs its maximal instance count).
     pub fn static_area(&self, system: &System, pe: PeId) -> Cells {
-        let mut max_counts: BTreeMap<TaskTypeId, usize> = BTreeMap::new();
-        for per_mode in &self.per_mode {
-            for ((p, ty), &count) in per_mode {
-                if *p == pe {
-                    let e = max_counts.entry(*ty).or_insert(0);
-                    *e = (*e).max(count);
+        // A type outside the library has no core area, so the most
+        // instances of each type need one slot per library type only.
+        let mut most = vec![0usize; system.tech().type_count()];
+        for mode in 0..self.mode_count() {
+            for &(_, ty, count) in self.pe_row(ModeId::new(mode), pe) {
+                if let Some(slot) = most.get_mut(ty.index()) {
+                    *slot = (*slot).max(count);
                 }
             }
         }
-        max_counts
-            .iter()
-            .map(|(&ty, &count)| self.core_area(system, pe, ty) * count as u64)
+        most.iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(ty, &count)| core_area(system, pe, TaskTypeId::new(ty)) * count as u64)
             .sum()
     }
 
     /// Area of the cores that must be (re)configured when switching from
     /// `from` to `to` on reconfigurable `pe`: every core instance required
-    /// by `to` that is not already present from `from`.
+    /// by `to` that is not already present from `from`. Merges the two
+    /// modes' rows on `pe`.
     pub fn reconfig_area(&self, system: &System, pe: PeId, from: ModeId, to: ModeId) -> Cells {
+        let mut loaded = self.pe_row(from, pe).iter().peekable();
         let mut area = Cells::ZERO;
-        for ((p, ty), &need) in &self.per_mode[to.index()] {
-            if *p != pe {
-                continue;
-            }
-            let have = self.instances(from, pe, *ty);
+        for &(_, ty, need) in self.pe_row(to, pe) {
+            while loaded.next_if(|&&(_, t, _)| t < ty).is_some() {}
+            let have = loaded.next_if(|&&(_, t, _)| t == ty).map_or(0, |&(_, _, n)| n);
             if need > have {
-                area += self.core_area(system, pe, *ty) * (need - have) as u64;
+                area += core_area(system, pe, ty) * (need - have) as u64;
             }
         }
         area
     }
+}
 
-    fn core_area(&self, system: &System, pe: PeId, ty: TaskTypeId) -> Cells {
-        system
-            .tech()
-            .impl_of(ty, pe)
-            .map(|imp| imp.area())
-            .unwrap_or(Cells::ZERO)
-    }
+/// The area of one `ty` core on `pe` (zero without an implementation).
+fn core_area(system: &System, pe: PeId, ty: TaskTypeId) -> Cells {
+    system.tech().impl_of(ty, pe).map(|imp| imp.area()).unwrap_or(Cells::ZERO)
 }
 
 #[cfg(test)]

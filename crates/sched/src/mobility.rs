@@ -27,6 +27,9 @@ use crate::mapping::SystemMapping;
 pub struct TimingAnalysis {
     mode: ModeId,
     exec: Vec<Seconds>,
+    /// Per comm: the fastest transfer between its tasks' PEs (zero when
+    /// they share one), estimated once for both passes.
+    transfer: Vec<Seconds>,
     asap: Vec<Seconds>,
     alap: Vec<Seconds>,
 }
@@ -35,7 +38,13 @@ impl Default for TimingAnalysis {
     /// An empty analysis of mode 0, to be filled by
     /// [`TimingAnalysis::refresh`].
     fn default() -> Self {
-        Self { mode: ModeId::new(0), exec: Vec::new(), asap: Vec::new(), alap: Vec::new() }
+        Self {
+            mode: ModeId::new(0),
+            exec: Vec::new(),
+            transfer: Vec::new(),
+            asap: Vec::new(),
+            alap: Vec::new(),
+        }
     }
 }
 
@@ -58,12 +67,13 @@ impl TimingAnalysis {
     pub fn refresh(&mut self, system: &System, mode: ModeId, mapping: &SystemMapping) {
         let graph = system.omsm().mode(mode).graph();
         let n = graph.task_count();
-        let Self { mode: analysed, exec, asap, alap } = self;
+        let Self { mode: analysed, exec, transfer, asap, alap } = self;
         *analysed = mode;
 
+        let row = mapping.row(mode);
         exec.clear();
         exec.extend(graph.tasks().map(|(task, t)| {
-            let pe = mapping.pe_of(mode, task);
+            let pe = row[task.index()];
             system
                 .tech()
                 .impl_of(t.task_type(), pe)
@@ -72,10 +82,9 @@ impl TimingAnalysis {
                 .unwrap_or(Seconds::ZERO)
         }));
 
-        let comm_est = |comm: momsynth_model::ids::CommId| -> Seconds {
-            let edge = graph.comm(comm);
-            let src_pe = mapping.pe_of(mode, edge.src());
-            let dst_pe = mapping.pe_of(mode, edge.dst());
+        transfer.clear();
+        transfer.extend(graph.comms().map(|(_, edge)| {
+            let (src_pe, dst_pe) = (row[edge.src().index()], row[edge.dst().index()]);
             if src_pe == dst_pe {
                 return Seconds::ZERO;
             }
@@ -87,7 +96,7 @@ impl TimingAnalysis {
                     Some(best.map_or(t, |b| b.min(t)))
                 })
                 .unwrap_or(Seconds::ZERO)
-        };
+        }));
 
         // Forward pass: earliest start ignoring resource contention.
         asap.clear();
@@ -95,7 +104,7 @@ impl TimingAnalysis {
         for &t in graph.topological_order() {
             let mut start = Seconds::ZERO;
             for &(comm, pred) in graph.predecessors(t) {
-                let arrival = asap[pred.index()] + exec[pred.index()] + comm_est(comm);
+                let arrival = asap[pred.index()] + exec[pred.index()] + transfer[comm.index()];
                 start = start.max(arrival);
             }
             asap[t.index()] = start;
@@ -109,7 +118,7 @@ impl TimingAnalysis {
             let mut finish = graph.effective_deadline(t);
             for &(comm, succ) in graph.successors(t) {
                 let succ_start = alap[succ.index()] - exec[succ.index()];
-                finish = finish.min(succ_start - comm_est(comm));
+                finish = finish.min(succ_start - transfer[comm.index()]);
             }
             alap[t.index()] = finish;
         }

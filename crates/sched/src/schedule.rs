@@ -7,6 +7,9 @@
 //! the voltage-scaling layer needs to rebuild the schedule's constraint
 //! graph without re-running the scheduler.
 
+// lint: allow(raw-std-sync-import) immutable shared data, nothing for loom to model
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use momsynth_model::ids::{ClId, CommId, ModeId, PeId, TaskId, TaskTypeId};
@@ -95,14 +98,33 @@ impl ScheduledComm {
 }
 
 /// A complete static schedule of one mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Schedule {
+///
+/// A schedule is immutable and cloning one shares it, so a candidate
+/// that keeps a mode's schedule costs a reference count, not a copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Schedule(Arc<ScheduleParts>);
+
+/// The contents of a [`Schedule`], which is also its serialised shape.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct ScheduleParts {
     mode: ModeId,
     tasks: Vec<ScheduledTask>,
     /// Indexed by [`CommId`]; `None` marks a PE-local transfer (free).
     comms: Vec<Option<ScheduledComm>>,
     /// Execution order per resource, as produced by the scheduler.
     sequences: Vec<(ResourceKey, Vec<ActivityId>)>,
+}
+
+impl Serialize for Schedule {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for Schedule {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        ScheduleParts::from_value(value).map(|parts| Self(Arc::new(parts)))
+    }
 }
 
 impl Schedule {
@@ -115,12 +137,12 @@ impl Schedule {
         comms: Vec<Option<ScheduledComm>>,
         sequences: Vec<(ResourceKey, Vec<ActivityId>)>,
     ) -> Self {
-        Self { mode, tasks, comms, sequences }
+        Self(Arc::new(ScheduleParts { mode, tasks, comms, sequences }))
     }
 
     /// Returns the mode this schedule implements.
     pub fn mode(&self) -> ModeId {
-        self.mode
+        self.0.mode
     }
 
     /// Returns the scheduled entry of `task`.
@@ -129,12 +151,12 @@ impl Schedule {
     ///
     /// Panics if `task` is out of range.
     pub fn task(&self, task: TaskId) -> &ScheduledTask {
-        &self.tasks[task.index()]
+        &self.0.tasks[task.index()]
     }
 
     /// Iterates over all scheduled tasks in task-id order.
     pub fn tasks(&self) -> impl Iterator<Item = &ScheduledTask> + '_ {
-        self.tasks.iter()
+        self.0.tasks.iter()
     }
 
     /// Returns the scheduled entry of `comm`, or `None` for a local transfer.
@@ -143,28 +165,29 @@ impl Schedule {
     ///
     /// Panics if `comm` is out of range.
     pub fn comm(&self, comm: CommId) -> Option<&ScheduledComm> {
-        self.comms[comm.index()].as_ref()
+        self.0.comms[comm.index()].as_ref()
     }
 
     /// Returns the length of the comm table: one entry per communication
     /// edge of the mode, local ones included.
     pub fn comm_count(&self) -> usize {
-        self.comms.len()
+        self.0.comms.len()
     }
 
     /// Iterates over all remote communications.
     pub fn remote_comms(&self) -> impl Iterator<Item = &ScheduledComm> + '_ {
-        self.comms.iter().flatten()
+        self.0.comms.iter().flatten()
     }
 
     /// Returns the per-resource execution sequences.
     pub fn sequences(&self) -> &[(ResourceKey, Vec<ActivityId>)] {
-        &self.sequences
+        &self.0.sequences
     }
 
     /// Returns the time the last activity finishes.
     pub fn makespan(&self) -> Seconds {
-        let task_end = self.tasks.iter().map(ScheduledTask::finish).fold(Seconds::ZERO, Seconds::max);
+        let task_end =
+            self.0.tasks.iter().map(ScheduledTask::finish).fold(Seconds::ZERO, Seconds::max);
         let comm_end = self
             .remote_comms()
             .map(ScheduledComm::finish)
@@ -177,7 +200,7 @@ impl Schedule {
     /// the schedule is timing-feasible.
     pub fn total_lateness(&self, graph: &TaskGraph) -> Seconds {
         let mut late = Seconds::ZERO;
-        for entry in &self.tasks {
+        for entry in &self.0.tasks {
             let deadline = graph.effective_deadline(entry.task);
             late += (entry.finish() - deadline).clamp_non_negative();
         }
@@ -197,14 +220,14 @@ impl Schedule {
     /// in examples and debugging sessions.
     pub fn to_gantt_string(&self, system: &System) -> String {
         let mut out = String::new();
-        let graph = system.omsm().mode(self.mode).graph();
+        let graph = system.omsm().mode(self.0.mode).graph();
         out.push_str(&format!(
             "mode {} `{}` (period {:.3})\n",
-            self.mode,
+            self.0.mode,
             graph.name(),
             graph.period()
         ));
-        for (res, acts) in &self.sequences {
+        for (res, acts) in &self.0.sequences {
             let label = match res {
                 ResourceKey::SwPe(pe) => format!("{} [{}]", system.arch().pe(*pe).name(), pe),
                 ResourceKey::HwCore(pe, ty, inst) => format!(

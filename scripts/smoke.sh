@@ -6,8 +6,11 @@
 #
 #   check      synth a solution report and re-verify it with `check`
 #   analyze    static bounds on three systems; an infeasible spec must exit 2
-#              and `info` must count its error; a cyclic spec must fail to
-#              load in `info`, `analyze` and `synth` (exit 1, no panic)
+#              and `info` must count its error; a cyclic spec and three
+#              physically meaningless ones (a negative data volume, link
+#              time per data unit and link transfer power) must fail to
+#              load in `info`, `analyze` and `synth` (exit 1 with the
+#              builder's reason, no panic)
 #   telemetry  trace and run-summary outputs of `synth`
 #   threads    one synth at 1 and at 2 threads: identical results and counters
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
@@ -108,6 +111,22 @@ comms = spec["omsm"]["modes"][0]["graph"]["comms"]
 comms.append({"src": comms[0]["dst"], "dst": comms[0]["src"], "data_units": 1.0})
 json.dump(spec, open("cyclic.json", "w"))
 PY
+  python3 - "$OUT/mul3.json" <<'PY'
+import json
+import sys
+
+# Negative numbers the builders refuse: a data volume, a link's time per
+# data unit and its transfer power.
+edits = {
+    "negative_volume": lambda s: s["omsm"]["modes"][0]["graph"]["comms"][0].update(data_units=-1e6),
+    "negative_link_time": lambda s: s["arch"]["cls"][0].update(time_per_data_unit=-1e-3),
+    "negative_link_power": lambda s: s["arch"]["cls"][0].update(transfer_power=-5),
+}
+for name, edit in edits.items():
+    spec = json.load(open(sys.argv[1]))
+    edit(spec)
+    json.dump(spec, open(f"{name}.json", "w"))
+PY
   local code=0
   momsynth analyze broken.json --report-out analysis_broken.json || code=$?
   if [ "$code" -ne 2 ]; then
@@ -120,17 +139,24 @@ PY
     cat info_broken.txt >&2
     return 1
   fi
-  for cmd in info analyze synth; do
-    code=0
-    momsynth "$cmd" cyclic.json > /dev/null 2> "cyclic_$cmd.err" || code=$?
-    if [ "$code" -ne 1 ] || ! grep -q "dependency cycle" "cyclic_$cmd.err" \
-      || grep -q "panicked" "cyclic_$cmd.err"; then
-      echo "error: $cmd exited with $code on a cyclic spec instead of refusing it:" >&2
-      cat "cyclic_$cmd.err" >&2
-      return 1
-    fi
+  local refused reason name
+  for refused in "cyclic:dependency cycle" "negative_volume:invalid data volume" \
+    "negative_link_time:time per data unit must be non-negative" \
+    "negative_link_power:transfer power must be non-negative"; do
+    name="${refused%%:*}"
+    reason="${refused#*:}"
+    for cmd in info analyze synth; do
+      code=0
+      momsynth "$cmd" "$name.json" > /dev/null 2> "${name}_$cmd.err" || code=$?
+      if [ "$code" -ne 1 ] || ! grep -q "$reason" "${name}_$cmd.err" \
+        || grep -q "panicked" "${name}_$cmd.err"; then
+        echo "error: $cmd exited with $code on $name.json instead of refusing it:" >&2
+        cat "${name}_$cmd.err" >&2
+        return 1
+      fi
+    done
+    echo "ok: info, analyze and synth refuse $name.json with exit 1"
   done
-  echo "ok: info, analyze and synth refuse the cyclic spec with exit 1"
   python3 - <<'PY'
 import json
 

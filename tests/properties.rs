@@ -3,11 +3,15 @@
 //! DVS invariants (never slower than deadlines allow, never more energy),
 //! and power-model invariants (non-negativity, probability weighting).
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use momsynth::dvs::{scale_mode, DvsOptions};
 use momsynth::generators::suite::{generate, GeneratorParams};
-use momsynth::model::System;
+use momsynth::model::ids::{ClId, ModeId, PeId, TaskTypeId};
+use momsynth::model::units::{Cells, Seconds, Watts};
+use momsynth::model::{Architecture, ArchitectureBuilder, Cl, Pe, PeKind, System};
 use momsynth::power::{mode_power, ModeImplementation};
 use momsynth::sched::{
     schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
@@ -332,6 +336,233 @@ proptest! {
                     prop_assert_eq!(priced, fresh);
                 }
                 neighbour[locus] = genes[locus];
+            }
+        }
+    }
+}
+
+/// The allocation model the flat rows replace: one ordered map per mode.
+struct ReferenceAllocation(Vec<BTreeMap<(PeId, TaskTypeId), usize>>);
+
+impl ReferenceAllocation {
+    fn core_area(system: &System, pe: PeId, ty: TaskTypeId) -> Cells {
+        system.tech().impl_of(ty, pe).map_or(Cells::ZERO, |imp| imp.area())
+    }
+
+    fn mode_area(&self, system: &System, pe: PeId, mode: usize) -> Cells {
+        self.0[mode]
+            .iter()
+            .filter(|((p, _), _)| *p == pe)
+            .map(|(&(_, ty), &n)| Self::core_area(system, pe, ty) * n as u64)
+            .sum()
+    }
+
+    fn static_area(&self, system: &System, pe: PeId) -> Cells {
+        let mut most: BTreeMap<TaskTypeId, usize> = BTreeMap::new();
+        for row in &self.0 {
+            for (&(p, ty), &n) in row {
+                if p == pe {
+                    let slot = most.entry(ty).or_insert(0);
+                    *slot = (*slot).max(n);
+                }
+            }
+        }
+        most.iter().map(|(&ty, &n)| Self::core_area(system, pe, ty) * n as u64).sum()
+    }
+
+    fn reconfig_area(&self, system: &System, pe: PeId, from: usize, to: usize) -> Cells {
+        let mut area = Cells::ZERO;
+        for (&(p, ty), &need) in &self.0[to] {
+            let have = self.0[from].get(&(p, ty)).copied().unwrap_or(0);
+            if p == pe && need > have {
+                area += Self::core_area(system, pe, ty) * (need - have) as u64;
+            }
+        }
+        area
+    }
+
+    fn json(&self) -> String {
+        let rows: Vec<Vec<(PeId, TaskTypeId, usize)>> = self
+            .0
+            .iter()
+            .map(|row| row.iter().map(|(&(pe, ty), &n)| (pe, ty, n)).collect())
+            .collect();
+        serde_json::to_string(&serde_json::json!({ "per_mode": rows })).expect("serialises")
+    }
+}
+
+/// One allocation edit: `(ensure?, mode, pe, type, count)`.
+type AllocationEdit = (bool, usize, usize, usize, usize);
+
+/// A small generated system plus a random sequence of allocation edits,
+/// some naming ids the system lacks.
+fn system_and_allocation_edits() -> impl Strategy<Value = (System, Vec<AllocationEdit>)> {
+    let edit = (0u8..2, 0usize..8, 0usize..6, 0usize..10, 0usize..4);
+    (1u64..500, 1usize..4, proptest::collection::vec(edit, 0..40)).prop_map(
+        |(seed, modes, edits)| {
+            let mut params = GeneratorParams::new("alloc", seed);
+            params.modes = modes;
+            params.tasks_per_mode = (3, 6);
+            params.hardware_pes = 2;
+            params.type_pool = 6;
+            let edits =
+                edits.into_iter().map(|(e, m, pe, ty, n)| (e == 1, m % modes, pe, ty, n)).collect();
+            (generate(&params), edits)
+        },
+    )
+}
+
+/// A random architecture: `pes` PEs and links over random endpoint lists
+/// (repeats allowed, each with at least two distinct PEs).
+fn architecture() -> impl Strategy<Value = Architecture> {
+    let link = proptest::collection::vec(0usize..8, 2..6);
+    (1usize..8, proptest::collection::vec(link, 0..6)).prop_map(|(pes, links)| {
+        let mut b = ArchitectureBuilder::new();
+        for i in 0..pes {
+            b.add_pe(Pe::software(format!("p{i}"), PeKind::Gpp, Watts::ZERO));
+        }
+        for (i, ends) in links.into_iter().enumerate() {
+            let ends: Vec<PeId> = ends.into_iter().map(|e| PeId::new(e % pes)).collect();
+            let link = Cl::bus(format!("l{i}"), ends, Seconds::ZERO, Watts::ZERO, Watts::ZERO);
+            // A link over fewer than two distinct PEs is refused.
+            let _ = b.add_cl(link);
+        }
+        b.build().expect("at least one PE")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The flat allocation rows behave exactly like one ordered map per
+    /// mode under any sequence of edits: the same counts, the same core
+    /// order, the same per-mode equality, areas and JSON.
+    #[test]
+    fn core_allocation_matches_the_ordered_map_model(
+        (system, edits) in system_and_allocation_edits()
+    ) {
+        let modes = system.omsm().mode_count();
+        let mut alloc = CoreAllocation::new(modes);
+        let mut reference = ReferenceAllocation(vec![BTreeMap::new(); modes]);
+        let before = alloc.clone();
+        for (ensure, m, pe, ty, n) in edits {
+            let (mode, pe, ty) = (ModeId::new(m), PeId::new(pe), TaskTypeId::new(ty));
+            if ensure {
+                alloc.ensure(mode, pe, ty, n);
+                let slot = reference.0[m].entry((pe, ty)).or_insert(0);
+                *slot = (*slot).max(n);
+            } else {
+                alloc.set_instances(mode, pe, ty, n);
+                reference.0[m].insert((pe, ty), n);
+            }
+        }
+        for m in 0..modes {
+            let mode = ModeId::new(m);
+            let cores: Vec<_> = alloc.mode_cores(mode).collect();
+            let expected: Vec<_> = reference.0[m].iter().map(|(&k, &n)| (k, n)).collect();
+            prop_assert_eq!(cores, expected);
+            prop_assert_eq!(alloc.mode_eq(&before, mode), reference.0[m].is_empty());
+            for pe in 0..6 {
+                let pe = PeId::new(pe);
+                for ty in 0..10 {
+                    let ty = TaskTypeId::new(ty);
+                    let n = reference.0[m].get(&(pe, ty)).copied().unwrap_or(0);
+                    prop_assert_eq!(alloc.instances(mode, pe, ty), n);
+                }
+                prop_assert_eq!(
+                    alloc.mode_area(&system, pe, mode),
+                    reference.mode_area(&system, pe, m)
+                );
+                for to in 0..modes {
+                    prop_assert_eq!(
+                        alloc.reconfig_area(&system, pe, mode, ModeId::new(to)),
+                        reference.reconfig_area(&system, pe, m, to)
+                    );
+                }
+            }
+        }
+        for pe in 0..6 {
+            let pe = PeId::new(pe);
+            prop_assert_eq!(alloc.static_area(&system, pe), reference.static_area(&system, pe));
+        }
+        let json = serde_json::to_string(&alloc).expect("serialises");
+        prop_assert_eq!(&json, &reference.json());
+        prop_assert_eq!(serde_json::from_str::<CoreAllocation>(&json).unwrap(), alloc);
+    }
+
+    /// The links two PEs share, read from the architecture's incidence
+    /// table, are exactly the ascending ids an endpoint scan finds, for
+    /// every pair, a PE with itself and a PE the architecture lacks.
+    #[test]
+    fn shared_links_match_an_endpoint_scan(arch in architecture()) {
+        for a in 0..=arch.pe_count() {
+            for b in 0..=arch.pe_count() {
+                let (a, b) = (PeId::new(a), PeId::new(b));
+                let scan: Vec<ClId> = arch
+                    .cls()
+                    .filter(|(_, cl)| cl.connects(a) && cl.connects(b))
+                    .map(|(id, _)| id)
+                    .collect();
+                prop_assert_eq!(arch.cls_between(a, b).collect::<Vec<_>>(), scan);
+            }
+        }
+        let json = serde_json::to_value(&arch);
+        let keys: Vec<&str> =
+            json.as_object().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+        prop_assert_eq!(keys, vec!["pes", "cls"]);
+        prop_assert_eq!(serde_json::from_value::<Architecture>(&json).unwrap(), arch);
+    }
+
+    /// A mapping serialises as one PE array per mode and reads back
+    /// equal, whichever constructor built it.
+    #[test]
+    fn mapping_json_is_one_array_per_mode((system, mapping) in system_and_mapping()) {
+        let rows: Vec<Vec<PeId>> =
+            system.omsm().mode_ids().map(|m| mapping.row(m).to_vec()).collect();
+        let json = serde_json::to_string(&mapping).expect("serialises");
+        let expected =
+            serde_json::to_string(&serde_json::json!({ "pes": rows })).expect("serialises");
+        prop_assert_eq!(&json, &expected);
+        prop_assert_eq!(serde_json::from_str::<SystemMapping>(&json).unwrap(), mapping.clone());
+        prop_assert_eq!(SystemMapping::from_vecs(rows), mapping);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// A chain of 20 accepted single-gene moves, each priced against the
+    /// solution of the move before, ends every step at exactly the
+    /// solution a fresh evaluator gives, at fixed voltage and under
+    /// PV-DVS: modes shared along a chain stay correct.
+    #[test]
+    fn chained_neighbour_pricing_equals_fresh_pricing(
+        ((system, genes), moves) in (
+            multi_mode_system_and_genome(),
+            proptest::collection::vec((0usize..1000, 0usize..8), 20),
+        )
+    ) {
+        let layout = GenomeLayout::new(&system);
+        let fixed_voltage = SynthesisConfig::fast_preset(0);
+        for config in [fixed_voltage.clone(), fixed_voltage.with_dvs()] {
+            let dvs = config.dvs.as_ref().map(|d| d.eval);
+            let reused = Evaluator::new(&system, &config);
+            let mut base = reused
+                .try_evaluate(layout.decode(&genes), dvs.as_ref(), None)
+                .expect("generated architectures are fully connected");
+            for &(locus, pick) in &moves {
+                let locus = locus % layout.len();
+                let gene = (pick % layout.candidates(locus).len()) as Gene;
+                let mapping = layout.with_gene(&base.mapping, locus, gene);
+                let priced = reused
+                    .try_evaluate(mapping.clone(), dvs.as_ref(), Some(&base))
+                    .expect("generated architectures are fully connected");
+                let fresh = Evaluator::new(&system, &config)
+                    .try_evaluate(mapping, dvs.as_ref(), None)
+                    .expect("generated architectures are fully connected");
+                prop_assert_eq!(priced.fitness.to_bits(), fresh.fitness.to_bits());
+                prop_assert_eq!(&priced, &fresh);
+                base = priced;
             }
         }
     }

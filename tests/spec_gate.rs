@@ -9,7 +9,7 @@ use serde_json::{json, Value};
 use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
 use momsynth::generators::suite::mul;
-use momsynth::model::ids::{CommId, GlobalTaskId, ModeId, PeId, TaskId, TaskTypeId};
+use momsynth::model::ids::{ClId, CommId, GlobalTaskId, ModeId, PeId, TaskId, TaskTypeId};
 use momsynth::model::{ModelError, System};
 
 /// Descends a JSON tree by field names and array indices.
@@ -174,4 +174,53 @@ fn files_with_derived_graph_state_load_as_the_valid_spec() {
         let back: System = serde_json::from_value(&v).expect("stale derived state is ignored");
         assert_eq!(back, system, "{}", system.name());
     }
+}
+
+#[test]
+fn negative_or_non_finite_link_comm_and_pe_numbers_fail_to_load() {
+    let system = mul(3);
+    let graph = system.omsm().mode(ModeId::new(0)).graph();
+    let comm = graph.comm(CommId::new(0));
+    let link = system.arch().cl(ClId::new(0)).name().to_owned();
+    let pe = system.arch().pe(PeId::new(0)).name().to_owned();
+    let bad_link = |reason: &str| ModelError::InvalidLink {
+        link: link.clone(),
+        reason: format!("{reason} must be non-negative and finite"),
+    };
+    let bad_pe = |reason: &str| ModelError::InvalidPe {
+        pe: pe.clone(),
+        reason: format!("{reason} must be non-negative and finite"),
+    };
+
+    let edits: [(&[&str], Value, ModelError); 5] = [
+        (
+            &["omsm", "modes", "0", "graph", "comms", "0", "data_units"],
+            json!(-1e6),
+            ModelError::InvalidDataUnits {
+                graph: graph.name().to_owned(),
+                src: comm.src(),
+                dst: comm.dst(),
+                data_units: -1e6,
+            },
+        ),
+        (&["arch", "cls", "0", "time_per_data_unit"], json!(-1e-3), bad_link("time per data unit")),
+        (&["arch", "cls", "0", "transfer_power"], json!(-5), bad_link("transfer power")),
+        (&["arch", "pes", "0", "static_power"], json!(-1), bad_pe("static power")),
+        (
+            &["arch", "pes", "0", "reconfig_time_per_cell"],
+            json!(-1e-9),
+            bad_pe("reconfiguration time per cell"),
+        ),
+    ];
+    for (path, value, expected) in edits {
+        assert_refused(&system, |v| *at(v, path) = value, expected);
+    }
+
+    // Zero stays legal: a pure precedence edge, a free and instant link.
+    let mut v = serde_json::to_value(&system);
+    *at(&mut v, &["omsm", "modes", "0", "graph", "comms", "0", "data_units"]) = json!(0.0);
+    for field in ["time_per_data_unit", "transfer_power", "static_power"] {
+        *at(&mut v, &["arch", "cls", "0", field]) = json!(0.0);
+    }
+    serde_json::from_value::<System>(&v).expect("zero volumes and rates load");
 }

@@ -9,14 +9,22 @@
 
 use proptest::prelude::*;
 
-use momsynth::check::{check_solution, CheckReport, SolutionView, Violation};
+use serde_json::Value;
+
+use momsynth::check::{check_solution, CheckReport, SolutionView, StoredSolution, Violation};
 use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
-use momsynth::generators::suite::{generate, GeneratorParams};
-use momsynth::model::ids::{ClId, CommId};
-use momsynth::model::System;
-use momsynth::sched::{Schedule, ScheduledComm};
-use momsynth::synthesis::{verify_solution, Solution, SynthesisConfig, Synthesizer};
+use momsynth::generators::suite::{generate, mul, GeneratorParams};
+use momsynth::model::ids::{ClId, CommId, ModeId, PeId, TaskTypeId};
+use momsynth::model::units::{Cells, Seconds, Watts};
+use momsynth::model::{
+    ArchitectureBuilder, Cl, Implementation, OmsmBuilder, Pe, PeKind, System, TaskGraphBuilder,
+    TechLibraryBuilder,
+};
+use momsynth::sched::{Schedule, ScheduledComm, SystemMapping};
+use momsynth::synthesis::{
+    verify_solution, Evaluator, Solution, SynthesisConfig, Synthesizer,
+};
 
 /// Runs synthesis and holds the result against the oracle: a feasible
 /// solution must be completely clean; an infeasible one may carry
@@ -76,7 +84,7 @@ fn corrupted_smartphone_solutions_are_rejected() {
     let slot = mutated
         .voltage_schedules
         .iter_mut()
-        .flatten()
+        .flat_map(|mode| mode.make_mut())
         .find_map(Option::as_mut)
         .expect("DVS run scales at least one task");
     let mut segments = slot.segments().to_vec();
@@ -211,4 +219,149 @@ proptest! {
         });
         prop_assert_eq!(report, verify_solution(&system, &best));
     }
+}
+
+/// A CPU, a 300-cell ASIC and a 300-cell FPGA (1 µs per cell) on one
+/// bus. Types X and Y each run on the CPU or as a 100-cell core on
+/// either fabric; mode `a` runs one X task, mode `b` one Y task, and
+/// each direction of the `a`–`b` transition allows 0.1 ms.
+fn two_fabric_system() -> System {
+    let mut tech = TechLibraryBuilder::new();
+    let x = tech.add_type("X");
+    let y = tech.add_type("Y");
+    let mut arch = ArchitectureBuilder::new();
+    let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::from_milli(0.2)));
+    let asic = arch.add_pe(Pe::hardware("asic", PeKind::Asic, Cells::new(300), Watts::ZERO));
+    let fpga = arch.add_pe(
+        Pe::hardware("fpga", PeKind::Fpga, Cells::new(300), Watts::ZERO)
+            .with_reconfig_time_per_cell(Seconds::from_micros(1.0)),
+    );
+    arch.add_cl(Cl::bus(
+        "bus",
+        vec![cpu, asic, fpga],
+        Seconds::from_micros(1.0),
+        Watts::from_milli(1.0),
+        Watts::ZERO,
+    ))
+    .unwrap();
+    for ty in [x, y] {
+        let sw = Implementation::software(Seconds::from_millis(5.0), Watts::from_milli(50.0));
+        tech.set_impl(ty, cpu, sw);
+        for hw in [asic, fpga] {
+            let core = Implementation::hardware(
+                Seconds::from_millis(1.0),
+                Watts::from_milli(5.0),
+                Cells::new(100),
+            );
+            tech.set_impl(ty, hw, core);
+        }
+    }
+    let mut omsm = OmsmBuilder::new();
+    let mut modes = Vec::new();
+    for (name, ty) in [("a", x), ("b", y)] {
+        let mut g = TaskGraphBuilder::new(name, Seconds::from_millis(20.0));
+        g.add_task("t", ty);
+        modes.push(omsm.add_mode(name, 0.5, g.build().unwrap()));
+    }
+    omsm.add_transition(modes[0], modes[1], Seconds::from_micros(100.0)).unwrap();
+    omsm.add_transition(modes[1], modes[0], Seconds::from_micros(100.0)).unwrap();
+    System::new("two_fabric", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
+}
+
+/// The checker folds area and reconfiguration from the allocation's
+/// cores and the library itself: an ASIC whose modes each fit alone but
+/// whose static union does not, and an FPGA transition that must load
+/// more than `t_T^max` allows, are found with the exact cells and time.
+#[test]
+fn area_and_reconfiguration_are_recomputed_from_the_allocation() {
+    let system = two_fabric_system();
+    let (a, b) = (ModeId::new(0), ModeId::new(1));
+    let (x, y) = (TaskTypeId::new(0), TaskTypeId::new(1));
+    let (asic, fpga) = (PeId::new(1), PeId::new(2));
+    let config = SynthesisConfig::fast_preset(0);
+    let mapping = SystemMapping::from_fn(&system, |_| PeId::new(0));
+    let solved = Evaluator::new(&system, &config).evaluate(mapping, None).unwrap();
+    assert!(verify_solution(&system, &solved).is_clean());
+
+    // Two 100-cell cores per mode fit the 300-cell ASIC; both pairs do
+    // not.
+    let mut union = solved.clone();
+    union.alloc.set_instances(a, asic, x, 2);
+    union.alloc.set_instances(b, asic, y, 2);
+    let overflow = Violation::AreaOverflow {
+        pe: asic,
+        required: Cells::new(400),
+        capacity: Cells::new(300),
+    };
+    assert_eq!(verify_solution(&system, &union).violations(), &[overflow]);
+
+    // Entering `b` keeps `a`'s X core and loads two Y cores `a` lacks:
+    // 200 cells, 200 µs of a 100 µs budget. Leaving it loads nothing.
+    let mut reload = solved.clone();
+    reload.alloc.set_instances(a, fpga, x, 1);
+    reload.alloc.set_instances(b, fpga, x, 1);
+    reload.alloc.set_instances(b, fpga, y, 2);
+    let (into_b, _) = system.omsm().transitions().find(|(_, t)| t.to() == b).unwrap();
+    let overrun = Violation::TransitionOverrun {
+        transition: into_b,
+        time: Seconds::new(system.arch().pe(fpga).reconfig_time_per_cell().value() * 200.0),
+        limit: Seconds::from_micros(100.0),
+    };
+    assert_eq!(verify_solution(&system, &reload).violations(), &[overrun]);
+}
+
+/// A stored solution whose allocation names a PE the architecture lacks
+/// — however large its id — is a malformed finding, never a panic or an
+/// allocation sized by the id; a zero-count entry for a real core is
+/// harmless.
+#[test]
+fn hostile_allocation_entries_in_a_stored_solution_stay_findings() {
+    let system = mul(3);
+    let best = Synthesizer::new(&system, SynthesisConfig::fast_preset(1))
+        .run()
+        .expect("schedulable system");
+    assert!(best.best.is_feasible());
+    let mode0 = ModeId::new(0);
+    // Checks the solution file with `entry` appended to mode 0's
+    // allocation row.
+    let check_with = |entry: Option<serde_json::Value>| {
+        let mut json = best.report(&system);
+        if let Some(entry) = entry {
+            let mut v = &mut json;
+            for key in ["alloc", "per_mode"] {
+                let Value::Object(fields) = v else { panic!("`{key}` sits in an object") };
+                v = &mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1;
+            }
+            let Value::Array(modes) = v else { panic!("per-mode rows are an array") };
+            let Value::Array(row) = &mut modes[0] else { panic!("a row is an array") };
+            row.push(entry);
+        }
+        StoredSolution::from_json(&json).expect("the edited file parses").check(&system)
+    };
+    assert!(check_with(None).is_clean());
+
+    for pe in [99u64, 4_000_000_000] {
+        let report = check_with(Some(serde_json::json!([pe, 0, 1])));
+        assert!(
+            report.violations().iter().any(|v| matches!(v, Violation::Malformed { detail }
+                if detail.contains("allocation names unknown core"))),
+            "PE {pe}:\n{report}"
+        );
+    }
+
+    let (pe, ty) = system
+        .tech()
+        .type_ids()
+        .find_map(|ty| {
+            system
+                .tech()
+                .pes_supporting(ty)
+                .find(|&pe| {
+                    system.arch().pe(pe).kind().is_hardware()
+                        && best.best.alloc.instances(mode0, pe, ty) == 0
+                })
+                .map(|pe| (pe, ty))
+        })
+        .expect("mul3 has a hardware core mode 0 leaves unallocated");
+    assert!(check_with(Some(serde_json::json!([pe.index(), ty.index(), 0]))).is_clean());
 }
