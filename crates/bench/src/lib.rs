@@ -146,13 +146,8 @@ impl HarnessOptions {
 
 /// Runs both flows (`probability-aware` and `-neglecting`) on one system
 /// and averages power and wall time over `options.runs` repetitions.
-pub fn compare_flows(system: &System, dvs: bool, options: &HarnessOptions) -> ComparisonRow {
-    compare_flows_detailed(system, dvs, options).0
-}
-
-/// Like [`compare_flows`], but also returns one [`RunSummary`] per
-/// individual optimisation run (both flows, in execution order) for
-/// machine-readable persistence.
+/// Also returns one [`RunSummary`] per individual optimisation run (both
+/// flows, in execution order) for machine-readable persistence.
 pub fn compare_flows_detailed(
     system: &System,
     dvs: bool,
@@ -289,11 +284,6 @@ pub fn render_table(title: &str, rows: &[ComparisonRow]) -> String {
     writeln!(out, "{}", "-".repeat(109)).unwrap();
     writeln!(out, "mean reduction {mean:.2} %, max reduction {max:.2} %").unwrap();
     out
-}
-
-/// Prints rows in the paper's Table 1/2 layout.
-pub fn print_table(title: &str, rows: &[ComparisonRow]) {
-    print!("{}", render_table(title, rows));
 }
 
 /// Persists one experiment's outputs: `results_<name>.txt` holds the

@@ -13,9 +13,9 @@
 //! and rejects the rest, and [`Checkpoint::validate`] cross-checks the
 //! header against the system a resume targets (name, mode/task counts,
 //! genome length, GA seed) so a checkpoint can never silently resume onto
-//! the wrong problem. Writes go through an fsync'd temporary sibling file
-//! and a rename, so an interrupted write never destroys the previous
-//! checkpoint, and the previous good file is kept as a `.bak` sibling:
+//! the wrong problem. Writes go through [`durable::write`], so an
+//! interrupted write never destroys the previous checkpoint, and the
+//! previous good file is kept as a `.bak` sibling:
 //! [`Checkpoint::load_resilient`] falls back to it when the primary is
 //! torn or corrupt, reporting the recovery instead of aborting.
 
@@ -28,6 +28,7 @@ use momsynth_ga::GaSnapshot;
 use momsynth_model::System;
 use momsynth_telemetry::Counters;
 
+use crate::durable;
 use crate::genome::{Gene, GenomeLayout};
 
 /// The checkpoint format version this build writes.
@@ -97,13 +98,6 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// `path` with `suffix` appended to its final component.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(suffix);
-    PathBuf::from(s)
-}
-
 /// Frozen GA engine state plus a header tying it to one system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
@@ -172,16 +166,13 @@ impl Checkpoint {
     /// The `.bak` sibling where [`Checkpoint::save`] keeps the previous
     /// good checkpoint.
     pub fn backup_path(path: &Path) -> PathBuf {
-        sibling(path, ".bak")
+        durable::backup_path(path)
     }
 
-    /// Writes the checkpoint as pretty JSON, durably and atomically:
-    /// the temporary sibling is fsync'd before the rename (so the rename
-    /// never publishes a file whose contents still sit in the page
-    /// cache), and the previous good checkpoint is hard-linked to a
-    /// `.bak` sibling first, so even external corruption of the primary
-    /// (a torn copy, a bad disk) leaves [`Checkpoint::load_resilient`] a
-    /// fallback.
+    /// Writes the checkpoint as pretty JSON through [`durable::write`]:
+    /// the rename never publishes unsynced bytes, and the previous good
+    /// checkpoint is kept as the `.bak` sibling that
+    /// [`Checkpoint::load_resilient`] falls back to.
     ///
     /// # Errors
     ///
@@ -189,27 +180,9 @@ impl Checkpoint {
     /// fails. A failure to keep the `.bak` link is not an error — the
     /// backup is best-effort (some filesystems lack hard links).
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let io = |reason: std::io::Error| CheckpointError::Io {
-            path: path.to_owned(),
-            reason: reason.to_string(),
-        };
-        let json = serde_json::to_string_pretty(self).map_err(|e| CheckpointError::Io {
-            path: path.to_owned(),
-            reason: e.to_string(),
-        })?;
-        let tmp = sibling(path, ".tmp");
-        {
-            use std::io::Write;
-            let mut file = std::fs::File::create(&tmp).map_err(io)?;
-            file.write_all(json.as_bytes()).map_err(io)?;
-            file.sync_all().map_err(io)?;
-        }
-        if path.exists() {
-            let bak = Self::backup_path(path);
-            std::fs::remove_file(&bak).ok();
-            std::fs::hard_link(path, &bak).ok();
-        }
-        std::fs::rename(&tmp, path).map_err(io)?;
+        let io = |reason: String| CheckpointError::Io { path: path.to_owned(), reason };
+        let json = serde_json::to_string_pretty(self).map_err(|e| io(e.to_string()))?;
+        durable::write(path, json.as_bytes()).map_err(|e| io(e.to_string()))?;
         Ok(())
     }
 
@@ -226,24 +199,17 @@ impl Checkpoint {
     /// Returns the *primary* file's error when neither the primary nor
     /// the backup loads.
     pub fn load_resilient(path: &Path) -> Result<(Self, Option<String>), CheckpointError> {
-        let primary_err = match Self::load(path) {
-            Ok(cp) => return Ok((cp, None)),
-            Err(e) => e,
-        };
-        let bak = Self::backup_path(path);
-        match Self::load(&bak) {
-            Ok(cp) => {
-                let note = format!(
-                    "checkpoint `{}` is unreadable ({primary_err}); \
-                     recovered previous good checkpoint `{}` at generation {}",
-                    path.display(),
-                    bak.display(),
-                    cp.generation
-                );
-                Ok((cp, Some(note)))
-            }
-            Err(_) => Err(primary_err),
-        }
+        let (cp, primary_err) = durable::read(path, Self::load)?;
+        let note = primary_err.map(|e| {
+            format!(
+                "checkpoint `{}` is unreadable ({e}); \
+                 recovered previous good checkpoint `{}` at generation {}",
+                path.display(),
+                Self::backup_path(path).display(),
+                cp.generation
+            )
+        });
+        Ok((cp, note))
     }
 
     /// Reads and version-checks a checkpoint file. Keys this build does

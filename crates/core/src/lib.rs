@@ -44,6 +44,7 @@
 pub mod alloc;
 pub mod checkpoint;
 pub mod config;
+pub mod durable;
 pub mod fitness;
 pub mod genome;
 pub mod improve;
@@ -61,7 +62,7 @@ pub use config::{
 pub use fitness::{AreaOverrun, EvalFailure, Evaluator, Solution};
 pub use genome::{Gene, GenomeLayout};
 pub use improve::{improve_random, ImprovementOp};
-pub use local_search::{polish, LocalSearchOptions, LocalSearchStats, PolishControl};
+pub use local_search::{polish, LocalSearchOptions, LocalSearchStats};
 pub use momsynth_ga::StopReason;
 pub use prove::{prove, Certificate, CertificateStatus, ProveOptions};
 pub use momsynth_telemetry as telemetry;

@@ -10,14 +10,10 @@
 //! need — which the probability-weighted fitness is nearly blind to
 //! during evolution.
 
-use std::time::Instant;
-
-use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use momsynth_ga::REJECTED_COST;
+use momsynth_ga::{Budget, StopReason, REJECTED_COST};
 
 use crate::fitness::{Evaluator, Solution};
 use crate::genome::{Gene, GenomeLayout};
@@ -36,30 +32,6 @@ impl Default for LocalSearchOptions {
     }
 }
 
-/// Cooperative interruption controls for [`polish`]. The default never
-/// interrupts. All limits are checked between candidate evaluations, so
-/// an interrupted polish costs at most one extra evaluation and always
-/// leaves `genes` in a valid, no-worse-than-input state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PolishControl<'a> {
-    /// Cancellation flag (e.g. raised by a Ctrl-C handler).
-    pub stop: Option<&'a AtomicBool>,
-    /// Wall-clock deadline.
-    pub deadline: Option<Instant>,
-    /// Cap on candidate evaluations for this polish stage.
-    pub max_evaluations: Option<usize>,
-}
-
-impl PolishControl<'_> {
-    fn interrupted(&self, evaluations: usize) -> bool {
-        // Acquire pairs with the raiser's Release store: observing the
-        // cancellation must also show the state written before it.
-        self.stop.is_some_and(|f| f.load(Ordering::Acquire))
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.max_evaluations.is_some_and(|m| evaluations >= m)
-    }
-}
-
 /// The outcome of a polish run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalSearchStats {
@@ -71,8 +43,9 @@ pub struct LocalSearchStats {
     pub fitness_before: f64,
     /// Final fitness.
     pub fitness_after: f64,
-    /// `true` if the polish was cut short by its [`PolishControl`].
-    pub interrupted: bool,
+    /// Why the budget cut the polish short; `None` when it ran to its
+    /// end.
+    pub stop_reason: Option<StopReason>,
 }
 
 /// Polishes `genes` in place; returns statistics.
@@ -80,9 +53,10 @@ pub struct LocalSearchStats {
 /// `dvs` selects the voltage-scaling resolution used to price candidate
 /// moves (usually the coarse evaluation options of the synthesis config).
 /// Candidates whose evaluation fails, panics or prices to a non-finite
-/// fitness are treated as [`REJECTED_COST`] and never accepted. `control`
-/// can interrupt the sweep between evaluations; the genome then keeps the
-/// best state reached so far.
+/// fitness are treated as [`REJECTED_COST`] and never accepted. `budget`
+/// is asked before each move is priced, with the polish's own
+/// evaluations; once it is spent the genome keeps the best state reached
+/// so far. Pricing the input itself is never refused.
 pub fn polish(
     evaluator: &Evaluator<'_>,
     layout: &GenomeLayout,
@@ -90,7 +64,7 @@ pub fn polish(
     dvs: Option<&DvsOptions>,
     options: &LocalSearchOptions,
     seed: u64,
-    control: &PolishControl<'_>,
+    budget: &Budget<'_>,
 ) -> LocalSearchStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evaluations = 0usize;
@@ -105,7 +79,7 @@ pub fn polish(
     let (mut current, mut current_solution) = price(layout.decode(genes), None, &mut evaluations);
     let fitness_before = current;
     let mut moves_accepted = 0usize;
-    let mut interrupted = false;
+    let mut stop_reason = None;
 
     'passes: for _ in 0..options.max_passes {
         let mut improved = false;
@@ -125,9 +99,9 @@ pub fn polish(
                 if alt == original {
                     continue;
                 }
-                if control.interrupted(evaluations) {
+                stop_reason = budget.stop_reason(evaluations);
+                if stop_reason.is_some() {
                     genes[locus] = original;
-                    interrupted = true;
                     break 'passes;
                 }
                 genes[locus] = alt;
@@ -163,7 +137,7 @@ pub fn polish(
         evaluations,
         fitness_before,
         fitness_after: current,
-        interrupted,
+        stop_reason,
     }
 }
 
@@ -198,7 +172,7 @@ mod tests {
                 None,
                 &LocalSearchOptions::default(),
                 seed,
-                &PolishControl::default(),
+                &Budget::default(),
             );
             assert!(stats.fitness_after <= stats.fitness_before);
             // Result must still decode to a valid mapping.
@@ -223,7 +197,7 @@ mod tests {
             None,
             &LocalSearchOptions::default(),
             0,
-            &PolishControl::default(),
+            &Budget::default(),
         );
         assert!(stats.moves_accepted > 0, "random genome should be improvable");
         assert!(stats.fitness_after < stats.fitness_before);
@@ -245,7 +219,7 @@ mod tests {
             None,
             &LocalSearchOptions { max_passes: 0 },
             0,
-            &PolishControl::default(),
+            &Budget::default(),
         );
         assert_eq!(genes, before);
         assert_eq!(stats.moves_accepted, 0);
@@ -264,7 +238,7 @@ mod tests {
             .map(|(l, _)| 1u16.min(layout.candidates(l).len() as u16 - 1))
             .collect();
         let mut b = a.clone();
-        let ctl = PolishControl::default();
+        let ctl = Budget::default();
         let sa = polish(&evaluator, &layout, &mut a, None, &LocalSearchOptions::default(), 9, &ctl);
         let sb = polish(&evaluator, &layout, &mut b, None, &LocalSearchOptions::default(), 9, &ctl);
         assert_eq!(a, b);

@@ -36,7 +36,8 @@
 //! none).
 
 use momsynth_analyze::{analyze_system, DomainReduction};
-use momsynth_ga::bnb::{branch_and_bound, BnbBudget, BnbProblem};
+use momsynth_ga::bnb::{branch_and_bound, BnbProblem};
+use momsynth_ga::Budget;
 use momsynth_model::System;
 use momsynth_sched::SystemMapping;
 
@@ -391,7 +392,8 @@ pub fn prove(
     let evaluator = Evaluator::new(system, config);
     let mut problem =
         MappingBnb::new(system, config, &layout, &evaluator, options.use_bounds);
-    let budget = BnbBudget { max_evals: options.max_evals, deadline: options.deadline };
+    let max_evals = usize::try_from(options.max_evals).unwrap_or(usize::MAX);
+    let budget = Budget::new(None, options.deadline, Some(max_evals));
     let outcome = branch_and_bound(&mut problem, budget, options.incumbent);
 
     let explored_best = outcome.best.as_ref().filter(|(_, c)| c.is_finite());

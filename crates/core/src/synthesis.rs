@@ -29,13 +29,15 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
+use momsynth_sync::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 use rand::{Rng, RngCore};
 
 use momsynth_analyze::{analyze_system, Analysis, Severity};
-use momsynth_ga::{GaConfig, GaProblem, GaSnapshot, RunControl, StopReason, REJECTED_COST};
+use momsynth_ga::{
+    Budget, GaConfig, GaProblem, GaSnapshot, RunControl, StopReason, REJECTED_COST,
+};
 use momsynth_model::units::Watts;
 use momsynth_model::System;
 use momsynth_telemetry::{
@@ -47,7 +49,7 @@ use crate::config::{InjectedFault, SynthesisConfig};
 use crate::fitness::{Evaluator, Solution};
 use crate::genome::{Gene, GenomeLayout};
 use crate::improve::improve_random;
-use crate::local_search::{polish, LocalSearchOptions, PolishControl};
+use crate::local_search::{polish, LocalSearchOptions};
 use momsynth_dvs::DvsOptions;
 
 /// The outcome of a synthesis run.
@@ -660,28 +662,22 @@ impl<'a> Synthesizer<'a> {
 
         // Memetic polish: single-gene best-move sweeps remove the
         // drift artefacts evolution under skewed weights leaves behind.
-        // Skipped when the GA was already interrupted; otherwise it runs
-        // under the remaining budget.
+        // Skipped when the GA was already interrupted; otherwise it spends
+        // what is left of the run's budget (its deadline counts from this
+        // run's start) and names its own stop reason.
         let mut genes = outcome.best.clone();
         let mut evaluations = outcome.evaluations;
         let mut stop_reason = outcome.stop_reason;
-        // A budget no `Duration` can hold sets no polish deadline: the GA
-        // already stopped on a negative one and never stops on a huge one.
-        let deadline = ga_config
-            .max_seconds
-            .and_then(|s| Duration::try_from_secs_f64(s).ok())
-            .and_then(|d| start.checked_add(d));
         if !stop_reason.is_interrupted()
             && self.config.local_search != (LocalSearchOptions { max_passes: 0 })
         {
             let dvs_eval = self.config.dvs.as_ref().map(|d| d.eval);
-            let polish_control = PolishControl {
-                stop: control.stop,
-                deadline,
-                max_evaluations: ga_config
-                    .max_evaluations
-                    .map(|m| m.saturating_sub(evaluations)),
-            };
+            let budget = Budget::from_seconds(
+                control.stop,
+                start,
+                ga_config.max_seconds,
+                ga_config.max_evaluations.map(|cap| cap.saturating_sub(evaluations)),
+            );
             let stats = polish(
                 &evaluator,
                 &layout,
@@ -689,21 +685,10 @@ impl<'a> Synthesizer<'a> {
                 dvs_eval.as_ref(),
                 &self.config.local_search,
                 ga_config.seed,
-                &polish_control,
+                &budget,
             );
             evaluations += stats.evaluations;
-            if stats.interrupted {
-                // Acquire pairs with the Release store in the raiser
-                // (serve's stop path, the CLI's Ctrl-C handler): seeing
-                // the flag must also show why it was raised.
-                stop_reason = if control.stop.is_some_and(|f| f.load(Ordering::Acquire)) {
-                    StopReason::Cancelled
-                } else if deadline.is_some_and(|d| Instant::now() >= d) {
-                    StopReason::WallClock
-                } else {
-                    StopReason::EvaluationBudget
-                };
-            }
+            stop_reason = stats.stop_reason.unwrap_or(stop_reason);
         }
 
         let refine = self.config.dvs.as_ref().map(|d| d.refine);

@@ -36,6 +36,6 @@ pub mod voltage;
 pub mod vschedule;
 
 pub use hw_transform::{virtual_tasks, VirtualTask};
-pub use pvdvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch, EnergySummary, ScaledMode};
+pub use pvdvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch, ScaledMode};
 pub use voltage::VoltageModel;
 pub use vschedule::{ModeVoltages, VoltageSchedule, VoltageSegment};

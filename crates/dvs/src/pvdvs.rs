@@ -105,47 +105,6 @@ impl ScaledMode {
     pub fn into_parts(self) -> (Schedule, Vec<Option<VoltageSchedule>>, Vec<f64>) {
         (self.schedule, self.task_voltages, self.task_energy_factors)
     }
-
-    /// Total nominal and scaled dynamic task energy of the mode — the
-    /// before/after view of the scaling pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `system` is not the system this mode was scaled for.
-    pub fn energy_summary(&self, system: &System) -> EnergySummary {
-        let graph = system.omsm().mode(self.schedule.mode()).graph();
-        let mut nominal = momsynth_model::units::Joules::ZERO;
-        let mut scaled = momsynth_model::units::Joules::ZERO;
-        for entry in self.schedule.tasks() {
-            let e = system
-                .tech()
-                .impl_of(graph.task(entry.task).task_type(), entry.pe)
-                .expect("scheduled task has an implementation")
-                .energy();
-            nominal += e;
-            scaled += e * self.task_energy_factors[entry.task.index()];
-        }
-        EnergySummary { nominal, scaled }
-    }
-}
-
-/// Before/after dynamic task energy of a scaled mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergySummary {
-    /// Energy at nominal voltage.
-    pub nominal: momsynth_model::units::Joules,
-    /// Energy after voltage scaling.
-    pub scaled: momsynth_model::units::Joules,
-}
-
-impl EnergySummary {
-    /// Fraction of the nominal energy saved, in `[0, 1)`.
-    pub fn saving(&self) -> f64 {
-        if self.nominal.value() <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.scaled / self.nominal
-    }
 }
 
 /// A member of a virtual task: where it starts within the group's span
@@ -876,23 +835,6 @@ mod tests {
         let opts = DvsOptions { scale_hw: false, ..DvsOptions::default() };
         let scaled = scale_mode(&sys, &schedule, &opts);
         assert_eq!(scaled.energy_factors(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn energy_summary_reports_savings() {
-        let sys = sw_system(true);
-        let schedule = schedule_of(&sys);
-        let scaled = scale_mode(&sys, &schedule, &DvsOptions::fine());
-        let summary = scaled.energy_summary(&sys);
-        // Three 1 mWs tasks nominally.
-        assert!((summary.nominal.as_milli_joules() - 3.0).abs() < 1e-9);
-        assert!(summary.scaled < summary.nominal);
-        assert!(summary.saving() > 0.2);
-        // Unscaled mode: zero saving.
-        let sys2 = sw_system(false);
-        let schedule2 = schedule_of(&sys2);
-        let unscaled = scale_mode(&sys2, &schedule2, &DvsOptions::default());
-        assert_eq!(unscaled.energy_summary(&sys2).saving(), 0.0);
     }
 
     #[test]

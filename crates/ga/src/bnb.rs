@@ -11,9 +11,10 @@
 //! The engine is domain-agnostic like [`GaProblem`](crate::GaProblem): a
 //! [`BnbProblem`] supplies the per-locus domain sizes, an admissible
 //! bound on every completion of a prefix, and the exact cost of a leaf.
-//! Search order is fixed (locus 0 outermost, choices in domain order),
-//! no randomness or wall clock is consulted, so a run is a pure function
-//! of the problem — certificates are reproducible bit for bit.
+//! Search order is fixed (locus 0 outermost, choices in domain order) and
+//! no randomness is consulted, so a run under an evaluation cap alone is
+//! a pure function of the problem — certificates are reproducible bit
+//! for bit.
 //!
 //! # Soundness
 //!
@@ -26,6 +27,8 @@
 //! - when the budget interrupts the search, every abandoned subtree's
 //!   bound is folded into [`Outcome::lower_bound`], so the true optimum
 //!   can never lie below it.
+
+use crate::Budget;
 
 /// A finite assignment problem searchable by [`branch_and_bound`].
 pub trait BnbProblem {
@@ -88,32 +91,13 @@ impl Outcome {
     }
 }
 
-/// The resource budget of one [`branch_and_bound`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BnbBudget {
-    /// Maximum leaves priced through [`BnbProblem::leaf_cost`].
-    pub max_evals: u64,
-    /// Optional wall-clock deadline. An expired deadline interrupts the
-    /// search exactly like an exhausted evaluation budget: abandoned
-    /// subtrees fold their bounds into [`Outcome::lower_bound`], so the
-    /// certificate stays valid — only `proven` is lost. Runs with a
-    /// deadline are *not* deterministic; evaluation-only budgets are.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl BnbBudget {
-    /// A deterministic budget of `max_evals` leaf evaluations.
-    pub fn evals(max_evals: u64) -> Self {
-        Self { max_evals, deadline: None }
-    }
-
-    /// An unlimited budget: the search always runs to a proof.
-    pub fn unlimited() -> Self {
-        Self::evals(u64::MAX)
-    }
-}
-
-/// Exhausts `problem` depth-first within `budget`.
+/// Exhausts `problem` depth-first within `budget`, whose evaluations are
+/// the leaves priced through [`BnbProblem::leaf_cost`].
+///
+/// A spent budget interrupts the search: abandoned subtrees fold their
+/// bounds into [`Outcome::lower_bound`], so the certificate stays valid
+/// and only `proven` is lost. A search under a deadline is *not*
+/// deterministic; one under an evaluation cap alone is.
 ///
 /// `incumbent` optionally seeds the search with an externally known cost
 /// (e.g. the GA's best): subtrees at or above it are cut immediately,
@@ -121,7 +105,7 @@ impl BnbBudget {
 /// `best` — only genuinely explored leaves are.
 pub fn branch_and_bound<P: BnbProblem>(
     problem: &mut P,
-    budget: BnbBudget,
+    budget: Budget<'_>,
     incumbent: Option<f64>,
 ) -> Outcome {
     let n = problem.len();
@@ -145,22 +129,19 @@ pub fn branch_and_bound<P: BnbProblem>(
     let mut choices = vec![0usize; n];
     let mut best_cost = f64::INFINITY;
 
-    // The deadline is polled every 256 nodes: cheap against leaf pricing,
-    // tight enough that an expired budget stops within a short burst.
+    // The clock is read every 256 nodes: cheap against leaf pricing,
+    // tight enough that an expired deadline stops within a short burst.
+    // Between reads the budget is asked without its deadline. A spent
+    // budget stays spent.
+    let between_reads = Budget { deadline: None, ..budget };
     let mut node = 0u32;
-    let mut expired = false;
+    let mut spent = false;
     let mut out_of_budget = |explored: u64| {
-        if explored >= budget.max_evals {
-            return true;
-        }
-        if let Some(deadline) = budget.deadline {
-            node = node.wrapping_add(1);
-            if expired || (node & 0xFF == 0 && std::time::Instant::now() >= deadline) {
-                expired = true;
-                return true;
-            }
-        }
-        false
+        node = node.wrapping_add(1);
+        let asked = if node & 0xFF == 0 { &budget } else { &between_reads };
+        let explored = usize::try_from(explored).unwrap_or(usize::MAX);
+        spent = spent || asked.stop_reason(explored).is_some();
+        spent
     };
 
     // Iterative DFS: `depth` is the locus currently being assigned,
@@ -296,7 +277,7 @@ mod tests {
     fn finds_and_proves_the_optimum() {
         let mut p = Table::new(rows());
         let optimum = p.optimum();
-        let outcome = branch_and_bound(&mut p, BnbBudget::unlimited(), None);
+        let outcome = branch_and_bound(&mut p, Budget::default(), None);
         assert!(outcome.proven);
         assert_eq!(outcome.gap(), Some(0.0));
         let (choices, cost) = outcome.best.expect("searched to completion");
@@ -308,7 +289,7 @@ mod tests {
     #[test]
     fn bound_prunes_but_never_cuts_the_optimum() {
         let mut with_bound = Table::new(rows());
-        let full = branch_and_bound(&mut with_bound, BnbBudget::unlimited(), None);
+        let full = branch_and_bound(&mut with_bound, Budget::default(), None);
         // The tight bound must visit far fewer than all 24 leaves.
         assert!(with_bound.evals < 24, "{} leaves priced", with_bound.evals);
         assert!(full.pruned_by_bound > 0);
@@ -319,7 +300,7 @@ mod tests {
     fn exhausted_budget_degrades_to_a_valid_gap_bound() {
         let mut p = Table::new(rows());
         let optimum = p.optimum();
-        let outcome = branch_and_bound(&mut p, BnbBudget::evals(2), None);
+        let outcome = branch_and_bound(&mut p, Budget::new(None, None, Some(2)), None);
         assert!(!outcome.proven);
         assert!(outcome.explored <= 2);
         // The bound stays below (or at) the true optimum…
@@ -334,14 +315,14 @@ mod tests {
     fn external_incumbent_only_accelerates_the_proof() {
         let optimum = Table::new(rows()).optimum();
         let mut seeded = Table::new(rows());
-        let outcome = branch_and_bound(&mut seeded, BnbBudget::unlimited(), Some(optimum + 0.01));
+        let outcome = branch_and_bound(&mut seeded, Budget::default(), Some(optimum + 0.01));
         assert!(outcome.proven);
         assert_eq!(outcome.best.unwrap().1, optimum);
 
         // A seed at the optimum prunes everything; the certificate is
         // then the seed's own cost.
         let mut tight = Table::new(rows());
-        let outcome = branch_and_bound(&mut tight, BnbBudget::unlimited(), Some(optimum));
+        let outcome = branch_and_bound(&mut tight, Budget::default(), Some(optimum));
         assert!(outcome.proven);
         assert!(outcome.best.is_none());
         assert!((outcome.lower_bound - optimum).abs() < 1e-12);
@@ -350,7 +331,7 @@ mod tests {
     #[test]
     fn zero_budget_still_returns_a_root_bound() {
         let mut p = Table::new(rows());
-        let outcome = branch_and_bound(&mut p, BnbBudget::evals(0), None);
+        let outcome = branch_and_bound(&mut p, Budget::new(None, None, Some(0)), None);
         assert!(!outcome.proven);
         assert!(outcome.best.is_none());
         assert!(outcome.lower_bound <= p.optimum());
@@ -360,15 +341,15 @@ mod tests {
     #[test]
     fn empty_problem_is_trivially_proven() {
         let mut p = Table::new(Vec::new());
-        let outcome = branch_and_bound(&mut p, BnbBudget::unlimited(), None);
+        let outcome = branch_and_bound(&mut p, Budget::default(), None);
         assert!(outcome.proven);
         assert!(outcome.best.is_none());
     }
 
     #[test]
     fn search_is_deterministic() {
-        let a = branch_and_bound(&mut Table::new(rows()), BnbBudget::evals(5), None);
-        let b = branch_and_bound(&mut Table::new(rows()), BnbBudget::evals(5), None);
+        let a = branch_and_bound(&mut Table::new(rows()), Budget::new(None, None, Some(5)), None);
+        let b = branch_and_bound(&mut Table::new(rows()), Budget::new(None, None, Some(5)), None);
         assert_eq!(a, b);
     }
 }

@@ -187,9 +187,10 @@ pub struct GaConfig {
     /// generations. `0.0` disables the check.
     pub diversity_epsilon: f64,
     /// Optional wall-clock budget in seconds, measured from the start of
-    /// this call (a resumed run gets a fresh timer). Checked between
-    /// offspring while a generation is produced, so the engine overruns
-    /// by at most one evaluation batch (one generation's offspring).
+    /// this call (a resumed run gets a fresh timer) as
+    /// [`Budget::from_seconds`] reads it. Checked between offspring while
+    /// a generation is produced, so the engine overruns by at most one
+    /// evaluation batch (one generation's offspring).
     pub max_seconds: Option<f64>,
     /// Optional cap on cost evaluations (cumulative across resume: the
     /// snapshot's evaluation count carries over). At least one individual
@@ -258,6 +259,70 @@ impl fmt::Display for StopReason {
             StopReason::Cancelled => "cancelled",
         };
         f.write_str(text)
+    }
+}
+
+/// The limits a search runs under: a cooperative stop flag, a
+/// wall-clock deadline and a cap on evaluations, each optional. The GA,
+/// the memetic polish in `momsynth-core` and [`bnb::branch_and_bound`]
+/// all stop through [`Budget::stop_reason`]. The default never stops.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Budget<'a> {
+    stop: Option<&'a AtomicBool>,
+    deadline: Option<Instant>,
+    max_evaluations: Option<usize>,
+}
+
+impl<'a> Budget<'a> {
+    /// A budget that ends when `stop` is raised, at `deadline`, or once
+    /// `max_evaluations` evaluations are spent; `None` leaves that limit
+    /// off.
+    pub fn new(
+        stop: Option<&'a AtomicBool>,
+        deadline: Option<Instant>,
+        max_evaluations: Option<usize>,
+    ) -> Self {
+        Self { stop, deadline, max_evaluations }
+    }
+
+    /// As [`Budget::new`], with the deadline `max_seconds` after `start`.
+    /// A value ≤ 0 is already spent; NaN, +∞ or a value beyond the
+    /// clock's range sets no deadline, so the run never stops on time.
+    pub fn from_seconds(
+        stop: Option<&'a AtomicBool>,
+        start: Instant,
+        max_seconds: Option<f64>,
+        max_evaluations: Option<usize>,
+    ) -> Self {
+        let deadline = max_seconds.and_then(|seconds| {
+            if seconds <= 0.0 {
+                Some(start)
+            } else {
+                std::time::Duration::try_from_secs_f64(seconds)
+                    .ok()
+                    .and_then(|d| start.checked_add(d))
+            }
+        });
+        Self::new(stop, deadline, max_evaluations)
+    }
+
+    /// Why a search that has spent `evaluations` must stop before it
+    /// spends another, if it must: a raised stop flag first, then the
+    /// deadline, then the evaluation cap. The clock is read only when a
+    /// deadline is set.
+    pub fn stop_reason(&self, evaluations: usize) -> Option<StopReason> {
+        // Acquire pairs with the raiser's Release store (serve's stop
+        // path, the CLI's Ctrl-C handler): observing the cancellation
+        // must also show the state written before it was raised.
+        if self.stop.is_some_and(|f| f.load(Ordering::Acquire)) {
+            Some(StopReason::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopReason::WallClock)
+        } else if self.max_evaluations.is_some_and(|cap| evaluations >= cap) {
+            Some(StopReason::EvaluationBudget)
+        } else {
+            None
+        }
     }
 }
 
@@ -441,23 +506,8 @@ pub fn run_controlled<P: GaProblem>(
             counters,
         }));
     };
-    // Why the run must stop before it spends another evaluation, if it
-    // must: a raised stop flag first, then the wall clock, then the
-    // evaluation budget. Acquire pairs with the raiser's Release store
-    // (serve stop path, CLI Ctrl-C handler): observing the cancellation
-    // must also show the state written before it was raised.
-    let stop = control.stop;
-    let interruption = |evaluations: usize| {
-        if stop.is_some_and(|f| f.load(Ordering::Acquire)) {
-            Some(StopReason::Cancelled)
-        } else if config.max_seconds.is_some_and(|limit| start.elapsed().as_secs_f64() >= limit) {
-            Some(StopReason::WallClock)
-        } else if config.max_evaluations.is_some_and(|limit| evaluations >= limit) {
-            Some(StopReason::EvaluationBudget)
-        } else {
-            None
-        }
-    };
+    let budget =
+        Budget::from_seconds(control.stop, start, config.max_seconds, config.max_evaluations);
 
     let mut evaluations = 0usize;
     let mut interrupted: Option<StopReason> = None;
@@ -498,7 +548,7 @@ pub fn run_controlled<P: GaProblem>(
         let mut genomes: Vec<Vec<P::Gene>> = Vec::with_capacity(config.population_size);
         while genomes.len() < config.population_size {
             if !genomes.is_empty() {
-                interrupted = interruption(evaluations);
+                interrupted = budget.stop_reason(evaluations);
                 if interrupted.is_some() {
                     break;
                 }
@@ -539,7 +589,7 @@ pub fn run_controlled<P: GaProblem>(
     }
 
     let stop_reason = loop {
-        if let Some(reason) = interrupted.or_else(|| interruption(evaluations)) {
+        if let Some(reason) = interrupted.or_else(|| budget.stop_reason(evaluations)) {
             break reason;
         }
         if generations >= config.max_generations {
@@ -580,7 +630,7 @@ pub fn run_controlled<P: GaProblem>(
         let mut pending: Vec<Vec<P::Gene>> =
             Vec::with_capacity(config.population_size.saturating_sub(next.len()));
         while next.len() + pending.len() < config.population_size {
-            interrupted = interruption(evaluations);
+            interrupted = budget.stop_reason(evaluations);
             if interrupted.is_some() {
                 break;
             }

@@ -433,11 +433,6 @@ impl Architecture {
         (0..self.pes.len()).map(PeId::new)
     }
 
-    /// Returns all link identifiers.
-    pub fn cl_ids(&self) -> impl Iterator<Item = ClId> + '_ {
-        (0..self.cls.len()).map(ClId::new)
-    }
-
     /// Returns the links that connect both `a` and `b`, ascending (every
     /// link attached to `a` when `a == b`; none for a PE outside the
     /// architecture).

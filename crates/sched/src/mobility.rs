@@ -193,14 +193,6 @@ impl TimingAnalysis {
         self.fill_priority_order(&mut order);
         order
     }
-
-    /// Returns `true` if the ASAP windows of two tasks overlap — a
-    /// necessary condition for them to execute in parallel.
-    pub fn windows_overlap(&self, a: TaskId, b: TaskId) -> bool {
-        let (sa, fa) = (self.asap(a), self.asap(a) + self.exec_time(a));
-        let (sb, fb) = (self.asap(b), self.asap(b) + self.exec_time(b));
-        sa < fb && sb < fa
-    }
 }
 
 #[cfg(test)]
@@ -371,15 +363,5 @@ mod tests {
             assert_eq!(reused, fresh);
             assert_eq!(reused.priority_order(), fresh.priority_order());
         }
-    }
-
-    #[test]
-    fn windows_overlap_detects_parallel_tasks() {
-        let sys = fork_join_system(100.0);
-        let ta = TimingAnalysis::analyze(&sys, ModeId::new(0), &all_cpu_mapping(&sys));
-        // l and r have identical ASAP windows.
-        assert!(ta.windows_overlap(TaskId::new(1), TaskId::new(2)));
-        // a and s never overlap.
-        assert!(!ta.windows_overlap(TaskId::new(0), TaskId::new(3)));
     }
 }

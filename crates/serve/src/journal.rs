@@ -7,7 +7,7 @@
 //!                          every transition (fsync + rename, previous
 //!                          good record kept as `.bak`)
 //!   specs/<id>.json        the submitted spec, written once
-//!   checkpoints/<id>.json  Checkpoint v3 of the in-flight run
+//!   checkpoints/<id>.json  Checkpoint v4 of the in-flight run
 //!   traces/<id>.jsonl      telemetry trace, appended across attempts
 //!   results/<id>.json      final solution report of a verified job
 //!   metrics/<id>.json      metrics snapshot taken when the job went
@@ -19,10 +19,10 @@
 //! back to its `.bak` sibling, so a crash mid-write (or external
 //! corruption) never loses a job's lifecycle.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use momsynth_core::durable;
 use momsynth_metrics::{Histogram, MetricsSnapshot};
 
 use crate::job::{JobRecord, JobSpec};
@@ -62,44 +62,9 @@ pub struct Journal {
     timers: JournalTimers,
 }
 
-/// `path` with `suffix` appended to its final component.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(suffix);
-    PathBuf::from(s)
-}
-
-/// Durable atomic write: contents go to an fsync'd temporary sibling,
-/// the previous file (if any) is hard-linked to `.bak`, then the
-/// temporary is renamed over the target. `timers` observe the whole
-/// write and its fsync portion (no-ops when metrics are disabled).
-fn write_durable(
-    path: &Path,
-    contents: &str,
-    timers: &JournalTimers,
-) -> Result<(), JournalError> {
-    let started = Instant::now();
-    let err = |reason: String| JournalError { path: path.to_owned(), reason };
-    let tmp = sibling(path, ".tmp");
-    let mut file = std::fs::File::create(&tmp).map_err(|e| err(e.to_string()))?;
-    file.write_all(contents.as_bytes()).map_err(|e| err(e.to_string()))?;
-    let fsync_started = Instant::now();
-    file.sync_all().map_err(|e| err(e.to_string()))?;
-    timers.fsync.observe(fsync_started.elapsed().as_secs_f64());
-    drop(file);
-    if path.exists() {
-        let bak = sibling(path, ".bak");
-        std::fs::remove_file(&bak).ok();
-        std::fs::hard_link(path, &bak).ok();
-    }
-    let outcome = std::fs::rename(&tmp, path).map_err(|e| err(e.to_string()));
-    timers.write.observe(started.elapsed().as_secs_f64());
-    outcome
-}
-
-/// Reads and parses `path`, falling back to the `.bak` sibling when the
-/// primary is missing, torn or corrupt. Returns the value and whether
-/// the fallback was used.
+/// Reads and parses `path` through [`durable::read`], falling back to
+/// the `.bak` sibling when the primary is missing, torn or corrupt.
+/// Returns the value and whether the fallback was used.
 fn read_resilient<T: serde::de::DeserializeOwned>(
     path: &Path,
 ) -> Result<(T, bool), JournalError> {
@@ -107,13 +72,9 @@ fn read_resilient<T: serde::de::DeserializeOwned>(
         let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
         serde_json::from_str(&text).map_err(|e| e.to_string())
     };
-    match parse(path) {
-        Ok(v) => Ok((v, false)),
-        Err(primary_reason) => match parse(&sibling(path, ".bak")) {
-            Ok(v) => Ok((v, true)),
-            Err(_) => Err(JournalError { path: path.to_owned(), reason: primary_reason }),
-        },
-    }
+    durable::read(path, parse)
+        .map(|(value, primary_err)| (value, primary_err.is_some()))
+        .map_err(|reason| JournalError { path: path.to_owned(), reason })
 }
 
 impl Journal {
@@ -183,10 +144,7 @@ impl Journal {
     /// Propagates write failures; callers decide whether a failed
     /// journal write is transient.
     pub fn write_record(&self, record: &JobRecord) -> Result<(), JournalError> {
-        let path = self.record_path(&record.id);
-        let json = serde_json::to_string_pretty(record)
-            .map_err(|e| JournalError { path: path.clone(), reason: e.to_string() })?;
-        write_durable(&path, &json, &self.timers)
+        self.write_json(&self.record_path(&record.id), record)
     }
 
     /// Durably writes a job's spec (once, at submission).
@@ -195,10 +153,7 @@ impl Journal {
     ///
     /// Propagates write failures.
     pub fn write_spec(&self, id: &str, spec: &JobSpec) -> Result<(), JournalError> {
-        let path = self.spec_path(id);
-        let json = serde_json::to_string_pretty(spec)
-            .map_err(|e| JournalError { path: path.clone(), reason: e.to_string() })?;
-        write_durable(&path, &json, &self.timers)
+        self.write_json(&self.spec_path(id), spec)
     }
 
     /// Durably writes a verified job's solution report.
@@ -207,10 +162,7 @@ impl Journal {
     ///
     /// Propagates write failures.
     pub fn write_result(&self, id: &str, report: &serde_json::Value) -> Result<(), JournalError> {
-        let path = self.result_path(id);
-        let json = serde_json::to_string_pretty(report)
-            .map_err(|e| JournalError { path: path.clone(), reason: e.to_string() })?;
-        write_durable(&path, &json, &self.timers)
+        self.write_json(&self.result_path(id), report)
     }
 
     /// Durably writes a metrics snapshot to `path` (a job's terminal
@@ -224,9 +176,20 @@ impl Journal {
         path: &Path,
         snapshot: &MetricsSnapshot,
     ) -> Result<(), JournalError> {
-        let json = serde_json::to_string_pretty(snapshot)
-            .map_err(|e| JournalError { path: path.to_owned(), reason: e.to_string() })?;
-        write_durable(path, &json, &self.timers)
+        self.write_json(path, snapshot)
+    }
+
+    /// Serialises `value` as pretty JSON and writes it to `path` through
+    /// [`durable::write`]. The timers observe the whole write and its
+    /// fsync portion (no-ops when metrics are disabled).
+    fn write_json<T: serde::Serialize>(&self, path: &Path, value: &T) -> Result<(), JournalError> {
+        let err = |reason: String| JournalError { path: path.to_owned(), reason };
+        let json = serde_json::to_string_pretty(value).map_err(|e| err(e.to_string()))?;
+        let started = Instant::now();
+        let fsync = durable::write(path, json.as_bytes()).map_err(|e| err(e.to_string()))?;
+        self.timers.fsync.observe(fsync.as_secs_f64());
+        self.timers.write.observe(started.elapsed().as_secs_f64());
+        Ok(())
     }
 
     /// Loads a job's spec, tolerating a torn primary.

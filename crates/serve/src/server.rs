@@ -733,9 +733,7 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
             // way: drop it so the next attempt restarts from scratch.
             let cp = shared.journal.checkpoint_path(id);
             std::fs::remove_file(&cp).ok();
-            let mut bak = cp.into_os_string();
-            bak.push(".bak");
-            std::fs::remove_file(bak).ok();
+            std::fs::remove_file(Checkpoint::backup_path(&cp)).ok();
             transient_failure(shared, entry, &format!("checkpoint error: {e}"));
         }
         // Infeasible and Unschedulable are properties of the spec:

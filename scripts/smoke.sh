@@ -15,7 +15,8 @@
 #   threads    one synth at 1 and at 2 threads: identical results and counters
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
-#   prove      certificates for the smartphone and the redundant-GPP fixture
+#   prove      certificates for the smartphone, under an evaluation and under a
+#              wall-clock budget, and for the redundant-GPP fixture
 #
 # Stops at the first failed command or assertion. Needs python3 and curl.
 #
@@ -356,6 +357,9 @@ prove_scenario() {
   # `prove` may never hang.
   timeout 900 "$MOMSYNTH" prove "$OUT/smartphone.json" --quick \
     --budget 20000 --report-out cert_smartphone.json
+  # The same under a wall-clock budget: the search stops on its deadline.
+  timeout 900 "$MOMSYNTH" prove "$OUT/smartphone.json" --quick \
+    --budget 2s --report-out cert_smartphone_wall.json
   # The checked-in dominance fixture has a 2-assignment pruned space: the
   # proof must be exact and attribute the reduction.
   timeout 300 "$MOMSYNTH" prove "$ROOT/specs/redundant_gpp.json" --quick \
@@ -364,7 +368,7 @@ prove_scenario() {
 import json
 
 eps = 1e-9
-for name in ("smartphone", "redundant_gpp"):
+for name in ("smartphone", "smartphone_wall", "redundant_gpp"):
     cert = json.load(open(f"cert_{name}.json"))
     assert cert["status"] in ("optimal", "gap-bound"), cert
     assert cert["certified_gap"] >= 0.0, cert
