@@ -279,6 +279,8 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             match budget {
                 ProveBudget::Evals(n) => options.max_evals = n,
                 ProveBudget::Seconds(t) => {
+                    // No evaluation cap: the deadline alone bounds the
+                    // search, and the certificate's `max_evals` is null.
                     options.max_evals = u64::MAX;
                     // The parser bounds `t` to a valid `Duration`; the
                     // clock may still be unable to reach it.

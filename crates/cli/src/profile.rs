@@ -1,22 +1,24 @@
 //! `momsynth profile` — fold a JSONL telemetry trace into per-phase
 //! self time.
 //!
-//! The synthesis loop emits accumulated [`SpanEvent`]s with
-//! flamegraph-style collapsed-stack paths (`run;fitness_eval;...`).
-//! This module aggregates them across every run and attempt found in a
-//! trace file, derives each node's *self* time (its total minus its
-//! direct children's totals), and renders either a human table or
-//! collapsed-stack lines (`path self_nanos`) that standard flamegraph
-//! tooling consumes directly.
+//! A synthesis run records its timings only as accumulated
+//! [`SpanEvent`](momsynth_core::telemetry::SpanEvent)s with
+//! flamegraph-style collapsed-stack paths (the run root and each
+//! phase's `Phase::path`). This module aggregates them across every run
+//! and attempt found in a trace file, derives each node's *self* time
+//! (its total minus its direct children's totals), and renders either a
+//! human table or collapsed-stack lines (`path self_nanos`) that
+//! standard flamegraph tooling consumes directly.
 //!
-//! Traces written by the job server wrap events as
-//! `{"job": ..., "event": {...}}` lines; both shapes are accepted on a
-//! per-line basis. Traces from before span events existed are folded
-//! from their `Phase` timing events instead, under the same paths.
+//! Trace files, the job server's per-job ones included, hold plain
+//! `Event` lines; a `subscribe` stream wraps each event as
+//! `{"job": ..., "event": {...}}`. Both shapes are accepted on a
+//! per-line basis. Lines of neither shape (such as the per-phase timing
+//! events of traces written before span events existed) are skipped.
 
 use std::collections::BTreeMap;
 
-use momsynth_core::telemetry::{Event, JobEvent, SpanEvent};
+use momsynth_core::telemetry::{Event, JobEvent};
 
 /// One aggregated call-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,19 +40,15 @@ pub struct ProfileReport {
     pub trace_ids: Vec<String>,
     /// Aggregated nodes, sorted by path.
     pub nodes: Vec<ProfileNode>,
-    /// Lines that parsed as JSON but not as a known event shape.
+    /// Lines that did not parse as a known event shape.
     pub skipped_lines: usize,
-    /// Whether the profile was folded from legacy `Phase` events
-    /// because the trace carries no span events.
-    pub from_phase_events: bool,
 }
 
 impl ProfileReport {
     /// Folds the JSONL text of a trace file. Returns `None` when the
-    /// trace contains no timing data at all.
+    /// trace contains no span at all.
     pub fn from_trace(text: &str) -> Option<Self> {
-        let mut spans: Vec<SpanEvent> = Vec::new();
-        let mut phase_fallback: Vec<SpanEvent> = Vec::new();
+        let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         let mut trace_ids: Vec<String> = Vec::new();
         let mut skipped = 0usize;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -66,45 +64,20 @@ impl ProfileReport {
                     if !span.trace_id.is_empty() && !trace_ids.contains(&span.trace_id) {
                         trace_ids.push(span.trace_id.clone());
                     }
-                    spans.push(span);
+                    let entry = totals.entry(span.path).or_insert((0, 0));
+                    entry.0 += span.nanos;
+                    entry.1 += span.spans;
                 }
                 Event::RunStart(start)
                     if !start.trace_id.is_empty() && !trace_ids.contains(&start.trace_id) =>
                 {
                     trace_ids.push(start.trace_id.clone());
                 }
-                // Legacy traces: rebuild the span paths from the phase
-                // taxonomy (depth 0 nests under `run`, depth 1 under
-                // `run;fitness_eval`).
-                Event::Phase(timing) => {
-                    let path = if timing.phase.depth() == 0 {
-                        format!("run;{}", timing.phase.name())
-                    } else {
-                        format!("run;fitness_eval;{}", timing.phase.name())
-                    };
-                    phase_fallback.push(SpanEvent {
-                        trace_id: String::new(),
-                        path,
-                        nanos: timing.nanos,
-                        spans: timing.spans,
-                    });
-                }
                 _ => {}
             }
         }
-        let from_phase_events = spans.is_empty();
-        if from_phase_events {
-            spans = phase_fallback;
-        }
-        if spans.is_empty() {
+        if totals.is_empty() {
             return None;
-        }
-
-        let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for span in &spans {
-            let entry = totals.entry(span.path.clone()).or_insert((0, 0));
-            entry.0 += span.nanos;
-            entry.1 += span.spans;
         }
         let nodes = totals
             .iter()
@@ -125,7 +98,7 @@ impl ProfileReport {
                 }
             })
             .collect();
-        Some(Self { trace_ids, nodes, skipped_lines: skipped, from_phase_events })
+        Some(Self { trace_ids, nodes, skipped_lines: skipped })
     }
 
     /// Collapsed-stack rendering (`path self_nanos`, one node per
@@ -148,9 +121,6 @@ impl ProfileReport {
         let mut out = String::new();
         if !self.trace_ids.is_empty() {
             out.push_str(&format!("trace ids: {}\n", self.trace_ids.join(", ")));
-        }
-        if self.from_phase_events {
-            out.push_str("(no span events in trace; folded from phase timings)\n");
         }
         out.push_str(&format!(
             "{:<44} {:>12} {:>12} {:>8} {:>7}\n",
@@ -195,6 +165,7 @@ fn format_nanos(nanos: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use momsynth_core::telemetry::SpanEvent;
 
     fn span_line(trace_id: &str, path: &str, nanos: u64, spans: u64) -> String {
         serde_json::to_string(&Event::Span(SpanEvent {
@@ -216,7 +187,6 @@ mod tests {
         ]
         .join("\n");
         let report = ProfileReport::from_trace(&text).expect("spans present");
-        assert!(!report.from_phase_events);
         assert_eq!(report.trace_ids, vec!["t-1"]);
         let get = |p: &str| report.nodes.iter().find(|n| n.path == p).unwrap();
         assert_eq!(get("run").self_nanos, 20, "100 - 80 (direct child only)");
@@ -249,38 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_phase_traces_fold_under_synthesized_paths() {
-        use momsynth_core::telemetry::{Phase, PhaseTiming};
-        let lines: Vec<String> = [
-            (Phase::FitnessEval, 90u64),
-            (Phase::ListScheduling, 40),
-            (Phase::VoltageScaling, 10),
-        ]
-        .iter()
-        .map(|&(phase, nanos)| {
-            serde_json::to_string(&Event::Phase(PhaseTiming {
-                phase,
-                nanos,
-                spans: 4,
-                depth: phase.depth(),
-            }))
-            .unwrap()
-        })
-        .collect();
-        let report = ProfileReport::from_trace(&lines.join("\n")).unwrap();
-        assert!(report.from_phase_events);
-        let eval = report.nodes.iter().find(|n| n.path == "run;fitness_eval").unwrap();
-        assert_eq!(eval.self_nanos, 40, "90 - 40 - 10");
-        assert!(report
-            .nodes
-            .iter()
-            .any(|n| n.path == "run;fitness_eval;list_scheduling" && n.self_nanos == 40));
-    }
-
-    #[test]
     fn empty_or_span_free_traces_yield_none() {
         assert_eq!(ProfileReport::from_trace(""), None);
         assert_eq!(ProfileReport::from_trace("{\"bogus\": 1}\n"), None);
+        // A per-phase timing line of a trace written before span events.
+        let phase = r#"{"Phase":{"phase":"FitnessEval","nanos":90,"spans":4,"depth":0}}"#;
+        assert_eq!(ProfileReport::from_trace(phase), None);
     }
 
     #[test]

@@ -50,7 +50,8 @@ use crate::synthesis::SynthesisError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProveOptions {
     /// Maximum leaf evaluations before the search degrades from a proof
-    /// to a gap bound.
+    /// to a gap bound. `u64::MAX` means no cap (a search bounded by
+    /// [`ProveOptions::deadline`] alone).
     pub max_evals: u64,
     /// Optional wall-clock deadline for the search (same graceful
     /// degradation; makes the run non-deterministic).
@@ -131,8 +132,9 @@ pub struct Certificate {
     pub domain_reduction: DomainReduction,
     /// Number of complete assignments in the searched (pruned) space.
     pub search_space: f64,
-    /// The evaluation budget the search ran under.
-    pub max_evals: u64,
+    /// The evaluation cap the search ran under; `None` when it had
+    /// none ([`ProveOptions::max_evals`] was `u64::MAX`).
+    pub max_evals: Option<u64>,
 }
 
 impl Certificate {
@@ -392,8 +394,9 @@ pub fn prove(
     let evaluator = Evaluator::new(system, config);
     let mut problem =
         MappingBnb::new(system, config, &layout, &evaluator, options.use_bounds);
-    let max_evals = usize::try_from(options.max_evals).unwrap_or(usize::MAX);
-    let budget = Budget::new(None, options.deadline, Some(max_evals));
+    let max_evals = (options.max_evals != u64::MAX).then_some(options.max_evals);
+    let cap = max_evals.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    let budget = Budget::new(None, options.deadline, cap);
     let outcome = branch_and_bound(&mut problem, budget, options.incumbent);
 
     let explored_best = outcome.best.as_ref().filter(|(_, c)| c.is_finite());
@@ -430,7 +433,7 @@ pub fn prove(
         pruned_by_bound: outcome.pruned_by_bound,
         domain_reduction,
         search_space,
-        max_evals: options.max_evals,
+        max_evals,
     })
 }
 

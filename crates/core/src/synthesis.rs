@@ -42,6 +42,7 @@ use momsynth_model::units::Watts;
 use momsynth_model::System;
 use momsynth_telemetry::{
     Counters, Event, ModeSummary, PhaseTiming, RunStart, RunSummary, Sink, SpanEvent, Warning,
+    RUN_PATH,
 };
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -74,7 +75,8 @@ pub struct SynthesisResult {
     /// evaluations, improvement-operator efficacy, DVS iterations).
     pub counters: Counters,
     /// Per-phase wall-clock breakdown of the inner loop. Empty unless a
-    /// trace-enabled sink was attached to the run.
+    /// trace-enabled sink was attached to the run, which receives each
+    /// entry as the span at its [`Phase::path`](momsynth_telemetry::Phase::path).
     pub phase_timings: Vec<PhaseTiming>,
     /// Provable Eq. 1 power lower bound p̄_LB computed by the
     /// pre-synthesis static analyzer. The reported average power of any
@@ -130,7 +132,6 @@ impl SynthesisResult {
             power_lower_bound_mw: lb.as_milli(),
             optimality_gap,
             counters: self.counters.clone(),
-            phases: self.phase_timings.clone(),
         }
     }
 
@@ -250,7 +251,7 @@ pub struct SynthControl<'a> {
     /// Resume from a previously saved checkpoint instead of a fresh
     /// population. Validated against the loaded system and seed.
     pub resume: Option<Checkpoint>,
-    /// Telemetry sink receiving run/generation/phase/summary events.
+    /// Telemetry sink receiving run/generation/span/summary events.
     /// Expensive events are only built when the sink reports
     /// [`Sink::enabled`].
     pub sink: Option<&'a dyn Sink>,
@@ -360,10 +361,7 @@ impl GaProblem for MappingProblem<'_> {
         // Under the loom model checker the scoped parallel arm is
         // compiled out (loom has no scoped threads); batches price
         // serially, which the determinism contract already permits.
-        #[cfg(loom)]
-        let serial = true;
-        #[cfg(not(loom))]
-        let serial = self.threads <= 1 || unique.len() <= 1;
+        let serial = cfg!(loom) || self.threads <= 1 || unique.len() <= 1;
         if serial {
             for (slot, &i) in unique.iter().enumerate() {
                 unique_costs[slot] =
@@ -593,11 +591,7 @@ impl<'a> Synthesizer<'a> {
                         if let Err(e) = cp.save(path) {
                             // Checkpointing is best-effort: losing a
                             // checkpoint must not lose the run.
-                            let message = format!("checkpoint not saved: {e}");
-                            match sink {
-                                Some(sink) => sink.record(&Event::Warning(Warning { message })),
-                                None => eprintln!("warning: {message}"),
-                            }
+                            warn(sink, format!("checkpoint not saved: {e}"));
                         } else {
                             saved_gen_ref.set(Some(cp.generation));
                             save_time_ref.set(Instant::now());
@@ -649,11 +643,7 @@ impl<'a> Synthesizer<'a> {
                 if let Some(cp) = latest_checkpoint.borrow_mut().take() {
                     if last_saved_generation.get() != Some(cp.generation) {
                         if let Err(e) = cp.save(&spec.path) {
-                            let message = format!("final checkpoint not saved: {e}");
-                            match sink {
-                                Some(sink) => sink.record(&Event::Warning(Warning { message })),
-                                None => eprintln!("warning: {message}"),
-                            }
+                            warn(sink, format!("final checkpoint not saved: {e}"));
                         }
                     }
                 }
@@ -733,30 +723,21 @@ impl<'a> Synthesizer<'a> {
         };
         if let Some(sink) = sink {
             if sink.enabled() {
-                for timing in &result.phase_timings {
-                    sink.record(&Event::Phase(timing.clone()));
-                }
-                // Re-emit the same timings as trace spans under the
-                // run-wide trace ID: collapsed-stack paths nest the
-                // depth-1 phases under the whole-evaluation span, and a
-                // root span carries the run's total wall time so
-                // `momsynth profile` can attribute non-evaluation time
-                // (selection, checkpointing, polish) as root self-time.
+                // The run's timings, as trace spans under the run-wide
+                // trace ID: a root span carries the run's total wall time
+                // so `momsynth profile` can attribute non-evaluation time
+                // (selection, checkpointing, polish) as root self-time,
+                // and each phase timing nests under it at its path.
                 sink.record(&Event::Span(SpanEvent {
                     trace_id: trace_id.clone(),
-                    path: "run".into(),
+                    path: RUN_PATH.into(),
                     nanos: result.wall_time.as_nanos() as u64,
                     spans: 1,
                 }));
                 for timing in &result.phase_timings {
-                    let path = if timing.depth == 0 {
-                        format!("run;{}", timing.phase.name())
-                    } else {
-                        format!("run;fitness_eval;{}", timing.phase.name())
-                    };
                     sink.record(&Event::Span(SpanEvent {
                         trace_id: trace_id.clone(),
-                        path,
+                        path: timing.phase.path().into(),
                         nanos: timing.nanos,
                         spans: timing.spans,
                     }));
@@ -796,8 +777,14 @@ fn report_breach(sink: Option<&dyn Sink>, message: &str) {
     if cfg!(debug_assertions) {
         panic!("{message}");
     }
+    warn(sink, message.to_owned());
+}
+
+/// Reports a non-fatal problem: a [`Warning`] event on the run's sink,
+/// or a line on stderr when the run has none.
+fn warn(sink: Option<&dyn Sink>, message: String) {
     match sink {
-        Some(sink) => sink.record(&Event::Warning(Warning { message: message.to_owned() })),
+        Some(sink) => sink.record(&Event::Warning(Warning { message })),
         None => eprintln!("warning: {message}"),
     }
 }

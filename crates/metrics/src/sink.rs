@@ -27,8 +27,9 @@ const COUNTER_FAMILIES: [CounterFamily; 3] = [
 ];
 
 /// The core-loop instrument families: per-phase wall time as
-/// histograms, three counters mirroring fields of [`Counters`], live
-/// `evals/sec` as a gauge, and run counts and durations. Registered once per registry — the job
+/// histograms (observed from each run's phase spans), three counters
+/// mirroring fields of [`Counters`], live `evals/sec` as a gauge, and
+/// run counts and durations. Registered once per registry — the job
 /// server does it at start, next to its own families — and shared by
 /// every run's [`MetricsSink`]; a clone shares the same cells.
 #[derive(Debug, Clone)]
@@ -161,22 +162,26 @@ impl Sink for MetricsSink {
                 }
                 state.last = Some(g.counters.clone());
             }
-            Event::Phase(timing) => {
-                metrics.phase_seconds[timing.phase.index()].observe(timing.nanos as f64 / 1e9);
+            // A run records one span per timed phase; its root span
+            // matches no phase.
+            Event::Span(span) => {
+                if let Some(phase) = Phase::at_path(&span.path) {
+                    metrics.phase_seconds[phase.index()].observe(span.nanos as f64 / 1e9);
+                }
             }
             Event::Summary(summary) => {
                 metrics.runs_finished.inc();
                 metrics.run_duration.observe(summary.wall_time_s);
                 metrics.evals_per_sec.set(0);
             }
-            Event::Warning(_) | Event::Span(_) => {}
+            Event::Warning(_) => {}
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use momsynth_telemetry::{GenerationEvent, RunStart};
+    use momsynth_telemetry::{GenerationEvent, RunStart, SpanEvent, RUN_PATH};
 
     use super::*;
 
@@ -241,26 +246,28 @@ mod tests {
     }
 
     #[test]
-    fn phase_and_summary_events_feed_histograms() {
+    fn phase_spans_feed_histograms() {
         let registry = Registry::new();
         let sink = MetricsSink::new(&RunMetrics::new(&registry));
-        sink.record(&Event::Phase(momsynth_telemetry::PhaseTiming {
-            phase: Phase::ListScheduling,
-            nanos: 2_000_000,
-            spans: 10,
-            depth: 1,
-        }));
+        for path in [RUN_PATH, Phase::ListScheduling.path(), "run;elsewhere"] {
+            sink.record(&Event::Span(SpanEvent {
+                trace_id: "t".into(),
+                path: path.into(),
+                nanos: 2_000_000,
+                spans: 10,
+            }));
+        }
         let snap = registry.snapshot();
-        let sample = snap
-            .histogram_sample("momsynth_run_phase_seconds", &[("phase", "list_scheduling")])
-            .unwrap();
-        assert_eq!(sample.count, 1);
-        assert!((sample.sum - 0.002).abs() < 1e-12);
-        // All five phase families are pre-registered even before a run.
+        // All five phase families are pre-registered even before a run;
+        // only the span at a phase path is observed.
         for phase in Phase::ALL {
-            assert!(snap
+            let sample = snap
                 .histogram_sample("momsynth_run_phase_seconds", &[("phase", phase.name())])
-                .is_some());
+                .unwrap();
+            assert_eq!(sample.count, u64::from(phase == Phase::ListScheduling), "{}", phase.name());
+            if phase == Phase::ListScheduling {
+                assert!((sample.sum - 0.002).abs() < 1e-12);
+            }
         }
     }
 

@@ -279,6 +279,33 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// A verified record as builds before the trace spans became the only
+    /// timing record wrote it: its summary still carries `phases`.
+    const RECORD_WITH_SUMMARY_PHASES: &str = r#"{"id": "job-000004", "seq": 4,
+        "priority": 0, "trace_id": "job-000004-1a14d8f6f09",
+        "submitted_unix_ms": 1792302608137, "state": "Verified", "attempts": 1,
+        "transitions": ["queued", "analyzing: attempt 1", "running", "verified"],
+        "error": null, "summary": {"system": "smartphone",
+        "probability_aware": true, "dvs": true, "seed": 1,
+        "average_power_mw": 5.271838093516587, "feasible": true,
+        "modes": [{"mode": "gsm_rlc", "probability": 0.09,
+        "dynamic_mw": 13.351808397879337, "static_mw": 2.1,
+        "total_mw": 15.451808397879336}],
+        "stop_reason": "generation limit reached", "generations": 40,
+        "evaluations": 961, "rejected": 0, "wall_time_s": 0.382194915,
+        "evals_per_sec": 2514.42382481724, "threads": 1,
+        "power_lower_bound_mw": 1.3473882596323967,
+        "optimality_gap": 2.9126347256097396, "counters": {"rejected": 0,
+        "timing_violations": 0, "area_violations": 339,
+        "transition_violations": 0, "dvs_iterations": 94243, "cache_hits": 0,
+        "cache_misses": 740, "evaluated": 740, "improve_applied": [11, 17, 11, 11],
+        "improve_accepted": [11, 17, 11, 0]}, "phases": [
+        {"phase": "FitnessEval", "nanos": 341510425, "spans": 962, "depth": 0},
+        {"phase": "CoreAllocation", "nanos": 24592253, "spans": 962, "depth": 1},
+        {"phase": "ListScheduling", "nanos": 63791946, "spans": 6156, "depth": 1},
+        {"phase": "VoltageScaling", "nanos": 233140092, "spans": 6156, "depth": 1},
+        {"phase": "PowerPricing", "nanos": 16072861, "spans": 962, "depth": 1}]}}"#;
+
     #[test]
     fn load_all_returns_records_in_submission_order() {
         let root = tmp_root("order");
@@ -287,10 +314,13 @@ mod tests {
             let record = JobRecord::new(format!("job-{seq:06}"), seq, 0);
             journal.write_record(&record).unwrap();
         }
+        std::fs::write(journal.record_path("job-000004"), RECORD_WITH_SUMMARY_PHASES).unwrap();
         let (records, notes) = journal.load_all();
         assert!(notes.is_empty(), "{notes:?}");
         let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(seqs, vec![1, 2, 3, 4]);
+        let summary = records[3].summary.as_ref().expect("a verified record keeps its summary");
+        assert_eq!((summary.generations, summary.evaluations), (40, 961));
         std::fs::remove_dir_all(&root).ok();
     }
 

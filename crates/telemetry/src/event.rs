@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::timing::PhaseTiming;
-
 /// Number of improvement operators tracked by [`Counters`] (the paper's
 /// shut-down, area, timing and transition strategies, in that order).
 pub const OPERATOR_COUNT: usize = 4;
@@ -20,11 +18,10 @@ pub enum Event {
     RunStart(RunStart),
     /// A GA generation completed.
     Generation(GenerationEvent),
-    /// Accumulated timing of one inner-loop phase.
-    Phase(PhaseTiming),
     /// A non-fatal problem occurred.
     Warning(Warning),
-    /// An accumulated trace span (collapsed-stack path + wall time).
+    /// An accumulated trace span (collapsed-stack path + wall time): the
+    /// run's only timing record.
     Span(SpanEvent),
     /// The run finished.
     Summary(RunSummary),
@@ -33,6 +30,9 @@ pub enum Event {
 /// An accumulated wall-time span of a traced region, identified by a
 /// flamegraph-style collapsed-stack path.
 ///
+/// A synthesis run ends with one span at
+/// [`RUN_PATH`](crate::RUN_PATH) covering its wall time and one per
+/// timed [`Phase`](crate::Phase) at [`Phase::path`](crate::Phase::path).
 /// Spans carry the job's trace identifier end to end: the serve layer
 /// mints one ID per job at submission, the synthesis core emits its
 /// phase spans under that ID, and the journal persists it — so a status
@@ -294,8 +294,6 @@ pub struct RunSummary {
     pub optimality_gap: f64,
     /// Final cumulative counters.
     pub counters: Counters,
-    /// Accumulated inner-loop phase timings.
-    pub phases: Vec<PhaseTiming>,
 }
 
 impl RunSummary {
@@ -307,7 +305,6 @@ impl RunSummary {
         let mut s = self.clone();
         s.wall_time_s = 0.0;
         s.evals_per_sec = 0.0;
-        s.phases = Vec::new();
         s
     }
 }
@@ -315,7 +312,6 @@ impl RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::Phase;
 
     #[test]
     fn events_round_trip_through_json() {
@@ -341,12 +337,6 @@ mod tests {
                 stagnation: 1,
                 evals_per_sec: 120.5,
                 counters: Counters { rejected: 2, ..Counters::default() },
-            }),
-            Event::Phase(PhaseTiming {
-                phase: Phase::ListScheduling,
-                nanos: 12345,
-                spans: 17,
-                depth: 1,
             }),
             Event::Warning(Warning { message: "checkpoint not saved".into() }),
             Event::Span(SpanEvent {
@@ -474,17 +464,10 @@ mod tests {
             power_lower_bound_mw: 1.75,
             optimality_gap: 1.0,
             counters: Counters::default(),
-            phases: vec![PhaseTiming {
-                phase: Phase::FitnessEval,
-                nanos: 99,
-                spans: 500,
-                depth: 0,
-            }],
         };
         let norm = summary.normalized();
         assert_eq!(norm.wall_time_s, 0.0);
         assert_eq!(norm.evals_per_sec, 0.0);
-        assert!(norm.phases.is_empty());
         assert_eq!(norm.average_power_mw, summary.average_power_mw);
         assert_eq!(norm.threads, summary.threads);
         let json = serde_json::to_string(&Event::Summary(summary)).unwrap();

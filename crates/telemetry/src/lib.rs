@@ -7,7 +7,7 @@
 //! This crate defines a typed event model for those quantities and a
 //! [`Sink`] abstraction that is **zero-cost when disabled**: producers
 //! check [`Sink::enabled`] before building an event, so a run without an
-//! attached sink (or with the [`NullSink`]) pays only a branch.
+//! attached sink (or with a disabled one) pays only a branch.
 //!
 //! # Event model
 //!
@@ -21,12 +21,14 @@
 //!   [`GenerationEvent::normalized`] — every field is deterministic, so
 //!   the traces of a run and its checkpoint-resumed counterpart are
 //!   comparable once normalised;
-//! * [`PhaseTiming`] — accumulated monotonic-clock spans of one inner
-//!   [`Phase`];
 //! * [`Warning`] — a non-fatal condition (e.g. a failed checkpoint save);
-//! * [`SpanEvent`] — an accumulated trace span: a flamegraph-style
-//!   collapsed-stack path (`run;fitness_eval;voltage_scaling`) plus the
-//!   job-wide trace ID, consumed by `momsynth profile`;
+//! * [`SpanEvent`] — an accumulated trace span, the only timing record:
+//!   a flamegraph-style collapsed-stack path plus the job-wide trace ID.
+//!   A run ends with one span at [`RUN_PATH`] covering its wall time and
+//!   one per timed [`Phase`] at [`Phase::path`]
+//!   (`run;fitness_eval;voltage_scaling`, …), carrying that phase's
+//!   [`PhaseTiming`]. `momsynth profile` folds them into self time and
+//!   `momsynth-metrics` observes the phase spans;
 //! * [`RunSummary`] — the machine-readable end-of-run metrics: final
 //!   p̄ per Eq. 1 of the paper, per-mode dynamic/static power breakdown,
 //!   stop reason, wall time and evaluation throughput.
@@ -47,7 +49,6 @@
 //!
 //! | sink | purpose |
 //! |------|---------|
-//! | [`NullSink`] | discard everything; `enabled() == false` |
 //! | [`JsonlSink`] | append one JSON object per event to a file |
 //! | [`MemorySink`] | collect events in memory (tests, harnesses) |
 //! | [`ProgressSink`] | human one-line-per-generation view on stderr |
@@ -86,5 +87,5 @@ pub use event::{
     Counters, Event, GenerationEvent, JobEvent, ModeSummary, RunStart, RunSummary, SpanEvent,
     Warning, OPERATOR_COUNT, OPERATOR_NAMES,
 };
-pub use sink::{Fanout, JsonlSink, MemorySink, NullSink, ProgressSink, Sink, WarningSink};
-pub use timing::{Phase, PhaseAccumulator, PhaseTiming};
+pub use sink::{Fanout, JsonlSink, MemorySink, ProgressSink, Sink, WarningSink};
+pub use timing::{Phase, PhaseAccumulator, PhaseTiming, RUN_PATH};

@@ -1,4 +1,4 @@
-//! Event sinks: no-op, JSONL file, in-memory, stderr and fan-out.
+//! Event sinks: JSONL file, in-memory, stderr and fan-out.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -33,18 +33,6 @@ pub trait Sink {
 
     /// Flushes any buffered output.
     fn flush(&self) {}
-}
-
-/// Discards everything; producers skip event construction entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: &Event) {}
 }
 
 /// Collects events in memory; useful in tests and harnesses. Safe to
@@ -207,7 +195,7 @@ impl std::fmt::Debug for Fanout {
 }
 
 impl Fanout {
-    /// An empty fan-out (equivalent to [`NullSink`]).
+    /// An empty fan-out: disabled, and it discards every event.
     pub fn new() -> Self {
         Self::default()
     }
@@ -250,12 +238,6 @@ impl Sink for Fanout {
 mod tests {
     use super::*;
     use crate::event::Warning;
-
-    #[test]
-    fn null_sink_is_disabled() {
-        assert!(!NullSink.enabled());
-        NullSink.record(&Event::Warning(Warning { message: "x".into() }));
-    }
 
     #[test]
     fn memory_sink_collects_and_drains() {

@@ -1,14 +1,17 @@
-//! Monotonic-clock phase timers for the synthesis inner loop.
+//! Monotonic-clock phase timers for the synthesis inner loop, and the
+//! collapsed-stack paths their trace spans are recorded at.
 
 use std::cell::Cell;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+/// Collapsed-stack path of a run's root span, which covers the run's
+/// whole wall time. Every [`Phase::path`] nests under it.
+pub const RUN_PATH: &str = "run";
 
 /// An instrumented phase of the synthesis loop. `FitnessEval` is the
-/// outer span (nest depth 0) covering one full candidate evaluation; the
-/// remaining phases are its nested components (depth 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// outer span covering one full candidate evaluation; the remaining
+/// phases are its nested components.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// One full candidate evaluation (allocation through pricing).
     FitnessEval,
@@ -46,14 +49,6 @@ impl Phase {
         }
     }
 
-    /// Nesting depth: 0 for the whole-evaluation span, 1 for its parts.
-    pub fn depth(self) -> u8 {
-        match self {
-            Self::FitnessEval => 0,
-            _ => 1,
-        }
-    }
-
     /// Stable lower-case name.
     pub fn name(self) -> &'static str {
         match self {
@@ -64,10 +59,29 @@ impl Phase {
             Self::PowerPricing => "power_pricing",
         }
     }
+
+    /// Collapsed-stack path of this phase's trace span: the whole
+    /// evaluation nests under [`RUN_PATH`], its parts under the
+    /// evaluation. The one definition of the nesting: the synthesizer
+    /// records spans at these paths and their consumers read them back.
+    pub fn path(self) -> &'static str {
+        match self {
+            Self::FitnessEval => "run;fitness_eval",
+            Self::CoreAllocation => "run;fitness_eval;core_allocation",
+            Self::ListScheduling => "run;fitness_eval;list_scheduling",
+            Self::VoltageScaling => "run;fitness_eval;voltage_scaling",
+            Self::PowerPricing => "run;fitness_eval;power_pricing",
+        }
+    }
+
+    /// The phase whose span is recorded at `path`, if any.
+    pub fn at_path(path: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|phase| phase.path() == path)
+    }
 }
 
 /// Accumulated monotonic-clock spans of one phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseTiming {
     /// Which phase.
     pub phase: Phase,
@@ -75,8 +89,6 @@ pub struct PhaseTiming {
     pub nanos: u64,
     /// Number of spans measured.
     pub spans: u64,
-    /// Nesting depth of the phase ([`Phase::depth`]).
-    pub depth: u8,
 }
 
 /// Accumulates per-phase wall time with interior mutability, so shared
@@ -152,7 +164,6 @@ impl PhaseAccumulator {
                 phase,
                 nanos: self.nanos[phase.index()].get(),
                 spans: self.spans[phase.index()].get(),
-                depth: phase.depth(),
             })
             .collect()
     }
@@ -167,10 +178,20 @@ mod tests {
         for (i, phase) in Phase::ALL.iter().enumerate() {
             assert_eq!(phase.index(), i);
         }
-        assert_eq!(Phase::FitnessEval.depth(), 0);
+    }
+
+    #[test]
+    fn phase_paths_nest_the_parts_under_the_evaluation() {
+        let eval = Phase::FitnessEval.path();
+        assert_eq!(eval, format!("{RUN_PATH};{}", Phase::FitnessEval.name()));
         for phase in &Phase::ALL[1..] {
-            assert_eq!(phase.depth(), 1);
+            assert_eq!(phase.path(), format!("{eval};{}", phase.name()));
         }
+        for phase in Phase::ALL {
+            assert_eq!(Phase::at_path(phase.path()), Some(phase));
+        }
+        assert_eq!(Phase::at_path(RUN_PATH), None);
+        assert_eq!(Phase::at_path("fitness_eval"), None);
     }
 
     #[test]
@@ -192,10 +213,8 @@ mod tests {
         assert_eq!(timings.len(), 2);
         let vs = timings.iter().find(|t| t.phase == Phase::VoltageScaling).unwrap();
         assert_eq!(vs.spans, 3);
-        assert_eq!(vs.depth, 1);
         let fe = timings.iter().find(|t| t.phase == Phase::FitnessEval).unwrap();
         assert_eq!(fe.spans, 1);
-        assert_eq!(fe.depth, 0);
     }
 
     #[test]
@@ -217,13 +236,5 @@ mod tests {
         let off = PhaseAccumulator::disabled();
         off.absorb(&worker);
         assert!(off.timings().is_empty());
-    }
-
-    #[test]
-    fn phase_serializes_as_bare_string() {
-        let json = serde_json::to_string(&Phase::CoreAllocation).unwrap();
-        assert_eq!(json, "\"CoreAllocation\"");
-        let back: Phase = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Phase::CoreAllocation);
     }
 }

@@ -11,12 +11,15 @@
 #              time per data unit and link transfer power) must fail to
 #              load in `info`, `analyze` and `synth` (exit 1 with the
 #              builder's reason, no panic)
-#   telemetry  trace and run-summary outputs of `synth`
+#   telemetry  trace and run-summary outputs of `synth`: the trace's spans
+#              (the run root and phase paths) are its only timing record,
+#              and the run summary carries no phase timings
 #   threads    one synth at 1 and at 2 threads: identical results and counters
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
 #   prove      certificates for the smartphone, under an evaluation and under a
-#              wall-clock budget, and for the redundant-GPP fixture
+#              wall-clock budget (no evaluation cap: `max_evals` is null), and
+#              for the redundant-GPP fixture
 #
 # Stops at the first failed command or assertion. Needs python3 and curl.
 #
@@ -194,8 +197,19 @@ assert "RunStart" in events[0], f"first event is {events[0]}"
 assert "Summary" in events[-1], f"last event is {events[-1]}"
 generations = [e for e in events if "Generation" in e]
 assert generations, "no generation events in trace"
+# The spans are the trace's only timing record: one at the run root and
+# one per timed phase, each at a phase path.
+assert not any("Phase" in e for e in events), "a Phase line is on the trace"
+paths = [e["Span"]["path"] for e in events if "Span" in e]
+assert "run" in paths and "run;fitness_eval" in paths, paths
+phase_paths = {"run;fitness_eval"} | {
+    f"run;fitness_eval;{p}"
+    for p in ("core_allocation", "list_scheduling", "voltage_scaling", "power_pricing")
+}
+assert all(p == "run" or p in phase_paths for p in paths), paths
 
 metrics = json.load(open("metrics.json"))
+assert "phases" not in metrics, sorted(metrics)
 assert metrics["system"] == "smartphone"
 assert metrics["generations"] > 0
 assert metrics["evaluations"] > 0
@@ -203,7 +217,7 @@ assert metrics["evaluations"] > 0
 weighted = sum(m["total_mw"] * m["probability"] for m in metrics["modes"])
 assert abs(weighted - metrics["average_power_mw"]) < 1e-6 * max(1.0, weighted)
 print(f"ok: {len(events)} events, {len(generations)} generations,"
-      f" {metrics['average_power_mw']:.4f} mW")
+      f" {len(paths)} spans, {metrics['average_power_mw']:.4f} mW")
 PY
 }
 
@@ -372,7 +386,11 @@ for name in ("smartphone", "smartphone_wall", "redundant_gpp"):
     cert = json.load(open(f"cert_{name}.json"))
     assert cert["status"] in ("optimal", "gap-bound"), cert
     assert cert["certified_gap"] >= 0.0, cert
-    assert cert["explored"] <= cert["max_evals"], cert
+    if name == "smartphone_wall":
+        # A wall-clock budget sets no evaluation cap.
+        assert cert["max_evals"] is None, cert
+    else:
+        assert cert["explored"] <= cert["max_evals"], cert
     # The GA best must lie inside the certificate: at or above the
     # certified lower bound, with its own residual no tighter than the
     # certified one (the certified best is min(GA best, search best), so

@@ -108,6 +108,8 @@ fn prove_under_a_spent_budget_still_certifies_soundly() {
     assert!(matches!(none.status, CertificateStatus::GapBound { .. }), "{:?}", none.status);
     assert_eq!(none.explored, 0);
     assert!(none.lower_bound.is_finite());
+    assert_eq!(none.max_evals, Some(0));
+    assert_eq!(none.to_json()["max_evals"], serde_json::json!(0));
 
     let expired = prove(
         &system,
@@ -118,7 +120,24 @@ fn prove_under_a_spent_budget_still_certifies_soundly() {
     // The clock is read once every 256 search nodes, so a deadline that
     // has passed stops the search at its 256th node: 73 leaves here.
     assert_eq!(expired.explored, 73);
+    assert_eq!(expired.max_evals, Some(ProveOptions::default().max_evals));
     if let Some(best) = expired.best_fitness {
         assert!(expired.lower_bound <= best, "{} > {best}", expired.lower_bound);
     }
+
+    // `u64::MAX` is no cap: a search bounded by its deadline alone
+    // reports none.
+    let timed = prove(
+        &system,
+        &config,
+        &ProveOptions {
+            max_evals: u64::MAX,
+            deadline: Some(Instant::now()),
+            ..ProveOptions::default()
+        },
+    )
+    .expect("mul9 is feasible");
+    assert_eq!(timed.explored, 73);
+    assert_eq!(timed.max_evals, None);
+    assert!(timed.to_json()["max_evals"].is_null());
 }
