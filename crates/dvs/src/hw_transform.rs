@@ -61,11 +61,8 @@ impl VirtualTask {
 /// schedules produced by `momsynth-sched` are always consistent).
 pub fn virtual_tasks(system: &System, schedule: &Schedule, pe: PeId) -> Vec<VirtualTask> {
     let graph = system.omsm().mode(schedule.mode()).graph();
-    let mut entries: Vec<(TaskId, Seconds, Seconds)> = schedule
-        .tasks()
-        .filter(|e| e.pe == pe)
-        .map(|e| (e.task, e.start, e.finish()))
-        .collect();
+    let mut entries: Vec<(TaskId, Seconds, Seconds)> =
+        schedule.tasks().filter(|e| e.pe == pe).map(|e| (e.task, e.start, e.finish())).collect();
     entries.sort_by(|a, b| a.1.value().total_cmp(&b.1.value()).then(a.0.cmp(&b.0)));
 
     let mut groups: Vec<VirtualTask> = Vec::new();
@@ -173,10 +170,7 @@ mod tests {
         let groups = virtual_tasks(&sys, &fig5_schedule(), PeId::new(1));
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].members, vec![TaskId::new(0), TaskId::new(1)]);
-        assert_eq!(
-            groups[1].members,
-            vec![TaskId::new(2), TaskId::new(3), TaskId::new(4)]
-        );
+        assert_eq!(groups[1].members, vec![TaskId::new(2), TaskId::new(3), TaskId::new(4)]);
     }
 
     #[test]

@@ -133,6 +133,14 @@ struct ScaleInfo {
     max_stretch: f64,
 }
 
+impl ScaleInfo {
+    /// The unit's dynamic energy when its `nominal` execution is
+    /// stretched to `dur`.
+    fn energy_at(&self, nominal: Seconds, dur: Seconds) -> f64 {
+        self.energy.value() * self.model.energy_factor_for_stretch(dur / nominal)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Unit {
     payload: UnitPayload,
@@ -140,6 +148,15 @@ struct Unit {
     nominal: Seconds,
     dur: Seconds,
     scale: Option<ScaleInfo>,
+}
+
+/// A scalable unit's energies between greedy steps: at its current
+/// duration (`now`) and one quantum longer (`next`).
+#[derive(Debug, Clone, Copy)]
+struct UnitEnergy {
+    unit: usize,
+    now: f64,
+    next: f64,
 }
 
 /// Adjacency in compressed rows: the neighbours of unit `u` are
@@ -181,13 +198,15 @@ impl Csr {
 }
 
 /// Reusable working memory for [`scale_mode_with`]. A call builds its
-/// mode's constraint graph here — the scaling units, sorted edge list,
-/// successor and predecessor rows and the topological order — and the
-/// greedy loop reruns its earliest/latest finish passes over the
-/// `es`/`ef`/`lf` slot vectors. Once the buffers have grown to a mode's
-/// size, a call allocates what its [`ScaledMode`] keeps, one small
-/// throwaway level fit per stretched unit and, on DVS hardware, its
-/// virtual tasks. Every buffer is refilled on entry; reuse can never
+/// mode's constraint graph here — the scaling units, the edge list in
+/// discovery order, successor and predecessor rows, the topological
+/// order and each unit's position in it. The greedy loop keeps the
+/// earliest/latest finish times in the `es`/`ef`/`lf` slot vectors and
+/// each scalable unit's cached energies, and after an extension redoes
+/// only what that extension can move. Once the buffers have grown to a
+/// mode's size, a call allocates what its [`ScaledMode`] keeps, one
+/// small throwaway level fit per stretched unit and, on DVS hardware,
+/// its virtual tasks. Every buffer is refilled on entry; reuse can never
 /// leak state between calls.
 #[derive(Debug, Default)]
 pub struct DvsScratch {
@@ -199,9 +218,11 @@ pub struct DvsScratch {
     preds: Csr,
     indegree: Vec<usize>,
     topo: Vec<usize>,
+    position: Vec<usize>,
     es: Vec<Seconds>,
     ef: Vec<Seconds>,
     lf: Vec<Seconds>,
+    energies: Vec<UnitEnergy>,
 }
 
 /// Applies PV-DVS to one mode's schedule.
@@ -213,6 +234,12 @@ pub struct DvsScratch {
 /// timing. The scaler never violates task deadlines or the mode's
 /// hyper-period; on a schedule that already misses deadlines it simply
 /// finds no slack and returns nominal timing.
+///
+/// A schedule whose resource order contradicts its precedences (a
+/// resource sequence running a task before one it depends on, which the
+/// list scheduler never produces) has no consistent timing to stretch:
+/// it is returned unscaled, with its own timing, every energy factor
+/// `1.0`, no voltage schedules and zero iterations.
 ///
 /// Allocates fresh working buffers per call; the synthesis hot loop uses
 /// [`scale_mode_with`] with a reusable [`DvsScratch`] instead.
@@ -228,29 +255,32 @@ pub fn scale_mode_with(
     options: &DvsOptions,
     scratch: &mut DvsScratch,
 ) -> ScaledMode {
-    scale_mode_inner(system, schedule, options, options.scale_hw, scratch)
-}
-
-fn scale_mode_inner(
-    system: &System,
-    schedule: &Schedule,
-    options: &DvsOptions,
-    allow_groups: bool,
-    scratch: &mut DvsScratch,
-) -> ScaledMode {
-    scratch.build_units(system, schedule, allow_groups);
+    let graph = system.omsm().mode(schedule.mode()).graph();
     // Virtual-task merging can, in rare interleavings, create cycles;
-    // fall back to group-free scaling then.
-    if !scratch.build_constraint_graph(system, schedule) {
-        debug_assert!(allow_groups, "group-free unit graph must be acyclic");
-        return scale_mode_inner(system, schedule, options, false, scratch);
+    // fall back to group-free scaling then. A cycle without groups is
+    // the schedule's own.
+    let acyclic = scratch.build_graph(system, schedule, options.scale_hw)
+        || (options.scale_hw && scratch.build_graph(system, schedule, false));
+    if !acyclic {
+        return ScaledMode {
+            schedule: schedule.clone(),
+            task_voltages: vec![None; graph.task_count()],
+            task_energy_factors: vec![1.0; graph.task_count()],
+            iterations: 0,
+        };
     }
-    let period = system.omsm().mode(schedule.mode()).graph().period();
-    let iterations = scratch.distribute_slack(period, options);
+    let iterations = scratch.distribute_slack(graph.period(), options);
     scratch.snap(system, schedule, iterations)
 }
 
 impl DvsScratch {
+    /// Builds the units (with virtual tasks when `allow_groups`) and their
+    /// constraint graph. Returns `false` if the graph is cyclic.
+    fn build_graph(&mut self, system: &System, schedule: &Schedule, allow_groups: bool) -> bool {
+        self.build_units(system, schedule, allow_groups);
+        self.build_constraint_graph(system, schedule)
+    }
+
     /// Fills `units` with one unit per virtual task (when `allow_groups`),
     /// per task outside a virtual task and per remote communication.
     fn build_units(&mut self, system: &System, schedule: &Schedule, allow_groups: bool) {
@@ -348,11 +378,14 @@ impl DvsScratch {
     /// Builds the constraint edges between units — precedence edges from
     /// the task graph (through remote communications where they exist)
     /// and resource-order edges from the per-resource sequences — with
-    /// their successor/predecessor rows and a topological order. Returns
-    /// `false` if the unit graph is cyclic.
+    /// their successor/predecessor rows, a topological order and each
+    /// unit's position in it. Returns `false` if the unit graph is
+    /// cyclic.
     fn build_constraint_graph(&mut self, system: &System, schedule: &Schedule) -> bool {
         let graph = system.omsm().mode(schedule.mode()).graph();
-        let Self { units, task_unit, comm_unit, edges, succs, preds, indegree, topo, .. } = self;
+        let Self {
+            units, task_unit, comm_unit, edges, succs, preds, indegree, topo, position, ..
+        } = self;
         edges.clear();
         for (c, edge) in graph.comms() {
             let su = task_unit[edge.src().index()];
@@ -382,13 +415,11 @@ impl DvsScratch {
                 }
             }
         }
-        // Sorted and deduplicated, the list holds each edge once in
-        // ascending (from, to) order, so every row below lists its
-        // neighbours in ascending order: that order fixes Kahn's queue
-        // and the order of the passes' `max`/`min` folds.
-        edges.sort_unstable();
-        edges.dedup();
-
+        // The list keeps discovery order and may repeat an edge (a
+        // precedence that is also a resource order). Either only changes
+        // the order in which the passes visit a unit's neighbours, and
+        // their `max`/`min` folds over finite times are exact, so no
+        // time depends on it.
         let n = units.len();
         succs.fill(n, edges.iter().copied());
         preds.fill(n, edges.iter().map(|&(a, b)| (b, a)));
@@ -409,30 +440,43 @@ impl DvsScratch {
                 }
             }
         }
-        topo.len() == n
+        if topo.len() != n {
+            return false;
+        }
+        position.clear();
+        position.resize(n, 0);
+        for (i, &u) in topo.iter().enumerate() {
+            position[u] = i;
+        }
+        true
     }
 
-    /// Earliest start and finish of every unit under the current
-    /// durations.
-    fn forward(&mut self) {
+    /// Earliest start and finish, under the current durations, of the
+    /// units from position `from` of the topological order on. A unit's
+    /// times depend only on units before it in the order, so after a
+    /// unit is extended the pass from its position redoes all that
+    /// changed; from `0` it times every unit.
+    fn forward(&mut self, from: usize) {
         let Self { units, preds, topo, es, ef, .. } = self;
-        es.clear();
         es.resize(units.len(), Seconds::ZERO);
-        ef.clear();
         ef.resize(units.len(), Seconds::ZERO);
-        for &u in topo.iter() {
+        for &u in &topo[from..] {
             let start = preds.row(u).iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max);
             es[u] = start;
             ef[u] = start + units[u].dur;
         }
     }
 
-    /// Latest finish of every unit that keeps all deadlines.
-    fn backward(&mut self) {
+    /// Latest finish, keeping all deadlines, of the units before
+    /// position `to` of the topological order. A unit's latest finish
+    /// depends only on units after it in the order (and not on its own
+    /// duration), so after a unit is extended the pass up to its position
+    /// redoes all that changed; up to the unit count it times every unit.
+    fn backward(&mut self, to: usize) {
         let Self { units, succs, topo, lf, .. } = self;
-        lf.clear();
-        lf.extend(units.iter().map(|u| u.deadline));
-        for &u in topo.iter().rev() {
+        lf.resize(units.len(), Seconds::ZERO);
+        for &u in topo[..to].iter().rev() {
+            lf[u] = units[u].deadline;
             for &s in succs.row(u) {
                 lf[u] = lf[u].min(lf[s] - units[s].dur);
             }
@@ -440,38 +484,68 @@ impl DvsScratch {
     }
 
     /// The greedy slack distribution: repeatedly extends the unit whose
-    /// next quantum saves the most energy per second. Returns the number
-    /// of extensions.
+    /// next quantum saves the most energy per second, scanning the
+    /// scalable units in index order (the first of equal gains wins).
+    /// Returns the number of extensions.
+    ///
+    /// The passes run in full once; after an extension they redo only the
+    /// units the extended one can move. Each scalable unit's energies at
+    /// its current duration and one quantum later are cached and redone
+    /// only for the extended unit, so a step computes an energy only for
+    /// a unit whose slack or stretch room cuts its step short.
     fn distribute_slack(&mut self, period: Seconds, options: &DvsOptions) -> usize {
         let quantum = period / options.quantum_divisor.max(1.0);
         let eps = period * 1e-9;
+        let Self { units, energies, .. } = self;
+        energies.clear();
+        for (u, unit) in units.iter().enumerate() {
+            let Some(scale) = &unit.scale else { continue };
+            if unit.nominal.value() <= 0.0 {
+                continue;
+            }
+            energies.push(UnitEnergy {
+                unit: u,
+                now: scale.energy_at(unit.nominal, unit.dur),
+                next: scale.energy_at(unit.nominal, unit.dur + quantum),
+            });
+        }
+        // The positions whose times are stale: every one at first, then
+        // those the last extension can move.
+        let (mut from, mut to) = (0, units.len());
         let mut iterations = 0usize;
         while iterations < options.max_iterations {
-            self.forward();
-            self.backward();
+            self.forward(from);
+            self.backward(to);
             let mut best: Option<(usize, Seconds, f64)> = None;
-            for (u, unit) in self.units.iter().enumerate() {
-                let Some(scale) = &unit.scale else { continue };
-                if unit.nominal.value() <= 0.0 {
-                    continue;
-                }
+            for (i, cached) in self.energies.iter().enumerate() {
+                let u = cached.unit;
+                let unit = &self.units[u];
+                let scale = unit.scale.as_ref().expect("cached units are scalable");
                 let slack = self.lf[u] - self.ef[u];
                 let room = unit.nominal * scale.max_stretch - unit.dur;
                 let delta = quantum.min(slack).min(room);
                 if delta <= eps {
                     continue;
                 }
-                let k_now = unit.dur / unit.nominal;
-                let k_new = (unit.dur + delta) / unit.nominal;
-                let e_now = scale.energy.value() * scale.model.energy_factor_for_stretch(k_now);
-                let e_new = scale.energy.value() * scale.model.energy_factor_for_stretch(k_new);
-                let gain = (e_now - e_new) / delta.value();
+                let e_new = if delta == quantum {
+                    cached.next
+                } else {
+                    scale.energy_at(unit.nominal, unit.dur + delta)
+                };
+                let gain = (cached.now - e_new) / delta.value();
                 if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((u, delta, gain));
+                    best = Some((i, delta, gain));
                 }
             }
-            let Some((u, delta, _)) = best else { break };
-            self.units[u].dur += delta;
+            let Some((i, delta, _)) = best else { break };
+            let cached = &mut self.energies[i];
+            let unit = &mut self.units[cached.unit];
+            unit.dur += delta;
+            let scale = unit.scale.as_ref().expect("cached units are scalable");
+            cached.now = scale.energy_at(unit.nominal, unit.dur);
+            cached.next = scale.energy_at(unit.nominal, unit.dur + quantum);
+            let at = self.position[cached.unit];
+            (from, to) = (at, at);
             iterations += 1;
         }
         iterations
@@ -503,7 +577,7 @@ impl DvsScratch {
             let vs = VoltageSchedule::fit(cap(scale), &scale.model, unit.nominal, unit.dur);
             unit.dur = vs.total_time();
         }
-        self.forward();
+        self.forward(0);
         let es = &self.es;
 
         for (u, unit) in self.units.iter().enumerate() {
@@ -560,11 +634,7 @@ impl DvsScratch {
     }
 }
 
-fn activity_unit(
-    act: ActivityId,
-    task_unit: &[usize],
-    comm_unit: &[Option<usize>],
-) -> usize {
+fn activity_unit(act: ActivityId, task_unit: &[usize], comm_unit: &[Option<usize>]) -> usize {
     match act {
         ActivityId::Task(t) => task_unit[t.index()],
         ActivityId::Comm(c) => {
@@ -582,9 +652,7 @@ mod tests {
         ArchitectureBuilder, Cl, DvsCapability, Implementation, OmsmBuilder, Pe, PeKind,
         TaskGraphBuilder, TechLibraryBuilder,
     };
-    use momsynth_sched::{
-        schedule_mode, CoreAllocation, SchedulerOptions, SystemMapping,
-    };
+    use momsynth_sched::{schedule_mode, CoreAllocation, SchedulerOptions, SystemMapping};
 
     fn dvs_cap() -> DvsCapability {
         DvsCapability::new(
@@ -617,13 +685,8 @@ mod tests {
         g.add_comm(b, c, 0.0).unwrap();
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
-        momsynth_model::System::new(
-            "s",
-            omsm.build().unwrap(),
-            arch.build().unwrap(),
-            tech.build(),
-        )
-        .unwrap()
+        momsynth_model::System::new("s", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
+            .unwrap()
     }
 
     fn schedule_of(sys: &momsynth_model::System) -> Schedule {
@@ -661,8 +724,7 @@ mod tests {
         for dvs in [true, false, true] {
             let sys = sw_system(dvs);
             let schedule = schedule_of(&sys);
-            let reused =
-                scale_mode_with(&sys, &schedule, &DvsOptions::default(), &mut scratch);
+            let reused = scale_mode_with(&sys, &schedule, &DvsOptions::default(), &mut scratch);
             let fresh = scale_mode(&sys, &schedule, &DvsOptions::default());
             assert_eq!(reused, fresh);
         }
@@ -684,8 +746,7 @@ mod tests {
         let mut tech = TechLibraryBuilder::new();
         let tx = tech.add_type("X");
         let mut arch = ArchitectureBuilder::new();
-        let cpu = arch
-            .add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
+        let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
         tech.set_impl(
             tx,
             cpu,
@@ -705,10 +766,7 @@ mod tests {
         let schedule = schedule_of(&sys);
         let scaled = scale_mode(&sys, &schedule, &DvsOptions::default());
         assert_eq!(scaled.energy_factor(TaskId::new(0)), 1.0);
-        assert_eq!(
-            scaled.schedule().task(TaskId::new(0)).exec_time,
-            Seconds::from_millis(10.0)
-        );
+        assert_eq!(scaled.schedule().task(TaskId::new(0)).exec_time, Seconds::from_millis(10.0));
     }
 
     #[test]
@@ -717,8 +775,7 @@ mod tests {
         let mut tech = TechLibraryBuilder::new();
         let tx = tech.add_type("X");
         let mut arch = ArchitectureBuilder::new();
-        let cpu = arch
-            .add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
+        let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
         tech.set_impl(
             tx,
             cpu,
@@ -791,13 +848,8 @@ mod tests {
         g.add_task("q", t1);
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
-        momsynth_model::System::new(
-            "s",
-            omsm.build().unwrap(),
-            arch.build().unwrap(),
-            tech.build(),
-        )
-        .unwrap()
+        momsynth_model::System::new("s", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
+            .unwrap()
     }
 
     #[test]
@@ -816,10 +868,10 @@ mod tests {
             / schedule.task(TaskId::new(1)).exec_time;
         assert!(k0 > 1.5);
         assert!((k0 - k1).abs() < 1e-6, "k0={k0} k1={k1}");
-        assert!((scaled.energy_factor(TaskId::new(0))
-            - scaled.energy_factor(TaskId::new(1)))
-        .abs()
-            < 1e-9);
+        assert!(
+            (scaled.energy_factor(TaskId::new(0)) - scaled.energy_factor(TaskId::new(1))).abs()
+                < 1e-9
+        );
         let graph = sys.omsm().mode(ModeId::new(0)).graph();
         assert!(scaled.schedule().is_timing_feasible(graph));
     }
@@ -858,8 +910,7 @@ mod tests {
         let mut tech = TechLibraryBuilder::new();
         let tx = tech.add_type("X");
         let mut arch = ArchitectureBuilder::new();
-        let cpu = arch
-            .add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
+        let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
         tech.set_impl(
             tx,
             cpu,

@@ -188,10 +188,7 @@ mod tests {
             assert!(v.value() > m.v_threshold().value());
             assert!(v.value() <= m.v_max().value() + 1e-12);
             let k_back = m.stretch(v);
-            assert!(
-                (k_back - k).abs() < 1e-9,
-                "stretch {k} -> {v} -> {k_back}"
-            );
+            assert!((k_back - k).abs() < 1e-9, "stretch {k} -> {v} -> {k_back}");
         }
     }
 

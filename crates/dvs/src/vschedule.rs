@@ -176,10 +176,7 @@ impl VoltageSchedule {
     /// Energy factor relative to nominal execution:
     /// `Σ cycle_fraction · (V / V_max)²`.
     pub fn energy_factor(&self, model: &VoltageModel) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| s.cycle_fraction * model.energy_factor(s.voltage))
-            .sum()
+        self.segments.iter().map(|s| s.cycle_fraction * model.energy_factor(s.voltage)).sum()
     }
 
     /// The lowest voltage used by any segment.

@@ -1,8 +1,14 @@
-//! The PV-DVS kernel: pinned synthesis trajectories under DVS, and the
-//! virtual-task fallback that re-enters the scaler when merging a DVS
-//! rail's cores into virtual tasks makes the constraint graph cyclic.
+//! The PV-DVS kernel: pinned synthesis trajectories under DVS, a digest
+//! of the scalings of seeded random mappings, the virtual-task fallback
+//! that re-enters the scaler when merging a DVS rail's cores into
+//! virtual tasks makes the constraint graph cyclic, and the nominal
+//! result of a schedule whose resource order contradicts its
+//! precedences.
 
-use momsynth::dvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use momsynth::dvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch, ScaledMode};
 use momsynth::generators::smartphone::smartphone;
 use momsynth::generators::suite::mul;
 use momsynth::model::ids::{ModeId, PeId, TaskId};
@@ -11,8 +17,13 @@ use momsynth::model::{
     ArchitectureBuilder, Cl, DvsCapability, Implementation, OmsmBuilder, Pe, PeKind, System,
     TaskGraphBuilder, TechLibraryBuilder,
 };
-use momsynth::sched::{schedule_mode, CoreAllocation, Schedule, SchedulerOptions, SystemMapping};
-use momsynth::synthesis::{SynthesisConfig, Synthesizer};
+use momsynth::sched::{
+    schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
+};
+use momsynth::synthesis::{
+    derive_allocation, AllocOptions, DvsSynthesisOptions, Gene, GenomeLayout, SynthesisConfig,
+    Synthesizer,
+};
 
 /// Best fitness bits, PV-DVS iterations and evaluations of a
 /// `fast_preset(0)` DVS synthesis. The `mul` systems scale DVS ASICs
@@ -127,4 +138,195 @@ fn cyclic_virtual_tasks_fall_back_to_group_free_scaling() {
     assert_eq!(fresh, expected);
     let reused = scale_mode_with(&system, &cyclic, &DvsOptions::default(), &mut used);
     assert_eq!(reused, expected);
+}
+
+/// A 64-bit FNV-1a fold over little-endian words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, value: f64) {
+        self.word(value.to_bits());
+    }
+
+    /// Folds the iteration count, every task's start and execution time,
+    /// every remote transfer's start, every energy factor and every
+    /// voltage segment's voltage, cycle fraction and duration.
+    fn scaled(&mut self, scaled: &ScaledMode) {
+        self.word(scaled.iterations() as u64);
+        let schedule = scaled.schedule();
+        for task in schedule.tasks() {
+            self.float(task.start.value());
+            self.float(task.exec_time.value());
+        }
+        for comm in schedule.remote_comms() {
+            self.float(comm.start.value());
+        }
+        for &factor in scaled.energy_factors() {
+            self.float(factor);
+        }
+        for task in schedule.tasks() {
+            let Some(voltages) = scaled.task_voltage(task.task) else {
+                self.word(u64::MAX);
+                continue;
+            };
+            self.word(voltages.segments().len() as u64);
+            for segment in voltages.segments() {
+                self.float(segment.voltage.value());
+                self.float(segment.cycle_fraction);
+                self.float(segment.duration.value());
+            }
+        }
+    }
+}
+
+/// The routable mode schedules of `count` seeded random mappings of
+/// `system`, each under its derived core allocation; mappings whose
+/// transfers find no link are skipped.
+fn random_schedules(system: &System, seed: u64, count: usize) -> Vec<Schedule> {
+    let layout = GenomeLayout::new(system);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut schedules = Vec::new();
+    for _ in 0..count {
+        let genes: Vec<Gene> = (0..layout.len())
+            .map(|locus| rng.gen_range(0..layout.candidates(locus).len()) as Gene)
+            .collect();
+        let mapping = layout.decode(&genes);
+        let alloc = derive_allocation(system, &mapping, &AllocOptions::default());
+        for mode in system.omsm().mode_ids() {
+            if let Ok(schedule) =
+                schedule_mode(system, mode, &mapping, &alloc, SchedulerOptions::default())
+            {
+                schedules.push(schedule);
+            }
+        }
+    }
+    schedules
+}
+
+/// PV-DVS outputs, bit for bit, on the routable mode schedules of 12
+/// seeded random mappings per system: the smartphone scales a DVS GPP,
+/// the `mul` systems DVS GPPs and, through virtual tasks, DVS ASICs.
+/// Each system's digest folds every scaling under the synthesis loop's
+/// coarse options, the default and the fine options and, on the `mul`
+/// systems, the coarse options without hardware scaling (the smartphone
+/// has no DVS hardware). One scratch serves all systems in turn, and
+/// every result equals a fresh scratch's. The last two numbers per
+/// system count the scaled schedules and the hardware tasks given a
+/// voltage schedule.
+#[test]
+fn random_mapping_scalings_are_pinned() {
+    let options = [
+        DvsSynthesisOptions::default().eval,
+        DvsOptions::default(),
+        DvsOptions::fine(),
+        DvsSynthesisOptions::software_only().eval,
+    ];
+    let cases = [
+        ("smartphone", smartphone(), &options[..3], 0x2e40_54cf_715b_f5b9_u64, 96, 0),
+        ("mul6", mul(6), &options[..], 0xcf85_f834_4d51_544b, 48, 849),
+        ("mul12", mul(12), &options[..], 0x5c64_e9d3_b5ca_721e, 48, 1062),
+    ];
+    let schedules: Vec<Vec<Schedule>> =
+        cases.iter().map(|(_, system, ..)| random_schedules(system, 0xd5, 12)).collect();
+    let mut digests: Vec<Digest> = cases.iter().map(|_| Digest::new()).collect();
+    let mut hw_scaled = vec![0_usize; cases.len()];
+    let mut scratch = DvsScratch::default();
+    let rounds = schedules.iter().map(Vec::len).max().unwrap_or(0);
+    for round in 0..rounds {
+        for (i, (name, system, options, ..)) in cases.iter().enumerate() {
+            let Some(schedule) = schedules[i].get(round) else { continue };
+            for options in options.iter() {
+                let scaled = scale_mode_with(system, schedule, options, &mut scratch);
+                assert_eq!(scaled, scale_mode(system, schedule, options), "{name}");
+                hw_scaled[i] += schedule
+                    .tasks()
+                    .filter(|t| system.arch().pe(t.pe).kind().is_hardware())
+                    .filter(|t| scaled.task_voltage(t.task).is_some())
+                    .count();
+                digests[i].scaled(&scaled);
+            }
+        }
+    }
+    let seen: Vec<(&str, String, usize, usize)> = cases
+        .iter()
+        .enumerate()
+        .map(|(i, (name, ..))| {
+            (*name, format!("{:#018x}", digests[i].0), schedules[i].len(), hw_scaled[i])
+        })
+        .collect();
+    let pinned: Vec<(&str, String, usize, usize)> = cases
+        .iter()
+        .map(|(name, _, _, digest, scaled, hw)| (*name, format!("{digest:#018x}"), *scaled, *hw))
+        .collect();
+    assert_eq!(seen, pinned);
+}
+
+/// One DVS CPU running the chain `a` → `b` (10 ms each, 100 ms period).
+fn chain_system() -> System {
+    let mut tech = TechLibraryBuilder::new();
+    let tx = tech.add_type("X");
+    let mut arch = ArchitectureBuilder::new();
+    let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(dvs_cap()));
+    tech.set_impl(
+        tx,
+        cpu,
+        Implementation::software(Seconds::from_millis(10.0), Watts::from_milli(100.0)),
+    );
+    let mut g = TaskGraphBuilder::new("chain", Seconds::from_millis(100.0));
+    let a = g.add_task("a", tx);
+    let b = g.add_task("b", tx);
+    g.add_comm(a, b, 0.0).unwrap();
+    let mut omsm = OmsmBuilder::new();
+    omsm.add_mode("m", 1.0, g.build().unwrap());
+    System::new("chain", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
+}
+
+/// A schedule whose CPU sequence runs `b` before `a` contradicts the
+/// chain `a` → `b`: its constraint graph is cyclic even without virtual
+/// tasks. The scaler returns it unscaled instead of recursing without
+/// end, and the scratch it used still scales a consistent schedule
+/// exactly as a fresh one.
+#[test]
+fn contradictory_resource_order_is_left_nominal() {
+    let system = chain_system();
+    let mapping = SystemMapping::from_fn(&system, |_| PeId::new(0));
+    let alloc = CoreAllocation::minimal(&system, &mapping);
+    let consistent =
+        schedule_mode(&system, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+            .unwrap();
+    let mut sequences = consistent.sequences().to_vec();
+    assert_eq!(sequences.len(), 1);
+    sequences[0].1 = vec![ActivityId::Task(TaskId::new(1)), ActivityId::Task(TaskId::new(0))];
+    let graph = system.omsm().mode(ModeId::new(0)).graph();
+    let contradictory = Schedule::from_parts(
+        consistent.mode(),
+        consistent.tasks().copied().collect(),
+        graph.comm_ids().map(|c| consistent.comm(c).copied()).collect(),
+        sequences,
+    );
+
+    let mut scratch = DvsScratch::default();
+    for options in [DvsOptions::default(), DvsOptions { scale_hw: false, ..DvsOptions::fine() }] {
+        let scaled = scale_mode_with(&system, &contradictory, &options, &mut scratch);
+        assert_eq!(scaled.iterations(), 0);
+        assert_eq!(scaled.energy_factors(), &[1.0, 1.0]);
+        assert!(scaled.task_voltage(TaskId::new(0)).is_none());
+        assert!(scaled.task_voltage(TaskId::new(1)).is_none());
+        assert_eq!(scaled.schedule(), &contradictory);
+        assert_eq!(scaled, scale_mode(&system, &contradictory, &options));
+    }
+
+    let reused = scale_mode_with(&system, &consistent, &DvsOptions::default(), &mut scratch);
+    assert!(reused.iterations() > 0);
+    assert_eq!(reused, scale_mode(&system, &consistent, &DvsOptions::default()));
 }
