@@ -90,10 +90,7 @@ pub fn derive_allocation_timed(
             if analysis.mobility(task) > threshold {
                 continue;
             }
-            let window = (
-                analysis.asap(task),
-                analysis.asap(task) + analysis.exec_time(task),
-            );
+            let window = (analysis.asap(task), analysis.asap(task) + analysis.exec_time(task));
             let key = (pe, t.task_type());
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, windows)) => windows.push(window),
@@ -104,11 +101,7 @@ pub fn derive_allocation_timed(
         for ((pe, ty), windows) in groups {
             let demand = peak_overlap(&windows);
             let current = alloc.instances(mode, pe, ty);
-            let capacity = system
-                .arch()
-                .pe(pe)
-                .area()
-                .expect("hardware PEs declare area");
+            let capacity = system.arch().pe(pe).area().expect("hardware PEs declare area");
             for want in (current + 1)..=demand {
                 alloc.set_instances(mode, pe, ty, want);
                 let used = if system.arch().pe(pe).kind().is_reconfigurable() {
@@ -190,10 +183,7 @@ mod tests {
         assert_eq!(peak_overlap(&[]), 0);
         assert_eq!(peak_overlap(&[(s(0.0), s(1.0))]), 1);
         // Two overlapping, one after.
-        assert_eq!(
-            peak_overlap(&[(s(0.0), s(2.0)), (s(1.0), s(3.0)), (s(3.0), s(4.0))]),
-            2
-        );
+        assert_eq!(peak_overlap(&[(s(0.0), s(2.0)), (s(1.0), s(3.0)), (s(3.0), s(4.0))]), 2);
         // Back-to-back intervals do not stack.
         assert_eq!(peak_overlap(&[(s(0.0), s(1.0)), (s(1.0), s(2.0))]), 1);
     }
@@ -207,10 +197,7 @@ mod tests {
         let system = parallel_system(3, 1000, 12.0, PeKind::Asic);
         let mapping = hw_mapping(&system);
         let alloc = derive_allocation(&system, &mapping, &AllocOptions::default());
-        assert_eq!(
-            alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)),
-            3
-        );
+        assert_eq!(alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)), 3);
     }
 
     #[test]
@@ -219,10 +206,7 @@ mod tests {
         let system = parallel_system(3, 250, 12.0, PeKind::Asic);
         let mapping = hw_mapping(&system);
         let alloc = derive_allocation(&system, &mapping, &AllocOptions::default());
-        assert_eq!(
-            alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)),
-            2
-        );
+        assert_eq!(alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)), 2);
     }
 
     #[test]
@@ -231,10 +215,7 @@ mod tests {
         let system = parallel_system(3, 1000, 100.0, PeKind::Asic);
         let mapping = hw_mapping(&system);
         let alloc = derive_allocation(&system, &mapping, &AllocOptions::default());
-        assert_eq!(
-            alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)),
-            1
-        );
+        assert_eq!(alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)), 1);
     }
 
     #[test]
@@ -243,10 +224,7 @@ mod tests {
         let mapping = hw_mapping(&system);
         let opts = AllocOptions { replicate: false, ..AllocOptions::default() };
         let alloc = derive_allocation(&system, &mapping, &opts);
-        assert_eq!(
-            alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)),
-            1
-        );
+        assert_eq!(alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)), 1);
     }
 
     #[test]
@@ -255,10 +233,7 @@ mod tests {
         let system = parallel_system(3, 250, 12.0, PeKind::Fpga);
         let mapping = hw_mapping(&system);
         let alloc = derive_allocation(&system, &mapping, &AllocOptions::default());
-        assert_eq!(
-            alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)),
-            2
-        );
+        assert_eq!(alloc.instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0)), 2);
     }
 
     #[test]

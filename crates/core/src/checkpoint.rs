@@ -222,15 +222,10 @@ impl Checkpoint {
     /// [`CheckpointError::Version`] for versions outside
     /// [`OLDEST_READABLE_VERSION`]`..=`[`CHECKPOINT_VERSION`].
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let text = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
-            path: path.to_owned(),
-            reason: e.to_string(),
-        })?;
-        let checkpoint: Self =
-            serde_json::from_str(&text).map_err(|e| CheckpointError::Parse {
-                path: path.to_owned(),
-                reason: e.to_string(),
-            })?;
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CheckpointError::Io { path: path.to_owned(), reason: e.to_string() })?;
+        let checkpoint: Self = serde_json::from_str(&text)
+            .map_err(|e| CheckpointError::Parse { path: path.to_owned(), reason: e.to_string() })?;
         if !(OLDEST_READABLE_VERSION..=CHECKPOINT_VERSION).contains(&checkpoint.version) {
             return Err(CheckpointError::Version {
                 found: checkpoint.version,
@@ -359,7 +354,13 @@ mod tests {
     fn save_load_round_trip_preserves_everything() {
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let cp = Checkpoint::capture(&system, &layout, 42, &sample_snapshot(layout.len()), Counters::default());
+        let cp = Checkpoint::capture(
+            &system,
+            &layout,
+            42,
+            &sample_snapshot(layout.len()),
+            Counters::default(),
+        );
         let path = tmp_path("round_trip.json");
         cp.save(&path).unwrap();
         let back = Checkpoint::load(&path).unwrap();
@@ -397,7 +398,13 @@ mod tests {
 
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let mut cp = Checkpoint::capture(&system, &layout, 0, &sample_snapshot(layout.len()), Counters::default());
+        let mut cp = Checkpoint::capture(
+            &system,
+            &layout,
+            0,
+            &sample_snapshot(layout.len()),
+            Counters::default(),
+        );
         cp.version = CHECKPOINT_VERSION + 1;
         let future = tmp_path("future.json");
         cp.save(&future).unwrap();
@@ -451,10 +458,7 @@ mod tests {
 
         // Both torn: the primary's error surfaces.
         std::fs::write(&bak, "{").unwrap();
-        assert!(matches!(
-            Checkpoint::load_resilient(&path),
-            Err(CheckpointError::Parse { .. })
-        ));
+        assert!(matches!(Checkpoint::load_resilient(&path), Err(CheckpointError::Parse { .. })));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&bak).ok();
     }
@@ -467,7 +471,13 @@ mod tests {
         let path = tmp_path("first_save.json");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(Checkpoint::backup_path(&path)).ok();
-        let cp = Checkpoint::capture(&system, &layout, 1, &sample_snapshot(layout.len()), Counters::default());
+        let cp = Checkpoint::capture(
+            &system,
+            &layout,
+            1,
+            &sample_snapshot(layout.len()),
+            Counters::default(),
+        );
         cp.save(&path).unwrap();
         assert!(!Checkpoint::backup_path(&path).exists());
         std::fs::remove_file(&path).ok();
@@ -477,7 +487,13 @@ mod tests {
     fn validate_rejects_wrong_system_seed_and_shapes() {
         let system = small_system();
         let layout = GenomeLayout::new(&system);
-        let cp = Checkpoint::capture(&system, &layout, 5, &sample_snapshot(layout.len()), Counters::default());
+        let cp = Checkpoint::capture(
+            &system,
+            &layout,
+            5,
+            &sample_snapshot(layout.len()),
+            Counters::default(),
+        );
 
         let mut other_params = GeneratorParams::new("other", 4);
         other_params.modes = 3;
@@ -487,10 +503,7 @@ mod tests {
             cp.validate(&other, &other_layout, 5),
             Err(CheckpointError::Mismatch { .. })
         ));
-        assert!(matches!(
-            cp.validate(&system, &layout, 6),
-            Err(CheckpointError::Mismatch { .. })
-        ));
+        assert!(matches!(cp.validate(&system, &layout, 6), Err(CheckpointError::Mismatch { .. })));
 
         let mut broken = cp.clone();
         broken.population.clear();

@@ -275,9 +275,8 @@ mod tests {
             assert_eq!(fault.roll(&genome), fault.roll(&genome));
         }
         // Roughly 60% of random genomes should draw some fault.
-        let faulty = (0..1000u16)
-            .filter(|&i| fault.roll(&[i, i.wrapping_mul(31)]).is_some())
-            .count();
+        let faulty =
+            (0..1000u16).filter(|&i| fault.roll(&[i, i.wrapping_mul(31)]).is_some()).count();
         assert!((450..750).contains(&faulty), "{faulty}");
         let none = FaultInjection { panic_rate: 0.0, nan_rate: 0.0, err_rate: 0.0, seed: 7 };
         assert_eq!(none.roll(&[1, 2, 3]), None);

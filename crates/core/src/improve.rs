@@ -96,11 +96,7 @@ pub fn apply(
 }
 
 /// Loci of one mode, with their current PEs.
-fn mode_loci(
-    layout: &GenomeLayout,
-    genes: &[Gene],
-    mode: ModeId,
-) -> Vec<(usize, PeId)> {
+fn mode_loci(layout: &GenomeLayout, genes: &[Gene], mode: ModeId) -> Vec<(usize, PeId)> {
     (0..layout.len())
         .filter(|&l| layout.global(l).mode == mode)
         .map(|l| (l, layout.pe_at(l, genes[l])))
@@ -123,9 +119,7 @@ fn shutdown_improvement(
     let victims: Vec<PeId> = used
         .into_iter()
         .filter(|&pe| {
-            loci.iter()
-                .filter(|&&(_, p)| p == pe)
-                .all(|&(l, _)| layout.candidates(l).len() >= 2)
+            loci.iter().filter(|&&(_, p)| p == pe).all(|&(l, _)| layout.candidates(l).len() >= 2)
         })
         .collect();
     let Some(&victim) = pick(&victims, rng) else { return false };
@@ -159,10 +153,7 @@ fn area_improvement(
     let movable: Vec<usize> = (0..layout.len())
         .filter(|&l| {
             system.arch().pe(layout.pe_at(l, genes[l])).kind().is_hardware()
-                && layout
-                    .candidates(l)
-                    .iter()
-                    .any(|&c| system.arch().pe(c).kind().is_software())
+                && layout.candidates(l).iter().any(|&c| system.arch().pe(c).kind().is_software())
         })
         .collect();
     let Some(&locus) = pick(&movable, rng) else { return false };
@@ -200,10 +191,7 @@ fn timing_improvement(
         .filter(|&l| {
             let current = layout.pe_at(l, genes[l]);
             system.arch().pe(current).kind().is_software()
-                && layout
-                    .candidates(l)
-                    .iter()
-                    .any(|&c| exec(l, c) < exec(l, current))
+                && layout.candidates(l).iter().any(|&c| exec(l, c) < exec(l, current))
         })
         .collect();
     let Some(&locus) = pick(&movable, rng) else { return false };
@@ -212,9 +200,7 @@ fn timing_improvement(
         .candidates(locus)
         .iter()
         .enumerate()
-        .min_by(|(_, &a), (_, &b)| {
-            exec(locus, a).value().total_cmp(&exec(locus, b).value())
-        })
+        .min_by(|(_, &a), (_, &b)| exec(locus, a).value().total_cmp(&exec(locus, b).value()))
         .map(|(i, _)| i as Gene)
         .expect("candidate list is non-empty");
     genes[locus] = best;
@@ -230,11 +216,7 @@ fn transition_improvement(
     // Loci on reconfigurable hardware with any non-FPGA alternative.
     let movable: Vec<usize> = (0..layout.len())
         .filter(|&l| {
-            system
-                .arch()
-                .pe(layout.pe_at(l, genes[l]))
-                .kind()
-                .is_reconfigurable()
+            system.arch().pe(layout.pe_at(l, genes[l])).kind().is_reconfigurable()
                 && layout
                     .candidates(l)
                     .iter()
@@ -375,13 +357,7 @@ mod tests {
         let mut genes = vec![2, 2, 0]; // both X tasks on the FPGA
         assert!(apply(&system, &layout, &mut genes, ImprovementOp::Transition, &mut rng));
         let on_fpga = (0..2)
-            .filter(|&l| {
-                system
-                    .arch()
-                    .pe(layout.pe_at(l, genes[l]))
-                    .kind()
-                    .is_reconfigurable()
-            })
+            .filter(|&l| system.arch().pe(layout.pe_at(l, genes[l])).kind().is_reconfigurable())
             .count();
         assert_eq!(on_fpga, 1);
     }
@@ -398,9 +374,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut genes = vec![1, 0, 0];
             if apply(&system, &layout, &mut genes, ImprovementOp::Shutdown, &mut rng) {
-                let on_asic = (0..3)
-                    .filter(|&l| layout.pe_at(l, genes[l]) == PeId::new(1))
-                    .count();
+                let on_asic = (0..3).filter(|&l| layout.pe_at(l, genes[l]) == PeId::new(1)).count();
                 assert_eq!(on_asic, 0);
                 emptied = true;
             }
@@ -414,11 +388,7 @@ mod tests {
         let layout = GenomeLayout::new(&system);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
-            let mut genes = vec![
-                rng.gen_range(0..3) as Gene,
-                rng.gen_range(0..3) as Gene,
-                0,
-            ];
+            let mut genes = vec![rng.gen_range(0..3) as Gene, rng.gen_range(0..3) as Gene, 0];
             improve_random(&system, &layout, &mut genes, &mut rng);
             let mapping = layout.decode(&genes);
             assert!(mapping.validate(&system).is_ok());

@@ -227,9 +227,7 @@ impl<'a> MappingBnb<'a> {
                 .candidates(locus)
                 .iter()
                 .map(|&pe| {
-                    let energy = tech
-                        .impl_of(ty, pe)
-                        .map_or(0.0, |i| i.energy().value());
+                    let energy = tech.impl_of(ty, pe).map_or(0.0, |i| i.energy().value());
                     if period > 0.0 {
                         weight * energy * dvs_floor(pe) / period
                     } else {
@@ -242,8 +240,7 @@ impl<'a> MappingBnb<'a> {
 
         let mut suffix_min = vec![0.0; layout.len() + 1];
         for locus in (0..layout.len()).rev() {
-            let cheapest =
-                terms[locus].iter().cloned().fold(f64::INFINITY, f64::min);
+            let cheapest = terms[locus].iter().cloned().fold(f64::INFINITY, f64::min);
             suffix_min[locus] = suffix_min[locus + 1] + cheapest.max(0.0);
         }
 
@@ -371,29 +368,19 @@ pub fn prove(
         return Err(SynthesisError::Infeasible(Box::new(analysis)));
     }
     let (layout, domain_reduction) = if config.prune_domains {
-        (
-            GenomeLayout::with_domains(system, analysis.capable_pes()),
-            analysis.domain_reduction(),
-        )
+        (GenomeLayout::with_domains(system, analysis.capable_pes()), analysis.domain_reduction())
     } else {
         let layout = GenomeLayout::new(system);
-        let total_candidates =
-            (0..layout.len()).map(|l| layout.candidates(l).len()).sum();
+        let total_candidates = (0..layout.len()).map(|l| layout.candidates(l).len()).sum();
         (
             layout,
-            DomainReduction {
-                total_candidates,
-                pruned_by_deadline: 0,
-                pruned_by_dominance: 0,
-            },
+            DomainReduction { total_candidates, pruned_by_deadline: 0, pruned_by_dominance: 0 },
         )
     };
-    let search_space: f64 =
-        (0..layout.len()).map(|l| layout.candidates(l).len() as f64).product();
+    let search_space: f64 = (0..layout.len()).map(|l| layout.candidates(l).len() as f64).product();
 
     let evaluator = Evaluator::new(system, config);
-    let mut problem =
-        MappingBnb::new(system, config, &layout, &evaluator, options.use_bounds);
+    let mut problem = MappingBnb::new(system, config, &layout, &evaluator, options.use_bounds);
     let max_evals = (options.max_evals != u64::MAX).then_some(options.max_evals);
     let cap = max_evals.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
     let budget = Budget::new(None, options.deadline, cap);
@@ -453,12 +440,8 @@ mod tests {
         let ta = tech.add_type("A");
         let mut arch = ArchitectureBuilder::new();
         let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::from_milli(0.1)));
-        let hw = arch.add_pe(Pe::hardware(
-            "hw",
-            PeKind::Asic,
-            Cells::new(600),
-            Watts::from_milli(0.05),
-        ));
+        let hw =
+            arch.add_pe(Pe::hardware("hw", PeKind::Asic, Cells::new(600), Watts::from_milli(0.05)));
         arch.add_cl(Cl::bus(
             "bus",
             vec![cpu, hw],
@@ -487,16 +470,14 @@ mod tests {
         g.add_comm(x, y, 10.0).unwrap();
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
-        System::new("small", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
-            .unwrap()
+        System::new("small", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
     }
 
     #[test]
     fn small_space_is_certified_optimal() {
         let system = small_system();
         let config = SynthesisConfig::fast_preset(0);
-        let cert =
-            prove(&system, &config, &ProveOptions::default()).expect("feasible");
+        let cert = prove(&system, &config, &ProveOptions::default()).expect("feasible");
         assert_eq!(cert.status, CertificateStatus::Optimal);
         assert_eq!(cert.epsilon(), 0.0);
         let best = cert.best_fitness.expect("space was searched");
@@ -529,15 +510,9 @@ mod tests {
         // Price the all-software seed as the external incumbent.
         let evaluator = Evaluator::new(&system, &config);
         let layout = GenomeLayout::new(&system);
-        let seed = evaluator
-            .evaluate(layout.decode(&vec![0; layout.len()]), None)
-            .unwrap()
-            .fitness;
-        let options = ProveOptions {
-            max_evals: 0,
-            incumbent: Some(seed),
-            ..ProveOptions::default()
-        };
+        let seed = evaluator.evaluate(layout.decode(&vec![0; layout.len()]), None).unwrap().fitness;
+        let options =
+            ProveOptions { max_evals: 0, incumbent: Some(seed), ..ProveOptions::default() };
         let cert = prove(&system, &config, &options).unwrap();
         match cert.status {
             CertificateStatus::GapBound { epsilon } => {
@@ -571,8 +546,7 @@ mod tests {
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
         let system =
-            System::new("bad", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
-                .unwrap();
+            System::new("bad", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap();
         let err = prove(&system, &SynthesisConfig::fast_preset(0), &ProveOptions::default())
             .expect_err("statically infeasible");
         assert!(matches!(err, SynthesisError::Infeasible(_)));
@@ -582,13 +556,9 @@ mod tests {
     fn ga_best_lies_inside_its_own_certificate() {
         let system = small_system();
         let config = SynthesisConfig::fast_preset(1);
-        let result = crate::synthesis::Synthesizer::new(&system, config.clone())
-            .run()
-            .unwrap();
-        let options = ProveOptions {
-            incumbent: Some(result.best.fitness),
-            ..ProveOptions::default()
-        };
+        let result = crate::synthesis::Synthesizer::new(&system, config.clone()).run().unwrap();
+        let options =
+            ProveOptions { incumbent: Some(result.best.fitness), ..ProveOptions::default() };
         let cert = prove(&system, &config, &options).unwrap();
         // The refined GA fitness can price *below* coarse leaves, but
         // never below the certified bound.

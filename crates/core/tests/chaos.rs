@@ -7,8 +7,8 @@
 //! terminates with either a well-formed, finite [`SynthesisResult`] or a
 //! typed [`SynthesisError`] — never a crash, hang or poisoned result.
 
-use std::path::PathBuf;
 use momsynth_sync::sync::atomic::AtomicBool;
+use std::path::PathBuf;
 
 use proptest::prelude::*;
 

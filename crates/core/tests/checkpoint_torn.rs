@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 
 use momsynth_core::{Checkpoint, Gene, GenomeLayout};
 use momsynth_ga::GaSnapshot;
-use momsynth_telemetry::Counters;
 use momsynth_gen::suite::{generate, GeneratorParams};
+use momsynth_telemetry::Counters;
 
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -47,8 +47,8 @@ fn truncation_at_every_boundary_recovers_or_fails_typed() {
     let full = std::fs::read(&path).unwrap();
     for cut in 0..=full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let (cp, note) = Checkpoint::load_resilient(&path)
-            .expect("the backup must cover every torn prefix");
+        let (cp, note) =
+            Checkpoint::load_resilient(&path).expect("the backup must cover every torn prefix");
         if cut == full.len() {
             assert_eq!(cp, newer);
             assert!(note.is_none(), "clean primary needs no recovery note");

@@ -178,19 +178,13 @@ fn resumed_trace_is_the_exact_tail_of_the_uninterrupted_trace() {
     // the resumed stream is exactly the post-checkpoint tail.
     let full_gens = generations(&full_events);
     let resumed_gens = generations(&resumed_events);
-    let tail: Vec<GenerationEvent> = full_gens
-        .iter()
-        .filter(|g| g.generation > cut_generation)
-        .cloned()
-        .collect();
+    let tail: Vec<GenerationEvent> =
+        full_gens.iter().filter(|g| g.generation > cut_generation).cloned().collect();
     assert!(!tail.is_empty(), "the cut must land before the natural end of the run");
     assert_eq!(resumed_gens, tail);
 
     // Summaries agree once wall-clock fields are zeroed out.
-    assert_eq!(
-        summary(&resumed_events).normalized(),
-        summary(&full_events).normalized()
-    );
+    assert_eq!(summary(&resumed_events).normalized(), summary(&full_events).normalized());
     assert_eq!(full.best.mapping, resumed.best.mapping);
     std::fs::remove_file(&cp_path).ok();
 }

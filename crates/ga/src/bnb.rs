@@ -205,11 +205,7 @@ pub fn branch_and_bound<P: BnbProblem>(
 /// parent of `depth`, returning the new depth to expand, or `None` when
 /// the whole tree has been visited. After the call, `choices[..returned
 /// depth]` is the next prefix to consider.
-fn backtrack<P: BnbProblem>(
-    problem: &P,
-    choices: &mut [usize],
-    depth: usize,
-) -> Option<usize> {
+fn backtrack<P: BnbProblem>(problem: &P, choices: &mut [usize], depth: usize) -> Option<usize> {
     let mut d = depth;
     while d > 0 {
         let locus = d - 1;
@@ -240,10 +236,7 @@ mod tests {
         }
 
         fn optimum(&self) -> f64 {
-            self.rows
-                .iter()
-                .map(|r| r.iter().cloned().fold(f64::INFINITY, f64::min))
-                .sum()
+            self.rows.iter().map(|r| r.iter().cloned().fold(f64::INFINITY, f64::min)).sum()
         }
     }
 
@@ -255,8 +248,7 @@ mod tests {
             self.rows[locus].len()
         }
         fn prefix_bound(&self, choices: &[usize], depth: usize) -> f64 {
-            let assigned: f64 =
-                (0..depth).map(|l| self.rows[l][choices[l]]).sum();
+            let assigned: f64 = (0..depth).map(|l| self.rows[l][choices[l]]).sum();
             let free: f64 = self.rows[depth..]
                 .iter()
                 .map(|r| r.iter().cloned().fold(f64::INFINITY, f64::min))
