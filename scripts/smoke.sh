@@ -14,7 +14,9 @@
 #   telemetry  trace and run-summary outputs of `synth`: the trace's spans
 #              (the run root and phase paths) are its only timing record,
 #              and the run summary carries no phase timings
-#   threads    one synth at 1 and at 2 threads: identical results and counters
+#   threads    one synth at 1 and at 2 threads, once at fixed voltage and once
+#              with --dvs: identical results and counters, and the DVS pair
+#              counts PV-DVS iterations
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
 #   prove      certificates for the smartphone, under an evaluation and under a
@@ -225,10 +227,14 @@ threads_scenario() {
   scenario threads
   # The search trajectory is bit-identical at every thread count: the
   # mapping, the power report, the evaluations and every work counter.
+  # The DVS pair also holds the PV-DVS iteration count, which depends on
+  # which offspring modes are priced against a parent's terms.
   momsynth generate --seed 1 --modes 10 -o big.json
   for n in 1 2; do
     momsynth synth big.json --quick --seed 3 --threads "$n" \
       --metrics-out "metrics_$n.json" > "report_$n.txt"
+    momsynth synth big.json --quick --seed 3 --dvs --threads "$n" \
+      --metrics-out "metrics_dvs_$n.json" > "report_dvs_$n.txt"
   done
   python3 - <<'PY'
 import json
@@ -243,13 +249,18 @@ def report(path):
     assert power and "evaluations" in power[0], lines
     return mapping, power
 
-serial, parallel = report("report_1.txt"), report("report_2.txt")
-assert serial == parallel, (serial, parallel)
-m1, m2 = (json.load(open(f"metrics_{n}.json")) for n in (1, 2))
-assert (m1["threads"], m2["threads"]) == (1, 2), (m1["threads"], m2["threads"])
-for key in ("average_power_mw", "evaluations", "generations", "counters"):
-    assert m1[key] == m2[key], (key, m1[key], m2[key])
-print(f"ok: {m1['evaluations']} evaluations and counters identical at 1 and 2 threads")
+for tag in ("", "dvs_"):
+    serial, parallel = report(f"report_{tag}1.txt"), report(f"report_{tag}2.txt")
+    assert serial == parallel, (tag, serial, parallel)
+    m1, m2 = (json.load(open(f"metrics_{tag}{n}.json")) for n in (1, 2))
+    assert (m1["threads"], m2["threads"]) == (1, 2), (m1["threads"], m2["threads"])
+    for key in ("average_power_mw", "evaluations", "generations", "counters"):
+        assert m1[key] == m2[key], (tag, key, m1[key], m2[key])
+    dvs = m1["counters"]["dvs_iterations"]
+    assert (dvs > 0) == (tag == "dvs_"), (tag, dvs)
+    label = "DVS" if tag else "fixed voltage"
+    print(f"ok: {label}: {m1['evaluations']} evaluations, {dvs} PV-DVS iterations"
+          " and counters identical at 1 and 2 threads")
 PY
 }
 

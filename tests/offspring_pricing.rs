@@ -1,0 +1,280 @@
+//! GA offspring priced against their parents' per-mode Eq. 1 terms: the
+//! cost-only entry priced against a parent table equals fresh pricing bit
+//! for bit, the reuse key includes each mode's core counts, and the
+//! counters — PV-DVS iterations included — stay the same at any thread
+//! count and across a checkpoint resume, because the table is a function
+//! of the parents alone.
+
+use std::path::PathBuf;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use momsynth::generators::smartphone::smartphone;
+use momsynth::generators::suite::{generate, mul, GeneratorParams};
+use momsynth::model::ids::{ModeId, PeId, TaskTypeId};
+use momsynth::model::units::{Cells, Seconds, Watts};
+use momsynth::model::{
+    ArchitectureBuilder, Cl, Implementation, OmsmBuilder, Pe, PeKind, System, TaskGraphBuilder,
+    TechLibraryBuilder,
+};
+use momsynth::sched::SystemMapping;
+use momsynth::synthesis::telemetry::{Event, GenerationEvent, MemorySink};
+use momsynth::synthesis::{
+    Checkpoint, CheckpointSpec, Cost, Evaluator, Gene, GenomeLayout, ParentRecord, ParentTable,
+    Solution, SynthControl, SynthesisConfig, Synthesizer, Violations,
+};
+
+/// The violation flags a full solution implies.
+fn violations(solution: &Solution) -> Violations {
+    Violations {
+        timing: solution.total_lateness.value() > 1e-12,
+        area: !solution.area_overruns.is_empty(),
+        transition: solution.transitions.iter().any(|t| !t.is_feasible()),
+    }
+}
+
+/// A child of two-point crossover and per-gene mutation, as the GA
+/// breeds one.
+fn breed(layout: &GenomeLayout, a: &[Gene], b: &[Gene], rng: &mut StdRng) -> Vec<Gene> {
+    let (mut p1, mut p2) = (rng.gen_range(0..a.len()), rng.gen_range(0..a.len()));
+    if p1 > p2 {
+        std::mem::swap(&mut p1, &mut p2);
+    }
+    let mut child = a.to_vec();
+    child[p1..p2].copy_from_slice(&b[p1..p2]);
+    for (locus, gene) in child.iter_mut().enumerate() {
+        if rng.gen_bool(0.06) {
+            *gene = rng.gen_range(0..layout.candidates(locus).len()) as Gene;
+        }
+    }
+    child
+}
+
+/// Prices random parents, then crossover-and-mutation children against
+/// the parents' table, and holds each child's cost against a fresh
+/// evaluation. Returns how many child modes were reused.
+fn children_price_as_fresh(name: &str, system: &System, config: &SynthesisConfig, seed: u64) -> usize {
+    let layout = GenomeLayout::new(system);
+    let dvs = config.dvs.as_ref().map(|d| d.eval);
+    let evaluator = Evaluator::new(system, config);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let random = |rng: &mut StdRng| -> Vec<Gene> {
+        (0..layout.len()).map(|l| rng.gen_range(0..layout.candidates(l).len()) as Gene).collect()
+    };
+    let parents: Vec<Vec<Gene>> = (0..6).map(|_| random(&mut rng)).collect();
+    let records = parents
+        .iter()
+        .map(|p| {
+            let cost = evaluator.try_cost(&layout.decode(p), dvs.as_ref(), |_, _| None).ok();
+            ParentRecord::new(p.clone(), cost.as_ref())
+        })
+        .collect();
+    let table = ParentTable::new(&layout, records);
+
+    let mut reused = 0;
+    for _ in 0..16 {
+        let (a, b) = (rng.gen_range(0..parents.len()), rng.gen_range(0..parents.len()));
+        let child = breed(&layout, &parents[a], &parents[b], &mut rng);
+        let known = |mode, alloc: &_| table.known(&child, mode, alloc);
+        let cost = evaluator.try_cost(&layout.decode(&child), dvs.as_ref(), known);
+        let fresh = Evaluator::new(system, config).evaluate(layout.decode(&child), dvs.as_ref());
+        let (cost, fresh) = match (cost, fresh) {
+            (Ok(cost), Ok(fresh)) => (cost, fresh),
+            (Err(_), Err(_)) => continue,
+            (cost, fresh) => panic!("{name}: {cost:?} against fresh {fresh:?}"),
+        };
+        assert_eq!(cost.fitness.to_bits(), fresh.fitness.to_bits(), "{name}: {child:?}");
+        assert_eq!(cost.violations, violations(&fresh), "{name}: {child:?}");
+        assert_eq!(cost.alloc, fresh.alloc, "{name}");
+        for (term, mode) in cost.modes.iter().zip(&fresh.power.modes) {
+            assert_eq!(term.total, mode.total(), "{name}: mode {}", mode.mode);
+        }
+        reused += cost.reused;
+    }
+    reused
+}
+
+#[test]
+fn offspring_priced_against_their_parents_equal_fresh_pricing() {
+    let dvs = SynthesisConfig::fast_preset(0).with_dvs();
+    let mut params = GeneratorParams::new("offspring", 5);
+    params.modes = 3;
+    params.tasks_per_mode = (4, 9);
+    params.hardware_pes = 2;
+    let cases = [
+        ("smartphone", smartphone(), dvs.clone()),
+        ("mul6", mul(6), dvs),
+        ("generated", generate(&params), SynthesisConfig::fast_preset(0)),
+    ];
+    for (seed, (name, system, config)) in cases.iter().enumerate() {
+        let reused = children_price_as_fresh(name, system, config, seed as u64);
+        assert!(reused > 0, "{name}: no child mode was reused");
+    }
+}
+
+const CPU: PeId = PeId::new(0);
+const ASIC: PeId = PeId::new(1);
+const X: TaskTypeId = TaskTypeId::new(0);
+const MODE_B: ModeId = ModeId::new(1);
+
+/// `cross_mode_system` of `tests/neighbour_pricing.rs`, copied: a CPU and
+/// a 250-cell ASIC on one bus. Types X and Y each have a 100-cell
+/// hardware core and a CPU implementation. Mode A runs one Y task; mode
+/// B runs three independent 10 ms X tasks under a 12 ms period,
+/// low-mobility enough to replicate X's core while area allows.
+fn cross_mode_system() -> System {
+    let mut tech = TechLibraryBuilder::new();
+    let x = tech.add_type("X");
+    let y = tech.add_type("Y");
+    let mut arch = ArchitectureBuilder::new();
+    let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::from_milli(0.2)));
+    let asic =
+        arch.add_pe(Pe::hardware("asic", PeKind::Asic, Cells::new(250), Watts::from_milli(0.1)));
+    arch.add_cl(Cl::bus(
+        "bus",
+        vec![cpu, asic],
+        Seconds::from_micros(1.0),
+        Watts::from_milli(1.0),
+        Watts::from_milli(0.05),
+    ))
+    .unwrap();
+    for ty in [x, y] {
+        tech.set_impl(
+            ty,
+            cpu,
+            Implementation::software(Seconds::from_millis(30.0), Watts::from_milli(50.0)),
+        );
+        tech.set_impl(
+            ty,
+            asic,
+            Implementation::hardware(
+                Seconds::from_millis(10.0),
+                Watts::from_milli(5.0),
+                Cells::new(100),
+            ),
+        );
+    }
+    let mut a = TaskGraphBuilder::new("a", Seconds::from_millis(100.0));
+    a.add_task("y", y);
+    let mut b = TaskGraphBuilder::new("b", Seconds::from_millis(12.0));
+    for name in ["x0", "x1", "x2"] {
+        b.add_task(name, x);
+    }
+    let mut omsm = OmsmBuilder::new();
+    omsm.add_mode("a", 0.5, a.build().unwrap());
+    omsm.add_mode("b", 0.5, b.build().unwrap());
+    System::new("cross_mode", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
+}
+
+#[test]
+fn a_child_whose_replication_is_capped_reprices_the_capped_mode() {
+    let system = cross_mode_system();
+    let config = SynthesisConfig::fast_preset(0);
+    let layout = GenomeLayout::new(&system);
+    let evaluator = Evaluator::new(&system, &config);
+    let genome = |y_pe| layout.encode(&SystemMapping::from_vecs(vec![vec![y_pe], vec![ASIC; 3]]));
+
+    // Alone on the ASIC, X replicates to two cores in the parent.
+    let parent = genome(CPU);
+    let priced: Cost = evaluator.try_cost(&layout.decode(&parent), None, |_, _| None).unwrap();
+    assert_eq!(priced.alloc.instances(MODE_B, ASIC, X), 2);
+    let table = ParentTable::new(&layout, vec![ParentRecord::new(parent.clone(), Some(&priced))]);
+
+    // The child moves A's Y task onto the ASIC, which caps B at one X
+    // core although B's genes are the parent's.
+    let child = genome(ASIC);
+    let loci = layout.mode_loci(MODE_B);
+    assert_eq!(child[loci.clone()], parent[loci]);
+    let known = |mode, alloc: &_| table.known(&child, mode, alloc);
+    let cost = evaluator.try_cost(&layout.decode(&child), None, known).unwrap();
+    assert_eq!(cost.alloc.instances(MODE_B, ASIC, X), 1);
+    assert_eq!(cost.reused, 0, "mode B must be priced again under its capped allocation");
+    assert!(table.known(&child, MODE_B, &priced.alloc).is_some());
+    assert!(table.known(&child, MODE_B, &cost.alloc).is_none());
+
+    let fresh = Evaluator::new(&system, &config).evaluate(layout.decode(&child), None).unwrap();
+    assert_eq!(cost.fitness.to_bits(), fresh.fitness.to_bits());
+    assert_eq!(cost.violations, violations(&fresh));
+}
+
+/// A short DVS synthesis of the smartphone.
+fn dvs_config(seed: u64) -> SynthesisConfig {
+    let mut config = SynthesisConfig::fast_preset(seed).with_dvs();
+    config.ga.population_size = 14;
+    config.ga.max_generations = 12;
+    config
+}
+
+#[test]
+fn dvs_synthesis_is_thread_count_invariant() {
+    let system = smartphone();
+    let run = |threads| {
+        let mut config = dvs_config(4);
+        config.threads = threads;
+        Synthesizer::new(&system, config).run().expect("schedulable system")
+    };
+    let (serial, parallel) = (run(1), run(3));
+    assert!(serial.counters.dvs_iterations > 0);
+    assert_eq!(serial.counters, parallel.counters);
+    assert_eq!(serial.history, parallel.history);
+    assert_eq!(serial.best, parallel.best);
+    assert_eq!(serial.evaluations, parallel.evaluations);
+}
+
+fn tmp_file(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("momsynth_offspring_{}_{name}", std::process::id()))
+}
+
+fn generations(events: &[Event]) -> Vec<GenerationEvent> {
+    let generation = |e: &Event| match e {
+        Event::Generation(g) => Some(g.normalized()),
+        _ => None,
+    };
+    events.iter().filter_map(generation).collect()
+}
+
+#[test]
+fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
+    let system = smartphone();
+    let config = dvs_config(6);
+    let full_sink = MemorySink::new();
+    let full = Synthesizer::new(&system, config.clone())
+        .run_controlled(SynthControl { sink: Some(&full_sink), ..SynthControl::default() })
+        .unwrap();
+    assert!(!full.stop_reason.is_interrupted());
+
+    // The same run cut short, checkpointing every generation.
+    let path = tmp_file("resume_cp.json");
+    let mut cut = config.clone();
+    cut.ga.max_evaluations = Some(60);
+    Synthesizer::new(&system, cut)
+        .run_controlled(SynthControl {
+            checkpoint: Some(CheckpointSpec::every_generations(path.clone(), 1)),
+            ..SynthControl::default()
+        })
+        .unwrap();
+    let checkpoint = Checkpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let cut_generation = checkpoint.generation as u64;
+    assert!(cut_generation > 0, "the cut must land after the first generation");
+
+    let resumed_sink = MemorySink::new();
+    let resumed = Synthesizer::new(&system, config)
+        .run_controlled(SynthControl {
+            resume: Some(checkpoint),
+            sink: Some(&resumed_sink),
+            ..SynthControl::default()
+        })
+        .unwrap();
+
+    let tail: Vec<GenerationEvent> = generations(&full_sink.take())
+        .into_iter()
+        .filter(|g| g.generation > cut_generation)
+        .collect();
+    assert!(!tail.is_empty(), "the cut must land before the natural end of the run");
+    assert!(tail[0].counters.dvs_iterations > 0);
+    assert_eq!(generations(&resumed_sink.take()), tail);
+    assert_eq!(resumed.counters, full.counters);
+    assert_eq!(resumed.best, full.best);
+}
