@@ -134,8 +134,7 @@ pub fn energy_breakdown(
                 .tech()
                 .impl_of(graph.task(entry.task).task_type(), entry.pe)
                 .expect("scheduled task has an implementation");
-            let factor =
-                imp.energy_factors.map(|f| f[entry.task.index()]).unwrap_or(1.0);
+            let factor = imp.energy_factors.map(|f| f[entry.task.index()]).unwrap_or(1.0);
             let energy: Joules = imp_entry.energy() * factor;
             dynamic[entry.pe.index()] += (energy / period) * weight;
         }
@@ -156,8 +155,7 @@ pub fn energy_breakdown(
         active_cls.sort_unstable();
         active_cls.dedup();
         for cl in active_cls {
-            static_power[pe_count + cl.index()] +=
-                system.arch().cl(cl).static_power() * weight;
+            static_power[pe_count + cl.index()] += system.arch().cl(cl).static_power() * weight;
         }
     }
 
@@ -210,12 +208,8 @@ mod tests {
         let ta = tech.add_type("A");
         let mut arch = ArchitectureBuilder::new();
         let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::from_milli(2.0)));
-        let hw = arch.add_pe(Pe::hardware(
-            "hw",
-            PeKind::Asic,
-            Cells::new(100),
-            Watts::from_milli(1.0),
-        ));
+        let hw =
+            arch.add_pe(Pe::hardware("hw", PeKind::Asic, Cells::new(100), Watts::from_milli(1.0)));
         arch.add_cl(Cl::bus(
             "bus",
             vec![cpu, hw],
@@ -251,10 +245,7 @@ mod tests {
         System::new("s", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
     }
 
-    fn implementations(
-        system: &System,
-        mapping: &SystemMapping,
-    ) -> Vec<momsynth_sched::Schedule> {
+    fn implementations(system: &System, mapping: &SystemMapping) -> Vec<momsynth_sched::Schedule> {
         let alloc = CoreAllocation::minimal(system, mapping);
         system
             .omsm()

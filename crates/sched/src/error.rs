@@ -40,7 +40,10 @@ impl fmt::Display for SchedError {
                 write!(f, "mapping shape does not match the system: {detail}")
             }
             Self::UnsupportedMapping { mode, task, pe } => {
-                write!(f, "task {task} of mode {mode} is mapped to {pe}, which cannot implement its type")
+                write!(
+                    f,
+                    "task {task} of mode {mode} is mapped to {pe}, which cannot implement its type"
+                )
             }
             Self::NoRoute { mode, from, to } => {
                 write!(f, "mode {mode}: no communication link connects {from} and {to}")

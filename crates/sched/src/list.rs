@@ -217,10 +217,11 @@ pub fn schedule_mode_timed(
         let task = order[next];
         let pe = row[task.index()];
         let ty = graph.task(task).task_type();
-        let imp = system
-            .tech()
-            .impl_of(ty, pe)
-            .ok_or(SchedError::UnsupportedMapping { mode, task, pe })?;
+        let imp = system.tech().impl_of(ty, pe).ok_or(SchedError::UnsupportedMapping {
+            mode,
+            task,
+            pe,
+        })?;
 
         // Route incoming data, scheduling remote transfers on links.
         let mut est = Seconds::ZERO;
@@ -248,8 +249,7 @@ pub fn schedule_mode_timed(
                     best = Some((slot, candidate));
                 }
             }
-            let (slot, entry) =
-                best.ok_or(SchedError::NoRoute { mode, from: src_pe, to: pe })?;
+            let (slot, entry) = best.ok_or(SchedError::NoRoute { mode, from: src_pe, to: pe })?;
             avail[slot] = entry.finish();
             placed.push((slot, ActivityId::Comm(comm)));
             comms[comm.index()] = Some(entry);
@@ -261,9 +261,8 @@ pub fn schedule_mode_timed(
         let slot = if arch.pe(pe).kind().is_software() {
             pe.index()
         } else {
-            let pair = cores
-                .binary_search(&(pe, ty))
-                .expect("every hardware task's core is laid out");
+            let pair =
+                cores.binary_search(&(pe, ty)).expect("every hardware task's core is laid out");
             let mut best = core_slots[pair];
             for instance in best + 1..core_slots[pair + 1] {
                 if avail[instance].value().total_cmp(&avail[best].value()) == Ordering::Less {
@@ -436,14 +435,8 @@ mod tests {
         let mapping = SystemMapping::from_fn(&sys, |_| PeId::new(1));
         let mut alloc = CoreAllocation::minimal(&sys, &mapping);
         alloc.set_instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0), 2);
-        let s = schedule_mode(
-            &sys,
-            ModeId::new(0),
-            &mapping,
-            &alloc,
-            SchedulerOptions::default(),
-        )
-        .unwrap();
+        let s = schedule_mode(&sys, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+            .unwrap();
         let p = s.task(TaskId::new(0));
         let q = s.task(TaskId::new(1));
         assert_ne!(p.resource, q.resource);
@@ -453,14 +446,9 @@ mod tests {
 
         // With the minimal single-core allocation the pair sequentialises.
         let alloc1 = CoreAllocation::minimal(&sys, &mapping);
-        let s1 = schedule_mode(
-            &sys,
-            ModeId::new(0),
-            &mapping,
-            &alloc1,
-            SchedulerOptions::default(),
-        )
-        .unwrap();
+        let s1 =
+            schedule_mode(&sys, ModeId::new(0), &mapping, &alloc1, SchedulerOptions::default())
+                .unwrap();
         assert!((s1.makespan().as_millis() - 4.0).abs() < 1e-9);
     }
 
@@ -506,14 +494,8 @@ mod tests {
         mapping.set(ModeId::new(0), TaskId::new(2), PeId::new(1));
         let mut alloc = CoreAllocation::minimal(&sys, &mapping);
         alloc.set_instances(ModeId::new(0), PeId::new(1), TaskTypeId::new(0), 2);
-        let s = schedule_mode(
-            &sys,
-            ModeId::new(0),
-            &mapping,
-            &alloc,
-            SchedulerOptions::default(),
-        )
-        .unwrap();
+        let s = schedule_mode(&sys, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+            .unwrap();
         // Both a->l and a->r become ready at 5 ms but share the bus.
         let c0 = s.comm(momsynth_model::ids::CommId::new(0)).unwrap();
         let c1 = s.comm(momsynth_model::ids::CommId::new(1)).unwrap();
@@ -528,14 +510,9 @@ mod tests {
         let mut mapping = cpu_mapping(&sys);
         mapping.set(ModeId::new(0), TaskId::new(0), PeId::new(1));
         let alloc = CoreAllocation::minimal(&sys, &mapping);
-        let err = schedule_mode(
-            &sys,
-            ModeId::new(0),
-            &mapping,
-            &alloc,
-            SchedulerOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            schedule_mode(&sys, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+                .unwrap_err();
         assert!(matches!(err, SchedError::UnsupportedMapping { .. }));
     }
 
@@ -559,14 +536,9 @@ mod tests {
             System::new("s", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap();
         let mapping = SystemMapping::from_vecs(vec![vec![c0, c1]]);
         let alloc = CoreAllocation::minimal(&sys, &mapping);
-        let err = schedule_mode(
-            &sys,
-            ModeId::new(0),
-            &mapping,
-            &alloc,
-            SchedulerOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            schedule_mode(&sys, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+                .unwrap_err();
         assert!(matches!(err, SchedError::NoRoute { .. }));
     }
 
@@ -598,14 +570,9 @@ mod tests {
                 &mut scratch,
             )
             .unwrap();
-            let fresh = schedule_mode(
-                &sys,
-                ModeId::new(0),
-                &mapping,
-                &alloc,
-                SchedulerOptions::default(),
-            )
-            .unwrap();
+            let fresh =
+                schedule_mode(&sys, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+                    .unwrap();
             assert_eq!(reused, fresh);
         }
     }

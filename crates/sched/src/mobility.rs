@@ -92,9 +92,7 @@ impl TimingAnalysis {
                 .arch()
                 .cls_between(src_pe, dst_pe)
                 .map(|cl| system.arch().cl(cl).transfer_time(edge.data_units()))
-                .fold(None, |best: Option<Seconds>, t| {
-                    Some(best.map_or(t, |b| b.min(t)))
-                })
+                .fold(None, |best: Option<Seconds>, t| Some(best.map_or(t, |b| b.min(t))))
                 .unwrap_or(Seconds::ZERO)
         }));
 
@@ -328,11 +326,7 @@ mod tests {
         let tx = tech.add_type("X");
         let mut arch = ArchitectureBuilder::new();
         let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO));
-        tech.set_impl(
-            tx,
-            cpu,
-            Implementation::software(Seconds::from_millis(10.0), Watts::ZERO),
-        );
+        tech.set_impl(tx, cpu, Implementation::software(Seconds::from_millis(10.0), Watts::ZERO));
         let mut g = TaskGraphBuilder::new("g", Seconds::from_millis(100.0));
         let a = g.add_task_with_deadline("a", tx, Seconds::from_millis(15.0));
         let b = g.add_task("b", tx);

@@ -53,9 +53,7 @@ impl ScheduleStats {
 
     /// The busiest resource — the bottleneck the mapping should attack.
     pub fn bottleneck(&self) -> Option<&ResourceStats> {
-        self.resources
-            .iter()
-            .max_by(|a, b| a.utilization.total_cmp(&b.utilization))
+        self.resources.iter().max_by(|a, b| a.utilization.total_cmp(&b.utilization))
     }
 }
 
@@ -178,8 +176,7 @@ mod tests {
     #[test]
     fn split_mapping_accounts_bus_and_core() {
         let system = testbed();
-        let mapping =
-            SystemMapping::from_vecs(vec![vec![PeId::new(0), PeId::new(1)]]);
+        let mapping = SystemMapping::from_vecs(vec![vec![PeId::new(0), PeId::new(1)]]);
         let stats = stats_for(&system, &mapping);
         assert_eq!(stats.resources.len(), 3); // cpu, core, bus
         let bus = stats
@@ -192,7 +189,9 @@ mod tests {
         let core = stats
             .resources
             .iter()
-            .find(|r| matches!(r.resource, ResourceKey::HwCore(_, ty, _) if ty == TaskTypeId::new(0)))
+            .find(
+                |r| matches!(r.resource, ResourceKey::HwCore(_, ty, _) if ty == TaskTypeId::new(0)),
+            )
             .expect("core accounted");
         assert!((core.busy.as_millis() - 2.0).abs() < 1e-9);
         // CPU remains the bottleneck (10 ms of 50 ms).

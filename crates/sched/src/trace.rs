@@ -183,25 +183,17 @@ mod tests {
     fn vcd_for(mapping: &SystemMapping) -> (System, String) {
         let system = testbed();
         let alloc = CoreAllocation::minimal(&system, mapping);
-        let schedule = schedule_mode(
-            &system,
-            ModeId::new(0),
-            mapping,
-            &alloc,
-            SchedulerOptions::default(),
-        )
-        .unwrap();
+        let schedule =
+            schedule_mode(&system, ModeId::new(0), mapping, &alloc, SchedulerOptions::default())
+                .unwrap();
         let vcd = schedule_to_vcd(&system, &schedule);
         (system, vcd)
     }
 
     #[test]
     fn vcd_has_well_formed_header_and_signals() {
-        let mapping = SystemMapping::from_vecs(vec![vec![
-            PeId::new(0),
-            PeId::new(1),
-            PeId::new(0),
-        ]]);
+        let mapping =
+            SystemMapping::from_vecs(vec![vec![PeId::new(0), PeId::new(1), PeId::new(0)]]);
         let (_, vcd) = vcd_for(&mapping);
         assert!(vcd.contains("$timescale 1ns $end"));
         assert!(vcd.contains("$enddefinitions $end"));
@@ -216,11 +208,8 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotone() {
-        let mapping = SystemMapping::from_vecs(vec![vec![
-            PeId::new(0),
-            PeId::new(1),
-            PeId::new(0),
-        ]]);
+        let mapping =
+            SystemMapping::from_vecs(vec![vec![PeId::new(0), PeId::new(1), PeId::new(0)]]);
         let (_, vcd) = vcd_for(&mapping);
         let mut last = -1i64;
         for line in vcd.lines() {

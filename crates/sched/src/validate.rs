@@ -229,10 +229,7 @@ pub fn validate_schedule(
         intervals.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
         for pair in intervals.windows(2) {
             if pair[1].0.value() < pair[0].1.value() - EPS {
-                violations.push(ScheduleViolation::ResourceOverlap {
-                    resource,
-                    second: pair[1].2,
-                });
+                violations.push(ScheduleViolation::ResourceOverlap { resource, second: pair[1].2 });
             }
         }
     }
@@ -243,14 +240,14 @@ pub fn validate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::{schedule_mode, SchedulerOptions};
+    use crate::schedule::{ScheduledComm, ScheduledTask};
     use momsynth_model::ids::{ModeId, PeId, TaskTypeId};
     use momsynth_model::units::{Cells, Watts};
     use momsynth_model::{
         ArchitectureBuilder, Cl, Implementation, OmsmBuilder, Pe, PeKind, TaskGraphBuilder,
         TechLibraryBuilder,
     };
-    use crate::list::{schedule_mode, SchedulerOptions};
-    use crate::schedule::{ScheduledComm, ScheduledTask};
 
     fn testbed() -> System {
         let mut tech = TechLibraryBuilder::new();
@@ -320,19 +317,13 @@ mod tests {
             start: Seconds::from_millis(start_ms),
             exec_time: Seconds::from_millis(10.0),
         };
-        let schedule = Schedule::from_parts(
-            ModeId::new(0),
-            vec![mk(0, 0.0), mk(1, 0.0)],
-            vec![None],
-            vec![],
-        );
+        let schedule =
+            Schedule::from_parts(ModeId::new(0), vec![mk(0, 0.0), mk(1, 0.0)], vec![None], vec![]);
         let violations = validate_schedule(&system, &mapping, &alloc, &schedule);
         assert!(violations
             .iter()
             .any(|v| matches!(v, ScheduleViolation::PrecedenceViolated { .. })));
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, ScheduleViolation::ResourceOverlap { .. })));
+        assert!(violations.iter().any(|v| matches!(v, ScheduleViolation::ResourceOverlap { .. })));
     }
 
     #[test]
@@ -363,9 +354,9 @@ mod tests {
             vec![],
         );
         let violations = validate_schedule(&system, &mapping, &alloc, &schedule);
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, ScheduleViolation::MappingMismatch { task } if task.index() == 1)));
+        assert!(violations.iter().any(
+            |v| matches!(v, ScheduleViolation::MappingMismatch { task } if task.index() == 1)
+        ));
     }
 
     #[test]
@@ -419,7 +410,11 @@ mod tests {
         ))
         .unwrap();
         for pe in [cpu, cpu2] {
-            tech.set_impl(tx, pe, Implementation::software(Seconds::from_millis(10.0), Watts::ZERO));
+            tech.set_impl(
+                tx,
+                pe,
+                Implementation::software(Seconds::from_millis(10.0), Watts::ZERO),
+            );
         }
         tech.set_impl(
             tx,
@@ -470,11 +465,8 @@ mod tests {
 
     #[test]
     fn violation_display_is_informative() {
-        let v = ScheduleViolation::UnallocatedCore {
-            task: TaskId::new(3),
-            instance: 2,
-            allocated: 1,
-        };
+        let v =
+            ScheduleViolation::UnallocatedCore { task: TaskId::new(3), instance: 2, allocated: 1 };
         let text = v.to_string();
         assert!(text.contains("t3") && text.contains('2') && text.contains('1'));
     }

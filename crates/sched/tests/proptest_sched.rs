@@ -69,9 +69,8 @@ fn random_system() -> impl Strategy<Value = System> {
             // Serial software bound for the period (task i has type i % types).
             let serial_ms: f64 = (0..n).map(|i| sw_times_ms[i % types]).sum();
             let mut g = TaskGraphBuilder::new("m", Seconds::from_millis(serial_ms * slack));
-            let tasks: Vec<TaskId> = (0..n)
-                .map(|i| g.add_task(format!("t{i}"), TaskTypeId::new(i % types)))
-                .collect();
+            let tasks: Vec<TaskId> =
+                (0..n).map(|i| g.add_task(format!("t{i}"), TaskTypeId::new(i % types))).collect();
             for (i, &(_, _, pick)) in raw.iter().enumerate().take(n.saturating_sub(1)) {
                 let dst = i + 1;
                 let src = pick % (dst);
@@ -79,8 +78,13 @@ fn random_system() -> impl Strategy<Value = System> {
             }
             let mut omsm = OmsmBuilder::new();
             omsm.add_mode("m", 1.0, g.build().expect("layered DAG is valid"));
-            System::new("prop", omsm.build().expect("valid"), arch.build().expect("valid"), tech.build())
-                .expect("valid system")
+            System::new(
+                "prop",
+                omsm.build().expect("valid"),
+                arch.build().expect("valid"),
+                tech.build(),
+            )
+            .expect("valid system")
         })
 }
 
