@@ -19,10 +19,8 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-// lint: allow(raw-std-sync-import) immutable shared data, nothing for loom to model
-use std::sync::Arc;
 
-use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, ModeVoltages};
+use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::{ModeId, PeId};
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
@@ -49,11 +47,6 @@ pub struct AreaOverrun {
 }
 
 /// A fully elaborated implementation candidate.
-///
-/// Its per-mode results — schedules, voltage schedules and power
-/// breakdowns — are shared, not owned: a candidate priced against a base
-/// shares every mode it left unchanged with the base, and cloning a
-/// solution copies no schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// The task mapping (`Mτ^O` for every mode).
@@ -64,7 +57,7 @@ pub struct Solution {
     pub schedules: Vec<Schedule>,
     /// Per-mode, per-task voltage schedules: `Some` for every task on a
     /// scaled DVS rail, `None` for the rest and everywhere when DVS is off.
-    pub voltage_schedules: Vec<ModeVoltages>,
+    pub voltage_schedules: Vec<Vec<Option<VoltageSchedule>>>,
     /// Power report under the true mode execution probabilities.
     pub power: PowerReport,
     /// Total deadline/period lateness over all modes.
@@ -75,10 +68,6 @@ pub struct Solution {
     pub transitions: Vec<TransitionTiming>,
     /// The fitness `F_M` this candidate was judged by.
     pub fitness: f64,
-    /// Each mode's Eq. 1 term and lateness, in mode order
-    /// (`total_lateness` is the lateness sum), kept so a neighbour that
-    /// reuses a mode need not recompute them.
-    terms: Vec<ModeCost>,
 }
 
 impl Solution {
@@ -270,9 +259,9 @@ pub struct Cost {
 /// A mode scheduled and voltage-scaled, waiting for its Eq. 1 term.
 struct Scheduled {
     schedule: Schedule,
-    voltages: ModeVoltages,
-    /// Per-task energy factors (`None`: nominal voltage).
-    factors: Option<Vec<f64>>,
+    /// Per-task voltage schedules and energy factors; `None` at nominal
+    /// voltage.
+    scaled: Option<(Vec<Option<VoltageSchedule>>, Vec<f64>)>,
 }
 
 impl Scheduled {
@@ -281,7 +270,7 @@ impl Scheduled {
         let graph = system.omsm().mode(self.schedule.mode()).graph();
         let implementation = ModeImplementation {
             schedule: &self.schedule,
-            energy_factors: self.factors.as_deref(),
+            energy_factors: self.scaled.as_ref().map(|(_, factors)| factors.as_slice()),
         };
         let power = mode_power(system, implementation);
         let lateness = self.schedule.total_lateness(graph);
@@ -290,9 +279,9 @@ impl Scheduled {
     }
 }
 
-/// One mode of a candidate: a result reused as `R`, or scheduled here.
-enum ModeTerm<R> {
-    Reuse(R),
+/// One mode of a candidate: a known term, or scheduled here.
+enum ModeTerm {
+    Reuse(ModeCost),
     Price(Scheduled),
 }
 
@@ -321,9 +310,6 @@ pub struct Evaluator<'a> {
     /// The true mode execution probabilities, which weight the reported
     /// average power.
     probabilities: Vec<f64>,
-    /// Every mode's all-nominal voltage schedules, shared by every
-    /// fixed-voltage candidate.
-    nominal: Vec<ModeVoltages>,
     /// Per-phase wall-clock accumulator (disabled unless a telemetry
     /// sink asks for traces).
     phases: PhaseAccumulator,
@@ -345,17 +331,11 @@ impl<'a> Evaluator<'a> {
         } else {
             momsynth_power::uniform_weights(system)
         };
-        let nominal = system
-            .omsm()
-            .modes()
-            .map(|(_, m)| ModeVoltages::nominal(m.graph().task_count()))
-            .collect();
         Self {
             system,
             config,
             weights,
             probabilities,
-            nominal,
             phases: PhaseAccumulator::disabled(),
             counters: RefCell::default(),
             scratch: RefCell::default(),
@@ -369,7 +349,6 @@ impl<'a> Evaluator<'a> {
         Self {
             weights: self.weights.clone(),
             probabilities: self.probabilities.clone(),
-            nominal: self.nominal.clone(),
             phases: PhaseAccumulator::new(self.phases.enabled()),
             counters: RefCell::default(),
             scratch: RefCell::default(),
@@ -427,7 +406,7 @@ impl<'a> Evaluator<'a> {
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
     ) -> Result<Solution, SchedError> {
-        self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs, None))
+        self.phases.measure(Phase::FitnessEval, || self.evaluate_inner(mapping, dvs))
     }
 
     /// [`Evaluator::evaluate`] with fault isolation: a scheduler error, a
@@ -437,16 +416,6 @@ impl<'a> Evaluator<'a> {
     /// through here or through [`Evaluator::try_cost`], which share the
     /// guard, and keeps only its own policy for a failure.
     ///
-    /// `base` is an optional neighbour to price against. Every mode whose
-    /// mapping row and core-allocation row both equal the base's shares
-    /// the base's schedule, voltage schedules, Eq. 1 term and lateness
-    /// instead of being scheduled, voltage-scaled and priced again, at
-    /// the cost of a reference count each; the allocation, Eq. 1's sums
-    /// and every penalty are still computed over all modes from the
-    /// per-mode results, so the result is the one `None` gives, bit for
-    /// bit. The base must have been priced by an evaluator of the same
-    /// system and configuration, under the same `dvs`.
-    ///
     /// # Errors
     ///
     /// Returns the [`EvalFailure`] that kept the candidate from pricing.
@@ -454,9 +423,8 @@ impl<'a> Evaluator<'a> {
         &self,
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
-        base: Option<&Solution>,
     ) -> Result<Solution, EvalFailure> {
-        self.guarded(|| self.evaluate_inner(mapping, dvs, base), |s| s.fitness)
+        self.guarded(|| self.evaluate_inner(mapping, dvs), |s| s.fitness)
     }
 
     /// The cost-only entry: prices `mapping` like
@@ -464,11 +432,12 @@ impl<'a> Evaluator<'a> {
     /// its [`Cost`]. `known` offers a mode's term: called with each mode
     /// and the candidate's allocation, it returns the term of a candidate
     /// priced under the same `dvs` whose mode has the same mapping row
-    /// and core-allocation row, or `None`. A known mode skips list
-    /// scheduling, PV-DVS and its power breakdown; the allocation, Eq. 1's
-    /// sums and every penalty are computed over all modes, so the fitness
-    /// and violations are the ones pricing from scratch gives, bit for
-    /// bit.
+    /// and core-allocation row, or `None` — what
+    /// [`ParentRecord::known`](crate::ParentRecord::known) answers. A
+    /// known mode skips list scheduling, PV-DVS and its power breakdown;
+    /// the allocation, Eq. 1's sums and every penalty are computed over
+    /// all modes, so the fitness and violations are the ones pricing from
+    /// scratch gives, bit for bit.
     ///
     /// # Errors
     ///
@@ -507,21 +476,8 @@ impl<'a> Evaluator<'a> {
         &self,
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
-        base: Option<&Solution>,
     ) -> Result<Solution, SchedError> {
-        let (alloc, terms) = self.schedule_modes(&mapping, dvs, |mode, alloc| {
-            let base = base.filter(|b| {
-                b.mapping.row(mode) == mapping.row(mode) && b.alloc.mode_eq(alloc, mode)
-            })?;
-            let m = mode.index();
-            Some((
-                base.schedules[m].clone(),
-                base.voltage_schedules[m].clone(),
-                base.power.modes[m].clone(),
-                base.terms[m],
-            ))
-        })?;
-
+        let (alloc, terms) = self.schedule_modes(&mapping, dvs, |_, _| None)?;
         Ok(self.phases.measure(Phase::PowerPricing, move || {
             let mode_count = terms.len();
             let mut schedules = Vec::with_capacity(mode_count);
@@ -529,14 +485,15 @@ impl<'a> Evaluator<'a> {
             let mut modes = Vec::with_capacity(mode_count);
             let mut costs = Vec::with_capacity(mode_count);
             for term in terms {
-                let (schedule, voltages, power, cost) = match term {
-                    ModeTerm::Reuse(shared) => shared,
-                    ModeTerm::Price(scheduled) => {
-                        let (power, cost) = scheduled.price(self.system);
-                        (scheduled.schedule, scheduled.voltages, Arc::new(power), cost)
-                    }
+                let ModeTerm::Price(scheduled) = term else {
+                    unreachable!("a fresh evaluation knows no mode's term")
                 };
-                schedules.push(schedule);
+                let (power, cost) = scheduled.price(self.system);
+                let voltages = match scheduled.scaled {
+                    Some((voltages, _)) => voltages,
+                    None => vec![None; scheduled.schedule.tasks().count()],
+                };
+                schedules.push(scheduled.schedule);
                 voltage_schedules.push(voltages);
                 modes.push(power);
                 costs.push(cost);
@@ -553,7 +510,6 @@ impl<'a> Evaluator<'a> {
                 area_overruns: verdict.area_overruns,
                 transitions: verdict.transitions,
                 fitness: verdict.fitness,
-                terms: costs,
             }
         }))
     }
@@ -583,16 +539,16 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The per-mode routine of both entries: derives `mapping`'s core
-    /// allocation, then schedules and voltage-scales every mode `reuse`
-    /// has no result for. A mode's schedule, voltages, Eq. 1 term and
-    /// lateness depend only on its mapping row, its allocation row and
-    /// `dvs`, which is what `reuse` may key on.
-    fn schedule_modes<R>(
+    /// allocation, then schedules and voltage-scales every mode `known`
+    /// has no term for. A mode's Eq. 1 term and lateness depend only on
+    /// its mapping row, its allocation row and `dvs`, which is what
+    /// `known` may key on.
+    fn schedule_modes(
         &self,
         mapping: &SystemMapping,
         dvs: Option<&DvsOptions>,
-        mut reuse: impl FnMut(ModeId, &CoreAllocation) -> Option<R>,
-    ) -> Result<(CoreAllocation, Vec<ModeTerm<R>>), SchedError> {
+        mut known: impl FnMut(ModeId, &CoreAllocation) -> Option<ModeCost>,
+    ) -> Result<(CoreAllocation, Vec<ModeTerm>), SchedError> {
         let system = self.system;
         // One borrow for the whole pass; never re-entered.
         let scratch = &mut *self.scratch.borrow_mut();
@@ -605,8 +561,8 @@ impl<'a> Evaluator<'a> {
 
         let mut terms = Vec::with_capacity(system.omsm().mode_count());
         for mode in system.omsm().mode_ids() {
-            if let Some(reused) = reuse(mode, &alloc) {
-                terms.push(ModeTerm::Reuse(reused));
+            if let Some(cost) = known(mode, &alloc) {
+                terms.push(ModeTerm::Reuse(cost));
                 continue;
             }
             let (analysis, sched_scratch) = (&scratch.timing[mode.index()], &mut scratch.sched);
@@ -628,17 +584,9 @@ impl<'a> Evaluator<'a> {
                     });
                     self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
                     let (schedule, voltages, energy_factors) = scaled.into_parts();
-                    Scheduled {
-                        schedule,
-                        voltages: ModeVoltages::from(voltages),
-                        factors: Some(energy_factors),
-                    }
+                    Scheduled { schedule, scaled: Some((voltages, energy_factors)) }
                 }
-                None => Scheduled {
-                    schedule,
-                    voltages: self.nominal[mode.index()].clone(),
-                    factors: None,
-                },
+                None => Scheduled { schedule, scaled: None },
             };
             terms.push(ModeTerm::Price(scheduled));
         }
@@ -893,8 +841,7 @@ mod tests {
         let system = crate::synthesis::tests::unroutable_system();
         let config = SynthesisConfig::new(0);
         let mapping = crate::genome::GenomeLayout::new(&system).decode(&[0, 0, 0]);
-        let failure =
-            Evaluator::new(&system, &config).try_evaluate(mapping, None, None).unwrap_err();
+        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
         let EvalFailure::Sched(e) = &failure else { panic!("expected Sched, got {failure:?}") };
         assert_eq!(failure.to_string(), e.to_string());
     }
@@ -906,8 +853,7 @@ mod tests {
         let system = sys(600, 100.0);
         let config = SynthesisConfig::new(0);
         let mapping = SystemMapping::from_fn(&system, |_| PeId::new(9));
-        let failure =
-            Evaluator::new(&system, &config).try_evaluate(mapping, None, None).unwrap_err();
+        let failure = Evaluator::new(&system, &config).try_evaluate(mapping, None).unwrap_err();
         assert!(matches!(failure, EvalFailure::Panic(_)), "{failure:?}");
         assert!(failure.to_string().starts_with("evaluator panicked"), "{failure}");
     }
@@ -921,7 +867,7 @@ mod tests {
         config.weights.infeasibility_boost = f64::INFINITY;
         let ev = Evaluator::new(&system, &config);
         assert_eq!(ev.evaluate(all_cpu(&system), None).unwrap().fitness, f64::INFINITY);
-        let failure = ev.try_evaluate(all_cpu(&system), None, None).unwrap_err();
+        let failure = ev.try_evaluate(all_cpu(&system), None).unwrap_err();
         assert_eq!(failure, EvalFailure::NonFinite);
         assert_eq!(failure.to_string(), "non-finite fitness");
     }

@@ -15,9 +15,11 @@ use rand::{Rng, SeedableRng};
 
 use momsynth_ga::{Budget, StopReason, REJECTED_COST};
 
-use crate::fitness::{Evaluator, Solution};
+use crate::fitness::{Cost, Evaluator};
 use crate::genome::{Gene, GenomeLayout};
+use crate::parents::ParentRecord;
 use momsynth_dvs::DvsOptions;
+use momsynth_sched::SystemMapping;
 
 /// Options of the local-search polish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +54,9 @@ pub struct LocalSearchStats {
 ///
 /// `dvs` selects the voltage-scaling resolution used to price candidate
 /// moves (usually the coarse evaluation options of the synthesis config).
+/// Each move is priced with [`Evaluator::try_cost`] against the
+/// [`ParentRecord`] of the current genome, so it schedules,
+/// voltage-scales and prices only the modes whose terms it can change.
 /// Candidates whose evaluation fails, panics or prices to a non-finite
 /// fitness are treated as [`REJECTED_COST`] and never accepted. `budget`
 /// is asked before each move is priced, with the polish's own
@@ -67,16 +72,15 @@ pub fn polish(
     budget: &Budget<'_>,
 ) -> LocalSearchStats {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut evaluations = 0usize;
-    // Prices `mapping` against `base`, the current solution: a single-gene
-    // move leaves every other mode as the base has it.
-    let price = |mapping, base: Option<&Solution>, evals: &mut usize| {
-        *evals += 1;
-        let solution = evaluator.try_evaluate(mapping, dvs, base).ok();
-        (solution.as_ref().map_or(REJECTED_COST, |s| s.fitness), solution)
-    };
+    let fitness = |cost: &Option<Cost>| cost.as_ref().map_or(REJECTED_COST, |c| c.fitness);
 
-    let (mut current, mut current_solution) = price(layout.decode(genes), None, &mut evaluations);
+    let mut mapping = layout.decode(genes);
+    let priced = evaluator.try_cost(&mapping, dvs, |_, _| None).ok();
+    let mut evaluations = 1usize;
+    let mut current = fitness(&priced);
+    // The record of the current genome, which every move is priced
+    // against: a single-gene move leaves every other mode as it is here.
+    let mut base = ParentRecord::new(genes.to_vec(), priced.as_ref());
     let fitness_before = current;
     let mut moves_accepted = 0usize;
     let mut stop_reason = None;
@@ -94,7 +98,7 @@ pub fn polish(
             if alternatives < 2 {
                 continue;
             }
-            let mut best_alt: Option<(Gene, f64, Option<Solution>)> = None;
+            let mut best_alt: Option<(Gene, f64, SystemMapping, Option<Cost>)> = None;
             for alt in 0..alternatives as Gene {
                 if alt == original {
                     continue;
@@ -105,22 +109,23 @@ pub fn polish(
                     break 'passes;
                 }
                 genes[locus] = alt;
-                // The current solution's mapping is `genes` before this
-                // move, so the move is one copied entry.
-                let mapping = match &current_solution {
-                    Some(base) => layout.with_gene(&base.mapping, locus, alt),
-                    None => layout.decode(genes),
-                };
-                let (c, solution) = price(mapping, current_solution.as_ref(), &mut evaluations);
-                if c < current && best_alt.as_ref().is_none_or(|(_, b, _)| c < *b) {
-                    best_alt = Some((alt, c, solution));
+                // The current mapping is `genes` before this move, so the
+                // move is one copied entry.
+                let moved = layout.with_gene(&mapping, locus, alt);
+                let known = |mode, alloc: &_| base.known(layout, genes, mode, alloc);
+                let cost = evaluator.try_cost(&moved, dvs, known).ok();
+                evaluations += 1;
+                let c = fitness(&cost);
+                if c < current && best_alt.as_ref().is_none_or(|(_, b, _, _)| c < *b) {
+                    best_alt = Some((alt, c, moved, cost));
                 }
             }
             match best_alt {
-                Some((alt, c, solution)) => {
+                Some((alt, c, moved, cost)) => {
                     genes[locus] = alt;
+                    mapping = moved;
                     current = c;
-                    current_solution = solution;
+                    base = ParentRecord::new(genes.to_vec(), cost.as_ref());
                     moves_accepted += 1;
                     improved = true;
                 }

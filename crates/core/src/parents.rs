@@ -1,16 +1,22 @@
-//! GA offspring priced against their parents' per-mode terms.
+//! Candidates priced against the per-mode terms of genomes priced before.
 //!
 //! Eq. 1 sums per-mode terms, and a mode's term and lateness depend only
 //! on its mapping row, its core-allocation row and the DVS options. A
 //! child of crossover and mutation inherits most of its modes unchanged
-//! from a parent. A [`ParentTable`] holds each parent's per-mode terms,
-//! indexed per mode by the mode's gene slice, and
-//! [`Evaluator::try_cost`](crate::Evaluator::try_cost) takes a child's
-//! mode from the table when its gene slice and core counts equal a
-//! parent's, instead of scheduling, voltage-scaling and pricing it again.
-//! The allocation, area, transitions and every penalty are still computed
-//! over all modes, so the table changes how a fitness is computed, never
-//! its value.
+//! from a parent, a polish move changes one gene of the current genome,
+//! and consecutive branch-and-bound leaves share every mode but the
+//! deepest loci's. A [`ParentRecord`] holds one priced genome's per-mode
+//! terms, and [`ParentRecord::known`] is the one reuse rule: a
+//! candidate's mode takes the record's term when its gene slice and core
+//! counts equal the record's, and
+//! [`Evaluator::try_cost`](crate::Evaluator::try_cost) then skips
+//! scheduling, voltage-scaling and pricing it again. The GA asks a
+//! [`ParentTable`] of the population its offspring were bred from, which
+//! indexes the records per mode by the mode's gene slice; the polish asks
+//! the record of its current genome and `prove` the record of its last
+//! leaf that priced. The allocation, area, transitions and every penalty
+//! are still computed over all modes, so a record changes how a fitness
+//! is computed, never its value.
 //!
 //! A record keeps the genome and two scalars per mode, plus a mode's core
 //! counts when replication raised one above 1: never a schedule, a
@@ -52,7 +58,8 @@ impl ModeRecord {
     }
 }
 
-/// One priced genome's per-mode terms: all its offspring need of it.
+/// One priced genome's per-mode terms: all a candidate priced against it
+/// needs of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParentRecord {
     genome: Vec<Gene>,
@@ -74,6 +81,23 @@ impl ParentRecord {
     /// The genome this record was priced for.
     pub fn genome(&self) -> &[Gene] {
         &self.genome
+    }
+
+    /// The term of `genome`'s `mode` when its allocation is `alloc`, if
+    /// this record's gene slice of the mode and core counts in it are the
+    /// same; `None` otherwise, and always for an empty record. Both
+    /// genomes are of `layout`.
+    pub fn known(
+        &self,
+        layout: &GenomeLayout,
+        genome: &[Gene],
+        mode: ModeId,
+        alloc: &CoreAllocation,
+    ) -> Option<ModeCost> {
+        let record = self.modes.get(mode.index())?;
+        let loci = layout.mode_loci(mode);
+        let same = self.genome[loci.clone()] == genome[loci] && record.counts_match(alloc, mode);
+        same.then_some(record.cost)
     }
 }
 
@@ -114,17 +138,12 @@ impl<'a> ParentTable<'a> {
     }
 
     /// The term of `genome`'s `mode` when its allocation is `alloc`,
-    /// taken from a parent whose gene slice of the mode and core counts
-    /// in it are the same; `None` when no parent has both.
+    /// taken from the first parent under the mode's gene-slice hash whose
+    /// [`ParentRecord::known`] has it; `None` when no parent does.
     pub fn known(&self, genome: &[Gene], mode: ModeId, alloc: &CoreAllocation) -> Option<ModeCost> {
-        let (m, loci) = (mode.index(), self.layout.mode_loci(mode));
-        let slice = &genome[loci.clone()];
-        let bucket = self.index.get(m)?.get(&genome_hash(0, slice))?;
-        bucket
-            .iter()
-            .map(|&r| &self.records[r])
-            .find(|r| r.genome[loci.clone()] == *slice && r.modes[m].counts_match(alloc, mode))
-            .map(|r| r.modes[m].cost)
+        let slice = &genome[self.layout.mode_loci(mode)];
+        let bucket = self.index.get(mode.index())?.get(&genome_hash(0, slice))?;
+        bucket.iter().find_map(|&r| self.records[r].known(self.layout, genome, mode, alloc))
     }
 
     /// The records, in the order they were given.

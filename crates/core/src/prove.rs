@@ -44,6 +44,7 @@ use momsynth_sched::SystemMapping;
 use crate::config::SynthesisConfig;
 use crate::fitness::{Evaluator, Solution};
 use crate::genome::{Gene, GenomeLayout};
+use crate::parents::ParentRecord;
 use crate::synthesis::SynthesisError;
 
 /// Controls of one [`prove`] run.
@@ -182,12 +183,12 @@ struct MappingBnb<'a> {
     edges: Vec<(usize, usize, Vec<Vec<f64>>)>,
     use_bounds: bool,
     genes: Vec<Gene>,
-    /// `genes` decoded; a leaf copies it and re-maps only the loci whose
-    /// choice changed since the previous leaf.
+    /// `genes` decoded; a leaf re-maps only the loci whose choice changed
+    /// since the previous leaf.
     mapping: SystemMapping,
-    /// The last leaf that priced, the base the next leaf is priced
-    /// against: depth-first order changes few loci between leaves.
-    last: Option<Solution>,
+    /// The record of the last leaf that priced, which the next leaf is
+    /// priced against: depth-first order changes few loci between leaves.
+    last: ParentRecord,
 }
 
 impl<'a> MappingBnb<'a> {
@@ -294,7 +295,7 @@ impl<'a> MappingBnb<'a> {
             use_bounds,
             mapping: layout.decode(&genes),
             genes,
-            last: None,
+            last: ParentRecord::new(Vec::new(), None),
         }
     }
 }
@@ -335,12 +336,11 @@ impl BnbProblem for MappingBnb<'_> {
         // Unschedulable or panicking assignments cannot be the optimum;
         // infinity keeps them out of `best` and above every admissible
         // bound.
-        let mapping = self.mapping.clone();
-        match self.evaluator.try_evaluate(mapping, self.dvs.as_ref(), self.last.as_ref()) {
-            Ok(solution) => {
-                let fitness = solution.fitness;
-                self.last = Some(solution);
-                fitness
+        let known = |mode, alloc: &_| self.last.known(self.layout, &self.genes, mode, alloc);
+        match self.evaluator.try_cost(&self.mapping, self.dvs.as_ref(), known) {
+            Ok(cost) => {
+                self.last = ParentRecord::new(self.genes.clone(), Some(&cost));
+                cost.fitness
             }
             Err(_) => f64::INFINITY,
         }
@@ -409,7 +409,7 @@ pub fn prove(
         .and_then(|(choices, _)| {
             let genes: Vec<Gene> = choices.iter().map(|&c| c as Gene).collect();
             let dvs = config.dvs.as_ref().map(|d| d.eval);
-            evaluator.try_evaluate(layout.decode(&genes), dvs.as_ref(), None).ok()
+            evaluator.try_evaluate(layout.decode(&genes), dvs.as_ref()).ok()
         });
     Ok(Certificate {
         status,

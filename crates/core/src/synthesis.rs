@@ -13,8 +13,9 @@
 //! The driver is designed to always come back with either a well-formed
 //! [`SynthesisResult`] or a typed [`SynthesisError`]:
 //!
-//! - Candidate evaluations that fail, panic or price to a non-finite
-//!   fitness are isolated by [`Evaluator::try_evaluate`], charged
+//! - GA candidates whose evaluation fails, panics or prices to a
+//!   non-finite fitness are isolated by [`Evaluator::try_cost`]'s guard,
+//!   the one [`Evaluator::try_evaluate`] shares, charged
 //!   [`REJECTED_COST`] and counted in [`SynthesisResult::rejected`]; the
 //!   run continues.
 //! - Budgets ([`momsynth_ga::GaConfig::max_seconds`],
@@ -641,11 +642,8 @@ impl<'a> Synthesizer<'a> {
                     // individual and hold it against the independent
                     // checker. An unschedulable best (every candidate
                     // rejected) has nothing to verify.
-                    let solution = evaluator.try_evaluate(
-                        layout.decode(&snapshot.best.0),
-                        dvs_eval.as_ref(),
-                        None,
-                    );
+                    let solution =
+                        evaluator.try_evaluate(layout.decode(&snapshot.best.0), dvs_eval.as_ref());
                     if let Ok(solution) = solution {
                         if let Some(report) = crate::verify::invariant_breach(system, &solution) {
                             report_breach(
@@ -803,7 +801,7 @@ impl<'a> Synthesizer<'a> {
                 None => {}
             }
         }
-        evaluator.try_evaluate(layout.decode(genes), refine, None).map_err(|e| e.to_string())
+        evaluator.try_evaluate(layout.decode(genes), refine).map_err(|e| e.to_string())
     }
 }
 

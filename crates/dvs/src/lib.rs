@@ -38,4 +38,4 @@ pub mod vschedule;
 pub use hw_transform::{virtual_tasks, VirtualTask};
 pub use pvdvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch, ScaledMode};
 pub use voltage::VoltageModel;
-pub use vschedule::{ModeVoltages, VoltageSchedule, VoltageSegment};
+pub use vschedule::{VoltageSchedule, VoltageSegment};

@@ -7,10 +7,6 @@
 //! voltage meets the time target exactly with the least discrete-level
 //! energy. [`VoltageSchedule::fit`] performs that split.
 
-use std::ops::Deref;
-// lint: allow(raw-std-sync-import) immutable shared data, nothing for loom to model
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use momsynth_model::arch::DvsCapability;
@@ -28,52 +24,6 @@ pub struct VoltageSegment {
     pub cycle_fraction: f64,
     /// Wall-clock duration of this segment.
     pub duration: Seconds,
-}
-
-/// One mode's voltage schedules, indexed by task id: `Some` for every
-/// task on a scaled DVS rail, `None` for the rest. Cloning shares the
-/// schedules, so a candidate that keeps a mode costs a reference count,
-/// not a copy. Serialises as the plain per-task array.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeVoltages(Arc<[Option<VoltageSchedule>]>);
-
-impl ModeVoltages {
-    /// Every task of a `tasks`-task mode at nominal voltage.
-    pub fn nominal(tasks: usize) -> Self {
-        Self(vec![None; tasks].into())
-    }
-
-    /// Mutable access to the schedules, copying them first when another
-    /// mode result shares them.
-    pub fn make_mut(&mut self) -> &mut [Option<VoltageSchedule>] {
-        Arc::make_mut(&mut self.0)
-    }
-}
-
-impl Deref for ModeVoltages {
-    type Target = [Option<VoltageSchedule>];
-
-    fn deref(&self) -> &Self::Target {
-        &self.0
-    }
-}
-
-impl From<Vec<Option<VoltageSchedule>>> for ModeVoltages {
-    fn from(schedules: Vec<Option<VoltageSchedule>>) -> Self {
-        Self(schedules.into())
-    }
-}
-
-impl Serialize for ModeVoltages {
-    fn to_value(&self) -> serde::Value {
-        self.0.to_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for ModeVoltages {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<Option<VoltageSchedule>>::from_value(value).map(Self::from)
-    }
 }
 
 /// A task's voltage schedule (`Vτ` of the paper): an ordered list of

@@ -1,9 +1,13 @@
-//! GA offspring priced against their parents' per-mode Eq. 1 terms: the
-//! cost-only entry priced against a parent table equals fresh pricing bit
-//! for bit, the reuse key includes each mode's core counts, and the
-//! counters — PV-DVS iterations included — stay the same at any thread
-//! count and across a checkpoint resume, because the table is a function
-//! of the parents alone.
+//! Candidates priced against the per-mode Eq. 1 terms of genomes priced
+//! before: GA offspring priced against a parent table equal fresh
+//! pricing bit for bit; the one reuse rule, `ParentRecord::known`, which
+//! the GA's table, the polish and `prove` all ask, includes each mode's
+//! core counts, because core replication in one mode reads an ASIC's
+//! static area, which spans every mode; an evaluation that panics leaves
+//! no stale timing analysis behind for the next one; and the counters —
+//! PV-DVS iterations included — stay the same at any thread count and
+//! across a checkpoint resume, because the table is a function of the
+//! parents alone.
 
 use std::path::PathBuf;
 
@@ -21,8 +25,8 @@ use momsynth::model::{
 use momsynth::sched::SystemMapping;
 use momsynth::synthesis::telemetry::{Event, GenerationEvent, MemorySink};
 use momsynth::synthesis::{
-    Checkpoint, CheckpointSpec, Cost, Evaluator, Gene, GenomeLayout, ParentRecord, ParentTable,
-    Solution, SynthControl, SynthesisConfig, Synthesizer, Violations,
+    Checkpoint, CheckpointSpec, Cost, EvalFailure, Evaluator, Gene, GenomeLayout, ParentRecord,
+    ParentTable, Solution, SynthControl, SynthesisConfig, Synthesizer, Violations,
 };
 
 /// The violation flags a full solution implies.
@@ -118,11 +122,10 @@ const ASIC: PeId = PeId::new(1);
 const X: TaskTypeId = TaskTypeId::new(0);
 const MODE_B: ModeId = ModeId::new(1);
 
-/// `cross_mode_system` of `tests/neighbour_pricing.rs`, copied: a CPU and
-/// a 250-cell ASIC on one bus. Types X and Y each have a 100-cell
-/// hardware core and a CPU implementation. Mode A runs one Y task; mode
-/// B runs three independent 10 ms X tasks under a 12 ms period,
-/// low-mobility enough to replicate X's core while area allows.
+/// A CPU and a 250-cell ASIC on one bus. Types X and Y each have a
+/// 100-cell hardware core and a CPU implementation. Mode A runs one Y
+/// task; mode B runs three independent 10 ms X tasks under a 12 ms
+/// period, low-mobility enough to replicate X's core while area allows.
 fn cross_mode_system() -> System {
     let mut tech = TechLibraryBuilder::new();
     let x = tech.add_type("X");
@@ -167,35 +170,84 @@ fn cross_mode_system() -> System {
     System::new("cross_mode", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
 }
 
+/// Mode B on the ASIC, mode A's Y task on `y_pe`.
+fn mapping(y_pe: PeId) -> SystemMapping {
+    SystemMapping::from_vecs(vec![vec![y_pe], vec![ASIC; 3]])
+}
+
 #[test]
 fn a_child_whose_replication_is_capped_reprices_the_capped_mode() {
     let system = cross_mode_system();
     let config = SynthesisConfig::fast_preset(0);
     let layout = GenomeLayout::new(&system);
     let evaluator = Evaluator::new(&system, &config);
-    let genome = |y_pe| layout.encode(&SystemMapping::from_vecs(vec![vec![y_pe], vec![ASIC; 3]]));
 
-    // Alone on the ASIC, X replicates to two cores in the parent.
-    let parent = genome(CPU);
+    // Alone on the ASIC, X replicates to two cores in the parent (a
+    // third would need 300 cells).
+    let parent = layout.encode(&mapping(CPU));
     let priced: Cost = evaluator.try_cost(&layout.decode(&parent), None, |_, _| None).unwrap();
     assert_eq!(priced.alloc.instances(MODE_B, ASIC, X), 2);
-    let table = ParentTable::new(&layout, vec![ParentRecord::new(parent.clone(), Some(&priced))]);
+    let record = ParentRecord::new(parent.clone(), Some(&priced));
+    let table = ParentTable::new(&layout, vec![record.clone()]);
 
-    // The child moves A's Y task onto the ASIC, which caps B at one X
-    // core although B's genes are the parent's.
-    let child = genome(ASIC);
+    // The child moves A's Y task onto the ASIC, which takes 100 static
+    // cells and caps B at one X core although B's genes are the parent's.
+    let child = layout.encode(&mapping(ASIC));
     let loci = layout.mode_loci(MODE_B);
     assert_eq!(child[loci.clone()], parent[loci]);
-    let known = |mode, alloc: &_| table.known(&child, mode, alloc);
-    let cost = evaluator.try_cost(&layout.decode(&child), None, known).unwrap();
-    assert_eq!(cost.alloc.instances(MODE_B, ASIC, X), 1);
-    assert_eq!(cost.reused, 0, "mode B must be priced again under its capped allocation");
-    assert!(table.known(&child, MODE_B, &priced.alloc).is_some());
-    assert!(table.known(&child, MODE_B, &cost.alloc).is_none());
-
     let fresh = Evaluator::new(&system, &config).evaluate(layout.decode(&child), None).unwrap();
-    assert_eq!(cost.fitness.to_bits(), fresh.fitness.to_bits());
-    assert_eq!(cost.violations, violations(&fresh));
+    assert_eq!(fresh.alloc.instances(MODE_B, ASIC, X), 1);
+    for known in [
+        table.known(&child, MODE_B, &priced.alloc),
+        record.known(&layout, &child, MODE_B, &priced.alloc),
+    ] {
+        assert_eq!(known, Some(priced.modes[MODE_B.index()]));
+    }
+    for known in [
+        table.known(&child, MODE_B, &fresh.alloc),
+        record.known(&layout, &child, MODE_B, &fresh.alloc),
+    ] {
+        assert_eq!(known, None, "mode B must be priced again under its capped allocation");
+    }
+
+    // Priced against the GA's table and against the lone record, as the
+    // polish and `prove` price, the child is the fresh evaluation.
+    let against_table = |mode, alloc: &_| table.known(&child, mode, alloc);
+    let against_record = |mode, alloc: &_| record.known(&layout, &child, mode, alloc);
+    for cost in [
+        evaluator.try_cost(&layout.decode(&child), None, against_table).unwrap(),
+        evaluator.try_cost(&layout.decode(&child), None, against_record).unwrap(),
+    ] {
+        assert_eq!(cost.reused, 0);
+        assert_eq!(cost.fitness.to_bits(), fresh.fitness.to_bits());
+        assert_eq!(cost.violations, violations(&fresh));
+        assert_eq!(cost.alloc, fresh.alloc);
+        assert_ne!(cost.modes[MODE_B.index()], priced.modes[MODE_B.index()]);
+    }
+}
+
+#[test]
+fn a_panicking_evaluation_leaves_no_stale_timing_analysis() {
+    let system = cross_mode_system();
+    let config = SynthesisConfig::fast_preset(0);
+    let evaluator = Evaluator::new(&system, &config);
+    let valid = mapping(CPU);
+    let fresh = || Evaluator::new(&system, &config).try_evaluate(valid.clone(), None);
+    assert_eq!(evaluator.try_evaluate(valid.clone(), None), fresh());
+
+    // Mode B's row is one task short: its timing analysis panics half
+    // way through, while mode A's row is the valid mapping's.
+    let short = SystemMapping::from_vecs(vec![vec![CPU], vec![ASIC; 2]]);
+    // A PE id the architecture lacks: the evaluator panics after the
+    // timing analyses.
+    let unknown_pe = SystemMapping::from_fn(&system, |_| PeId::new(9));
+    for hostile in [short, unknown_pe] {
+        let failure = evaluator.try_evaluate(hostile, None).unwrap_err();
+        assert!(matches!(failure, EvalFailure::Panic(_)), "{failure:?}");
+        // The same evaluator still prices the valid mapping exactly as a
+        // fresh one does.
+        assert_eq!(evaluator.try_evaluate(valid.clone(), None), fresh());
+    }
 }
 
 /// A short DVS synthesis of the smartphone.

@@ -12,12 +12,13 @@ use momsynth::generators::suite::{generate, GeneratorParams};
 use momsynth::model::ids::{ClId, ModeId, PeId, TaskTypeId};
 use momsynth::model::units::{Cells, Seconds, Watts};
 use momsynth::model::{Architecture, ArchitectureBuilder, Cl, Pe, PeKind, System};
-use momsynth::power::{mode_power, ModeImplementation};
+use momsynth::power::{mode_power, ModeImplementation, ModePower};
 use momsynth::sched::{
     schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
 };
 use momsynth::synthesis::{
-    Evaluator, FaultInjection, Gene, GenomeLayout, SynthesisConfig, Synthesizer,
+    Cost, Evaluator, FaultInjection, Gene, GenomeLayout, ParentRecord, Solution, SynthesisConfig,
+    Synthesizer, Violations,
 };
 
 /// A small generated system plus a random (valid) mapping for it.
@@ -301,13 +302,29 @@ fn multi_mode_system_and_genome() -> impl Strategy<Value = (System, Vec<Gene>)> 
     )
 }
 
+/// Holds a cost-only pricing against a fresh evaluation of the same
+/// mapping: the same fitness bits, violation flags, allocation and
+/// per-mode totals.
+fn assert_prices_as_fresh(cost: &Cost, fresh: &Solution) {
+    assert_eq!(cost.fitness.to_bits(), fresh.fitness.to_bits());
+    let violations = Violations {
+        timing: fresh.total_lateness.value() > 1e-12,
+        area: !fresh.area_overruns.is_empty(),
+        transition: fresh.transitions.iter().any(|t| !t.is_feasible()),
+    };
+    assert_eq!(cost.violations, violations);
+    assert_eq!(cost.alloc, fresh.alloc);
+    let totals: Vec<Watts> = cost.modes.iter().map(|m| m.total).collect();
+    assert_eq!(totals, fresh.power.modes.iter().map(ModePower::total).collect::<Vec<_>>());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Pricing a single-gene neighbour against the solution it moved
-    /// from reuses every mode the move left alone, and must give exactly
-    /// the solution a fresh evaluator gives without a base, at fixed
-    /// voltage and under the synthesis's PV-DVS options alike.
+    /// Pricing a single-gene neighbour with `try_cost` against the record
+    /// of the genome it moved from, as the polish does, reuses modes the
+    /// move left alone and prices exactly as a fresh `try_evaluate` does,
+    /// at fixed voltage and under the synthesis's PV-DVS options alike.
     #[test]
     fn neighbour_pricing_equals_fresh_pricing((system, genes) in multi_mode_system_and_genome()) {
         let layout = GenomeLayout::new(&system);
@@ -315,9 +332,11 @@ proptest! {
         for config in [fixed_voltage.clone(), fixed_voltage.with_dvs()] {
             let dvs = config.dvs.as_ref().map(|d| d.eval);
             let reused = Evaluator::new(&system, &config);
-            let base = reused
-                .try_evaluate(layout.decode(&genes), dvs.as_ref(), None)
+            let priced = reused
+                .try_cost(&layout.decode(&genes), dvs.as_ref(), |_, _| None)
                 .expect("generated architectures are fully connected");
+            let base = ParentRecord::new(genes.clone(), Some(&priced));
+            let (mut moves, mut modes_reused) = (0, 0);
             let mut neighbour = genes.clone();
             for locus in 0..layout.len() {
                 for alt in 0..layout.candidates(locus).len() as Gene {
@@ -326,17 +345,22 @@ proptest! {
                     }
                     neighbour[locus] = alt;
                     let mapping = layout.decode(&neighbour);
-                    let priced = reused.try_evaluate(mapping.clone(), dvs.as_ref(), Some(&base));
-                    let fresh = Evaluator::new(&system, &config)
-                        .try_evaluate(mapping, dvs.as_ref(), None);
-                    prop_assert_eq!(
-                        priced.as_ref().map(|s| s.fitness.to_bits()),
-                        fresh.as_ref().map(|s| s.fitness.to_bits())
-                    );
-                    prop_assert_eq!(priced, fresh);
+                    let known = |mode, alloc: &_| base.known(&layout, &neighbour, mode, alloc);
+                    let cost = reused.try_cost(&mapping, dvs.as_ref(), known);
+                    let fresh =
+                        Evaluator::new(&system, &config).try_evaluate(mapping, dvs.as_ref());
+                    match (cost, fresh) {
+                        (Ok(cost), Ok(fresh)) => {
+                            assert_prices_as_fresh(&cost, &fresh);
+                            modes_reused += cost.reused;
+                        }
+                        (cost, fresh) => prop_assert_eq!(cost.err(), fresh.err()),
+                    }
+                    moves += 1;
                 }
                 neighbour[locus] = genes[locus];
             }
+            prop_assert!(moves == 0 || modes_reused > 0, "no neighbour reused a mode");
         }
     }
 }
@@ -436,7 +460,7 @@ proptest! {
 
     /// The flat allocation rows behave exactly like one ordered map per
     /// mode under any sequence of edits: the same counts, the same core
-    /// order, the same per-mode equality, areas and JSON.
+    /// order, the same areas and JSON.
     #[test]
     fn core_allocation_matches_the_ordered_map_model(
         (system, edits) in system_and_allocation_edits()
@@ -444,7 +468,6 @@ proptest! {
         let modes = system.omsm().mode_count();
         let mut alloc = CoreAllocation::new(modes);
         let mut reference = ReferenceAllocation(vec![BTreeMap::new(); modes]);
-        let before = alloc.clone();
         for (ensure, m, pe, ty, n) in edits {
             let (mode, pe, ty) = (ModeId::new(m), PeId::new(pe), TaskTypeId::new(ty));
             if ensure {
@@ -461,7 +484,6 @@ proptest! {
             let cores: Vec<_> = alloc.mode_cores(mode).collect();
             let expected: Vec<_> = reference.0[m].iter().map(|(&k, &n)| (k, n)).collect();
             prop_assert_eq!(cores, expected);
-            prop_assert_eq!(alloc.mode_eq(&before, mode), reference.0[m].is_empty());
             for pe in 0..6 {
                 let pe = PeId::new(pe);
                 for ty in 0..10 {
@@ -531,10 +553,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// A chain of 20 accepted single-gene moves, each priced against the
-    /// solution of the move before, ends every step at exactly the
-    /// solution a fresh evaluator gives, at fixed voltage and under
-    /// PV-DVS: modes shared along a chain stay correct.
+    /// A chain of 20 accepted single-gene moves, each priced with
+    /// `try_cost` against the record of the move before, prices every
+    /// step exactly as a fresh `try_evaluate` does, at fixed voltage and
+    /// under PV-DVS: terms carried along a chain stay correct.
     #[test]
     fn chained_neighbour_pricing_equals_fresh_pricing(
         ((system, genes), moves) in (
@@ -547,22 +569,26 @@ proptest! {
         for config in [fixed_voltage.clone(), fixed_voltage.with_dvs()] {
             let dvs = config.dvs.as_ref().map(|d| d.eval);
             let reused = Evaluator::new(&system, &config);
-            let mut base = reused
-                .try_evaluate(layout.decode(&genes), dvs.as_ref(), None)
+            let mut genome = genes.clone();
+            let mut mapping = layout.decode(&genome);
+            let priced = reused
+                .try_cost(&mapping, dvs.as_ref(), |_, _| None)
                 .expect("generated architectures are fully connected");
+            let mut base = ParentRecord::new(genome.clone(), Some(&priced));
             for &(locus, pick) in &moves {
                 let locus = locus % layout.len();
                 let gene = (pick % layout.candidates(locus).len()) as Gene;
-                let mapping = layout.with_gene(&base.mapping, locus, gene);
-                let priced = reused
-                    .try_evaluate(mapping.clone(), dvs.as_ref(), Some(&base))
+                genome[locus] = gene;
+                mapping = layout.with_gene(&mapping, locus, gene);
+                let known = |mode, alloc: &_| base.known(&layout, &genome, mode, alloc);
+                let cost = reused
+                    .try_cost(&mapping, dvs.as_ref(), known)
                     .expect("generated architectures are fully connected");
                 let fresh = Evaluator::new(&system, &config)
-                    .try_evaluate(mapping, dvs.as_ref(), None)
+                    .try_evaluate(mapping.clone(), dvs.as_ref())
                     .expect("generated architectures are fully connected");
-                prop_assert_eq!(priced.fitness.to_bits(), fresh.fitness.to_bits());
-                prop_assert_eq!(&priced, &fresh);
-                base = priced;
+                assert_prices_as_fresh(&cost, &fresh);
+                base = ParentRecord::new(genome.clone(), Some(&cost));
             }
         }
     }

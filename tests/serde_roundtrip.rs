@@ -1,7 +1,8 @@
 //! Serialisation round-trips across the public model and result types:
 //! systems (all three sub-models), mappings, allocations, schedules and
-//! power reports survive JSON, and a loaded spec goes through the same
-//! builder checks as one built in code.
+//! power reports survive JSON, a synthesised solution's report is
+//! pinned to the byte, and a loaded spec goes through the same builder
+//! checks as one built in code.
 
 use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
@@ -12,6 +13,7 @@ use momsynth::power::{power_report, ModeImplementation, PowerReport};
 use momsynth::sched::{
     schedule_mode, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
 };
+use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -81,6 +83,38 @@ fn implementation_artifacts_round_trip() {
     let report = power_report(&system, &imps);
     let back: PowerReport = roundtrip(&report);
     assert_eq!(back, report);
+}
+
+/// A 64-bit FNV-1a hash of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The JSON a synthesised solution is written as — mapping, allocation,
+/// schedules, voltage schedules and power report — keeps its bytes: the
+/// FNV-1a digest and length of three `fast_preset(0)` reports are
+/// pinned, and the power report and voltage schedules round-trip.
+#[test]
+fn solution_reports_are_pinned_to_the_byte() {
+    let cases = [
+        ("smartphone", smartphone(), true, 0x8e01_924d_3e74_bcb5, 50_486),
+        ("mul3", mul(3), false, 0x2e6d_651a_9ce2_93b3, 27_009),
+        ("mul9", mul(9), true, 0x1598_fed6_614b_7159, 13_429),
+    ];
+    for (name, system, dvs, digest, len) in cases {
+        let mut config = SynthesisConfig::fast_preset(0);
+        if dvs {
+            config = config.with_dvs();
+        }
+        let result = Synthesizer::new(&system, config).run().expect("schedulable system");
+        let json = serde_json::to_string(&result.report(&system)).expect("serialises");
+        assert_eq!((fnv1a(json.as_bytes()), json.len()), (digest, len), "{name}");
+        assert_eq!(roundtrip(&result.best.power), result.best.power, "{name}");
+        let voltages = &result.best.voltage_schedules;
+        assert_eq!(&roundtrip(voltages), voltages, "{name}");
+    }
 }
 
 #[test]

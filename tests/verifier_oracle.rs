@@ -84,7 +84,7 @@ fn corrupted_smartphone_solutions_are_rejected() {
     let slot = mutated
         .voltage_schedules
         .iter_mut()
-        .flat_map(|mode| mode.make_mut())
+        .flatten()
         .find_map(Option::as_mut)
         .expect("DVS run scales at least one task");
     let mut segments = slot.segments().to_vec();
