@@ -47,14 +47,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.path.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
+        write!(f, "{}:{}: [{}] {}", self.path.display(), self.line, self.rule, self.message)
     }
 }
 
@@ -72,8 +65,7 @@ pub fn to_json(diagnostics: &[Diagnostic]) -> String {
             })
         })
         .collect();
-    serde_json::to_string_pretty(&serde_json::Value::Array(entries))
-        .expect("diagnostics serialize")
+    serde_json::to_string_pretty(&serde_json::Value::Array(entries)).expect("diagnostics serialize")
 }
 
 /// Names that mark an atomic as a cross-thread control flag: raised by
@@ -85,8 +77,7 @@ const FLAG_NAMES: [&str; 6] = ["stop", "shutdown", "cancel", "interrupt", "abort
 /// preceding line?
 fn allowed(lines: &[&str], index: usize, rule: &str) -> bool {
     let marker = format!("lint: allow({rule})");
-    lines[index].contains(&marker)
-        || (index > 0 && lines[index - 1].contains(&marker))
+    lines[index].contains(&marker) || (index > 0 && lines[index - 1].contains(&marker))
 }
 
 /// Heuristic: from the first `#[cfg(test)]` (or `#[cfg(all(test`)
@@ -334,20 +325,17 @@ mod tests {
     fn rename_needs_a_prior_fsync_in_the_same_function() {
         let torn = "fn save() {\n    std::fs::rename(&tmp, path)?;\n}\n";
         assert_eq!(rules_hit("crates/x/src/a.rs", torn), vec!["rename-without-fsync"]);
-        let durable =
-            "fn save() {\n    file.sync_all()?;\n    std::fs::rename(&tmp, path)?;\n}\n";
+        let durable = "fn save() {\n    file.sync_all()?;\n    std::fs::rename(&tmp, path)?;\n}\n";
         assert!(rules_hit("crates/x/src/a.rs", durable).is_empty());
-        let reset = "fn a() {\n    file.sync_all()?;\n}\nfn b() {\n    std::fs::rename(&t, p)?;\n}\n";
+        let reset =
+            "fn a() {\n    file.sync_all()?;\n}\nfn b() {\n    std::fs::rename(&t, p)?;\n}\n";
         assert_eq!(rules_hit("crates/x/src/a.rs", reset), vec!["rename-without-fsync"]);
     }
 
     #[test]
     fn serve_unwraps_are_flagged_with_poison_exemption() {
         let panicky = "let v = queue.pop().unwrap();\n";
-        assert_eq!(
-            rules_hit("crates/serve/src/server.rs", panicky),
-            vec!["unwrap-in-serve-path"]
-        );
+        assert_eq!(rules_hit("crates/serve/src/server.rs", panicky), vec!["unwrap-in-serve-path"]);
         let poison = "let g = lock.lock().expect(\"state poisoned\");\n";
         assert!(rules_hit("crates/serve/src/server.rs", poison).is_empty());
         assert!(rules_hit("crates/core/src/server.rs", panicky).is_empty());
@@ -356,10 +344,7 @@ mod tests {
     #[test]
     fn inline_histogram_bounds_are_flagged_but_constants_pass() {
         let inline = "let h = registry.histogram(\"x\", \"help\", &[0.1, 1.0], &[]);\n";
-        assert_eq!(
-            rules_hit("crates/x/src/a.rs", inline),
-            vec!["histogram-bucket-literal-drift"]
-        );
+        assert_eq!(rules_hit("crates/x/src/a.rs", inline), vec!["histogram-bucket-literal-drift"]);
         let named =
             "let h = registry.histogram(\"x\", \"help\", &DEFAULT_LATENCY_BOUNDS_S, &[]);\n";
         assert!(rules_hit("crates/x/src/a.rs", named).is_empty());
@@ -367,7 +352,8 @@ mod tests {
 
     #[test]
     fn test_modules_and_tests_dirs_relax_code_rules_only() {
-        let content = "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); std::fs::rename(a, b); }\n}\n";
+        let content =
+            "#[cfg(test)]\nmod tests {\n    fn f() { x.unwrap(); std::fs::rename(a, b); }\n}\n";
         assert!(rules_hit("crates/serve/src/a.rs", content).is_empty());
         // std::sync stays denied even in tests: models must build on
         // the facade.

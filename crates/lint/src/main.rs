@@ -61,5 +61,9 @@ fn main() -> ExitCode {
             eprintln!("momsynth-lint: {} finding(s)", diagnostics.len());
         }
     }
-    if diagnostics.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
+    if diagnostics.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

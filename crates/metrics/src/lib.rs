@@ -52,8 +52,8 @@ use serde::{Deserialize, Serialize};
 /// roughly logarithmic from 1 µs to 60 s. A final `+Inf` bucket is
 /// implicit in every histogram.
 pub const DEFAULT_LATENCY_BOUNDS_S: [f64; 20] = [
-    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
-    2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5,
+    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2,
+    5e-2, 0.1, 0.25, 0.5, 1.0, 2.5,
 ];
 
 /// Longer-tailed bucket bounds for whole-job durations in seconds.
@@ -556,7 +556,11 @@ impl MetricsSnapshot {
     }
 
     /// Looks up a histogram sample by family name and label set.
-    pub fn histogram_sample(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSample> {
+    pub fn histogram_sample(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<&HistogramSample> {
         let want: Vec<(String, String)> =
             labels.iter().map(|(k, v)| ((*k).to_string(), (*v).to_string())).collect();
         self.histograms.iter().find(|h| h.name == name && h.labels == want)
@@ -567,8 +571,7 @@ fn rendered_labels(labels: &[(String, String)]) -> String {
     if labels.is_empty() {
         return String::new();
     }
-    let pairs: Vec<(&str, &str)> =
-        labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    let pairs: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
     format!("{{{}}}", label_key(&pairs))
 }
 

@@ -8,8 +8,8 @@ use crate::{Counter, Gauge, Histogram, Registry, DEFAULT_DURATION_BOUNDS_S};
 /// Per-phase wall-time bucket bounds in seconds: synthesis phases on the
 /// seed workloads run from microseconds to a few seconds.
 const PHASE_BOUNDS_S: [f64; 16] = [
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.5,
-    1.0, 5.0,
+    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.5, 1.0,
+    5.0,
 ];
 
 /// The counter families delta-decoded from the cumulative
@@ -201,8 +201,7 @@ mod tests {
     }
 
     fn generation(generation: u64, evaluated: u64, rejected: u64, dvs: u64) -> Event {
-        let counters =
-            Counters { evaluated, rejected, dvs_iterations: dvs, ..Counters::default() };
+        let counters = Counters { evaluated, rejected, dvs_iterations: dvs, ..Counters::default() };
         Event::Generation(GenerationEvent {
             generation,
             evaluations: evaluated,

@@ -31,12 +31,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn apply(registry: &Registry, op: &Op) {
-    const NAMES: [&str; 4] = [
-        "momsynth_a_total",
-        "momsynth_b_total",
-        "momsynth_c_seconds",
-        "momsynth_d_things",
-    ];
+    const NAMES: [&str; 4] =
+        ["momsynth_a_total", "momsynth_b_total", "momsynth_c_seconds", "momsynth_d_things"];
     match op {
         Op::CounterInc { name, by } => {
             let c = registry.counter(NAMES[*name], "h", &[("k", "v")]);

@@ -45,10 +45,7 @@ fn concurrent_counter_increments_are_linearizable() {
 #[test]
 fn seeded_lost_update_in_counter_add_is_caught() {
     let result = std::panic::catch_unwind(|| momsynth_sync::model(counter_model));
-    assert!(
-        result.is_err(),
-        "loom failed to detect the seeded lost-update bug in Counter::add"
-    );
+    assert!(result.is_err(), "loom failed to detect the seeded lost-update bug in Counter::add");
 }
 
 #[cfg(not(loom_mutation))]
@@ -76,8 +73,7 @@ fn concurrent_gauge_adds_balance_out() {
 fn concurrent_histogram_observations_stay_consistent() {
     momsynth_sync::model(|| {
         let registry = Registry::new();
-        let histogram =
-            registry.histogram("m_seconds", "model histogram", &[0.1, 1.0], &[]);
+        let histogram = registry.histogram("m_seconds", "model histogram", &[0.1, 1.0], &[]);
         let writers: Vec<_> = [0.05, 5.0]
             .into_iter()
             .map(|v| {

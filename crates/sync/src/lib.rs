@@ -31,14 +31,14 @@
 pub mod sync {
     #[cfg(not(loom))]
     pub use std::sync::{
-        Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, TryLockError,
-        TryLockResult, WaitTimeoutResult, Weak,
+        Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, TryLockError, TryLockResult,
+        WaitTimeoutResult, Weak,
     };
 
     #[cfg(loom)]
     pub use loom::sync::{
-        Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, TryLockError,
-        TryLockResult, WaitTimeoutResult,
+        Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, TryLockError, TryLockResult,
+        WaitTimeoutResult,
     };
 
     /// Channels are never modeled; `std`'s are safe under the checker

@@ -433,8 +433,7 @@ mod tests {
 
     #[test]
     fn events_are_externally_tagged_single_objects() {
-        let json = serde_json::to_string(&Event::Warning(Warning { message: "m".into() }))
-            .unwrap();
+        let json = serde_json::to_string(&Event::Warning(Warning { message: "m".into() })).unwrap();
         assert!(json.starts_with("{\"Warning\""), "{json}");
     }
 

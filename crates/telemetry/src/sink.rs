@@ -260,10 +260,7 @@ mod tests {
             sink.record(&Event::Warning(Warning { message: "two".into() }));
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<Event> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
+        let events: Vec<Event> = text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
         assert_eq!(events.len(), 2);
         assert!(matches!(&events[0], Event::Warning(w) if w.message == "one"));
         std::fs::remove_file(&path).ok();
@@ -283,8 +280,7 @@ mod tests {
             sink.record(&Event::Warning(Warning { message: "second".into() }));
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        let events: Vec<Event> =
-            text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+        let events: Vec<Event> = text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
         assert_eq!(events.len(), 2, "append must not truncate the first line");
         assert!(matches!(&events[0], Event::Warning(w) if w.message == "first"));
         assert!(matches!(&events[1], Event::Warning(w) if w.message == "second"));

@@ -226,11 +226,7 @@ mod tests {
         let main = PhaseAccumulator::new(true);
         main.measure(Phase::ListScheduling, || std::hint::black_box(0u64));
         main.absorb(&worker);
-        let ls = main
-            .timings()
-            .into_iter()
-            .find(|t| t.phase == Phase::ListScheduling)
-            .unwrap();
+        let ls = main.timings().into_iter().find(|t| t.phase == Phase::ListScheduling).unwrap();
         assert_eq!(ls.spans, 3);
 
         let off = PhaseAccumulator::disabled();

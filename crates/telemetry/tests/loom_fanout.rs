@@ -47,10 +47,7 @@ fn concurrent_memory_sink_records_are_atomic() {
 #[test]
 fn seeded_lost_update_in_recorded_hint_is_caught() {
     let result = std::panic::catch_unwind(|| momsynth_sync::model(memory_sink_model));
-    assert!(
-        result.is_err(),
-        "loom failed to detect the seeded lost-update in MemorySink::record"
-    );
+    assert!(result.is_err(), "loom failed to detect the seeded lost-update in MemorySink::record");
 }
 
 /// Delegating wrapper so the model keeps handles to sinks owned by the
