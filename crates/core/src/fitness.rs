@@ -24,10 +24,12 @@ use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::{ModeId, PeId};
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
-use momsynth_power::{mode_power, ModeImplementation, ModePower, PowerReport};
+use momsynth_power::{
+    mode_power, price_mode, ActiveSet, ModeImplementation, ModePower, PowerReport,
+};
 use momsynth_sched::{
-    schedule_mode_timed, CoreAllocation, ListScratch, SchedError, Schedule, SystemMapping,
-    TimingAnalysis,
+    list_schedule, schedule_mode_timed, CoreAllocation, ListScratch, SchedError, Schedule,
+    ScheduleView, SystemMapping, TimingAnalysis,
 };
 use momsynth_telemetry::{Counters, Phase, PhaseAccumulator, PhaseTiming};
 
@@ -171,11 +173,11 @@ impl std::fmt::Display for EvalFailure {
 impl std::error::Error for EvalFailure {}
 
 /// Reusable working memory for one evaluator: one timing analysis per
-/// mode, which core allocation and the list scheduler both read, and the
-/// scheduler's and PV-DVS's per-call buffers. One evaluation allocates
-/// these once and every later evaluation on the same [`Evaluator`]
-/// reuses them, so the GA's hot loop allocates little beyond the
-/// schedules and voltage schedules of the modes it prices.
+/// mode, which core allocation and the list scheduler both read, the
+/// scheduler's and PV-DVS's per-call buffers and the pricing kernel's
+/// flags. One evaluation allocates these once and every later evaluation
+/// on the same [`Evaluator`] reuses them, so a DVS-free cost allocates
+/// little beyond the core allocation and one term per mode.
 #[derive(Debug, Default)]
 struct EvalScratch {
     timing: Vec<TimingAnalysis>,
@@ -185,6 +187,7 @@ struct EvalScratch {
     timing_rows: Vec<Option<Vec<PeId>>>,
     sched: ListScratch,
     dvs: DvsScratch,
+    active: ActiveSet,
 }
 
 impl EvalScratch {
@@ -256,7 +259,8 @@ pub struct Cost {
     pub reused: usize,
 }
 
-/// A mode scheduled and voltage-scaled, waiting for its Eq. 1 term.
+/// A mode scheduled, assembled and voltage-scaled, waiting for its
+/// Eq. 1 term.
 struct Scheduled {
     schedule: Schedule,
     /// Per-task voltage schedules and energy factors; `None` at nominal
@@ -265,13 +269,15 @@ struct Scheduled {
 }
 
 impl Scheduled {
+    fn energy_factors(&self) -> Option<&[f64]> {
+        self.scaled.as_ref().map(|(_, factors)| factors.as_slice())
+    }
+
     /// The mode's power breakdown, and its term and lateness.
     fn price(&self, system: &System) -> (ModePower, ModeCost) {
         let graph = system.omsm().mode(self.schedule.mode()).graph();
-        let implementation = ModeImplementation {
-            schedule: &self.schedule,
-            energy_factors: self.scaled.as_ref().map(|(_, factors)| factors.as_slice()),
-        };
+        let implementation =
+            ModeImplementation { schedule: &self.schedule, energy_factors: self.energy_factors() };
         let power = mode_power(system, implementation);
         let lateness = self.schedule.total_lateness(graph);
         let cost = ModeCost { total: power.total(), lateness };
@@ -279,10 +285,19 @@ impl Scheduled {
     }
 }
 
-/// One mode of a candidate: a known term, or scheduled here.
-enum ModeTerm {
-    Reuse(ModeCost),
-    Price(Scheduled),
+/// A mode's term and lateness from its timing alone, through the pricing
+/// kernel and the lateness function that [`mode_power`] and
+/// [`Schedule::total_lateness`] are built on: the same operands in the
+/// same order, so the same bits, without a power breakdown.
+fn mode_cost(
+    system: &System,
+    schedule: ScheduleView<'_>,
+    energy_factors: Option<&[f64]>,
+    active: &mut ActiveSet,
+) -> ModeCost {
+    let graph = system.omsm().mode(schedule.mode()).graph();
+    let total = price_mode(system, schedule, energy_factors, active).total();
+    ModeCost { total, lateness: schedule.total_lateness(graph) }
 }
 
 /// A candidate's fitness and penalties, judged from its per-mode terms.
@@ -434,10 +449,13 @@ impl<'a> Evaluator<'a> {
     /// priced under the same `dvs` whose mode has the same mapping row
     /// and core-allocation row, or `None` — what
     /// [`ParentRecord::known`](crate::ParentRecord::known) answers. A
-    /// known mode skips list scheduling, PV-DVS and its power breakdown;
-    /// the allocation, Eq. 1's sums and every penalty are computed over
-    /// all modes, so the fitness and violations are the ones pricing from
-    /// scratch gives, bit for bit.
+    /// known mode skips list scheduling, PV-DVS and pricing; the
+    /// allocation, Eq. 1's sums and every penalty are computed over all
+    /// modes, so the fitness and violations are the ones pricing from
+    /// scratch gives, bit for bit. Any other mode keeps two scalars: at
+    /// fixed voltage they are priced straight from the list scheduler's
+    /// scratch, with no [`Schedule`] or [`ModePower`]; under DVS from the
+    /// voltage-scaled schedule, with no [`ModePower`].
     ///
     /// # Errors
     ///
@@ -477,17 +495,25 @@ impl<'a> Evaluator<'a> {
         mapping: SystemMapping,
         dvs: Option<&DvsOptions>,
     ) -> Result<Solution, SchedError> {
-        let (alloc, terms) = self.schedule_modes(&mapping, dvs, |_, _| None)?;
+        let (alloc, scheduled) = {
+            // One borrow for the scheduling; never re-entered.
+            let scratch = &mut *self.scratch.borrow_mut();
+            let alloc = self.allocate(&mapping, scratch);
+            let scheduled: Result<Vec<Scheduled>, SchedError> = self
+                .system
+                .omsm()
+                .mode_ids()
+                .map(|mode| self.schedule_and_scale(mode, &mapping, &alloc, dvs, scratch))
+                .collect();
+            (alloc, scheduled?)
+        };
         Ok(self.phases.measure(Phase::PowerPricing, move || {
-            let mode_count = terms.len();
+            let mode_count = scheduled.len();
             let mut schedules = Vec::with_capacity(mode_count);
             let mut voltage_schedules = Vec::with_capacity(mode_count);
             let mut modes = Vec::with_capacity(mode_count);
             let mut costs = Vec::with_capacity(mode_count);
-            for term in terms {
-                let ModeTerm::Price(scheduled) = term else {
-                    unreachable!("a fresh evaluation knows no mode's term")
-                };
+            for scheduled in scheduled {
                 let (power, cost) = scheduled.price(self.system);
                 let voltages = match scheduled.scaled {
                     Some((voltages, _)) => voltages,
@@ -514,83 +540,100 @@ impl<'a> Evaluator<'a> {
         }))
     }
 
+    /// Every mode `known` has no term for is priced by
+    /// [`Evaluator::fresh_cost`]. A mode's Eq. 1 term and lateness depend
+    /// only on its mapping row, its allocation row and `dvs`, which is
+    /// what `known` may key on.
     fn cost_inner(
         &self,
         mapping: &SystemMapping,
         dvs: Option<&DvsOptions>,
-        known: impl FnMut(ModeId, &CoreAllocation) -> Option<ModeCost>,
+        mut known: impl FnMut(ModeId, &CoreAllocation) -> Option<ModeCost>,
     ) -> Result<Cost, SchedError> {
-        let (alloc, terms) = self.schedule_modes(mapping, dvs, known)?;
-        Ok(self.phases.measure(Phase::PowerPricing, move || {
-            let mut reused = 0;
-            let modes: Vec<ModeCost> = terms
-                .into_iter()
-                .map(|term| match term {
-                    ModeTerm::Reuse(cost) => {
-                        reused += 1;
-                        cost
-                    }
-                    ModeTerm::Price(scheduled) => scheduled.price(self.system).1,
-                })
-                .collect();
-            let verdict = self.judge(&alloc, &modes);
-            Cost { fitness: verdict.fitness, violations: verdict.violations, alloc, modes, reused }
-        }))
+        let system = self.system;
+        // One borrow for the whole pricing; never re-entered.
+        let scratch = &mut *self.scratch.borrow_mut();
+        let alloc = self.allocate(mapping, scratch);
+        let mut reused = 0;
+        let mut modes = Vec::with_capacity(system.omsm().mode_count());
+        for mode in system.omsm().mode_ids() {
+            let cost = match known(mode, &alloc) {
+                Some(cost) => {
+                    reused += 1;
+                    cost
+                }
+                None => self.fresh_cost(mode, mapping, &alloc, dvs, scratch)?,
+            };
+            modes.push(cost);
+        }
+        let verdict = self.phases.measure(Phase::PowerPricing, || self.judge(&alloc, &modes));
+        Ok(Cost { fitness: verdict.fitness, violations: verdict.violations, alloc, modes, reused })
     }
 
-    /// The per-mode routine of both entries: derives `mapping`'s core
-    /// allocation, then schedules and voltage-scales every mode `known`
-    /// has no term for. A mode's Eq. 1 term and lateness depend only on
-    /// its mapping row, its allocation row and `dvs`, which is what
-    /// `known` may key on.
-    fn schedule_modes(
-        &self,
-        mapping: &SystemMapping,
-        dvs: Option<&DvsOptions>,
-        mut known: impl FnMut(ModeId, &CoreAllocation) -> Option<ModeCost>,
-    ) -> Result<(CoreAllocation, Vec<ModeTerm>), SchedError> {
-        let system = self.system;
-        // One borrow for the whole pass; never re-entered.
-        let scratch = &mut *self.scratch.borrow_mut();
-        // Each mode's timing is analysed here, once per change of its
-        // row, and read by both allocation and scheduling.
-        let alloc = self.phases.measure(Phase::CoreAllocation, || {
-            scratch.refresh_timing(system, mapping);
-            derive_allocation_timed(system, mapping, &scratch.timing, &self.config.alloc)
-        });
+    /// Derives `mapping`'s core allocation. Each mode's timing is
+    /// analysed here, once per change of its row, and read by both
+    /// allocation and scheduling.
+    fn allocate(&self, mapping: &SystemMapping, scratch: &mut EvalScratch) -> CoreAllocation {
+        self.phases.measure(Phase::CoreAllocation, || {
+            scratch.refresh_timing(self.system, mapping);
+            derive_allocation_timed(self.system, mapping, &scratch.timing, &self.config.alloc)
+        })
+    }
 
-        let mut terms = Vec::with_capacity(system.omsm().mode_count());
-        for mode in system.omsm().mode_ids() {
-            if let Some(cost) = known(mode, &alloc) {
-                terms.push(ModeTerm::Reuse(cost));
-                continue;
-            }
-            let (analysis, sched_scratch) = (&scratch.timing[mode.index()], &mut scratch.sched);
-            let schedule = self.phases.measure(Phase::ListScheduling, || {
-                schedule_mode_timed(
-                    system,
-                    mapping,
-                    &alloc,
-                    analysis,
-                    self.config.scheduler,
-                    sched_scratch,
-                )
-            })?;
-            let scheduled = match dvs {
-                Some(options) => {
-                    let dvs_scratch = &mut scratch.dvs;
-                    let scaled = self.phases.measure(Phase::VoltageScaling, || {
-                        scale_mode_with(system, &schedule, options, dvs_scratch)
-                    });
-                    self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
-                    let (schedule, voltages, energy_factors) = scaled.into_parts();
-                    Scheduled { schedule, scaled: Some((voltages, energy_factors)) }
-                }
-                None => Scheduled { schedule, scaled: None },
-            };
-            terms.push(ModeTerm::Price(scheduled));
+    /// Schedules `mode` into a [`Schedule`] and voltage-scales it under
+    /// `dvs`: every mode of a full evaluation, and a cost's modes under
+    /// DVS, whose PV-DVS reads the schedule's resource sequences.
+    fn schedule_and_scale(
+        &self,
+        mode: ModeId,
+        mapping: &SystemMapping,
+        alloc: &CoreAllocation,
+        dvs: Option<&DvsOptions>,
+        scratch: &mut EvalScratch,
+    ) -> Result<Scheduled, SchedError> {
+        let system = self.system;
+        let EvalScratch { timing, sched, dvs: dvs_scratch, .. } = scratch;
+        let schedule = self.phases.measure(Phase::ListScheduling, || {
+            let analysis = &timing[mode.index()];
+            schedule_mode_timed(system, mapping, alloc, analysis, self.config.scheduler, sched)
+        })?;
+        let Some(options) = dvs else {
+            return Ok(Scheduled { schedule, scaled: None });
+        };
+        let scaled = self.phases.measure(Phase::VoltageScaling, || {
+            scale_mode_with(system, &schedule, options, dvs_scratch)
+        });
+        self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
+        let (schedule, voltages, energy_factors) = scaled.into_parts();
+        Ok(Scheduled { schedule, scaled: Some((voltages, energy_factors)) })
+    }
+
+    /// The term and lateness of a cost's mode that no known term covers.
+    /// At fixed voltage the mode is priced where it is scheduled, from
+    /// the list scheduler's scratch: no [`Schedule`] is assembled.
+    fn fresh_cost(
+        &self,
+        mode: ModeId,
+        mapping: &SystemMapping,
+        alloc: &CoreAllocation,
+        dvs: Option<&DvsOptions>,
+        scratch: &mut EvalScratch,
+    ) -> Result<ModeCost, SchedError> {
+        let system = self.system;
+        if dvs.is_some() {
+            let scheduled = self.schedule_and_scale(mode, mapping, alloc, dvs, scratch)?;
+            let (schedule, factors) = (scheduled.schedule.view(), scheduled.energy_factors());
+            let active = &mut scratch.active;
+            return Ok(self
+                .phases
+                .measure(Phase::PowerPricing, || mode_cost(system, schedule, factors, active)));
         }
-        Ok((alloc, terms))
+        let EvalScratch { timing, sched, active, .. } = scratch;
+        let schedule = self.phases.measure(Phase::ListScheduling, || {
+            let analysis = &timing[mode.index()];
+            list_schedule(system, mapping, alloc, analysis, self.config.scheduler, sched)
+        })?;
+        Ok(self.phases.measure(Phase::PowerPricing, || mode_cost(system, schedule, None, active)))
     }
 
     /// The one assembly of `F_M`: Eq. 1 under the optimisation weights

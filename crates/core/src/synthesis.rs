@@ -335,20 +335,26 @@ impl<'a> MappingProblem<'a> {
     /// function of the parents alone, at any thread count and across a
     /// resume.
     fn parent_table(&self, parents: &[&[Gene]]) -> ParentTable<'a> {
-        let mut pool: HashMap<Vec<Gene>, ParentRecord> =
-            self.records.take().into_iter().map(|r| (r.genome().to_vec(), r)).collect();
+        let mut seen = HashSet::new();
+        let parents: Vec<&[Gene]> = parents.iter().copied().filter(|&p| seen.insert(p)).collect();
+        let pool = self.records.take();
+        // Where each parent's record lies in the pool, keyed on the
+        // records' own genomes: a genome's last record.
+        let at: Vec<Option<usize>> = {
+            let index: HashMap<&[Gene], usize> =
+                pool.iter().enumerate().map(|(i, r)| (r.genome(), i)).collect();
+            parents.iter().map(|&p| index.get(p).copied()).collect()
+        };
+        let mut pool: Vec<Option<ParentRecord>> = pool.into_iter().map(Some).collect();
         let empty = ParentTable::new(self.layout, Vec::new());
         let mut throwaway = None;
-        let mut seen = HashSet::new();
-        let mut records = Vec::with_capacity(parents.len());
-        for &parent in parents.iter().filter(|&&p| seen.insert(p)) {
-            let record = pool.remove(parent).unwrap_or_else(|| {
+        let records = parents.iter().zip(at).map(|(&parent, at)| {
+            at.and_then(|i| pool[i].take()).unwrap_or_else(|| {
                 let worker = throwaway.get_or_insert_with(|| self.evaluator.worker());
                 price_genome(self.layout, self.config, worker, &empty, parent).1
-            });
-            records.push(record);
-        }
-        ParentTable::new(self.layout, records)
+            })
+        });
+        ParentTable::new(self.layout, records.collect())
     }
 }
 

@@ -567,15 +567,18 @@ impl DvsScratch {
             graph.comm_ids().map(|c| schedule.comm(c).copied()).collect();
 
         // First pass: apply snapped durations so the final forward pass
-        // uses realised (discrete) times.
+        // uses realised (discrete) times. Only each fit's total time is
+        // read here; the second pass fits again, to the snapped time,
+        // because a fit to its own total time need not repeat its
+        // segments bit for bit.
         for unit in &mut self.units {
             let Some(scale) = &unit.scale else { continue };
             if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
                 unit.dur = unit.nominal;
                 continue;
             }
-            let vs = VoltageSchedule::fit(cap(scale), &scale.model, unit.nominal, unit.dur);
-            unit.dur = vs.total_time();
+            unit.dur =
+                VoltageSchedule::fitted_time(cap(scale), &scale.model, unit.nominal, unit.dur);
         }
         self.forward(0);
         let es = &self.es;

@@ -60,57 +60,18 @@ impl VoltageSchedule {
     /// Panics if the capability has no levels (rejected by the
     /// architecture builder) or if `t_min` is non-positive.
     pub fn fit(cap: &DvsCapability, model: &VoltageModel, t_min: Seconds, target: Seconds) -> Self {
-        assert!(t_min.value() > 0.0, "nominal execution time must be positive");
-        let levels = cap.levels();
-        // Execution time at level `i`, computed where it is needed.
-        let time = |i: usize| t_min * model.stretch(levels[i]);
-        let highest = levels.len() - 1;
+        Self { segments: fit_segments(cap, model, t_min, target).into_iter().flatten().collect() }
+    }
 
-        let t_highest = time(highest);
-        if target.value() <= t_highest.value() + 1e-15 {
-            return Self::nominal(levels[highest], t_highest);
-        }
-        let t_lowest = time(0);
-        if target.value() >= t_lowest.value() - 1e-15 {
-            return Self {
-                segments: vec![VoltageSegment {
-                    voltage: levels[0],
-                    cycle_fraction: 1.0,
-                    duration: t_lowest,
-                }],
-            };
-        }
-        // Find the adjacent level pair (lo, hi = lo + 1) bracketing the
-        // target: levels ascend in voltage so times descend; walk down
-        // until time(lo - 1) >= target > time(lo), then the pair is
-        // (lo - 1, lo). The early returns above guarantee lo never hits 0.
-        let mut lo = highest;
-        while lo > 0 && time(lo - 1).value() < target.value() {
-            lo -= 1;
-        }
-        let lo = lo - 1; // index of the lower level of the pair
-        let hi = lo + 1;
-        let (t_lo, t_hi) = (time(lo), time(hi));
-        debug_assert!(t_hi.value() <= target.value() + 1e-12);
-        debug_assert!(t_lo.value() >= target.value() - 1e-12);
-        // x = fraction of cycles at the higher voltage.
-        let x = ((t_lo - target) / (t_lo - t_hi)).clamp(0.0, 1.0);
-        let mut segments = Vec::with_capacity(2);
-        if x > 1e-12 {
-            segments.push(VoltageSegment {
-                voltage: levels[hi],
-                cycle_fraction: x,
-                duration: t_hi * x,
-            });
-        }
-        if 1.0 - x > 1e-12 {
-            segments.push(VoltageSegment {
-                voltage: levels[lo],
-                cycle_fraction: 1.0 - x,
-                duration: t_lo * (1.0 - x),
-            });
-        }
-        Self { segments }
+    /// [`VoltageSchedule::fit`]'s [`VoltageSchedule::total_time`],
+    /// bit for bit, without building the schedule.
+    pub(crate) fn fitted_time(
+        cap: &DvsCapability,
+        model: &VoltageModel,
+        t_min: Seconds,
+        target: Seconds,
+    ) -> Seconds {
+        fit_segments(cap, model, t_min, target).iter().flatten().map(|s| s.duration).sum()
     }
 
     /// Returns the ordered segments.
@@ -142,6 +103,59 @@ impl VoltageSchedule {
             .min_by(|a, b| a.value().total_cmp(&b.value()))
             .expect("voltage schedule has at least one segment")
     }
+}
+
+/// The one fitting rule of [`VoltageSchedule::fit`]: its segments in
+/// order, at most two, without allocating.
+fn fit_segments(
+    cap: &DvsCapability,
+    model: &VoltageModel,
+    t_min: Seconds,
+    target: Seconds,
+) -> [Option<VoltageSegment>; 2] {
+    assert!(t_min.value() > 0.0, "nominal execution time must be positive");
+    let levels = cap.levels();
+    // Execution time at level `i`, computed where it is needed.
+    let time = |i: usize| t_min * model.stretch(levels[i]);
+    let whole =
+        |i: usize, duration| VoltageSegment { voltage: levels[i], cycle_fraction: 1.0, duration };
+    let highest = levels.len() - 1;
+
+    let t_highest = time(highest);
+    if target.value() <= t_highest.value() + 1e-15 {
+        return [Some(whole(highest, t_highest)), None];
+    }
+    let t_lowest = time(0);
+    if target.value() >= t_lowest.value() - 1e-15 {
+        return [Some(whole(0, t_lowest)), None];
+    }
+    // Find the adjacent level pair (lo, hi = lo + 1) bracketing the
+    // target: levels ascend in voltage so times descend; walk down
+    // until time(lo - 1) >= target > time(lo), then the pair is
+    // (lo - 1, lo). The early returns above guarantee lo never hits 0.
+    let mut lo = highest;
+    while lo > 0 && time(lo - 1).value() < target.value() {
+        lo -= 1;
+    }
+    let lo = lo - 1; // index of the lower level of the pair
+    let hi = lo + 1;
+    let (t_lo, t_hi) = (time(lo), time(hi));
+    debug_assert!(t_hi.value() <= target.value() + 1e-12);
+    debug_assert!(t_lo.value() >= target.value() - 1e-12);
+    // x = fraction of cycles at the higher voltage.
+    let x = ((t_lo - target) / (t_lo - t_hi)).clamp(0.0, 1.0);
+    [
+        (x > 1e-12).then(|| VoltageSegment {
+            voltage: levels[hi],
+            cycle_fraction: x,
+            duration: t_hi * x,
+        }),
+        (1.0 - x > 1e-12).then(|| VoltageSegment {
+            voltage: levels[lo],
+            cycle_fraction: 1.0 - x,
+            duration: t_lo * (1.0 - x),
+        }),
+    ]
 }
 
 #[cfg(test)]

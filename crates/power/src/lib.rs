@@ -24,6 +24,6 @@ pub use breakdown::{
     EnergyBreakdown,
 };
 pub use report::{
-    mode_power, power_report, power_report_with, uniform_weights, ModeImplementation, ModePower,
-    PowerReport,
+    mode_power, power_report, power_report_with, price_mode, uniform_weights, ActiveSet,
+    ModeImplementation, ModePower, ModeSums, PowerReport,
 };

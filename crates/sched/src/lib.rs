@@ -59,11 +59,12 @@ pub mod validate;
 
 pub use error::SchedError;
 pub use list::{
-    schedule_mode, schedule_mode_timed, schedule_mode_with, ListScratch, Priority, SchedulerOptions,
+    list_schedule, schedule_mode, schedule_mode_timed, schedule_mode_with, ListScratch, Priority,
+    SchedulerOptions,
 };
 pub use mapping::{CoreAllocation, SystemMapping};
 pub use mobility::TimingAnalysis;
-pub use schedule::{ActivityId, ResourceKey, Schedule, ScheduledComm, ScheduledTask};
+pub use schedule::{ActivityId, ResourceKey, Schedule, ScheduleView, ScheduledComm, ScheduledTask};
 pub use stats::{schedule_stats, ResourceStats, ScheduleStats};
 pub use trace::schedule_to_vcd;
 pub use validate::{validate_schedule, ScheduleViolation};

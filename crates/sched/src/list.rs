@@ -22,7 +22,9 @@ use momsynth_model::System;
 use crate::error::SchedError;
 use crate::mapping::{CoreAllocation, SystemMapping};
 use crate::mobility::TimingAnalysis;
-use crate::schedule::{ActivityId, ResourceKey, Schedule, ScheduledComm, ScheduledTask};
+use crate::schedule::{
+    ActivityId, ResourceKey, Schedule, ScheduleView, ScheduledComm, ScheduledTask,
+};
 
 /// The rule used to order ready tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,11 +43,15 @@ pub struct SchedulerOptions {
     pub priority: Priority,
 }
 
-/// Reusable buffers for [`schedule_mode_with`] and
+/// Reusable buffers for [`list_schedule`], [`schedule_mode_with`] and
 /// [`schedule_mode_timed`]. One instance per evaluation worker amortises
 /// the scheduler's per-call allocations across the thousands of schedule
 /// calls of a synthesis run. Buffers are cleared on entry, so reuse can
 /// never leak state between calls.
+///
+/// A pass leaves its result here: each task's entry by task id, the comm
+/// table and the placements, which the assembly of a [`Schedule`] sorts
+/// into per-resource sequences.
 ///
 /// Resources live in dense slots laid out in [`ResourceKey`] order: one
 /// per PE (software PEs use theirs), then one per `(PE, type, instance)`
@@ -56,7 +62,13 @@ pub struct ListScratch {
     timing: TimingAnalysis,
     order: Vec<TaskId>,
     rank: Vec<usize>,
+    /// Each task's entry once the pass has placed it.
     scheduled: Vec<Option<ScheduledTask>>,
+    /// The last pass's tasks, indexed by task id.
+    tasks: Vec<ScheduledTask>,
+    /// The last pass's comm table, indexed by comm id; `None` marks a
+    /// PE-local transfer.
+    comms: Vec<Option<ScheduledComm>>,
     pending_preds: Vec<usize>,
     /// Ranks of the ready tasks; ranks are unique, so the heap pops the
     /// most urgent task as a scan for the minimum rank would.
@@ -124,7 +136,9 @@ pub fn schedule_mode_with(
 
 /// [`schedule_mode`] for the mode of `timing`, an analysis of that mode
 /// under `mapping` that the caller computed once and shares, e.g. with
-/// core allocation. Produces the identical schedule.
+/// core allocation. Produces the identical schedule: the pass of
+/// [`list_schedule`] followed by the assembly of its per-resource
+/// sequences.
 ///
 /// # Errors
 ///
@@ -137,15 +151,38 @@ pub fn schedule_mode_timed(
     options: SchedulerOptions,
     scratch: &mut ListScratch,
 ) -> Result<Schedule, SchedError> {
+    list_schedule(system, mapping, alloc, timing, options, scratch)?;
+    Ok(scratch.assemble(timing.mode()))
+}
+
+/// The list scheduler's one pass, for the mode of `timing` (see
+/// [`schedule_mode_timed`]): places every task and remote transfer and
+/// leaves the result in `scratch`. Returns the view of its tasks and
+/// comm table, which is all that pricing and lateness read, so a caller
+/// that needs no per-resource sequences keeps no [`Schedule`]. The view
+/// borrows `scratch` and ends with the next pass.
+///
+/// # Errors
+///
+/// As [`schedule_mode`]; the scratch then holds no result.
+pub fn list_schedule<'s>(
+    system: &System,
+    mapping: &SystemMapping,
+    alloc: &CoreAllocation,
+    timing: &TimingAnalysis,
+    options: SchedulerOptions,
+    scratch: &'s mut ListScratch,
+) -> Result<ScheduleView<'s>, SchedError> {
     let mode = timing.mode();
     let graph = system.omsm().mode(mode).graph();
     let arch = system.arch();
     let n = graph.task_count();
     let ListScratch {
-        timing: _,
         order,
         rank,
         scheduled,
+        tasks,
+        comms,
         pending_preds,
         ready,
         cores,
@@ -153,7 +190,7 @@ pub fn schedule_mode_timed(
         slot_keys,
         avail,
         placed,
-        bucket,
+        ..
     } = scratch;
 
     // Priority ranks: rank[task] = position in the chosen order.
@@ -199,9 +236,9 @@ pub fn schedule_mode_timed(
 
     scheduled.clear();
     scheduled.resize(n, None);
-    // The comm entries escape into the returned `Schedule`, so they are
-    // freshly allocated.
-    let mut comms: Vec<Option<ScheduledComm>> = vec![None; graph.comm_count()];
+    tasks.clear();
+    comms.clear();
+    comms.resize(graph.comm_count(), None);
 
     pending_preds.clear();
     pending_preds.extend(graph.task_ids().map(|t| graph.predecessors(t).len()));
@@ -286,29 +323,37 @@ pub fn schedule_mode_timed(
         }
     }
 
-    let tasks: Vec<ScheduledTask> = scheduled
-        .iter_mut()
-        .map(|t| t.take().expect("acyclic graph schedules every task"))
-        .collect();
+    tasks.extend(
+        scheduled.iter_mut().map(|t| t.take().expect("acyclic graph schedules every task")),
+    );
+    Ok(ScheduleView::new(mode, tasks, comms))
+}
 
-    // A stable counting sort of the placements by slot gives every used
-    // resource's activities in placement order, resources ascending.
-    bucket.clear();
-    bucket.resize(slot_keys.len(), 0);
-    for &(slot, _) in placed.iter() {
-        bucket[slot] += 1;
-    }
-    let mut sequences: Vec<(ResourceKey, Vec<ActivityId>)> = Vec::new();
-    for (slot, entry) in bucket.iter_mut().enumerate() {
-        if *entry > 0 {
-            sequences.push((slot_keys[slot], Vec::with_capacity(*entry)));
-            *entry = sequences.len() - 1;
+impl ListScratch {
+    /// The assembly step: the [`Schedule`] of the last pass, which was of
+    /// `mode` and succeeded.
+    fn assemble(&mut self, mode: ModeId) -> Schedule {
+        let Self { tasks, comms, slot_keys, placed, bucket, .. } = self;
+        // A stable counting sort of the placements by slot gives every
+        // used resource's activities in placement order, resources
+        // ascending.
+        bucket.clear();
+        bucket.resize(slot_keys.len(), 0);
+        for &(slot, _) in placed.iter() {
+            bucket[slot] += 1;
         }
+        let mut sequences: Vec<(ResourceKey, Vec<ActivityId>)> = Vec::new();
+        for (slot, entry) in bucket.iter_mut().enumerate() {
+            if *entry > 0 {
+                sequences.push((slot_keys[slot], Vec::with_capacity(*entry)));
+                *entry = sequences.len() - 1;
+            }
+        }
+        for &(slot, activity) in placed.iter() {
+            sequences[bucket[slot]].1.push(activity);
+        }
+        Schedule::from_parts(mode, tasks.clone(), comms.clone(), sequences)
     }
-    for &(slot, activity) in placed.iter() {
-        sequences[bucket[slot]].1.push(activity);
-    }
-    Ok(Schedule::from_parts(mode, tasks, comms, sequences))
 }
 
 #[cfg(test)]
@@ -575,6 +620,92 @@ mod tests {
                     .unwrap();
             assert_eq!(reused, fresh);
         }
+    }
+
+    #[test]
+    fn the_pass_leaves_the_assembled_schedules_timing() {
+        let sys = testbed();
+        let mode = ModeId::new(0);
+        let options = SchedulerOptions::default();
+        let mut scratch = ListScratch::default();
+        for hw_tasks in [&[1usize][..], &[1, 2], &[]] {
+            let mut mapping = cpu_mapping(&sys);
+            for &t in hw_tasks {
+                mapping.set(mode, TaskId::new(t), PeId::new(1));
+            }
+            let alloc = CoreAllocation::minimal(&sys, &mapping);
+            let timing = TimingAnalysis::analyze(&sys, mode, &mapping);
+            let view =
+                list_schedule(&sys, &mapping, &alloc, &timing, options, &mut scratch).unwrap();
+            let schedule = schedule_mode(&sys, mode, &mapping, &alloc, options).unwrap();
+            assert_eq!(view, schedule.view());
+            assert_eq!(view.tasks(), schedule.tasks().copied().collect::<Vec<_>>());
+            let remote: Vec<_> = view.remote_comms().copied().collect();
+            assert_eq!(remote, schedule.remote_comms().copied().collect::<Vec<_>>());
+            assert_eq!(remote.len(), 2 * hw_tasks.len());
+            let graph = sys.omsm().mode(mode).graph();
+            assert_eq!(view.total_lateness(graph), schedule.total_lateness(graph));
+        }
+    }
+
+    /// Three CPUs, only the first two on a bus; a chain a -> b -> c.
+    fn bus_pair_system() -> System {
+        let mut tech = TechLibraryBuilder::new();
+        let tx = tech.add_type("X");
+        let mut arch = ArchitectureBuilder::new();
+        let pes: Vec<PeId> = ["c0", "c1", "c2"]
+            .into_iter()
+            .map(|name| arch.add_pe(Pe::software(name, PeKind::Gpp, Watts::ZERO)))
+            .collect();
+        let bus = Cl::bus(
+            "bus",
+            vec![pes[0], pes[1]],
+            Seconds::from_micros(10.0),
+            Watts::ZERO,
+            Watts::ZERO,
+        );
+        arch.add_cl(bus).unwrap();
+        for pe in pes {
+            tech.set_impl(tx, pe, Implementation::software(Seconds::from_millis(1.0), Watts::ZERO));
+        }
+        let mut g = TaskGraphBuilder::new("chain", Seconds::from_millis(100.0));
+        let a = g.add_task("a", tx);
+        let b = g.add_task("b", tx);
+        let c = g.add_task("c", tx);
+        g.add_comm(a, b, 100.0).unwrap();
+        g.add_comm(b, c, 100.0).unwrap();
+        let mut omsm = OmsmBuilder::new();
+        omsm.add_mode("m", 1.0, g.build().unwrap());
+        System::new("pair", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
+    }
+
+    #[test]
+    fn a_failed_pass_leaves_nothing_for_the_next() {
+        let sys = bus_pair_system();
+        let mode = ModeId::new(0);
+        let options = SchedulerOptions::default();
+        let pe = PeId::new;
+        // a -> b crosses the bus and is placed; b -> c has no route.
+        let stranded = SystemMapping::from_vecs(vec![vec![pe(0), pe(1), pe(2)]]);
+        // a -> b is local; b -> c crosses the bus.
+        let routed = SystemMapping::from_vecs(vec![vec![pe(0), pe(0), pe(1)]]);
+        let run = |mapping: &SystemMapping, scratch: &mut ListScratch| {
+            let alloc = CoreAllocation::minimal(&sys, mapping);
+            let timing = TimingAnalysis::analyze(&sys, mode, mapping);
+            let view = list_schedule(&sys, mapping, &alloc, &timing, options, scratch)?;
+            let timing_of =
+                (view.tasks().to_vec(), view.remote_comms().copied().collect::<Vec<_>>());
+            let schedule = schedule_mode_timed(&sys, mapping, &alloc, &timing, options, scratch)?;
+            Ok::<_, SchedError>((timing_of, schedule))
+        };
+        let mut scratch = ListScratch::default();
+        let failure = run(&stranded, &mut scratch).unwrap_err();
+        assert!(matches!(failure, SchedError::NoRoute { .. }), "{failure:?}");
+        let after_failure = run(&routed, &mut scratch).unwrap();
+        let fresh = run(&routed, &mut ListScratch::default()).unwrap();
+        assert_eq!(after_failure, fresh);
+        assert_eq!(fresh.1.comm(momsynth_model::ids::CommId::new(0)), None);
+        assert_eq!(fresh.0 .1.len(), 1);
     }
 
     #[test]

@@ -94,6 +94,63 @@ impl ScheduledComm {
     }
 }
 
+/// The timing of one mode's schedule, borrowed: every task's entry in
+/// task-id order and the comm table in comm-id order. A [`Schedule`]
+/// lends one through [`Schedule::view`], and the list scheduler's
+/// scratch after a pass through
+/// [`list_schedule`](crate::list::list_schedule); pricing and lateness
+/// read nothing else of a schedule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScheduleView<'a> {
+    mode: ModeId,
+    tasks: &'a [ScheduledTask],
+    comms: &'a [Option<ScheduledComm>],
+}
+
+impl<'a> ScheduleView<'a> {
+    /// A view of `tasks`, indexed by task id, and `comms`, indexed by
+    /// comm id with `None` for a local transfer.
+    pub(crate) fn new(
+        mode: ModeId,
+        tasks: &'a [ScheduledTask],
+        comms: &'a [Option<ScheduledComm>],
+    ) -> Self {
+        Self { mode, tasks, comms }
+    }
+
+    /// Returns the mode this schedule implements.
+    pub fn mode(&self) -> ModeId {
+        self.mode
+    }
+
+    /// Every scheduled task in task-id order.
+    pub fn tasks(&self) -> &'a [ScheduledTask] {
+        self.tasks
+    }
+
+    /// Iterates over all remote communications in comm-id order.
+    pub fn remote_comms(&self) -> impl Iterator<Item = &'a ScheduledComm> + 'a {
+        self.comms.iter().flatten()
+    }
+
+    /// Total lateness against effective deadlines: `Σ max(0, finish −
+    /// min(θ, φ))` over the tasks in task-id order, plus each remote
+    /// communication's overrun of the hyper-period in comm-id order.
+    /// Zero means the schedule is timing-feasible. The one lateness
+    /// function: [`Schedule::total_lateness`] is this.
+    pub fn total_lateness(&self, graph: &TaskGraph) -> Seconds {
+        let mut late = Seconds::ZERO;
+        for entry in self.tasks {
+            let deadline = graph.effective_deadline(entry.task);
+            late += (entry.finish() - deadline).clamp_non_negative();
+        }
+        for comm in self.remote_comms() {
+            late += (comm.finish() - graph.period()).clamp_non_negative();
+        }
+        late
+    }
+}
+
 /// A complete static schedule of one mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Schedule {
@@ -121,6 +178,11 @@ impl Schedule {
     /// Returns the mode this schedule implements.
     pub fn mode(&self) -> ModeId {
         self.mode
+    }
+
+    /// The schedule's timing, borrowed: what pricing and lateness read.
+    pub fn view(&self) -> ScheduleView<'_> {
+        ScheduleView::new(self.mode, &self.tasks, &self.comms)
     }
 
     /// Returns the scheduled entry of `task`.
@@ -173,17 +235,9 @@ impl Schedule {
 
     /// Total lateness against effective deadlines: `Σ max(0, finish − min(θ, φ))`,
     /// plus any overrun of the hyper-period by communications. Zero means
-    /// the schedule is timing-feasible.
+    /// the schedule is timing-feasible. See [`ScheduleView::total_lateness`].
     pub fn total_lateness(&self, graph: &TaskGraph) -> Seconds {
-        let mut late = Seconds::ZERO;
-        for entry in &self.tasks {
-            let deadline = graph.effective_deadline(entry.task);
-            late += (entry.finish() - deadline).clamp_non_negative();
-        }
-        for comm in self.remote_comms() {
-            late += (comm.finish() - graph.period()).clamp_non_negative();
-        }
-        late
+        self.view().total_lateness(graph)
     }
 
     /// Returns `true` when every task meets `min(θ, φ)` and every

@@ -1,6 +1,8 @@
 //! Candidates priced against the per-mode Eq. 1 terms of genomes priced
-//! before: GA offspring priced against a parent table equal fresh
-//! pricing bit for bit; the one reuse rule, `ParentRecord::known`, which
+//! before: a mode `try_cost` schedules itself, priced from the list
+//! scheduler's scratch, equals the full evaluation's mode bit for bit;
+//! GA offspring priced against a parent table equal fresh pricing bit
+//! for bit; the one reuse rule, `ParentRecord::known`, which
 //! the GA's table, the polish and `prove` all ask, includes each mode's
 //! core counts, because core replication in one mode reads an ASIC's
 //! static area, which spans every mode; an evaluation that panics leaves
@@ -14,6 +16,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use momsynth::generators::automotive::automotive_ecu;
 use momsynth::generators::smartphone::smartphone;
 use momsynth::generators::suite::{generate, mul, GeneratorParams};
 use momsynth::model::ids::{ModeId, PeId, TaskTypeId};
@@ -36,6 +39,74 @@ fn violations(solution: &Solution) -> Violations {
         area: !solution.area_overruns.is_empty(),
         transition: solution.transitions.iter().any(|t| !t.is_feasible()),
     }
+}
+
+/// A uniformly random genome of `layout`.
+fn random_genome(layout: &GenomeLayout, rng: &mut StdRng) -> Vec<Gene> {
+    (0..layout.len()).map(|l| rng.gen_range(0..layout.candidates(l).len()) as Gene).collect()
+}
+
+/// Random mappings priced by `try_cost` with no known term, each mode
+/// scheduled and priced there — from the list scheduler's scratch at
+/// fixed voltage, from the voltage-scaled schedule under DVS — against
+/// `try_evaluate`'s schedules and power report: each mode's term and
+/// lateness, the fitness and the violations, bit for bit. One evaluator
+/// prices every cost, so each pass finds the scratch of the pass before
+/// it, of the previous mode or mapping; each full evaluation runs on a
+/// fresh evaluator.
+#[test]
+fn modes_priced_where_they_are_scheduled_equal_the_full_evaluation() {
+    let mut params = GeneratorParams::new("fresh-modes", 3);
+    params.modes = 8;
+    params.tasks_per_mode = (6, 14);
+    params.hardware_pes = 2;
+    params.cls = 2;
+    let fixed = SynthesisConfig::fast_preset(0);
+    let cases = [
+        ("mul6", mul(6), fixed.clone()),
+        ("automotive", automotive_ecu(), fixed.clone()),
+        ("generated", generate(&params), fixed),
+        ("mul6-dvs", mul(6), SynthesisConfig::fast_preset(0).with_dvs()),
+    ];
+    let (mut remote, mut late) = (0, 0);
+    for (seed, (name, system, config)) in cases.iter().enumerate() {
+        assert!(system.omsm().mode_count() >= 3, "{name}");
+        let layout = GenomeLayout::new(system);
+        let dvs = config.dvs.as_ref().map(|d| d.eval);
+        let evaluator = Evaluator::new(system, config);
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let mut priced = 0;
+        for _ in 0..20 {
+            let mapping = layout.decode(&random_genome(&layout, &mut rng));
+            let cost = evaluator.try_cost(&mapping, dvs.as_ref(), |_, _| None);
+            let full = Evaluator::new(system, config).try_evaluate(mapping, dvs.as_ref());
+            let (cost, full) = match (cost, full) {
+                (Ok(cost), Ok(full)) => (cost, full),
+                (Err(cost), Err(full)) => {
+                    assert_eq!(cost, full, "{name}");
+                    continue;
+                }
+                (cost, full) => panic!("{name}: {cost:?} against {full:?}"),
+            };
+            assert_eq!(cost.reused, 0, "{name}");
+            assert_eq!(cost.fitness.to_bits(), full.fitness.to_bits(), "{name}");
+            assert_eq!(cost.violations, violations(&full), "{name}");
+            assert_eq!(cost.alloc, full.alloc, "{name}");
+            assert_eq!(cost.modes.len(), system.omsm().mode_count(), "{name}");
+            for (m, term) in cost.modes.iter().enumerate() {
+                let (power, schedule) = (&full.power.modes[m], &full.schedules[m]);
+                let lateness = schedule.total_lateness(system.omsm().mode(ModeId::new(m)).graph());
+                assert_eq!(term.total.value().to_bits(), power.total().value().to_bits(), "{name}");
+                assert_eq!(term.lateness.value().to_bits(), lateness.value().to_bits(), "{name}");
+                remote += usize::from(power.comm_energy.value() > 0.0);
+                late += usize::from(lateness.value() > 0.0);
+            }
+            priced += 1;
+        }
+        assert!(priced >= 10, "{name}: only {priced} of 20 mappings priced");
+    }
+    // The comparison covers transfer energy and lateness, not only zeros.
+    assert!(remote > 0 && late > 0, "{remote} modes with transfers, {late} late");
 }
 
 /// A child of two-point crossover and per-gene mutation, as the GA
@@ -63,10 +134,7 @@ fn children_price_as_fresh(name: &str, system: &System, config: &SynthesisConfig
     let dvs = config.dvs.as_ref().map(|d| d.eval);
     let evaluator = Evaluator::new(system, config);
     let mut rng = StdRng::seed_from_u64(seed);
-    let random = |rng: &mut StdRng| -> Vec<Gene> {
-        (0..layout.len()).map(|l| rng.gen_range(0..layout.candidates(l).len()) as Gene).collect()
-    };
-    let parents: Vec<Vec<Gene>> = (0..6).map(|_| random(&mut rng)).collect();
+    let parents: Vec<Vec<Gene>> = (0..6).map(|_| random_genome(&layout, &mut rng)).collect();
     let records = parents
         .iter()
         .map(|p| {
