@@ -100,8 +100,7 @@ pub(crate) fn mode_shadowings(
     // it is active under every assignment, so moving work onto it never
     // adds static power. Anchored PEs are also never removable (their
     // tasks have no witness), keeping shadowing chains well-founded.
-    let anchored =
-        |pe: PeId| candidates.iter().any(|c| c.len() == 1 && c[0] == pe);
+    let anchored = |pe: PeId| candidates.iter().any(|c| c.len() == 1 && c[0] == pe);
 
     let energy = |ty, pe| tech.impl_of(ty, pe).map(momsynth_model::Implementation::energy);
 
@@ -115,8 +114,7 @@ pub(crate) fn mode_shadowings(
             if a == b || removed.contains(&a) {
                 return false;
             }
-            let static_ok = arch.pe(a).static_power() <= arch.pe(b).static_power()
-                || anchored(a);
+            let static_ok = arch.pe(a).static_power() <= arch.pe(b).static_power() || anchored(a);
             if !static_ok {
                 return false;
             }

@@ -207,10 +207,8 @@ pub fn analyze_system(system: &System) -> Analysis {
 
         // Candidate lists and fastest nominal execution times. Every
         // used task type has at least one implementation (`System::new`).
-        let candidates: Vec<Vec<PeId>> = graph
-            .task_ids()
-            .map(|t| system.candidate_pes(GlobalTaskId::new(mode, t)))
-            .collect();
+        let candidates: Vec<Vec<PeId>> =
+            graph.task_ids().map(|t| system.candidate_pes(GlobalTaskId::new(mode, t))).collect();
         let t_min: Vec<Seconds> = graph
             .task_ids()
             .map(|t| tech.fastest_exec_time(graph.task(t).task_type()).unwrap_or(Seconds::ZERO))
@@ -239,7 +237,11 @@ pub fn analyze_system(system: &System) -> Analysis {
                         let energy = cl.transfer_power() * time;
                         min_time = Some(min_time.map_or(time, |t| t.min(time)));
                         min_energy = Some(min_energy.map_or(energy, |e| {
-                            if energy.value() < e.value() { energy } else { e }
+                            if energy.value() < e.value() {
+                                energy
+                            } else {
+                                e
+                            }
                         }));
                     }
                 }
@@ -258,8 +260,7 @@ pub fn analyze_system(system: &System) -> Analysis {
         }
 
         let floors = path_floors(graph, &t_min, &comm_delay);
-        let critical_path_lb =
-            floors.finish_lb.iter().copied().fold(Seconds::ZERO, Seconds::max);
+        let critical_path_lb = floors.finish_lb.iter().copied().fold(Seconds::ZERO, Seconds::max);
         if exceeds(critical_path_lb, period) {
             findings.push(Finding::PeriodBelowCriticalPathFloor {
                 mode,
@@ -374,8 +375,7 @@ pub fn analyze_system(system: &System) -> Analysis {
                 let nominal = imp.energy();
                 let scaled = nominal * dvs_energy_floor(arch.pe(pe), imp.exec_time(), allowed);
                 let keep_min = |slot: &mut Option<Joules>, candidate: Joules| {
-                    let better =
-                        slot.is_none_or(|best| candidate.value() < best.value());
+                    let better = slot.is_none_or(|best| candidate.value() < best.value());
                     if better {
                         *slot = Some(candidate);
                     }
@@ -548,8 +548,7 @@ mod tests {
         g.add_comm(a, b, 8.0).unwrap();
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
-        System::new("cpu-asic", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
-            .unwrap()
+        System::new("cpu-asic", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
     }
 
     fn codes(analysis: &Analysis) -> Vec<&'static str> {
@@ -558,10 +557,7 @@ mod tests {
 
     /// Descends a serialized [`System`] tree by field names / array
     /// indices, for editing one field of a built specification.
-    fn path_mut<'a>(
-        mut v: &'a mut serde_json::Value,
-        path: &[&str],
-    ) -> &'a mut serde_json::Value {
+    fn path_mut<'a>(mut v: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
         for seg in path {
             v = match v {
                 serde_json::Value::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
@@ -619,10 +615,7 @@ mod tests {
         assert_eq!(reduction.total_candidates, 4);
         assert_eq!(reduction.pruned_by_deadline, 0);
         assert_eq!(reduction.pruned_by_dominance, 2);
-        assert_eq!(
-            codes(&analysis).iter().filter(|&&c| c == "gene-dominated").count(),
-            2
-        );
+        assert_eq!(codes(&analysis).iter().filter(|&&c| c == "gene-dominated").count(), 2);
     }
 
     #[test]
@@ -833,21 +826,20 @@ mod tests {
         let mut tech = TechLibraryBuilder::new();
         let ta = tech.add_type("A");
         let mut arch = ArchitectureBuilder::new();
-        let cpu = arch.add_pe(
-            Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(DvsCapability::new(
+        let cpu = arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO).with_dvs(
+            DvsCapability::new(
                 Volts::new(3.3),
                 Volts::new(0.8),
                 vec![Volts::new(1.65), Volts::new(3.3)],
-            )),
-        );
+            ),
+        ));
         tech.set_impl(ta, cpu, Implementation::software(Seconds::new(0.1), Watts::new(0.4)));
         let mut g = TaskGraphBuilder::new("m", Seconds::new(1.0));
         g.add_task("t", ta);
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
         let system =
-            System::new("dvs", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
-                .unwrap();
+            System::new("dvs", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap();
         let analysis = analyze_system(&system);
         // Energy floor: 0.4 W × 0.1 s × (1.65/3.3)² = 0.04 × 0.25.
         assert!((analysis.power_lower_bound().value() - 0.04 * 0.25).abs() < 1e-12);
@@ -858,8 +850,7 @@ mod tests {
     fn mutated_period_below_floor_is_an_error() {
         let system = cpu_asic_system(None);
         let mut v = serde_json::to_value(&system);
-        *path_mut(&mut v, &["omsm", "modes", "0", "graph", "period"]) =
-            serde_json::json!(1e-6);
+        *path_mut(&mut v, &["omsm", "modes", "0", "graph", "period"]) = serde_json::json!(1e-6);
         let broken: System = serde_json::from_value(&v).unwrap();
         let analysis = analyze_system(&broken);
         assert!(analysis.has_errors());

@@ -234,14 +234,12 @@ impl fmt::Display for Finding {
                 "task {task} of mode {mode} never needs {pe}: {by} is a no-worse host for \
                  every task of the mode — gene dominated"
             ),
-            Self::DeadlineBeyondPeriod { mode, task } => write!(
-                f,
-                "task {task} of mode {mode} has a deadline beyond the period (ignored)"
-            ),
-            Self::ProbableStubMode { mode } => write!(
-                f,
-                "mode {mode} carries probability mass but contains a single task"
-            ),
+            Self::DeadlineBeyondPeriod { mode, task } => {
+                write!(f, "task {task} of mode {mode} has a deadline beyond the period (ignored)")
+            }
+            Self::ProbableStubMode { mode } => {
+                write!(f, "mode {mode} carries probability mass but contains a single task")
+            }
             Self::UnusableHardwarePe { pe } => {
                 write!(f, "hardware PE {pe} cannot implement any task type")
             }

@@ -125,12 +125,8 @@ pub fn architecture_to_dot(arch: &Architecture) -> String {
         );
     }
     for (id, cl) in arch.cls() {
-        let _ = writeln!(
-            out,
-            "  cl{} [shape=diamond, label=\"{}\"];",
-            id.index(),
-            escape(cl.name())
-        );
+        let _ =
+            writeln!(out, "  cl{} [shape=diamond, label=\"{}\"];", id.index(), escape(cl.name()));
         for pe in cl.endpoints() {
             let _ = writeln!(out, "  pe{} -- cl{};", pe.index(), id.index());
         }
@@ -187,8 +183,7 @@ mod tests {
         let mut b = ArchitectureBuilder::new();
         let cpu = b.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO));
         let hw = b.add_pe(Pe::hardware("acc", PeKind::Fpga, Cells::new(500), Watts::ZERO));
-        b.add_cl(Cl::bus("bus", vec![cpu, hw], Seconds::ZERO, Watts::ZERO, Watts::ZERO))
-            .unwrap();
+        b.add_cl(Cl::bus("bus", vec![cpu, hw], Seconds::ZERO, Watts::ZERO, Watts::ZERO)).unwrap();
         let text = architecture_to_dot(&b.build().unwrap());
         assert!(text.starts_with("graph"));
         assert!(text.contains("cpu (GPP)"));

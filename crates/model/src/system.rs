@@ -110,9 +110,9 @@ impl System {
             for (_, comm) in graph.comms() {
                 let src_ty = graph.task(comm.src()).task_type();
                 let dst_ty = graph.task(comm.dst()).task_type();
-                let routable = tech.pes_supporting(src_ty).any(|a| {
-                    tech.pes_supporting(dst_ty).any(|b| arch.connected(a, b))
-                });
+                let routable = tech
+                    .pes_supporting(src_ty)
+                    .any(|a| tech.pes_supporting(dst_ty).any(|b| arch.connected(a, b)));
                 if !routable {
                     return Err(ModelError::Unreachable {
                         from: tech.pes_supporting(src_ty).next().expect("checked above"),
@@ -255,9 +255,7 @@ mod tests {
     use crate::tech::{Implementation, TechLibraryBuilder};
     use crate::units::{Seconds, Watts};
 
-    fn build_parts(
-        sw_time: Seconds,
-    ) -> (Omsm, Architecture, TechLibrary, TaskTypeId, TaskTypeId) {
+    fn build_parts(sw_time: Seconds) -> (Omsm, Architecture, TechLibrary, TaskTypeId, TaskTypeId) {
         let mut tech = TechLibraryBuilder::new();
         let ta = tech.add_type("A");
         let tb = tech.add_type("B");
@@ -382,11 +380,7 @@ mod tests {
         let a2 = tech.add_type("A");
         tech.add_type("B");
         assert_eq!(a2, ta);
-        tech.set_impl(
-            a2,
-            PeId::new(9),
-            Implementation::software(Seconds::new(1.0), Watts::ZERO),
-        );
+        tech.set_impl(a2, PeId::new(9), Implementation::software(Seconds::new(1.0), Watts::ZERO));
         assert!(matches!(
             System::new("bad", omsm, arch, tech.build()),
             Err(ModelError::UnknownPe { .. })
@@ -492,13 +486,9 @@ mod tests {
         g.add_comm(x, y, 8.0).unwrap();
         let mut omsm = OmsmBuilder::new();
         omsm.add_mode("m", 1.0, g.build().unwrap());
-        assert!(System::new(
-            "solo",
-            omsm.build().unwrap(),
-            arch.build().unwrap(),
-            tech.build()
-        )
-        .is_ok());
+        assert!(
+            System::new("solo", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).is_ok()
+        );
     }
 
     #[test]
@@ -508,10 +498,7 @@ mod tests {
         assert_eq!(m0.id(), ModeId::new(0));
         assert!((m0.probability() - 0.4).abs() < 1e-12);
         assert_eq!(m0.graph().task_count(), 2);
-        assert_eq!(
-            m0.global(TaskId::new(1)),
-            GlobalTaskId::new(ModeId::new(0), TaskId::new(1))
-        );
+        assert_eq!(m0.global(TaskId::new(1)), GlobalTaskId::new(ModeId::new(0), TaskId::new(1)));
         assert!(std::ptr::eq(m0.system(), &sys));
     }
 

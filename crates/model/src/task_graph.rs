@@ -277,10 +277,7 @@ impl TaskGraphBuilder {
     /// builder.
     pub fn set_deadline(&mut self, task: TaskId, deadline: Seconds) -> Result<(), ModelError> {
         let graph = self.name.clone();
-        let t = self
-            .tasks
-            .get_mut(task.index())
-            .ok_or(ModelError::UnknownTask { task, graph })?;
+        let t = self.tasks.get_mut(task.index()).ok_or(ModelError::UnknownTask { task, graph })?;
         t.deadline = Some(deadline);
         Ok(())
     }
@@ -457,10 +454,7 @@ mod tests {
         let mut b = TaskGraphBuilder::new("g", Seconds::new(1.0));
         let a = b.add_task("a", ty(0));
         assert!(matches!(b.add_comm(a, a, 1.0), Err(ModelError::SelfLoop { .. })));
-        assert!(matches!(
-            b.add_comm(a, TaskId::new(5), 1.0),
-            Err(ModelError::UnknownTask { .. })
-        ));
+        assert!(matches!(b.add_comm(a, TaskId::new(5), 1.0), Err(ModelError::UnknownTask { .. })));
     }
 
     #[test]

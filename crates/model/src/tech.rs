@@ -145,19 +145,12 @@ impl TechLibrary {
     /// Returns the implementation of `ty` on `pe`, if one exists.
     pub fn impl_of(&self, ty: TaskTypeId, pe: PeId) -> Option<&Implementation> {
         let row = self.impls.get(ty.index())?;
-        row.binary_search_by_key(&pe, |&(p, _)| p)
-            .ok()
-            .map(|i| &row[i].1)
+        row.binary_search_by_key(&pe, |&(p, _)| p).ok().map(|i| &row[i].1)
     }
 
     /// Returns the PEs on which `ty` can be implemented, ascending.
     pub fn pes_supporting(&self, ty: TaskTypeId) -> impl Iterator<Item = PeId> + '_ {
-        self.impls
-            .get(ty.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .map(|&(p, _)| p)
+        self.impls.get(ty.index()).map(Vec::as_slice).unwrap_or(&[]).iter().map(|&(p, _)| p)
     }
 
     /// Iterates over all `(pe, implementation)` alternatives for `ty`.

@@ -249,17 +249,11 @@ mod tests {
         u.set_transition_weight(0, 1, 1.0);
         u.set_transition_weight(1, 0, 1.0);
         u.set_sojourn(0, Seconds::ZERO);
-        assert!(matches!(
-            u.mode_probabilities(),
-            Err(UsageError::InvalidParameter { .. })
-        ));
+        assert!(matches!(u.mode_probabilities(), Err(UsageError::InvalidParameter { .. })));
         let mut u = UsageModel::new(2);
         u.set_transition_weight(0, 1, -1.0);
         u.set_transition_weight(1, 0, 1.0);
-        assert!(matches!(
-            u.mode_probabilities(),
-            Err(UsageError::InvalidParameter { .. })
-        ));
+        assert!(matches!(u.mode_probabilities(), Err(UsageError::InvalidParameter { .. })));
     }
 
     #[test]
