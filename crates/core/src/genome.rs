@@ -153,6 +153,12 @@ impl GenomeLayout {
         self.starts[mode.index()]..self.starts[mode.index() + 1]
     }
 
+    /// The hash of each mode's gene slice of `genes`, in mode order: what
+    /// [`ParentTable`](crate::ParentTable) indexes a record's modes by.
+    pub(crate) fn slice_hashes(&self, genes: &[Gene]) -> Vec<u64> {
+        self.starts.windows(2).map(|loci| genome_hash(0, &genes[loci[0]..loci[1]])).collect()
+    }
+
     /// The locus of a task.
     ///
     /// # Panics

@@ -1,11 +1,13 @@
 //! Property-based tests of the model crate: unit algebra, task-graph
-//! invariants and OMSM validation.
+//! invariants, OMSM validation and link lookup.
 
 use proptest::prelude::*;
 
-use momsynth_model::ids::{TaskId, TaskTypeId};
+use momsynth_model::ids::{PeId, TaskId, TaskTypeId};
 use momsynth_model::units::{Cells, Joules, Seconds, Watts};
-use momsynth_model::{OmsmBuilder, TaskGraph, TaskGraphBuilder};
+use momsynth_model::{
+    Architecture, ArchitectureBuilder, Cl, OmsmBuilder, Pe, PeKind, TaskGraph, TaskGraphBuilder,
+};
 
 fn finite_positive() -> impl Strategy<Value = f64> {
     (1e-6f64..1e6).prop_filter("finite", |v| v.is_finite())
@@ -29,7 +31,53 @@ fn random_dag() -> impl Strategy<Value = TaskGraph> {
         })
 }
 
+/// A random architecture of software PEs whose links draw their time per
+/// data unit from three values, zero among them, so PE pairs joined by
+/// equally fast links are common and some pairs share no link.
+fn random_architecture() -> impl Strategy<Value = Architecture> {
+    let link = (proptest::collection::vec(0usize..6, 2..5), 0usize..3);
+    (1usize..7, proptest::collection::vec(link, 0..7)).prop_map(|(pes, links)| {
+        let mut b = ArchitectureBuilder::new();
+        for i in 0..pes {
+            b.add_pe(Pe::software(format!("p{i}"), PeKind::Gpp, Watts::ZERO));
+        }
+        for (i, (ends, speed)) in links.into_iter().enumerate() {
+            let ends: Vec<PeId> = ends.into_iter().map(|e| PeId::new(e % pes)).collect();
+            let time = Seconds::from_micros([0.0, 0.5, 2.0][speed]);
+            // A link over fewer than two distinct PEs is refused.
+            let _ = b.add_cl(Cl::bus(format!("l{i}"), ends, time, Watts::ZERO, Watts::ZERO));
+        }
+        b.build().expect("at least one PE")
+    })
+}
+
 proptest! {
+    /// The fastest link's transfer time is, bit for bit, the least
+    /// transfer time over every link the two PEs share, for every PE
+    /// pair (a PE with itself and a PE outside the architecture
+    /// included), and the link is the first of the equally fast ones.
+    #[test]
+    fn the_fastest_link_is_the_least_shared_transfer(
+        arch in random_architecture(),
+        volume in (0usize..3, 0.0f64..1e6).prop_map(|(pick, v)| [0.0, 1.0, v][pick]),
+    ) {
+        for a in 0..=arch.pe_count() {
+            for b in 0..=arch.pe_count() {
+                let (a, b) = (PeId::new(a), PeId::new(b));
+                let time = |cl| arch.cl(cl).transfer_time(volume);
+                let fold = arch
+                    .cls_between(a, b)
+                    .map(time)
+                    .fold(None, |best: Option<Seconds>, t| Some(best.map_or(t, |b| b.min(t))));
+                let fastest = arch.fastest_cl(a, b);
+                prop_assert_eq!(fastest.map(|cl| time(cl).value().to_bits()), fold.map(|t| t.value().to_bits()));
+                let least = arch.cls_between(a, b).map(|cl| arch.cl(cl).time_per_data_unit()).fold(None, |best: Option<Seconds>, t| Some(best.map_or(t, |b| b.min(t))));
+                let first = arch.cls_between(a, b).find(|&cl| Some(arch.cl(cl).time_per_data_unit()) == least);
+                prop_assert_eq!(fastest, first);
+            }
+        }
+    }
+
     #[test]
     fn unit_addition_is_commutative_and_associative(a in -1e9f64..1e9, b in -1e9f64..1e9, c in -1e9f64..1e9) {
         let (x, y, z) = (Seconds::new(a), Seconds::new(b), Seconds::new(c));
