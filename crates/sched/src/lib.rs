@@ -62,7 +62,7 @@ pub use list::{
     list_schedule, schedule_mode, schedule_mode_timed, schedule_mode_with, ListScratch, Priority,
     SchedulerOptions,
 };
-pub use mapping::{CoreAllocation, SystemMapping};
+pub use mapping::{CoreAllocation, PeRows, SystemMapping};
 pub use mobility::TimingAnalysis;
 pub use schedule::{ActivityId, ResourceKey, Schedule, ScheduleView, ScheduledComm, ScheduledTask};
 pub use stats::{schedule_stats, ResourceStats, ScheduleStats};

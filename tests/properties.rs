@@ -14,7 +14,7 @@ use momsynth::model::units::{Cells, Seconds, Watts};
 use momsynth::model::{Architecture, ArchitectureBuilder, Cl, Pe, PeKind, System};
 use momsynth::power::{mode_power, ModeImplementation, ModePower};
 use momsynth::sched::{
-    schedule_mode, ActivityId, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
+    schedule_mode, ActivityId, CoreAllocation, PeRows, Schedule, SchedulerOptions, SystemMapping,
 };
 use momsynth::synthesis::{
     Cost, Evaluator, FaultInjection, Gene, GenomeLayout, ParentRecord, Solution, SynthesisConfig,
@@ -460,7 +460,8 @@ proptest! {
 
     /// The flat allocation rows behave exactly like one ordered map per
     /// mode under any sequence of edits: the same counts, the same core
-    /// order, the same areas and JSON.
+    /// order, the same areas (queried of the allocation and of its rows
+    /// read in one pass) and JSON.
     #[test]
     fn core_allocation_matches_the_ordered_map_model(
         (system, edits) in system_and_allocation_edits()
@@ -506,6 +507,29 @@ proptest! {
         for pe in 0..6 {
             let pe = PeId::new(pe);
             prop_assert_eq!(alloc.static_area(&system, pe), reference.static_area(&system, pe));
+        }
+        // The same areas from rows read in one pass, on every PE and on
+        // a few, reusing the buffers.
+        let mut rows = PeRows::default();
+        for read in [&[0, 1, 2, 3, 4, 5][..], &[1, 4]] {
+            rows.read(&alloc, read.iter().map(|&pe| PeId::new(pe)));
+            for (p, &pe) in read.iter().enumerate() {
+                let pe = PeId::new(pe);
+                prop_assert_eq!(rows.static_area(&system, p), reference.static_area(&system, pe));
+                for m in 0..modes {
+                    let mode = ModeId::new(m);
+                    prop_assert_eq!(
+                        rows.mode_area(&system, p, mode),
+                        reference.mode_area(&system, pe, m)
+                    );
+                    for to in 0..modes {
+                        prop_assert_eq!(
+                            rows.reconfig_area(&system, p, mode, ModeId::new(to)),
+                            reference.reconfig_area(&system, pe, m, to)
+                        );
+                    }
+                }
+            }
         }
         let json = serde_json::to_string(&alloc).expect("serialises");
         prop_assert_eq!(&json, &reference.json());
