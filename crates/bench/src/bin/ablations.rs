@@ -14,13 +14,13 @@ use std::fmt::Write;
 
 use momsynth_bench::{write_results, HarnessOptions};
 use momsynth_core::{DvsSynthesisOptions, SynthesisConfig, Synthesizer};
-use momsynth_telemetry::RunSummary;
 use momsynth_gen::suite::{generate, mul, GeneratorParams};
 use momsynth_model::units::{Cells, Seconds, Volts, Watts};
 use momsynth_model::{
     ArchitectureBuilder, Cl, DvsCapability, Implementation, OmsmBuilder, Pe, PeKind, System,
     TaskGraphBuilder, TechLibraryBuilder,
 };
+use momsynth_telemetry::RunSummary;
 
 /// A tight workload that actually stresses core replication and list
 /// scheduling: few types, many tasks, little slack, two DVS-capable
@@ -130,7 +130,9 @@ fn main() {
     writeln!(report, "(power is only meaningful at feasible = 1.00)").unwrap();
 
     // D2: improvement operators.
-    for (label, on) in [("D2 improvement operators ON (default)", true), ("D2 improvement operators OFF", false)] {
+    for (label, on) in
+        [("D2 improvement operators ON (default)", true), ("D2 improvement operators OFF", false)]
+    {
         let (p, f) = measure(&bench, &options, &mut summaries, |seed| {
             let mut cfg = options.config(seed, true, false);
             cfg.improvement_operators = on;
@@ -141,7 +143,9 @@ fn main() {
 
     // D3: hardware-rail DVS on mul6, whose two hardware PEs are
     // DVS-enabled.
-    for (label, sw_only) in [("D3 DVS on SW+HW rails (default)", false), ("D3 DVS on SW rails only", true)] {
+    for (label, sw_only) in
+        [("D3 DVS on SW+HW rails (default)", false), ("D3 DVS on SW rails only", true)]
+    {
         let (p, f) = measure(&bench, &options, &mut summaries, |seed| {
             let mut cfg = options.config(seed, true, true);
             cfg.dvs = Some(if sw_only {
@@ -157,7 +161,9 @@ fn main() {
     // D4: core replication, on a burst workload where only replicated
     // cores can meet the period.
     let burst = replication_system();
-    for (label, replicate) in [("D4 core replication ON (default)", true), ("D4 core replication OFF", false)] {
+    for (label, replicate) in
+        [("D4 core replication ON (default)", true), ("D4 core replication OFF", false)]
+    {
         let (p, f) = measure(&burst, &options, &mut summaries, |seed| {
             let mut cfg = options.config(seed, true, true);
             cfg.alloc.replicate = replicate;
@@ -168,7 +174,10 @@ fn main() {
 
     // D5: scheduler priority rule, on the tight workload where ordering
     // decides deadline feasibility.
-    for (label, priority) in [("D5 mobility priorities (default)", momsynth_sched::Priority::Mobility), ("D5 FIFO priorities", momsynth_sched::Priority::Fifo)] {
+    for (label, priority) in [
+        ("D5 mobility priorities (default)", momsynth_sched::Priority::Mobility),
+        ("D5 FIFO priorities", momsynth_sched::Priority::Fifo),
+    ] {
         let (p, f) = measure(&tight, &options, &mut summaries, |seed| {
             let mut cfg = options.config(seed, true, false);
             cfg.scheduler.priority = priority;

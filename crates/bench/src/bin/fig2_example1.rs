@@ -36,7 +36,11 @@ fn main() {
     // The synthesizer should rediscover the Fig. 2c optimum (best of a
     // few seeds, as the paper's 40-run averaging does).
     let result = (0..5)
-        .map(|seed| Synthesizer::new(&system, SynthesisConfig::fast_preset(seed)).run().expect("schedulable system"))
+        .map(|seed| {
+            Synthesizer::new(&system, SynthesisConfig::fast_preset(seed))
+                .run()
+                .expect("schedulable system")
+        })
         .min_by(|a, b| a.best.fitness.total_cmp(&b.best.fitness))
         .expect("at least one run");
     println!(

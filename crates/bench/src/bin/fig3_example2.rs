@@ -1,16 +1,11 @@
 //! Regenerates Fig. 3 (motivational Example 2): hardware sharing vs
 //! multiple task implementations with component shut-down.
 
-use momsynth_gen::examples::{
-    example2_mapping_multiple, example2_mapping_shared, example2_system,
-};
+use momsynth_gen::examples::{example2_mapping_multiple, example2_mapping_shared, example2_system};
 use momsynth_power::{power_report, ModeImplementation};
 use momsynth_sched::{schedule_mode, CoreAllocation, SchedulerOptions, SystemMapping};
 
-fn report(
-    system: &momsynth_model::System,
-    mapping: &SystemMapping,
-) -> momsynth_power::PowerReport {
+fn report(system: &momsynth_model::System, mapping: &SystemMapping) -> momsynth_power::PowerReport {
     let alloc = CoreAllocation::minimal(system, mapping);
     let schedules: Vec<_> = system
         .omsm()

@@ -13,8 +13,8 @@ use momsynth_bench::{write_results, HarnessOptions};
 use momsynth_core::{Evaluator, SynthesisResult, Synthesizer};
 use momsynth_dvs::DvsOptions;
 use momsynth_gen::smartphone::smartphone;
-use momsynth_model::usage::UsageModel;
 use momsynth_model::units::Seconds;
+use momsynth_model::usage::UsageModel;
 use momsynth_model::System;
 use momsynth_telemetry::RunSummary;
 
@@ -81,9 +81,7 @@ fn main() {
             let cfg = options.config(options.base_seed + i, true, true);
             let synthesizer = Synthesizer::new(system, cfg);
             let result = synthesizer.run().expect("schedulable system");
-            if let Some(summary) =
-                momsynth_bench::verified_summary(system, &synthesizer, &result)
-            {
+            if let Some(summary) = momsynth_bench::verified_summary(system, &synthesizer, &result) {
                 summaries.push(summary);
             }
             if best.as_ref().is_none_or(|b| result.best.fitness < b.best.fitness) {
@@ -102,8 +100,11 @@ fn main() {
     }
 
     // Cross-evaluation: what does user B pay for running user A's mapping?
-    writeln!(report, "\ncross-evaluation (rows: mapping optimised for; columns: actual user) [mW]:")
-        .unwrap();
+    writeln!(
+        report,
+        "\ncross-evaluation (rows: mapping optimised for; columns: actual user) [mW]:"
+    )
+    .unwrap();
     write!(report, "{:<13}", "").unwrap();
     for (name, _) in &systems {
         write!(report, " {name:>13}").unwrap();

@@ -42,11 +42,9 @@ fn exact_optimum(system: &System, probability_aware: bool) -> f64 {
     // Enumerate every genome (each locus has exactly 2 candidates here).
     let total: usize = 1 << layout.len();
     for code in 0..total {
-        let genes: Vec<u16> =
-            (0..layout.len()).map(|l| ((code >> l) & 1) as u16).collect();
-        let solution = evaluator
-            .evaluate(layout.decode(&genes), None)
-            .expect("example 1 schedules cleanly");
+        let genes: Vec<u16> = (0..layout.len()).map(|l| ((code >> l) & 1) as u16).collect();
+        let solution =
+            evaluator.evaluate(layout.decode(&genes), None).expect("example 1 schedules cleanly");
         if !solution.is_feasible() {
             continue;
         }
@@ -71,10 +69,8 @@ fn main() {
     .unwrap();
     let mut series = Vec::new();
     for psi2 in [0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99] {
-        let omsm = base
-            .omsm()
-            .with_probabilities(&[1.0 - psi2, psi2])
-            .expect("valid probabilities");
+        let omsm =
+            base.omsm().with_probabilities(&[1.0 - psi2, psi2]).expect("valid probabilities");
         let system = System::new(
             format!("example1_psi{psi2}"),
             omsm,

@@ -24,10 +24,8 @@ fn main() {
     let overall = (1.0 - dvs.power_aware_mw / fixed.power_neglecting_mw) * 100.0;
     let mut rows = vec![fixed, dvs];
     retain_verified(&mut rows);
-    let mut report = render_table(
-        &format!("Table 3 — smart phone, {} runs/flow", options.runs),
-        &rows,
-    );
+    let mut report =
+        render_table(&format!("Table 3 — smart phone, {} runs/flow", options.runs), &rows);
     report.push_str(&format!(
         "overall reduction (w/o DVS, w/o probab. -> DVS + probab.): {overall:.2} %\n"
     ));

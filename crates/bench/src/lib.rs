@@ -277,10 +277,7 @@ pub fn render_table(title: &str, rows: &[ComparisonRow]) -> String {
     }
     let mean: f64 =
         rows.iter().map(ComparisonRow::reduction_percent).sum::<f64>() / rows.len().max(1) as f64;
-    let max = rows
-        .iter()
-        .map(ComparisonRow::reduction_percent)
-        .fold(f64::NEG_INFINITY, f64::max);
+    let max = rows.iter().map(ComparisonRow::reduction_percent).fold(f64::NEG_INFINITY, f64::max);
     writeln!(out, "{}", "-".repeat(109)).unwrap();
     writeln!(out, "mean reduction {mean:.2} %, max reduction {max:.2} %").unwrap();
     out
@@ -393,7 +390,10 @@ mod tests {
     #[test]
     fn results_path_respects_out_dir() {
         let options = HarnessOptions { out: Some("/tmp/bench".into()), ..Default::default() };
-        assert_eq!(options.results_path("table1", "json"), PathBuf::from("/tmp/bench/results_table1.json"));
+        assert_eq!(
+            options.results_path("table1", "json"),
+            PathBuf::from("/tmp/bench/results_table1.json")
+        );
         let default = HarnessOptions::default();
         assert_eq!(default.results_path("table1", "txt"), PathBuf::from("./results_table1.txt"));
     }

@@ -138,13 +138,13 @@ pub fn automotive_ecu() -> System {
 
     // ---- Architecture: DVS MCU + FPGA accelerator on a CAN-like bus ----
     let mut arch = ArchitectureBuilder::new();
-    let mcu = arch.add_pe(
-        Pe::software("MCU", PeKind::Gpp, Watts::from_milli(2.0)).with_dvs(DvsCapability::new(
+    let mcu = arch.add_pe(Pe::software("MCU", PeKind::Gpp, Watts::from_milli(2.0)).with_dvs(
+        DvsCapability::new(
             Volts::new(3.3),
             Volts::new(0.8),
             vec![Volts::new(1.2), Volts::new(1.8), Volts::new(2.4), Volts::new(3.3)],
-        )),
-    );
+        ),
+    ));
     let dsp = arch.add_pe(Pe::software("DSP", PeKind::Asip, Watts::from_milli(1.5)));
     let fpga = arch.add_pe(
         Pe::hardware("FPGA", PeKind::Fpga, Cells::new(1100), Watts::from_milli(3.0))
@@ -163,11 +163,7 @@ pub fn automotive_ecu() -> System {
     let mut tech = TechLibraryBuilder::new();
     for &(name, sw_ms, sw_mw, fpga_impl, speedup, hw_mw, hw_area) in &TYPES {
         let t = tech.add_type(name);
-        tech.set_impl(
-            t,
-            mcu,
-            Implementation::software(ms(sw_ms), Watts::from_milli(sw_mw)),
-        );
+        tech.set_impl(t, mcu, Implementation::software(ms(sw_ms), Watts::from_milli(sw_mw)));
         // The DSP runs signal-processing types ~30% faster.
         tech.set_impl(
             t,
@@ -304,17 +300,9 @@ mod tests {
     /// Minimal allocation plus two extra radar-FFT cores — stand-in for
     /// the synthesis layer's replication, which this crate cannot depend
     /// on.
-    fn momsynth_core_free_alloc(
-        ecu: &System,
-        mapping: &SystemMapping,
-    ) -> CoreAllocation {
+    fn momsynth_core_free_alloc(ecu: &System, mapping: &SystemMapping) -> CoreAllocation {
         let mut alloc = CoreAllocation::minimal(ecu, mapping);
-        alloc.ensure(
-            momsynth_model::ids::ModeId::new(0),
-            PeId::new(2),
-            EcuType::RadarFft.id(),
-            3,
-        );
+        alloc.ensure(momsynth_model::ids::ModeId::new(0), PeId::new(2), EcuType::RadarFft.id(), 3);
         alloc
     }
 
@@ -345,10 +333,7 @@ mod tests {
     fn hard_deadlines_are_present() {
         let ecu = automotive_ecu();
         let cruise = ecu.omsm().mode(momsynth_model::ids::ModeId::new(0)).graph();
-        let with_deadline = cruise
-            .tasks()
-            .filter(|(_, t)| t.deadline().is_some())
-            .count();
+        let with_deadline = cruise.tasks().filter(|(_, t)| t.deadline().is_some()).count();
         assert!(with_deadline >= 1, "injection deadline missing");
     }
 

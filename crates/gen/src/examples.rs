@@ -39,12 +39,54 @@ struct TypeRow {
 
 /// The exact table of Section 2.3 (energies converted to powers).
 const TABLE: [TypeRow; 6] = [
-    TypeRow { name: "A", sw_time_ms: 20.0, sw_energy_mws: 10.0, hw_time_ms: 2.0, hw_energy_mws: 0.010, area: 240 },
-    TypeRow { name: "B", sw_time_ms: 28.0, sw_energy_mws: 14.0, hw_time_ms: 2.2, hw_energy_mws: 0.012, area: 300 },
-    TypeRow { name: "C", sw_time_ms: 32.0, sw_energy_mws: 16.0, hw_time_ms: 1.6, hw_energy_mws: 0.023, area: 275 },
-    TypeRow { name: "D", sw_time_ms: 26.0, sw_energy_mws: 13.0, hw_time_ms: 3.1, hw_energy_mws: 0.047, area: 245 },
-    TypeRow { name: "E", sw_time_ms: 30.0, sw_energy_mws: 15.0, hw_time_ms: 1.8, hw_energy_mws: 0.015, area: 210 },
-    TypeRow { name: "F", sw_time_ms: 24.0, sw_energy_mws: 14.0, hw_time_ms: 2.2, hw_energy_mws: 0.032, area: 280 },
+    TypeRow {
+        name: "A",
+        sw_time_ms: 20.0,
+        sw_energy_mws: 10.0,
+        hw_time_ms: 2.0,
+        hw_energy_mws: 0.010,
+        area: 240,
+    },
+    TypeRow {
+        name: "B",
+        sw_time_ms: 28.0,
+        sw_energy_mws: 14.0,
+        hw_time_ms: 2.2,
+        hw_energy_mws: 0.012,
+        area: 300,
+    },
+    TypeRow {
+        name: "C",
+        sw_time_ms: 32.0,
+        sw_energy_mws: 16.0,
+        hw_time_ms: 1.6,
+        hw_energy_mws: 0.023,
+        area: 275,
+    },
+    TypeRow {
+        name: "D",
+        sw_time_ms: 26.0,
+        sw_energy_mws: 13.0,
+        hw_time_ms: 3.1,
+        hw_energy_mws: 0.047,
+        area: 245,
+    },
+    TypeRow {
+        name: "E",
+        sw_time_ms: 30.0,
+        sw_energy_mws: 15.0,
+        hw_time_ms: 1.8,
+        hw_energy_mws: 0.015,
+        area: 210,
+    },
+    TypeRow {
+        name: "F",
+        sw_time_ms: 24.0,
+        sw_energy_mws: 14.0,
+        hw_time_ms: 2.2,
+        hw_energy_mws: 0.032,
+        area: 280,
+    },
 ];
 
 fn table_tech(arch_cpu: PeId, arch_hw: PeId) -> momsynth_model::TechLibrary {
@@ -224,11 +266,7 @@ mod tests {
         let system = example1_system();
         let r = report(&system, &example1_mapping_neglecting());
         // 0.1·(10+14+0.023) + 0.9·(13+0.015+14) = 26.7158 mWs.
-        assert!(
-            (r.average.as_milli() - 26.7158).abs() < 1e-9,
-            "got {}",
-            r.average.as_milli()
-        );
+        assert!((r.average.as_milli() - 26.7158).abs() < 1e-9, "got {}", r.average.as_milli());
     }
 
     #[test]
@@ -236,11 +274,7 @@ mod tests {
         let system = example1_system();
         let r = report(&system, &example1_mapping_aware());
         // 0.1·(10+14+16) + 0.9·(13+0.015+0.032) = 15.7423 mWs.
-        assert!(
-            (r.average.as_milli() - 15.7423).abs() < 1e-9,
-            "got {}",
-            r.average.as_milli()
-        );
+        assert!((r.average.as_milli() - 15.7423).abs() < 1e-9, "got {}", r.average.as_milli());
     }
 
     #[test]
@@ -257,8 +291,9 @@ mod tests {
         let system = example1_system();
         let mapping = example1_mapping_neglecting();
         let alloc = CoreAllocation::minimal(&system, &mapping);
-        let s0 = schedule_mode(&system, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
-            .unwrap();
+        let s0 =
+            schedule_mode(&system, ModeId::new(0), &mapping, &alloc, SchedulerOptions::default())
+                .unwrap();
         let mp = mode_power(&system, ModeImplementation::nominal(&s0));
         assert!((mp.task_energy.as_milli_joules() - 24.023).abs() < 1e-9);
     }

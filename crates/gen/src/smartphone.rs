@@ -145,10 +145,8 @@ fn mp3_block(g: &mut TaskGraphBuilder) {
         g.add_comm(huff, deq, 192.0).expect("mp3 edges are forward");
         g.add_comm(deq, stereo, 192.0).expect("mp3 edges are forward");
         for channel in 0..2 {
-            let idct =
-                g.add_task(format!("mp3_imdct{granule}_{channel}"), ty(PhoneType::Idct));
-            let synth =
-                g.add_task(format!("mp3_synth{granule}_{channel}"), ty(PhoneType::Synth));
+            let idct = g.add_task(format!("mp3_imdct{granule}_{channel}"), ty(PhoneType::Idct));
+            let synth = g.add_task(format!("mp3_synth{granule}_{channel}"), ty(PhoneType::Synth));
             g.add_comm(stereo, idct, 96.0).expect("mp3 edges are forward");
             g.add_comm(idct, synth, 96.0).expect("mp3 edges are forward");
             g.add_comm(synth, out, 96.0).expect("mp3 edges are forward");
@@ -192,13 +190,13 @@ fn jpeg_block(g: &mut TaskGraphBuilder, mcus: usize) -> TaskId {
 pub fn smartphone() -> System {
     // ---- Architecture: one DVS GPP + two ASICs on one bus ----------------
     let mut arch = ArchitectureBuilder::new();
-    let gpp = arch.add_pe(
-        Pe::software("GPP", PeKind::Gpp, Watts::from_milli(1.0)).with_dvs(DvsCapability::new(
+    let gpp = arch.add_pe(Pe::software("GPP", PeKind::Gpp, Watts::from_milli(1.0)).with_dvs(
+        DvsCapability::new(
             Volts::new(3.3),
             Volts::new(0.8),
             vec![Volts::new(1.2), Volts::new(1.8), Volts::new(2.4), Volts::new(3.3)],
-        )),
-    );
+        ),
+    ));
     let codec_asic = arch.add_pe(Pe::hardware(
         "CODEC_ASIC",
         PeKind::Asic,
@@ -408,9 +406,8 @@ mod tests {
         assert!(mapping.validate(&phone).is_ok());
         let alloc = CoreAllocation::minimal(&phone, &mapping);
         for mode in phone.omsm().mode_ids() {
-            let s =
-                schedule_mode(&phone, mode, &mapping, &alloc, SchedulerOptions::default())
-                    .expect("single-GPP schedules");
+            let s = schedule_mode(&phone, mode, &mapping, &alloc, SchedulerOptions::default())
+                .expect("single-GPP schedules");
             assert!(
                 s.is_timing_feasible(phone.omsm().mode(mode).graph()),
                 "mode {} infeasible on the GPP alone",

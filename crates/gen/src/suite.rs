@@ -105,11 +105,8 @@ pub fn generate(params: &GeneratorParams) -> System {
     for i in 0..params.software_pes {
         // Alternate general-purpose processors and ASIPs.
         let kind = if i % 2 == 0 { PeKind::Gpp } else { PeKind::Asip };
-        let mut pe = Pe::software(
-            format!("{kind}{i}"),
-            kind,
-            Watts::from_milli(rng.gen_range(2.0..10.0)),
-        );
+        let mut pe =
+            Pe::software(format!("{kind}{i}"), kind, Watts::from_milli(rng.gen_range(2.0..10.0)));
         if i < params.dvs_software_pes {
             pe = pe.with_dvs(standard_dvs());
         }
@@ -138,11 +135,7 @@ pub fn generate(params: &GeneratorParams) -> System {
             pes.clone()
         } else {
             // A random subset of at least two PEs.
-            let mut subset: Vec<_> = pes
-                .iter()
-                .copied()
-                .filter(|_| rng.gen_bool(0.6))
-                .collect();
+            let mut subset: Vec<_> = pes.iter().copied().filter(|_| rng.gen_bool(0.6)).collect();
             while subset.len() < 2 {
                 let pe = pes[rng.gen_range(0..pes.len())];
                 if !subset.contains(&pe) {
@@ -215,18 +208,14 @@ pub fn generate(params: &GeneratorParams) -> System {
     #[allow(clippy::needless_range_loop)] // m indexes both raw and mode_ids
     for m in 0..params.modes {
         let n = rng.gen_range(params.tasks_per_mode.0..=params.tasks_per_mode.1);
-        let types: Vec<TaskTypeId> = (0..n)
-            .map(|_| TaskTypeId::new(rng.gen_range(0..params.type_pool)))
-            .collect();
+        let types: Vec<TaskTypeId> =
+            (0..n).map(|_| TaskTypeId::new(rng.gen_range(0..params.type_pool))).collect();
         let serial: Seconds = types.iter().map(|ty| sw_time_on_gpp0[ty.index()]).sum();
         let period = serial * params.slack_factor;
 
         let mut g = TaskGraphBuilder::new(format!("{}_m{m}", params.name), period);
-        let tasks: Vec<_> = types
-            .iter()
-            .enumerate()
-            .map(|(i, &ty)| g.add_task(format!("t{i}"), ty))
-            .collect();
+        let tasks: Vec<_> =
+            types.iter().enumerate().map(|(i, &ty)| g.add_task(format!("t{i}"), ty)).collect();
 
         // Layered skeleton: width 2–4, every non-first-layer task gets at
         // least one predecessor from the previous layer.
@@ -239,8 +228,7 @@ pub fn generate(params: &GeneratorParams) -> System {
             let prev_start = (layer - 1) * width;
             let prev_end = (layer * width).min(tasks.len());
             let pred = tasks[rng.gen_range(prev_start..prev_end)];
-            g.add_comm(pred, task, rng.gen_range(10.0..500.0))
-                .expect("layered edges are forward");
+            g.add_comm(pred, task, rng.gen_range(10.0..500.0)).expect("layered edges are forward");
             // Occasional second predecessor.
             if rng.gen_bool(params.edge_probability) {
                 let pred2 = tasks[rng.gen_range(0..prev_end)];
@@ -388,8 +376,7 @@ mod tests {
     #[test]
     fn probabilities_are_skewed_and_normalised() {
         for system in mul_suite() {
-            let probs: Vec<f64> =
-                system.omsm().modes().map(|(_, m)| m.probability()).collect();
+            let probs: Vec<f64> = system.omsm().modes().map(|(_, m)| m.probability()).collect();
             let sum: f64 = probs.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
             // Skew: the largest probability clearly dominates the smallest.
@@ -418,14 +405,8 @@ mod tests {
             assert!(mapping.validate(&system).is_ok(), "{}", system.name());
             let alloc = CoreAllocation::minimal(&system, &mapping);
             for mode in system.omsm().mode_ids() {
-                let s = schedule_mode(
-                    &system,
-                    mode,
-                    &mapping,
-                    &alloc,
-                    SchedulerOptions::default(),
-                )
-                .expect("single-GPP mapping schedules");
+                let s = schedule_mode(&system, mode, &mapping, &alloc, SchedulerOptions::default())
+                    .expect("single-GPP mapping schedules");
                 assert!(
                     s.is_timing_feasible(system.omsm().mode(mode).graph()),
                     "{} mode {mode} infeasible on single GPP",

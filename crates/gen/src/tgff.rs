@@ -93,9 +93,9 @@ struct GraphBlock {
     name: Option<String>,
     period: Option<f64>,
     probability: Option<f64>,
-    tasks: Vec<(String, usize, usize)>, // (name, type, line)
+    tasks: Vec<(String, usize, usize)>,      // (name, type, line)
     arcs: Vec<(String, String, f64, usize)>, // (from, to, data, line)
-    deadlines: Vec<(String, f64, usize)>, // (task, deadline, line)
+    deadlines: Vec<(String, f64, usize)>,    // (task, deadline, line)
 }
 
 #[derive(Debug, Default)]
@@ -194,9 +194,7 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
                         line: line_no,
                     });
                 }
-                other => {
-                    return Err(TgffError::new(line_no, format!("unknown section `{other}`")))
-                }
+                other => return Err(TgffError::new(line_no, format!("unknown section `{other}`"))),
             }
             continue;
         }
@@ -209,7 +207,10 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
         }
 
         let Some(kind) = &current else {
-            return Err(TgffError::new(line_no, format!("directive `{}` outside any block", tokens[0])));
+            return Err(TgffError::new(
+                line_no,
+                format!("directive `{}` outside any block", tokens[0]),
+            ));
         };
         match kind {
             BlockKind::Graph => {
@@ -285,9 +286,7 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
                     }
                     "STATIC_POWER" => p.static_power = parse_f64(&tokens, 1, line_no)?,
                     "AREA" => p.area = Some(parse_f64(&tokens, 1, line_no)? as u64),
-                    "RECONFIG_TIME_PER_CELL" => {
-                        p.reconfig = Some(parse_f64(&tokens, 1, line_no)?)
-                    }
+                    "RECONFIG_TIME_PER_CELL" => p.reconfig = Some(parse_f64(&tokens, 1, line_no)?),
                     "DVS" => {
                         if tokens.len() < 4 {
                             return Err(TgffError::new(
@@ -297,8 +296,8 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
                         }
                         let nums: Result<Vec<f64>, _> =
                             tokens[1..].iter().map(|t| t.parse::<f64>()).collect();
-                        let nums = nums
-                            .map_err(|_| TgffError::new(line_no, "invalid DVS voltage"))?;
+                        let nums =
+                            nums.map_err(|_| TgffError::new(line_no, "invalid DVS voltage"))?;
                         p.dvs = Some((nums[0], nums[1], nums[2..].to_vec()));
                     }
                     _ => {
@@ -372,9 +371,8 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
 
     let mut arch = ArchitectureBuilder::new();
     for (i, p) in pes.iter().enumerate() {
-        let kind = p
-            .kind
-            .ok_or_else(|| TgffError::new(0, format!("@PE {} missing KIND", p.index)))?;
+        let kind =
+            p.kind.ok_or_else(|| TgffError::new(0, format!("@PE {} missing KIND", p.index)))?;
         let mut pe = if kind.is_software() {
             Pe::software(format!("PE{i}"), kind, Watts::new(p.static_power))
         } else {
@@ -422,9 +420,9 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
     let single = graphs.len() == 1;
     let mut mode_ids = Vec::with_capacity(graphs.len());
     for g in &graphs {
-        let period = g.period.ok_or_else(|| {
-            TgffError::new(0, format!("@TASK_GRAPH {} missing PERIOD", g.index))
-        })?;
+        let period = g
+            .period
+            .ok_or_else(|| TgffError::new(0, format!("@TASK_GRAPH {} missing PERIOD", g.index)))?;
         let probability = match g.probability {
             Some(p) => p,
             None if single => 1.0,
@@ -435,16 +433,14 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
                 ))
             }
         };
-        let mode_name =
-            g.name.clone().unwrap_or_else(|| format!("graph{}", g.index));
+        let mode_name = g.name.clone().unwrap_or_else(|| format!("graph{}", g.index));
         let mut builder = TaskGraphBuilder::new(mode_name.clone(), Seconds::new(period));
         let mut by_name: HashMap<&str, TaskId> = HashMap::new();
         for (task_name, ty, line) in &g.tasks {
             if by_name.contains_key(task_name.as_str()) {
                 return Err(TgffError::new(*line, format!("duplicate task `{task_name}`")));
             }
-            let id =
-                builder.add_task(task_name.clone(), momsynth_model::ids::TaskTypeId::new(*ty));
+            let id = builder.add_task(task_name.clone(), momsynth_model::ids::TaskTypeId::new(*ty));
             by_name.insert(task_name.as_str(), id);
         }
         for (from, to, data, line) in &g.arcs {
@@ -454,9 +450,7 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
             let dst = *by_name.get(to.as_str()).ok_or_else(|| {
                 TgffError::new(*line, format!("arc references unknown task `{to}`"))
             })?;
-            builder
-                .add_comm(src, dst, *data)
-                .map_err(|e| TgffError::new(*line, e.to_string()))?;
+            builder.add_comm(src, dst, *data).map_err(|e| TgffError::new(*line, e.to_string()))?;
         }
         for (task, at, line) in &g.deadlines {
             let id = *by_name.get(task.as_str()).ok_or_else(|| {
@@ -466,8 +460,7 @@ pub fn parse_system(name: &str, input: &str) -> Result<System, TgffError> {
                 .set_deadline(id, Seconds::new(*at))
                 .map_err(|e| TgffError::new(*line, e.to_string()))?;
         }
-        let graph =
-            builder.build().map_err(|e| TgffError::new(0, e.to_string()))?;
+        let graph = builder.build().map_err(|e| TgffError::new(0, e.to_string()))?;
         mode_ids.push(omsm.add_mode(mode_name, probability, graph));
     }
     for t in &transitions {
@@ -501,12 +494,8 @@ pub fn to_tgff(system: &System) -> String {
         let _ = writeln!(out, "    PROBABILITY {}", mode.probability());
         let _ = writeln!(out, "    NAME {}", mode.name().replace(char::is_whitespace, "_"));
         for (task_id, task) in graph.tasks() {
-            let _ = writeln!(
-                out,
-                "    TASK t{} TYPE {}",
-                task_id.index(),
-                task.task_type().index()
-            );
+            let _ =
+                writeln!(out, "    TASK t{} TYPE {}", task_id.index(), task.task_type().index());
         }
         for (comm_id, comm) in graph.comms() {
             let _ = writeln!(
@@ -540,15 +529,11 @@ pub fn to_tgff(system: &System) -> String {
             let _ = writeln!(out, "    AREA {}", area.value());
         }
         if pe.reconfig_time_per_cell().value() > 0.0 {
-            let _ = writeln!(
-                out,
-                "    RECONFIG_TIME_PER_CELL {}",
-                pe.reconfig_time_per_cell().value()
-            );
+            let _ =
+                writeln!(out, "    RECONFIG_TIME_PER_CELL {}", pe.reconfig_time_per_cell().value());
         }
         if let Some(dvs) = pe.dvs() {
-            let levels: Vec<String> =
-                dvs.levels().iter().map(|v| v.value().to_string()).collect();
+            let levels: Vec<String> = dvs.levels().iter().map(|v| v.value().to_string()).collect();
             let _ = writeln!(
                 out,
                 "    DVS {} {} {}",
@@ -574,8 +559,7 @@ pub fn to_tgff(system: &System) -> String {
 
     for (cl_id, cl) in system.arch().cls() {
         let _ = writeln!(out, "\n@LINK {} {{", cl_id.index());
-        let endpoints: Vec<String> =
-            cl.endpoints().iter().map(|p| p.index().to_string()).collect();
+        let endpoints: Vec<String> = cl.endpoints().iter().map(|p| p.index().to_string()).collect();
         let _ = writeln!(out, "    CONNECTS {}", endpoints.join(" "));
         let _ = writeln!(out, "    TIME_PER_UNIT {}", cl.time_per_data_unit().value());
         let _ = writeln!(out, "    POWER {}", cl.transfer_power().value());
@@ -679,10 +663,7 @@ mod tests {
         assert!((standby.probability() - 0.9).abs() < 1e-12);
         assert_eq!(standby.graph().task_count(), 2);
         assert_eq!(standby.graph().comm_count(), 1);
-        assert_eq!(
-            standby.graph().task(TaskId::new(1)).deadline(),
-            Some(Seconds::new(0.015))
-        );
+        assert_eq!(standby.graph().task(TaskId::new(1)).deadline(), Some(Seconds::new(0.015)));
         // DVS on the GPP.
         assert!(system.arch().pe(PeId::new(0)).dvs().is_some());
         // The parsed system is schedulable end to end.
@@ -825,8 +806,7 @@ mod tests {
     #[test]
     fn smartphone_round_trips_structurally() {
         let original = crate::smartphone::smartphone();
-        let back =
-            parse_system("phone", &to_tgff(&original)).expect("smartphone exports cleanly");
+        let back = parse_system("phone", &to_tgff(&original)).expect("smartphone exports cleanly");
         assert_eq!(back.omsm().mode_count(), 8);
         assert_eq!(back.omsm().total_task_count(), original.omsm().total_task_count());
         assert_eq!(back.omsm().total_comm_count(), original.omsm().total_comm_count());
@@ -836,9 +816,8 @@ mod tests {
     fn parsed_system_synthesises() {
         let system = parse_system("sample", SAMPLE).expect("parses");
         // Smoke: the imported system runs through scheduling end to end.
-        let mapping = momsynth_sched::SystemMapping::from_fn(&system, |id| {
-            system.candidate_pes(id)[0]
-        });
+        let mapping =
+            momsynth_sched::SystemMapping::from_fn(&system, |id| system.candidate_pes(id)[0]);
         let alloc = momsynth_sched::CoreAllocation::minimal(&system, &mapping);
         for mode in system.omsm().mode_ids() {
             let s = momsynth_sched::schedule_mode(
