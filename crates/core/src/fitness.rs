@@ -20,7 +20,7 @@
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use momsynth_dvs::{scale_mode_with, DvsOptions, DvsScratch, VoltageSchedule};
+use momsynth_dvs::{scale_mode_with, scale_pass, DvsOptions, DvsScratch, VoltageSchedule};
 use momsynth_model::ids::{ModeId, PeId};
 use momsynth_model::units::{Cells, Seconds, Watts};
 use momsynth_model::System;
@@ -178,8 +178,9 @@ impl std::error::Error for EvalFailure {}
 /// the scheduler's and PV-DVS's per-call buffers, the pricing kernel's
 /// flags and the judge's buffers. One evaluation allocates these once
 /// and every later evaluation on the same [`Evaluator`] reuses them, so a
-/// DVS-free cost allocates little beyond the core allocation and one
-/// term per mode.
+/// cost allocates little beyond the core allocation and one term per
+/// mode: a fresh mode, voltage-scaled or not, allocates nothing but, on
+/// DVS hardware, its virtual tasks.
 #[derive(Debug, Default)]
 struct EvalScratch {
     timing: Vec<TimingAnalysis>,
@@ -280,8 +281,8 @@ pub struct Cost {
     pub reused: usize,
 }
 
-/// A mode scheduled, assembled and voltage-scaled, waiting for its
-/// Eq. 1 term.
+/// A mode of a full evaluation scheduled, assembled and voltage-scaled,
+/// waiting for its Eq. 1 term.
 struct Scheduled {
     schedule: Schedule,
     /// Per-task voltage schedules and energy factors; `None` at nominal
@@ -472,10 +473,10 @@ impl<'a> Evaluator<'a> {
     /// known mode skips list scheduling, PV-DVS and pricing; the
     /// allocation, Eq. 1's sums and every penalty are computed over all
     /// modes, so the fitness and violations are the ones pricing from
-    /// scratch gives, bit for bit. Any other mode keeps two scalars: at
-    /// fixed voltage they are priced straight from the list scheduler's
-    /// scratch, with no [`Schedule`] or [`ModePower`]; under DVS from the
-    /// voltage-scaled schedule, with no [`ModePower`].
+    /// scratch gives, bit for bit. Any other mode keeps two scalars,
+    /// priced straight from the list scheduler's scratch or, under DVS,
+    /// from PV-DVS's scaling of it: no [`Schedule`], voltage schedule or
+    /// [`ModePower`] is built.
     ///
     /// # Errors
     ///
@@ -605,8 +606,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Schedules `mode` into a [`Schedule`] and voltage-scales it under
-    /// `dvs`: every mode of a full evaluation, and a cost's modes under
-    /// DVS, whose PV-DVS reads the schedule's resource sequences.
+    /// `dvs`, with its voltage schedules: every mode of a full
+    /// evaluation.
     fn schedule_and_scale(
         &self,
         mode: ModeId,
@@ -632,9 +633,11 @@ impl<'a> Evaluator<'a> {
         Ok(Scheduled { schedule, scaled: Some((voltages, energy_factors)) })
     }
 
-    /// The term and lateness of a cost's mode that no known term covers.
-    /// At fixed voltage the mode is priced where it is scheduled, from
-    /// the list scheduler's scratch: no [`Schedule`] is assembled.
+    /// The term and lateness of a cost's mode that no known term covers,
+    /// priced where it is scheduled: from the list scheduler's scratch
+    /// at fixed voltage, and under DVS from PV-DVS's scratch, which
+    /// scales the pass in place. No [`Schedule`] or voltage schedule is
+    /// built.
     fn fresh_cost(
         &self,
         mode: ModeId,
@@ -644,20 +647,22 @@ impl<'a> Evaluator<'a> {
         scratch: &mut EvalScratch,
     ) -> Result<ModeCost, SchedError> {
         let system = self.system;
-        if dvs.is_some() {
-            let scheduled = self.schedule_and_scale(mode, mapping, alloc, dvs, scratch)?;
-            let (schedule, factors) = (scheduled.schedule.view(), scheduled.energy_factors());
-            let active = &mut scratch.active;
-            return Ok(self
-                .phases
-                .measure(Phase::PowerPricing, || mode_cost(system, schedule, factors, active)));
-        }
-        let EvalScratch { timing, sched, active, .. } = scratch;
-        let schedule = self.phases.measure(Phase::ListScheduling, || {
+        let EvalScratch { timing, sched, dvs: dvs_scratch, active, .. } = scratch;
+        let pass = self.phases.measure(Phase::ListScheduling, || {
             let analysis = &timing[mode.index()];
             list_schedule(system, mapping, alloc, analysis, self.config.scheduler, sched)
         })?;
-        Ok(self.phases.measure(Phase::PowerPricing, || mode_cost(system, schedule, None, active)))
+        let Some(options) = dvs else {
+            return Ok(self
+                .phases
+                .measure(Phase::PowerPricing, || mode_cost(system, pass, None, active)));
+        };
+        let scaled = self
+            .phases
+            .measure(Phase::VoltageScaling, || scale_pass(system, sched, options, dvs_scratch));
+        self.count(|c| c.dvs_iterations += scaled.iterations() as u64);
+        let (view, factors) = (scaled.view(), Some(scaled.energy_factors()));
+        Ok(self.phases.measure(Phase::PowerPricing, || mode_cost(system, view, factors, active)))
     }
 
     /// The one assembly of `F_M`: Eq. 1 under the optimisation weights

@@ -15,7 +15,7 @@
 use momsynth_model::ids::{PeId, TaskId};
 use momsynth_model::units::{Joules, Seconds};
 use momsynth_model::System;
-use momsynth_sched::Schedule;
+use momsynth_sched::{Schedule, ScheduleView};
 
 /// A merged group of transitively overlapping hardware executions.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,9 +60,22 @@ impl VirtualTask {
 /// member task has no implementation on `pe` (both indicate caller bugs —
 /// schedules produced by `momsynth-sched` are always consistent).
 pub fn virtual_tasks(system: &System, schedule: &Schedule, pe: PeId) -> Vec<VirtualTask> {
-    let graph = system.omsm().mode(schedule.mode()).graph();
-    let mut entries: Vec<(TaskId, Seconds, Seconds)> =
-        schedule.tasks().filter(|e| e.pe == pe).map(|e| (e.task, e.start, e.finish())).collect();
+    virtual_tasks_of(system, schedule.view(), pe)
+}
+
+/// [`virtual_tasks`] of a schedule's timing, which is all it reads.
+pub(crate) fn virtual_tasks_of(
+    system: &System,
+    timing: ScheduleView<'_>,
+    pe: PeId,
+) -> Vec<VirtualTask> {
+    let graph = system.omsm().mode(timing.mode()).graph();
+    let mut entries: Vec<(TaskId, Seconds, Seconds)> = timing
+        .tasks()
+        .iter()
+        .filter(|e| e.pe == pe)
+        .map(|e| (e.task, e.start, e.finish()))
+        .collect();
     entries.sort_by(|a, b| a.1.value().total_cmp(&b.1.value()).then(a.0.cmp(&b.0)));
 
     let mut groups: Vec<VirtualTask> = Vec::new();

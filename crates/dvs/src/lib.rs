@@ -11,7 +11,8 @@
 //!   of parallel single-rail hardware cores into sequential virtual tasks;
 //! * [`scale_mode`] — PV-DVS greedy slack distribution over a mode's
 //!   static schedule, honouring deadlines, hyper-periods and per-PE
-//!   discrete levels.
+//!   discrete levels; [`scale_pass`] runs the same kernel on the list
+//!   scheduler's last pass, without a schedule.
 //!
 //! # Examples
 //!
@@ -36,6 +37,8 @@ pub mod voltage;
 pub mod vschedule;
 
 pub use hw_transform::{virtual_tasks, VirtualTask};
-pub use pvdvs::{scale_mode, scale_mode_with, DvsOptions, DvsScratch, ScaledMode};
+pub use pvdvs::{
+    scale_mode, scale_mode_with, scale_pass, DvsOptions, DvsScratch, ScaledMode, ScaledPass,
+};
 pub use voltage::VoltageModel;
 pub use vschedule::{VoltageSchedule, VoltageSegment};

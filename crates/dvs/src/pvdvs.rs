@@ -2,25 +2,34 @@
 //!
 //! This is the voltage-scaling substrate of the paper's reference \[10\] extended, as in
 //! the paper's Section 4.2, to hardware components: given a mode's static
-//! [`Schedule`], the scaler distributes the schedule's slack over the
+//! schedule, the scaler distributes the schedule's slack over the
 //! scalable activities, always giving the next time quantum to the
 //! activity whose extension saves the most energy, then snaps each
 //! extension to the PE's discrete supply levels.
 //!
-//! The constraint graph is rebuilt from the schedule itself: precedence
-//! edges from the task graph (through remote communications where they
-//! exist) plus resource-order edges from the per-resource sequences.
-//! Activities on single-rail DVS hardware are first merged into virtual
-//! tasks (see [`crate::hw_transform`]) so all cores scale together.
+//! The constraint graph is rebuilt from the schedule's timing and its
+//! resource order: precedence edges from the task graph (through remote
+//! communications where they exist) plus resource-order edges between
+//! consecutive activities on one resource. One kernel serves two inputs:
+//! a [`Schedule`], whose per-resource sequences give the order
+//! ([`scale_mode_with`]), and the list scheduler's last pass, whose
+//! placements give it ([`scale_pass`], the evaluator's cost path, which
+//! keeps no schedule). Activities on single-rail DVS hardware are first
+//! merged into virtual tasks (see [`crate::hw_transform`]) so all cores
+//! scale together.
+
+use std::mem;
 
 use momsynth_model::ids::{CommId, PeId, TaskId};
 use momsynth_model::units::{Joules, Seconds};
 use momsynth_model::System;
-use momsynth_sched::{ActivityId, Schedule, ScheduledComm, ScheduledTask};
+use momsynth_sched::{
+    ActivityId, ListScratch, ResourceKey, Schedule, ScheduleView, ScheduledComm, ScheduledTask,
+};
 
-use crate::hw_transform::virtual_tasks;
+use crate::hw_transform::virtual_tasks_of;
 use crate::voltage::VoltageModel;
-use crate::vschedule::VoltageSchedule;
+use crate::vschedule::{Fit, VoltageSchedule};
 
 /// Options controlling the PV-DVS scaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,56 +116,113 @@ impl ScaledMode {
     }
 }
 
+/// A list pass voltage-scaled by [`scale_pass`], borrowed from its
+/// [`DvsScratch`] until the scratch's next call: the stretched timing,
+/// each task's energy factor and the greedy's step count — what
+/// [`scale_mode_with`]'s [`ScaledMode`] holds of the same mode, bit for
+/// bit, without a schedule or voltage schedules.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScaledPass<'a> {
+    view: ScheduleView<'a>,
+    energy_factors: &'a [f64],
+    iterations: usize,
+}
+
+impl<'a> ScaledPass<'a> {
+    /// The stretched timing: new start and execution times, the pass's
+    /// resources.
+    pub fn view(&self) -> ScheduleView<'a> {
+        self.view
+    }
+
+    /// All per-task energy factors, indexed by task id.
+    pub fn energy_factors(&self) -> &'a [f64] {
+        self.energy_factors
+    }
+
+    /// Number of greedy extension steps performed.
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+}
+
+/// Where a mode's resource order comes from; with the timing, it is all
+/// the kernel reads of a schedule.
+#[derive(Debug, Clone, Copy)]
+enum ResourceOrder<'a> {
+    /// A [`Schedule`]'s per-resource sequences.
+    Sequences(&'a [(ResourceKey, Vec<ActivityId>)]),
+    /// A list pass's placements with their slot indices, in placement
+    /// order, and its slot count.
+    Placements { placed: &'a [(usize, ActivityId)], slots: usize },
+}
+
 /// A member of a virtual task: where it starts within the group's span
 /// and how long it runs at nominal voltage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct GroupMember {
     task: TaskId,
     rel_start: Seconds,
     nominal: Seconds,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum UnitPayload {
     Task(TaskId),
     Comm(CommId),
-    Group { members: Vec<GroupMember> },
+    /// A virtual task: its members are `members[first..end]`.
+    Group {
+        first: usize,
+        end: usize,
+    },
 }
 
-/// How a scalable unit scales. The snap looks the DVS capability up
-/// through `pe`, so a unit holds no copy of its level vector.
+/// A scalable unit's DVS PE and nominal dynamic energy; the rail's model
+/// and stretch limit are looked up through `pe`.
 #[derive(Debug, Clone, Copy)]
-struct ScaleInfo {
+struct Scale {
     pe: PeId,
-    model: VoltageModel,
     energy: Joules,
+}
+
+/// A unit of the constraint graph. Its current duration and its deadline
+/// live in the dense `dur` and `deadline` slot vectors, which the passes
+/// read.
+#[derive(Debug, Clone, Copy)]
+struct Unit {
+    payload: UnitPayload,
+    nominal: Seconds,
+    scale: Option<Scale>,
+}
+
+/// A DVS PE's voltage model and the largest stretch its lowest level
+/// allows, worked out once per call.
+#[derive(Debug, Clone, Copy)]
+struct Rail {
+    model: VoltageModel,
     max_stretch: f64,
 }
 
-impl ScaleInfo {
-    /// The unit's dynamic energy when its `nominal` execution is
-    /// stretched to `dur`.
-    fn energy_at(&self, nominal: Seconds, dur: Seconds) -> f64 {
-        self.energy.value() * self.model.energy_factor_for_stretch(dur / nominal)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Unit {
-    payload: UnitPayload,
-    deadline: Seconds,
-    nominal: Seconds,
-    dur: Seconds,
-    scale: Option<ScaleInfo>,
-}
-
-/// A scalable unit's energies between greedy steps: at its current
-/// duration (`now`) and one quantum longer (`next`).
+/// A scalable unit as the greedy reads it: its nominal time, the longest
+/// its rail can stretch it (`limit`), its rail's model and nominal
+/// energy, and its energies at its current duration (`now`) and one
+/// quantum longer (`next`).
 #[derive(Debug, Clone, Copy)]
-struct UnitEnergy {
+struct Scalable {
     unit: usize,
+    nominal: Seconds,
+    limit: Seconds,
+    model: VoltageModel,
+    energy: Joules,
     now: f64,
     next: f64,
+}
+
+impl Scalable {
+    /// The unit's dynamic energy when stretched to `dur`.
+    fn energy_at(&self, dur: Seconds) -> f64 {
+        self.energy.value() * self.model.energy_factor_for_stretch(dur / self.nominal)
+    }
 }
 
 /// Adjacency in compressed rows: the neighbours of unit `u` are
@@ -197,22 +263,30 @@ impl Csr {
     }
 }
 
-/// Reusable working memory for [`scale_mode_with`]. A call builds its
-/// mode's constraint graph here — the scaling units, the edge list in
-/// discovery order, successor and predecessor rows, the topological
+/// Reusable working memory for [`scale_mode_with`] and [`scale_pass`].
+/// A call builds its mode's constraint graph here — each DVS PE's rail,
+/// the scaling units with their durations and deadlines, the edge list
+/// in discovery order, successor and predecessor rows, the topological
 /// order and each unit's position in it. The greedy loop keeps the
 /// earliest/latest finish times in the `es`/`ef`/`lf` slot vectors and
 /// each scalable unit's cached energies, and after an extension redoes
-/// only what that extension can move. Once the buffers have grown to a
-/// mode's size, a call allocates what its [`ScaledMode`] keeps, one
-/// small throwaway level fit per stretched unit and, on DVS hardware,
-/// its virtual tasks. Every buffer is refilled on entry; reuse can never
-/// leak state between calls.
+/// only what that extension can move. The snap leaves the scaled timing
+/// and every task's energy factor here. Once the buffers have grown to a
+/// mode's size, [`scale_pass`] allocates nothing but, on DVS hardware,
+/// its virtual tasks; [`scale_mode_with`] also allocates what its
+/// [`ScaledMode`] keeps. Every buffer is refilled on entry; reuse can
+/// never leak state between calls.
 #[derive(Debug, Default)]
 pub struct DvsScratch {
+    rails: Vec<Option<Rail>>,
     units: Vec<Unit>,
+    members: Vec<GroupMember>,
+    dur: Vec<Seconds>,
+    deadline: Vec<Seconds>,
     task_unit: Vec<usize>,
     comm_unit: Vec<Option<usize>>,
+    /// Per slot of a list pass: the unit placed on it last.
+    last: Vec<usize>,
     edges: Vec<(usize, usize)>,
     succs: Csr,
     preds: Csr,
@@ -222,7 +296,12 @@ pub struct DvsScratch {
     es: Vec<Seconds>,
     ef: Vec<Seconds>,
     lf: Vec<Seconds>,
-    energies: Vec<UnitEnergy>,
+    scalable: Vec<Scalable>,
+    /// The scaled timing, indexed by task id and by comm id.
+    tasks: Vec<ScheduledTask>,
+    comms: Vec<Option<ScheduledComm>>,
+    /// Each task's energy factor, indexed by task id.
+    factors: Vec<f64>,
 }
 
 /// Applies PV-DVS to one mode's schedule.
@@ -255,39 +334,120 @@ pub fn scale_mode_with(
     options: &DvsOptions,
     scratch: &mut DvsScratch,
 ) -> ScaledMode {
-    let graph = system.omsm().mode(schedule.mode()).graph();
-    // Virtual-task merging can, in rare interleavings, create cycles;
-    // fall back to group-free scaling then. A cycle without groups is
-    // the schedule's own.
-    let acyclic = scratch.build_graph(system, schedule, options.scale_hw)
-        || (options.scale_hw && scratch.build_graph(system, schedule, false));
-    if !acyclic {
-        return ScaledMode {
-            schedule: schedule.clone(),
-            task_voltages: vec![None; graph.task_count()],
-            task_energy_factors: vec![1.0; graph.task_count()],
-            iterations: 0,
-        };
+    let order = ResourceOrder::Sequences(schedule.sequences());
+    let mut task_voltages = Vec::new();
+    let iterations =
+        scratch.scale(system, schedule.view(), order, options, Some(&mut task_voltages));
+    let schedule = Schedule::from_parts(
+        schedule.mode(),
+        mem::take(&mut scratch.tasks),
+        mem::take(&mut scratch.comms),
+        schedule.sequences().to_vec(),
+    );
+    ScaledMode {
+        schedule,
+        task_voltages,
+        task_energy_factors: mem::take(&mut scratch.factors),
+        iterations,
     }
-    let iterations = scratch.distribute_slack(graph.period(), options);
-    scratch.snap(system, schedule, iterations)
+}
+
+/// PV-DVS on the list scheduler's last pass, left in `pass`: the scaling
+/// [`scale_mode_with`] gives the [`Schedule`] assembled from that pass,
+/// bit for bit, read without assembling it. Each resource's order comes
+/// from the pass's placements. The result is left in `scratch` and
+/// borrowed from it; no voltage schedule is built.
+///
+/// # Panics
+///
+/// Panics if `pass` holds no successful pass
+/// ([`ListScratch::view`] is `None`).
+pub fn scale_pass<'s>(
+    system: &System,
+    pass: &ListScratch,
+    options: &DvsOptions,
+    scratch: &'s mut DvsScratch,
+) -> ScaledPass<'s> {
+    let timing = pass.view().expect("the list pass succeeded");
+    let order = ResourceOrder::Placements { placed: pass.placements(), slots: pass.slots().len() };
+    let iterations = scratch.scale(system, timing, order, options, None);
+    ScaledPass {
+        view: ScheduleView::new(timing.mode(), &scratch.tasks, &scratch.comms),
+        energy_factors: &scratch.factors,
+        iterations,
+    }
 }
 
 impl DvsScratch {
-    /// Builds the units (with virtual tasks when `allow_groups`) and their
-    /// constraint graph. Returns `false` if the graph is cyclic.
-    fn build_graph(&mut self, system: &System, schedule: &Schedule, allow_groups: bool) -> bool {
-        self.build_units(system, schedule, allow_groups);
-        self.build_constraint_graph(system, schedule)
+    /// The one PV-DVS kernel behind [`scale_mode_with`] and
+    /// [`scale_pass`]: scales `timing` under `order`, leaves the scaled
+    /// timing and energy factors in `self.tasks`, `self.comms` and
+    /// `self.factors`, fills `voltages` (when given) with each task's
+    /// voltage schedule and returns the number of greedy steps.
+    fn scale(
+        &mut self,
+        system: &System,
+        timing: ScheduleView<'_>,
+        order: ResourceOrder<'_>,
+        options: &DvsOptions,
+        mut voltages: Option<&mut Vec<Option<VoltageSchedule>>>,
+    ) -> usize {
+        let graph = system.omsm().mode(timing.mode()).graph();
+        let n = graph.task_count();
+        self.tasks.clear();
+        self.tasks.extend_from_slice(timing.tasks());
+        self.comms.clear();
+        self.comms.extend_from_slice(timing.comms());
+        self.factors.clear();
+        self.factors.resize(n, 1.0);
+        if let Some(voltages) = voltages.as_deref_mut() {
+            voltages.clear();
+            voltages.resize(n, None);
+        }
+        self.rails.clear();
+        self.rails.extend(system.arch().pes().map(|(_, pe)| {
+            pe.dvs().map(|cap| {
+                let model = VoltageModel::from_capability(cap);
+                Rail { model, max_stretch: model.max_stretch(cap.v_min()) }
+            })
+        }));
+        // Virtual-task merging can, in rare interleavings, create cycles;
+        // fall back to group-free scaling then. A cycle without groups is
+        // the schedule's own: its own timing is returned.
+        let acyclic = self.build_graph(system, timing, order, options.scale_hw)
+            || (options.scale_hw && self.build_graph(system, timing, order, false));
+        if !acyclic {
+            return 0;
+        }
+        let iterations = self.distribute_slack(graph.period(), options);
+        self.snap(system, voltages);
+        iterations
     }
 
-    /// Fills `units` with one unit per virtual task (when `allow_groups`),
-    /// per task outside a virtual task and per remote communication.
-    fn build_units(&mut self, system: &System, schedule: &Schedule, allow_groups: bool) {
-        let graph = system.omsm().mode(schedule.mode()).graph();
+    /// Builds the units (with virtual tasks when `allow_groups`) and their
+    /// constraint graph. Returns `false` if the graph is cyclic.
+    fn build_graph(
+        &mut self,
+        system: &System,
+        timing: ScheduleView<'_>,
+        order: ResourceOrder<'_>,
+        allow_groups: bool,
+    ) -> bool {
+        self.build_units(system, timing, allow_groups);
+        self.build_constraint_graph(system, timing, order)
+    }
+
+    /// Fills `units`, with their durations and deadlines, with one unit
+    /// per virtual task (when `allow_groups`), per task outside a virtual
+    /// task and per remote communication.
+    fn build_units(&mut self, system: &System, timing: ScheduleView<'_>, allow_groups: bool) {
+        let graph = system.omsm().mode(timing.mode()).graph();
         let period = graph.period();
-        let Self { units, task_unit, comm_unit, .. } = self;
+        let Self { rails, units, members, dur, deadline, task_unit, comm_unit, .. } = self;
         units.clear();
+        members.clear();
+        dur.clear();
+        deadline.clear();
         task_unit.clear();
         task_unit.resize(graph.task_count(), usize::MAX);
         comm_unit.clear();
@@ -295,96 +455,87 @@ impl DvsScratch {
 
         if allow_groups {
             for pe in system.arch().dvs_pes() {
-                let pe_info = system.arch().pe(pe);
-                if !pe_info.kind().is_hardware() {
+                if !system.arch().pe(pe).kind().is_hardware() {
                     continue;
                 }
-                let cap = pe_info.dvs().expect("dvs_pes yields DVS PEs");
-                let model = VoltageModel::from_capability(cap);
-                let max_stretch = model.max_stretch(cap.v_min());
-                for group in virtual_tasks(system, schedule, pe) {
+                for group in virtual_tasks_of(system, timing, pe) {
                     let idx = units.len();
-                    let mut deadline = period;
-                    let members: Vec<GroupMember> = group
-                        .members
-                        .iter()
-                        .map(|&t| {
-                            deadline = deadline.min(graph.effective_deadline(t));
-                            task_unit[t.index()] = idx;
-                            let e = schedule.task(t);
-                            GroupMember {
-                                task: t,
-                                rel_start: e.start - group.start,
-                                nominal: e.exec_time,
-                            }
-                        })
-                        .collect();
+                    let first = members.len();
+                    let mut due = period;
+                    members.extend(group.members.iter().map(|&t| {
+                        due = due.min(graph.effective_deadline(t));
+                        task_unit[t.index()] = idx;
+                        let e = &timing.tasks()[t.index()];
+                        GroupMember {
+                            task: t,
+                            rel_start: e.start - group.start,
+                            nominal: e.exec_time,
+                        }
+                    }));
                     units.push(Unit {
-                        payload: UnitPayload::Group { members },
-                        deadline,
+                        payload: UnitPayload::Group { first, end: members.len() },
                         nominal: group.duration(),
-                        dur: group.duration(),
-                        scale: Some(ScaleInfo { pe, model, energy: group.energy, max_stretch }),
+                        scale: Some(Scale { pe, energy: group.energy }),
                     });
+                    deadline.push(due);
                 }
             }
         }
 
-        for entry in schedule.tasks() {
+        for entry in timing.tasks() {
             let t = entry.task;
             if task_unit[t.index()] != usize::MAX {
                 continue;
             }
-            let pe_info = system.arch().pe(entry.pe);
-            let scale = match pe_info.dvs() {
-                Some(cap) if pe_info.kind().is_software() => {
-                    let model = VoltageModel::from_capability(cap);
-                    let energy = system
-                        .tech()
-                        .impl_of(graph.task(t).task_type(), entry.pe)
-                        .expect("scheduled task has an implementation")
-                        .energy();
-                    Some(ScaleInfo {
-                        pe: entry.pe,
-                        model,
-                        energy,
-                        max_stretch: model.max_stretch(cap.v_min()),
-                    })
-                }
-                _ => None,
-            };
-            task_unit[t.index()] = units.len();
-            units.push(Unit {
-                payload: UnitPayload::Task(t),
-                deadline: graph.effective_deadline(t),
-                nominal: entry.exec_time,
-                dur: entry.exec_time,
-                scale,
+            let scalable = rails[entry.pe.index()].is_some()
+                && system.arch().pe(entry.pe).kind().is_software();
+            let scale = scalable.then(|| {
+                let energy = system
+                    .tech()
+                    .impl_of(graph.task(t).task_type(), entry.pe)
+                    .expect("scheduled task has an implementation")
+                    .energy();
+                Scale { pe: entry.pe, energy }
             });
+            task_unit[t.index()] = units.len();
+            units.push(Unit { payload: UnitPayload::Task(t), nominal: entry.exec_time, scale });
+            deadline.push(graph.effective_deadline(t));
         }
 
-        for entry in schedule.remote_comms() {
+        for entry in timing.remote_comms() {
             comm_unit[entry.comm.index()] = Some(units.len());
-            units.push(Unit {
-                payload: UnitPayload::Comm(entry.comm),
-                deadline: period,
-                nominal: entry.duration,
-                dur: entry.duration,
-                scale: None,
-            });
+            let payload = UnitPayload::Comm(entry.comm);
+            units.push(Unit { payload, nominal: entry.duration, scale: None });
+            deadline.push(period);
         }
+        dur.extend(units.iter().map(|unit| unit.nominal));
     }
 
     /// Builds the constraint edges between units — precedence edges from
     /// the task graph (through remote communications where they exist)
-    /// and resource-order edges from the per-resource sequences — with
-    /// their successor/predecessor rows, a topological order and each
-    /// unit's position in it. Returns `false` if the unit graph is
-    /// cyclic.
-    fn build_constraint_graph(&mut self, system: &System, schedule: &Schedule) -> bool {
-        let graph = system.omsm().mode(schedule.mode()).graph();
+    /// and resource-order edges between consecutive activities on one
+    /// resource — with their successor/predecessor rows, a topological
+    /// order and each unit's position in it. Returns `false` if the unit
+    /// graph is cyclic.
+    fn build_constraint_graph(
+        &mut self,
+        system: &System,
+        timing: ScheduleView<'_>,
+        order: ResourceOrder<'_>,
+    ) -> bool {
+        let graph = system.omsm().mode(timing.mode()).graph();
         let Self {
-            units, task_unit, comm_unit, edges, succs, preds, indegree, topo, position, ..
+            units,
+            task_unit,
+            comm_unit,
+            last,
+            edges,
+            succs,
+            preds,
+            indegree,
+            topo,
+            position,
+            ..
         } = self;
         edges.clear();
         for (c, edge) in graph.comms() {
@@ -406,12 +557,30 @@ impl DvsScratch {
                 }
             }
         }
-        for (_, acts) in schedule.sequences() {
-            for pair in acts.windows(2) {
-                let ua = activity_unit(pair[0], task_unit, comm_unit);
-                let ub = activity_unit(pair[1], task_unit, comm_unit);
-                if ua != ub {
-                    edges.push((ua, ub));
+        let (task_unit, comm_unit): (&[usize], &[Option<usize>]) = (task_unit, comm_unit);
+        let unit_of = |act| activity_unit(act, task_unit, comm_unit);
+        match order {
+            ResourceOrder::Sequences(sequences) => {
+                for (_, acts) in sequences {
+                    for pair in acts.windows(2) {
+                        let (ua, ub) = (unit_of(pair[0]), unit_of(pair[1]));
+                        if ua != ub {
+                            edges.push((ua, ub));
+                        }
+                    }
+                }
+            }
+            // Consecutive placements on one slot are the consecutive pairs
+            // of that resource's sequence, discovered in placement order.
+            ResourceOrder::Placements { placed, slots } => {
+                last.clear();
+                last.resize(slots, usize::MAX);
+                for &(slot, act) in placed {
+                    let ub = unit_of(act);
+                    let ua = mem::replace(&mut last[slot], ub);
+                    if ua != usize::MAX && ua != ub {
+                        edges.push((ua, ub));
+                    }
                 }
             }
         }
@@ -424,24 +593,37 @@ impl DvsScratch {
         succs.fill(n, edges.iter().copied());
         preds.fill(n, edges.iter().map(|&(a, b)| (b, a)));
 
-        // Kahn's algorithm; the queue, read front to back, is the order.
-        indegree.clear();
-        indegree.extend((0..n).map(|u| preds.row(u).len()));
         topo.clear();
-        topo.extend((0..n).filter(|&u| indegree[u] == 0));
-        let mut head = 0;
-        while head < topo.len() {
-            let u = topo[head];
-            head += 1;
-            for &s in succs.row(u) {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    topo.push(s);
+        match order {
+            // Every unit is one placed activity (no virtual task merges
+            // two): a list pass places an activity after all it waits for
+            // (its predecessors, its transfers, the activity before it on
+            // its resource), so the placement order is topological. Any
+            // topological order gives the passes the same times.
+            ResourceOrder::Placements { placed, .. } if placed.len() == n => {
+                topo.extend(placed.iter().map(|&(_, act)| unit_of(act)));
+            }
+            // Kahn's algorithm; the queue, read front to back, is the
+            // order.
+            _ => {
+                indegree.clear();
+                indegree.extend((0..n).map(|u| preds.row(u).len()));
+                topo.extend((0..n).filter(|&u| indegree[u] == 0));
+                let mut head = 0;
+                while head < topo.len() {
+                    let u = topo[head];
+                    head += 1;
+                    for &s in succs.row(u) {
+                        indegree[s] -= 1;
+                        if indegree[s] == 0 {
+                            topo.push(s);
+                        }
+                    }
+                }
+                if topo.len() != n {
+                    return false;
                 }
             }
-        }
-        if topo.len() != n {
-            return false;
         }
         position.clear();
         position.resize(n, 0);
@@ -457,13 +639,11 @@ impl DvsScratch {
     /// unit is extended the pass from its position redoes all that
     /// changed; from `0` it times every unit.
     fn forward(&mut self, from: usize) {
-        let Self { units, preds, topo, es, ef, .. } = self;
-        es.resize(units.len(), Seconds::ZERO);
-        ef.resize(units.len(), Seconds::ZERO);
+        let Self { dur, preds, topo, es, ef, .. } = self;
         for &u in &topo[from..] {
             let start = preds.row(u).iter().map(|&p| ef[p]).fold(Seconds::ZERO, Seconds::max);
             es[u] = start;
-            ef[u] = start + units[u].dur;
+            ef[u] = start + dur[u];
         }
     }
 
@@ -473,13 +653,13 @@ impl DvsScratch {
     /// duration), so after a unit is extended the pass up to its position
     /// redoes all that changed; up to the unit count it times every unit.
     fn backward(&mut self, to: usize) {
-        let Self { units, succs, topo, lf, .. } = self;
-        lf.resize(units.len(), Seconds::ZERO);
+        let Self { dur, deadline, succs, topo, lf, .. } = self;
         for &u in topo[..to].iter().rev() {
-            lf[u] = units[u].deadline;
+            let mut latest = deadline[u];
             for &s in succs.row(u) {
-                lf[u] = lf[u].min(lf[s] - units[s].dur);
+                latest = latest.min(lf[s] - dur[s]);
             }
+            lf[u] = latest;
         }
     }
 
@@ -496,54 +676,62 @@ impl DvsScratch {
     fn distribute_slack(&mut self, period: Seconds, options: &DvsOptions) -> usize {
         let quantum = period / options.quantum_divisor.max(1.0);
         let eps = period * 1e-9;
-        let Self { units, energies, .. } = self;
-        energies.clear();
+        let n = self.units.len();
+        let Self { rails, units, dur, scalable, es, ef, lf, .. } = self;
+        for times in [es, ef, lf] {
+            times.clear();
+            times.resize(n, Seconds::ZERO);
+        }
+        scalable.clear();
         for (u, unit) in units.iter().enumerate() {
-            let Some(scale) = &unit.scale else { continue };
+            let Some(scale) = unit.scale else { continue };
             if unit.nominal.value() <= 0.0 {
                 continue;
             }
-            energies.push(UnitEnergy {
+            let rail = rails[scale.pe.index()].expect("scalable units run on DVS PEs");
+            let mut cached = Scalable {
                 unit: u,
-                now: scale.energy_at(unit.nominal, unit.dur),
-                next: scale.energy_at(unit.nominal, unit.dur + quantum),
-            });
+                nominal: unit.nominal,
+                limit: unit.nominal * rail.max_stretch,
+                model: rail.model,
+                energy: scale.energy,
+                now: 0.0,
+                next: 0.0,
+            };
+            cached.now = cached.energy_at(dur[u]);
+            cached.next = cached.energy_at(dur[u] + quantum);
+            scalable.push(cached);
         }
         // The positions whose times are stale: every one at first, then
         // those the last extension can move.
-        let (mut from, mut to) = (0, units.len());
+        let (mut from, mut to) = (0, n);
         let mut iterations = 0usize;
         while iterations < options.max_iterations {
             self.forward(from);
             self.backward(to);
+            let Self { dur, scalable, ef, lf, .. } = &*self;
             let mut best: Option<(usize, Seconds, f64)> = None;
-            for (i, cached) in self.energies.iter().enumerate() {
+            for (i, cached) in scalable.iter().enumerate() {
                 let u = cached.unit;
-                let unit = &self.units[u];
-                let scale = unit.scale.as_ref().expect("cached units are scalable");
-                let slack = self.lf[u] - self.ef[u];
-                let room = unit.nominal * scale.max_stretch - unit.dur;
+                let slack = lf[u] - ef[u];
+                let room = cached.limit - dur[u];
                 let delta = quantum.min(slack).min(room);
                 if delta <= eps {
                     continue;
                 }
-                let e_new = if delta == quantum {
-                    cached.next
-                } else {
-                    scale.energy_at(unit.nominal, unit.dur + delta)
-                };
+                let e_new =
+                    if delta == quantum { cached.next } else { cached.energy_at(dur[u] + delta) };
                 let gain = (cached.now - e_new) / delta.value();
                 if gain > 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((i, delta, gain));
                 }
             }
             let Some((i, delta, _)) = best else { break };
-            let cached = &mut self.energies[i];
-            let unit = &mut self.units[cached.unit];
-            unit.dur += delta;
-            let scale = unit.scale.as_ref().expect("cached units are scalable");
-            cached.now = scale.energy_at(unit.nominal, unit.dur);
-            cached.next = scale.energy_at(unit.nominal, unit.dur + quantum);
+            let cached = &mut self.scalable[i];
+            let dur = &mut self.dur[cached.unit];
+            *dur += delta;
+            cached.now = cached.energy_at(*dur);
+            cached.next = cached.energy_at(*dur + quantum);
             let at = self.position[cached.unit];
             (from, to) = (at, at);
             iterations += 1;
@@ -551,88 +739,68 @@ impl DvsScratch {
         iterations
     }
 
-    /// Snaps every extension to the discrete levels and rebuilds the
-    /// schedule from the realised durations.
-    fn snap(&mut self, system: &System, schedule: &Schedule, iterations: usize) -> ScaledMode {
-        let graph = system.omsm().mode(schedule.mode()).graph();
-        let n = graph.task_count();
-        let cap = |scale: &ScaleInfo| {
-            system.arch().pe(scale.pe).dvs().expect("scaled units run on DVS PEs")
-        };
-        let mut task_voltages: Vec<Option<VoltageSchedule>> = vec![None; n];
-        let mut task_factors = vec![1.0f64; n];
-        // `Schedule::tasks` runs in task-id order, so entry `t` is task `t`.
-        let mut new_tasks: Vec<ScheduledTask> = schedule.tasks().copied().collect();
-        let mut new_comms: Vec<Option<ScheduledComm>> =
-            graph.comm_ids().map(|c| schedule.comm(c).copied()).collect();
-
+    /// Snaps every extension to the discrete levels and writes the
+    /// realised timing and each task's energy factor over the input's in
+    /// `self.tasks`, `self.comms` and `self.factors`; fills `voltages`
+    /// with each scaled task's voltage schedule when given.
+    fn snap(&mut self, system: &System, mut voltages: Option<&mut Vec<Option<VoltageSchedule>>>) {
+        let cap = |pe: PeId| system.arch().pe(pe).dvs().expect("scaled units run on DVS PEs");
         // First pass: apply snapped durations so the final forward pass
         // uses realised (discrete) times. Only each fit's total time is
         // read here; the second pass fits again, to the snapped time,
         // because a fit to its own total time need not repeat its
         // segments bit for bit.
-        for unit in &mut self.units {
-            let Some(scale) = &unit.scale else { continue };
-            if unit.dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
-                unit.dur = unit.nominal;
+        let Self { rails, units, dur, .. } = self;
+        for (unit, dur) in units.iter().zip(dur.iter_mut()) {
+            let Some(scale) = unit.scale else { continue };
+            if dur.value() <= unit.nominal.value() * (1.0 + 1e-12) {
+                *dur = unit.nominal;
                 continue;
             }
-            unit.dur =
-                VoltageSchedule::fitted_time(cap(scale), &scale.model, unit.nominal, unit.dur);
+            let rail = rails[scale.pe.index()].expect("scaled units run on DVS PEs");
+            *dur = Fit::new(cap(scale.pe), &rail.model, unit.nominal, *dur).total_time();
         }
         self.forward(0);
-        let es = &self.es;
 
-        for (u, unit) in self.units.iter().enumerate() {
-            match &unit.payload {
+        let Self { rails, units, members, dur, es, tasks, comms, factors, .. } = self;
+        // A scaled task's fitted time and factor, and its voltage
+        // schedule when asked for. `tasks` runs in task-id order, so
+        // entry `t` is task `t`.
+        let mut apply = |entry: &mut ScheduledTask, model: &VoltageModel, fit: Fit| {
+            entry.exec_time = fit.total_time();
+            factors[entry.task.index()] = fit.energy_factor(model);
+            if let Some(voltages) = voltages.as_deref_mut() {
+                voltages[entry.task.index()] = Some(fit.schedule());
+            }
+        };
+        for (u, unit) in units.iter().enumerate() {
+            match unit.payload {
                 UnitPayload::Task(t) => {
-                    let entry = &mut new_tasks[t.index()];
+                    let entry = &mut tasks[t.index()];
                     entry.start = es[u];
-                    if let Some(scale) = &unit.scale {
-                        let vs =
-                            VoltageSchedule::fit(cap(scale), &scale.model, unit.nominal, unit.dur);
-                        entry.exec_time = vs.total_time();
-                        task_factors[t.index()] = vs.energy_factor(&scale.model);
-                        task_voltages[t.index()] = Some(vs);
+                    if let Some(scale) = unit.scale {
+                        let rail = rails[scale.pe.index()].expect("scaled units run on DVS PEs");
+                        let fit = Fit::new(cap(scale.pe), &rail.model, unit.nominal, dur[u]);
+                        apply(entry, &rail.model, fit);
                     }
                 }
                 UnitPayload::Comm(c) => {
-                    let entry = new_comms[c.index()]
-                        .as_mut()
-                        .expect("comm unit exists only for remote comms");
+                    let entry =
+                        comms[c.index()].as_mut().expect("comm unit exists only for remote comms");
                     entry.start = es[u];
                 }
-                UnitPayload::Group { members } => {
-                    let scale = unit.scale.as_ref().expect("groups are always scalable");
-                    let k = if unit.nominal.value() > 0.0 { unit.dur / unit.nominal } else { 1.0 };
-                    for m in members {
-                        let entry = &mut new_tasks[m.task.index()];
+                UnitPayload::Group { first, end } => {
+                    let scale = unit.scale.expect("groups are always scalable");
+                    let rail = rails[scale.pe.index()].expect("groups run on DVS PEs");
+                    let k = if unit.nominal.value() > 0.0 { dur[u] / unit.nominal } else { 1.0 };
+                    for m in &members[first..end] {
+                        let entry = &mut tasks[m.task.index()];
                         entry.start = es[u] + m.rel_start * k;
-                        let vs = VoltageSchedule::fit(
-                            cap(scale),
-                            &scale.model,
-                            m.nominal,
-                            m.nominal * k,
-                        );
-                        entry.exec_time = vs.total_time();
-                        task_factors[m.task.index()] = vs.energy_factor(&scale.model);
-                        task_voltages[m.task.index()] = Some(vs);
+                        let fit = Fit::new(cap(scale.pe), &rail.model, m.nominal, m.nominal * k);
+                        apply(entry, &rail.model, fit);
                     }
                 }
             }
-        }
-
-        let new_schedule = Schedule::from_parts(
-            schedule.mode(),
-            new_tasks,
-            new_comms,
-            schedule.sequences().to_vec(),
-        );
-        ScaledMode {
-            schedule: new_schedule,
-            task_voltages,
-            task_energy_factors: task_factors,
-            iterations,
         }
     }
 }

@@ -60,18 +60,7 @@ impl VoltageSchedule {
     /// Panics if the capability has no levels (rejected by the
     /// architecture builder) or if `t_min` is non-positive.
     pub fn fit(cap: &DvsCapability, model: &VoltageModel, t_min: Seconds, target: Seconds) -> Self {
-        Self { segments: fit_segments(cap, model, t_min, target).into_iter().flatten().collect() }
-    }
-
-    /// [`VoltageSchedule::fit`]'s [`VoltageSchedule::total_time`],
-    /// bit for bit, without building the schedule.
-    pub(crate) fn fitted_time(
-        cap: &DvsCapability,
-        model: &VoltageModel,
-        t_min: Seconds,
-        target: Seconds,
-    ) -> Seconds {
-        fit_segments(cap, model, t_min, target).iter().flatten().map(|s| s.duration).sum()
+        Fit::new(cap, model, t_min, target).schedule()
     }
 
     /// Returns the ordered segments.
@@ -81,13 +70,13 @@ impl VoltageSchedule {
 
     /// Total wall-clock duration of the schedule.
     pub fn total_time(&self) -> Seconds {
-        self.segments.iter().map(|s| s.duration).sum()
+        total_time(&self.segments)
     }
 
     /// Energy factor relative to nominal execution:
     /// `Σ cycle_fraction · (V / V_max)²`.
     pub fn energy_factor(&self, model: &VoltageModel) -> f64 {
-        self.segments.iter().map(|s| s.cycle_fraction * model.energy_factor(s.voltage)).sum()
+        energy_factor(&self.segments, model)
     }
 
     /// The lowest voltage used by any segment.
@@ -105,8 +94,53 @@ impl VoltageSchedule {
     }
 }
 
-/// The one fitting rule of [`VoltageSchedule::fit`]: its segments in
-/// order, at most two, without allocating.
+/// The sum of the segments' durations, in order.
+fn total_time<'s>(segments: impl IntoIterator<Item = &'s VoltageSegment>) -> Seconds {
+    segments.into_iter().map(|s| s.duration).sum()
+}
+
+/// `Σ cycle_fraction · (V / V_max)²` over the segments, in order.
+fn energy_factor<'s>(
+    segments: impl IntoIterator<Item = &'s VoltageSegment>,
+    model: &VoltageModel,
+) -> f64 {
+    segments.into_iter().map(|s| s.cycle_fraction * model.energy_factor(s.voltage)).sum()
+}
+
+/// A fit's segments, at most two, held without allocating: PV-DVS reads
+/// a fit's time and energy factor here and builds the
+/// [`VoltageSchedule`] only when asked for it. Both are summed over the
+/// same segments in the same order as the schedule's, so they agree
+/// with [`VoltageSchedule::total_time`] and
+/// [`VoltageSchedule::energy_factor`] bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fit([Option<VoltageSegment>; 2]);
+
+impl Fit {
+    /// The one fitting rule, described at [`VoltageSchedule::fit`].
+    pub(crate) fn new(
+        cap: &DvsCapability,
+        model: &VoltageModel,
+        t_min: Seconds,
+        target: Seconds,
+    ) -> Self {
+        Self(fit_segments(cap, model, t_min, target))
+    }
+
+    pub(crate) fn total_time(&self) -> Seconds {
+        total_time(self.0.iter().flatten())
+    }
+
+    pub(crate) fn energy_factor(&self, model: &VoltageModel) -> f64 {
+        energy_factor(self.0.iter().flatten(), model)
+    }
+
+    pub(crate) fn schedule(&self) -> VoltageSchedule {
+        VoltageSchedule { segments: self.0.iter().flatten().copied().collect() }
+    }
+}
+
+/// [`Fit::new`]'s segments in order.
 fn fit_segments(
     cap: &DvsCapability,
     model: &VoltageModel,

@@ -51,7 +51,9 @@ pub struct SchedulerOptions {
 ///
 /// A pass leaves its result here: each task's entry by task id, the comm
 /// table and the placements, which the assembly of a [`Schedule`] sorts
-/// into per-resource sequences.
+/// into per-resource sequences. [`ListScratch::view`],
+/// [`ListScratch::placements`] and [`ListScratch::slots`] read it, e.g.
+/// for PV-DVS, which takes each resource's order from the placements.
 ///
 /// Resources live in dense slots laid out in [`ResourceKey`] order: one
 /// per PE (software PEs use theirs), then one per `(PE, type, instance)`
@@ -60,6 +62,8 @@ pub struct SchedulerOptions {
 pub struct ListScratch {
     /// The analysis [`schedule_mode_with`] computes for its own call.
     timing: TimingAnalysis,
+    /// The mode of the last pass, if it succeeded.
+    mode: Option<ModeId>,
     /// The priority order's sort keys, one per task.
     keys: Vec<PriorityKey>,
     order: Vec<TaskId>,
@@ -177,6 +181,7 @@ pub fn list_schedule<'s>(
     let arch = system.arch();
     let n = graph.task_count();
     let ListScratch {
+        mode: passed,
         keys,
         order,
         rank,
@@ -191,6 +196,7 @@ pub fn list_schedule<'s>(
         placed,
         ..
     } = scratch;
+    *passed = None;
 
     // Priority ranks: rank[task] = position in the chosen order.
     match options.priority {
@@ -314,10 +320,29 @@ pub fn list_schedule<'s>(
     tasks.extend(
         scheduled.iter_mut().map(|t| t.take().expect("acyclic graph schedules every task")),
     );
+    *passed = Some(mode);
     Ok(ScheduleView::new(mode, tasks, comms))
 }
 
 impl ListScratch {
+    /// The timing of the last pass, the view [`list_schedule`] returned;
+    /// `None` before the first pass and after a failed one.
+    pub fn view(&self) -> Option<ScheduleView<'_>> {
+        self.mode.map(|mode| ScheduleView::new(mode, &self.tasks, &self.comms))
+    }
+
+    /// Every activity the last pass placed, with the index of its
+    /// resource in [`ListScratch::slots`], in placement order: each
+    /// resource's activities in the order it runs them.
+    pub fn placements(&self) -> &[(usize, ActivityId)] {
+        &self.placed
+    }
+
+    /// The resources of the last pass, one per slot, ascending.
+    pub fn slots(&self) -> &[ResourceKey] {
+        &self.slot_keys
+    }
+
     /// The assembly step: the [`Schedule`] of the last pass, which was of
     /// `mode` and succeeded.
     fn assemble(&mut self, mode: ModeId) -> Schedule {
@@ -648,6 +673,38 @@ mod tests {
             let graph = sys.omsm().mode(mode).graph();
             assert_eq!(view.total_lateness(graph), schedule.total_lateness(graph));
         }
+    }
+
+    #[test]
+    fn the_placements_give_each_resources_sequence() {
+        let sys = testbed();
+        let mode = ModeId::new(0);
+        let options = SchedulerOptions::default();
+        let mut scratch = ListScratch::default();
+        assert_eq!(scratch.view(), None);
+        let mut mapping = cpu_mapping(&sys);
+        mapping.set(mode, TaskId::new(1), PeId::new(1));
+        mapping.set(mode, TaskId::new(2), PeId::new(1));
+        let alloc = CoreAllocation::minimal(&sys, &mapping);
+        let schedule =
+            schedule_mode_with(&sys, mode, &mapping, &alloc, options, &mut scratch).unwrap();
+        assert_eq!(scratch.view(), Some(schedule.view()));
+        let mut sequences: Vec<(ResourceKey, Vec<ActivityId>)> = Vec::new();
+        for (slot, resource) in scratch.slots().iter().enumerate() {
+            let on_slot = scratch.placements().iter().filter(|&&(s, _)| s == slot);
+            let acts: Vec<ActivityId> = on_slot.map(|&(_, act)| act).collect();
+            if !acts.is_empty() {
+                sequences.push((*resource, acts));
+            }
+        }
+        assert_eq!(sequences, schedule.sequences());
+        let placed = scratch.placements().len();
+        assert_eq!(placed, 4 + schedule.remote_comms().count());
+
+        // A failed pass leaves no view.
+        mapping.set(mode, TaskId::new(0), PeId::new(1));
+        assert!(schedule_mode_with(&sys, mode, &mapping, &alloc, options, &mut scratch).is_err());
+        assert_eq!(scratch.view(), None);
     }
 
     /// Three CPUs, only the first two on a bus; a chain a -> b -> c.

@@ -98,8 +98,9 @@ impl ScheduledComm {
 /// task-id order and the comm table in comm-id order. A [`Schedule`]
 /// lends one through [`Schedule::view`], and the list scheduler's
 /// scratch after a pass through
-/// [`list_schedule`](crate::list::list_schedule); pricing and lateness
-/// read nothing else of a schedule.
+/// [`list_schedule`](crate::list::list_schedule) and
+/// [`ListScratch::view`](crate::list::ListScratch::view); pricing and
+/// lateness read nothing else of a schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleView<'a> {
     mode: ModeId,
@@ -109,8 +110,10 @@ pub struct ScheduleView<'a> {
 
 impl<'a> ScheduleView<'a> {
     /// A view of `tasks`, indexed by task id, and `comms`, indexed by
-    /// comm id with `None` for a local transfer.
-    pub(crate) fn new(
+    /// comm id with `None` for a local transfer: the layout a
+    /// [`Schedule`] keeps, e.g. a voltage-scaled copy of another view's
+    /// timing.
+    pub fn new(
         mode: ModeId,
         tasks: &'a [ScheduledTask],
         comms: &'a [Option<ScheduledComm>],
@@ -126,6 +129,11 @@ impl<'a> ScheduleView<'a> {
     /// Every scheduled task in task-id order.
     pub fn tasks(&self) -> &'a [ScheduledTask] {
         self.tasks
+    }
+
+    /// The comm table in comm-id order: `None` marks a local transfer.
+    pub fn comms(&self) -> &'a [Option<ScheduledComm>] {
+        self.comms
     }
 
     /// Iterates over all remote communications in comm-id order.
