@@ -295,19 +295,20 @@ struct MappingProblem<'a> {
 /// Prices one genome for the GA against its parents' `table`: an
 /// injected fault or any [`Evaluator::try_cost`] failure rejects the
 /// candidate with [`REJECTED_COST`] and leaves its record empty. Counts
-/// on `evaluator`. A free function (rather than a method) so parallel
-/// workers can run it against their own evaluator without sharing the
-/// `!Sync` [`MappingProblem`].
+/// on `evaluator`. `slices` are the genome's gene-slice hashes,
+/// [`GenomeLayout::slice_hashes`], computed once by the caller: the
+/// table's lookups read them and the record keeps them. A free function
+/// (rather than a method) so parallel workers can run it against their
+/// own evaluator without sharing the `!Sync` [`MappingProblem`].
 fn price_genome(
     layout: &GenomeLayout,
     config: &SynthesisConfig,
     evaluator: &Evaluator<'_>,
     table: &ParentTable<'_>,
     genome: &[Gene],
+    slices: Vec<u64>,
 ) -> (f64, ParentRecord) {
     let dvs = config.dvs.as_ref().map(|d| d.eval);
-    // Hashed once: for the table's lookups and for the record.
-    let slices = layout.slice_hashes(genome);
     let priced = if config.fault_injection.is_some_and(|f| f.roll(genome).is_some()) {
         None
     } else {
@@ -394,7 +395,8 @@ impl<'a> MappingProblem<'a> {
         let records = parents.iter().zip(at).map(|(parent, at)| {
             at.and_then(|i| pool[i].take()).unwrap_or_else(|| {
                 let worker = throwaway.get_or_insert_with(|| self.evaluator.worker());
-                price_genome(self.layout, self.config, worker, &empty, parent.genome).1
+                let slices = parent.slices.to_vec();
+                price_genome(self.layout, self.config, worker, &empty, parent.genome, slices).1
             })
         });
         ParentTable::new(self.layout, records.collect())
@@ -424,22 +426,33 @@ impl GaProblem for MappingProblem<'_> {
     /// trajectories and counters are bit-identical for any `threads`.
     fn cost_batch(&self, parents: &[&[Gene]], genomes: &[Vec<Gene>]) -> Vec<f64> {
         let table = self.parent_table(parents);
+        // Each genome is hashed once, slice by slice: the dedup keys on
+        // the slice hashes, and a unique genome's record keeps them.
+        let mut slices: Vec<Vec<u64>> =
+            genomes.iter().map(|g| self.layout.slice_hashes(g)).collect();
         // `slot_of[i]` maps the i-th genome to its unique-genome slot.
         let mut unique: Vec<usize> = Vec::new();
-        let mut first: HashMap<&[Gene], usize> = HashMap::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(genomes.len());
-        for (i, genome) in genomes.iter().enumerate() {
-            let next = unique.len();
-            let slot = *first.entry(genome.as_slice()).or_insert(next);
-            if slot == next {
-                unique.push(i);
+        {
+            let mut first: HashMap<Keyed<'_>, usize> = HashMap::with_capacity(genomes.len());
+            for (i, (genome, slices)) in genomes.iter().zip(&slices).enumerate() {
+                let next = unique.len();
+                let slot = *first.entry(Keyed { slices, genome }).or_insert(next);
+                if slot == next {
+                    unique.push(i);
+                }
+                slot_of.push(slot);
             }
-            slot_of.push(slot);
         }
         self.evaluator.count(|c| {
             c.cache_misses += genomes.len() as u64;
             c.evaluated += unique.len() as u64;
         });
+        // Each unique genome, in slot order, with its slice hashes.
+        let mut work: Vec<(&[Gene], Vec<u64>)> = unique
+            .iter()
+            .map(|&i| (genomes[i].as_slice(), std::mem::take(&mut slices[i])))
+            .collect();
         // Each worker is a pricing unit of its own; folding it back is a
         // commutative sum, so totals are independent of worker scheduling.
         let mut priced: Vec<(f64, ParentRecord)> = Vec::with_capacity(unique.len());
@@ -448,24 +461,28 @@ impl GaProblem for MappingProblem<'_> {
         // serially, which the determinism contract already permits.
         let serial = cfg!(loom) || self.threads <= 1 || unique.len() <= 1;
         if serial {
-            priced.extend(unique.iter().map(|&i| {
-                price_genome(self.layout, self.config, self.evaluator, &table, &genomes[i])
+            priced.extend(work.iter_mut().map(|(genome, slices)| {
+                let slices = std::mem::take(slices);
+                price_genome(self.layout, self.config, self.evaluator, &table, genome, slices)
             }));
         }
         #[cfg(not(loom))]
         if !serial {
-            let workers = self.threads.min(unique.len());
-            let chunk = unique.len().div_ceil(workers);
+            let workers = self.threads.min(work.len());
+            let chunk = work.len().div_ceil(workers);
             let (layout, config, table) = (self.layout, self.config, &table);
             momsynth_sync::thread::scope(|scope| {
-                let handles: Vec<_> = unique
-                    .chunks(chunk)
-                    .map(|ids| {
+                let handles: Vec<_> = work
+                    .chunks_mut(chunk)
+                    .map(|part| {
                         let worker = self.evaluator.worker();
                         scope.spawn(move || {
-                            let priced: Vec<_> = ids
-                                .iter()
-                                .map(|&i| price_genome(layout, config, &worker, table, &genomes[i]))
+                            let priced: Vec<_> = part
+                                .iter_mut()
+                                .map(|(genome, slices)| {
+                                    let slices = std::mem::take(slices);
+                                    price_genome(layout, config, &worker, table, genome, slices)
+                                })
                                 .collect();
                             (worker, priced)
                         })
