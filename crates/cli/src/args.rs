@@ -993,7 +993,11 @@ mod tests {
     fn check_parses() {
         assert_eq!(
             parse(&argv("check sys.json sol.json")).unwrap(),
-            Command::Check { path: "sys.json".into(), solution: "sol.json".into(), report_out: None }
+            Command::Check {
+                path: "sys.json".into(),
+                solution: "sol.json".into(),
+                report_out: None
+            }
         );
         assert_eq!(
             parse(&argv("check sys.json sol.json --report-out rep.json")).unwrap(),
@@ -1122,8 +1126,7 @@ mod tests {
 
     #[test]
     fn serve_metrics_flags_parse() {
-        match parse(&argv("serve --root jobs --oneshot --metrics-listen 127.0.0.1:9187")).unwrap()
-        {
+        match parse(&argv("serve --root jobs --oneshot --metrics-listen 127.0.0.1:9187")).unwrap() {
             Command::Serve { metrics_listen, config, .. } => {
                 assert_eq!(metrics_listen.as_deref(), Some("127.0.0.1:9187"));
                 assert!(config.metrics);

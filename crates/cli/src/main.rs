@@ -21,13 +21,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use momsynth_analyze::Severity;
 use momsynth_check::StoredSolution;
 use momsynth_core::telemetry::{Fanout, JsonlSink, ProgressSink, Sink, WarningSink};
 use momsynth_core::{
     Checkpoint, CheckpointSpec, ProveOptions, StopReason, SynthControl, SynthesisError, Synthesizer,
 };
 use momsynth_gen::suite::{generate, mul, GeneratorParams};
-use momsynth_analyze::Severity;
 use momsynth_model::{dot, System};
 use momsynth_power::energy_breakdown;
 use momsynth_serve::JobSpec;
@@ -110,8 +110,7 @@ fn main() -> ExitCode {
 }
 
 fn load_system(path: &str) -> Result<System, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     Ok(serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))?)
 }
 
@@ -173,8 +172,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             let shared = system.shared_types();
             if !shared.is_empty() {
-                let names: Vec<&str> =
-                    shared.iter().map(|&t| system.tech().type_name(t)).collect();
+                let names: Vec<&str> = shared.iter().map(|&t| system.tech().type_name(t)).collect();
                 println!("shared task types: {}", names.join(", "));
             }
             let analysis = momsynth_analyze::analyze_system(&system);
@@ -212,8 +210,8 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             Ok(ExitCode::SUCCESS)
         }
         Command::Convert { path, output } => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read `{path}`: {e}"))?;
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let stem = std::path::Path::new(&path)
                 .file_stem()
                 .and_then(|s| s.to_str())
@@ -348,10 +346,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 let mut json = cert.to_json();
                 if let serde_json::Value::Object(fields) = &mut json {
                     fields.push(("system".into(), serde_json::json!(system.name())));
-                    fields.push((
-                        "ga_best_fitness".into(),
-                        serde_json::json!(result.best.fitness),
-                    ));
+                    fields.push(("ga_best_fitness".into(), serde_json::json!(result.best.fitness)));
                 }
                 write_output(p, &serde_json::to_string_pretty(&json)?, quiet)?;
             }
@@ -368,19 +363,14 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             // A deeply corrupted solution (e.g. ids far out of range that
             // the shape pass cannot anticipate) may panic inside model
             // accessors; surface that as a load error, not a crash.
-            let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stored.check(&system)
-            }))
-            .map_err(|_| format!("`{solution}` is malformed beyond checking"))?;
+            let report =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stored.check(&system)))
+                    .map_err(|_| format!("`{solution}` is malformed beyond checking"))?;
             println!("{report}");
             if let Some(p) = &report_out {
                 write_output(p, &serde_json::to_string_pretty(&report.to_json())?, false)?;
             }
-            Ok(if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_INFEASIBLE)
-            })
+            Ok(if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::from(EXIT_INFEASIBLE) })
         }
         Command::Synth {
             path,
@@ -464,12 +454,12 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
 
             if let Some(dir) = vcd {
-                std::fs::create_dir_all(&dir)
-                    .map_err(|e| format!("cannot create `{dir}`: {e}"))?;
+                std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
                 for schedule in &result.best.schedules {
                     let mode = system.omsm().mode(schedule.mode());
                     let text = momsynth_sched::schedule_to_vcd(system, schedule);
-                    let file = format!("{dir}/{}.vcd", mode.name().replace(char::is_whitespace, "_"));
+                    let file =
+                        format!("{dir}/{}.vcd", mode.name().replace(char::is_whitespace, "_"));
                     std::fs::write(&file, text)
                         .map_err(|e| format!("cannot write `{file}`: {e}"))?;
                     if !quiet {
@@ -546,8 +536,7 @@ fn run(command: Command) -> Result<ExitCode, Box<dyn std::error::Error>> {
             if report.skipped_lines > 0 {
                 eprintln!("warning: skipped {} unparseable line(s)", report.skipped_lines);
             }
-            let rendered =
-                if collapsed { report.to_collapsed() } else { report.to_table() };
+            let rendered = if collapsed { report.to_collapsed() } else { report.to_table() };
             match output {
                 Some(p) => write_output(&p, &rendered, false)?,
                 None => print!("{rendered}"),
@@ -655,8 +644,8 @@ fn run_job_client(
     use std::io::{BufRead, Write};
     use std::os::unix::net::UnixStream;
 
-    let mut stream = UnixStream::connect(socket)
-        .map_err(|e| format!("cannot connect to `{socket}`: {e}"))?;
+    let mut stream =
+        UnixStream::connect(socket).map_err(|e| format!("cannot connect to `{socket}`: {e}"))?;
     let mut reader = std::io::BufReader::new(stream.try_clone()?);
     let mut roundtrip =
         |request: &JobRequest| -> Result<serde_json::Value, Box<dyn std::error::Error>> {
@@ -742,10 +731,10 @@ fn print_solution(system: &System, result: &momsynth_core::SynthesisResult) {
                     result.best.voltage_schedules[mode.index()][t]
                         .as_ref()
                         .map(|vs| {
-                            let pe = result.best.mapping.pe_of(
-                                mode,
-                                momsynth_model::ids::TaskId::new(t),
-                            );
+                            let pe = result
+                                .best
+                                .mapping
+                                .pe_of(mode, momsynth_model::ids::TaskId::new(t));
                             let cap = system.arch().pe(pe).dvs().expect("scaled on DVS PE");
                             vs.energy_factor(&momsynth_dvs::VoltageModel::from_capability(cap))
                         })

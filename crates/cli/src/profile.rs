@@ -52,9 +52,9 @@ impl ProfileReport {
         let mut trace_ids: Vec<String> = Vec::new();
         let mut skipped = 0usize;
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let event = serde_json::from_str::<Event>(line).ok().or_else(|| {
-                serde_json::from_str::<JobEvent>(line).ok().map(|tagged| tagged.event)
-            });
+            let event = serde_json::from_str::<Event>(line)
+                .ok()
+                .or_else(|| serde_json::from_str::<JobEvent>(line).ok().map(|tagged| tagged.event));
             let Some(event) = event else {
                 skipped += 1;
                 continue;
@@ -128,11 +128,8 @@ impl ProfileReport {
         ));
         for node in rows {
             #[allow(clippy::cast_precision_loss)]
-            let percent = if total == 0 {
-                0.0
-            } else {
-                node.self_nanos as f64 / total as f64 * 100.0
-            };
+            let percent =
+                if total == 0 { 0.0 } else { node.self_nanos as f64 / total as f64 * 100.0 };
             out.push_str(&format!(
                 "{:<44} {:>12} {:>12} {:>8} {:>6.1}%\n",
                 node.path,

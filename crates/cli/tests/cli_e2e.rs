@@ -6,10 +6,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn momsynth(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_momsynth"))
-        .args(args)
-        .output()
-        .expect("binary runs")
+    Command::new(env!("CARGO_BIN_EXE_momsynth")).args(args).output().expect("binary runs")
 }
 
 fn tmp_file(name: &str) -> PathBuf {
@@ -105,7 +102,11 @@ fn synth_runs_and_writes_solution() {
             .expect("valid JSON");
     assert_eq!(solution["system"], "mul9");
     assert!(solution["average_power_mw"].as_f64().expect("number") > 0.0);
-    assert!(solution["mapping"].is_object() || solution["mapping"].is_array() || !solution["mapping"].is_null());
+    assert!(
+        solution["mapping"].is_object()
+            || solution["mapping"].is_array()
+            || !solution["mapping"].is_null()
+    );
 
     std::fs::remove_file(&sys_path).ok();
     std::fs::remove_file(&sol_path).ok();
@@ -271,11 +272,7 @@ fn checkpoint_resume_reproduces_uninterrupted_mapping() {
     assert!(out.status.success());
 
     let mapping_line = |out: &Output| {
-        stdout(out)
-            .lines()
-            .find(|l| l.starts_with("mapping:"))
-            .expect("mapping line")
-            .to_owned()
+        stdout(out).lines().find(|l| l.starts_with("mapping:")).expect("mapping line").to_owned()
     };
 
     let full = momsynth(&["synth", sys_str, "--quick", "--seed", "7"]);
@@ -284,22 +281,29 @@ fn checkpoint_resume_reproduces_uninterrupted_mapping() {
     // Interrupt an identical run mid-flight, checkpointing every
     // generation …
     let cut = momsynth(&[
-        "synth", sys_str, "--quick", "--seed", "7", "--max-evals", "60", "--checkpoint", cp_str,
-        "--checkpoint-every", "1",
+        "synth",
+        sys_str,
+        "--quick",
+        "--seed",
+        "7",
+        "--max-evals",
+        "60",
+        "--checkpoint",
+        cp_str,
+        "--checkpoint-every",
+        "1",
     ]);
     assert!(matches!(cut.status.code(), Some(0 | 2)), "{}", stderr(&cut));
     assert!(cp_path.exists(), "checkpoint must have been written");
 
     // … then resume without the budget: the final mapping must match the
     // uninterrupted run's.
-    let resumed =
-        momsynth(&["synth", sys_str, "--quick", "--seed", "7", "--resume", cp_str]);
+    let resumed = momsynth(&["synth", sys_str, "--quick", "--seed", "7", "--resume", cp_str]);
     assert!(resumed.status.success(), "{}", stderr(&resumed));
     assert_eq!(mapping_line(&full), mapping_line(&resumed));
 
     // Resuming against the wrong seed is a clean, typed failure.
-    let mismatched =
-        momsynth(&["synth", sys_str, "--quick", "--seed", "8", "--resume", cp_str]);
+    let mismatched = momsynth(&["synth", sys_str, "--quick", "--seed", "8", "--resume", cp_str]);
     assert_eq!(mismatched.status.code(), Some(1));
     assert!(stderr(&mismatched).contains("seed"), "{}", stderr(&mismatched));
 
@@ -328,10 +332,8 @@ fn sigint_reports_best_so_far_and_exits_with_code_3() {
     let mut progress = BufReader::new(pipe).lines().map_while(Result::ok);
     let started = progress.by_ref().any(|line| line.trim_start().starts_with("gen "));
     assert!(started, "synth exited before its first generation");
-    let kill = Command::new("kill")
-        .args(["-INT", &child.id().to_string()])
-        .status()
-        .expect("kill runs");
+    let kill =
+        Command::new("kill").args(["-INT", &child.id().to_string()]).status().expect("kill runs");
     assert!(kill.success());
     // Keep draining stderr so the child never blocks on a full pipe.
     let drain = std::thread::spawn(move || progress.collect::<Vec<_>>().join("\n"));
@@ -396,10 +398,8 @@ fn check_reports_malformed_comm_tables() {
         let transfer = comms.iter_mut().find(|c| !c.is_null()).expect("a routed transfer");
         *field(transfer, "cl") = serde_json::json!(99);
     };
-    for (name, edit) in [
-        ("cut", &cut as &dyn Fn(&mut Vec<serde_json::Value>)),
-        ("relink", &relink),
-    ] {
+    for (name, edit) in [("cut", &cut as &dyn Fn(&mut Vec<serde_json::Value>)), ("relink", &relink)]
+    {
         let mut bad = solution.clone();
         edit(items(field(&mut items(field(&mut bad, "schedules"))[0], "comms")));
         std::fs::write(&bad_path, serde_json::to_string_pretty(&bad).expect("JSON"))
@@ -457,8 +457,7 @@ fn check_verifies_clean_solutions_and_rejects_corrupted_ones() {
     let text = std::fs::read_to_string(&sol_path).expect("solution readable");
     assert_eq!(text.matches("\"average\":").count(), 1, "p̄ field must be unique");
     let start = text.find("\"average\":").expect("p̄ field") + "\"average\":".len();
-    let end = start
-        + text[start..].find([',', '\n', '}']).expect("number terminator");
+    let end = start + text[start..].find([',', '\n', '}']).expect("number terminator");
     let average: f64 = text[start..end].trim().parse().expect("p̄ is a number");
     let corrupted = format!("{}{}{}", &text[..start], average * 1.5, &text[end..]);
     std::fs::write(&sol_path, corrupted).expect("write");

@@ -9,10 +9,7 @@ use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 fn momsynth(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_momsynth"))
-        .args(args)
-        .output()
-        .expect("binary runs")
+    Command::new(env!("CARGO_BIN_EXE_momsynth")).args(args).output().expect("binary runs")
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -93,12 +90,7 @@ fn oneshot_serves_submit_wait_result_shutdown() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("server spawns");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(script.as_bytes())
-        .expect("script written");
+    child.stdin.take().expect("stdin piped").write_all(script.as_bytes()).expect("script written");
     let out = child.wait_with_output().expect("server exits");
     assert!(out.status.success(), "{}", stderr(&out));
 
@@ -109,10 +101,7 @@ fn oneshot_serves_submit_wait_result_shutdown() {
     assert_eq!(lines.len(), 5, "one response per request: {}", stdout(&out));
     assert_eq!(lines[0].get("pong").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(lines[1].get("id").and_then(|v| v.as_str()), Some("job-000001"));
-    let state = lines[2]
-        .get("job")
-        .and_then(|j| j.get("state"))
-        .and_then(|v| v.as_str());
+    let state = lines[2].get("job").and_then(|j| j.get("state")).and_then(|v| v.as_str());
     assert_eq!(state, Some("verified"), "{}", lines[2]);
     let result = lines[3].get("result").expect("result payload");
     assert_eq!(result.get("feasible").and_then(|v| v.as_bool()), Some(true));
@@ -268,9 +257,13 @@ fn sigkill_mid_run_loses_no_jobs_and_resumes_to_verified() {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let out = momsynth(&["job", "status", &ids[0], "--socket", socket_str]);
-        let state = serde_json::from_str::<serde_json::Value>(stdout(&out).trim())
-            .ok()
-            .and_then(|v| v.get("job").and_then(|j| j.get("state")).and_then(|s| s.as_str()).map(str::to_owned));
+        let state =
+            serde_json::from_str::<serde_json::Value>(stdout(&out).trim()).ok().and_then(|v| {
+                v.get("job")
+                    .and_then(|j| j.get("state"))
+                    .and_then(|s| s.as_str())
+                    .map(str::to_owned)
+            });
         if state.as_deref() != Some("queued") || Instant::now() >= deadline {
             break;
         }
@@ -282,10 +275,8 @@ fn sigkill_mid_run_loses_no_jobs_and_resumes_to_verified() {
         .subsec_nanos() as u64
         % 500;
     std::thread::sleep(Duration::from_millis(jitter_ms));
-    let kill = Command::new("kill")
-        .args(["-KILL", &server.id().to_string()])
-        .status()
-        .expect("kill runs");
+    let kill =
+        Command::new("kill").args(["-KILL", &server.id().to_string()]).status().expect("kill runs");
     assert!(kill.success());
     let status = server.wait().expect("server reaped");
     assert!(!status.success(), "SIGKILL is not a clean exit");
@@ -323,10 +314,8 @@ fn sigkill_mid_run_loses_no_jobs_and_resumes_to_verified() {
     let listed: serde_json::Value = serde_json::from_str(stdout(&out).trim()).expect("JSON");
     let jobs = listed.get("jobs").and_then(|j| j.as_array()).expect("jobs array");
     assert_eq!(jobs.len(), 2, "{listed}");
-    let mut seen: Vec<&str> = jobs
-        .iter()
-        .map(|j| j.get("id").and_then(|v| v.as_str()).expect("id"))
-        .collect();
+    let mut seen: Vec<&str> =
+        jobs.iter().map(|j| j.get("id").and_then(|v| v.as_str()).expect("id")).collect();
     seen.sort_unstable();
     let mut expected: Vec<&str> = ids.iter().map(String::as_str).collect();
     expected.sort_unstable();

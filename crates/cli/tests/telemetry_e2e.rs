@@ -8,10 +8,7 @@ use std::process::{Command, Output};
 use momsynth_telemetry::{Event, RunSummary};
 
 fn momsynth(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_momsynth"))
-        .args(args)
-        .output()
-        .expect("binary runs")
+    Command::new(env!("CARGO_BIN_EXE_momsynth")).args(args).output().expect("binary runs")
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -23,13 +20,7 @@ fn tmp(name: &str) -> PathBuf {
 /// Generates the smartphone example system into a temp file.
 fn smartphone_json(name: &str) -> PathBuf {
     let path = tmp(name);
-    let out = momsynth(&[
-        "generate",
-        "--preset",
-        "smartphone",
-        "-o",
-        path.to_str().unwrap(),
-    ]);
+    let out = momsynth(&["generate", "--preset", "smartphone", "-o", path.to_str().unwrap()]);
     assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
     path
 }
@@ -152,14 +143,8 @@ fn profile_folds_a_real_trace_into_self_time() {
 #[test]
 fn progress_run_reports_generations_on_stderr() {
     let system = smartphone_json("sys_progress.json");
-    let out = momsynth(&[
-        "synth",
-        system.to_str().unwrap(),
-        "--quick",
-        "--seed",
-        "1",
-        "--progress",
-    ]);
+    let out =
+        momsynth(&["synth", system.to_str().unwrap(), "--quick", "--seed", "1", "--progress"]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("gen "), "progress output missing: {stderr}");
