@@ -64,10 +64,8 @@ impl<S> WorkGate<S> {
         guard: MutexGuard<'a, S>,
         timeout: Duration,
     ) -> MutexGuard<'a, S> {
-        let (guard, _) = self
-            .work_ready
-            .wait_timeout(guard, timeout)
-            .expect("work-gate state poisoned");
+        let (guard, _) =
+            self.work_ready.wait_timeout(guard, timeout).expect("work-gate state poisoned");
         guard
     }
 

@@ -281,11 +281,7 @@ mod tests {
 
     #[test]
     fn terminal_states_are_exactly_the_five_end_states() {
-        for state in [
-            JobState::Queued,
-            JobState::Analyzing,
-            JobState::Running,
-        ] {
+        for state in [JobState::Queued, JobState::Analyzing, JobState::Running] {
             assert!(!state.is_terminal(), "{state}");
         }
         for state in [
@@ -339,10 +335,7 @@ mod tests {
         params.modes = 2;
         params.tasks_per_mode = (3, 4);
         let system = momsynth_gen::suite::generate(&params);
-        let json = format!(
-            "{{\"system\": {}}}",
-            serde_json::to_string(&system).unwrap()
-        );
+        let json = format!("{{\"system\": {}}}", serde_json::to_string(&system).unwrap());
         let spec: JobSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec.priority, 0);
         assert_eq!(spec.seed, 0);

@@ -65,9 +65,7 @@ pub struct Journal {
 /// Reads and parses `path` through [`durable::read`], falling back to
 /// the `.bak` sibling when the primary is missing, torn or corrupt.
 /// Returns the value and whether the fallback was used.
-fn read_resilient<T: serde::de::DeserializeOwned>(
-    path: &Path,
-) -> Result<(T, bool), JournalError> {
+fn read_resilient<T: serde::de::DeserializeOwned>(path: &Path) -> Result<(T, bool), JournalError> {
     let parse = |p: &Path| -> Result<T, String> {
         let text = std::fs::read_to_string(p).map_err(|e| e.to_string())?;
         serde_json::from_str(&text).map_err(|e| e.to_string())

@@ -54,5 +54,5 @@ pub use job::{JobProgress, JobRecord, JobSpec, JobState};
 pub use journal::{Journal, JournalError, JournalTimers};
 pub use metrics::{spawn_exposition, ServeMetrics};
 pub use queue::{PendingQueue, PushOutcome, QueueEntry};
-pub use sink::SubscriberHub;
 pub use server::{JobStatus, Server, ServerConfig, SubmitRejection};
+pub use sink::SubscriberHub;

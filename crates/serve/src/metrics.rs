@@ -12,10 +12,10 @@
 //! listener in Prometheus text exposition format, so a stock Prometheus
 //! scrape config (or `curl`) can watch a resident server.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
 use momsynth_sync::sync::Arc;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use momsynth_metrics::{
@@ -27,13 +27,8 @@ use crate::job::JobState;
 
 /// The terminal states instrumented per label (everything
 /// [`JobState::is_terminal`] accepts).
-const TERMINAL_STATES: [JobState; 5] = [
-    JobState::Verified,
-    JobState::Failed,
-    JobState::Cancelled,
-    JobState::TimedOut,
-    JobState::Shed,
-];
+const TERMINAL_STATES: [JobState; 5] =
+    [JobState::Verified, JobState::Failed, JobState::Cancelled, JobState::TimedOut, JobState::Shed];
 
 /// All server-side instruments, and the core-loop families every job's
 /// run records on, pre-registered against one registry so a scrape taken
@@ -177,9 +172,7 @@ impl ServeMetrics {
     /// Records one job reaching terminal `state`; `age_s` is its
     /// submission-to-now latency when the submission time is known.
     pub fn job_terminal(&self, state: JobState, age_s: Option<f64>) {
-        if let Some((_, counter, duration)) =
-            self.terminal.iter().find(|(s, _, _)| *s == state)
-        {
+        if let Some((_, counter, duration)) = self.terminal.iter().find(|(s, _, _)| *s == state) {
             counter.inc();
             if let Some(age) = age_s {
                 duration.observe(age);
@@ -212,9 +205,8 @@ pub fn spawn_exposition(
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let handle = std::thread::Builder::new()
-        .name("momsynth-metrics-http".into())
-        .spawn(move || loop {
+    let handle =
+        std::thread::Builder::new().name("momsynth-metrics-http".into()).spawn(move || loop {
             if shutdown.load(Ordering::Acquire) {
                 return;
             }

@@ -184,9 +184,7 @@ pub fn handle_line(server: &Server, line: &str) -> Reply {
                 return error_line("cancel requires an `id` field");
             };
             match server.cancel(id) {
-                Some(state) => {
-                    Reply::Line(json!({"ok": true, "state": state.to_string()}))
-                }
+                Some(state) => Reply::Line(json!({"ok": true, "state": state.to_string()})),
                 None => error_line(format!("unknown job `{id}`")),
             }
         }
@@ -194,20 +192,17 @@ pub fn handle_line(server: &Server, line: &str) -> Reply {
             let Some(id) = str_field(&request, "id") else {
                 return error_line("wait requires an `id` field");
             };
-            let timeout_s =
-                request.get("timeout_s").and_then(Value::as_f64).unwrap_or(600.0);
+            let timeout_s = request.get("timeout_s").and_then(Value::as_f64).unwrap_or(600.0);
             let Ok(timeout) = Duration::try_from_secs_f64(timeout_s.max(0.0)) else {
                 return error_line(format!(
                     "`timeout_s` must be a finite number of seconds (got {timeout_s})"
                 ));
             };
             match server.wait_terminal(id, timeout) {
-                Some(status) => {
-                    Reply::Line(json!({"ok": true, "job": status_value(&status)}))
+                Some(status) => Reply::Line(json!({"ok": true, "job": status_value(&status)})),
+                None => {
+                    error_line(format!("job `{id}` not terminal within {timeout_s} s (or unknown)"))
                 }
-                None => error_line(format!(
-                    "job `{id}` not terminal within {timeout_s} s (or unknown)"
-                )),
             }
         }
         "subscribe" => {

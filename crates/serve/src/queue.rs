@@ -143,8 +143,7 @@ mod tests {
         q.push(entry("c", 5, 3));
         q.push(entry("d", 0, 4));
         let now = Instant::now();
-        let order: Vec<String> =
-            std::iter::from_fn(|| q.pop_due(now).map(|e| e.id)).collect();
+        let order: Vec<String> = std::iter::from_fn(|| q.pop_due(now).map(|e| e.id)).collect();
         assert_eq!(order, vec!["b", "c", "a", "d"]);
     }
 
@@ -173,10 +172,7 @@ mod tests {
             PushOutcome::EnqueuedShedding("young-low".into()),
             "the youngest lowest-priority entry goes first"
         );
-        assert_eq!(
-            q.push(entry("urgent2", 5, 5)),
-            PushOutcome::EnqueuedShedding("old-low".into())
-        );
+        assert_eq!(q.push(entry("urgent2", 5, 5)), PushOutcome::EnqueuedShedding("old-low".into()));
         // Now everything queued outranks or equals priority 5.
         assert!(matches!(q.push(entry("late", 5, 6)), PushOutcome::Rejected { .. }));
     }

@@ -1,11 +1,11 @@
 //! The resident job server: worker pool, scheduling state, watchdog,
 //! crash recovery and graceful shutdown.
 
+use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
+use momsynth_sync::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
-use momsynth_sync::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use momsynth_core::{
@@ -189,8 +189,7 @@ impl Server {
     ///
     /// Fails when the journal directory cannot be created.
     pub fn start(config: ServerConfig) -> Result<Self, crate::journal::JournalError> {
-        let registry =
-            if config.metrics { Registry::new() } else { Registry::disabled() };
+        let registry = if config.metrics { Registry::new() } else { Registry::disabled() };
         let metrics = ServeMetrics::new(&registry);
         let mut journal = Journal::open(&config.root)?;
         journal.set_timers(JournalTimers {
@@ -360,10 +359,7 @@ impl Server {
     pub fn status(&self, id: &str) -> Option<JobStatus> {
         let sched = self.lock_sched();
         let record = sched.jobs.get(id)?.clone();
-        let progress = sched
-            .progress
-            .get(id)
-            .and_then(|p| *p.lock().expect("progress poisoned"));
+        let progress = sched.progress.get(id).and_then(|p| *p.lock().expect("progress poisoned"));
         Some(JobStatus { record, progress })
     }
 
@@ -561,9 +557,7 @@ fn watchdog_loop(shared: &Arc<Shared>) {
             let mut sched = shared.gate.lock();
             let now = Instant::now();
             for handle in sched.running.values_mut() {
-                if handle.cause.is_none()
-                    && handle.deadline.is_some_and(|d| now >= d)
-                {
+                if handle.cause.is_none() && handle.deadline.is_some_and(|d| now >= d) {
                     handle.cause = Some(StopCause::Timeout);
                     // Release: the recorded cause must travel with the
                     // flag (see `cancel`).
@@ -618,10 +612,8 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
             shared.metrics.queue_wait.observe(wait);
         }
         shared.transition(&mut sched, id, JobState::Analyzing, &format!("attempt {attempt}"));
-        let progress = sched
-            .progress
-            .entry(id.clone())
-            .or_insert_with(|| Arc::new(Mutex::new(None)));
+        let progress =
+            sched.progress.entry(id.clone()).or_insert_with(|| Arc::new(Mutex::new(None)));
         (Arc::clone(progress), trace_id)
     };
 
@@ -687,11 +679,7 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
         Ok(jsonl) => sink.push(Box::new(jsonl)),
         Err(e) => eprintln!("warning: cannot open trace for `{id}`: {e}"),
     }
-    sink.push(Box::new(ServeSink::new(
-        id.clone(),
-        Arc::clone(&progress),
-        Arc::clone(&shared.hub),
-    )));
+    sink.push(Box::new(ServeSink::new(id.clone(), Arc::clone(&progress), Arc::clone(&shared.hub))));
     if shared.metrics.registry().is_enabled() {
         sink.push(Box::new(MetricsSink::new(&shared.metrics.run)));
     }
@@ -835,7 +823,8 @@ fn transient_failure(shared: &Arc<Shared>, entry: &QueueEntry, message: &str) {
         return;
     }
     let backoff = shared.config.retry_backoff_s * f64::from(1u32 << (attempts - 1).min(16));
-    let note = format!("transient failure on attempt {attempts}, retrying in {backoff:.2} s: {message}");
+    let note =
+        format!("transient failure on attempt {attempts}, retrying in {backoff:.2} s: {message}");
     shared.metrics.jobs_retried.inc();
     shared.transition(&mut sched, &entry.id, JobState::Queued, &note);
     sched.pending.push_retry(QueueEntry {

@@ -30,10 +30,7 @@ impl SubscriberHub {
     #[allow(clippy::missing_panics_doc)] // lock poisoning is a bug upstream
     pub fn subscribe(&self, job: Option<String>) -> mpsc::Receiver<String> {
         let (tx, rx) = mpsc::channel();
-        self.subscribers
-            .lock()
-            .expect("subscriber registry poisoned")
-            .push(Subscriber { job, tx });
+        self.subscribers.lock().expect("subscriber registry poisoned").push(Subscriber { job, tx });
         rx
     }
 

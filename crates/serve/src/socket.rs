@@ -9,11 +9,11 @@
 //! and ends the session. The socket serves at most [`MAX_CONNECTIONS`]
 //! connections at once and refuses the rest with a typed line.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
 use momsynth_sync::sync::mpsc;
 #[cfg(unix)]
 use momsynth_sync::sync::Arc;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::time::Duration;
 
 use serde_json::{json, Value};
@@ -104,9 +104,7 @@ fn pump_stream(
             return;
         }
         if let Some(id) = job {
-            let terminal = server
-                .status(id)
-                .is_none_or(|s| s.record.state.is_terminal());
+            let terminal = server.status(id).is_none_or(|s| s.record.state.is_terminal());
             if terminal {
                 // Drain whatever the worker already broadcast.
                 while let Ok(line) = rx.try_recv() {
@@ -229,9 +227,7 @@ pub fn serve_unix(
                 connections.push(std::thread::spawn(move || {
                     // A read deadline keeps idle connections from
                     // outliving a server shutdown.
-                    stream
-                        .set_read_timeout(Some(Duration::from_millis(200)))
-                        .ok();
+                    stream.set_read_timeout(Some(Duration::from_millis(200))).ok();
                     // A `shutdown` command ends the accept loop and
                     // every other connection.
                     if serve_session(&server, &stream, &stream, &stop) {

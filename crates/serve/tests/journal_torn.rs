@@ -86,11 +86,7 @@ fn record_corrupted_at_every_byte_never_panics_or_drops() {
         bytes[at] ^= 0xff; // also exercises invalid UTF-8
         std::fs::write(&path, &bytes).unwrap();
         let (records, _notes) = journal.load_all();
-        assert_eq!(
-            records.len(),
-            1,
-            "a single flipped byte must never lose the job (at={at})"
-        );
+        assert_eq!(records.len(), 1, "a single flipped byte must never lose the job (at={at})");
         assert_eq!(records[0].id, "job-000002");
     }
     std::fs::remove_dir_all(&root).ok();
@@ -113,10 +109,7 @@ fn spec_without_backup_fails_typed_at_every_truncation() {
         let err = journal
             .load_spec("job-000003")
             .expect_err("a torn spec with no backup must fail (cut={cut})");
-        assert!(
-            err.to_string().contains("job-000003"),
-            "the error must name the torn file: {err}"
-        );
+        assert!(err.to_string().contains("job-000003"), "the error must name the torn file: {err}");
     }
     // Restored to full length, the spec loads again.
     std::fs::write(&path, &full).unwrap();
@@ -138,9 +131,8 @@ fn spec_with_backup_recovers_at_every_truncation() {
     let full = std::fs::read(&path).unwrap();
     for cut in 0..full.len() {
         std::fs::write(&path, &full[..cut]).unwrap();
-        let loaded = journal
-            .load_spec("job-000004")
-            .expect("the backup must cover every torn prefix");
+        let loaded =
+            journal.load_spec("job-000004").expect("the backup must cover every torn prefix");
         assert_eq!(loaded.system.name(), spec.system.name());
     }
     std::fs::remove_dir_all(&root).ok();

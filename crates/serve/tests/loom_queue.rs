@@ -182,8 +182,5 @@ fn seeded_coalesced_notification_is_caught() {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
             .unwrap_or_default(),
     };
-    assert!(
-        message.contains("deadlock"),
-        "expected a stranded-consumer deadlock, got: {message}"
-    );
+    assert!(message.contains("deadlock"), "expected a stranded-consumer deadlock, got: {message}");
 }

@@ -2,8 +2,8 @@
 //! typed back-pressure, priority shedding, cancellation, timeouts,
 //! transient-failure retry and restart recovery.
 
-use std::path::PathBuf;
 use momsynth_sync::sync::atomic::AtomicBool;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use momsynth_core::{CheckpointSpec, SynthControl, Synthesizer};
@@ -69,10 +69,7 @@ fn wait_for(
         if pred(&status) {
             return status;
         }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting on `{id}`; last status: {status:?}"
-        );
+        assert!(Instant::now() < deadline, "timed out waiting on `{id}`; last status: {status:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
 }
@@ -112,9 +109,7 @@ fn full_queues_reject_with_retry_hints_and_shed_for_priority() {
     // `Running` rather than just past `Queued` keeps the job out of its
     // analysis when it is cancelled below.
     let running = server.submit(&slow_spec(slow_system("serve-busy", 3))).unwrap();
-    wait_for(&server, &running, Duration::from_secs(30), |s| {
-        s.record.state == JobState::Running
-    });
+    wait_for(&server, &running, Duration::from_secs(30), |s| s.record.state == JobState::Running);
     let queued = server.submit(&quick_spec(small_system("serve-q", 4))).unwrap();
 
     // Equal priority: typed rejection with a retry hint, nothing lost.
@@ -151,9 +146,7 @@ fn cancellation_is_immediate_when_queued_and_cooperative_when_running() {
     let server = Server::start(cfg).unwrap();
 
     let running = server.submit(&slow_spec(slow_system("serve-run", 7))).unwrap();
-    wait_for(&server, &running, Duration::from_secs(30), |s| {
-        s.record.state == JobState::Running
-    });
+    wait_for(&server, &running, Duration::from_secs(30), |s| s.record.state == JobState::Running);
     let queued = server.submit(&quick_spec(small_system("serve-queued", 8))).unwrap();
 
     assert_eq!(server.cancel(&queued), Some(JobState::Queued));
@@ -177,9 +170,8 @@ fn per_job_timeouts_mark_jobs_timed_out() {
     let mut spec = slow_spec(slow_system("serve-deadline", 9));
     spec.timeout_seconds = Some(0.2);
     let id = server.submit(&spec).unwrap();
-    let status = server
-        .wait_terminal(&id, Duration::from_secs(60))
-        .expect("the watchdog must stop the job");
+    let status =
+        server.wait_terminal(&id, Duration::from_secs(60)).expect("the watchdog must stop the job");
     assert_eq!(status.record.state, JobState::TimedOut, "{:?}", status.record);
     assert!(status.record.error.as_deref().unwrap_or("").contains("timeout"));
     server.shutdown();
@@ -207,9 +199,8 @@ fn unusable_checkpoints_are_retried_transiently_and_self_heal() {
 
     let id = server.submit(&quick_spec(small_system("serve-heal", 10))).unwrap();
     assert_eq!(id, "job-000001");
-    let status = server
-        .wait_terminal(&id, Duration::from_secs(120))
-        .expect("the retry must converge");
+    let status =
+        server.wait_terminal(&id, Duration::from_secs(120)).expect("the retry must converge");
     assert_eq!(status.record.state, JobState::Verified, "{:?}", status.record);
     assert_eq!(status.record.attempts, 2, "{:?}", status.record.transitions);
     assert!(
@@ -234,8 +225,7 @@ fn restart_resumes_interrupted_jobs_as_an_exact_trajectory_tail() {
     let server = Server::start(config(root.clone())).unwrap();
     let id = server.submit(&spec).unwrap();
     wait_for(&server, &id, Duration::from_secs(60), |s| {
-        s.record.state == JobState::Running
-            && s.progress.is_some_and(|p| p.generation >= 2)
+        s.record.state == JobState::Running && s.progress.is_some_and(|p| p.generation >= 2)
     });
     server.shutdown();
 
@@ -250,9 +240,8 @@ fn restart_resumes_interrupted_jobs_as_an_exact_trajectory_tail() {
         "{:?}",
         server.recovery_notes()
     );
-    let status = server
-        .wait_terminal(&id, Duration::from_secs(300))
-        .expect("recovered job must finish");
+    let status =
+        server.wait_terminal(&id, Duration::from_secs(300)).expect("recovered job must finish");
     assert_eq!(status.record.state, JobState::Verified, "{:?}", status.record);
     assert!(
         status.record.transitions.iter().any(|t| t.contains("recovered")),
@@ -274,10 +263,7 @@ fn restart_resumes_interrupted_jobs_as_an_exact_trajectory_tail() {
         report.get("average_power_mw").and_then(|v| v.as_f64()),
         Some(full.best.power.average.as_milli()),
     );
-    assert_eq!(
-        report.get("generations").and_then(|v| v.as_u64()),
-        Some(full.generations as u64),
-    );
+    assert_eq!(report.get("generations").and_then(|v| v.as_u64()), Some(full.generations as u64),);
 
     // And the stitched per-generation trajectory (attempt 1 + resumed
     // attempt 2, deduplicated on the overlap generation) is the
@@ -310,9 +296,9 @@ fn restart_resumes_interrupted_jobs_as_an_exact_trajectory_tail() {
 /// all report the lifecycle the job just went through.
 #[test]
 fn trace_ids_and_metrics_agree_across_status_trace_journal_and_scrape() {
-    use std::io::{Read, Write};
     use momsynth_sync::sync::atomic::Ordering;
     use momsynth_sync::sync::Arc;
+    use std::io::{Read, Write};
 
     let root = tmp_root("observability");
     let server = Server::start(config(root.clone())).unwrap();
@@ -456,18 +442,12 @@ fn the_stdio_protocol_round_trips_submit_wait_result() {
     assert_eq!(lines[0].get("pong").and_then(|v| v.as_bool()), Some(true));
     assert_eq!(lines[1].get("id").and_then(|v| v.as_str()), Some("job-000001"));
     assert_eq!(
-        lines[2]
-            .get("job")
-            .and_then(|j| j.get("state"))
-            .and_then(|v| v.as_str()),
+        lines[2].get("job").and_then(|j| j.get("state")).and_then(|v| v.as_str()),
         Some("verified"),
         "{text}"
     );
     assert_eq!(
-        lines[3]
-            .get("result")
-            .and_then(|r| r.get("feasible"))
-            .and_then(|v| v.as_bool()),
+        lines[3].get("result").and_then(|r| r.get("feasible")).and_then(|v| v.as_bool()),
         Some(true)
     );
     assert_eq!(lines[4].get("ok").and_then(|v| v.as_bool()), Some(false));
