@@ -12,7 +12,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ecu = automotive_ecu();
     println!("{}", ecu.summary());
 
-    let result = Synthesizer::new(&ecu, SynthesisConfig::fast_preset(3).with_dvs()).run().expect("schedulable system");
+    let result = Synthesizer::new(&ecu, SynthesisConfig::fast_preset(3).with_dvs())
+        .run()
+        .expect("schedulable system");
     print!("{}", result.best.describe(&ecu));
 
     // Per-resource utilisation of the dominant mode.

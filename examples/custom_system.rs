@@ -22,12 +22,10 @@ fn build() -> Result<System, Box<dyn std::error::Error>> {
 
     let mut arch = ArchitectureBuilder::new();
     let mcu = arch.add_pe(Pe::software("MCU", PeKind::Gpp, Watts::from_milli(0.2)));
-    let acc = arch.add_pe(Pe::hardware(
-        "CRYPTO_ACC",
-        PeKind::Fpga,
-        Cells::new(800),
-        Watts::from_milli(0.8),
-    ).with_reconfig_time_per_cell(Seconds::from_micros(2.0)));
+    let acc = arch.add_pe(
+        Pe::hardware("CRYPTO_ACC", PeKind::Fpga, Cells::new(800), Watts::from_milli(0.8))
+            .with_reconfig_time_per_cell(Seconds::from_micros(2.0)),
+    );
     arch.add_cl(Cl::bus(
         "SPI",
         vec![mcu, acc],
@@ -36,14 +34,34 @@ fn build() -> Result<System, Box<dyn std::error::Error>> {
         Watts::from_milli(0.1),
     ))?;
 
-    tech.set_impl(sample, mcu, Implementation::software(Seconds::from_millis(1.0), Watts::from_milli(50.0)));
-    tech.set_impl(filter, mcu, Implementation::software(Seconds::from_millis(4.0), Watts::from_milli(150.0)));
-    tech.set_impl(pack, mcu, Implementation::software(Seconds::from_millis(2.0), Watts::from_milli(100.0)));
-    tech.set_impl(crypto, mcu, Implementation::software(Seconds::from_millis(18.0), Watts::from_milli(300.0)));
+    tech.set_impl(
+        sample,
+        mcu,
+        Implementation::software(Seconds::from_millis(1.0), Watts::from_milli(50.0)),
+    );
+    tech.set_impl(
+        filter,
+        mcu,
+        Implementation::software(Seconds::from_millis(4.0), Watts::from_milli(150.0)),
+    );
+    tech.set_impl(
+        pack,
+        mcu,
+        Implementation::software(Seconds::from_millis(2.0), Watts::from_milli(100.0)),
+    );
+    tech.set_impl(
+        crypto,
+        mcu,
+        Implementation::software(Seconds::from_millis(18.0), Watts::from_milli(300.0)),
+    );
     tech.set_impl(
         crypto,
         acc,
-        Implementation::hardware(Seconds::from_millis(0.6), Watts::from_milli(5.0), Cells::new(500)),
+        Implementation::hardware(
+            Seconds::from_millis(0.6),
+            Watts::from_milli(5.0),
+            Cells::new(500),
+        ),
     );
 
     let mut sampling = TaskGraphBuilder::new("sampling", Seconds::from_millis(20.0));
@@ -76,7 +94,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(reloaded, system);
     println!("round-tripped through {}", path.display());
 
-    let result = Synthesizer::new(&reloaded, SynthesisConfig::fast_preset(5)).run().expect("schedulable system");
+    let result = Synthesizer::new(&reloaded, SynthesisConfig::fast_preset(5))
+        .run()
+        .expect("schedulable system");
     println!("{}", reloaded.summary());
     println!(
         "best implementation: {:.4} mW, feasible: {}, mapping {}",

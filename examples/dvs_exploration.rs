@@ -17,12 +17,7 @@ fn main() {
     println!("voltage  stretch  energy-factor");
     for v in [3.3, 2.4, 1.8, 1.2] {
         let v = Volts::new(v);
-        println!(
-            "{:>6.1} V {:>8.3} {:>14.3}",
-            v.value(),
-            model.stretch(v),
-            model.energy_factor(v)
-        );
+        println!("{:>6.1} V {:>8.3} {:>14.3}", v.value(), model.stretch(v), model.energy_factor(v));
     }
 
     // 2. Fitting a discrete voltage schedule: a 10 ms task with 6 ms slack.
@@ -31,12 +26,8 @@ fn main() {
         Volts::new(0.8),
         vec![Volts::new(1.2), Volts::new(1.8), Volts::new(2.4), Volts::new(3.3)],
     );
-    let schedule = VoltageSchedule::fit(
-        &cap,
-        &model,
-        Seconds::from_millis(10.0),
-        Seconds::from_millis(16.0),
-    );
+    let schedule =
+        VoltageSchedule::fit(&cap, &model, Seconds::from_millis(10.0), Seconds::from_millis(16.0));
     println!("\n10 ms task stretched to 16 ms:");
     for seg in schedule.segments() {
         println!(
@@ -73,8 +64,8 @@ fn main() {
     );
 
     let scaled = scale_mode(&system, &sched, &DvsOptions::fine());
-    let saved: f64 = 1.0
-        - scaled.energy_factors().iter().sum::<f64>() / scaled.energy_factors().len() as f64;
+    let saved: f64 =
+        1.0 - scaled.energy_factors().iter().sum::<f64>() / scaled.energy_factors().len() as f64;
     println!(
         "PV-DVS distributed the slack in {} steps; mean per-task energy factor {:.3} ({:.0} % saved)",
         scaled.iterations(),

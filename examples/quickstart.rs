@@ -19,19 +19,15 @@ fn build_system() -> Result<System, Box<dyn std::error::Error>> {
 
     // Architecture: a DVS-enabled CPU and an ASIC on one bus.
     let mut arch = ArchitectureBuilder::new();
-    let cpu = arch.add_pe(
-        Pe::software("CPU", PeKind::Gpp, Watts::from_milli(0.5)).with_dvs(DvsCapability::new(
+    let cpu = arch.add_pe(Pe::software("CPU", PeKind::Gpp, Watts::from_milli(0.5)).with_dvs(
+        DvsCapability::new(
             Volts::new(3.3),
             Volts::new(0.8),
             vec![Volts::new(1.2), Volts::new(1.8), Volts::new(2.4), Volts::new(3.3)],
-        )),
-    );
-    let asic = arch.add_pe(Pe::hardware(
-        "ASIC",
-        PeKind::Asic,
-        Cells::new(600),
-        Watts::from_milli(1.5),
+        ),
     ));
+    let asic =
+        arch.add_pe(Pe::hardware("ASIC", PeKind::Asic, Cells::new(600), Watts::from_milli(1.5)));
     arch.add_cl(Cl::bus(
         "BUS",
         vec![cpu, asic],
@@ -50,7 +46,11 @@ fn build_system() -> Result<System, Box<dyn std::error::Error>> {
     tech.set_impl(
         fft,
         asic,
-        Implementation::hardware(Seconds::from_millis(0.8), Watts::from_milli(8.0), Cells::new(280)),
+        Implementation::hardware(
+            Seconds::from_millis(0.8),
+            Watts::from_milli(8.0),
+            Cells::new(280),
+        ),
     );
     tech.set_impl(
         fir,
@@ -60,7 +60,11 @@ fn build_system() -> Result<System, Box<dyn std::error::Error>> {
     tech.set_impl(
         fir,
         asic,
-        Implementation::hardware(Seconds::from_millis(0.5), Watts::from_milli(6.0), Cells::new(220)),
+        Implementation::hardware(
+            Seconds::from_millis(0.5),
+            Watts::from_milli(6.0),
+            Cells::new(220),
+        ),
     );
     tech.set_impl(
         ctl,
@@ -96,22 +100,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}\n", system.summary());
 
     // Proposed flow: optimise with the real usage profile, DVS enabled.
-    let aware = Synthesizer::new(&system, SynthesisConfig::fast_preset(7).with_dvs()).run().expect("schedulable system");
+    let aware = Synthesizer::new(&system, SynthesisConfig::fast_preset(7).with_dvs())
+        .run()
+        .expect("schedulable system");
     // Baseline: same flow, probabilities ignored during optimisation.
     let neglecting = Synthesizer::new(
         &system,
         SynthesisConfig::fast_preset(7).with_dvs().probability_neglecting(),
     )
-    .run().expect("schedulable system");
+    .run()
+    .expect("schedulable system");
 
-    println!("probability-aware:      {:.4} mW (feasible: {})",
-        aware.best.power.average.as_milli(), aware.best.is_feasible());
-    println!("probability-neglecting: {:.4} mW (feasible: {})",
-        neglecting.best.power.average.as_milli(), neglecting.best.is_feasible());
     println!(
-        "reduction: {:.1} %\n",
-        aware.best.power.reduction_vs(&neglecting.best.power)
+        "probability-aware:      {:.4} mW (feasible: {})",
+        aware.best.power.average.as_milli(),
+        aware.best.is_feasible()
     );
+    println!(
+        "probability-neglecting: {:.4} mW (feasible: {})",
+        neglecting.best.power.average.as_milli(),
+        neglecting.best.is_feasible()
+    );
+    println!("reduction: {:.1} %\n", aware.best.power.reduction_vs(&neglecting.best.power));
 
     println!("best mapping (per-mode task -> PE): {}", aware.best.mapping.mapping_string());
     for (mode, m) in system.omsm().modes() {

@@ -22,7 +22,9 @@ fn main() {
     }
 
     println!("\nsynthesising (probability-aware, DVS on the GPP) …");
-    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(11).with_dvs()).run().expect("schedulable system");
+    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(11).with_dvs())
+        .run()
+        .expect("schedulable system");
 
     println!(
         "\naverage power: {:.4} mW after {} generations ({} evaluations, {:.1} s), feasible: {}",

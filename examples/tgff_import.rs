@@ -13,7 +13,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", system.summary());
     println!("{}", analyze_system(&system));
 
-    let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(2).with_dvs()).run().expect("schedulable system");
+    let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(2).with_dvs())
+        .run()
+        .expect("schedulable system");
     print!("{}", result.best.describe(&system));
     println!(
         "synthesis: {} generations, {} evaluations, {:.2} s",

@@ -91,10 +91,7 @@ fn synthesise_and_bound(system: &System, config: SynthesisConfig, context: &str)
     }
     // The gap the synthesiser reports is measured against the same
     // bound, so it can never be negative on a finite result.
-    assert!(
-        result.power_lower_bound.value() >= 0.0,
-        "{context}: negative power lower bound"
-    );
+    assert!(result.power_lower_bound.value() >= 0.0, "{context}: negative power lower bound");
 }
 
 #[test]
@@ -130,7 +127,8 @@ fn domain_pruning_changes_no_best_solution_on_the_seed_examples() {
         let pruned = Synthesizer::new(&system, on.clone()).run().expect("schedulable system");
         let unpruned = Synthesizer::new(&system, off).run().expect("schedulable system");
         assert_eq!(
-            pruned.best, unpruned.best,
+            pruned.best,
+            unpruned.best,
             "{}: pruning changed the best solution",
             system.name()
         );

@@ -32,10 +32,8 @@ fn redundant_gpp_system() -> System {
     let logging = tech.add_type("logging");
 
     let mut arch = ArchitectureBuilder::new();
-    let main_gpp =
-        arch.add_pe(Pe::software("main_gpp", PeKind::Gpp, Watts::from_milli(1.0)));
-    let spare_gpp =
-        arch.add_pe(Pe::software("spare_gpp", PeKind::Gpp, Watts::from_milli(1.5)));
+    let main_gpp = arch.add_pe(Pe::software("main_gpp", PeKind::Gpp, Watts::from_milli(1.0)));
+    let spare_gpp = arch.add_pe(Pe::software("spare_gpp", PeKind::Gpp, Watts::from_milli(1.5)));
     let dsp_asic = arch.add_pe(Pe::hardware(
         "dsp_asic",
         PeKind::Asic,
@@ -112,13 +110,8 @@ fn redundant_gpp_system() -> System {
     omsm.add_transition(m_active, m_standby, Seconds::from_millis(50.0)).unwrap();
     omsm.add_transition(m_standby, m_active, Seconds::from_millis(50.0)).unwrap();
 
-    System::new(
-        "redundant_gpp",
-        omsm.build().unwrap(),
-        arch.build().unwrap(),
-        tech.build(),
-    )
-    .unwrap()
+    System::new("redundant_gpp", omsm.build().unwrap(), arch.build().unwrap(), tech.build())
+        .unwrap()
 }
 
 /// The checked-in JSON is exactly the serialisation of the builder
@@ -174,8 +167,7 @@ fn synthesis_and_certificate_report_the_reduction() {
     );
     assert!(result.best.is_feasible());
 
-    let options =
-        ProveOptions { incumbent: Some(result.best.fitness), ..ProveOptions::default() };
+    let options = ProveOptions { incumbent: Some(result.best.fitness), ..ProveOptions::default() };
     let cert = prove(&system, &config, &options).expect("feasible");
     assert_eq!(cert.status, CertificateStatus::Optimal, "12-leaf space must be exhausted");
     assert!(cert.domain_reduction.pruned_by_dominance > 0);

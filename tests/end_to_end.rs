@@ -37,7 +37,11 @@ fn ga_rediscovers_the_fig2c_optimum() {
     // a few deterministic seeds, as a user of the library would.
     let system = example1_system();
     let best = (1..=3)
-        .map(|seed| Synthesizer::new(&system, SynthesisConfig::fast_preset(seed)).run().expect("schedulable system"))
+        .map(|seed| {
+            Synthesizer::new(&system, SynthesisConfig::fast_preset(seed))
+                .run()
+                .expect("schedulable system")
+        })
         .min_by(|a, b| a.best.fitness.total_cmp(&b.best.fitness))
         .expect("at least one run");
     assert!(best.best.is_feasible());
@@ -63,7 +67,9 @@ fn probability_neglecting_ga_finds_the_fig2b_class_solution() {
 #[test]
 fn solution_exposes_full_implementation_artifacts() {
     let system = example1_system();
-    let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(1)).run().expect("schedulable system");
+    let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(1))
+        .run()
+        .expect("schedulable system");
     let best = &result.best;
     assert_eq!(best.schedules.len(), 2);
     assert_eq!(best.voltage_schedules.len(), 2);

@@ -32,16 +32,14 @@ fn usage_model_reweights_the_smartphone() {
     assert!(psi[5] > psi[0] && psi[5] > psi[3] && psi[5] > psi[7]);
 
     let omsm = phone.omsm().with_probabilities(&psi).expect("valid probabilities");
-    let music_phone = System::new(
-        "smartphone_music",
-        omsm,
-        phone.arch().clone(),
-        phone.tech().clone(),
-    )
-    .expect("valid system");
+    let music_phone =
+        System::new("smartphone_music", omsm, phone.arch().clone(), phone.tech().clone())
+            .expect("valid system");
     assert_eq!(music_phone.omsm().mode_count(), 8);
     // Synthesis on the reweighted system works end to end.
-    let result = Synthesizer::new(&music_phone, SynthesisConfig::fast_preset(1)).run().expect("schedulable system");
+    let result = Synthesizer::new(&music_phone, SynthesisConfig::fast_preset(1))
+        .run()
+        .expect("schedulable system");
     assert!(result.best.power.average.value() > 0.0);
 }
 
@@ -55,8 +53,7 @@ fn breakdown_attributes_all_power_and_estimates_battery_life() {
         .mode_ids()
         .map(|m| schedule_mode(&system, m, &mapping, &alloc, SchedulerOptions::default()).unwrap())
         .collect();
-    let imps: Vec<ModeImplementation> =
-        schedules.iter().map(ModeImplementation::nominal).collect();
+    let imps: Vec<ModeImplementation> = schedules.iter().map(ModeImplementation::nominal).collect();
     let report = power_report(&system, &imps);
     let breakdown = energy_breakdown(&system, &imps);
     assert!((breakdown.total().value() - report.average.value()).abs() < 1e-12);
@@ -84,7 +81,9 @@ fn smartphone_exports_dot() {
 #[test]
 fn solution_describe_is_complete_on_the_smartphone() {
     let phone = smartphone();
-    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(4)).run().expect("schedulable system");
+    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(4))
+        .run()
+        .expect("schedulable system");
     let text = result.best.describe(&phone);
     for (_, m) in phone.omsm().modes() {
         assert!(text.contains(m.name()), "mode {} missing from report", m.name());

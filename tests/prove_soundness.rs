@@ -150,12 +150,9 @@ fn mul_certificates_are_pinned() {
         if dvs {
             config = config.with_dvs();
         }
-        let cert = prove(
-            &mul(n),
-            &config,
-            &ProveOptions { max_evals: 2000, ..ProveOptions::default() },
-        )
-        .expect("the suite systems analyse clean");
+        let cert =
+            prove(&mul(n), &config, &ProveOptions { max_evals: 2000, ..ProveOptions::default() })
+                .expect("the suite systems analyse clean");
         let best_bits = cert.best_fitness.expect("leaves were priced").to_bits();
         assert_eq!(
             (best_bits, cert.lower_bound.to_bits(), cert.explored, cert.pruned_by_bound),

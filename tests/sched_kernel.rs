@@ -42,12 +42,7 @@ fn replicated_cores() -> System {
     let tx = tech.add_type("X");
     let mut arch = ArchitectureBuilder::new();
     arch.add_pe(Pe::software("cpu", PeKind::Gpp, Watts::ZERO));
-    let hw = arch.add_pe(Pe::hardware(
-        "hw",
-        PeKind::Asic,
-        Cells::new(250),
-        Watts::ZERO,
-    ));
+    let hw = arch.add_pe(Pe::hardware("hw", PeKind::Asic, Cells::new(250), Watts::ZERO));
     tech.set_impl(
         tx,
         hw,
@@ -63,13 +58,7 @@ fn replicated_cores() -> System {
     }
     let mut omsm = OmsmBuilder::new();
     omsm.add_mode("m", 1.0, g.build().unwrap());
-    System::new(
-        "replicated",
-        omsm.build().unwrap(),
-        arch.build().unwrap(),
-        tech.build(),
-    )
-    .unwrap()
+    System::new("replicated", omsm.build().unwrap(), arch.build().unwrap(), tech.build()).unwrap()
 }
 
 /// Best fitness bits and evaluations of a `fast_preset(0)` synthesis at
@@ -195,20 +184,14 @@ fn random_mapping_schedules_are_pinned() {
                 match schedule_mode(&system, mode, &mapping, &alloc, SchedulerOptions::default()) {
                     Ok(schedule) => {
                         fingerprint.schedule(&schedule);
-                        second_link_transfers += schedule
-                            .remote_comms()
-                            .filter(|c| c.cl == ClId::new(1))
-                            .count();
+                        second_link_transfers +=
+                            schedule.remote_comms().filter(|c| c.cl == ClId::new(1)).count();
                     }
                     Err(e) => panic!("{name}: mode {mode} does not schedule: {e}"),
                 }
             }
         }
-        assert_eq!(
-            fingerprint.0, expected,
-            "{name}: fingerprint {:#018x}",
-            fingerprint.0
-        );
+        assert_eq!(fingerprint.0, expected, "{name}: fingerprint {:#018x}", fingerprint.0);
         assert_eq!(second_link_transfers, on_second_link, "{name}");
     }
 }
@@ -226,9 +209,8 @@ fn replicated_cores_take_the_first_free_instance() {
 
     let schedule = schedule_mode(&system, mode, &mapping, &alloc, SchedulerOptions::default())
         .expect("schedulable");
-    let instances: Vec<ResourceKey> = (0..3)
-        .map(|t| schedule.task(TaskId::new(t)).resource)
-        .collect();
+    let instances: Vec<ResourceKey> =
+        (0..3).map(|t| schedule.task(TaskId::new(t)).resource).collect();
     assert_eq!(
         instances,
         [
@@ -237,9 +219,8 @@ fn replicated_cores_take_the_first_free_instance() {
             ResourceKey::HwCore(hw, x, 0)
         ]
     );
-    let starts: Vec<f64> = (0..3)
-        .map(|t| schedule.task(TaskId::new(t)).start.as_millis())
-        .collect();
+    let starts: Vec<f64> =
+        (0..3).map(|t| schedule.task(TaskId::new(t)).start.as_millis()).collect();
     assert_eq!(starts, [0.0, 0.0, 10.0]);
 }
 
@@ -247,13 +228,7 @@ fn replicated_cores_take_the_first_free_instance() {
 /// counts reproduces every fresh-scratch schedule.
 #[test]
 fn one_scratch_serves_every_system() {
-    let systems = [
-        mul(2),
-        mul(9),
-        automotive_ecu(),
-        pin_modes(),
-        replicated_cores(),
-    ];
+    let systems = [mul(2), mul(9), automotive_ecu(), pin_modes(), replicated_cores()];
     let mut scratch = ListScratch::default();
     for round in 0..2 {
         for system in &systems {

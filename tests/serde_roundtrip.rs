@@ -10,17 +10,14 @@ use momsynth::generators::suite::{generate, mul, GeneratorParams};
 use momsynth::model::ids::PeId;
 use momsynth::model::System;
 use momsynth::power::{power_report, ModeImplementation, PowerReport};
-use momsynth::sched::{
-    schedule_mode, CoreAllocation, Schedule, SchedulerOptions, SystemMapping,
-};
+use momsynth::sched::{schedule_mode, CoreAllocation, Schedule, SchedulerOptions, SystemMapping};
 use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 
 fn roundtrip<T>(value: &T) -> T
 where
     T: serde::Serialize + serde::de::DeserializeOwned,
 {
-    serde_json::from_str(&serde_json::to_string(value).expect("serialises"))
-        .expect("deserialises")
+    serde_json::from_str(&serde_json::to_string(value).expect("serialises")).expect("deserialises")
 }
 
 /// The benchmark's 32-mode system: 16–32 tasks per mode.

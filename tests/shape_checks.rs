@@ -14,7 +14,13 @@ fn mean_power(system: &momsynth::model::System, aware: bool, dvs: bool, runs: u6
             if dvs {
                 cfg = cfg.with_dvs();
             }
-            Synthesizer::new(system, cfg).run().expect("schedulable system").best.power.average.as_milli()
+            Synthesizer::new(system, cfg)
+                .run()
+                .expect("schedulable system")
+                .best
+                .power
+                .average
+                .as_milli()
         })
         .sum::<f64>()
         / runs as f64
@@ -27,10 +33,7 @@ fn probability_aware_flow_wins_on_suite_benchmarks() {
         let system = mul(n);
         let aware = mean_power(&system, true, false, 3);
         let neglecting = mean_power(&system, false, false, 3);
-        assert!(
-            aware <= neglecting * 1.02,
-            "mul{n}: aware {aware} vs neglecting {neglecting}"
-        );
+        assert!(aware <= neglecting * 1.02, "mul{n}: aware {aware} vs neglecting {neglecting}");
     }
 }
 
@@ -50,7 +53,9 @@ fn dvs_strictly_reduces_power() {
 fn synthesised_suite_solutions_are_feasible() {
     for n in [2, 9, 11] {
         let system = mul(n);
-        let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(42)).run().expect("schedulable system");
+        let result = Synthesizer::new(&system, SynthesisConfig::fast_preset(42))
+            .run()
+            .expect("schedulable system");
         assert!(
             result.best.is_feasible(),
             "mul{n}: lateness {:?}, area overruns {:?}",

@@ -9,24 +9,24 @@ use momsynth::synthesis::{SynthesisConfig, Synthesizer};
 #[test]
 fn smartphone_synthesis_is_feasible_and_shuts_components_down() {
     let phone = smartphone();
-    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(2)).run().expect("schedulable system");
+    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(2))
+        .run()
+        .expect("schedulable system");
     assert!(result.best.is_feasible(), "lateness {:?}", result.best.total_lateness);
     // In at least one mode some component must be powered down — running
     // all three components all the time cannot be optimal given the 74%
     // RLC-only residency.
-    let any_shutdown = result
-        .best
-        .power
-        .modes
-        .iter()
-        .any(|m| m.active_pes.len() < phone.arch().pe_count());
+    let any_shutdown =
+        result.best.power.modes.iter().any(|m| m.active_pes.len() < phone.arch().pe_count());
     assert!(any_shutdown, "no component ever shuts down");
 }
 
 #[test]
 fn rlc_mode_dominates_the_weighted_average() {
     let phone = smartphone();
-    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(3)).run().expect("schedulable system");
+    let result = Synthesizer::new(&phone, SynthesisConfig::fast_preset(3))
+        .run()
+        .expect("schedulable system");
     let rlc = &result.best.power.modes[ModeId::new(1).index()];
     // Ψ = 0.74: the weighted RLC contribution must be the single largest.
     let rlc_contrib = rlc.total().value() * 0.74;
@@ -34,8 +34,7 @@ fn rlc_mode_dominates_the_weighted_average() {
         if mode.index() == 1 {
             continue;
         }
-        let contrib =
-            result.best.power.modes[mode.index()].total().value() * m.probability();
+        let contrib = result.best.power.modes[mode.index()].total().value() * m.probability();
         assert!(
             contrib <= rlc_contrib * 1.5,
             "mode {} contributes {contrib} vs RLC {rlc_contrib}",
@@ -56,7 +55,13 @@ fn table3_shape_dvs_and_probabilities_compose() {
                 if dvs {
                     cfg = cfg.with_dvs();
                 }
-                Synthesizer::new(&phone, cfg).run().expect("schedulable system").best.power.average.as_milli()
+                Synthesizer::new(&phone, cfg)
+                    .run()
+                    .expect("schedulable system")
+                    .best
+                    .power
+                    .average
+                    .as_milli()
             })
             .sum::<f64>()
             / 3.0

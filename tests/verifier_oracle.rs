@@ -22,9 +22,7 @@ use momsynth::model::{
     TechLibraryBuilder,
 };
 use momsynth::sched::{Schedule, ScheduledComm, SystemMapping};
-use momsynth::synthesis::{
-    verify_solution, Evaluator, Solution, SynthesisConfig, Synthesizer,
-};
+use momsynth::synthesis::{verify_solution, Evaluator, Solution, SynthesisConfig, Synthesizer};
 
 /// Runs synthesis and holds the result against the oracle: a feasible
 /// solution must be completely clean; an infeasible one may carry
@@ -71,10 +69,7 @@ fn corrupted_smartphone_solutions_are_rejected() {
     inflated.power.average = inflated.power.average * 1.01;
     let report = verify_solution(&system, &inflated);
     assert!(
-        report
-            .violations()
-            .iter()
-            .any(|v| matches!(v, Violation::AveragePowerMismatch { .. })),
+        report.violations().iter().any(|v| matches!(v, Violation::AveragePowerMismatch { .. })),
         "inflated p̄ not caught:\n{report}"
     );
 
@@ -288,11 +283,8 @@ fn area_and_reconfiguration_are_recomputed_from_the_allocation() {
     let mut union = solved.clone();
     union.alloc.set_instances(a, asic, x, 2);
     union.alloc.set_instances(b, asic, y, 2);
-    let overflow = Violation::AreaOverflow {
-        pe: asic,
-        required: Cells::new(400),
-        capacity: Cells::new(300),
-    };
+    let overflow =
+        Violation::AreaOverflow { pe: asic, required: Cells::new(400), capacity: Cells::new(300) };
     assert_eq!(verify_solution(&system, &union).violations(), &[overflow]);
 
     // Entering `b` keeps `a`'s X core and loads two Y cores `a` lacks:
