@@ -154,8 +154,10 @@ impl GenomeLayout {
     }
 
     /// The hash of each mode's gene slice of `genes`, in mode order: what
-    /// [`ParentTable`](crate::ParentTable) indexes a record's modes by.
-    pub(crate) fn slice_hashes(&self, genes: &[Gene]) -> Vec<u64> {
+    /// [`ParentTable`](crate::ParentTable) indexes a record's modes by,
+    /// and what [`ParentRecord::with_slices`](crate::ParentRecord::with_slices)
+    /// keeps.
+    pub fn slice_hashes(&self, genes: &[Gene]) -> Vec<u64> {
         self.starts.windows(2).map(|loci| genome_hash(0, &genes[loci[0]..loci[1]])).collect()
     }
 

@@ -11,17 +11,20 @@
 //! counts equal the record's, and
 //! [`Evaluator::try_cost`](crate::Evaluator::try_cost) then skips
 //! scheduling, voltage-scaling and pricing it again. The GA asks a
-//! [`ParentTable`] of the population its offspring were bred from, which
-//! indexes the records per mode by the mode's gene slice; the polish asks
-//! the record of its current genome and `prove` the record of its last
-//! leaf that priced. The allocation, area, transitions and every penalty
-//! are still computed over all modes, so a record changes how a fitness
-//! is computed, never its value.
+//! [`ParentTable`] of the records of the population its offspring were
+//! bred from, each kept with its individual, which indexes them per mode
+//! by the mode's gene slice; the polish asks the record of its current
+//! genome and `prove` the record of its last leaf that priced. The
+//! allocation, area, transitions and every penalty are still computed
+//! over all modes, so a record changes how a fitness is computed, never
+//! its value.
 //!
 //! A record keeps the genome, the hash of each mode's gene slice and two
 //! scalars per mode, plus a mode's core counts when replication raised
 //! one above 1: never a schedule, a voltage schedule or a power
 //! breakdown.
+
+use std::borrow::Cow;
 
 use momsynth_model::ids::ModeId;
 use momsynth_sched::CoreAllocation;
@@ -62,9 +65,9 @@ impl ModeRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParentRecord {
     genome: Vec<Gene>,
-    /// Each mode's gene-slice hash, hashed once in the record's life:
-    /// where it was priced for the GA, else by the first [`ParentTable`]
-    /// it joins; empty until then.
+    /// Each mode's gene-slice hash, hashed where the record was priced
+    /// for the GA; empty otherwise, and every [`ParentTable`] the record
+    /// joins hashes its genome.
     slices: Vec<u64>,
     /// One per mode; empty when the genome's pricing failed.
     modes: Vec<ModeRecord>,
@@ -82,19 +85,12 @@ impl ParentRecord {
     }
 
     /// This record with its genome's gene-slice hashes,
-    /// [`GenomeLayout::slice_hashes`], already computed.
-    pub(crate) fn with_slices(self, slices: Vec<u64>) -> Self {
+    /// [`GenomeLayout::slice_hashes`], already computed, so that no
+    /// [`ParentTable`] it joins hashes them again. Hashes of another
+    /// genome can only hide the record's terms from a table's lookups,
+    /// never give a wrong term: [`ParentRecord::known`] compares genes.
+    pub fn with_slices(self, slices: Vec<u64>) -> Self {
         Self { slices, ..self }
-    }
-
-    /// The genome this record was priced for.
-    pub fn genome(&self) -> &[Gene] {
-        &self.genome
-    }
-
-    /// Each mode's gene-slice hash; empty until computed.
-    pub(crate) fn slices(&self) -> &[u64] {
-        &self.slices
     }
 
     /// The term of `genome`'s `mode` when its allocation is `alloc`, if
@@ -115,12 +111,12 @@ impl ParentRecord {
     }
 }
 
-/// The records of a GA population, indexed per mode by the mode's gene
-/// slice.
+/// The records of a GA population, borrowed and indexed per mode by the
+/// mode's gene slice.
 #[derive(Debug)]
 pub struct ParentTable<'a> {
     layout: &'a GenomeLayout,
-    records: Vec<ParentRecord>,
+    records: Vec<&'a ParentRecord>,
     /// Every mode's `(gene-slice hash, record)` pairs, sorted: mode `m`'s
     /// are `index[starts[m]..starts[m + 1]]`. Records of one hash are in
     /// record order, so the first record that knows a term gives it.
@@ -129,20 +125,34 @@ pub struct ParentTable<'a> {
 }
 
 impl<'a> ParentTable<'a> {
-    /// Indexes `records`, priced for genomes of `layout`. A record whose
-    /// pricing failed is kept but not indexed, whatever its genome.
-    pub fn new(layout: &'a GenomeLayout, mut records: Vec<ParentRecord>) -> Self {
-        // Only a priced record is indexed, so only its slices are hashed.
-        for record in records.iter_mut().filter(|r| r.slices.is_empty() && !r.modes.is_empty()) {
-            record.slices = layout.slice_hashes(&record.genome);
-        }
+    /// Indexes `records`, priced for genomes of `layout`; a genome may
+    /// come more than once. A record whose pricing failed is kept but not
+    /// indexed, whatever its genome, and a priced one without gene-slice
+    /// hashes ([`ParentRecord::with_slices`]) is hashed here.
+    pub fn new(
+        layout: &'a GenomeLayout,
+        records: impl IntoIterator<Item = &'a ParentRecord>,
+    ) -> Self {
+        let records: Vec<&ParentRecord> = records.into_iter().collect();
+        // Only a priced record is indexed, so only its slices are read.
+        let slices: Vec<Cow<'_, [u64]>> = records
+            .iter()
+            .map(|r| {
+                if r.slices.is_empty() && !r.modes.is_empty() {
+                    Cow::Owned(layout.slice_hashes(&r.genome))
+                } else {
+                    Cow::Borrowed(r.slices.as_slice())
+                }
+            })
+            .collect();
         let modes = records.iter().map(|r| r.modes.len()).max().unwrap_or(0);
         let mut index = Vec::with_capacity(modes * records.len());
         let mut starts = Vec::with_capacity(modes + 1);
         starts.push(0);
         for m in 0..modes {
-            let priced = records.iter().enumerate().filter(|(_, r)| m < r.modes.len());
-            index.extend(priced.map(|(r, record)| (record.slices[m], r)));
+            let priced = records.iter().zip(&slices).enumerate();
+            let priced = priced.filter(|(_, (record, _))| m < record.modes.len());
+            index.extend(priced.map(|(r, (_, slices))| (slices[m], r)));
             index[starts[m]..].sort_unstable();
             starts.push(index.len());
         }
@@ -171,11 +181,6 @@ impl<'a> ParentTable<'a> {
         let first = entries.partition_point(|&(h, _)| h < hash);
         let mut same = entries[first..].iter().take_while(|&&(h, _)| h == hash);
         same.find_map(|&(_, r)| self.records[r].known(self.layout, genome, mode, alloc))
-    }
-
-    /// The records, in the order they were given.
-    pub fn into_records(self) -> Vec<ParentRecord> {
-        self.records
     }
 }
 
@@ -228,8 +233,8 @@ mod tests {
         let layout = GenomeLayout::new(&system);
         let parent = vec![1, 1, 0, 0];
         let alloc = CoreAllocation::minimal(&system, &layout.decode(&parent));
-        let records = vec![ParentRecord::new(parent, Some(&cost(alloc.clone(), [2.0, 3.0])))];
-        let table = ParentTable::new(&layout, records);
+        let record = ParentRecord::new(parent, Some(&cost(alloc.clone(), [2.0, 3.0])));
+        let table = ParentTable::new(&layout, [&record]);
         let (m0, m1) = (ModeId::new(0), ModeId::new(1));
 
         // Mode 1 moved, mode 0 did not.
@@ -243,7 +248,7 @@ mod tests {
         replicated.set_instances(m0, PeId::new(1), TaskTypeId::new(0), 2);
         assert_eq!(table.known(&child, m0, &replicated), None);
         let twin = ParentRecord::new(vec![1, 1, 1, 1], Some(&cost(replicated.clone(), [5.0, 3.0])));
-        let table = ParentTable::new(&layout, [table.into_records(), vec![twin]].concat());
+        let table = ParentTable::new(&layout, [&record, &twin]);
         assert_eq!(table.known(&child, m0, &replicated).map(|c| c.total), Some(Watts::new(5.0)));
         assert_eq!(table.known(&child, m0, &alloc).map(|c| c.total), Some(Watts::new(2.0)));
     }
@@ -254,9 +259,9 @@ mod tests {
         let layout = GenomeLayout::new(&system);
         let parent = vec![0, 0, 0, 0];
         let alloc = CoreAllocation::minimal(&system, &layout.decode(&parent));
-        let table = ParentTable::new(&layout, vec![ParentRecord::new(parent.clone(), None)]);
+        let record = ParentRecord::new(parent.clone(), None);
+        let table = ParentTable::new(&layout, [&record]);
         assert_eq!(table.known(&parent, ModeId::new(0), &alloc), None);
-        assert_eq!(table.into_records()[0].genome(), parent.as_slice());
     }
 
     #[test]
@@ -267,11 +272,10 @@ mod tests {
         let alloc = CoreAllocation::minimal(&system, &layout.decode(&parent));
         let priced = ParentRecord::new(parent.clone(), Some(&cost(alloc.clone(), [2.0, 3.0])));
         let empty = ParentRecord::new(Vec::new(), None);
-        let table = ParentTable::new(&layout, vec![empty.clone(), priced]);
+        let table = ParentTable::new(&layout, [&empty, &priced]);
         assert_eq!(
             table.known(&parent, ModeId::new(1), &alloc).map(|c| c.total),
             Some(Watts::new(3.0))
         );
-        assert_eq!(table.into_records()[0], empty);
     }
 }

@@ -29,8 +29,7 @@
 
 use momsynth_sync::sync::atomic::AtomicBool;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -286,29 +285,25 @@ struct MappingProblem<'a> {
     config: &'a SynthesisConfig,
     /// Resolved worker-thread count for batch pricing.
     threads: usize,
-    /// The records of the population the last batch was bred from, then
-    /// those of the last batch itself, in slot order, each with its
-    /// gene-slice hashes: where the next batch's parents find theirs.
-    records: RefCell<Vec<ParentRecord>>,
 }
 
 /// Prices one genome for the GA against its parents' `table`: an
 /// injected fault or any [`Evaluator::try_cost`] failure rejects the
 /// candidate with [`REJECTED_COST`] and leaves its record empty. Counts
-/// on `evaluator`. `slices` are the genome's gene-slice hashes,
-/// [`GenomeLayout::slice_hashes`], computed once by the caller: the
-/// table's lookups read them and the record keeps them. A free function
-/// (rather than a method) so parallel workers can run it against their
-/// own evaluator without sharing the `!Sync` [`MappingProblem`].
+/// on `evaluator`. The genome's gene slices are hashed here, once: the
+/// table's lookups read the hashes, and the record keeps them for the
+/// tables it joins as a parent. A free function (rather than a method)
+/// so parallel workers can run it against their own evaluator without
+/// sharing the `!Sync` [`MappingProblem`].
 fn price_genome(
     layout: &GenomeLayout,
     config: &SynthesisConfig,
     evaluator: &Evaluator<'_>,
     table: &ParentTable<'_>,
     genome: &[Gene],
-    slices: Vec<u64>,
 ) -> (f64, ParentRecord) {
     let dvs = config.dvs.as_ref().map(|d| d.eval);
+    let slices = layout.slice_hashes(genome);
     let priced = if config.fault_injection.is_some_and(|f| f.roll(genome).is_some()) {
         None
     } else {
@@ -333,78 +328,10 @@ fn price_genome(
     }
 }
 
-/// A genome with its gene-slice hashes, [`GenomeLayout::slice_hashes`]:
-/// a map keyed on it hashes the slice hashes, computed once, and
-/// compares genes only on a hash match.
-#[derive(Debug, Clone, Copy)]
-struct Keyed<'g> {
-    slices: &'g [u64],
-    genome: &'g [Gene],
-}
-
-impl Hash for Keyed<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.slices.hash(state);
-    }
-}
-
-/// Equal genomes have equal slice hashes, so equality agrees with
-/// [`Hash`] while every key's slices are its genome's: [`price_genome`]
-/// hashes every record the GA keeps, a failed one too.
-impl PartialEq for Keyed<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.genome == other.genome
-    }
-}
-
-impl Eq for Keyed<'_> {}
-
-impl<'a> MappingProblem<'a> {
-    /// The table of `parents`' records. Each comes from the last batch's
-    /// parents or from the last batch; a parent with neither, as after a
-    /// resume, is priced here on a throwaway worker whose counters and
-    /// timings are dropped. So the table, and every reuse it allows, is a
-    /// function of the parents alone, at any thread count and across a
-    /// resume.
-    fn parent_table(&self, parents: &[&[Gene]]) -> ParentTable<'a> {
-        // Each parent is hashed once; the pool's records were hashed
-        // where they were priced.
-        let slices: Vec<Vec<u64>> = parents.iter().map(|p| self.layout.slice_hashes(p)).collect();
-        let mut seen = HashSet::new();
-        let parents: Vec<Keyed<'_>> = parents
-            .iter()
-            .zip(&slices)
-            .map(|(&genome, slices)| Keyed { slices, genome })
-            .filter(|&parent| seen.insert(parent))
-            .collect();
-        let pool = self.records.take();
-        debug_assert!(pool.iter().all(|r| !r.slices().is_empty()), "a kept record is hashed");
-        // Where each parent's record lies in the pool: a genome's last
-        // record.
-        let at: Vec<Option<usize>> = {
-            let index: HashMap<Keyed<'_>, usize> = pool
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (Keyed { slices: r.slices(), genome: r.genome() }, i))
-                .collect();
-            parents.iter().map(|parent| index.get(parent).copied()).collect()
-        };
-        let mut pool: Vec<Option<ParentRecord>> = pool.into_iter().map(Some).collect();
-        let empty = ParentTable::new(self.layout, Vec::new());
-        let mut throwaway = None;
-        let records = parents.iter().zip(at).map(|(parent, at)| {
-            at.and_then(|i| pool[i].take()).unwrap_or_else(|| {
-                let worker = throwaway.get_or_insert_with(|| self.evaluator.worker());
-                let slices = parent.slices.to_vec();
-                price_genome(self.layout, self.config, worker, &empty, parent.genome, slices).1
-            })
-        });
-        ParentTable::new(self.layout, records.collect())
-    }
-}
-
 impl GaProblem for MappingProblem<'_> {
     type Gene = Gene;
+    /// The genome's per-mode Eq. 1 terms, which its offspring reuse.
+    type Record = ParentRecord;
 
     fn genome_len(&self) -> usize {
         self.layout.len()
@@ -415,44 +342,59 @@ impl GaProblem for MappingProblem<'_> {
     }
 
     /// Batched pricing: the GA hands over each generation's unevaluated
-    /// genomes at once, with the population they were bred from.
-    /// Identical genomes within the batch are priced once, the unique
-    /// ones across `threads` workers against the parents' table (a mode
-    /// whose gene slice and core counts equal a parent's reuses its
-    /// term), and the costs are scattered back in batch order. Fitness
-    /// is a pure function of the genome and the table a function of the
-    /// parents, so worker scheduling cannot influence any returned cost
-    /// or counter, and the dedup never depends on the thread count:
-    /// trajectories and counters are bit-identical for any `threads`.
-    fn cost_batch(&self, parents: &[&[Gene]], genomes: &[Vec<Gene>]) -> Vec<f64> {
-        let table = self.parent_table(parents);
-        // Each genome is hashed once, slice by slice: the dedup keys on
-        // the slice hashes, and a unique genome's record keeps them.
-        let mut slices: Vec<Vec<u64>> =
-            genomes.iter().map(|g| self.layout.slice_hashes(g)).collect();
-        // `slot_of[i]` maps the i-th genome to its unique-genome slot.
+    /// genomes at once, with the population they were bred from, each
+    /// parent with its record. Identical genomes within the batch are
+    /// priced once, the unique ones across `threads` workers against the
+    /// parents' table (a mode whose gene slice and core counts equal a
+    /// parent's reuses its term), and the costs and records are scattered
+    /// back in batch order, a repeated genome getting a copy of its first
+    /// occurrence's record. Fitness and record are pure functions of the
+    /// genome and the table a function of the parents, so worker
+    /// scheduling cannot influence any returned cost or counter, and the
+    /// dedup never depends on the thread count: trajectories and counters
+    /// are bit-identical for any `threads`.
+    fn cost_batch(
+        &self,
+        parents: &[(&[Gene], Option<&ParentRecord>)],
+        genomes: &[Vec<Gene>],
+    ) -> Vec<(f64, ParentRecord)> {
+        // A parent restored from a checkpoint comes without a record: it
+        // is priced here on a throwaway worker whose counters and timings
+        // are dropped. So the table, and every reuse it allows, is a
+        // function of the parents alone, at any thread count and across a
+        // resume. Any record of a gene slice under the same core counts
+        // holds the same term, so neither a parent's duplicates nor the
+        // order of the records changes what the table answers.
+        let empty = ParentTable::new(self.layout, []);
+        let mut throwaway = None;
+        let restored: Vec<ParentRecord> = parents
+            .iter()
+            .filter(|(_, record)| record.is_none())
+            .map(|&(genome, _)| {
+                let worker = throwaway.get_or_insert_with(|| self.evaluator.worker());
+                price_genome(self.layout, self.config, worker, &empty, genome).1
+            })
+            .collect();
+        let records = parents.iter().filter_map(|&(_, record)| record).chain(&restored);
+        let table = ParentTable::new(self.layout, records);
+        // `slot_of[i]` maps the i-th genome to its unique-genome slot,
+        // and `unique[slot]` is the slot's first genome.
         let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(genomes.len());
-        {
-            let mut first: HashMap<Keyed<'_>, usize> = HashMap::with_capacity(genomes.len());
-            for (i, (genome, slices)) in genomes.iter().zip(&slices).enumerate() {
-                let next = unique.len();
-                let slot = *first.entry(Keyed { slices, genome }).or_insert(next);
-                if slot == next {
+        let mut first: HashMap<&[Gene], usize> = HashMap::with_capacity(genomes.len());
+        let slot_of: Vec<usize> = genomes
+            .iter()
+            .enumerate()
+            .map(|(i, genome)| {
+                *first.entry(genome.as_slice()).or_insert_with(|| {
                     unique.push(i);
-                }
-                slot_of.push(slot);
-            }
-        }
+                    unique.len() - 1
+                })
+            })
+            .collect();
         self.evaluator.count(|c| {
             c.cache_misses += genomes.len() as u64;
             c.evaluated += unique.len() as u64;
         });
-        // Each unique genome, in slot order, with its slice hashes.
-        let mut work: Vec<(&[Gene], Vec<u64>)> = unique
-            .iter()
-            .map(|&i| (genomes[i].as_slice(), std::mem::take(&mut slices[i])))
-            .collect();
         // Each worker is a pricing unit of its own; folding it back is a
         // commutative sum, so totals are independent of worker scheduling.
         let mut priced: Vec<(f64, ParentRecord)> = Vec::with_capacity(unique.len());
@@ -461,28 +403,24 @@ impl GaProblem for MappingProblem<'_> {
         // serially, which the determinism contract already permits.
         let serial = cfg!(loom) || self.threads <= 1 || unique.len() <= 1;
         if serial {
-            priced.extend(work.iter_mut().map(|(genome, slices)| {
-                let slices = std::mem::take(slices);
-                price_genome(self.layout, self.config, self.evaluator, &table, genome, slices)
+            priced.extend(unique.iter().map(|&i| {
+                price_genome(self.layout, self.config, self.evaluator, &table, &genomes[i])
             }));
         }
         #[cfg(not(loom))]
         if !serial {
-            let workers = self.threads.min(work.len());
-            let chunk = work.len().div_ceil(workers);
+            let workers = self.threads.min(unique.len());
+            let chunk = unique.len().div_ceil(workers);
             let (layout, config, table) = (self.layout, self.config, &table);
             momsynth_sync::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .chunks_mut(chunk)
+                let handles: Vec<_> = unique
+                    .chunks(chunk)
                     .map(|part| {
                         let worker = self.evaluator.worker();
                         scope.spawn(move || {
                             let priced: Vec<_> = part
-                                .iter_mut()
-                                .map(|(genome, slices)| {
-                                    let slices = std::mem::take(slices);
-                                    price_genome(layout, config, &worker, table, genome, slices)
-                                })
+                                .iter()
+                                .map(|&i| price_genome(layout, config, &worker, table, &genomes[i]))
                                 .collect();
                             (worker, priced)
                         })
@@ -497,11 +435,15 @@ impl GaProblem for MappingProblem<'_> {
                 }
             });
         }
-        let costs = slot_of.iter().map(|&slot| priced[slot].0).collect();
-        let mut records = table.into_records();
-        records.extend(priced.into_iter().map(|(_, record)| record));
-        *self.records.borrow_mut() = records;
-        costs
+        // A genome's first occurrence takes the record, a repeat a copy.
+        let mut priced = priced.into_iter();
+        let mut batch: Vec<(f64, ParentRecord)> = Vec::with_capacity(genomes.len());
+        for (i, &slot) in slot_of.iter().enumerate() {
+            let first = unique[slot];
+            let entry = if first == i { priced.next() } else { Some(batch[first].clone()) };
+            batch.push(entry.expect("one record per unique genome"));
+        }
+        batch
     }
 
     fn improve(&self, genome: &mut [Gene], rng: &mut dyn RngCore) {
@@ -623,7 +565,6 @@ impl<'a> Synthesizer<'a> {
             system: self.system,
             config: &self.config,
             threads: self.config.effective_threads(),
-            records: RefCell::default(),
         };
 
         let resume = match control.resume {

@@ -8,10 +8,10 @@
 //! criterion based on stagnation.
 //!
 //! The engine is domain-agnostic: a [`GaProblem`] supplies the gene type,
-//! the per-locus random gene distribution, the batch cost function (lower
-//! is better) and optionally the improvement hook. The multi-mode mapping
-//! problem in `momsynth-core` is one instance; the unit tests here use
-//! simple numeric problems.
+//! the record it keeps of a priced genome, the per-locus random gene
+//! distribution, the batch cost function (lower is better) and optionally
+//! the improvement hook. The multi-mode mapping problem in `momsynth-core`
+//! is one instance; the unit tests here use simple numeric problems.
 //!
 //! # Robustness
 //!
@@ -32,12 +32,14 @@
 //!
 //! Each generation's unevaluated genomes are priced through a single
 //! [`GaProblem::cost_batch`] call, together with the population they were
-//! bred from, and the results written back by index. A problem may
-//! evaluate the batch on worker threads, price repeated genomes once or
-//! reuse what it learnt pricing the parents, with a bit-identical
-//! trajectory for a fixed seed because the engine's randomness never
-//! depends on how a batch was priced. Elites keep their known cost and
-//! are never re-evaluated.
+//! bred from, and the results written back by index. Pricing returns a
+//! cost and a record per genome; the record stays with the genome's
+//! individual, and the next batch gets every parent with its own record.
+//! A problem may evaluate the batch on worker threads, price repeated
+//! genomes once or reuse what its parents' records hold, with a
+//! bit-identical trajectory for a fixed seed because the engine's
+//! randomness never depends on how a batch was priced. Elites keep their
+//! known cost and record and are never re-evaluated.
 //!
 //! # Examples
 //!
@@ -50,12 +52,18 @@
 //!
 //! impl GaProblem for AllZeros {
 //!     type Gene = u8;
+//!     /// Nothing is learnt from pricing a genome.
+//!     type Record = ();
 //!     fn genome_len(&self) -> usize { 16 }
 //!     fn random_gene(&self, _locus: usize, rng: &mut dyn rand::RngCore) -> u8 {
 //!         rand::Rng::gen_range(rng, 0..4)
 //!     }
-//!     fn cost_batch(&self, _parents: &[&[u8]], genomes: &[Vec<u8>]) -> Vec<f64> {
-//!         genomes.iter().map(|g| g.iter().filter(|&&x| x != 0).count() as f64).collect()
+//!     fn cost_batch(
+//!         &self,
+//!         _parents: &[(&[u8], Option<&()>)],
+//!         genomes: &[Vec<u8>],
+//!     ) -> Vec<(f64, ())> {
+//!         genomes.iter().map(|g| (g.iter().filter(|&&x| x != 0).count() as f64, ())).collect()
 //!     }
 //! }
 //!
@@ -88,6 +96,11 @@ pub trait GaProblem {
     /// The gene type at every locus.
     type Gene: Clone;
 
+    /// What pricing a genome returns besides its cost: kept with the
+    /// genome's individual and handed back with it when the individual is
+    /// a parent ([`GaProblem::cost_batch`]). `()` keeps nothing.
+    type Record: Clone;
+
     /// Number of genes in a genome.
     fn genome_len(&self) -> usize;
 
@@ -104,26 +117,34 @@ pub trait GaProblem {
     /// search space without any engine-side changes.
     fn random_gene(&self, locus: usize, rng: &mut dyn RngCore) -> Self::Gene;
 
-    /// Prices a batch of genomes, returning exactly one cost per genome,
-    /// index-aligned with the input; lower is better. Infeasibility is
-    /// expressed through penalty terms, not through rejection. Non-finite
-    /// values are clamped to [`REJECTED_COST`] by the engine.
+    /// Prices a batch of genomes, returning exactly one `(cost, record)`
+    /// per genome, index-aligned with the input; lower cost is better.
+    /// Infeasibility is expressed through penalty terms, not through
+    /// rejection. Non-finite costs are clamped to [`REJECTED_COST`] by the
+    /// engine.
     ///
     /// The engine routes every unevaluated genome of a generation through
     /// this method in one call and writes the results back by index, so an
     /// implementation is free to evaluate out of order — in parallel
-    /// worker threads, pricing repeated genomes once — without perturbing
-    /// the evolution trajectory: for a fixed seed the outcome is
-    /// bit-identical at any thread count as long as each returned cost is
-    /// a pure function of its genome.
+    /// worker threads, pricing repeated genomes once and copying the
+    /// record — without perturbing the evolution trajectory: for a fixed
+    /// seed the outcome is bit-identical at any thread count as long as
+    /// each returned cost and record is a pure function of its genome.
     ///
-    /// `parents` is the population `genomes` was bred from, best first:
-    /// empty for the initial population, and the restored population for
-    /// the first batch after a resume. An offspring shares most of its
-    /// genes with its parents, so an implementation may price it against
-    /// what it learnt pricing them, again as long as each cost stays a
-    /// pure function of its genome.
-    fn cost_batch(&self, parents: &[&[Self::Gene]], genomes: &[Vec<Self::Gene>]) -> Vec<f64>;
+    /// `parents` is the population `genomes` was bred from, best first,
+    /// each with the record its own pricing returned: empty for the
+    /// initial population. An individual restored from a [`GaSnapshot`],
+    /// which keeps no records, comes with `None`: the whole population in
+    /// the first batch after a resume, and an elite of it for as long as
+    /// it stays one. An offspring shares most of its genes with its
+    /// parents, so an implementation may price it against their records,
+    /// again as long as each cost stays a pure function of its genome.
+    #[allow(clippy::type_complexity)]
+    fn cost_batch(
+        &self,
+        parents: &[(&[Self::Gene], Option<&Self::Record>)],
+        genomes: &[Vec<Self::Gene>],
+    ) -> Vec<(f64, Self::Record)>;
 
     /// Problem-specific improvement operator, applied to a few individuals
     /// per generation. The default does nothing.
@@ -351,6 +372,7 @@ pub struct GaOutcome<G> {
 
 /// Complete engine state between generations: enough to resume a run so
 /// that it replays exactly what the uninterrupted run would have done.
+/// It keeps no [`GaProblem::Record`]s: a restored individual has none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaSnapshot<G> {
     /// Generations completed when the snapshot was taken (0 = after the
@@ -406,10 +428,18 @@ impl<G> fmt::Debug for RunControl<'_, G> {
     }
 }
 
-#[derive(Clone)]
-struct Individual<G> {
-    genome: Vec<G>,
+struct Individual<P: GaProblem> {
+    genome: Vec<P::Gene>,
     cost: f64,
+    /// What pricing the genome returned; `None` for an individual
+    /// restored from a [`GaSnapshot`], which keeps no records.
+    record: Option<P::Record>,
+}
+
+impl<P: GaProblem> Clone for Individual<P> {
+    fn clone(&self) -> Self {
+        Self { genome: self.genome.clone(), cost: self.cost, record: self.record.clone() }
+    }
 }
 
 /// Clamps a problem cost so that NaN and infinities can never win the
@@ -486,8 +516,8 @@ pub fn run_controlled<P: GaProblem>(
     let emit_generation = |generation: usize,
                            evaluations: usize,
                            stagnation: usize,
-                           best: &Individual<P::Gene>,
-                           population: &[Individual<P::Gene>]| {
+                           best: &Individual<P>,
+                           population: &[Individual<P>]| {
         let Some(sink) = sink else { return };
         if !sink.enabled() {
             return;
@@ -514,8 +544,8 @@ pub fn run_controlled<P: GaProblem>(
     let mut evaluations = 0usize;
     let mut interrupted: Option<StopReason> = None;
 
-    let mut population: Vec<Individual<P::Gene>>;
-    let mut best: Individual<P::Gene>;
+    let mut population: Vec<Individual<P>>;
+    let mut best: Individual<P>;
     let mut history: Vec<f64>;
     let mut stagnation: usize;
     let mut generations: usize;
@@ -529,11 +559,12 @@ pub fn run_controlled<P: GaProblem>(
         population = snapshot
             .population
             .into_iter()
-            .map(|(genome, cost)| Individual { genome, cost: sanitize_cost(cost) })
+            .map(|(genome, cost)| Individual { genome, cost: sanitize_cost(cost), record: None })
             .collect();
         assert!(!population.is_empty(), "resume snapshot population is empty");
         population.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        best = Individual { genome: snapshot.best.0, cost: sanitize_cost(snapshot.best.1) };
+        let (genome, cost) = snapshot.best;
+        best = Individual { genome, cost: sanitize_cost(cost), record: None };
         history = snapshot.history;
         stagnation = snapshot.stagnation;
         generations = snapshot.generation;
@@ -620,18 +651,15 @@ pub fn run_controlled<P: GaProblem>(
 
         generations += 1;
         let mut rng = StdRng::seed_from_u64(generation_seed(config.seed, generations));
-        let mut next: Vec<Individual<P::Gene>> = Vec::with_capacity(config.population_size);
-        // Elites survive unchanged (population is kept sorted).
-        for elite in population.iter().take(config.elitism.min(population.len())) {
-            next.push(elite.clone());
-        }
+        // The best `elites` survive unchanged (population is kept sorted).
+        let elites = config.elitism.min(population.len());
         // Offspring are generated first — consuming this generation's RNG
         // and checking budgets exactly as the serial engine did — and
         // priced as one batch afterwards. Elites keep their known cost
-        // and are never re-priced.
+        // and record and are never re-priced.
         let mut pending: Vec<Vec<P::Gene>> =
-            Vec::with_capacity(config.population_size.saturating_sub(next.len()));
-        while next.len() + pending.len() < config.population_size {
+            Vec::with_capacity(config.population_size.saturating_sub(elites));
+        while elites + pending.len() < config.population_size {
             interrupted = budget.stop_reason(evaluations);
             if interrupted.is_some() {
                 break;
@@ -665,10 +693,10 @@ pub fn run_controlled<P: GaProblem>(
             generations -= 1;
             break reason;
         }
-        let parents: Vec<&[P::Gene]> = population.iter().map(|i| i.genome.as_slice()).collect();
-        next.extend(evaluate_batch(problem, &parents, pending));
-        next.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-        population = next;
+        let offspring = evaluate_batch(problem, &population, pending);
+        population.truncate(elites);
+        population.extend(offspring);
+        population.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
         if population[0].cost < best.cost {
             best = population[0].clone();
@@ -704,30 +732,36 @@ pub fn run_controlled<P: GaProblem>(
 
 /// Prices `genomes`, bred from `parents`, through
 /// [`GaProblem::cost_batch`] and pairs each genome with its sanitised
-/// cost, preserving order.
+/// cost and its record, preserving order.
 fn evaluate_batch<P: GaProblem>(
     problem: &P,
-    parents: &[&[P::Gene]],
+    parents: &[Individual<P>],
     genomes: Vec<Vec<P::Gene>>,
-) -> Vec<Individual<P::Gene>> {
-    let costs = problem.cost_batch(parents, &genomes);
-    assert_eq!(costs.len(), genomes.len(), "cost_batch must return exactly one cost per genome");
+) -> Vec<Individual<P>> {
+    let parents: Vec<_> =
+        parents.iter().map(|p| (p.genome.as_slice(), p.record.as_ref())).collect();
+    let priced = problem.cost_batch(&parents, &genomes);
+    assert_eq!(priced.len(), genomes.len(), "cost_batch must return exactly one cost per genome");
     genomes
         .into_iter()
-        .zip(costs)
-        .map(|(genome, cost)| Individual { genome, cost: sanitize_cost(cost) })
+        .zip(priced)
+        .map(|(genome, (cost, record))| Individual {
+            genome,
+            cost: sanitize_cost(cost),
+            record: Some(record),
+        })
         .collect()
 }
 
-fn make_snapshot<G: Clone>(
+fn make_snapshot<P: GaProblem>(
     generation: usize,
     evaluations: usize,
     stagnation: usize,
     low_diversity_generations: usize,
     history: &[f64],
-    best: &Individual<G>,
-    population: &[Individual<G>],
-) -> GaSnapshot<G> {
+    best: &Individual<P>,
+    population: &[Individual<P>],
+) -> GaSnapshot<P::Gene> {
     GaSnapshot {
         generation,
         evaluations,
@@ -792,14 +826,19 @@ mod tests {
 
     impl GaProblem for MatchTarget {
         type Gene = i64;
+        type Record = ();
         fn genome_len(&self) -> usize {
             self.target.len()
         }
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> i64 {
             rng.gen_range(-10..=10)
         }
-        fn cost_batch(&self, _parents: &[&[i64]], genomes: &[Vec<i64>]) -> Vec<f64> {
-            genomes.iter().map(|g| self.distance(g)).collect()
+        fn cost_batch(
+            &self,
+            _parents: &[(&[i64], Option<&()>)],
+            genomes: &[Vec<i64>],
+        ) -> Vec<(f64, ())> {
+            genomes.iter().map(|g| (self.distance(g), ())).collect()
         }
     }
 
@@ -815,14 +854,19 @@ mod tests {
 
     impl GaProblem for HookProblem {
         type Gene = u8;
+        type Record = ();
         fn genome_len(&self) -> usize {
             8
         }
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> u8 {
             rng.gen_range(1..=9)
         }
-        fn cost_batch(&self, _parents: &[&[u8]], genomes: &[Vec<u8>]) -> Vec<f64> {
-            genomes.iter().map(|g| g.iter().map(|&x| f64::from(x)).sum()).collect()
+        fn cost_batch(
+            &self,
+            _parents: &[(&[u8], Option<&()>)],
+            genomes: &[Vec<u8>],
+        ) -> Vec<(f64, ())> {
+            genomes.iter().map(|g| (g.iter().map(|&x| f64::from(x)).sum(), ())).collect()
         }
         fn improve(&self, genome: &mut [u8], _rng: &mut dyn RngCore) {
             genome.fill(0);
@@ -857,21 +901,21 @@ mod tests {
     }
 
     /// Wraps a problem, prices batches in reverse order and records every
-    /// batch size and the parents every batch was handed.
+    /// batch size.
     struct ReversedBatch<P: GaProblem> {
         inner: P,
         batches: std::cell::RefCell<Vec<usize>>,
-        parents: std::cell::RefCell<Vec<Vec<Vec<P::Gene>>>>,
     }
 
     impl<P: GaProblem> ReversedBatch<P> {
         fn new(inner: P) -> Self {
-            Self { inner, batches: Default::default(), parents: Default::default() }
+            Self { inner, batches: Default::default() }
         }
     }
 
     impl<P: GaProblem> GaProblem for ReversedBatch<P> {
         type Gene = P::Gene;
+        type Record = P::Record;
         fn genome_len(&self) -> usize {
             self.inner.genome_len()
         }
@@ -884,13 +928,60 @@ mod tests {
         fn seeds(&self) -> Vec<Vec<Self::Gene>> {
             self.inner.seeds()
         }
-        fn cost_batch(&self, parents: &[&[Self::Gene]], genomes: &[Vec<Self::Gene>]) -> Vec<f64> {
+        fn cost_batch(
+            &self,
+            parents: &[(&[Self::Gene], Option<&Self::Record>)],
+            genomes: &[Vec<Self::Gene>],
+        ) -> Vec<(f64, Self::Record)> {
             self.batches.borrow_mut().push(genomes.len());
-            self.parents.borrow_mut().push(parents.iter().map(|p| p.to_vec()).collect());
             let reversed: Vec<_> = genomes.iter().rev().cloned().collect();
-            let mut costs = self.inner.cost_batch(parents, &reversed);
-            costs.reverse();
-            costs
+            let mut priced = self.inner.cost_batch(parents, &reversed);
+            priced.reverse();
+            priced
+        }
+    }
+
+    /// One batch's parents, each with the record it came with.
+    type Handed = Vec<(Vec<i64>, Option<usize>)>;
+
+    /// Prices like [`MatchTarget`], hands every genome it prices a serial
+    /// number as its record and logs each batch's parents.
+    struct Numbered {
+        inner: MatchTarget,
+        /// The genome priced under each serial number.
+        priced: std::cell::RefCell<Vec<Vec<i64>>>,
+        handed: std::cell::RefCell<Vec<Handed>>,
+    }
+
+    impl Numbered {
+        fn new(target: Vec<i64>) -> Self {
+            let inner = MatchTarget { target };
+            Self { inner, priced: Default::default(), handed: Default::default() }
+        }
+    }
+
+    impl GaProblem for Numbered {
+        type Gene = i64;
+        type Record = usize;
+        fn genome_len(&self) -> usize {
+            self.inner.genome_len()
+        }
+        fn random_gene(&self, locus: usize, rng: &mut dyn RngCore) -> i64 {
+            self.inner.random_gene(locus, rng)
+        }
+        fn cost_batch(
+            &self,
+            parents: &[(&[i64], Option<&usize>)],
+            genomes: &[Vec<i64>],
+        ) -> Vec<(f64, usize)> {
+            let handed = parents.iter().map(|&(genome, record)| (genome.to_vec(), record.copied()));
+            self.handed.borrow_mut().push(handed.collect());
+            let mut priced = self.priced.borrow_mut();
+            let mut number = |genome: &Vec<i64>| {
+                priced.push(genome.clone());
+                (self.inner.distance(genome), priced.len() - 1)
+            };
+            genomes.iter().map(&mut number).collect()
         }
     }
 
@@ -907,10 +998,16 @@ mod tests {
         assert_eq!(serial.stop_reason, reversed.stop_reason);
     }
 
+    /// Each batch gets the population it was bred from, every parent
+    /// with the record its own pricing returned: an elite keeps its
+    /// record from batch to batch, and after a resume the restored
+    /// individuals have none while the offspring of the resumed run do.
     #[test]
     fn each_batch_is_handed_the_population_it_was_bred_from() {
+        let elitism = 3;
         let cfg = GaConfig {
             population_size: 10,
+            elitism,
             max_generations: 6,
             stagnation_limit: 100,
             seed: 5,
@@ -919,7 +1016,7 @@ mod tests {
         let genomes = |s: &GaSnapshot<i64>| -> Vec<Vec<i64>> {
             s.population.iter().map(|(g, _)| g.clone()).collect()
         };
-        let problem = ReversedBatch::new(MatchTarget { target: vec![1, 2, 3, 4] });
+        let problem = Numbered::new(vec![1, 2, 3, 4]);
         let mut populations = Vec::new();
         let mut mid: Option<GaSnapshot<i64>> = None;
         let outcome = run_controlled(
@@ -935,23 +1032,45 @@ mod tests {
                 ..RunControl::default()
             },
         );
-        let parents = problem.parents.borrow();
-        assert_eq!(parents.len(), outcome.generations + 1);
-        assert!(parents[0].is_empty(), "the initial population has no parents");
-        for (generation, handed) in parents.iter().enumerate().skip(1) {
-            assert_eq!(handed, &populations[generation - 1]);
+        let (handed, priced) = (problem.handed.borrow(), problem.priced.borrow());
+        assert_eq!(handed.len(), outcome.generations + 1);
+        assert!(handed[0].is_empty(), "the initial population has no parents");
+        for (generation, parents) in handed.iter().enumerate().skip(1) {
+            let genomes: Vec<_> = parents.iter().map(|(genome, _)| genome.clone()).collect();
+            assert_eq!(genomes, populations[generation - 1]);
+            for (genome, record) in parents {
+                assert_eq!(&priced[record.expect("every parent was priced")], genome);
+            }
+        }
+        // The best of one batch's parents are the elites of the next
+        // batch's: handed over again with the same records.
+        for pair in handed[1..].windows(2) {
+            for elite in &pair[0][..elitism] {
+                assert!(pair[1].contains(elite), "{elite:?} lost its record");
+            }
         }
 
-        // The first batch after a resume is handed the restored population.
+        // The first batch after a resume is handed the restored population
+        // without records; the next batch the offspring of the first with
+        // theirs, and the restored elites still without.
         let snapshot = mid.expect("run reached generation 3");
-        let restored = genomes(&snapshot);
-        let resumed = ReversedBatch::new(MatchTarget { target: vec![1, 2, 3, 4] });
+        let restored: Vec<_> = genomes(&snapshot).into_iter().map(|g| (g, None)).collect();
+        let resumed = Numbered::new(vec![1, 2, 3, 4]);
         let _ = run_controlled(
             &resumed,
             &cfg,
             RunControl { resume: Some(snapshot), ..RunControl::default() },
         );
-        assert_eq!(resumed.parents.borrow()[0], restored);
+        let (handed, priced) = (resumed.handed.borrow(), resumed.priced.borrow());
+        assert_eq!(handed[0], restored);
+        let (kept, bred): (Vec<_>, Vec<_>) = handed[1].iter().partition(|(_, r)| r.is_none());
+        assert_eq!(kept.len(), elitism);
+        assert!(kept.iter().all(|elite| restored[..elitism].contains(elite)));
+        for (genome, record) in bred {
+            let number = record.expect("offspring carry their records");
+            assert!(number < cfg.population_size - elitism, "priced in the first batch");
+            assert_eq!(&priced[number], genome);
+        }
     }
 
     #[test]
@@ -1013,14 +1132,19 @@ mod tests {
         struct Flat;
         impl GaProblem for Flat {
             type Gene = u8;
+            type Record = ();
             fn genome_len(&self) -> usize {
                 4
             }
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost_batch(&self, _parents: &[&[u8]], genomes: &[Vec<u8>]) -> Vec<f64> {
-                vec![1.0; genomes.len()]
+            fn cost_batch(
+                &self,
+                _: &[(&[u8], Option<&()>)],
+                genomes: &[Vec<u8>],
+            ) -> Vec<(f64, ())> {
+                vec![(1.0, ()); genomes.len()]
             }
         }
         let outcome = run(
@@ -1138,14 +1262,19 @@ mod tests {
         struct NearFlat;
         impl GaProblem for NearFlat {
             type Gene = u8;
+            type Record = ();
             fn genome_len(&self) -> usize {
                 4
             }
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost_batch(&self, _parents: &[&[u8]], genomes: &[Vec<u8>]) -> Vec<f64> {
-                genomes.iter().map(|g| 1.0 + f64::from(g[0]) * 1e-9).collect()
+            fn cost_batch(
+                &self,
+                _: &[(&[u8], Option<&()>)],
+                genomes: &[Vec<u8>],
+            ) -> Vec<(f64, ())> {
+                genomes.iter().map(|g| (1.0 + f64::from(g[0]) * 1e-9, ())).collect()
             }
         }
         let with_diversity = run(
@@ -1185,22 +1314,25 @@ mod tests {
         struct Poisoned;
         impl GaProblem for Poisoned {
             type Gene = u8;
+            type Record = ();
             fn genome_len(&self) -> usize {
                 4
             }
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..4)
             }
-            fn cost_batch(&self, _parents: &[&[u8]], genomes: &[Vec<u8>]) -> Vec<f64> {
-                genomes
-                    .iter()
-                    .map(|g| match g[0] {
-                        0 => f64::NAN,
-                        1 => f64::NEG_INFINITY,
-                        2 => f64::INFINITY,
-                        _ => g.iter().map(|&x| f64::from(x)).sum(),
-                    })
-                    .collect()
+            fn cost_batch(
+                &self,
+                _: &[(&[u8], Option<&()>)],
+                genomes: &[Vec<u8>],
+            ) -> Vec<(f64, ())> {
+                let cost = |g: &Vec<u8>| match g[0] {
+                    0 => f64::NAN,
+                    1 => f64::NEG_INFINITY,
+                    2 => f64::INFINITY,
+                    _ => g.iter().map(|&x| f64::from(x)).sum(),
+                };
+                genomes.iter().map(|g| (cost(g), ())).collect()
             }
         }
         let outcome = run(
