@@ -37,8 +37,9 @@ pub(crate) type Raise = (PeId, TaskTypeId, usize);
 /// Derives the core allocation implied by `mapping`, optionally
 /// replicating cores for parallel low-mobility tasks while area allows.
 /// Without replication this is [`CoreAllocation::minimal`]; with it,
-/// analyses every mode's timing and then runs
-/// [`derive_allocation_timed`].
+/// each mode's part is derived as the evaluator derives it — its timing
+/// analysis and the replication demands found from it — and the one
+/// replication loop turns the parts into the allocation.
 pub fn derive_allocation(
     system: &System,
     mapping: &SystemMapping,
@@ -47,46 +48,21 @@ pub fn derive_allocation(
     if !options.replicate {
         return CoreAllocation::minimal(system, mapping);
     }
-    let timing: Vec<TimingAnalysis> = system
+    let mut sweep = DemandSweep::default();
+    let (timing, raises): (Vec<TimingAnalysis>, Vec<Vec<Raise>>) = system
         .omsm()
         .mode_ids()
-        .map(|mode| TimingAnalysis::analyze(system, mode, mapping))
-        .collect();
-    derive_allocation_timed(system, mapping, &timing, options)
+        .map(|mode| {
+            let analysis = TimingAnalysis::analyze(system, mode, mapping);
+            let mut raises = Vec::new();
+            sweep.demands(system, mapping.row(mode), &analysis, options, &mut raises);
+            (analysis, raises)
+        })
+        .unzip();
+    assemble(system, &timing, raises.iter().map(Vec::as_slice))
 }
 
-/// [`derive_allocation`] from `timing`, one analysis per mode in mode
-/// order under `mapping`, which the caller computed once and shares,
-/// e.g. with the list scheduler. Each mode's part is its analysis's
-/// cores plus, when `options.replicate` is set, its replication demands;
-/// [`assemble`] turns the parts into the allocation.
-///
-/// # Panics
-///
-/// Panics if `timing` covers fewer modes than `system` has.
-pub fn derive_allocation_timed(
-    system: &System,
-    mapping: &SystemMapping,
-    timing: &[TimingAnalysis],
-    options: &AllocOptions,
-) -> CoreAllocation {
-    let timing = &timing[..system.omsm().mode_count()];
-    let mut sweep = DemandSweep::default();
-    // Every mode's demands back to back: mode `m`'s are
-    // `raises[starts[m]..starts[m + 1]]`.
-    let mut raises = Vec::new();
-    let mut starts = Vec::with_capacity(timing.len() + 1);
-    starts.push(0);
-    if options.replicate {
-        for (mode, analysis) in system.omsm().mode_ids().zip(timing) {
-            sweep.demands(system, mapping.row(mode), analysis, options, &mut raises);
-            starts.push(raises.len());
-        }
-    }
-    assemble(system, timing, starts.windows(2).map(|part| &raises[part[0]..part[1]]))
-}
-
-/// The one replication loop, behind [`derive_allocation_timed`] and the
+/// The one replication loop, behind [`derive_allocation`] and the
 /// evaluator: one instance of each of every mode's cores, read off
 /// `timing`, then mode by mode, in mode order, each of the mode's
 /// `raises` (one slice per mode, fewer meaning none) applied in order,

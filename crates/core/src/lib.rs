@@ -55,7 +55,7 @@ pub mod synthesis;
 pub mod transition;
 pub mod verify;
 
-pub use alloc::{derive_allocation, derive_allocation_timed, AllocOptions};
+pub use alloc::{derive_allocation, AllocOptions};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::{
     DvsSynthesisOptions, FaultInjection, InjectedFault, PenaltyWeights, SynthesisConfig,
