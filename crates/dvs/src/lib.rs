@@ -10,9 +10,10 @@
 //! * [`hw_transform::virtual_tasks`] — the paper's Fig. 5 transformation
 //!   of parallel single-rail hardware cores into sequential virtual tasks;
 //! * [`scale_mode`] — PV-DVS greedy slack distribution over a mode's
-//!   static schedule, honouring deadlines, hyper-periods and per-PE
-//!   discrete levels; [`scale_pass`] runs the same kernel on the list
-//!   scheduler's last pass, without a schedule.
+//!   static schedule, stretching activities only into their slack
+//!   against deadlines and the hyper-period, snapped to per-PE discrete
+//!   levels; [`scale_pass`] runs the same kernel on the list scheduler's
+//!   last pass, without a schedule.
 //!
 //! # Examples
 //!

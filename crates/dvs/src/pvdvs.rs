@@ -310,9 +310,25 @@ pub struct DvsScratch {
 /// DVS-enabled hardware PEs are scaled together through the virtual-task
 /// transformation (unless `options.scale_hw` is off). Remote
 /// communications and tasks on fixed-voltage PEs keep their nominal
-/// timing. The scaler never violates task deadlines or the mode's
-/// hyper-period; on a schedule that already misses deadlines it simply
-/// finds no slack and returns nominal timing.
+/// durations.
+///
+/// The scaled timing starts each unit (a task, a remote transfer or a
+/// virtual task) as soon as its predecessors and the unit before it on
+/// its resource have finished, and stretches a unit only into its slack:
+/// up to the latest finish that keeps its own deadline (a virtual task's
+/// is its members' earliest, a transfer's the mode's period) and every
+/// later unit's. So scaling makes no unit later than that timing at
+/// nominal durations has it, up to the rounding of the level fit: a unit
+/// that meets its deadline there still does, a late one gets no later,
+/// and a path that already misses a deadline keeps its nominal durations.
+///
+/// Without virtual tasks, that nominal timing starts nothing later than
+/// `schedule` does, so every deadline `schedule` meets is still met. A
+/// virtual task, though, waits for every member's predecessors, so it
+/// can start later than `schedule` ran its earliest member, and scaling
+/// can then miss a deadline `schedule` met: root `tests/dvs_kernel.rs`'s
+/// pushed-group system, in
+/// `dvs_costs_scale_the_list_pass_like_the_full_evaluation`, is one.
 ///
 /// A schedule whose resource order contradicts its precedences (a
 /// resource sequence running a task before one it depends on, which the
