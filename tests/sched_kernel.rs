@@ -1,6 +1,7 @@
 //! The list-scheduling kernel without DVS: pinned synthesis trajectories,
-//! a fingerprint of the schedules of seeded random mappings, the
-//! replicated-core instance choice, and scratch reuse across systems.
+//! a fingerprint of the schedules of seeded random mappings under each
+//! priority rule, the replicated-core instance choice, and scratch reuse
+//! across systems.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,7 +15,7 @@ use momsynth::model::{
     TechLibraryBuilder,
 };
 use momsynth::sched::{
-    schedule_mode, schedule_mode_with, ActivityId, ListScratch, ResourceKey, Schedule,
+    schedule_mode, schedule_mode_with, ActivityId, ListScratch, Priority, ResourceKey, Schedule,
     SchedulerOptions, SystemMapping,
 };
 use momsynth::synthesis::{
@@ -165,8 +166,29 @@ impl Fingerprint {
 
 /// The schedules of every mode of 64 seeded random mappings per system,
 /// each under its derived core allocation, folded into one fingerprint
-/// per system. The generated system routes thousands of transfers over
-/// its second link, so the earliest-finish link choice is covered.
+/// per system, with the count of transfers routed over link 1.
+fn random_mapping_fingerprint(system: &System, options: SchedulerOptions) -> (u64, usize) {
+    let mut fingerprint = Fingerprint::new();
+    let mut second_link_transfers = 0;
+    for mapping in random_mappings(system, 0x5eed, 64) {
+        let alloc = derive_allocation(system, &mapping, &AllocOptions::default());
+        for mode in system.omsm().mode_ids() {
+            match schedule_mode(system, mode, &mapping, &alloc, options) {
+                Ok(schedule) => {
+                    fingerprint.schedule(&schedule);
+                    second_link_transfers +=
+                        schedule.remote_comms().filter(|c| c.cl == ClId::new(1)).count();
+                }
+                Err(e) => panic!("{}: mode {mode} does not schedule: {e}", system.name()),
+            }
+        }
+    }
+    (fingerprint.0, second_link_transfers)
+}
+
+/// The mobility-ordered schedules of 64 seeded random mappings per
+/// system. The generated system routes thousands of transfers over its
+/// second link, so the earliest-finish link choice is covered.
 #[test]
 fn random_mapping_schedules_are_pinned() {
     let cases = [
@@ -176,22 +198,27 @@ fn random_mapping_schedules_are_pinned() {
         ("pin-modes", pin_modes(), 0x5c0b_c0b4_406f_9a41, 3141),
     ];
     for (name, system, expected, on_second_link) in cases {
-        let mut fingerprint = Fingerprint::new();
-        let mut second_link_transfers = 0;
-        for mapping in random_mappings(&system, 0x5eed, 64) {
-            let alloc = derive_allocation(&system, &mapping, &AllocOptions::default());
-            for mode in system.omsm().mode_ids() {
-                match schedule_mode(&system, mode, &mapping, &alloc, SchedulerOptions::default()) {
-                    Ok(schedule) => {
-                        fingerprint.schedule(&schedule);
-                        second_link_transfers +=
-                            schedule.remote_comms().filter(|c| c.cl == ClId::new(1)).count();
-                    }
-                    Err(e) => panic!("{name}: mode {mode} does not schedule: {e}"),
-                }
-            }
-        }
-        assert_eq!(fingerprint.0, expected, "{name}: fingerprint {:#018x}", fingerprint.0);
+        let (fingerprint, second_link_transfers) =
+            random_mapping_fingerprint(&system, SchedulerOptions::default());
+        assert_eq!(fingerprint, expected, "{name}: fingerprint {fingerprint:#018x}");
+        assert_eq!(second_link_transfers, on_second_link, "{name}");
+    }
+}
+
+/// The same mappings' schedules under the task-id order of ablation D5,
+/// which ranks the ready tasks without the timing analysis's mobility.
+#[test]
+fn fifo_schedules_are_pinned() {
+    let cases = [
+        ("mul2", mul(2), 0x69ac_9c74_790a_65d4_u64, 0_usize),
+        ("mul9", mul(9), 0x3ddd_5e85_9a8b_68e9, 0),
+        ("automotive", automotive_ecu(), 0xfee7_4bd6_e871_7fbf, 0),
+        ("pin-modes", pin_modes(), 0x6a48_1634_7403_8aae, 2880),
+    ];
+    let options = SchedulerOptions { priority: Priority::Fifo };
+    for (name, system, expected, on_second_link) in cases {
+        let (fingerprint, second_link_transfers) = random_mapping_fingerprint(&system, options);
+        assert_eq!(fingerprint, expected, "{name}: fingerprint {fingerprint:#018x}");
         assert_eq!(second_link_transfers, on_second_link, "{name}");
     }
 }
