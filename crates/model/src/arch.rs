@@ -430,6 +430,7 @@ impl Architecture {
     /// Returns the links that connect both `a` and `b`, ascending (every
     /// link attached to `a` when `a == b`; none for a PE outside the
     /// architecture).
+    #[inline]
     pub fn cls_between(&self, a: PeId, b: PeId) -> impl Iterator<Item = ClId> + '_ {
         Shared { a: self.attached_to(a), b: self.attached_to(b) }
     }
@@ -438,6 +439,7 @@ impl Architecture {
     /// [`Architecture::cls_between`], the one with the least time per
     /// data unit, the lowest id among equally fast ones. `None` when they
     /// share no link. One merge of the two PEs' incidence rows.
+    #[inline]
     pub fn fastest_cl(&self, a: PeId, b: PeId) -> Option<ClId> {
         let (mut x, mut y) = (self.attached_to(a), self.attached_to(b));
         let mut fastest: Option<(ClId, f64)> = None;
@@ -460,6 +462,7 @@ impl Architecture {
 
     /// The links attached to `pe`, ascending; empty for a PE outside the
     /// architecture.
+    #[inline]
     fn attached_to(&self, pe: PeId) -> &[ClId] {
         let p = pe.index();
         if p >= self.pes.len() {
@@ -498,6 +501,7 @@ struct Shared<'a> {
 impl Iterator for Shared<'_> {
     type Item = ClId;
 
+    #[inline]
     fn next(&mut self) -> Option<ClId> {
         while let (Some(&x), Some(&y)) = (self.a.first(), self.b.first()) {
             if x <= y {

@@ -143,6 +143,7 @@ impl TechLibrary {
     }
 
     /// Returns the implementation of `ty` on `pe`, if one exists.
+    #[inline]
     pub fn impl_of(&self, ty: TaskTypeId, pe: PeId) -> Option<&Implementation> {
         let row = self.impls.get(ty.index())?;
         row.binary_search_by_key(&pe, |&(p, _)| p).ok().map(|i| &row[i].1)

@@ -64,10 +64,6 @@ pub struct ListScratch {
     timing: TimingAnalysis,
     /// The mode of the last pass, if it succeeded.
     mode: Option<ModeId>,
-    /// The priority order's sort keys, one per task.
-    keys: Vec<PriorityKey>,
-    order: Vec<TaskId>,
-    rank: Vec<usize>,
     /// Each task's entry once the pass has placed it.
     scheduled: Vec<Option<ScheduledTask>>,
     /// The last pass's tasks, indexed by task id.
@@ -76,9 +72,9 @@ pub struct ListScratch {
     /// PE-local transfer.
     comms: Vec<Option<ScheduledComm>>,
     pending_preds: Vec<usize>,
-    /// Ranks of the ready tasks; ranks are unique, so the heap pops the
-    /// most urgent task as a scan for the minimum rank would.
-    ready: BinaryHeap<Reverse<usize>>,
+    /// The priority keys of the ready tasks; keys are distinct, so the
+    /// heap pops the most urgent task as a scan for the least key would.
+    ready: BinaryHeap<Reverse<PriorityKey>>,
     /// The first slot of each core's instances, plus the first link slot.
     core_slots: Vec<usize>,
     /// The resource of every slot, ascending.
@@ -182,9 +178,6 @@ pub fn list_schedule<'s>(
     let n = graph.task_count();
     let ListScratch {
         mode: passed,
-        keys,
-        order,
-        rank,
         scheduled,
         tasks,
         comms,
@@ -198,30 +191,26 @@ pub fn list_schedule<'s>(
     } = scratch;
     *passed = None;
 
-    // Priority ranks: rank[task] = position in the chosen order.
-    match options.priority {
-        Priority::Mobility => timing.fill_priority_order(keys, order),
-        Priority::Fifo => {
-            order.clear();
-            order.extend(graph.task_ids());
-        }
-    }
-    rank.clear();
-    rank.resize(n, 0);
-    for (pos, &t) in order.iter().enumerate() {
-        rank[t.index()] = pos;
-    }
+    // A task's key is computed once, when it becomes ready. Under FIFO
+    // only the task id ranks.
+    let key = |task: TaskId| match options.priority {
+        Priority::Mobility => timing.priority_key(task),
+        Priority::Fifo => (0, 0, task.index()),
+    };
 
-    // Dense resource slots in `ResourceKey` order.
+    // Dense resource slots in `ResourceKey` order; each core's instance
+    // count is read in one merge over the mode's allocation row.
     let row = mapping.row(mode);
     let cores = timing.cores();
     slot_keys.clear();
     slot_keys.extend(arch.pe_ids().map(ResourceKey::SwPe));
     core_slots.clear();
+    let mut allocated = alloc.mode_cores(mode).peekable();
     for &(pe, ty) in cores {
         core_slots.push(slot_keys.len());
-        let instances = alloc.instances(mode, pe, ty).max(1);
-        slot_keys.extend((0..instances).map(|i| ResourceKey::HwCore(pe, ty, i)));
+        while allocated.next_if(|&(core, _)| core < (pe, ty)).is_some() {}
+        let instances = allocated.next_if(|&(core, _)| core == (pe, ty)).map_or(0, |(_, n)| n);
+        slot_keys.extend((0..instances.max(1)).map(|i| ResourceKey::HwCore(pe, ty, i)));
     }
     let first_link = slot_keys.len();
     core_slots.push(first_link);
@@ -240,14 +229,11 @@ pub fn list_schedule<'s>(
     pending_preds.extend(graph.task_ids().map(|t| graph.predecessors(t).len()));
     ready.clear();
     ready.extend(
-        graph
-            .task_ids()
-            .filter(|t| pending_preds[t.index()] == 0)
-            .map(|t| Reverse(rank[t.index()])),
+        graph.task_ids().filter(|t| pending_preds[t.index()] == 0).map(|t| Reverse(key(t))),
     );
 
-    while let Some(Reverse(next)) = ready.pop() {
-        let task = order[next];
+    while let Some(Reverse((_, _, next))) = ready.pop() {
+        let task = TaskId::new(next);
         let pe = row[task.index()];
         if !timing.is_implemented(task) {
             return Err(SchedError::UnsupportedMapping { mode, task, pe });
@@ -312,7 +298,7 @@ pub fn list_schedule<'s>(
         for &(_, succ) in graph.successors(task) {
             pending_preds[succ.index()] -= 1;
             if pending_preds[succ.index()] == 0 {
-                ready.push(Reverse(rank[succ.index()]));
+                ready.push(Reverse(key(succ)));
             }
         }
     }

@@ -301,7 +301,7 @@ impl CoreAllocation {
     /// low-mobility tasks on top of it. A PE outside `system`'s
     /// architecture gets no cores.
     pub fn minimal(system: &System, mapping: &SystemMapping) -> Self {
-        let mut alloc = Self::new(0);
+        let mut alloc = Self::with_capacity(0, system.omsm().mode_count());
         let mut used = Vec::new();
         for (mode, m) in system.omsm().modes() {
             hardware_cores(system, m.graph(), mapping.row(mode), &mut used);
@@ -317,15 +317,19 @@ impl CoreAllocation {
     /// cores again.
     pub fn from_analyses(timing: &[TimingAnalysis]) -> Self {
         let entries = timing.iter().map(|analysis| analysis.cores().len()).sum();
-        let mut alloc = Self {
-            cores: Vec::with_capacity(entries),
-            starts: Vec::with_capacity(timing.len() + 1),
-        };
-        alloc.starts.push(0);
+        let mut alloc = Self::with_capacity(entries, timing.len());
         for analysis in timing {
             alloc.push_single_cores(analysis.cores());
         }
         alloc
+    }
+
+    /// An allocation of no modes with room for `entries` entries over
+    /// `modes` modes.
+    fn with_capacity(entries: usize, modes: usize) -> Self {
+        let mut starts = Vec::with_capacity(modes + 1);
+        starts.push(0);
+        Self { cores: Vec::with_capacity(entries), starts }
     }
 
     /// Appends a mode with one instance of each of `cores`, which are
@@ -615,19 +619,13 @@ pub(crate) fn hardware_cores(
 ) {
     let arch = system.arch();
     out.clear();
-    out.extend(graph.tasks().map(|(task, t)| (row[task.index()], t.task_type())));
-    // Keep the hardware pairs in place without a branch per task: to the
-    // branch predictor, which PE a task is on is close to random.
-    let mut kept = 0;
-    for i in 0..out.len() {
-        let core = out[i];
-        out[kept] = core;
-        let pe = core.0;
-        kept += usize::from(pe.index() < arch.pe_count() && arch.pe(pe).kind().is_hardware());
-    }
-    out.truncate(kept);
-    // One integer per pair, ordered as the pairs are.
-    out.sort_unstable_by_key(|&(pe, ty)| (pe.index() as u128) << 64 | ty.index() as u128);
+    // Only the hardware tasks' pairs are sorted, usually a few.
+    out.extend(graph.tasks().filter_map(|(task, t)| {
+        let pe = row[task.index()];
+        let hardware = pe.index() < arch.pe_count() && arch.pe(pe).kind().is_hardware();
+        hardware.then(|| (pe, t.task_type()))
+    }));
+    out.sort_unstable();
     out.dedup();
 }
 

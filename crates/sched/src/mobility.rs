@@ -141,11 +141,10 @@ impl TimingAnalysis {
         }
     }
 
-    /// Writes all task ids into `out`, sorted by ascending mobility
-    /// (`alap − asap`), ties broken by ASAP time and then task id; `keys`
-    /// is working memory.
-    pub(crate) fn fill_priority_order(&self, keys: &mut Vec<PriorityKey>, out: &mut Vec<TaskId>) {
-        priority_order_into(&self.asap, &self.alap, keys, out);
+    /// `task`'s [`PriorityKey`]: the list scheduler readies each task
+    /// once and orders its ready heap on these keys.
+    pub(crate) fn priority_key(&self, task: TaskId) -> PriorityKey {
+        priority_key(&self.asap, &self.alap, task.index())
     }
 
     /// Returns the analysed mode.
@@ -209,9 +208,7 @@ impl TimingAnalysis {
     /// ties broken by ASAP time and then task id — the list-scheduler
     /// priority order.
     pub fn priority_order(&self) -> Vec<TaskId> {
-        let mut order = Vec::new();
-        self.fill_priority_order(&mut Vec::new(), &mut order);
-        order
+        key_order(&self.asap, &self.alap)
     }
 }
 
@@ -223,22 +220,20 @@ fn total_order_bits(x: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
-/// Writes the task ids `0..asap.len()` into `out`, sorted by ascending
-/// `alap − asap` under [`f64::total_cmp`], then ASAP time, then task id:
-/// an unstable sort of distinct [`PriorityKey`]s built in `keys`.
-fn priority_order_into(
-    asap: &[Seconds],
-    alap: &[Seconds],
-    keys: &mut Vec<PriorityKey>,
-    out: &mut Vec<TaskId>,
-) {
-    keys.clear();
-    keys.extend(asap.iter().zip(alap).enumerate().map(|(task, (&early, &late))| {
-        (total_order_bits((late - early).value()), total_order_bits(early.value()), task)
-    }));
+/// The [`PriorityKey`] of task `task` from every task's ASAP and ALAP
+/// times.
+fn priority_key(asap: &[Seconds], alap: &[Seconds], task: usize) -> PriorityKey {
+    let (early, late) = (asap[task], alap[task]);
+    (total_order_bits((late - early).value()), total_order_bits(early.value()), task)
+}
+
+/// The task ids `0..asap.len()` sorted by ascending `alap − asap` under
+/// [`f64::total_cmp`], then ASAP time, then task id: an unstable sort of
+/// distinct [`PriorityKey`]s.
+fn key_order(asap: &[Seconds], alap: &[Seconds]) -> Vec<TaskId> {
+    let mut keys: Vec<PriorityKey> = (0..asap.len()).map(|t| priority_key(asap, alap, t)).collect();
     keys.sort_unstable();
-    out.clear();
-    out.extend(keys.iter().map(|&(_, _, task)| TaskId::new(task)));
+    keys.into_iter().map(|(_, _, task)| TaskId::new(task)).collect()
 }
 
 #[cfg(test)]
@@ -419,9 +414,7 @@ mod tests {
             };
             let asap: Vec<Seconds> = times.iter().map(|&(a, _, r)| pick(a, r)).collect();
             let alap: Vec<Seconds> = times.iter().map(|&(_, l, r)| pick(l, -r)).collect();
-            let (mut keys, mut order) = (Vec::new(), Vec::new());
-            priority_order_into(&asap, &alap, &mut keys, &mut order);
-            proptest::prop_assert_eq!(order, comparator_order(&asap, &alap));
+            proptest::prop_assert_eq!(key_order(&asap, &alap), comparator_order(&asap, &alap));
         }
     }
 
