@@ -1,9 +1,11 @@
 //! Property-based tests over randomly generated systems and mappings:
 //! scheduler invariants (precedence, resource exclusivity, determinism),
 //! DVS invariants (never slower than deadlines allow, never more energy),
-//! and power-model invariants (non-negativity, probability weighting).
+//! power-model invariants (non-negativity, probability weighting), and
+//! the mapping, allocation and core rows against ordered-collection
+//! models.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -15,6 +17,7 @@ use momsynth::model::{Architecture, ArchitectureBuilder, Cl, Pe, PeKind, System}
 use momsynth::power::{mode_power, ModeImplementation, ModePower};
 use momsynth::sched::{
     schedule_mode, ActivityId, CoreAllocation, PeRows, Schedule, SchedulerOptions, SystemMapping,
+    TimingAnalysis,
 };
 use momsynth::synthesis::{
     Cost, Evaluator, FaultInjection, Gene, GenomeLayout, ParentRecord, Solution, SynthesisConfig,
@@ -436,6 +439,27 @@ fn system_and_allocation_edits() -> impl Strategy<Value = (System, Vec<Allocatio
     )
 }
 
+/// One row pick per mode: a row kind (see
+/// `hardware_cores_match_the_ordered_set_model`) and random PE draws.
+type CoreRow = (u8, Vec<usize>);
+
+/// A small generated system with at most three task types, so four or
+/// more tasks on one PE repeat a `(PE, type)` pair, and one row pick per
+/// mode.
+fn system_and_core_rows() -> impl Strategy<Value = (System, Vec<CoreRow>)> {
+    let row = (0u8..4, proptest::collection::vec(0usize..64, 10));
+    (1u64..500, 1usize..4, 0usize..3, proptest::collection::vec(row, 3)).prop_map(
+        |(seed, modes, extra_hw, rows)| {
+            let mut params = GeneratorParams::new("cores", seed);
+            params.modes = modes;
+            params.tasks_per_mode = (4, 10);
+            params.hardware_pes = 1 + extra_hw;
+            params.type_pool = 3;
+            (generate(&params), rows)
+        },
+    )
+}
+
 /// A random architecture: `pes` PEs and links over random endpoint lists
 /// (repeats allowed, each with at least two distinct PEs).
 fn architecture() -> impl Strategy<Value = Architecture> {
@@ -534,6 +558,61 @@ proptest! {
         let json = serde_json::to_string(&alloc).expect("serialises");
         prop_assert_eq!(&json, &reference.json());
         prop_assert_eq!(serde_json::from_str::<CoreAllocation>(&json).unwrap(), alloc);
+    }
+
+    /// A mode's hardware cores, as the timing analysis (fresh and
+    /// refreshed in place) and the minimal allocation give them, are the
+    /// ordered set of the `(PE, type)` pairs of its tasks on the
+    /// architecture's hardware PEs. Rows are of four kinds: random PEs,
+    /// some outside the architecture (kind 0); every task on a software
+    /// PE (kind 1); every task on one hardware PE, so a pair repeats
+    /// (kind 2); random hardware PEs with the last task outside the
+    /// architecture, which gives that PE no cores (kind 3).
+    #[test]
+    fn hardware_cores_match_the_ordered_set_model((system, rows) in system_and_core_rows()) {
+        let arch = system.arch();
+        let hardware: BTreeSet<PeId> = arch.hardware_pes().collect();
+        let hw: Vec<PeId> = hardware.iter().copied().collect();
+        let software = arch.software_pes().next().expect("a software PE");
+        let outside = arch.pe_count();
+        let mapping = SystemMapping::from_vecs(
+            system
+                .omsm()
+                .modes()
+                .map(|(mode, m)| {
+                    let (kind, picks) = &rows[mode.index()];
+                    let n = m.graph().task_count();
+                    (0..n)
+                        .map(|t| match kind {
+                            0 => PeId::new(picks[t] % (outside + 2)),
+                            1 => software,
+                            2 => hw[picks[0] % hw.len()],
+                            _ if t + 1 == n => PeId::new(outside + picks[t] % 2),
+                            _ => hw[picks[t] % hw.len()],
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let minimal = CoreAllocation::minimal(&system, &mapping);
+        let mut refreshed = TimingAnalysis::default();
+        for (mode, m) in system.omsm().modes() {
+            let model: BTreeSet<(PeId, TaskTypeId)> = m
+                .graph()
+                .tasks()
+                .map(|(task, t)| (mapping.pe_of(mode, task), t.task_type()))
+                .filter(|(pe, _)| hardware.contains(pe))
+                .collect();
+            let kind = rows[mode.index()].0;
+            prop_assert!(kind != 1 || model.is_empty());
+            prop_assert!(kind != 2 || model.len() < m.graph().task_count(), "no pair repeats");
+            let expected: Vec<(PeId, TaskTypeId)> = model.iter().copied().collect();
+            refreshed.refresh(&system, mode, &mapping);
+            prop_assert_eq!(refreshed.cores(), &expected[..]);
+            prop_assert_eq!(TimingAnalysis::analyze(&system, mode, &mapping).cores(), &expected[..]);
+            let single: Vec<_> = model.iter().map(|&core| (core, 1)).collect();
+            prop_assert_eq!(minimal.mode_cores(mode).collect::<Vec<_>>(), single);
+        }
     }
 
     /// The links two PEs share, read from the architecture's incidence
