@@ -214,8 +214,8 @@ pub struct Flow {
     /// Use the probability-neglecting baseline flow
     /// (`--neglect-probabilities`).
     pub neglect: bool,
-    /// Worker threads for batch fitness evaluation, 0 = all cores
-    /// (`--threads`).
+    /// Threads for batch fitness evaluation, the calling thread
+    /// included, 0 = all cores (`--threads`).
     pub threads: usize,
     /// Wall-clock budget in seconds (`--max-seconds`).
     pub max_seconds: Option<f64>,
@@ -744,9 +744,10 @@ CHECK:
     by `synth -o`. Exit code 2 when any violation is found.
 
 SYNTH PERFORMANCE:
-    --threads N evaluates each generation's candidates on N worker
-    threads (0 = all cores). The search trajectory is bit-identical for
-    every thread count; only the wall clock changes.
+    --threads N evaluates each generation's candidates on N threads:
+    the synth's own thread and N - 1 workers (0 = all cores). The search
+    trajectory is bit-identical for every thread count; only the wall
+    clock changes.
 
 SYNTH BUDGETS AND RESILIENCE:
     --max-seconds / --max-evals stop the search once the budget is spent

@@ -153,9 +153,11 @@ pub struct SynthesisConfig {
     /// `Warning` event in release builds. Defaults to `true` under
     /// `debug_assertions` (tests), `false` in release builds.
     pub verify_each_generation: bool,
-    /// Worker threads for batch fitness evaluation: `1` (the default)
-    /// evaluates serially, `0` uses every available core. The evolution
-    /// trajectory is bit-identical at any thread count.
+    /// Threads for batch fitness evaluation, the calling thread
+    /// included: `1` (the default) evaluates serially on the calling
+    /// thread, `N` prices each batch on it and `N − 1` spawned workers,
+    /// `0` uses every available core. The evolution trajectory is
+    /// bit-identical at any thread count.
     pub threads: usize,
     /// Build the genome from the statically pruned capable-PE domains of
     /// the pre-synthesis analyzer, so mutation and crossover never
@@ -184,7 +186,8 @@ impl SynthesisConfig {
         }
     }
 
-    /// The worker-thread count [`SynthesisConfig::threads`] resolves to:
+    /// The pricing-thread count, the calling thread included, that
+    /// [`SynthesisConfig::threads`] resolves to:
     /// itself when non-zero, otherwise the machine's available
     /// parallelism (at least 1).
     pub fn effective_threads(&self) -> usize {

@@ -335,8 +335,10 @@ struct Verdict {
 /// An evaluator is one pricing unit: it owns the run [`Counters`] and
 /// the phase timers of everything priced through it. Not `Sync`
 /// (scratch buffers, counters and timers use interior mutability):
-/// parallel batch evaluation gives each worker thread its own
-/// [`Evaluator::worker`] and folds it back with [`Evaluator::absorb`].
+/// parallel batch evaluation prices on the run's evaluator on the
+/// calling thread and on one [`Evaluator::worker`] per spawned thread,
+/// kept for the whole run and folded back after each batch with
+/// [`Evaluator::absorb`].
 #[derive(Debug)]
 pub struct Evaluator<'a> {
     system: &'a System,
@@ -379,8 +381,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// A fresh evaluator for the same system and configuration that
-    /// times phases exactly when this one does: a parallel batch worker,
-    /// folded back with [`Evaluator::absorb`].
+    /// times phases exactly when this one does: a parallel batch worker
+    /// pricing beside the calling thread, which keeps its scratch across
+    /// batches and is folded back after each with [`Evaluator::absorb`].
     pub fn worker(&self) -> Self {
         Self {
             weights: self.weights.clone(),
@@ -421,10 +424,12 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Folds a worker's counters and phase timings into this evaluator
-    /// after a parallel batch. Both are sums, so the totals do not
+    /// after a parallel batch and clears them on the worker, which keeps
+    /// its scratch: a worker kept across batches and folded back after
+    /// each adds every count once. Both are sums, so the totals do not
     /// depend on how the batch was split.
     pub fn absorb(&self, worker: &Evaluator<'_>) {
-        self.counters.borrow_mut().add(&worker.counters.borrow());
+        self.counters.borrow_mut().add(&worker.counters.take());
         self.phases.absorb(&worker.phases);
     }
 

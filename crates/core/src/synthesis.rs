@@ -281,10 +281,13 @@ struct MappingProblem<'a> {
     layout: &'a GenomeLayout,
     /// The run's pricing unit; its counters are the run's counters.
     evaluator: &'a Evaluator<'a>,
+    /// The batch workers that price beside the calling thread, one per
+    /// resolved thread but the caller's. Kept for the whole run, so each
+    /// worker's scratch stays warm across generations; empty at one
+    /// thread.
+    workers: RefCell<Vec<Evaluator<'a>>>,
     system: &'a System,
     config: &'a SynthesisConfig,
-    /// Resolved worker-thread count for batch pricing.
-    threads: usize,
 }
 
 /// Prices one genome for the GA against its parents' `table`: an
@@ -344,10 +347,12 @@ impl GaProblem for MappingProblem<'_> {
     /// Batched pricing: the GA hands over each generation's unevaluated
     /// genomes at once, with the population they were bred from, each
     /// parent with its record. Identical genomes within the batch are
-    /// priced once, the unique ones across `threads` workers against the
-    /// parents' table (a mode whose gene slice and core counts equal a
-    /// parent's reuses its term), and the costs and records are scattered
-    /// back in batch order, a repeated genome getting a copy of its first
+    /// priced once against the parents' table (a mode whose gene slice
+    /// and core counts equal a parent's reuses its term): at one thread
+    /// in batch order on the calling thread, otherwise on the calling
+    /// thread and the kept workers, each claiming the next unpriced
+    /// genome until none remain. The costs and records are scattered back
+    /// in batch order, a repeated genome getting a copy of its first
     /// occurrence's record. Fitness and record are pure functions of the
     /// genome and the table a function of the parents, so worker
     /// scheduling cannot influence any returned cost or counter, and the
@@ -395,52 +400,61 @@ impl GaProblem for MappingProblem<'_> {
             c.cache_misses += genomes.len() as u64;
             c.evaluated += unique.len() as u64;
         });
-        // Each worker is a pricing unit of its own; folding it back is a
-        // commutative sum, so totals are independent of worker scheduling.
-        let mut priced: Vec<(f64, ParentRecord)> = Vec::with_capacity(unique.len());
+        let price = |evaluator: &Evaluator<'_>, i: usize| {
+            price_genome(self.layout, self.config, evaluator, &table, &genomes[i])
+        };
+        // `priced[slot]` is the unique genome's cost and record.
+        let mut priced: Vec<Option<(f64, ParentRecord)>> = Vec::with_capacity(unique.len());
         // Under the loom model checker the scoped parallel arm is
         // compiled out (loom has no scoped threads); batches price
         // serially, which the determinism contract already permits.
-        let serial = cfg!(loom) || self.threads <= 1 || unique.len() <= 1;
+        let serial = cfg!(loom) || unique.len() <= 1 || self.workers.borrow().is_empty();
         if serial {
-            priced.extend(unique.iter().map(|&i| {
-                price_genome(self.layout, self.config, self.evaluator, &table, &genomes[i])
-            }));
+            priced.extend(unique.iter().map(|&i| Some(price(self.evaluator, i))));
         }
         #[cfg(not(loom))]
         if !serial {
-            let workers = self.threads.min(unique.len());
-            let chunk = unique.len().div_ceil(workers);
-            let (layout, config, table) = (self.layout, self.config, &table);
+            use momsynth_sync::sync::atomic::{AtomicUsize, Ordering};
+            // Every pricing thread, the caller included, claims the next
+            // unpriced slot until none remain, so none idles while another
+            // holds a backlog. The join publishes the claimed records.
+            let mut workers = self.workers.borrow_mut();
+            let next = AtomicUsize::new(0);
+            let claim = |evaluator: &Evaluator<'_>| {
+                let mut claimed = Vec::new();
+                loop {
+                    let slot = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = unique.get(slot) else { return claimed };
+                    claimed.push((slot, price(evaluator, i)));
+                }
+            };
+            let (claim, spawned) = (&claim, workers.len().min(unique.len() - 1));
+            priced.resize_with(unique.len(), || None);
             momsynth_sync::thread::scope(|scope| {
-                let handles: Vec<_> = unique
-                    .chunks(chunk)
-                    .map(|part| {
-                        let worker = self.evaluator.worker();
-                        scope.spawn(move || {
-                            let priced: Vec<_> = part
-                                .iter()
-                                .map(|&i| price_genome(layout, config, &worker, table, &genomes[i]))
-                                .collect();
-                            (worker, priced)
-                        })
-                    })
+                let handles: Vec<_> = workers[..spawned]
+                    .iter_mut()
+                    .map(|worker| scope.spawn(move || claim(worker)))
                     .collect();
-                // Joined in order, so the records stay in slot order.
-                for handle in handles {
-                    let (worker, chunk) =
-                        handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                    self.evaluator.absorb(&worker);
-                    priced.extend(chunk);
+                let own = claim(self.evaluator);
+                let joined = handles.into_iter().map(|handle| {
+                    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                });
+                for (slot, entry) in std::iter::once(own).chain(joined).flatten() {
+                    priced[slot] = Some(entry);
                 }
             });
+            // Each worker is a pricing unit of its own; folding it back is
+            // a commutative sum that empties it, so totals are independent
+            // of worker scheduling and a warm worker is never counted twice.
+            for worker in &workers[..spawned] {
+                self.evaluator.absorb(worker);
+            }
         }
         // A genome's first occurrence takes the record, a repeat a copy.
-        let mut priced = priced.into_iter();
         let mut batch: Vec<(f64, ParentRecord)> = Vec::with_capacity(genomes.len());
         for (i, &slot) in slot_of.iter().enumerate() {
             let first = unique[slot];
-            let entry = if first == i { priced.next() } else { Some(batch[first].clone()) };
+            let entry = if first == i { priced[slot].take() } else { Some(batch[first].clone()) };
             batch.push(entry.expect("one record per unique genome"));
         }
         batch
@@ -564,7 +578,9 @@ impl<'a> Synthesizer<'a> {
             evaluator: &evaluator,
             system: self.system,
             config: &self.config,
-            threads: self.config.effective_threads(),
+            workers: RefCell::new(
+                (1..self.config.effective_threads()).map(|_| evaluator.worker()).collect(),
+            ),
         };
 
         let resume = match control.resume {

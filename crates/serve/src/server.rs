@@ -784,7 +784,8 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
 /// The batch-pricing threads of a job that asked for the automatic
 /// count (0): its worker's share of the host's cores, at least 1, so the
 /// server's workers together never price on more threads than there are
-/// cores.
+/// cores. The count includes the job's own worker thread, which prices
+/// beside the threads its batches spawn.
 fn automatic_threads(workers: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     (cores / workers.max(1)).max(1)

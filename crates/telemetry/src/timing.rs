@@ -142,16 +142,18 @@ impl PhaseAccumulator {
         out
     }
 
-    /// Adds another accumulator's spans onto this one, e.g. folding a
-    /// parallel worker's timings back into the run-wide accumulator
-    /// after a batch. No-op when this accumulator is disabled.
+    /// Moves another accumulator's spans onto this one and clears
+    /// `other`, e.g. folding a parallel worker's timings back into the
+    /// run-wide accumulator after a batch, so a worker folded back after
+    /// every batch adds each span once. Adds nothing when this
+    /// accumulator is disabled.
     pub fn absorb(&self, other: &Self) {
-        if !self.enabled {
-            return;
-        }
         for i in 0..Phase::COUNT {
-            self.nanos[i].set(self.nanos[i].get() + other.nanos[i].get());
-            self.spans[i].set(self.spans[i].get() + other.spans[i].get());
+            let (nanos, spans) = (other.nanos[i].take(), other.spans[i].take());
+            if self.enabled {
+                self.nanos[i].set(self.nanos[i].get() + nanos);
+                self.spans[i].set(self.spans[i].get() + spans);
+            }
         }
     }
 
@@ -228,7 +230,11 @@ mod tests {
         main.absorb(&worker);
         let ls = main.timings().into_iter().find(|t| t.phase == Phase::ListScheduling).unwrap();
         assert_eq!(ls.spans, 3);
+        assert!(worker.timings().is_empty(), "absorbing empties the worker");
+        main.absorb(&worker);
+        assert_eq!(main.timings(), vec![ls], "an emptied worker adds nothing");
 
+        worker.measure(Phase::ListScheduling, || std::hint::black_box(0u64));
         let off = PhaseAccumulator::disabled();
         off.absorb(&worker);
         assert!(off.timings().is_empty());

@@ -14,9 +14,9 @@
 #   telemetry  trace and run-summary outputs of `synth`: the trace's spans
 #              (the run root and phase paths) are its only timing record,
 #              and the run summary carries no phase timings
-#   threads    one synth at 1 and at 2 threads, once at fixed voltage and once
-#              with --dvs: identical results and counters, and the DVS pair
-#              counts PV-DVS iterations
+#   threads    one synth at 1, 2 and 3 threads, once at fixed voltage and
+#              once with --dvs: identical results and counters, and the DVS
+#              runs count PV-DVS iterations
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
 #   prove      certificates for the smartphone, under an evaluation and under a
@@ -227,10 +227,12 @@ threads_scenario() {
   scenario threads
   # The search trajectory is bit-identical at every thread count: the
   # mapping, the power report, the evaluations and every work counter.
-  # The DVS pair also holds the PV-DVS iteration count, which depends on
-  # which offspring modes are priced against a parent's terms.
+  # The DVS runs also hold the PV-DVS iteration count, which depends on
+  # which offspring modes are priced against a parent's terms. Three
+  # threads price each batch on two workers kept beside the synth's own
+  # thread.
   momsynth generate --seed 1 --modes 10 -o big.json
-  for n in 1 2; do
+  for n in 1 2 3; do
     momsynth synth big.json --quick --seed 3 --threads "$n" \
       --metrics-out "metrics_$n.json" > "report_$n.txt"
     momsynth synth big.json --quick --seed 3 --dvs --threads "$n" \
@@ -250,17 +252,21 @@ def report(path):
     return mapping, power
 
 for tag in ("", "dvs_"):
-    serial, parallel = report(f"report_{tag}1.txt"), report(f"report_{tag}2.txt")
-    assert serial == parallel, (tag, serial, parallel)
-    m1, m2 = (json.load(open(f"metrics_{tag}{n}.json")) for n in (1, 2))
-    assert (m1["threads"], m2["threads"]) == (1, 2), (m1["threads"], m2["threads"])
-    for key in ("average_power_mw", "evaluations", "generations", "counters"):
-        assert m1[key] == m2[key], (tag, key, m1[key], m2[key])
+    serial = report(f"report_{tag}1.txt")
+    m1 = json.load(open(f"metrics_{tag}1.json"))
+    assert m1["threads"] == 1, m1["threads"]
+    for n in (2, 3):
+        parallel = report(f"report_{tag}{n}.txt")
+        assert serial == parallel, (tag, n, serial, parallel)
+        mn = json.load(open(f"metrics_{tag}{n}.json"))
+        assert mn["threads"] == n, (n, mn["threads"])
+        for key in ("average_power_mw", "evaluations", "generations", "counters"):
+            assert m1[key] == mn[key], (tag, n, key, m1[key], mn[key])
     dvs = m1["counters"]["dvs_iterations"]
     assert (dvs > 0) == (tag == "dvs_"), (tag, dvs)
     label = "DVS" if tag else "fixed voltage"
     print(f"ok: {label}: {m1['evaluations']} evaluations, {dvs} PV-DVS iterations"
-          " and counters identical at 1 and 2 threads")
+          " and counters identical at 1, 2 and 3 threads")
 PY
 }
 

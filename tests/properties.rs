@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 
 use momsynth::dvs::{scale_mode, DvsOptions};
-use momsynth::generators::suite::{generate, GeneratorParams};
+use momsynth::generators::suite::{generate, mul, GeneratorParams};
 use momsynth::model::ids::{ClId, ModeId, PeId, TaskTypeId};
 use momsynth::model::units::{Cells, Seconds, Watts};
 use momsynth::model::{Architecture, ArchitectureBuilder, Cl, Pe, PeKind, System};
@@ -283,6 +283,32 @@ proptest! {
         prop_assert_eq!(serial.stop_reason, parallel.stop_reason);
         prop_assert_eq!(&serial.counters, &parallel.counters);
         prop_assert_eq!(serial.rejected, parallel.rejected);
+    }
+}
+
+/// The batch's edge cases price alike at one thread and at many: with
+/// `population_size == elitism` every GA batch is empty, and a
+/// population of 3 at 8 threads has fewer unique genomes than threads.
+#[test]
+fn edge_batches_are_thread_count_invariant() {
+    let system = mul(3);
+    for (population_size, elitism, threads) in [(4, 4, 4), (3, 1, 8)] {
+        let run = |threads| {
+            let mut config = SynthesisConfig::fast_preset(5);
+            config.ga.population_size = population_size;
+            config.ga.elitism = elitism;
+            config.ga.max_generations = 10;
+            config.threads = threads;
+            Synthesizer::new(&system, config).run().expect("mul3 synthesises")
+        };
+        let (serial, parallel) = (run(1), run(threads));
+        let bits = |history: &[f64]| history.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let case = (population_size, elitism, threads);
+        assert!(serial.generations > 0, "{case:?}");
+        assert_eq!(bits(&parallel.history), bits(&serial.history), "{case:?}");
+        assert_eq!(parallel.best, serial.best, "{case:?}");
+        assert_eq!(parallel.evaluations, serial.evaluations, "{case:?}");
+        assert_eq!(parallel.counters, serial.counters, "{case:?}");
     }
 }
 

@@ -2,10 +2,12 @@
 //! the run root covering its wall time, and one per phase timing at the
 //! phase's collapsed-stack path, all under the run's trace id. Tracing
 //! moves nothing else: a traced run follows the untraced run's
-//! trajectory.
+//! trajectory. Batch workers kept across generations fold each span
+//! into the run once: a traced run times as many spans at any thread
+//! count.
 
 use momsynth::generators::suite::mul;
-use momsynth::synthesis::{SynthControl, SynthesisConfig, Synthesizer};
+use momsynth::synthesis::{SynthControl, SynthesisConfig, SynthesisResult, Synthesizer};
 use momsynth::telemetry::{Event, MemorySink, Phase, SpanEvent, RUN_PATH};
 
 fn trace_holds_one_span_per_timing(config: SynthesisConfig) {
@@ -76,4 +78,37 @@ fn a_fixed_voltage_trace_records_each_timing_once_as_a_span() {
 #[test]
 fn a_dvs_trace_records_each_timing_once_as_a_span() {
     trace_holds_one_span_per_timing(SynthesisConfig::fast_preset(3).with_dvs());
+}
+
+/// A traced DVS run of mul9 at `threads`, every phase timed.
+fn traced_run(config: &SynthesisConfig, threads: usize) -> SynthesisResult {
+    let system = mul(9);
+    let sink = MemorySink::new();
+    let config = SynthesisConfig { threads, ..config.clone() };
+    Synthesizer::new(&system, config)
+        .run_controlled(SynthControl { sink: Some(&sink), ..SynthControl::default() })
+        .expect("mul9 synthesises")
+}
+
+#[test]
+fn kept_batch_workers_fold_every_span_and_count_in_once() {
+    // Every generation runs: at least ten batches of, on average, three
+    // or more unique genomes, so the two workers kept beside the calling
+    // thread price in batch after batch and are folded back after each.
+    let mut config = SynthesisConfig::fast_preset(3).with_dvs();
+    config.ga.max_generations = 12;
+    config.ga.stagnation_limit = config.ga.max_generations;
+    let serial = traced_run(&config, 1);
+    let parallel = traced_run(&config, 3);
+
+    assert!(serial.generations >= 10, "{} generations", serial.generations);
+    let batches = serial.generations as u64 + 1;
+    assert!(serial.counters.evaluated >= 3 * batches, "{:?}", serial.counters);
+    assert_eq!(parallel.evaluations, serial.evaluations);
+    assert_eq!(parallel.counters, serial.counters);
+    let spans = |run: &SynthesisResult| {
+        run.phase_timings.iter().map(|t| (t.phase, t.spans)).collect::<Vec<_>>()
+    };
+    assert_eq!(spans(&parallel), spans(&serial));
+    assert_eq!(spans(&serial).len(), Phase::ALL.len(), "a DVS run times every phase");
 }
