@@ -744,10 +744,11 @@ CHECK:
     by `synth -o`. Exit code 2 when any violation is found.
 
 SYNTH PERFORMANCE:
-    --threads N evaluates each generation's candidates on N threads:
-    the synth's own thread and N - 1 workers (0 = all cores). The search
-    trajectory is bit-identical for every thread count; only the wall
-    clock changes.
+    --threads N evaluates each generation's candidates on up to N
+    threads, the synth's own one and threads spawned per generation,
+    which price on up to N - 1 worker evaluators kept for the whole run
+    (0 = all cores). The search trajectory is bit-identical for every
+    thread count; only the wall clock changes.
 
 SYNTH BUDGETS AND RESILIENCE:
     --max-seconds / --max-evals stop the search once the budget is spent

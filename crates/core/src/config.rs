@@ -155,7 +155,8 @@ pub struct SynthesisConfig {
     pub verify_each_generation: bool,
     /// Threads for batch fitness evaluation, the calling thread
     /// included: `1` (the default) evaluates serially on the calling
-    /// thread, `N` prices each batch on it and `N − 1` spawned workers,
+    /// thread, `N` prices each batch on it and up to `N − 1` spawned
+    /// threads, one per unique genome of the batch but the caller's,
     /// `0` uses every available core. The evolution trajectory is
     /// bit-identical at any thread count.
     pub threads: usize,

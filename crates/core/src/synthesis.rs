@@ -281,13 +281,17 @@ struct MappingProblem<'a> {
     layout: &'a GenomeLayout,
     /// The run's pricing unit; its counters are the run's counters.
     evaluator: &'a Evaluator<'a>,
-    /// The batch workers that price beside the calling thread, one per
-    /// resolved thread but the caller's. Kept for the whole run, so each
-    /// worker's scratch stays warm across generations; empty at one
-    /// thread.
+    /// The batch workers that price beside the calling thread, created
+    /// when a batch first needs them and kept for the whole run, so each
+    /// worker's scratch stays warm across generations. Never more than
+    /// `threads − 1`, nor more than the largest batch's unique genomes
+    /// but one; empty at one thread, absent under loom.
+    #[cfg(not(loom))]
     workers: RefCell<Vec<Evaluator<'a>>>,
     system: &'a System,
     config: &'a SynthesisConfig,
+    /// Resolved pricing-thread count, the calling thread included.
+    threads: usize,
 }
 
 /// Prices one genome for the GA against its parents' `table`: an
@@ -405,10 +409,13 @@ impl GaProblem for MappingProblem<'_> {
         };
         // `priced[slot]` is the unique genome's cost and record.
         let mut priced: Vec<Option<(f64, ParentRecord)>> = Vec::with_capacity(unique.len());
-        // Under the loom model checker the scoped parallel arm is
-        // compiled out (loom has no scoped threads); batches price
-        // serially, which the determinism contract already permits.
-        let serial = cfg!(loom) || unique.len() <= 1 || self.workers.borrow().is_empty();
+        // The caller prices beside `spawned` threads, never more threads
+        // in all than unique genomes. Under the loom model checker the
+        // scoped parallel arm is compiled out (loom has no scoped
+        // threads); batches price serially, which the determinism
+        // contract already permits.
+        let spawned = (self.threads - 1).min(unique.len().saturating_sub(1));
+        let serial = cfg!(loom) || spawned == 0;
         if serial {
             priced.extend(unique.iter().map(|&i| Some(price(self.evaluator, i))));
         }
@@ -419,6 +426,9 @@ impl GaProblem for MappingProblem<'_> {
             // unpriced slot until none remain, so none idles while another
             // holds a backlog. The join publishes the claimed records.
             let mut workers = self.workers.borrow_mut();
+            if workers.len() < spawned {
+                workers.resize_with(spawned, || self.evaluator.worker());
+            }
             let next = AtomicUsize::new(0);
             let claim = |evaluator: &Evaluator<'_>| {
                 let mut claimed = Vec::new();
@@ -428,7 +438,7 @@ impl GaProblem for MappingProblem<'_> {
                     claimed.push((slot, price(evaluator, i)));
                 }
             };
-            let (claim, spawned) = (&claim, workers.len().min(unique.len() - 1));
+            let claim = &claim;
             priced.resize_with(unique.len(), || None);
             momsynth_sync::thread::scope(|scope| {
                 let handles: Vec<_> = workers[..spawned]
@@ -578,9 +588,9 @@ impl<'a> Synthesizer<'a> {
             evaluator: &evaluator,
             system: self.system,
             config: &self.config,
-            workers: RefCell::new(
-                (1..self.config.effective_threads()).map(|_| evaluator.worker()).collect(),
-            ),
+            #[cfg(not(loom))]
+            workers: RefCell::default(),
+            threads: self.config.effective_threads(),
         };
 
         let resume = match control.resume {

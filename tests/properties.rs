@@ -289,10 +289,12 @@ proptest! {
 /// The batch's edge cases price alike at one thread and at many: with
 /// `population_size == elitism` every GA batch is empty, and a
 /// population of 3 at 8 threads has fewer unique genomes than threads.
+/// At `usize::MAX` threads a run spawns no more workers than its batches
+/// have unique genomes, so it neither overflows nor exhausts memory.
 #[test]
 fn edge_batches_are_thread_count_invariant() {
     let system = mul(3);
-    for (population_size, elitism, threads) in [(4, 4, 4), (3, 1, 8)] {
+    for (population_size, elitism, threads) in [(4, 4, 4), (3, 1, 8), (8, 1, usize::MAX)] {
         let run = |threads| {
             let mut config = SynthesisConfig::fast_preset(5);
             config.ga.population_size = population_size;
