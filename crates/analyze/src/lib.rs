@@ -493,7 +493,6 @@ pub fn analyze_system(system: &System) -> Analysis {
         area_bounds,
         power_lower_bound,
         capable_pes,
-        pruned_domain_ratio: domain_reduction.ratio(),
         domain_reduction,
     }
 }

@@ -338,7 +338,6 @@ pub struct Analysis {
     pub(crate) area_bounds: Vec<AreaBound>,
     pub(crate) power_lower_bound: Watts,
     pub(crate) capable_pes: Vec<Vec<PeId>>,
-    pub(crate) pruned_domain_ratio: f64,
     pub(crate) domain_reduction: DomainReduction,
 }
 
@@ -379,7 +378,7 @@ impl Analysis {
     /// that were proven dead (or dominated) and removed from the genome
     /// domain, in `[0, 1]`. `0.0` when nothing was pruned.
     pub fn pruned_domain_ratio(&self) -> f64 {
-        self.pruned_domain_ratio
+        self.domain_reduction.ratio()
     }
 
     /// The domain-reduction tally behind
@@ -416,7 +415,7 @@ impl Analysis {
             "warnings": self.count(Severity::Warning),
             "infos": self.count(Severity::Info),
             "power_lower_bound_mw": self.power_lower_bound.as_milli(),
-            "pruned_domain_ratio": self.pruned_domain_ratio,
+            "pruned_domain_ratio": self.pruned_domain_ratio(),
             "domain_reduction": serde_json::json!({
                 "total_candidates": self.domain_reduction.total_candidates,
                 "pruned_by_deadline": self.domain_reduction.pruned_by_deadline,
@@ -451,7 +450,7 @@ impl fmt::Display for Analysis {
             f,
             "p̄_LB = {:.4} mW, pruned domain ratio {:.1}%",
             self.power_lower_bound.as_milli(),
-            self.pruned_domain_ratio * 100.0
+            self.pruned_domain_ratio() * 100.0
         )?;
         for b in &self.mode_bounds {
             writeln!(

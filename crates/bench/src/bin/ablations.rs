@@ -135,7 +135,9 @@ fn main() {
     {
         let (p, f) = measure(&bench, &options, &mut summaries, |seed| {
             let mut cfg = options.config(seed, true, false);
-            cfg.improvement_operators = on;
+            if !on {
+                cfg.ga.improvement_rate = 0.0;
+            }
             cfg
         });
         writeln!(report, "{label:<48} {p:>14.4} {f:>10.2}").unwrap();

@@ -89,38 +89,38 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses `--runs N`, `--seed N`, `--quick` and `--out DIR` from
-    /// process arguments, ignoring anything else.
+    /// Parses `--runs N`, `--seed N`, `--quick` and `--out DIR` from the
+    /// process arguments, ignoring anything else. A flag without its
+    /// value, a value that is not a `u64` and `--runs 0` (every mean
+    /// would divide by zero) print a usage error and exit with status 2.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|error| {
+            eprintln!("error: {error}\nusage: [--runs N] [--seed N] [--quick] [--out DIR]");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`HarnessOptions::from_args`] over `args`, returning the usage
+    /// error.
+    fn parse(args: &[String]) -> Result<Self, String> {
         let mut options = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--runs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        options.runs = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        options.base_seed = v;
-                        i += 1;
-                    }
-                }
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            let mut number = || value()?.parse().map_err(|e| format!("invalid {flag} value: {e}"));
+            match flag.as_str() {
+                "--runs" => options.runs = number()?,
+                "--seed" => options.base_seed = number()?,
                 "--quick" => options.quick = true,
-                "--out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.out = Some(v.clone());
-                        i += 1;
-                    }
-                }
+                "--out" => options.out = Some(value()?.clone()),
                 _ => {}
             }
-            i += 1;
         }
-        options
+        if options.runs == 0 {
+            return Err("--runs must be at least 1".into());
+        }
+        Ok(options)
     }
 
     /// The synthesis configuration for one run.
@@ -385,6 +385,40 @@ mod tests {
         assert_eq!(cfg.ga.seed, 3);
         assert!(!cfg.probability_aware);
         assert!(cfg.dvs.is_some());
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(&args.iter().map(|&a| a.to_owned()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn valid_command_lines_parse() {
+        assert_eq!(parse(&[]), Ok(HarnessOptions::default()));
+        let all = parse(&["--bench", "--runs", "2", "--seed", "7", "--quick", "--out", "o"]);
+        let expected = HarnessOptions { runs: 2, base_seed: 7, quick: true, out: Some("o".into()) };
+        assert_eq!(all, Ok(expected));
+    }
+
+    #[test]
+    fn flags_without_a_value_are_usage_errors() {
+        for flag in ["--runs", "--seed", "--out"] {
+            assert_eq!(parse(&["--quick", flag]), Err(format!("{flag} needs a value")));
+        }
+    }
+
+    #[test]
+    fn unparsable_numbers_are_usage_errors() {
+        for flag in ["--runs", "--seed"] {
+            for value in ["x", "-1", "1.5", ""] {
+                let error = parse(&[flag, value]).expect_err(value);
+                assert!(error.starts_with(&format!("invalid {flag} value")), "{error}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_runs_is_a_usage_error() {
+        assert_eq!(parse(&["--runs", "0"]), Err("--runs must be at least 1".into()));
     }
 
     #[test]

@@ -137,9 +137,6 @@ pub struct SynthesisConfig {
     pub alloc: AllocOptions,
     /// List-scheduler options.
     pub scheduler: SchedulerOptions,
-    /// Apply the paper's four improvement mutation operators (design
-    /// decision D2; disable for the ablation).
-    pub improvement_operators: bool,
     /// Single-gene local search applied to the GA's winner before
     /// the final refinement (memetic polish; set `max_passes` to 0 to
     /// disable).
@@ -178,7 +175,6 @@ impl SynthesisConfig {
             weights: PenaltyWeights::default(),
             alloc: AllocOptions::default(),
             scheduler: SchedulerOptions::default(),
-            improvement_operators: true,
             local_search: LocalSearchOptions::default(),
             fault_injection: None,
             verify_each_generation: cfg!(debug_assertions),
@@ -240,7 +236,6 @@ mod tests {
         let cfg = SynthesisConfig::default();
         assert!(cfg.probability_aware);
         assert!(cfg.dvs.is_none());
-        assert!(cfg.improvement_operators);
         assert!(cfg.weights.timing > 0.0);
         assert_eq!(cfg.threads, 1, "parallelism is opt-in");
         assert!(cfg.prune_domains, "static domain pruning defaults on");

@@ -9,6 +9,7 @@
 
 use std::ops::Range;
 
+use momsynth_analyze::{Analysis, DomainReduction};
 use momsynth_model::ids::{GlobalTaskId, ModeId, PeId, TaskId};
 use momsynth_model::System;
 use momsynth_sched::SystemMapping;
@@ -86,6 +87,24 @@ impl GenomeLayout {
             );
             domain
         })
+    }
+
+    /// The layout a synthesis or a proof of `system` searches and what
+    /// it leaves out of the library's domain: `analysis`'s capable-PE
+    /// domains when `prune` is set, otherwise every library candidate.
+    pub(crate) fn from_analysis(
+        system: &System,
+        analysis: &Analysis,
+        prune: bool,
+    ) -> (Self, DomainReduction) {
+        let reduction = analysis.domain_reduction();
+        if prune {
+            return (Self::with_domains(system, analysis.capable_pes()), reduction);
+        }
+        (
+            Self::new(system),
+            DomainReduction { pruned_by_deadline: 0, pruned_by_dominance: 0, ..reduction },
+        )
     }
 
     fn build(

@@ -97,10 +97,7 @@ pub fn apply(
 
 /// Loci of one mode, with their current PEs.
 fn mode_loci(layout: &GenomeLayout, genes: &[Gene], mode: ModeId) -> Vec<(usize, PeId)> {
-    (0..layout.len())
-        .filter(|&l| layout.global(l).mode == mode)
-        .map(|l| (l, layout.pe_at(l, genes[l])))
-        .collect()
+    layout.mode_loci(mode).map(|l| (l, layout.pe_at(l, genes[l]))).collect()
 }
 
 fn shutdown_improvement(

@@ -367,16 +367,8 @@ pub fn prove(
     if analysis.has_errors() {
         return Err(SynthesisError::Infeasible(Box::new(analysis)));
     }
-    let (layout, domain_reduction) = if config.prune_domains {
-        (GenomeLayout::with_domains(system, analysis.capable_pes()), analysis.domain_reduction())
-    } else {
-        let layout = GenomeLayout::new(system);
-        let total_candidates = (0..layout.len()).map(|l| layout.candidates(l).len()).sum();
-        (
-            layout,
-            DomainReduction { total_candidates, pruned_by_deadline: 0, pruned_by_dominance: 0 },
-        )
-    };
+    let (layout, domain_reduction) =
+        GenomeLayout::from_analysis(system, &analysis, config.prune_domains);
     let search_space: f64 = (0..layout.len()).map(|l| layout.candidates(l).len() as f64).product();
 
     let evaluator = Evaluator::new(system, config);

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use rand::{Rng, RngCore};
 
 use momsynth_analyze::{analyze_system, Analysis, Severity};
-use momsynth_ga::{Budget, GaConfig, GaProblem, GaSnapshot, RunControl, StopReason, REJECTED_COST};
+use momsynth_ga::{Budget, GaProblem, GaSnapshot, RunControl, StopReason, REJECTED_COST};
 use momsynth_model::ids::ModeId;
 use momsynth_model::units::Watts;
 use momsynth_model::System;
@@ -358,34 +358,19 @@ impl GaProblem for MappingProblem<'_> {
     /// genome until none remain. The costs and records are scattered back
     /// in batch order, a repeated genome getting a copy of its first
     /// occurrence's record. Fitness and record are pure functions of the
-    /// genome and the table a function of the parents, so worker
+    /// genome and the table a function of the parents' records, so worker
     /// scheduling cannot influence any returned cost or counter, and the
     /// dedup never depends on the thread count: trajectories and counters
     /// are bit-identical for any `threads`.
     fn cost_batch(
         &self,
-        parents: &[(&[Gene], Option<&ParentRecord>)],
+        parents: &[(&[Gene], &ParentRecord)],
         genomes: &[Vec<Gene>],
     ) -> Vec<(f64, ParentRecord)> {
-        // A parent restored from a checkpoint comes without a record: it
-        // is priced here on a throwaway worker whose counters and timings
-        // are dropped. So the table, and every reuse it allows, is a
-        // function of the parents alone, at any thread count and across a
-        // resume. Any record of a gene slice under the same core counts
-        // holds the same term, so neither a parent's duplicates nor the
-        // order of the records changes what the table answers.
-        let empty = ParentTable::new(self.layout, []);
-        let mut throwaway = None;
-        let restored: Vec<ParentRecord> = parents
-            .iter()
-            .filter(|(_, record)| record.is_none())
-            .map(|&(genome, _)| {
-                let worker = throwaway.get_or_insert_with(|| self.evaluator.worker());
-                price_genome(self.layout, self.config, worker, &empty, genome).1
-            })
-            .collect();
-        let records = parents.iter().filter_map(|&(_, record)| record).chain(&restored);
-        let table = ParentTable::new(self.layout, records);
+        // Any record of a gene slice under the same core counts holds the
+        // same term, so neither a parent's duplicates nor the order of the
+        // records changes what the table answers.
+        let table = ParentTable::new(self.layout, parents.iter().map(|&(_, record)| record));
         // `slot_of[i]` maps the i-th genome to its unique-genome slot,
         // and `unique[slot]` is the slot's first genome.
         let mut unique: Vec<usize> = Vec::new();
@@ -468,6 +453,17 @@ impl GaProblem for MappingProblem<'_> {
             batch.push(entry.expect("one record per unique genome"));
         }
         batch
+    }
+
+    /// Each restored genome's record, priced against no parents on one
+    /// throwaway worker whose counters and phase timings are dropped, so
+    /// the run's counters stay those of the uninterrupted run.
+    fn restore(&self, genomes: &[Vec<Gene>]) -> Vec<ParentRecord> {
+        let (empty, throwaway) = (ParentTable::new(self.layout, []), self.evaluator.worker());
+        let record = |genome: &Vec<Gene>| {
+            price_genome(self.layout, self.config, &throwaway, &empty, genome).1
+        };
+        genomes.iter().map(record).collect()
     }
 
     fn improve(&self, genome: &mut [Gene], rng: &mut dyn RngCore) {
@@ -561,21 +557,14 @@ impl<'a> Synthesizer<'a> {
             return Err(SynthesisError::Infeasible(Box::new(analysis)));
         }
         let power_lower_bound = analysis.power_lower_bound();
-        let pruned_domain_ratio =
-            if self.config.prune_domains { analysis.pruned_domain_ratio() } else { 0.0 };
-        let layout = if self.config.prune_domains {
-            GenomeLayout::with_domains(self.system, analysis.capable_pes())
-        } else {
-            GenomeLayout::new(self.system)
-        };
+        let (layout, reduction) =
+            GenomeLayout::from_analysis(self.system, &analysis, self.config.prune_domains);
+        let pruned_domain_ratio = reduction.ratio();
         let mut evaluator = Evaluator::new(self.system, &self.config);
         if trace {
             evaluator.enable_phase_timing();
         }
-        let mut ga_config: GaConfig = self.config.ga;
-        if !self.config.improvement_operators {
-            ga_config.improvement_rate = 0.0;
-        }
+        let ga_config = &self.config.ga;
         // Resolve the trace ID once: an externally minted one (a job
         // server threading submission → run → journal) wins; otherwise a
         // deterministic local ID keeps standalone traces self-labelled.
@@ -696,7 +685,7 @@ impl<'a> Synthesizer<'a> {
 
         let outcome = momsynth_ga::run_controlled(
             &problem,
-            &ga_config,
+            ga_config,
             RunControl { stop: control.stop, resume, on_generation, sink },
         );
 

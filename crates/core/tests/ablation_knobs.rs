@@ -14,10 +14,9 @@ fn power_with(cfg: SynthesisConfig) -> (f64, bool) {
 
 #[test]
 fn d2_improvement_operators_toggle() {
-    let mut on = SynthesisConfig::fast_preset(1);
-    on.improvement_operators = true;
+    let on = SynthesisConfig::fast_preset(1);
     let mut off = SynthesisConfig::fast_preset(1);
-    off.improvement_operators = false;
+    off.ga.improvement_rate = 0.0;
     let (p_on, f_on) = power_with(on);
     let (p_off, f_off) = power_with(off);
     assert!(f_on && f_off);

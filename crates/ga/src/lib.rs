@@ -35,11 +35,14 @@
 //! bred from, and the results written back by index. Pricing returns a
 //! cost and a record per genome; the record stays with the genome's
 //! individual, and the next batch gets every parent with its own record.
-//! A problem may evaluate the batch on worker threads, price repeated
-//! genomes once or reuse what its parents' records hold, with a
-//! bit-identical trajectory for a fixed seed because the engine's
-//! randomness never depends on how a batch was priced. Elites keep their
-//! known cost and record and are never re-evaluated.
+//! A [`GaSnapshot`] keeps no records, so a resume asks
+//! [`GaProblem::restore`] once for the restored population's: every
+//! parent of every batch carries one. A problem may evaluate the batch
+//! on worker threads, price repeated genomes once or reuse what its
+//! parents' records hold, with a bit-identical trajectory for a fixed
+//! seed because the engine's randomness never depends on how a batch was
+//! priced. Elites keep their known cost and record and are never
+//! re-evaluated.
 //!
 //! # Examples
 //!
@@ -60,7 +63,7 @@
 //!     }
 //!     fn cost_batch(
 //!         &self,
-//!         _parents: &[(&[u8], Option<&()>)],
+//!         _parents: &[(&[u8], &())],
 //!         genomes: &[Vec<u8>],
 //!     ) -> Vec<(f64, ())> {
 //!         genomes.iter().map(|g| (g.iter().filter(|&&x| x != 0).count() as f64, ())).collect()
@@ -99,7 +102,7 @@ pub trait GaProblem {
     /// What pricing a genome returns besides its cost: kept with the
     /// genome's individual and handed back with it when the individual is
     /// a parent ([`GaProblem::cost_batch`]). `()` keeps nothing.
-    type Record: Clone;
+    type Record;
 
     /// Number of genes in a genome.
     fn genome_len(&self) -> usize;
@@ -132,19 +135,26 @@ pub trait GaProblem {
     /// each returned cost and record is a pure function of its genome.
     ///
     /// `parents` is the population `genomes` was bred from, best first,
-    /// each with the record its own pricing returned: empty for the
-    /// initial population. An individual restored from a [`GaSnapshot`],
-    /// which keeps no records, comes with `None`: the whole population in
-    /// the first batch after a resume, and an elite of it for as long as
-    /// it stays one. An offspring shares most of its genes with its
-    /// parents, so an implementation may price it against their records,
-    /// again as long as each cost stays a pure function of its genome.
-    #[allow(clippy::type_complexity)]
+    /// each with the record its own pricing, or [`GaProblem::restore`],
+    /// returned: empty for the initial population. An offspring shares
+    /// most of its genes with its parents, so an implementation may price
+    /// it against their records, again as long as each cost stays a pure
+    /// function of its genome.
     fn cost_batch(
         &self,
-        parents: &[(&[Self::Gene], Option<&Self::Record>)],
+        parents: &[(&[Self::Gene], &Self::Record)],
         genomes: &[Vec<Self::Gene>],
     ) -> Vec<(f64, Self::Record)>;
+
+    /// The records of a population restored from a [`GaSnapshot`], which
+    /// keeps none, index-aligned with `genomes`: called once per resume,
+    /// before the first batch, whose parents they become. The restored
+    /// costs are the snapshot's. Each record must be the one
+    /// [`GaProblem::cost_batch`] would return for its genome; the
+    /// default returns exactly those of `cost_batch(&[], genomes)`.
+    fn restore(&self, genomes: &[Vec<Self::Gene>]) -> Vec<Self::Record> {
+        self.cost_batch(&[], genomes).into_iter().map(|(_, record)| record).collect()
+    }
 
     /// Problem-specific improvement operator, applied to a few individuals
     /// per generation. The default does nothing.
@@ -204,7 +214,8 @@ pub struct GaConfig {
     /// generation.
     pub elitism: usize,
     /// Fraction of offspring handed to [`GaProblem::improve`] each
-    /// generation (the paper found a small rate effective).
+    /// generation (the paper found a small rate effective); `0.0` turns
+    /// the improvement operators off.
     pub improvement_rate: f64,
     /// Hard cap on generations.
     pub max_generations: usize,
@@ -372,7 +383,8 @@ pub struct GaOutcome<G> {
 
 /// Complete engine state between generations: enough to resume a run so
 /// that it replays exactly what the uninterrupted run would have done.
-/// It keeps no [`GaProblem::Record`]s: a restored individual has none.
+/// It keeps no [`GaProblem::Record`]s: a resume asks
+/// [`GaProblem::restore`] for the restored population's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaSnapshot<G> {
     /// Generations completed when the snapshot was taken (0 = after the
@@ -431,15 +443,8 @@ impl<G> fmt::Debug for RunControl<'_, G> {
 struct Individual<P: GaProblem> {
     genome: Vec<P::Gene>,
     cost: f64,
-    /// What pricing the genome returned; `None` for an individual
-    /// restored from a [`GaSnapshot`], which keeps no records.
-    record: Option<P::Record>,
-}
-
-impl<P: GaProblem> Clone for Individual<P> {
-    fn clone(&self) -> Self {
-        Self { genome: self.genome.clone(), cost: self.cost, record: self.record.clone() }
-    }
+    /// What pricing, or [`GaProblem::restore`], returned for the genome.
+    record: P::Record,
 }
 
 /// Clamps a problem cost so that NaN and infinities can never win the
@@ -511,41 +516,57 @@ pub fn run_controlled<P: GaProblem>(
     assert!(len > 0, "genome must be non-empty");
 
     let start = Instant::now();
-    // Events are built lazily: a missing or disabled sink costs a branch.
-    let sink = control.sink;
-    let emit_generation = |generation: usize,
-                           evaluations: usize,
-                           stagnation: usize,
-                           best: &Individual<P>,
-                           population: &[Individual<P>]| {
-        let Some(sink) = sink else { return };
-        if !sink.enabled() {
-            return;
-        }
-        let mean = population.iter().map(|i| i.cost).sum::<f64>() / population.len().max(1) as f64;
-        let worst = population.last().map_or(best.cost, |i| i.cost);
-        let counters = problem.counters();
-        let elapsed = start.elapsed().as_secs_f64();
-        let evals_per_sec = if elapsed > 0.0 { evaluations as f64 / elapsed } else { 0.0 };
-        sink.record(&Event::Generation(GenerationEvent {
-            generation: generation as u64,
-            evaluations: evaluations as u64,
-            best: best.cost,
-            mean,
-            worst,
-            stagnation: stagnation as u64,
-            evals_per_sec,
-            counters,
-        }));
-    };
     let budget =
         Budget::from_seconds(control.stop, start, config.max_seconds, config.max_evaluations);
+    // Every completed generation, the initial population included, ends
+    // with its telemetry event and its snapshot. Events are built lazily:
+    // a missing or disabled sink costs a branch.
+    let (sink, mut on_generation) = (control.sink, control.on_generation.take());
+    let mut end_generation = |generation: usize,
+                              evaluations: usize,
+                              stagnation: usize,
+                              low_diversity_generations: usize,
+                              history: &[f64],
+                              best: &(Vec<P::Gene>, f64),
+                              population: &[Individual<P>]| {
+        if let Some(sink) = sink.filter(|sink| sink.enabled()) {
+            let mean =
+                population.iter().map(|i| i.cost).sum::<f64>() / population.len().max(1) as f64;
+            let worst = population.last().map_or(best.1, |i| i.cost);
+            let counters = problem.counters();
+            let elapsed = start.elapsed().as_secs_f64();
+            let evals_per_sec = if elapsed > 0.0 { evaluations as f64 / elapsed } else { 0.0 };
+            sink.record(&Event::Generation(GenerationEvent {
+                generation: generation as u64,
+                evaluations: evaluations as u64,
+                best: best.1,
+                mean,
+                worst,
+                stagnation: stagnation as u64,
+                evals_per_sec,
+                counters,
+            }));
+        }
+        if let Some(hook) = on_generation.as_mut() {
+            hook(&GaSnapshot {
+                generation,
+                evaluations,
+                stagnation,
+                low_diversity_generations,
+                history: history.to_vec(),
+                best: best.clone(),
+                population: population.iter().map(|i| (i.genome.clone(), i.cost)).collect(),
+            });
+        }
+    };
 
     let mut evaluations = 0usize;
     let mut interrupted: Option<StopReason> = None;
 
     let mut population: Vec<Individual<P>>;
-    let mut best: Individual<P>;
+    // The best genome and cost seen so far; never a parent, so it keeps
+    // no record.
+    let mut best: (Vec<P::Gene>, f64);
     let mut history: Vec<f64>;
     let mut stagnation: usize;
     let mut generations: usize;
@@ -556,15 +577,19 @@ pub fn run_controlled<P: GaProblem>(
             assert_eq!(genome.len(), len, "resume snapshot genome has wrong length");
         }
         assert_eq!(snapshot.best.0.len(), len, "resume snapshot best has wrong length");
-        population = snapshot
-            .population
-            .into_iter()
-            .map(|(genome, cost)| Individual { genome, cost: sanitize_cost(cost), record: None })
-            .collect();
-        assert!(!population.is_empty(), "resume snapshot population is empty");
+        assert!(!snapshot.population.is_empty(), "resume snapshot population is empty");
+        // The snapshot keeps no records: the problem gives the restored
+        // population's once, so every parent of every batch carries one.
+        let (genomes, costs): (Vec<_>, Vec<_>) =
+            snapshot.population.into_iter().map(|(g, cost)| (g, sanitize_cost(cost))).unzip();
+        let records = problem.restore(&genomes);
+        assert_eq!(records.len(), genomes.len(), "restore must return one record per genome");
+        let restored = genomes.into_iter().zip(costs).zip(records);
+        population =
+            restored.map(|((genome, cost), record)| Individual { genome, cost, record }).collect();
         population.sort_by(|a, b| a.cost.total_cmp(&b.cost));
         let (genome, cost) = snapshot.best;
-        best = Individual { genome, cost: sanitize_cost(cost), record: None };
+        best = (genome, sanitize_cost(cost));
         history = snapshot.history;
         stagnation = snapshot.stagnation;
         generations = snapshot.generation;
@@ -599,25 +624,22 @@ pub fn run_controlled<P: GaProblem>(
         population = evaluate_batch(problem, &[], genomes);
         population.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
-        best = population[0].clone();
-        history = vec![best.cost];
+        best = (population[0].genome.clone(), population[0].cost);
+        history = vec![best.1];
         stagnation = 0;
         generations = 0;
         low_diversity_generations = 0;
 
         if interrupted.is_none() {
-            emit_generation(generations, evaluations, stagnation, &best, &population);
-            if let Some(hook) = control.on_generation.as_mut() {
-                hook(&make_snapshot(
-                    generations,
-                    evaluations,
-                    stagnation,
-                    low_diversity_generations,
-                    &history,
-                    &best,
-                    &population,
-                ));
-            }
+            end_generation(
+                generations,
+                evaluations,
+                stagnation,
+                low_diversity_generations,
+                &history,
+                &best,
+                &population,
+            );
         }
     }
 
@@ -698,36 +720,27 @@ pub fn run_controlled<P: GaProblem>(
         population.extend(offspring);
         population.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
-        if population[0].cost < best.cost {
-            best = population[0].clone();
+        if population[0].cost < best.1 {
+            best = (population[0].genome.clone(), population[0].cost);
             stagnation = 0;
         } else {
             stagnation += 1;
         }
-        history.push(best.cost);
+        history.push(best.1);
 
-        emit_generation(generations, evaluations, stagnation, &best, &population);
-        if let Some(hook) = control.on_generation.as_mut() {
-            hook(&make_snapshot(
-                generations,
-                evaluations,
-                stagnation,
-                low_diversity_generations,
-                &history,
-                &best,
-                &population,
-            ));
-        }
+        end_generation(
+            generations,
+            evaluations,
+            stagnation,
+            low_diversity_generations,
+            &history,
+            &best,
+            &population,
+        );
     };
 
-    GaOutcome {
-        best: best.genome,
-        best_cost: best.cost,
-        generations,
-        evaluations,
-        history,
-        stop_reason,
-    }
+    let (best, best_cost) = best;
+    GaOutcome { best, best_cost, generations, evaluations, history, stop_reason }
 }
 
 /// Prices `genomes`, bred from `parents`, through
@@ -738,39 +751,14 @@ fn evaluate_batch<P: GaProblem>(
     parents: &[Individual<P>],
     genomes: Vec<Vec<P::Gene>>,
 ) -> Vec<Individual<P>> {
-    let parents: Vec<_> =
-        parents.iter().map(|p| (p.genome.as_slice(), p.record.as_ref())).collect();
+    let parents: Vec<_> = parents.iter().map(|p| (p.genome.as_slice(), &p.record)).collect();
     let priced = problem.cost_batch(&parents, &genomes);
     assert_eq!(priced.len(), genomes.len(), "cost_batch must return exactly one cost per genome");
     genomes
         .into_iter()
         .zip(priced)
-        .map(|(genome, (cost, record))| Individual {
-            genome,
-            cost: sanitize_cost(cost),
-            record: Some(record),
-        })
+        .map(|(genome, (cost, record))| Individual { genome, cost: sanitize_cost(cost), record })
         .collect()
-}
-
-fn make_snapshot<P: GaProblem>(
-    generation: usize,
-    evaluations: usize,
-    stagnation: usize,
-    low_diversity_generations: usize,
-    history: &[f64],
-    best: &Individual<P>,
-    population: &[Individual<P>],
-) -> GaSnapshot<P::Gene> {
-    GaSnapshot {
-        generation,
-        evaluations,
-        stagnation,
-        low_diversity_generations,
-        history: history.to_vec(),
-        best: (best.genome.clone(), best.cost),
-        population: population.iter().map(|i| (i.genome.clone(), i.cost)).collect(),
-    }
 }
 
 /// Selects a parent index from a cost-sorted population (index 0 = best).
@@ -833,11 +821,7 @@ mod tests {
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> i64 {
             rng.gen_range(-10..=10)
         }
-        fn cost_batch(
-            &self,
-            _parents: &[(&[i64], Option<&()>)],
-            genomes: &[Vec<i64>],
-        ) -> Vec<(f64, ())> {
+        fn cost_batch(&self, _parents: &[(&[i64], &())], genomes: &[Vec<i64>]) -> Vec<(f64, ())> {
             genomes.iter().map(|g| (self.distance(g), ())).collect()
         }
     }
@@ -861,11 +845,7 @@ mod tests {
         fn random_gene(&self, _locus: usize, rng: &mut dyn RngCore) -> u8 {
             rng.gen_range(1..=9)
         }
-        fn cost_batch(
-            &self,
-            _parents: &[(&[u8], Option<&()>)],
-            genomes: &[Vec<u8>],
-        ) -> Vec<(f64, ())> {
+        fn cost_batch(&self, _parents: &[(&[u8], &())], genomes: &[Vec<u8>]) -> Vec<(f64, ())> {
             genomes.iter().map(|g| (g.iter().map(|&x| f64::from(x)).sum(), ())).collect()
         }
         fn improve(&self, genome: &mut [u8], _rng: &mut dyn RngCore) {
@@ -930,7 +910,7 @@ mod tests {
         }
         fn cost_batch(
             &self,
-            parents: &[(&[Self::Gene], Option<&Self::Record>)],
+            parents: &[(&[Self::Gene], &Self::Record)],
             genomes: &[Vec<Self::Gene>],
         ) -> Vec<(f64, Self::Record)> {
             self.batches.borrow_mut().push(genomes.len());
@@ -942,21 +922,34 @@ mod tests {
     }
 
     /// One batch's parents, each with the record it came with.
-    type Handed = Vec<(Vec<i64>, Option<usize>)>;
+    type Handed = Vec<(Vec<i64>, usize)>;
 
-    /// Prices like [`MatchTarget`], hands every genome it prices a serial
-    /// number as its record and logs each batch's parents.
+    /// Prices like [`MatchTarget`], hands every genome it prices or
+    /// restores a serial number as its record and logs each batch's
+    /// parents and each restored population.
     struct Numbered {
         inner: MatchTarget,
-        /// The genome priced under each serial number.
+        /// The genome priced or restored under each serial number.
         priced: std::cell::RefCell<Vec<Vec<i64>>>,
         handed: std::cell::RefCell<Vec<Handed>>,
+        restored: std::cell::RefCell<Vec<Vec<Vec<i64>>>>,
     }
 
     impl Numbered {
         fn new(target: Vec<i64>) -> Self {
             let inner = MatchTarget { target };
-            Self { inner, priced: Default::default(), handed: Default::default() }
+            Self {
+                inner,
+                priced: Default::default(),
+                handed: Default::default(),
+                restored: Default::default(),
+            }
+        }
+
+        fn number(&self, genome: &[i64]) -> usize {
+            let mut priced = self.priced.borrow_mut();
+            priced.push(genome.to_vec());
+            priced.len() - 1
         }
     }
 
@@ -971,17 +964,16 @@ mod tests {
         }
         fn cost_batch(
             &self,
-            parents: &[(&[i64], Option<&usize>)],
+            parents: &[(&[i64], &usize)],
             genomes: &[Vec<i64>],
         ) -> Vec<(f64, usize)> {
-            let handed = parents.iter().map(|&(genome, record)| (genome.to_vec(), record.copied()));
+            let handed = parents.iter().map(|&(genome, &record)| (genome.to_vec(), record));
             self.handed.borrow_mut().push(handed.collect());
-            let mut priced = self.priced.borrow_mut();
-            let mut number = |genome: &Vec<i64>| {
-                priced.push(genome.clone());
-                (self.inner.distance(genome), priced.len() - 1)
-            };
-            genomes.iter().map(&mut number).collect()
+            genomes.iter().map(|g| (self.inner.distance(g), self.number(g))).collect()
+        }
+        fn restore(&self, genomes: &[Vec<i64>]) -> Vec<usize> {
+            self.restored.borrow_mut().push(genomes.to_vec());
+            genomes.iter().map(|g| self.number(g)).collect()
         }
     }
 
@@ -1000,8 +992,9 @@ mod tests {
 
     /// Each batch gets the population it was bred from, every parent
     /// with the record its own pricing returned: an elite keeps its
-    /// record from batch to batch, and after a resume the restored
-    /// individuals have none while the offspring of the resumed run do.
+    /// record from batch to batch. A resume asks for the restored
+    /// population's records exactly once, and from then on every parent
+    /// carries one, the restored elites included.
     #[test]
     fn each_batch_is_handed_the_population_it_was_bred_from() {
         let elitism = 3;
@@ -1015,6 +1008,19 @@ mod tests {
         };
         let genomes = |s: &GaSnapshot<i64>| -> Vec<Vec<i64>> {
             s.population.iter().map(|(g, _)| g.clone()).collect()
+        };
+        // Every parent's record numbers its own genome, and the best of
+        // one batch's parents are the elites of the next batch's: handed
+        // over again with the same records.
+        let check_records = |handed: &[Handed], priced: &[Vec<i64>]| {
+            for (genome, record) in handed.iter().flatten() {
+                assert_eq!(&priced[*record], genome);
+            }
+            for pair in handed.windows(2) {
+                for elite in &pair[0][..elitism] {
+                    assert!(pair[1].contains(elite), "{elite:?} lost its record");
+                }
+            }
         };
         let problem = Numbered::new(vec![1, 2, 3, 4]);
         let mut populations = Vec::new();
@@ -1033,28 +1039,20 @@ mod tests {
             },
         );
         let (handed, priced) = (problem.handed.borrow(), problem.priced.borrow());
+        assert!(problem.restored.borrow().is_empty(), "a fresh run restores nothing");
         assert_eq!(handed.len(), outcome.generations + 1);
         assert!(handed[0].is_empty(), "the initial population has no parents");
         for (generation, parents) in handed.iter().enumerate().skip(1) {
             let genomes: Vec<_> = parents.iter().map(|(genome, _)| genome.clone()).collect();
             assert_eq!(genomes, populations[generation - 1]);
-            for (genome, record) in parents {
-                assert_eq!(&priced[record.expect("every parent was priced")], genome);
-            }
         }
-        // The best of one batch's parents are the elites of the next
-        // batch's: handed over again with the same records.
-        for pair in handed[1..].windows(2) {
-            for elite in &pair[0][..elitism] {
-                assert!(pair[1].contains(elite), "{elite:?} lost its record");
-            }
-        }
+        check_records(&handed[1..], &priced);
 
-        // The first batch after a resume is handed the restored population
-        // without records; the next batch the offspring of the first with
-        // theirs, and the restored elites still without.
+        // A resume restores the whole population once, before its first
+        // batch, which is handed the restored genomes with those records;
+        // the restored elites keep theirs in the next batch.
         let snapshot = mid.expect("run reached generation 3");
-        let restored: Vec<_> = genomes(&snapshot).into_iter().map(|g| (g, None)).collect();
+        let restored_genomes = genomes(&snapshot);
         let resumed = Numbered::new(vec![1, 2, 3, 4]);
         let _ = run_controlled(
             &resumed,
@@ -1062,15 +1060,13 @@ mod tests {
             RunControl { resume: Some(snapshot), ..RunControl::default() },
         );
         let (handed, priced) = (resumed.handed.borrow(), resumed.priced.borrow());
+        assert_eq!(*resumed.restored.borrow(), std::slice::from_ref(&restored_genomes));
+        let restored: Handed = restored_genomes.into_iter().zip(0..).collect();
         assert_eq!(handed[0], restored);
-        let (kept, bred): (Vec<_>, Vec<_>) = handed[1].iter().partition(|(_, r)| r.is_none());
+        let kept: Vec<_> = handed[1].iter().filter(|(_, r)| *r < cfg.population_size).collect();
         assert_eq!(kept.len(), elitism);
         assert!(kept.iter().all(|elite| restored[..elitism].contains(elite)));
-        for (genome, record) in bred {
-            let number = record.expect("offspring carry their records");
-            assert!(number < cfg.population_size - elitism, "priced in the first batch");
-            assert_eq!(&priced[number], genome);
-        }
+        check_records(&handed, &priced);
     }
 
     #[test]
@@ -1139,11 +1135,7 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost_batch(
-                &self,
-                _: &[(&[u8], Option<&()>)],
-                genomes: &[Vec<u8>],
-            ) -> Vec<(f64, ())> {
+            fn cost_batch(&self, _: &[(&[u8], &())], genomes: &[Vec<u8>]) -> Vec<(f64, ())> {
                 vec![(1.0, ()); genomes.len()]
             }
         }
@@ -1269,11 +1261,7 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..2)
             }
-            fn cost_batch(
-                &self,
-                _: &[(&[u8], Option<&()>)],
-                genomes: &[Vec<u8>],
-            ) -> Vec<(f64, ())> {
+            fn cost_batch(&self, _: &[(&[u8], &())], genomes: &[Vec<u8>]) -> Vec<(f64, ())> {
                 genomes.iter().map(|g| (1.0 + f64::from(g[0]) * 1e-9, ())).collect()
             }
         }
@@ -1321,11 +1309,7 @@ mod tests {
             fn random_gene(&self, _l: usize, rng: &mut dyn RngCore) -> u8 {
                 rng.gen_range(0..4)
             }
-            fn cost_batch(
-                &self,
-                _: &[(&[u8], Option<&()>)],
-                genomes: &[Vec<u8>],
-            ) -> Vec<(f64, ())> {
+            fn cost_batch(&self, _: &[(&[u8], &())], genomes: &[Vec<u8>]) -> Vec<(f64, ())> {
                 let cost = |g: &Vec<u8>| match g[0] {
                     0 => f64::NAN,
                     1 => f64::NEG_INFINITY,

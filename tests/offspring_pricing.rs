@@ -8,8 +8,8 @@
 //! static area, which spans every mode; an evaluation that panics leaves
 //! no stale timing analysis behind for the next one; and the counters —
 //! PV-DVS iterations included — stay the same at any thread count and
-//! across a checkpoint resume, because the table is a function of the
-//! parents alone.
+//! across a checkpoint resume, at one thread or three, because the table
+//! is a function of the parents' records, which a resume restores once.
 
 use std::path::PathBuf;
 
@@ -465,8 +465,11 @@ fn generations(events: &[Event]) -> Vec<GenerationEvent> {
     events.iter().filter_map(generation).collect()
 }
 
-#[test]
-fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
+/// Runs `dvs_config(6)` on the smartphone uninterrupted and cut short
+/// with a checkpoint every generation, resumes the cut run from its last
+/// checkpoint at `threads`, and requires the uninterrupted run's
+/// generation tail, counters and best.
+fn resume_replays_the_uninterrupted_tail(threads: usize) {
     let system = smartphone();
     let config = dvs_config(6);
     let full_sink = MemorySink::new();
@@ -476,7 +479,7 @@ fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
     assert!(!full.stop_reason.is_interrupted());
 
     // The same run cut short, checkpointing every generation.
-    let path = tmp_file("resume_cp.json");
+    let path = tmp_file(&format!("resume_cp_{threads}.json"));
     let mut cut = config.clone();
     cut.ga.max_evaluations = Some(60);
     Synthesizer::new(&system, cut)
@@ -491,7 +494,7 @@ fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
     assert!(cut_generation > 0, "the cut must land after the first generation");
 
     let resumed_sink = MemorySink::new();
-    let resumed = Synthesizer::new(&system, config)
+    let resumed = Synthesizer::new(&system, SynthesisConfig { threads, ..config })
         .run_controlled(SynthControl {
             resume: Some(checkpoint),
             sink: Some(&resumed_sink),
@@ -508,4 +511,16 @@ fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
     assert_eq!(generations(&resumed_sink.take()), tail);
     assert_eq!(resumed.counters, full.counters);
     assert_eq!(resumed.best, full.best);
+}
+
+#[test]
+fn a_resumed_dvs_synthesis_replays_the_uninterrupted_tail() {
+    resume_replays_the_uninterrupted_tail(1);
+}
+
+/// The restored population's records meet the kept batch workers: the
+/// resumed run still replays the serial run.
+#[test]
+fn a_dvs_synthesis_resumed_at_three_threads_replays_the_serial_tail() {
+    resume_replays_the_uninterrupted_tail(3);
 }
