@@ -106,6 +106,20 @@ impl JobSpec {
     }
 }
 
+/// The id of the job with sequence number `seq`: `job-` and the number,
+/// zero-padded to six digits.
+pub(crate) fn job_id(seq: u64) -> String {
+    format!("job-{seq:06}")
+}
+
+/// Whether `id` has the form [`job_id`] mints: `job-` followed by 1 to 20
+/// ASCII digits (a `u64`). Only such an id names a journal file.
+pub(crate) fn is_job_id(id: &str) -> bool {
+    id.strip_prefix("job-").is_some_and(|digits| {
+        (1..=20).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit())
+    })
+}
+
 /// The instant `seconds` from now, or `None` when `seconds` is negative,
 /// not finite or beyond the clock's range.
 pub(crate) fn deadline_after(seconds: f64) -> Option<Instant> {
@@ -175,8 +189,9 @@ impl std::fmt::Display for JobState {
 
 /// The durable journal record of one job: everything needed to resume
 /// or account for it after a crash. Written atomically on every state
-/// transition; in-memory-only data (live progress, retry deadlines)
-/// deliberately stays out.
+/// transition. Live progress stays out until the job goes terminal, when
+/// its last value is journalled with the terminal record; retry
+/// deadlines never go in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Stable job identifier (`job-<seq>`).
@@ -207,6 +222,11 @@ pub struct JobRecord {
     /// End-of-run metrics, present once the job is `Verified`.
     #[serde(default)]
     pub summary: Option<RunSummary>,
+    /// The job's last progress, filled by the terminal transition (`None`
+    /// before it, for a job that never completed a generation, and in
+    /// records written before progress was journalled).
+    #[serde(default)]
+    pub progress: Option<JobProgress>,
 }
 
 /// Current wall-clock time in Unix milliseconds (0 on a pre-1970
@@ -236,6 +256,7 @@ impl JobRecord {
             transitions: vec!["queued".to_owned()],
             error: None,
             summary: None,
+            progress: None,
         }
     }
 
@@ -261,8 +282,10 @@ impl JobRecord {
     }
 }
 
-/// Live progress of a running job, fed by the telemetry stream and kept
-/// in memory only (the checkpoint is the durable copy).
+/// Progress of a job, fed by the telemetry stream. A running job's
+/// progress lives in the server's memory (the checkpoint is the durable
+/// copy of the run itself); the terminal transition journals its last
+/// value in [`JobRecord::progress`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct JobProgress {
     /// Last completed generation.

@@ -18,6 +18,15 @@
 //! Records are the source of truth for recovery: a torn primary falls
 //! back to its `.bak` sibling, so a crash mid-write (or external
 //! corruption) never loses a job's lifecycle.
+//!
+//! They are also the server's only copy of a finished job. The server
+//! keeps a job in memory while it is in flight; once its terminal record
+//! (with the job's last progress) is written here, it leaves memory, and
+//! `status`, `list`, `cancel`, `wait` and `result` read it back through
+//! [`Journal::load_record`], [`Journal::load_all`] and
+//! [`Journal::load_result`]. A caller's id reaches a path only through
+//! those loaders, which accept nothing but the form the server mints
+//! (`job-` and ASCII digits), so no id names a file outside the journal.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -25,7 +34,7 @@ use std::time::Instant;
 use momsynth_core::durable;
 use momsynth_metrics::{Histogram, MetricsSnapshot};
 
-use crate::job::{JobRecord, JobSpec};
+use crate::job::{is_job_id, JobRecord, JobSpec};
 
 /// A failure while reading or writing the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,9 +208,32 @@ impl Journal {
         read_resilient(&self.spec_path(id)).map(|(spec, _)| spec)
     }
 
-    /// Loads a verified job's solution report, if present.
+    /// Loads a verified job's solution report, if present. `None` too for
+    /// an id the server cannot have minted (see [`Journal::load_record`]).
     pub fn load_result(&self, id: &str) -> Option<serde_json::Value> {
-        read_resilient(&self.result_path(id)).ok().map(|(v, _)| v)
+        self.load_by_id(id, Self::result_path)
+    }
+
+    /// Loads job `id`'s lifecycle record, tolerating a torn primary.
+    /// `None` when there is no readable record, and for any id that is
+    /// not `job-` followed by ASCII digits, whose path could lie outside
+    /// the journal.
+    pub fn load_record(&self, id: &str) -> Option<JobRecord> {
+        self.load_by_id(id, Self::record_path)
+    }
+
+    /// Reads the file `path` names for a caller's `id`, checking the id
+    /// before any path is built from it: an absolute id would replace the
+    /// root, and a `/` or `..` would climb out of it.
+    fn load_by_id<T: serde::de::DeserializeOwned>(
+        &self,
+        id: &str,
+        path: fn(&Self, &str) -> PathBuf,
+    ) -> Option<T> {
+        if !is_job_id(id) {
+            return None;
+        }
+        read_resilient(&path(self, id)).ok().map(|(value, _)| value)
     }
 
     /// Scans the journal and returns every job record, with a list of
@@ -319,6 +351,36 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3, 4]);
         let summary = records[3].summary.as_ref().expect("a verified record keeps its summary");
         assert_eq!((summary.generations, summary.evaluations), (40, 961));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn only_minted_ids_name_journal_files() {
+        use crate::job::job_id;
+        for id in [job_id(1), job_id(u64::MAX), "job-1".into(), "job-00000000000000000000".into()] {
+            assert!(is_job_id(&id), "{id}");
+        }
+        for id in [
+            "",
+            "job-",
+            "job-000001.json",
+            "job-00000000000000000000 0",
+            "job-000000000000000000000",
+            "job-1/../../x",
+            "job-\u{661}",
+            "/tmp/job-000001",
+            "../job-000001",
+            "JOB-000001",
+        ] {
+            assert!(!is_job_id(id), "{id}");
+        }
+        let root = tmp_root("ids");
+        let journal = Journal::open(&root).unwrap();
+        let record = JobRecord::new("job-000001".into(), 1, 0);
+        journal.write_record(&record).unwrap();
+        assert_eq!(journal.load_record("job-000001"), Some(record));
+        assert_eq!(journal.load_record("../jobs/job-000001"), None);
+        assert_eq!(journal.load_result("../jobs/job-000001"), None);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -3,7 +3,7 @@
 
 use momsynth_sync::sync::atomic::{AtomicBool, Ordering};
 use momsynth_sync::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use momsynth_metrics::{MetricsSink, MetricsSnapshot, Registry};
 use momsynth_telemetry::{Event, Fanout, JsonlSink, RunSummary, Sink, Warning};
 
 use crate::gate::WorkGate;
-use crate::job::{deadline_after, JobProgress, JobRecord, JobSpec, JobState};
+use crate::job::{deadline_after, job_id, JobProgress, JobRecord, JobSpec, JobState};
 use crate::journal::{Journal, JournalTimers};
 use crate::metrics::ServeMetrics;
 use crate::queue::{PendingQueue, PushOutcome, QueueEntry};
@@ -96,6 +96,14 @@ pub struct JobStatus {
     pub progress: Option<JobProgress>,
 }
 
+impl JobStatus {
+    /// The status of a job that is no longer in memory: its journalled
+    /// record, which carries the job's last progress.
+    fn journalled(record: JobRecord) -> Self {
+        Self { progress: record.progress, record }
+    }
+}
+
 /// Why a job's stop flag was raised (the GA only reports `Cancelled`,
 /// so the server remembers which actor asked).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +121,10 @@ struct RunningHandle {
     deadline: Option<Instant>,
 }
 
-/// Mutable scheduling state, guarded by one mutex.
+/// Mutable scheduling state, guarded by one mutex. It holds the jobs in
+/// flight only: a job's record and progress cell leave `jobs` and
+/// `progress` once its terminal record is journalled, and questions
+/// about it are answered from the journal.
 #[derive(Debug)]
 struct Sched {
     pending: PendingQueue,
@@ -121,6 +132,15 @@ struct Sched {
     progress: HashMap<String, Arc<Mutex<Option<JobProgress>>>>,
     running: HashMap<String, RunningHandle>,
     next_seq: u64,
+}
+
+impl Sched {
+    /// The status of resident job `id`, if it is in memory.
+    fn status(&self, id: &str) -> Option<JobStatus> {
+        let record = self.jobs.get(id)?.clone();
+        let progress = self.progress.get(id).and_then(|p| *p.lock().expect("progress poisoned"));
+        Some(JobStatus { record, progress })
+    }
 }
 
 /// State shared between the public handle, workers and the watchdog.
@@ -145,23 +165,33 @@ impl Shared {
     ///
     /// This is the single site where jobs go terminal, so terminal
     /// bookkeeping (per-state counters, lifecycle latency, the per-job
-    /// metrics snapshot) lives here and fires exactly once per job.
+    /// metrics snapshot) lives here and fires exactly once per job. A
+    /// terminal record carries the job's last progress; once it is
+    /// written, the job leaves memory and the journal answers for it. A
+    /// terminal record that could not be written stays resident.
     fn transition(&self, sched: &mut Sched, id: &str, state: JobState, note: &str) {
-        if let Some(record) = sched.jobs.get_mut(id) {
-            record.transition(state, note);
-            let snapshot = record.clone();
-            if let Err(e) = self.journal.write_record(&snapshot) {
-                eprintln!("warning: {e}");
-            }
-            if state.is_terminal() {
-                self.metrics.job_terminal(state, snapshot.age_s());
-                if self.metrics.registry().is_enabled() {
-                    let metrics_snapshot = self.metrics.snapshot();
-                    let path = self.journal.metrics_path(id);
-                    if let Err(e) = self.journal.write_metrics(&path, &metrics_snapshot) {
-                        eprintln!("warning: {e}");
-                    }
+        let Some(record) = sched.jobs.get_mut(id) else { return };
+        record.transition(state, note);
+        if state.is_terminal() {
+            record.progress =
+                sched.progress.get(id).and_then(|p| *p.lock().expect("progress poisoned"));
+        }
+        let written = self.journal.write_record(record);
+        if let Err(e) = &written {
+            eprintln!("warning: {e}");
+        }
+        if state.is_terminal() {
+            self.metrics.job_terminal(state, record.age_s());
+            if self.metrics.registry().is_enabled() {
+                let metrics_snapshot = self.metrics.snapshot();
+                let path = self.journal.metrics_path(id);
+                if let Err(e) = self.journal.write_metrics(&path, &metrics_snapshot) {
+                    eprintln!("warning: {e}");
                 }
+            }
+            if written.is_ok() {
+                sched.jobs.remove(id);
+                sched.progress.remove(id);
             }
         }
     }
@@ -183,7 +213,9 @@ pub struct Server {
 impl Server {
     /// Opens the journal at `config.root`, recovers every non-terminal
     /// job it finds (re-enqueued; in-flight runs resume from their
-    /// checkpoints), and starts the worker pool and watchdog.
+    /// checkpoints), and starts the worker pool and watchdog. Only the
+    /// recovered jobs are kept in memory; finished ones stay in the
+    /// journal, though every record counts towards the next job id.
     ///
     /// # Errors
     ///
@@ -225,8 +257,8 @@ impl Server {
                     not_before: None,
                 });
                 notes.push(format!("recovered `{}` (was `{from}`)", record.id));
+                sched.jobs.insert(record.id.clone(), record);
             }
-            sched.jobs.insert(record.id.clone(), record);
         }
         metrics.queue_depth.set(i64::try_from(sched.pending.len()).unwrap_or(i64::MAX));
 
@@ -297,7 +329,7 @@ impl Server {
         }
         let mut sched = self.lock_sched();
         let seq = sched.next_seq;
-        let id = format!("job-{seq:06}");
+        let id = job_id(seq);
         let outcome = sched.pending.push(QueueEntry {
             id: id.clone(),
             priority: spec.priority,
@@ -355,30 +387,34 @@ impl Server {
         Ok(id)
     }
 
-    /// A job's current status, or `None` for an unknown id.
+    /// A job's current status, or `None` for an unknown id. A job in
+    /// flight is answered from memory, a finished one from its journalled
+    /// record, read without holding the scheduler lock.
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        let sched = self.lock_sched();
-        let record = sched.jobs.get(id)?.clone();
-        let progress = sched.progress.get(id).and_then(|p| *p.lock().expect("progress poisoned"));
-        Some(JobStatus { record, progress })
+        let resident = self.lock_sched().status(id);
+        resident.or_else(|| self.shared.journal.load_record(id).map(JobStatus::journalled))
     }
 
-    /// All jobs, in submission order.
+    /// All jobs, in submission order: the journalled ones, with each job
+    /// still in memory in place of its journal copy.
     pub fn list(&self) -> Vec<JobStatus> {
-        let sched = self.lock_sched();
-        let mut statuses: Vec<JobStatus> = sched
-            .jobs
-            .values()
-            .map(|record| JobStatus {
-                record: record.clone(),
-                progress: sched
-                    .progress
-                    .get(&record.id)
-                    .and_then(|p| *p.lock().expect("progress poisoned")),
-            })
-            .collect();
-        statuses.sort_by_key(|s| s.record.seq);
-        statuses
+        // Resident jobs first: a job that finishes after this snapshot is
+        // in the journal by the time the scan below reads it.
+        let mut statuses: BTreeMap<(u64, String), JobStatus> = {
+            let sched = self.lock_sched();
+            sched
+                .jobs
+                .keys()
+                .filter_map(|id| sched.status(id))
+                .map(|status| ((status.record.seq, status.record.id.clone()), status))
+                .collect()
+        };
+        for record in self.shared.journal.load_all().0 {
+            statuses
+                .entry((record.seq, record.id.clone()))
+                .or_insert_with(|| JobStatus::journalled(record));
+        }
+        statuses.into_values().collect()
     }
 
     /// A verified job's solution report, if it exists.
@@ -387,11 +423,15 @@ impl Server {
     }
 
     /// Cancels a job: removed immediately while queued, cooperatively
-    /// stopped while running. Idempotent on terminal jobs. Returns the
-    /// state observed at call time, or `None` for an unknown id.
+    /// stopped while running. Idempotent on terminal jobs, which are read
+    /// from the journal once they have left memory. Returns the state
+    /// observed at call time, or `None` for an unknown id.
     pub fn cancel(&self, id: &str) -> Option<JobState> {
         let mut sched = self.lock_sched();
-        let state = sched.jobs.get(id)?.state;
+        let Some(state) = sched.jobs.get(id).map(|record| record.state) else {
+            drop(sched);
+            return self.shared.journal.load_record(id).map(|record| record.state);
+        };
         match state {
             JobState::Queued => {
                 sched.pending.remove(id);
@@ -461,6 +501,7 @@ impl Server {
     }
 
     /// Blocks until every known job is terminal or `timeout` expires.
+    /// Only jobs in memory can be in flight, so only they are scanned.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
@@ -596,18 +637,19 @@ fn run_job(shared: &Arc<Shared>, entry: &QueueEntry) {
     let _busy = BusyGuard(shared.metrics.workers_busy.clone());
     let (progress, trace_id) = {
         let mut sched = shared.gate.lock();
+        // A job cancelled after it left the queue but before this lock
+        // has nothing left to run (and may already have left memory).
+        let Some(record) = sched.jobs.get_mut(id).filter(|r| !r.state.is_terminal()) else {
+            return;
+        };
+        record.attempts += 1;
+        let attempt = record.attempts;
+        let queue_wait_s = if attempt == 1 { record.age_s() } else { None };
+        let trace_id = record.trace_id.clone();
         sched.running.insert(
             id.clone(),
             RunningHandle { stop: Arc::clone(&stop), cause: None, deadline: None },
         );
-        let (attempt, trace_id, queue_wait_s) = match sched.jobs.get_mut(id) {
-            Some(record) => {
-                record.attempts += 1;
-                let wait = if record.attempts == 1 { record.age_s() } else { None };
-                (record.attempts, record.trace_id.clone(), wait)
-            }
-            None => (1, String::new(), None),
-        };
         if let Some(wait) = queue_wait_s {
             shared.metrics.queue_wait.observe(wait);
         }
@@ -848,5 +890,57 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use momsynth_gen::suite::{generate, GeneratorParams};
+
+    fn quick_spec(seed: u64) -> JobSpec {
+        let mut params = GeneratorParams::new("resident", seed);
+        params.modes = 2;
+        params.tasks_per_mode = (4, 6);
+        let mut spec = JobSpec::new(generate(&params));
+        spec.quick = true;
+        spec.seed = seed;
+        spec.max_evaluations = Some(60);
+        spec
+    }
+
+    #[test]
+    fn finished_jobs_leave_memory_and_are_answered_from_the_journal() {
+        let mut root = std::env::temp_dir();
+        root.push(format!("momsynth_server_resident_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let server = Server::start(ServerConfig::new(root.clone())).unwrap();
+        let ids: Vec<String> =
+            (1..=4).map(|seed| server.submit(&quick_spec(seed)).unwrap()).collect();
+        assert!(server.wait_idle(Duration::from_secs(120)), "jobs must finish");
+        {
+            let sched = server.lock_sched();
+            assert!(sched.jobs.is_empty(), "{:?}", sched.jobs.keys());
+            assert!(sched.progress.is_empty(), "{:?}", sched.progress.keys());
+            assert!(sched.running.is_empty());
+        }
+
+        for id in &ids {
+            let status = server.status(id).expect("a finished job is still known");
+            assert_eq!(status.record.state, JobState::Verified, "{:?}", status.record);
+            assert!(status.record.summary.is_some(), "the summary is journalled");
+            let progress = status.progress.expect("the last progress is journalled");
+            assert!(progress.evaluations > 0);
+            assert_eq!(status.record.progress, Some(progress));
+            assert_eq!(server.cancel(id), Some(JobState::Verified));
+            let result = server.result(id).expect("a verified job's result");
+            assert_eq!(result.get("feasible").and_then(serde_json::Value::as_bool), Some(true));
+        }
+        let listed: Vec<String> = server.list().into_iter().map(|s| s.record.id).collect();
+        assert_eq!(listed, ids);
+        assert!(server.lock_sched().jobs.is_empty(), "reads bring nothing back into memory");
+
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
     }
 }

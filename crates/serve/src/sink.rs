@@ -46,6 +46,12 @@ impl SubscriberHub {
         });
     }
 
+    /// Whether a subscriber would receive a broadcast for `job`.
+    pub(crate) fn has_subscriber_for(&self, job: &str) -> bool {
+        let subs = self.subscribers.lock().expect("subscriber registry poisoned");
+        subs.iter().any(|s| s.job.as_deref().is_none_or(|j| j == job))
+    }
+
     /// Number of live subscribers.
     pub fn len(&self) -> usize {
         self.subscribers.lock().expect("subscriber registry poisoned").len()
@@ -59,7 +65,8 @@ impl SubscriberHub {
 
 /// The per-job worker-side sink: owned by the worker thread running the
 /// job, it mirrors generation events into the server's in-memory
-/// progress table and fans job-tagged copies out to subscribers. Used
+/// progress table and fans job-tagged copies out to subscribers, tagging
+/// and serializing an event only when a subscriber listens for the job. Used
 /// alongside a [`momsynth_telemetry::JsonlSink`] (the durable trace) in
 /// a [`momsynth_telemetry::Fanout`].
 pub(crate) struct ServeSink {
@@ -94,6 +101,9 @@ impl Sink for ServeSink {
                 best: g.best,
                 evals_per_sec: g.evals_per_sec,
             });
+        }
+        if !self.hub.has_subscriber_for(&self.job) {
+            return;
         }
         let tagged = JobEvent { job: self.job.clone(), event: event.clone() };
         if let Ok(line) = serde_json::to_string(&tagged) {
@@ -153,5 +163,29 @@ mod tests {
         assert!(matches!(first.event, Event::Warning(_)));
         let second: JobEvent = serde_json::from_str(&rx.try_recv().unwrap()).unwrap();
         assert!(matches!(second.event, Event::Generation(_)));
+    }
+
+    #[test]
+    fn progress_is_kept_when_no_subscriber_listens_for_the_job() {
+        use momsynth_telemetry::{Counters, GenerationEvent};
+        let hub = Arc::new(SubscriberHub::default());
+        let other = hub.subscribe(Some("job-2".into()));
+        let progress = Arc::new(Mutex::new(None));
+        let sink = ServeSink::new("job-1".into(), progress.clone(), hub);
+
+        sink.record(&Event::Generation(GenerationEvent {
+            generation: 7,
+            evaluations: 140,
+            best: 1.5,
+            mean: 2.0,
+            worst: 3.0,
+            stagnation: 1,
+            evals_per_sec: 50.0,
+            counters: Counters::default(),
+        }));
+
+        let p = progress.lock().unwrap().expect("generation updates progress");
+        assert_eq!((p.generation, p.evaluations), (7, 140));
+        assert!(other.try_recv().is_err(), "another job's subscriber hears nothing");
     }
 }

@@ -18,6 +18,8 @@
 #              once with --dvs: identical results and counters, and the DVS
 #              runs count PV-DVS iterations
 #   serve      SIGKILL the job server mid-synthesis, restart, both jobs verified
+#              (`job list` too, answered from the journal), and a job id that
+#              is an absolute path is refused
 #   metrics    metrics over the protocol and HTTP, journalled snapshots, profiler
 #   prove      certificates for the smartphone, under an evaluation and under a
 #              wall-clock budget (no evaluation cap: `max_evals` is null), and
@@ -294,6 +296,14 @@ serve_scenario() {
   momsynth job wait job-000002 --socket momsynth.sock --timeout-s 600
   momsynth job status job-000001 --socket momsynth.sock > status1.json
   momsynth job status job-000002 --socket momsynth.sock > status2.json
+  momsynth job list --socket momsynth.sock > list.json
+  # An id is only ever `job-<digits>`: an absolute path to a real result
+  # file is an unknown job, not a way to read that file.
+  if momsynth job result "$PWD/jobs/results/job-000001" --socket momsynth.sock \
+    > traversal.json; then
+    echo "error: an absolute-path job id was answered: $(cat traversal.json)" >&2
+    exit 1
+  fi
   momsynth job shutdown --socket momsynth.sock
   wait "$SERVER_PID"
   SERVER_PID=""
@@ -310,6 +320,13 @@ for path, system in (("status1.json", "smartphone"), ("status2.json", "automotiv
     print(f"ok: {job['id']} {system} verified after {job['attempts']} attempt(s),"
           f" gap {summary['optimality_gap'] * 100:.1f}%,"
           f" {len(recovered)} recovery transition(s)")
+
+jobs = json.load(open("list.json"))["jobs"]
+assert [(j["id"], j["state"]) for j in jobs] == [
+    ("job-000001", "verified"), ("job-000002", "verified")], jobs
+refused = json.load(open("traversal.json"))
+assert refused["ok"] is False and "result" not in refused, refused
+print("ok: job list shows both jobs verified; an absolute-path id is refused")
 PY
 }
 

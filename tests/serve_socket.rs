@@ -2,7 +2,10 @@
 //! connection over `MAX_CONNECTIONS`, a request whose `é` is split
 //! across the server's read timeout, a line that is not UTF-8 and a line
 //! over `MAX_LINE_BYTES` each get a reply line, and the server still
-//! answers `ping` afterwards.
+//! answers `ping` afterwards. A job id that is not one the server mints
+//! (absolute, climbing with `../`, empty, holding a `/`, overlong) is an
+//! unknown job to every command that takes one, so no id reads a file
+//! outside the journal.
 
 #![cfg(unix)]
 
@@ -139,5 +142,60 @@ fn hostile_socket_clients_get_replies_and_the_server_keeps_serving() {
     stop.store(true, Ordering::Release);
     listener.join().expect("accept loop").expect("socket served");
     drop(server);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn job_ids_never_name_a_file_outside_the_journal() {
+    let root = tmp_path("ids_root");
+    let path = tmp_path("ids_sock");
+    std::fs::remove_dir_all(&root).ok();
+    // A file outside the journal that parses both as a solution report
+    // and as a job record. `root/<sub>/../../` is its directory.
+    let marker = "planted-outside-the-journal";
+    let outside = std::env::temp_dir();
+    let name = format!("momsynth_trav_{}", std::process::id());
+    let planted = outside.join(format!("{name}.json"));
+    let content = format!(
+        r#"{{"id":"{marker}","seq":1,"priority":0,"state":"Verified","attempts":1,"feasible":true}}"#
+    );
+    std::fs::write(&planted, content).unwrap();
+
+    let server = Arc::new(Server::start(ServerConfig::new(root.clone())).expect("server starts"));
+    let stop = Arc::new(AtomicBool::new(false));
+    let listener = {
+        let (server, path, stop) = (Arc::clone(&server), path.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || serve_unix(&server, &path, &stop))
+    };
+
+    let absolute = outside.join(&name).to_str().expect("a UTF-8 temp dir").to_owned();
+    let ids = [
+        absolute,
+        format!("../../{name}"),
+        String::new(),
+        format!("job-000001/../../{name}"),
+        format!("jobs/../../{name}"),
+        format!("job-{}", "0".repeat(4096)),
+        format!("{}{name}", "../".repeat(2048)),
+    ];
+    let mut client = connect(&path);
+    for id in &ids {
+        for cmd in ["result", "status", "cancel", "wait"] {
+            let request = serde_json::json!({"cmd": cmd, "id": id, "timeout_s": 0.1});
+            client.write_all(format!("{request}\n").as_bytes()).unwrap();
+            let reply = reply(&mut client).expect("every hostile id gets a reply");
+            let text = reply.to_string();
+            let shown: String = text.chars().take(200).collect();
+            assert_eq!(reply["ok"], Value::Bool(false), "{cmd} {shown}");
+            assert!(reply["error"].as_str().is_some(), "{cmd} {shown}");
+            assert!(!text.contains(marker), "{cmd} read the planted file: {shown}");
+        }
+    }
+    assert!(is_pong(&ping(&mut client)), "the server must keep serving");
+
+    stop.store(true, Ordering::Release);
+    listener.join().expect("accept loop").expect("socket served");
+    drop(server);
+    std::fs::remove_file(&planted).ok();
     std::fs::remove_dir_all(&root).ok();
 }
